@@ -3,7 +3,7 @@
 Wall-clock timings of the cooperative runtime itself.  The
 simulated-clock numbers (steady p99 ceiling, burst throughput floor,
 backpressure determinism, the interleaving parity battery) are recorded
-per PR in ``BENCH_async.json`` by ``repro async-serve --bench``; here we
+per PR in ``BENCH_async.json`` by ``repro bench async``; here we
 watch the real cost of the event loop — a bursty disjoint-update mix
 driven through the cooperative engine vs the serial engine on the same
 requests, and one full parity round including the oracle comparison.

@@ -2,7 +2,7 @@
 
 Wall-clock timings of the write path.  The recorded trajectory numbers
 (incremental-vs-full speedup, retained hit rates) live in
-``BENCH_dynamic.json`` via ``repro update --bench``; here we watch the
+``BENCH_dynamic.json`` via ``repro bench dynamic``; here we watch the
 real cost of the building blocks: the vectorized CSR merge, the
 incremental fold against its full-recompute oracle, and a resident
 session absorbing an update (slice resync + targeted invalidation)

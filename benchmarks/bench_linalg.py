@@ -5,7 +5,7 @@ replays packed SUMMA panels vectorized, the ``loop`` variants run the
 edge-centric per-round reference (``tc2d`` with ``fast_path=False``).
 Parity between the two is pinned elsewhere
 (``tests/core/test_linalg.py``); here we only watch the speed.
-``repro bench`` records the same comparison into ``BENCH_kernels.json``
+``repro bench kernels`` records the same comparison into ``BENCH_kernels.json``
 per PR (the ``linalg`` section).
 """
 

@@ -5,7 +5,7 @@ distributed LCC/TC.  The ``loop`` variants run the per-edge reference
 oracle, the ``batched`` variants the vectorized replay of
 :mod:`repro.core.replay` — parity between the two is pinned elsewhere
 (``tests/core/test_cached_fast_parity.py``); here we only watch the
-speed.  ``repro bench`` records the same comparison into
+speed.  ``repro bench kernels`` records the same comparison into
 ``BENCH_kernels.json`` per PR.
 """
 

@@ -3,7 +3,7 @@
 Wall-clock timings of the query-serving engine draining the standard
 Zipf-skewed workload through each scheduler.  The simulated-clock
 comparison (throughput, latency, warm fractions) is recorded per PR in
-``BENCH_serve.json`` by ``repro serve --bench``; here we watch the real
+``BENCH_serve.json`` by ``repro bench serve``; here we watch the real
 cost of the serving loop itself — the affinity batching also makes the
 *simulation* cheaper, because warm queries ride the batched cache replay.
 """

@@ -3,7 +3,7 @@
 Wall-clock timings of the sharding layer itself.  The simulated-clock
 numbers (read scaling vs replica count, cross- vs single-shard commit
 latency, the failover drill) are recorded per PR in ``BENCH_shard.json``
-by ``repro shard --bench``; here we watch the real cost of the two hot
+by ``repro bench shard``; here we watch the real cost of the two hot
 paths — the k-shard commit barrier with its reassembly digest proof, and
 a routed read burst across a replica set.
 """

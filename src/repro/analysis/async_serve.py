@@ -1,19 +1,19 @@
 """Async-serving benchmark: overlap, tail latency, and the parity proof.
 
-``repro async-serve --bench`` (and :func:`run_async_bench`) records the
+``repro bench async`` (and :func:`run_async_bench`) records the
 cooperative runtime's trajectory point, ``BENCH_async.json``:
 
 * **steady** — the same steady Zipf+Poisson read/write mix served by the
   serial :class:`~repro.serve.engine.ServingEngine` and the cooperative
   :class:`~repro.serve.engine.AsyncServingEngine`; the committed gate
   requires bit-identical answers/version histories *and* an async p99
-  no worse than :data:`ASYNC_P99_TOLERANCE` × the serial p99 — the
+  no worse than 1.1 × the serial p99 — the
   cooperative runtime must never buy throughput with tail latency on
   well-behaved traffic;
 * **burst** — a bursty, update-heavy mix over the sharded store with
   shard-set-annotated updates (the disjoint-update regime the fence was
   built for): overlapped update application + queries must reach
-  ≥ :data:`MIN_ASYNC_SPEEDUP` × the serial engine's throughput, with
+  ≥ 1.3 × the serial engine's throughput, with
   answers still bit-identical and real overlap measured
   (``overlap_fraction`` > 0);
 * **backpressure** — admission control on the simulated clock: shedding
@@ -25,16 +25,21 @@ cooperative runtime's trajectory point, ``BENCH_async.json``:
   (:class:`~repro.serve.scheduler.InterleaveScheduler`), every one
   pinned bit-identical to the serial oracle.
 
-:func:`check_async_report` is the absolute gate; CI re-runs ``--quick``
-sizes and gates against the committed baseline with
-:func:`check_async_against_baseline`.
+:data:`SUITE` declares the gate; CI re-runs ``--quick`` sizes and gates
+against the committed baseline.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.analysis.benchreport import BENCH_THREADS, write_report
+from repro.analysis.benchreport import BENCH_THREADS
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    SCHEMA_VERSION,
+    BenchSuite,
+    Gate,
+)
 from repro.serve.engine import (
     AsyncServeConfig,
     AsyncServingEngine,
@@ -46,21 +51,8 @@ from repro.serve.scheduler import FIFOScheduler, InterleaveScheduler
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 from repro.shardstore import ShardedGraphStore, annotate_shard_sets
 
-ASYNC_SCHEMA_VERSION = 1
-
-#: Keys every async report carries (pinned by tests and the CLI).
-ASYNC_REPORT_KEYS = ("schema_version", "quick", "nranks", "threads",
-                     "workers", "steady", "burst", "backpressure",
-                     "interleavings")
-
 ASYNC_NRANKS = 8
 ASYNC_WORKERS = 6
-
-#: Async p99 on steady traffic may exceed the serial p99 by at most this.
-ASYNC_P99_TOLERANCE = 1.1
-
-#: Overlapped throughput on the disjoint burst mix must beat serial by this.
-MIN_ASYNC_SPEEDUP = 1.3
 
 #: Interleaving seeds the parity scenario drives (quick uses a prefix).
 ASYNC_SEEDS = tuple(range(8))
@@ -226,7 +218,7 @@ def bench_interleavings(quick: bool = False) -> dict[str, Any]:
 def run_async_bench(quick: bool = False) -> dict[str, Any]:
     """Produce the full async report dict (see module docstring)."""
     return {
-        "schema_version": ASYNC_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "quick": quick,
         "nranks": ASYNC_NRANKS,
         "threads": BENCH_THREADS,
@@ -238,128 +230,83 @@ def run_async_bench(quick: bool = False) -> dict[str, Any]:
     }
 
 
-def check_async_report(report: Mapping[str, Any], *,
-                       p99_tolerance: float = ASYNC_P99_TOLERANCE,
-                       min_speedup: float = MIN_ASYNC_SPEEDUP) -> list[str]:
-    """The absolute gate an async report must pass to be recorded.
-
-    Returns human-readable problems (empty list = pass): bit-identity in
-    every scenario, the steady-traffic p99 ceiling, the burst-throughput
-    floor with measured overlap, deterministic backpressure, and a
-    clean interleaving battery.
-    """
-    problems = []
-    for key in ASYNC_REPORT_KEYS:
-        if key not in report:
-            problems.append(f"async report missing key {key!r}")
-    steady = report.get("steady", {})
-    if steady.get("results_identical") is not True:
-        problems.append(
-            "steady: cooperative answers diverged from the serial oracle")
-    ratio = float(steady.get("p99_ratio", float("inf")))
-    if ratio > p99_tolerance:
-        problems.append(
-            f"steady: async p99 is {ratio:.2f}x serial, above the "
-            f"{p99_tolerance:.2f}x ceiling (tail latency bought with "
-            "concurrency)")
-    burst = report.get("burst", {})
-    if burst.get("results_identical") is not True:
-        problems.append(
-            "burst: cooperative answers diverged from the serial oracle")
-    speedup = float(burst.get("throughput_ratio", 0.0))
-    if speedup < min_speedup:
-        problems.append(
-            f"burst: overlapped throughput is {speedup:.2f}x serial, "
-            f"below the {min_speedup:.1f}x floor")
-    if float(burst.get("async", {}).get("overlap_fraction", 0.0)) <= 0.0:
-        problems.append(
-            "burst: no overlap was measured (the cooperative engine "
-            "served serially)")
-    bp = report.get("backpressure", {})
-    for field in ("defer_identical", "shed_deterministic",
-                  "rejected_absent_from_digests",
-                  "deferred_keep_arrival_accounting"):
-        if bp.get(field) is not True:
-            problems.append(f"backpressure: {field} is false")
-    inter = report.get("interleavings", {})
-    if inter.get("all_identical") is not True:
-        bad = [s for s, ok in inter.get("identical", {}).items() if not ok]
-        problems.append(
-            f"interleavings: seeds {bad or '?'} diverged from the oracle")
-    if len(inter.get("seeds", ())) < 2:
-        problems.append(
-            "interleavings: fewer than 2 seeds exercised (no battery)")
-    return problems
-
-
-def check_async_against_baseline(report: Mapping[str, Any],
-                                 baseline: Mapping[str, Any], *,
-                                 tolerance: float = 0.25) -> list[str]:
-    """CI gate: a fresh (quick) report versus the committed baseline.
-
-    Correctness clauses are absolute (bit-identity everywhere, the p99
-    ceiling, deterministic backpressure) and the
-    :data:`MIN_ASYNC_SPEEDUP` floor always applies; on top, the fresh
-    burst speedup must stay above ``tolerance`` times the baseline's,
-    mirroring ``repro bench --check``.
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    problems = check_async_report(report)
-    base_burst = baseline.get("burst", {})
-    if not base_burst:
-        problems.append(
-            "baseline has no burst section (is --check pointed at a "
-            "BENCH_async.json?)")
-        return problems
-    floor = tolerance * float(base_burst.get("throughput_ratio", 0.0))
-    fresh = float(report.get("burst", {}).get("throughput_ratio", 0.0))
-    if fresh < floor:
-        problems.append(
-            f"burst speedup {fresh:.2f}x fell below {floor:.2f}x "
-            f"({tolerance:.0%} of the baseline's "
-            f"{float(base_burst.get('throughput_ratio', 0.0)):.2f}x)")
-    return problems
-
-
-def write_async_report(report: Mapping[str, Any], path: str, *,
-                       gate: bool = True) -> None:
-    """Gate-check (optionally), schema-check and write the async report.
-
-    ``gate=False`` skips the absolute gate and only schema-checks — for
-    CI runs whose verdict comes from
-    :func:`check_async_against_baseline` instead.
-    """
-    if gate:
-        problems = check_async_report(report)
-        if problems:
-            raise ValueError("; ".join(problems))
-    write_report(report, path, required_keys=ASYNC_REPORT_KEYS)
-
-
-def async_trajectory_row(report: Mapping[str, Any], *,
-                         date: str | None = None) -> dict[str, Any]:
-    """Condense one async report into a dated trajectory line."""
-    import datetime
-
+def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
     return {
-        "date": date or datetime.date.today().isoformat(),
-        "kind": "async",
-        "quick": bool(report.get("quick", False)),
-        "burst_speedup": float(
-            report.get("burst", {}).get("throughput_ratio", 0.0)),
-        "steady_p99_ratio": float(
-            report.get("steady", {}).get("p99_ratio", 0.0)),
+        "burst_speedup": float(report["burst"]["throughput_ratio"]),
+        "steady_p99_ratio": float(report["steady"]["p99_ratio"]),
         "overlap_fraction": float(
-            report.get("burst", {}).get("async", {})
-            .get("overlap_fraction", 0.0)),
-        "interleavings_identical": bool(
-            report.get("interleavings", {}).get("all_identical", False)),
+            report["burst"]["async"]["overlap_fraction"]),
+        "interleavings_identical":
+            report["interleavings"]["all_identical"] is True,
     }
 
 
+def _summary(report: Mapping[str, Any]) -> list[str]:
+    steady, burst = report["steady"], report["burst"]
+    bp, inter = report["backpressure"], report["interleavings"]
+    return [
+        f"steady       p99 {steady['p99_async_s']:.4f}s async vs "
+        f"{steady['p99_serial_s']:.4f}s serial "
+        f"({steady['p99_ratio']:.2f}x)  answers identical: "
+        f"{steady['results_identical']}",
+        f"burst        throughput {burst['throughput_async_qps']:.0f} "
+        f"vs {burst['throughput_serial_qps']:.0f} q/s "
+        f"({burst['throughput_ratio']:.2f}x)  overlap "
+        f"{burst['async']['overlap_fraction']:.2f}  answers "
+        f"identical: {burst['results_identical']}",
+        f"backpressure defer identical {bp['defer_identical']}  "
+        f"shed deterministic {bp['shed_deterministic']} "
+        f"({bp['n_rejected']} rejected, absent from digests: "
+        f"{bp['rejected_absent_from_digests']})",
+        f"interleaving {len(inter['seeds'])} seeds, all identical to "
+        f"the serial oracle: {inter['all_identical']}",
+    ]
+
+
+SUITE = BenchSuite(
+    name="async",
+    doc="cooperative/serial answer bit-identity in every scenario (incl. "
+        "the seeded-interleaving battery); steady-traffic p99 ceiling "
+        "(async <= 1.1x serial); 1.3x throughput floor on the "
+        "disjoint-update burst mix (and >= 25% of the baseline's) with "
+        "measured overlap; deterministic backpressure (shed qids absent "
+        "from the digests)",
+    run=run_async_bench,
+    keys=("schema_version", "quick", "nranks", "threads", "workers",
+          "steady", "burst", "backpressure", "interleavings"),
+    gates=(
+        Gate("steady.results_identical", "is", True,
+             "cooperative answers diverged from the serial oracle"),
+        Gate("steady.p99_ratio", "<=", 1.1,
+             "async p99 is above the ceiling over serial (tail latency "
+             "bought with concurrency)"),
+        Gate("burst.results_identical", "is", True,
+             "cooperative answers diverged from the serial oracle"),
+        Gate("burst.throughput_ratio", ">=", 1.3,
+             "overlapped throughput over serial is below the floor",
+             rel=REL_TOLERANCE),
+        Gate("burst.async.overlap_fraction", ">", 0.0,
+             "no overlap was measured (the cooperative engine served "
+             "serially)"),
+        *(Gate(f"backpressure.{field}", "is", True,
+               f"backpressure: {field} is false")
+          for field in ("defer_identical", "shed_deterministic",
+                        "rejected_absent_from_digests",
+                        "deferred_keep_arrival_accounting")),
+        Gate("interleavings.all_identical", "is", True,
+             "an interleaving diverged from the serial oracle"),
+        Gate("interleavings.identical.*", "is", True,
+             "this seed's interleaving diverged from the serial oracle"),
+        Gate("interleavings.seeds", "len>=", 2,
+             "fewer than 2 seeds exercised (no battery)"),
+    ),
+    headline=_headline,
+    summary=_summary,
+)
+
+
 # ---------------------------------------------------------------------------
-# One-off CLI runs (``repro async-serve`` without --bench)
+# One-off CLI runs (``repro async-serve``)
 # ---------------------------------------------------------------------------
 
 def one_off_async_run(*, n_queries: int = 80, arrival_rate: float = 2000.0,

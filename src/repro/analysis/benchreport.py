@@ -1,7 +1,7 @@
 """Registered-kernel benchmarks: the repo's recorded performance trajectory.
 
-``repro bench`` runs every registered kernel on standard generator graphs
-and writes ``BENCH_kernels.json``: real wall-clock seconds, simulated job
+``repro bench kernels`` runs every registered kernel on standard generator
+graphs and writes ``BENCH_kernels.json``: real wall-clock seconds, simulated job
 time, triangle counts and cache hit rates, plus a ``cached_replay``
 section that measures the batched cache replay (:mod:`repro.core.replay`)
 against the per-edge scalar loop it replaced — cold (first query, mostly
@@ -14,24 +14,26 @@ cached loop, all on the :data:`BENCH_GRID_NRANKS` square grid and gated
 bit-identical against their oracles.
 
 The JSON is committed at the repo root so every PR leaves a perf data
-point behind; CI runs ``repro bench --quick`` as a smoke test and uploads
-the report as an artifact.
+point behind; :data:`SUITE` declares what it must satisfy.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import time
 from typing import Any, Mapping
 
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    SCHEMA_VERSION,
+    BenchSuite,
+    Gate,
+)
 from repro.core.config import CacheSpec, LCCConfig
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import powerlaw_configuration, rmat
 from repro.session import Session, get_kernel, kernel_names, run_kernel
-
-SCHEMA_VERSION = 1
 
 #: Cluster shape every benchmark cell runs with (also recorded in the
 #: report header, so trajectory comparisons across PRs stay labeled).
@@ -43,12 +45,6 @@ BENCH_THREADS = 4
 #: into a rectangular 2x4 grid the SUMMA kernels refuse, so they run on
 #: the nearest square grid instead.
 BENCH_GRID_NRANKS = 9
-
-#: Keys every report carries (pinned by tests and downstream tooling).
-REPORT_KEYS = ("schema_version", "quick", "nranks", "threads",
-               "grid_nranks", "graphs", "kernels", "cached_replay",
-               "linalg")
-
 
 def bench_graphs(quick: bool = False) -> dict[str, CSRGraph]:
     """Standard generator graphs the trajectory is recorded on.
@@ -75,7 +71,10 @@ def _bench_config(graph: CSRGraph, cached: bool, fast_path: bool = True,
 
 
 def _hit_rate(stats: Mapping[str, float] | None) -> float | None:
-    return None if stats is None else float(stats["hit_rate"])
+    """``None`` for "no cache, or a cache nothing went through"."""
+    if stats is None or stats["hits"] + stats["misses"] == 0:
+        return None
+    return float(stats["hit_rate"])
 
 
 def bench_kernel(graph: CSRGraph, kernel: str) -> dict[str, Any]:
@@ -255,10 +254,9 @@ def bench_cached_tc2d(graph: CSRGraph) -> dict[str, Any]:
     }
 
 
-def run_bench(quick: bool = False,
-              graphs: Mapping[str, CSRGraph] | None = None) -> dict[str, Any]:
+def run_bench(quick: bool = False) -> dict[str, Any]:
     """Produce the full report dict (see module docstring for the shape)."""
-    graphs = dict(graphs) if graphs is not None else bench_graphs(quick)
+    graphs = bench_graphs(quick)
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "quick": quick,
@@ -293,52 +291,6 @@ def run_bench(quick: bool = False,
     return report
 
 
-def check_report(report: Mapping[str, Any],
-                 required_keys: tuple[str, ...] = REPORT_KEYS) -> None:
-    """Schema sanity: required keys present, every number finite."""
-    for key in required_keys:
-        if key not in report:
-            raise ValueError(f"bench report missing key {key!r}")
-
-    def walk(node: Any, path: str) -> None:
-        if isinstance(node, Mapping):
-            for k, v in node.items():
-                walk(v, f"{path}.{k}")
-        elif isinstance(node, float) and not math.isfinite(node):
-            raise ValueError(f"non-finite value at {path}: {node}")
-
-    walk(report, "report")
-
-
-def write_report(report: Mapping[str, Any], path: str,
-                 required_keys: tuple[str, ...] = REPORT_KEYS) -> None:
-    """Validate and write the report as pretty-printed JSON."""
-    check_report(report, required_keys)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# The CI regression gate (``repro bench --check``)
-# ---------------------------------------------------------------------------
-
-#: Fraction of the baseline's per-kernel worst warm speedup a fresh run
-#: must retain.  Deliberately loose: the committed baseline is recorded on
-#: full-size graphs while CI measures ``--quick`` sizes on noisy shared
-#: runners — the gate exists to catch the fast path silently degrading to
-#: loop speed (ratio ~0.1) or losing exactness, not 10% wall-clock jitter.
-DEFAULT_CHECK_TOLERANCE = 0.25
-
-#: Absolute warm-speedup floor for every ``linalg`` row (the algebraic
-#: replay vs. its scalar loop, and the batched cached-grid replay vs.
-#: the scalar cached loop).  Unlike the relative ``cached_replay`` gate,
-#: this is a hard contract from the kernels' acceptance criteria: the
-#: vectorized paths beat their loops by far more than 2x on every size,
-#: so 2x even on ``--quick`` runs only trips when a path degenerates.
-LINALG_SPEEDUP_FLOOR = 2.0
-
-
 def _min_warm_speedups(report: Mapping[str, Any]) -> dict[str, float]:
     """Per-kernel minimum warm speedup across that report's graphs."""
     mins: dict[str, float] = {}
@@ -349,169 +301,76 @@ def _min_warm_speedups(report: Mapping[str, Any]) -> dict[str, float]:
     return mins
 
 
-def check_against_baseline(report: Mapping[str, Any],
-                           baseline: Mapping[str, Any], *,
-                           tolerance: float = DEFAULT_CHECK_TOLERANCE
-                           ) -> list[str]:
-    """Compare a fresh bench report against the committed baseline.
-
-    Returns human-readable problems (empty list means the gate passes):
-
-    * every ``cached_replay`` row of the fresh report must be
-      ``bit_identical`` — the batched replay may never drift from the
-      per-edge loop oracle;
-    * for each kernel the baseline records, the fresh report's worst warm
-      loop-vs-batched speedup must stay above ``tolerance`` times the
-      baseline's — the warm fast path must not silently regress;
-    * when the baseline carries a ``linalg`` section, every fresh
-      ``linalg`` row must be ``bit_identical`` and keep its warm speedup
-      above the absolute :data:`LINALG_SPEEDUP_FLOOR`.
-
-    Graph names are *not* matched across reports (CI runs ``--quick``
-    sizes against the committed full-size baseline); the per-kernel
-    minimum is the contract.
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    problems = []
-    replay = report.get("cached_replay", {})
-    if not replay:
-        problems.append("fresh report has no cached_replay section")
-    if not baseline.get("cached_replay"):
-        problems.append(
-            "baseline has no cached_replay section (is --check pointed at "
-            "a BENCH_kernels.json?)")
-    for key, row in replay.items():
-        if not row.get("bit_identical", False):
-            problems.append(
-                f"{key}: batched replay is no longer bit-identical to the "
-                "per-edge loop")
-    if baseline.get("linalg"):
-        linalg = report.get("linalg", {})
-        if not linalg:
-            problems.append(
-                "baseline records a linalg section but the fresh report "
-                "has none")
-        for key, row in sorted(linalg.items()):
-            if not row.get("bit_identical", False):
-                problems.append(
-                    f"{key}: algebraic replay is no longer bit-identical "
-                    "to its edge-centric oracle")
-            speedup = float(row["warm_speedup"])
-            if speedup < LINALG_SPEEDUP_FLOOR:
-                problems.append(
-                    f"{key}: warm speedup {speedup:.2f}x fell below the "
-                    f"absolute {LINALG_SPEEDUP_FLOOR:.1f}x floor")
-    fresh = _min_warm_speedups(report)
-    for kernel, floor in sorted(_min_warm_speedups(baseline).items()):
-        if kernel not in fresh:
-            problems.append(
-                f"kernel {kernel!r} present in the baseline but missing "
-                "from the fresh report")
-            continue
-        threshold = tolerance * floor
-        if fresh[kernel] < threshold:
-            problems.append(
-                f"{kernel}: warm speedup {fresh[kernel]:.2f}x fell below "
-                f"{threshold:.2f}x ({tolerance:.0%} of the baseline's "
-                f"{floor:.2f}x)")
-    return problems
-
-
-def load_report(path: str) -> dict[str, Any]:
-    """Read a committed report back (the ``--check`` baseline)."""
-    with open(path) as fh:
-        return json.load(fh)
-
-
-# ---------------------------------------------------------------------------
-# The cross-PR perf trajectory (``BENCH_trajectory.json``)
-# ---------------------------------------------------------------------------
-
-TRAJECTORY_SCHEMA_VERSION = 1
-
-#: Committed at the repo root; every ``repro bench`` run appends one row,
-#: so the file accumulates a dated perf history across PRs.
-DEFAULT_TRAJECTORY_PATH = "BENCH_trajectory.json"
-
-
-def trajectory_row(report: Mapping[str, Any], *,
-                   date: str | None = None) -> dict[str, Any]:
-    """Condense one bench report into a dated trajectory line."""
-    import datetime
-
+def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
     kernels = report.get("kernels", {})
     walls = [float(row["wall_clock_s"]) for row in kernels.values()]
+    # The 1D CLaMPI kernels only (rows that carry an offsets cache too):
+    # the 2D block caches see one compulsory-miss-only pass per bench
+    # query, a different population whose 0.0 would drag the mean down.
     hits = [float(row["adj_hit_rate"]) for row in kernels.values()
-            if row.get("adj_hit_rate") is not None]
+            if row.get("adj_hit_rate") is not None
+            and row.get("offsets_hit_rate") is not None]
     linalg = [float(row["warm_speedup"])
               for row in report.get("linalg", {}).values()]
     return {
-        "date": date or datetime.date.today().isoformat(),
-        "kind": "kernels",
-        "quick": bool(report.get("quick", False)),
         "n_kernels": len(kernels),
         "total_kernel_wall_s": sum(walls),
         "max_kernel_wall_s": max(walls, default=0.0),
-        "mean_adj_hit_rate": (sum(hits) / len(hits)) if hits else 0.0,
+        "mean_adj_hit_rate": (sum(hits) / len(hits)) if hits else None,
         "min_warm_speedups": _min_warm_speedups(report),
         "min_linalg_speedup": min(linalg, default=0.0),
     }
 
 
-def append_trajectory(report: Mapping[str, Any],
-                      path: str = DEFAULT_TRAJECTORY_PATH, *,
-                      date: str | None = None) -> dict[str, Any]:
-    """Append one dated summary row to the trajectory file; returns the row.
+def _summary(report: Mapping[str, Any]) -> list[str]:
+    lines = []
+    for name, row in report["kernels"].items():
+        hit = row["adj_hit_rate"]
+        hit_s = f"  adj-hit {hit:.3f}" if hit is not None else ""
+        lines.append(f"{name:22s} wall {row['wall_clock_s']:8.3f}s  "
+                     f"simulated {row['simulated_time_s']:.6g}s{hit_s}")
+    for name, row in report["cached_replay"].items():
+        lines.append(f"{name:22s} batched replay: cold "
+                     f"{row['cold_speedup']:.1f}x, warm "
+                     f"{row['warm_speedup']:.1f}x vs loop  "
+                     f"(bit-identical: {row['bit_identical']})")
+    for name, row in report["linalg"].items():
+        lines.append(f"{name:22s} algebraic replay: warm "
+                     f"{row['warm_speedup']:.1f}x vs loop on "
+                     f"{row['nranks']} ranks  "
+                     f"(bit-identical: {row['bit_identical']})")
+    return lines
 
-    Creates the file on first use.  Rows are append-only — the point of
-    the trajectory is that every PR (and every CI smoke run on a fresh
-    checkout) leaves its perf data point behind chronologically.
-    """
-    return append_trajectory_row(trajectory_row(report, date=date), path)
 
-
-def append_trajectory_row(row: Mapping[str, Any],
-                          path: str = DEFAULT_TRAJECTORY_PATH
-                          ) -> dict[str, Any]:
-    """Append one already-condensed row to the trajectory file.
-
-    The shared tail of every subsystem's trajectory hook (`repro bench`,
-    `repro shard`): subsystems condense their own reports, this handles
-    the durable append.
-    """
-    import os
-    import tempfile
-
-    from repro.analysis.schema import validate_trajectory_row
-
-    problems = validate_trajectory_row(row)
-    if problems:
-        raise ValueError(
-            f"refusing to append a malformed trajectory row: {problems[0]}")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        data = {"schema_version": TRAJECTORY_SCHEMA_VERSION, "rows": []}
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path} is corrupt ({exc}); repair or delete it to restart "
-            "the trajectory") from None
-    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
-        raise ValueError(
-            f"{path} is not a trajectory file (expected a 'rows' list)")
-    data["rows"].append(row)
-    # Write-temp-then-rename: an interrupted run must never leave the
-    # accumulated history truncated.
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=".trajectory-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return row
+SUITE = BenchSuite(
+    name="kernels",
+    doc="every registered kernel (incl. the SUMMA `tc2d_spgemm`/`lcc2d` "
+        "pair on the square grid); batched replay bit-identical to the "
+        "per-edge loop and its per-kernel worst warm speedup >= 25% of the "
+        "baseline's; `linalg` rows bit-identical to their oracles with an "
+        "absolute 2x warm floor",
+    run=run_bench,
+    keys=("schema_version", "quick", "nranks", "threads", "grid_nranks",
+          "graphs", "kernels", "cached_replay", "linalg"),
+    gates=(
+        Gate("cached_replay.*.bit_identical", "is", True,
+             "batched replay is no longer bit-identical to the per-edge "
+             "loop"),
+        # Graph names are not matched across reports (quick CI sizes vs
+        # the full-size baseline): the per-kernel minimum is the contract.
+        Gate("cached_replay.*.warm_speedup", ">=", None,
+             "warm loop-vs-batched speedup", rel=REL_TOLERANCE,
+             rel_by_prefix=True),
+        Gate("linalg.*.bit_identical", "is", True,
+             "algebraic replay is no longer bit-identical to its "
+             "edge-centric oracle", if_in_baseline=True),
+        # A hard contract, unlike the relative row above: the vectorized
+        # paths beat their loops by far more than 2x on every size, so
+        # even --quick runs only trip it when a path degenerates.
+        Gate("linalg.*.warm_speedup", ">=", 2.0,
+             "warm speedup fell below the absolute floor",
+             if_in_baseline=True),
+    ),
+    headline=_headline,
+    summary=_summary,
+)

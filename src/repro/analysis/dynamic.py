@@ -1,6 +1,6 @@
 """Dynamic-graph benchmark: incremental recompute + cache invalidation.
 
-``repro update --bench`` (and :func:`run_dynamic_bench`) records the
+``repro bench dynamic`` (and :func:`run_dynamic_bench`) records the
 dynamic subsystem's trajectory point, ``BENCH_dynamic.json``:
 
 * **incremental** — applying an update batch through
@@ -19,9 +19,8 @@ dynamic subsystem's trajectory point, ``BENCH_dynamic.json``:
   histories identical between schedulers.
 
 The committed report must show >= 2x incremental-vs-full speedup and
-nonzero retained warm hits (:func:`check_dynamic_report`); CI re-runs
-``--quick`` sizes and gates them against the committed baseline with
-:func:`check_dynamic_against_baseline`.
+nonzero retained warm hits; CI re-runs ``--quick`` sizes and gates them
+against the committed baseline (:data:`SUITE`).
 """
 
 from __future__ import annotations
@@ -35,23 +34,24 @@ from repro.analysis.benchreport import (
     BENCH_NRANKS,
     BENCH_THREADS,
     bench_graphs,
-    write_report,
 )
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    SCHEMA_VERSION,
+    BenchSuite,
+    Gate,
+    Quick,
+    Sibling,
+)
+from repro.analysis.serving import serve_fifo_vs_affinity
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.local import triangles_min_vertex, triangles_per_vertex_batched
 from repro.dynamic import IncrementalState, random_update_batch
 from repro.graph.csr import CSRGraph
-from repro.serve.engine import ServeConfig, ServingEngine, answers_identical
-from repro.serve.scheduler import make_scheduler
+from repro.serve.engine import ServeConfig
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 from repro.session import Session
 from repro.utils.rng import derive_seed
-
-DYNAMIC_SCHEMA_VERSION = 1
-
-#: Keys every dynamic report carries (pinned by tests and the CLI).
-DYNAMIC_REPORT_KEYS = ("schema_version", "quick", "nranks", "threads",
-                       "graphs", "incremental", "invalidation", "serving")
 
 #: Update-batch shape the recorded benchmark applies.
 BENCH_UPDATE_EDGES = 12
@@ -161,16 +161,12 @@ def bench_mixed_serving(quick: bool = False) -> dict[str, Any]:
     requests = generate_workload(spec, catalog)
     config = ServeConfig(nranks=BENCH_NRANKS, threads=BENCH_THREADS,
                          pool_capacity=3)
-    outcomes = {}
-    for name in ("fifo", "affinity"):
-        engine = ServingEngine(catalog, config, make_scheduler(name))
-        outcomes[name] = engine.serve(requests)
-    fifo, aff = outcomes["fifo"], outcomes["affinity"]
+    fifo, aff, identical = serve_fifo_vs_affinity(catalog, requests, config)
     return {
         "n_requests": len(requests),
         "n_updates": fifo.aggregates["n_updates"],
         "update_mix": spec.update_mix,
-        "results_identical": answers_identical(fifo, aff),
+        "results_identical": identical,
         "throughput_ratio": (aff.aggregates["throughput_qps"]
                              / fifo.aggregates["throughput_qps"]),
         "schedulers": {name: {
@@ -181,17 +177,15 @@ def bench_mixed_serving(quick: bool = False) -> dict[str, Any]:
             "invalidated_entries": o.aggregates.get("invalidated_entries", 0),
             "retained_entries_mean": o.aggregates.get(
                 "retained_entries_mean", 0.0),
-        } for name, o in outcomes.items()},
+        } for name, o in (("fifo", fifo), ("affinity", aff))},
     }
 
 
-def run_dynamic_bench(quick: bool = False,
-                      graphs: Mapping[str, CSRGraph] | None = None
-                      ) -> dict[str, Any]:
+def run_dynamic_bench(quick: bool = False) -> dict[str, Any]:
     """Produce the full dynamic report dict (see module docstring)."""
-    graphs = dict(graphs) if graphs is not None else bench_graphs(quick)
+    graphs = bench_graphs(quick)
     report: dict[str, Any] = {
-        "schema_version": DYNAMIC_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "quick": quick,
         "nranks": BENCH_NRANKS,
         "threads": BENCH_THREADS,
@@ -208,117 +202,88 @@ def run_dynamic_bench(quick: bool = False,
     return report
 
 
-def check_dynamic_report(report: Mapping[str, Any], *,
-                         min_speedup: float | None = None) -> list[str]:
-    """The absolute gate a dynamic report must pass to be recorded.
-
-    Returns human-readable problems (empty list = pass): every
-    incremental row bit-identical with speedup above the floor (2x for
-    the committed full-size report; quick runs only require beating the
-    full recompute), every invalidation row correct after the update with
-    retained warm hits, and the mixed-serving run scheduler-independent.
-    """
-    problems = []
-    for key in DYNAMIC_REPORT_KEYS:
-        if key not in report:
-            problems.append(f"dynamic report missing key {key!r}")
-    if min_speedup is None:
-        min_speedup = 1.0 if report.get("quick") else 2.0
-    for gname, row in report.get("incremental", {}).items():
-        if not row.get("bit_identical", False):
-            problems.append(
-                f"incremental:{gname}: folded results are not bit-identical "
-                "to the full recompute")
-        if float(row.get("speedup", 0.0)) < min_speedup:
-            problems.append(
-                f"incremental:{gname}: speedup {row.get('speedup', 0.0):.2f}x "
-                f"below the {min_speedup:.2f}x floor")
-    for gname, row in report.get("invalidation", {}).items():
-        if not row.get("post_update_bit_identical", False):
-            problems.append(
-                f"invalidation:{gname}: post-update cached answer differs "
-                "from a cold full recompute")
-        if int(row.get("retained_warm_hits", 0)) <= 0:
-            problems.append(
-                f"invalidation:{gname}: no warm hits retained after "
-                "invalidation (cache effectively flushed)")
-        if int(row.get("invalidated_entries", 0)) <= 0:
-            problems.append(
-                f"invalidation:{gname}: update invalidated nothing "
-                "(stale entries would serve wrong data)")
-        if "rekeyed_entries" in row and int(row["rekeyed_entries"]) <= 0:
-            problems.append(
-                f"invalidation:{gname}: update rekeyed nothing (shifted "
-                "adjacency entries should have been remapped)")
-        if ("post_update_hit_rate_no_rekey" in row
-                and float(row["post_update_hit_rate"])
-                < float(row["post_update_hit_rate_no_rekey"])):
-            problems.append(
-                f"invalidation:{gname}: rekeying lowered the post-update "
-                "hit rate "
-                f"({row['post_update_hit_rate']:.3f} < "
-                f"{row['post_update_hit_rate_no_rekey']:.3f})")
-    serving = report.get("serving", {})
-    if serving.get("results_identical") is not True:
-        problems.append(
-            "serving: mixed read/write answers are not proven identical "
-            "between schedulers (update barrier broken?)")
-    return problems
+def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
+    return {
+        "min_incremental_speedup": min(
+            float(row["speedup"]) for row in report["incremental"].values()),
+        "min_post_update_hit_rate": min(
+            float(row["post_update_hit_rate"])
+            for row in report["invalidation"].values()),
+        "retained_warm_hits": int(sum(
+            row["retained_warm_hits"]
+            for row in report["invalidation"].values())),
+        "serving_identical": report["serving"]["results_identical"] is True,
+    }
 
 
-def check_dynamic_against_baseline(report: Mapping[str, Any],
-                                   baseline: Mapping[str, Any], *,
-                                   tolerance: float = 0.25) -> list[str]:
-    """CI gate: a fresh (quick) report versus the committed baseline.
-
-    Correctness clauses are absolute (bit-identity, retained hits,
-    scheduler independence); the speedup clause is relative — the fresh
-    worst-case incremental speedup must stay above ``tolerance`` times
-    the baseline's, mirroring ``repro bench --check`` (graph names are
-    deliberately not matched: CI runs quick sizes against the full-size
-    baseline).
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    problems = check_dynamic_report(report, min_speedup=0.0)
-
-    def min_speedup(rep) -> float:
-        rows = rep.get("incremental", {})
-        return min((float(r.get("speedup", 0.0)) for r in rows.values()),
-                   default=0.0)
-
-    if not baseline.get("incremental"):
-        problems.append(
-            "baseline has no incremental section (is --check pointed at a "
-            "BENCH_dynamic.json?)")
-        return problems
-    floor = tolerance * min_speedup(baseline)
-    fresh = min_speedup(report)
-    if fresh < floor:
-        problems.append(
-            f"incremental speedup {fresh:.2f}x fell below {floor:.2f}x "
-            f"({tolerance:.0%} of the baseline's {min_speedup(baseline):.2f}x)")
-    return problems
+def _summary(report: Mapping[str, Any]) -> list[str]:
+    lines = []
+    for gname, row in report["incremental"].items():
+        lines.append(
+            f"{gname:12s} incremental {row['speedup']:6.1f}x vs full "
+            f"recompute  affected {row['n_affected']}/{row['n_vertices']}"
+            f"  (bit-identical: {row['bit_identical']})")
+    for gname, row in report["invalidation"].items():
+        lines.append(
+            f"{gname:12s} hit rate warm {row['warm_hit_rate']:.3f} -> "
+            f"post-update {row['post_update_hit_rate']:.3f} "
+            f"(cold {row['cold_hit_rate']:.3f})  "
+            f"retained warm hits {row['retained_warm_hits']}")
+    srv = report["serving"]
+    lines.append(
+        f"serving      {srv['n_updates']} updates in "
+        f"{srv['n_requests']} requests  affinity/fifo "
+        f"{srv['throughput_ratio']:.2f}x  "
+        f"(answers identical: {srv['results_identical']})")
+    return lines
 
 
-def write_dynamic_report(report: Mapping[str, Any], path: str, *,
-                         gate: bool = True) -> None:
-    """Gate-check (optionally), schema-check and write the dynamic report.
-
-    ``gate=False`` skips the absolute gate and only schema-checks — for
-    CI runs whose pass/fail verdict comes from
-    :func:`check_dynamic_against_baseline` instead (the measured report
-    should land on disk as an artifact either way).
-    """
-    if gate:
-        problems = check_dynamic_report(report)
-        if problems:
-            raise ValueError("; ".join(problems))
-    write_report(report, path, required_keys=DYNAMIC_REPORT_KEYS)
+SUITE = BenchSuite(
+    name="dynamic",
+    doc="incremental fold bit-identical to the full recompute and >= 2x "
+        "faster (>= 25% of the baseline's speedup under `--check`); the "
+        "post-update cached answer equals a cold run with warm hits "
+        "retained by targeted invalidation + rekeying; mixed read/write "
+        "serving scheduler-independent",
+    run=run_dynamic_bench,
+    keys=("schema_version", "quick", "nranks", "threads", "graphs",
+          "incremental", "invalidation", "serving"),
+    gates=(
+        Gate("incremental.*.bit_identical", "is", True,
+             "folded results are not bit-identical to the full recompute"),
+        # 2x for the committed full-size report; quick runs only have to
+        # beat the full recompute.  Against a baseline the relative
+        # clause owns the verdict: the absolute floor would fail a noisy
+        # runner on quick sizes.
+        Gate("incremental.*.speedup", ">=", Quick(full=2.0, quick=1.0),
+             "incremental speedup below the floor", rel=REL_TOLERANCE,
+             rel_waives_bound=True),
+        Gate("invalidation.*.post_update_bit_identical", "is", True,
+             "post-update cached answer differs from a cold full "
+             "recompute"),
+        Gate("invalidation.*.retained_warm_hits", ">", 0,
+             "no warm hits retained after invalidation (cache effectively "
+             "flushed)"),
+        Gate("invalidation.*.invalidated_entries", ">", 0,
+             "update invalidated nothing (stale entries would serve wrong "
+             "data)"),
+        Gate("invalidation.*.rekeyed_entries", ">", 0,
+             "update rekeyed nothing (shifted adjacency entries should "
+             "have been remapped)"),
+        Gate("invalidation.*.post_update_hit_rate", ">=",
+             Sibling("post_update_hit_rate_no_rekey"),
+             "rekeying lowered the post-update hit rate"),
+        Gate("serving.results_identical", "is", True,
+             "mixed read/write answers are not proven identical between "
+             "schedulers (update barrier broken?)"),
+    ),
+    headline=_headline,
+    summary=_summary,
+)
 
 
 # ---------------------------------------------------------------------------
-# One-off CLI runs (``repro update`` without --bench)
+# One-off CLI runs (``repro update``)
 # ---------------------------------------------------------------------------
 
 def one_off_update_run(graph: CSRGraph, *, nranks: int = 8, threads: int = 4,

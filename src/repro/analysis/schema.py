@@ -1,75 +1,29 @@
-"""Schema validation for the committed ``BENCH_*.json`` artifacts.
+"""Shape validation for ``BENCH_*.json`` reports and trajectory rows.
 
-Every subsystem writes its own report (``BENCH_kernels.json``,
-``BENCH_async.json``, ...) and appends condensed rows to the shared
-``BENCH_trajectory.json``.  The writers already gate on their own
-required-key tuples; this module is the *read-side* check — the one the
-``--check`` paths run against committed files, so a baseline that was
-hand-edited, truncated by a bad merge, or written by a different repo
-fails with a one-line problem string instead of a ``KeyError`` three
-stacks deep.
+The *read-side* check: a report or baseline that was hand-edited,
+truncated by a bad merge, or written by a different repo fails with a
+one-line problem string instead of a ``KeyError`` three stacks deep.
 
 Validators return lists of one-line problem strings (empty = valid)
 rather than raising, so callers decide between a ``SystemExit`` (CLI)
-and an assertion (tests).  Kind-specific required keys are resolved
-lazily from the module that owns them — this file never hard-codes a
-second copy of a report schema.
+and an assertion (tests).  What a given report must contain is its
+suite's business (:mod:`repro.analysis.benchsuite`); this module only
+knows shapes.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
-from importlib import import_module
 from typing import Any, List, Mapping, Optional, Sequence
 
 __all__ = [
-    "REPORT_KINDS",
-    "infer_kind",
-    "required_keys",
-    "validate_file",
+    "trajectory_row_problems",
     "validate_report",
     "validate_trajectory",
-    "validate_trajectory_row",
-    "validate_tree",
 ]
 
-#: Report kind -> (owning module, required-keys attribute).  The kind is
-#: the ``BENCH_<kind>.json`` filename stem; keys resolve lazily so that
-#: validating one report never imports every benchmark's dependencies.
-REPORT_KINDS = {
-    "kernels": ("repro.analysis.benchreport", "REPORT_KEYS"),
-    "dynamic": ("repro.analysis.dynamic", "DYNAMIC_REPORT_KEYS"),
-    "store": ("repro.analysis.store", "STORE_REPORT_KEYS"),
-    "shard": ("repro.analysis.shard", "SHARD_REPORT_KEYS"),
-    "serve": ("repro.analysis.serving", "SERVE_REPORT_KEYS"),
-    "async": ("repro.analysis.async_serve", "ASYNC_REPORT_KEYS"),
-    "trace": ("repro.analysis.tracing", "TRACE_REPORT_KEYS"),
-}
-
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-
-
-def required_keys(kind: str) -> tuple:
-    """The top-level keys a ``kind`` report must carry."""
-    try:
-        module, attr = REPORT_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown report kind {kind!r}; expected one of "
-            f"{', '.join(sorted(REPORT_KINDS))}") from None
-    return getattr(import_module(module), attr)
-
-
-def infer_kind(path: str) -> Optional[str]:
-    """The report kind a ``BENCH_<kind>.json`` filename claims, if any."""
-    stem = os.path.basename(path)
-    m = re.match(r"^BENCH_([a-z]+)\.json$", stem)
-    if m and m.group(1) in REPORT_KINDS:
-        return m.group(1)
-    return None
 
 
 def _check_numbers(node: Any, path: str, problems: List[str]) -> None:
@@ -84,39 +38,39 @@ def _check_numbers(node: Any, path: str, problems: List[str]) -> None:
         problems.append(f"non-finite number at {path}: {node}")
 
 
-def validate_report(report: Any, kind: Optional[str] = None, *,
-                    strict: bool = True) -> List[str]:
-    """One report dict against its kind's schema; one-line problems.
+def _check_version(data: Mapping, problems: List[str]) -> None:
+    version = data.get("schema_version")
+    if not isinstance(version, int) or isinstance(version, bool) \
+            or version < 1:
+        problems.append(
+            f"schema_version must be a positive integer, got {version!r}")
 
-    With ``kind=None`` only the kind-agnostic checks run (a dict with a
-    positive integer ``schema_version`` and finite numbers throughout).
+
+def validate_report(report: Any, keys: Sequence[str] = (), *,
+                    strict: bool = True) -> List[str]:
+    """One report dict: a positive integer ``schema_version``, every
+    required top-level key, finite numbers throughout.
+
     ``strict=False`` is the *baseline* mode: ``--check`` baselines are
-    allowed to be partial (the regression gates only read the sections
-    they compare, and tests pin that leniency), so required keys are
-    not enforced and ``schema_version`` may be absent — but anything
-    present must still be well-formed.
+    allowed to be partial (the gates only read the sections they
+    compare), so ``keys`` are not enforced and ``schema_version`` may be
+    absent — but anything present must still be well-formed.
     """
     if not isinstance(report, Mapping):
         return [f"report is a {type(report).__name__}, not an object"]
     problems: List[str] = []
-    version = report.get("schema_version")
-    if version is None and not strict:
-        pass
-    elif not isinstance(version, int) or isinstance(version, bool) \
-            or version < 1:
-        problems.append(
-            f"schema_version must be a positive integer, got {version!r}")
-    if kind is not None and strict:
-        for key in required_keys(kind):
-            if key not in report:
-                problems.append(f"{kind} report missing key {key!r}")
+    if strict or "schema_version" in report:
+        _check_version(report, problems)
+    if strict:
+        problems += [f"report missing key {key!r}"
+                     for key in keys if key not in report]
     _check_numbers(report, "report", problems)
     return problems
 
 
-def validate_trajectory_row(row: Any, index: Optional[int] = None
+def trajectory_row_problems(row: Any, index: Optional[int] = None
                             ) -> List[str]:
-    """One condensed trajectory row: dated, finite, JSON-shaped."""
+    """One trajectory row: dated, tagged with its suite, finite."""
     where = "row" if index is None else f"row {index}"
     if not isinstance(row, Mapping):
         return [f"{where} is a {type(row).__name__}, not an object"]
@@ -126,9 +80,10 @@ def validate_trajectory_row(row: Any, index: Optional[int] = None
         problems.append(
             f"{where}: 'date' must be an ISO date string, got {date!r}")
     kind = row.get("kind")
-    if kind is not None and not isinstance(kind, str):
-        problems.append(f"{where}: 'kind' must be a string, got {kind!r}")
-    if not any(k not in ("date", "kind") for k in row):
+    if not isinstance(kind, str) or not kind:
+        problems.append(
+            f"{where}: 'kind' must name the row's suite, got {kind!r}")
+    if not any(k not in ("date", "kind", "quick") for k in row):
         problems.append(f"{where}: carries no measurements")
     _check_numbers(row, where, problems)
     return problems
@@ -139,46 +94,12 @@ def validate_trajectory(data: Any) -> List[str]:
     if not isinstance(data, Mapping):
         return [f"trajectory is a {type(data).__name__}, not an object"]
     problems: List[str] = []
-    version = data.get("schema_version")
-    if not isinstance(version, int) or isinstance(version, bool) \
-            or version < 1:
-        problems.append(
-            f"schema_version must be a positive integer, got {version!r}")
+    _check_version(data, problems)
     rows = data.get("rows")
     if not isinstance(rows, list):
         problems.append(
             f"'rows' must be a list, got {type(rows).__name__}")
         return problems
     for i, row in enumerate(rows):
-        problems.extend(validate_trajectory_row(row, i))
-    return problems
-
-
-def validate_file(path: str, kind: Optional[str] = None) -> List[str]:
-    """Load and validate one committed benchmark artifact.
-
-    ``kind`` defaults to what the filename claims:
-    ``BENCH_trajectory.json`` validates as a trajectory, any other
-    ``BENCH_<kind>.json`` as that kind's report, and unknown names get
-    the kind-agnostic checks only.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return [f"{path}: does not exist"]
-    except json.JSONDecodeError as exc:
-        return [f"{path}: not valid JSON ({exc})"]
-    if os.path.basename(path) == "BENCH_trajectory.json":
-        problems = validate_trajectory(data)
-    else:
-        problems = validate_report(data, kind or infer_kind(path))
-    return [f"{path}: {p}" for p in problems]
-
-
-def validate_tree(paths: Sequence[str]) -> List[str]:
-    """Validate several artifacts; problems keep their path prefix."""
-    problems: List[str] = []
-    for path in paths:
-        problems.extend(validate_file(path))
+        problems.extend(trajectory_row_problems(row, i))
     return problems

@@ -1,6 +1,6 @@
 """Serving benchmark: FIFO vs cache-affinity scheduling, recorded.
 
-``repro serve --bench`` (and :func:`run_serving_bench`) replays the same
+``repro bench serve`` (and :func:`run_serving_bench`) replays the same
 deterministic multi-tenant workload through both schedulers, on the
 Zipf-skewed popularity the paper targets and on the uniform contrast, and
 writes ``BENCH_serve.json`` at the repo root.  The committed report is
@@ -21,19 +21,34 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.analysis.benchreport import write_report
-from repro.serve.engine import ServeConfig, ServingEngine, answers_identical
+from repro.analysis.benchsuite import SCHEMA_VERSION, BenchSuite, Gate
+from repro.serve.engine import (
+    ServeConfig,
+    ServeOutcome,
+    ServingEngine,
+    answers_identical,
+)
 from repro.serve.scheduler import make_scheduler
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 
-SERVE_SCHEMA_VERSION = 1
-
-#: Keys every serving report carries (pinned by tests and the CLI).
-SERVE_REPORT_KEYS = ("schema_version", "quick", "serve_config", "catalog",
-                     "workloads")
-
 #: The two popularity regimes the committed report contrasts.
 WORKLOAD_NAMES = ("zipf", "uniform")
+
+
+def serve_fifo_vs_affinity(catalog, requests, config: ServeConfig,
+                           store_factory=None
+                           ) -> tuple[ServeOutcome, ServeOutcome, bool]:
+    """One trace under both schedulers: ``(fifo, affinity, identical)``.
+
+    ``identical`` is the scheduler-independence contract every serving
+    scenario gates: per-query answer digests (with observed versions) and
+    per-graph version histories equal between the two runs.
+    """
+    fifo, affinity = (
+        ServingEngine(catalog, config, make_scheduler(name),
+                      store_factory=store_factory).serve(requests)
+        for name in ("fifo", "affinity"))
+    return fifo, affinity, answers_identical(fifo, affinity)
 
 
 def bench_workload_spec(graphs: tuple[str, ...],
@@ -51,15 +66,13 @@ def bench_serve_config() -> ServeConfig:
     return ServeConfig(nranks=8, threads=4, pool_capacity=3)
 
 
-def run_serving_bench(quick: bool = False,
-                      schedulers: tuple[str, ...] = ("fifo", "affinity")
-                      ) -> dict[str, Any]:
+def run_serving_bench(quick: bool = False) -> dict[str, Any]:
     """Produce the full serving report dict (see module docstring)."""
     catalog = default_catalog(scale=0.4 if quick else 1.0)
     config = bench_serve_config()
     spec = bench_workload_spec(tuple(catalog), quick)
     report: dict[str, Any] = {
-        "schema_version": SERVE_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "quick": quick,
         "serve_config": {
             "nranks": config.nranks,
@@ -73,67 +86,69 @@ def run_serving_bench(quick: bool = False,
     }
     for wname in WORKLOAD_NAMES:
         wspec = spec if wname == "zipf" else spec.uniform()
-        requests = generate_workload(wspec)
-        outcomes = {}
-        for sname in schedulers:
-            engine = ServingEngine(catalog, config, make_scheduler(sname))
-            outcomes[sname] = engine.serve(requests)
-        row: dict[str, Any] = {
+        fifo, aff, identical = serve_fifo_vs_affinity(
+            catalog, generate_workload(wspec), config)
+        report["workloads"][wname] = {
             "n_queries": wspec.n_queries,
             "arrival_rate_qps": wspec.arrival_rate,
             "n_tenants": wspec.n_tenants,
             "tenant_skew": wspec.tenant_skew,
             "graph_skew": wspec.graph_skew,
             "seed": wspec.seed,
-            "schedulers": {s: o.aggregates for s, o in outcomes.items()},
+            "schedulers": {"fifo": fifo.aggregates,
+                           "affinity": aff.aggregates},
+            "results_identical": identical,
+            "throughput_ratio": (aff.aggregates["throughput_qps"]
+                                 / fifo.aggregates["throughput_qps"]),
+            "latency_mean_ratio": (aff.aggregates["latency_mean_s"]
+                                   / fifo.aggregates["latency_mean_s"]),
         }
-        if "fifo" in outcomes and "affinity" in outcomes:
-            fifo, aff = outcomes["fifo"], outcomes["affinity"]
-            row["results_identical"] = answers_identical(fifo, aff)
-            row["throughput_ratio"] = (
-                aff.aggregates["throughput_qps"]
-                / fifo.aggregates["throughput_qps"])
-            row["latency_mean_ratio"] = (
-                aff.aggregates["latency_mean_s"]
-                / fifo.aggregates["latency_mean_s"])
-        report["workloads"][wname] = row
     return report
 
 
-def check_serve_report(report: Mapping[str, Any]) -> list[str]:
-    """The serving regression gate: what must hold for a committed report.
-
-    Returns a list of human-readable problems (empty means the report
-    passes): per-query answers must be bit-identical between schedulers,
-    and cache-affinity must beat FIFO on aggregate throughput for the
-    Zipf-skewed workload.
-    """
-    problems = []
-    for key in SERVE_REPORT_KEYS:
-        if key not in report:
-            problems.append(f"serving report missing key {key!r}")
-    workloads = report.get("workloads", {})
-    for wname in WORKLOAD_NAMES:
-        if wname not in workloads:
-            problems.append(f"serving report missing workload {wname!r}")
-    for wname, row in workloads.items():
-        if row.get("results_identical") is not True:
-            problems.append(
-                f"{wname}: per-query answers are not proven identical "
-                "between schedulers (both fifo and affinity must run)")
-    ratio = workloads.get("zipf", {}).get("throughput_ratio")
-    if ratio is None:
-        problems.append("zipf: no affinity-vs-fifo throughput_ratio recorded")
-    elif ratio <= 1.0:
-        problems.append(
-            f"zipf: cache-affinity throughput ratio {ratio:.3f} <= 1.0 "
-            "(must beat FIFO on the skewed workload)")
-    return problems
+def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
+    workloads = report["workloads"]
+    return {
+        "zipf_throughput_ratio": float(
+            workloads["zipf"]["throughput_ratio"]),
+        "uniform_throughput_ratio": float(
+            workloads["uniform"]["throughput_ratio"]),
+        "results_identical": all(
+            row["results_identical"] is True for row in workloads.values()),
+    }
 
 
-def write_serve_report(report: Mapping[str, Any], path: str) -> None:
-    """Gate-check, schema-check and write the serving report."""
-    problems = check_serve_report(report)
-    if problems:
-        raise ValueError("; ".join(problems))
-    write_report(report, path, required_keys=SERVE_REPORT_KEYS)
+def _summary(report: Mapping[str, Any]) -> list[str]:
+    lines = []
+    for wname, row in report["workloads"].items():
+        for sname, agg in row["schedulers"].items():
+            lines.append(f"{wname:8s} {sname:9s} "
+                         f"throughput {agg['throughput_qps']:9.1f} q/s  "
+                         f"p95 latency {agg['latency_p95_s']:.4f}s  "
+                         f"warm {agg['warm_fraction']:.2f}  "
+                         f"builds {agg['session_builds']}")
+        lines.append(f"{wname:8s} affinity/fifo throughput "
+                     f"{row['throughput_ratio']:.2f}x  "
+                     f"(answers identical: {row['results_identical']})")
+    return lines
+
+
+SUITE = BenchSuite(
+    name="serve",
+    doc="FIFO vs cache-affinity on the Zipf and uniform workloads: "
+        "per-query answers bit-identical between schedulers, and affinity "
+        "beats FIFO on aggregate throughput for the skewed workload",
+    run=run_serving_bench,
+    keys=("schema_version", "quick", "serve_config", "catalog", "workloads"),
+    gates=(
+        Gate("workloads.*.results_identical", "is", True,
+             "per-query answers are not proven identical between "
+             "schedulers (both fifo and affinity must run)"),
+        Gate("workloads.zipf.throughput_ratio", ">", 1.0,
+             "cache-affinity must beat FIFO on the skewed workload"),
+        Gate("workloads.uniform.throughput_ratio", ">", 0.0,
+             "the uniform contrast workload must be recorded"),
+    ),
+    headline=_headline,
+    summary=_summary,
+)

@@ -1,6 +1,6 @@
 """Shardstore benchmark: bit-identity, read scaling, failover.
 
-``repro shard --bench`` (and :func:`run_shard_bench`) records the
+``repro bench shard`` (and :func:`run_shard_bench`) records the
 distribution layer's trajectory point, ``BENCH_shard.json``:
 
 * **bit_identity** — per bench graph, a :class:`~repro.shardstore
@@ -14,8 +14,7 @@ distribution layer's trajectory point, ``BENCH_shard.json``:
 * **read_scaling** — the same query-only burst served by a
   :class:`~repro.shardstore.replica.ReplicaSet` of 1 vs
   ``SHARD_REPLICAS`` read replicas routed by consistent hashing; the
-  committed gate requires ≥ :data:`MIN_READ_SCALING` × throughput at
-  the full replica count *and* bit-identical answer digests (placement
+  committed gate requires ≥ 1.5 × throughput at the full replica count *and* bit-identical answer digests (placement
   may change latency, never answers);
 * **updates** — cross-shard vs single-shard commit latency, plus a
   mixed read/write serving run through the sharded store with
@@ -30,9 +29,8 @@ distribution layer's trajectory point, ``BENCH_shard.json``:
   across commits, plus the detect → evict → re-seed → re-converge path
   for an injected divergence.
 
-:func:`check_shard_report` is the absolute gate; CI re-runs ``--quick``
-sizes and gates against the committed baseline with
-:func:`check_shard_against_baseline`.
+:data:`SUITE` declares the gate; CI re-runs ``--quick`` sizes and gates
+against the committed baseline.
 """
 
 from __future__ import annotations
@@ -43,28 +41,24 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.analysis.benchreport import (
-    BENCH_THREADS,
-    bench_graphs,
-    write_report,
+from repro.analysis.benchreport import BENCH_THREADS, bench_graphs
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    SCHEMA_VERSION,
+    BenchSuite,
+    Gate,
 )
+from repro.analysis.serving import serve_fifo_vs_affinity
 from repro.core.config import LCCConfig
 from repro.dynamic import UpdateBatch, random_update_batch
 from repro.graph.csr import CSRGraph
 from repro.graphstore import GraphStore, graph_digest
-from repro.serve.engine import ServeConfig, ServingEngine, _digest, answers_identical
+from repro.serve.engine import ServeConfig, ServingEngine, _digest
 from repro.serve.scheduler import make_scheduler
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 from repro.session import get_kernel, kernel_names, run_kernel
 from repro.shardstore import ReplicaSet, ShardedGraphStore, annotate_shard_sets
 from repro.utils.rng import derive_seed
-
-SHARD_SCHEMA_VERSION = 1
-
-#: Keys every shard report carries (pinned by tests and the CLI).
-SHARD_REPORT_KEYS = ("schema_version", "quick", "nranks", "nshards",
-                     "replicas", "threads", "graphs", "bit_identity",
-                     "read_scaling", "updates", "failover", "replication")
 
 #: Shard geometry every bench cell runs with: 4 shards grouping an
 #: 8-rank 1D partition (2 ranks per shard, so resident acquisition is
@@ -74,10 +68,6 @@ SHARD_NSHARDS = 4
 
 #: Replica count the read-scaling and failover scenarios run at.
 SHARD_REPLICAS = 3
-
-#: Read throughput at SHARD_REPLICAS replicas must beat 1 replica by
-#: this factor (the committed gate).
-MIN_READ_SCALING = 1.5
 
 SHARD_SEED = 13
 
@@ -252,18 +242,15 @@ def bench_sharded_serving(quick: bool = False) -> dict[str, Any]:
         if r.is_update and r.shards is not None and len(r.shards) > 1)
     config = ServeConfig(nranks=SHARD_NRANKS, threads=BENCH_THREADS,
                          pool_capacity=3)
-    outcomes = {
-        sched: ServingEngine(catalog, config, make_scheduler(sched),
-                             store_factory=_sharded).serve(annotated)
-        for sched in ("fifo", "affinity")}
-    fifo, aff = outcomes["fifo"], outcomes["affinity"]
+    fifo, aff, identical = serve_fifo_vs_affinity(
+        catalog, annotated, config, store_factory=_sharded)
     unsharded = ServingEngine(catalog, config,
                               make_scheduler("fifo")).serve(requests)
     return {
         "n_requests": len(requests),
         "n_updates": fifo.aggregates["n_updates"],
         "multi_shard_updates": multi_shard_updates,
-        "results_identical": answers_identical(fifo, aff),
+        "results_identical": identical,
         "matches_unsharded_queries": (
             {r.qid: r.digest for r in fifo.records}
             == {r.qid: r.digest for r in unsharded.records}),
@@ -271,7 +258,7 @@ def bench_sharded_serving(quick: bool = False) -> dict[str, Any]:
             "throughput_qps": o.aggregates["throughput_qps"],
             "warm_fraction": o.aggregates["warm_fraction"],
             "updates_coalesced": o.aggregates["updates_coalesced"],
-        } for sched, o in outcomes.items()},
+        } for sched, o in (("fifo", fifo), ("affinity", aff))},
     }
 
 
@@ -348,13 +335,11 @@ def bench_replication(graph: CSRGraph, gname: str, *,
     }
 
 
-def run_shard_bench(quick: bool = False,
-                    graphs: Mapping[str, CSRGraph] | None = None
-                    ) -> dict[str, Any]:
+def run_shard_bench(quick: bool = False) -> dict[str, Any]:
     """Produce the full shard report dict (see module docstring)."""
-    graphs = dict(graphs) if graphs is not None else bench_graphs(quick)
+    graphs = bench_graphs(quick)
     report: dict[str, Any] = {
-        "schema_version": SHARD_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "quick": quick,
         "nranks": SHARD_NRANKS,
         "nshards": SHARD_NSHARDS,
@@ -377,156 +362,113 @@ def run_shard_bench(quick: bool = False,
     return report
 
 
-def check_shard_report(report: Mapping[str, Any], *,
-                       min_scaling: float = MIN_READ_SCALING) -> list[str]:
-    """The absolute gate a shard report must pass to be recorded.
-
-    Returns human-readable problems (empty list = pass): bit-identity
-    with multi-shard commits actually exercised, version vectors
-    re-derivable, read scaling above the floor with placement-
-    independent digests, scheduler-independent sharded serving that
-    matches the unsharded engine, a digest-clean failover drill, and
-    the full divergence detect → heal path.
-    """
-    problems = []
-    for key in SHARD_REPORT_KEYS:
-        if key not in report:
-            problems.append(f"shard report missing key {key!r}")
-    for gname, row in report.get("bit_identity", {}).items():
-        if not row.get("heads_identical", False):
-            problems.append(
-                f"bit_identity:{gname}: sharded heads diverged from the "
-                "unsharded store")
-        if not row.get("kernels_identical", False):
-            problems.append(
-                f"bit_identity:{gname}: kernel answers differ between "
-                "sharded and unsharded heads")
-        if int(row.get("multi_shard_commits", 0)) <= 0:
-            problems.append(
-                f"bit_identity:{gname}: no multi-shard commit was "
-                "exercised (the barrier path went untested)")
-        if not row.get("version_vector_ok", False):
-            problems.append(
-                f"bit_identity:{gname}: version vector does not re-derive "
-                "from the commit log")
-    scaling = report.get("read_scaling", {})
-    if float(scaling.get("read_scaling", 0.0)) < min_scaling:
-        problems.append(
-            f"read_scaling: {scaling.get('read_scaling', 0.0):.2f}x at "
-            f"{scaling.get('replicas', '?')} replicas is below the "
-            f"{min_scaling:.1f}x floor")
-    if scaling.get("digests_identical") is not True:
-        problems.append(
-            "read_scaling: answers changed with replica count (placement "
-            "must never change answers)")
-    updates = report.get("updates", {})
-    serving = updates.get("serving", {})
-    if serving.get("results_identical") is not True:
-        problems.append(
-            "updates:serving: sharded serving is not scheduler-independent "
-            "(shard-set fence broken?)")
-    if serving.get("matches_unsharded_queries") is not True:
-        problems.append(
-            "updates:serving: sharded query answers diverged from the "
-            "unsharded engine")
-    for gname, row in updates.items():
-        if gname == "serving":
-            continue
-        if not row.get("version_vector_ok", False):
-            problems.append(
-                f"updates:{gname}: version vector inconsistent after the "
-                "latency scenario")
-    failover = report.get("failover", {})
-    if failover.get("digests_identical") is not True:
-        problems.append(
-            "failover: killing a replica changed query answers")
-    if int(failover.get("reseeds", 0)) != 1:
-        problems.append(
-            f"failover: expected exactly 1 re-seed, got "
-            f"{failover.get('reseeds')}")
-    if failover.get("rejoined_converged") is not True:
-        problems.append(
-            "failover: the rejoined replica is not digest-converged")
-    for gname, row in report.get("replication", {}).items():
-        for field in ("converged", "divergence_detected", "healed",
-                      "converged_after_heal"):
-            if row.get(field) is not True:
-                problems.append(f"replication:{gname}: {field} is false")
-    return problems
-
-
-def check_shard_against_baseline(report: Mapping[str, Any],
-                                 baseline: Mapping[str, Any], *,
-                                 tolerance: float = 0.25) -> list[str]:
-    """CI gate: a fresh (quick) report versus the committed baseline.
-
-    Correctness clauses are absolute (bit-identity, digest-clean
-    failover, convergence) and the :data:`MIN_READ_SCALING` floor always
-    applies; on top, the fresh read scaling must stay above
-    ``tolerance`` times the baseline's, mirroring ``repro bench
-    --check`` (quick sizes run against the full-size baseline, so graph
-    names are deliberately not matched).
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    problems = check_shard_report(report)
-    base_scaling = baseline.get("read_scaling", {})
-    if not base_scaling:
-        problems.append(
-            "baseline has no read_scaling section (is --check pointed at "
-            "a BENCH_shard.json?)")
-        return problems
-    floor = tolerance * float(base_scaling.get("read_scaling", 0.0))
-    fresh = float(report.get("read_scaling", {}).get("read_scaling", 0.0))
-    if fresh < floor:
-        problems.append(
-            f"read scaling {fresh:.2f}x fell below {floor:.2f}x "
-            f"({tolerance:.0%} of the baseline's "
-            f"{float(base_scaling.get('read_scaling', 0.0)):.2f}x)")
-    return problems
-
-
-def write_shard_report(report: Mapping[str, Any], path: str, *,
-                       gate: bool = True) -> None:
-    """Gate-check (optionally), schema-check and write the shard report.
-
-    ``gate=False`` skips the absolute gate and only schema-checks — for
-    CI runs whose verdict comes from
-    :func:`check_shard_against_baseline` instead.
-    """
-    if gate:
-        problems = check_shard_report(report)
-        if problems:
-            raise ValueError("; ".join(problems))
-    write_report(report, path, required_keys=SHARD_REPORT_KEYS)
-
-
-def shard_trajectory_row(report: Mapping[str, Any], *,
-                         date: str | None = None) -> dict[str, Any]:
-    """Condense one shard report into a dated trajectory line."""
-    import datetime
-
+def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
     latencies = [float(row["cross_to_single_latency"])
-                 for gname, row in report.get("updates", {}).items()
+                 for gname, row in report["updates"].items()
                  if gname != "serving"]
     return {
-        "date": date or datetime.date.today().isoformat(),
-        "kind": "shard",
-        "quick": bool(report.get("quick", False)),
-        "read_scaling": float(
-            report.get("read_scaling", {}).get("read_scaling", 0.0)),
+        "read_scaling": float(report["read_scaling"]["read_scaling"]),
         "multi_shard_commits": int(sum(
-            row.get("multi_shard_commits", 0)
-            for row in report.get("bit_identity", {}).values())),
+            row["multi_shard_commits"]
+            for row in report["bit_identity"].values())),
         "cross_to_single_latency_mean": (
             float(np.mean(latencies)) if latencies else 0.0),
-        "failover_digests_identical": bool(
-            report.get("failover", {}).get("digests_identical", False)),
+        "failover_digests_identical":
+            report["failover"]["digests_identical"] is True,
     }
 
 
+def _summary(report: Mapping[str, Any]) -> list[str]:
+    lines = [
+        f"{gname:12s} sharded == unsharded: "
+        f"heads {row['heads_identical']}  "
+        f"kernels({row['kernels_checked']}) {row['kernels_identical']}  "
+        f"multi-shard commits {row['multi_shard_commits']}  "
+        f"vector ok {row['version_vector_ok']}"
+        for gname, row in report["bit_identity"].items()]
+    scaling = report["read_scaling"]
+    lines.append(
+        f"reads        {scaling['read_scaling']:.2f}x throughput at "
+        f"{scaling['replicas']} replicas "
+        f"({scaling['throughput_1_qps']:.0f} -> "
+        f"{scaling['throughput_n_qps']:.0f} q/s, answers identical: "
+        f"{scaling['digests_identical']})")
+    srv = report["updates"]["serving"]
+    lines.append(
+        f"serving      {srv['n_updates']} updates "
+        f"({srv['multi_shard_updates']} multi-shard) in "
+        f"{srv['n_requests']} requests  schedulers identical: "
+        f"{srv['results_identical']}  matches unsharded: "
+        f"{srv['matches_unsharded_queries']}")
+    lines += [
+        f"{gname:12s} cross-shard commit "
+        f"{row['cross_to_single_latency']:.2f}x single-shard "
+        f"({row['cross_shards_touched_mean']:.1f} shards touched)"
+        for gname, row in report["updates"].items() if gname != "serving"]
+    fo = report["failover"]
+    lines.append(
+        f"failover     killed {fo['killed_replica']} at qid "
+        f"{fo['kill_at_qid']}, rejoined at {fo['rejoin_at_qid']}: "
+        f"digests identical {fo['digests_identical']}, "
+        f"reseeds {fo['reseeds']}, converged {fo['rejoined_converged']}")
+    return lines
+
+
+SUITE = BenchSuite(
+    name="shard",
+    doc="sharded == unsharded bit-identity across every kernel with "
+        "multi-shard commits exercised and version vectors re-derivable; "
+        "1.5x read-throughput floor at 3 replicas (and >= 25% of the "
+        "baseline's) with placement-independent answers; scheduler-"
+        "independent sharded serving matching the unsharded engine; the "
+        "failover drill (exactly one re-seed, digests unchanged) and "
+        "divergence detect -> heal",
+    run=run_shard_bench,
+    keys=("schema_version", "quick", "nranks", "nshards", "replicas",
+          "threads", "graphs", "bit_identity", "read_scaling", "updates",
+          "failover", "replication"),
+    gates=(
+        Gate("bit_identity.*.heads_identical", "is", True,
+             "sharded heads diverged from the unsharded store"),
+        Gate("bit_identity.*.kernels_identical", "is", True,
+             "kernel answers differ between sharded and unsharded heads"),
+        Gate("bit_identity.*.multi_shard_commits", ">", 0,
+             "no multi-shard commit was exercised (the barrier path went "
+             "untested)"),
+        Gate("bit_identity.*.version_vector_ok", "is", True,
+             "version vector does not re-derive from the commit log"),
+        Gate("read_scaling.read_scaling", ">=", 1.5,
+             "read scaling at the full replica count is below the floor",
+             rel=REL_TOLERANCE),
+        Gate("read_scaling.digests_identical", "is", True,
+             "answers changed with replica count (placement must never "
+             "change answers)"),
+        Gate("updates.serving.results_identical", "is", True,
+             "sharded serving is not scheduler-independent (shard-set "
+             "fence broken?)"),
+        Gate("updates.serving.matches_unsharded_queries", "is", True,
+             "sharded query answers diverged from the unsharded engine"),
+        Gate("updates.*.version_vector_ok", "is", True,
+             "version vector inconsistent after the latency scenario",
+             skip=("serving",)),
+        Gate("failover.digests_identical", "is", True,
+             "killing a replica changed query answers"),
+        Gate("failover.reseeds", "==", 1,
+             "the failover drill must re-seed exactly once"),
+        Gate("failover.rejoined_converged", "is", True,
+             "the rejoined replica is not digest-converged"),
+        *(Gate(f"replication.*.{field}", "is", True,
+               f"replication drill: {field} is false")
+          for field in ("converged", "divergence_detected", "healed",
+                        "converged_after_heal")),
+    ),
+    headline=_headline,
+    summary=_summary,
+)
+
+
 # ---------------------------------------------------------------------------
-# One-off CLI runs (``repro shard`` without --bench)
+# One-off CLI runs (``repro shard``)
 # ---------------------------------------------------------------------------
 
 def one_off_shard_run(graph: CSRGraph, *, nshards: int = SHARD_NSHARDS,

@@ -1,6 +1,6 @@
 """GraphStore benchmark: resident 2D grids, versioned update propagation.
 
-``repro store --bench`` (and :func:`run_store_bench`) records the
+``repro bench store`` (and :func:`run_store_bench`) records the
 graph-store subsystem's trajectory point, ``BENCH_store.json``:
 
 * **tc2d** — serving ``tc2d`` warm from a resident
@@ -25,9 +25,8 @@ graph-store subsystem's trajectory point, ``BENCH_store.json``:
   bit-identical to a full recompute at every round, and a delete-heavy
   serving workload must stay scheduler-independent.
 
-:func:`check_store_report` is the absolute gate a recorded report must
-pass; CI re-runs ``--quick`` sizes and gates them against the committed
-baseline with :func:`check_store_against_baseline`.
+:data:`SUITE` declares the gate a recorded report must pass; CI re-runs
+``--quick`` sizes and gates them against the committed baseline.
 """
 
 from __future__ import annotations
@@ -37,34 +36,28 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.analysis.benchreport import (
-    BENCH_THREADS,
-    bench_graphs,
-    write_report,
+from repro.analysis.benchreport import BENCH_THREADS, bench_graphs
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    SCHEMA_VERSION,
+    BenchSuite,
+    Gate,
+    Sibling,
 )
+from repro.analysis.serving import serve_fifo_vs_affinity
 from repro.core.config import LCCConfig
 from repro.core.tc2d import run_distributed_tc_2d
 from repro.dynamic import IncrementalState, random_update_batch
 from repro.graph.csr import CSRGraph
 from repro.core.local import triangles_min_vertex, triangles_per_vertex_batched
-from repro.serve.engine import ServeConfig, ServingEngine, answers_identical
-from repro.serve.scheduler import make_scheduler
+from repro.serve.engine import ServeConfig
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 from repro.session import Session
 from repro.utils.rng import derive_seed
 
-STORE_SCHEMA_VERSION = 1
-
-#: Keys every store report carries (pinned by tests and the CLI).
-STORE_REPORT_KEYS = ("schema_version", "quick", "nranks", "threads",
-                     "graphs", "tc2d", "versions", "delete_heavy")
-
 #: The 2D bench runs a square grid (3 x 3) so the SUMMA-style kernel —
 #: not the rectangular fallback — is what gets measured.
 STORE_NRANKS = 9
-
-#: Warm resident queries must beat the per-call rebuild by this factor.
-MIN_WARM_SPEEDUP = 2.0
 
 STORE_SEED = 11
 
@@ -133,16 +126,12 @@ def bench_version_propagation(quick: bool = False) -> dict[str, Any]:
         update_mix=0.3, update_edges=8)
     requests = generate_workload(spec, catalog)
     config = ServeConfig(nranks=8, threads=BENCH_THREADS, pool_capacity=3)
-    outcomes = {}
-    for name in ("fifo", "affinity"):
-        engine = ServingEngine(catalog, config, make_scheduler(name))
-        outcomes[name] = engine.serve(requests)
-    fifo, aff = outcomes["fifo"], outcomes["affinity"]
+    fifo, aff, identical = serve_fifo_vs_affinity(catalog, requests, config)
     return {
         "n_requests": len(requests),
         "n_updates": fifo.aggregates["n_updates"],
         "update_mix": spec.update_mix,
-        "results_identical": answers_identical(fifo, aff),
+        "results_identical": identical,
         "version_histories_identical": fifo.graph_versions == aff.graph_versions,
         "final_versions": {name: v for name, (v, _) in
                            sorted(fifo.graph_versions.items())},
@@ -152,7 +141,7 @@ def bench_version_propagation(quick: bool = False) -> dict[str, Any]:
             "updates_coalesced": o.aggregates["updates_coalesced"],
             "rekeyed_entries": o.aggregates.get("rekeyed_entries", 0),
             "invalidated_entries": o.aggregates.get("invalidated_entries", 0),
-        } for name, o in outcomes.items()},
+        } for name, o in (("fifo", fifo), ("affinity", aff))},
     }
 
 
@@ -199,28 +188,22 @@ def bench_delete_heavy_serving(quick: bool = False) -> dict[str, Any]:
         update_mix=0.35, update_edges=10).delete_heavy()
     requests = generate_workload(spec, catalog)
     config = ServeConfig(nranks=8, threads=BENCH_THREADS, pool_capacity=3)
-    outcomes = {
-        name: ServingEngine(catalog, config, make_scheduler(name))
-        .serve(requests)
-        for name in ("fifo", "affinity")}
-    fifo, aff = outcomes["fifo"], outcomes["affinity"]
+    fifo, _, identical = serve_fifo_vs_affinity(catalog, requests, config)
     return {
         "n_requests": len(requests),
         "n_updates": fifo.aggregates["n_updates"],
         "delete_fraction": spec.update_delete_fraction,
         "edges_deleted": fifo.aggregates.get("edges_deleted", 0),
         "edges_inserted": fifo.aggregates.get("edges_inserted", 0),
-        "results_identical": answers_identical(fifo, aff),
+        "results_identical": identical,
     }
 
 
-def run_store_bench(quick: bool = False,
-                    graphs: Mapping[str, CSRGraph] | None = None
-                    ) -> dict[str, Any]:
+def run_store_bench(quick: bool = False) -> dict[str, Any]:
     """Produce the full store report dict (see module docstring)."""
-    graphs = dict(graphs) if graphs is not None else bench_graphs(quick)
+    graphs = bench_graphs(quick)
     report: dict[str, Any] = {
-        "schema_version": STORE_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "quick": quick,
         "nranks": STORE_NRANKS,
         "threads": BENCH_THREADS,
@@ -236,117 +219,93 @@ def run_store_bench(quick: bool = False,
     return report
 
 
-def check_store_report(report: Mapping[str, Any], *,
-                       min_speedup: float = MIN_WARM_SPEEDUP) -> list[str]:
-    """The absolute gate a store report must pass to be recorded.
-
-    Returns human-readable problems (empty list = pass): every ``tc2d``
-    row bit-identical with warm speedup above the floor (2x even for
-    quick runs — the resident grid must always beat a full rebuild),
-    scheduler-independent versioned serving, and delete-heavy shrinkage
-    bit-identical to full recomputes.
-    """
-    problems = []
-    for key in STORE_REPORT_KEYS:
-        if key not in report:
-            problems.append(f"store report missing key {key!r}")
-    for gname, row in report.get("tc2d", {}).items():
-        if not row.get("bit_identical", False):
-            problems.append(
-                f"tc2d:{gname}: resident grid answers/clocks differ from "
-                "the per-call rebuild path")
-        if float(row.get("warm_speedup", 0.0)) < min_speedup:
-            problems.append(
-                f"tc2d:{gname}: warm speedup "
-                f"{row.get('warm_speedup', 0.0):.2f}x below the "
-                f"{min_speedup:.1f}x floor")
-        if int(row.get("grid_builds", 0)) != 1:
-            problems.append(
-                f"tc2d:{gname}: grid was built "
-                f"{row.get('grid_builds')}x (resident path must build once)")
-    versions = report.get("versions", {})
-    if versions.get("results_identical") is not True:
-        problems.append(
-            "versions: mixed read/write answers are not proven identical "
-            "between schedulers (graph fence or propagation broken?)")
-    if versions.get("version_histories_identical") is not True:
-        problems.append(
-            "versions: per-graph version histories differ between "
-            "schedulers (store commits are scheduler-dependent?)")
-    if versions.get("n_updates", 0) <= 0:
-        problems.append("versions: the serving run exercised no updates")
-    delete_heavy = report.get("delete_heavy", {})
-    for gname, row in delete_heavy.items():
-        if gname == "serving":
-            if row.get("results_identical") is not True:
-                problems.append(
-                    "delete_heavy:serving: answers are not "
-                    "scheduler-independent under deletion-heavy traffic")
-            continue
-        if not row.get("bit_identical", False):
-            problems.append(
-                f"delete_heavy:{gname}: incremental fold diverged from the "
-                "full recompute under sustained shrinkage")
-        if int(row.get("edges_after", 0)) >= int(row.get("edges_before", 0)):
-            problems.append(
-                f"delete_heavy:{gname}: the graph did not shrink "
-                "(scenario is not deletion-dominated)")
-    return problems
+def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
+    versions = report["versions"]
+    return {
+        "min_tc2d_warm_speedup": min(
+            float(row["warm_speedup"]) for row in report["tc2d"].values()),
+        "version_histories_identical":
+            versions["version_histories_identical"] is True,
+        "updates_coalesced": {
+            name: int(agg["updates_coalesced"])
+            for name, agg in versions["schedulers"].items()},
+        "delete_heavy_edges_removed": int(sum(
+            row["edges_before"] - row["edges_after"]
+            for gname, row in report["delete_heavy"].items()
+            if gname != "serving")),
+    }
 
 
-def check_store_against_baseline(report: Mapping[str, Any],
-                                 baseline: Mapping[str, Any], *,
-                                 tolerance: float = 0.25) -> list[str]:
-    """CI gate: a fresh (quick) report versus the committed baseline.
-
-    Correctness clauses are absolute (bit-identity, scheduler and
-    version-history independence, shrinkage parity) and the 2x warm
-    floor always applies; on top, the fresh worst-case warm speedup must
-    stay above ``tolerance`` times the baseline's, mirroring ``repro
-    bench --check`` (graph names are deliberately not matched: CI runs
-    quick sizes against the full-size baseline).
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    problems = check_store_report(report)
-
-    def min_warm(rep) -> float:
-        rows = rep.get("tc2d", {})
-        return min((float(r.get("warm_speedup", 0.0)) for r in rows.values()),
-                   default=0.0)
-
-    if not baseline.get("tc2d"):
-        problems.append(
-            "baseline has no tc2d section (is --check pointed at a "
-            "BENCH_store.json?)")
-        return problems
-    floor = tolerance * min_warm(baseline)
-    fresh = min_warm(report)
-    if fresh < floor:
-        problems.append(
-            f"tc2d warm speedup {fresh:.2f}x fell below {floor:.2f}x "
-            f"({tolerance:.0%} of the baseline's {min_warm(baseline):.2f}x)")
-    return problems
+def _summary(report: Mapping[str, Any]) -> list[str]:
+    lines = [
+        f"{gname:12s} resident tc2d {row['warm_speedup']:8.1f}x vs "
+        f"per-call rebuild  (bit-identical: {row['bit_identical']})"
+        for gname, row in report["tc2d"].items()]
+    ver = report["versions"]
+    lines.append(
+        f"versions     {ver['n_updates']} updates in "
+        f"{ver['n_requests']} requests  answers identical: "
+        f"{ver['results_identical']}  histories identical: "
+        f"{ver['version_histories_identical']}")
+    lines += [
+        f"  {sname:9s} coalesced {agg['updates_coalesced']:3d}  "
+        f"rekeyed {agg['rekeyed_entries']:5d}  "
+        f"warm {agg['warm_fraction']:.2f}"
+        for sname, agg in ver["schedulers"].items()]
+    dh = report["delete_heavy"]
+    lines.append(
+        f"delete-heavy serving answers identical: "
+        f"{dh['serving']['results_identical']}  "
+        + "  ".join(f"{g}: -{row['edges_before'] - row['edges_after']} "
+                    f"edges ok={row['bit_identical']}"
+                    for g, row in dh.items() if g != "serving"))
+    return lines
 
 
-def write_store_report(report: Mapping[str, Any], path: str, *,
-                       gate: bool = True) -> None:
-    """Gate-check (optionally), schema-check and write the store report.
-
-    ``gate=False`` skips the absolute gate and only schema-checks — for
-    CI runs whose pass/fail verdict comes from
-    :func:`check_store_against_baseline` instead (the measured report
-    should land on disk as an artifact either way).
-    """
-    if gate:
-        problems = check_store_report(report)
-        if problems:
-            raise ValueError("; ".join(problems))
-    write_report(report, path, required_keys=STORE_REPORT_KEYS)
+SUITE = BenchSuite(
+    name="store",
+    doc="resident-vs-rebuild `tc2d` answers and clocks bit-identical with "
+        "a 2x warm-speedup floor (and >= 25% of the baseline's); "
+        "scheduler- and version-history-independent mixed serving; "
+        "delete-heavy shrinkage bit-identical to full recomputes",
+    run=run_store_bench,
+    keys=("schema_version", "quick", "nranks", "threads", "graphs", "tc2d",
+          "versions", "delete_heavy"),
+    gates=(
+        Gate("tc2d.*.bit_identical", "is", True,
+             "resident grid answers/clocks differ from the per-call "
+             "rebuild path"),
+        # 2x even for quick runs: the resident grid must always beat a
+        # full rebuild (in practice the replay memo wins by 100x+).
+        Gate("tc2d.*.warm_speedup", ">=", 2.0,
+             "warm speedup below the 2.0x floor", rel=REL_TOLERANCE),
+        Gate("tc2d.*.grid_builds", "==", 1,
+             "grid was rebuilt (the resident path must build once)"),
+        Gate("versions.results_identical", "is", True,
+             "mixed read/write answers are not proven identical between "
+             "schedulers (graph fence or propagation broken?)"),
+        Gate("versions.version_histories_identical", "is", True,
+             "per-graph version histories differ between schedulers "
+             "(store commits are scheduler-dependent?)"),
+        Gate("versions.n_updates", ">", 0,
+             "the serving run exercised no updates"),
+        Gate("delete_heavy.serving.results_identical", "is", True,
+             "answers are not scheduler-independent under deletion-heavy "
+             "traffic"),
+        Gate("delete_heavy.*.bit_identical", "is", True,
+             "incremental fold diverged from the full recompute under "
+             "sustained shrinkage", skip=("serving",)),
+        Gate("delete_heavy.*.edges_after", "<", Sibling("edges_before"),
+             "the graph did not shrink (scenario is not "
+             "deletion-dominated)", skip=("serving",)),
+    ),
+    headline=_headline,
+    summary=_summary,
+)
 
 
 # ---------------------------------------------------------------------------
-# One-off CLI runs (``repro store`` without --bench)
+# One-off CLI runs (``repro store``)
 # ---------------------------------------------------------------------------
 
 def one_off_store_run(graph: CSRGraph, *, nranks: int = STORE_NRANKS,

@@ -20,6 +20,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.config import LCCConfig
 from repro.graph.csr import CSRGraph
+from repro.session import Session
 from repro.utils.log import get_logger
 
 logger = get_logger("analysis.sweep")
@@ -73,11 +74,6 @@ def run_kernel_variants(
     One session serves the whole sweep, so variants that share a cluster
     shape reuse a single partitioned CSR instead of re-splitting per run.
     """
-    # Imported here: repro.session pulls in the kernel modules, one of which
-    # (lcc_fast) uses repro.analysis.throughput — a top-level import would
-    # make this module circular.
-    from repro.session import Session
-
     cells: list[SweepCell] = []
     with Session(graph, config) as session:
         for nranks in node_counts:

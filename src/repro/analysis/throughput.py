@@ -1,37 +1,18 @@
-"""Vectorized shared-memory throughput evaluation (Table III, Figure 6).
+"""Shared-memory throughput evaluation (Table III, Figure 6).
 
 The shared-memory experiments need the *total* kernel time over every
-edge of a graph for a given method and thread count.  Looping edges in
-Python and calling :class:`~repro.core.threading.OpenMPModel` per edge is
-too slow for the Table III sweep, so this module evaluates the same cost
-formulas vectorized over NumPy arrays of list-length pairs.  A unit test
-pins the vectorized forms to the scalar model.
+edge of a graph for a given method and thread count; the per-edge times
+come from the vectorized cost formulas next to
+:class:`~repro.core.threading.OpenMPModel`.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.core.threading import OpenMPModel
+from repro.core.threading import OpenMPModel, kernel_times_vectorized
 from repro.graph.csr import CSRGraph
 from repro.utils.units import US
-
-
-def exact_log2(x: np.ndarray) -> np.ndarray:
-    """``log2`` evaluated with :func:`math.log2` per distinct value.
-
-    ``np.log2`` disagrees with ``math.log2`` by one ulp on a sparse set of
-    inputs (1621.0 is one), which is enough to break bit-identical parity
-    between these vectorized formulas and the scalar
-    :class:`~repro.core.threading.OpenMPModel`.  List lengths are integers
-    drawn from few distinct values, so a per-unique lookup table is both
-    exact and cheap.
-    """
-    uniq, inv = np.unique(x, return_inverse=True)
-    lut = np.array([math.log2(float(u)) for u in uniq], dtype=np.float64)
-    return lut[inv.reshape(-1)].reshape(np.asarray(x).shape)
 
 
 def edge_length_pairs(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -40,51 +21,6 @@ def edge_length_pairs(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     la = np.repeat(deg, deg)             # the source's degree, per edge
     lb = deg[graph.adjacency]            # the target's degree, per edge
     return la.astype(np.float64), lb.astype(np.float64)
-
-
-def _ssi_time_vec(m: OpenMPModel, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    cm = m.compute
-    seq = cm.edge_overhead + (la + lb) * cm.c_ssi
-    if m.threads == 1:
-        return seq
-    short = np.minimum(la, lb)
-    long_ = np.maximum(la, lb)
-    per_thread = long_ / m.threads + short
-    par = (cm.edge_overhead + m.region_overhead
-           + per_thread * (1.0 + m.chunk_imbalance) * cm.c_ssi)
-    return np.where(la + lb < m.cutoff, seq, par)
-
-
-def _bs_time_vec(m: OpenMPModel, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    cm = m.compute
-    short = np.minimum(la, lb)
-    long_ = np.maximum(la, lb)
-    log_term = np.where(long_ > 1,
-                        np.maximum(1.0, exact_log2(np.maximum(long_, 2))), 1.0)
-    seq = cm.edge_overhead + short * log_term * cm.c_bs
-    # Degenerate tree (<= 1 element): one comparison per key.
-    seq = np.where(long_ <= 1, cm.edge_overhead + short * cm.c_bs, seq)
-    if m.threads == 1:
-        return seq
-    keys_per_thread = np.ceil(short / m.threads)
-    par = (cm.edge_overhead + m.region_overhead
-           + keys_per_thread * log_term * (1.0 + m.chunk_imbalance) * cm.c_bs)
-    return np.where(short < max(1, m.cutoff // 8), seq, par)
-
-
-def kernel_times_vectorized(model: OpenMPModel, method: str,
-                            la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """Per-edge kernel times for arrays of list-length pairs."""
-    la = np.asarray(la, dtype=np.float64)
-    lb = np.asarray(lb, dtype=np.float64)
-    if method == "ssi":
-        return _ssi_time_vec(model, la, lb)
-    if method == "binary":
-        return _bs_time_vec(model, la, lb)
-    if method == "hybrid":
-        return np.minimum(_ssi_time_vec(model, la, lb),
-                          _bs_time_vec(model, la, lb))
-    raise ValueError(f"unknown intersection method: {method!r}")
 
 
 def edges_per_microsecond(graph: CSRGraph, method: str,

@@ -15,8 +15,8 @@ into artifacts:
   (:func:`~repro.obs.trace.check_spans`) and the per-(graph, shard-set)
   :func:`~repro.obs.export.utilization_report`.
 
-``repro trace --check`` is the CI gate for the whole observability
-layer (:func:`check_traced_run`):
+``repro bench trace`` is the CI gate for the whole observability layer
+(:func:`check_traced_run` measures, :data:`SUITE` declares the rows):
 
 * **parity** — a traced run and an untraced run of the same workload
   must produce bit-identical answers and store digests (observability
@@ -28,17 +28,28 @@ layer (:func:`check_traced_run`):
   byte-identical across two traced runs;
 * **spans** — the span tree must be well-formed (no orphans, no
   same-worker task overlaps);
-* **artifacts** — every committed ``BENCH_*.json`` in the working
-  directory must pass :mod:`repro.analysis.schema` validation.
+* **artifacts** — every ``BENCH_*.json`` in the working directory must
+  pass schema validation.
+
+The gate run leaves the journal and Chrome trace of its last traced
+repeat in the working directory, like the one-off run.
 """
 
 from __future__ import annotations
 
 import glob
+import json
 import time
 from typing import Any, List, Mapping, Optional
 
 from repro.analysis.benchreport import BENCH_THREADS
+from repro.analysis.benchsuite import (
+    SCHEMA_VERSION,
+    BenchSuite,
+    Gate,
+    validate_file,
+    violations,
+)
 from repro.obs import Observation
 from repro.obs.export import chrome_trace, utilization_report
 from repro.obs.journal import replay_journal
@@ -51,14 +62,6 @@ from repro.serve.engine import (
 from repro.serve.scheduler import FIFOScheduler, make_scheduler
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 from repro.shardstore import ShardedGraphStore, annotate_shard_sets
-
-TRACE_SCHEMA_VERSION = 1
-
-#: Keys every ``--check`` report carries (pinned by tests and the CLI).
-TRACE_REPORT_KEYS = ("schema_version", "quick", "n_requests",
-                     "digests_identical", "journal_deterministic",
-                     "replay", "span_problems", "overhead_ratio",
-                     "overhead_ceiling", "artifact_problems", "ok")
 
 TRACE_NRANKS = 8
 TRACE_WORKERS = 6
@@ -117,6 +120,15 @@ def _serve(catalog, requests, store_factory, *, scheduler=None,
     return outcome, time.perf_counter() - t0
 
 
+def _write_artifacts(obs: Observation, journal_path: str, trace_path: str,
+                     label: str) -> None:
+    obs.journal.write(journal_path)
+    with open(trace_path, "w", encoding="utf-8") as fh:
+        json.dump(chrome_trace(obs.tracer.spans, label=label), fh,
+                  indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def one_off_trace_run(*, journal_path: str = DEFAULT_JOURNAL_PATH,
                       trace_path: str = DEFAULT_TRACE_PATH,
                       quick: bool = False, seed: int = TRACE_SEED,
@@ -132,14 +144,8 @@ def one_off_trace_run(*, journal_path: str = DEFAULT_JOURNAL_PATH,
     outcome, wall = _serve(catalog, requests, store_factory,
                            scheduler=make_scheduler(scheduler, **opts),
                            observation=obs)
-    obs.journal.write(journal_path)
-    trace = chrome_trace(obs.tracer.spans,
-                         label=f"repro trace (seed {seed})")
-    import json
-
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_artifacts(obs, journal_path, trace_path,
+                     label=f"repro trace (seed {seed})")
     replay = replay_journal(obs.journal, requests)
     span_problems = check_spans(obs.tracer.spans)
     util = utilization_report(outcome.records, outcome.update_records,
@@ -160,21 +166,16 @@ def one_off_trace_run(*, journal_path: str = DEFAULT_JOURNAL_PATH,
     }
 
 
-def check_traced_run(*, quick: bool = False, seed: int = TRACE_SEED,
-                     repeats: int = OVERHEAD_REPEATS,
-                     ceiling: float = OVERHEAD_CEILING,
-                     artifact_glob: str = "BENCH_*.json"
-                     ) -> dict[str, Any]:
-    """The observability gate (see module docstring for the clauses).
+def check_traced_run(quick: bool = False,
+                     repeats: int = OVERHEAD_REPEATS) -> dict[str, Any]:
+    """Measure the observability gate's clauses (see module docstring).
 
-    Returns a report dict whose ``ok`` is the overall verdict and whose
-    ``problems`` list explains any failure in one line each.
+    The report's ``problems``/``ok`` are :data:`SUITE`'s own verdict on
+    it, recorded so the artifact is readable on its own.
     """
-    from repro.analysis.schema import validate_tree
-
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    catalog, requests, store_factory = trace_workload(quick, seed)
+    catalog, requests, store_factory = trace_workload(quick)
 
     plain_walls: List[float] = []
     plain_outcome = None
@@ -185,65 +186,44 @@ def check_traced_run(*, quick: bool = False, seed: int = TRACE_SEED,
     traced_walls: List[float] = []
     traced_outcome, obs = None, None
     digests: List[str] = []
-    for _ in range(2 if repeats < 2 else repeats):
+    for _ in range(max(2, repeats)):
         obs = Observation.enabled()
         traced_outcome, wall = _serve(catalog, requests, store_factory,
                                       observation=obs)
         traced_walls.append(wall)
         digests.append(obs.journal.digest())
+    _write_artifacts(obs, DEFAULT_JOURNAL_PATH, DEFAULT_TRACE_PATH,
+                     label=f"repro bench trace (seed {TRACE_SEED})")
 
-    problems: List[str] = []
-    identical = answers_identical(plain_outcome, traced_outcome)
-    if not identical:
-        problems.append(
-            "tracing perturbed the run: traced answers/digests diverged "
-            "from the untraced run")
-    deterministic = len(set(digests)) == 1
-    if not deterministic:
-        problems.append(
-            f"journal is not deterministic: {len(set(digests))} distinct "
-            f"digests across {len(digests)} runs")
-    replay = replay_journal(obs.journal, requests)
-    if not replay.ok:
-        problems.append(
-            f"journal replay found the run fence-illegal: "
-            f"{replay.problems[0]}")
-    span_problems = check_spans(obs.tracer.spans)
-    if span_problems:
-        problems.append(f"span tree malformed: {span_problems[0]}")
     floor = min(plain_walls)
-    ratio = (min(traced_walls) / floor) if floor > 0 else 0.0
-    if ratio > ceiling:
-        problems.append(
-            f"tracing overhead {ratio:.3f}x exceeds the "
-            f"{ceiling:.2f}x ceiling")
-    artifact_problems = validate_tree(sorted(glob.glob(artifact_glob)))
-    problems.extend(f"artifact schema: {p}" for p in artifact_problems)
-
-    return {
-        "schema_version": TRACE_SCHEMA_VERSION,
+    report = {
+        "schema_version": SCHEMA_VERSION,
         "quick": quick,
-        "seed": seed,
+        "seed": TRACE_SEED,
         "n_requests": len(requests),
-        "digests_identical": bool(identical),
-        "journal_deterministic": bool(deterministic),
+        "digests_identical": answers_identical(plain_outcome,
+                                               traced_outcome),
+        "journal_deterministic": len(set(digests)) == 1,
         "journal_digest": digests[0],
-        "replay": replay.as_dict(),
-        "span_problems": span_problems,
+        "replay": replay_journal(obs.journal, requests).as_dict(),
+        "span_problems": check_spans(obs.tracer.spans),
         "n_spans": len(obs.tracer.spans),
         "n_events": len(obs.journal),
         "wall_untraced_s": floor,
         "wall_traced_s": min(traced_walls),
-        "overhead_ratio": ratio,
-        "overhead_ceiling": ceiling,
-        "artifact_problems": artifact_problems,
-        "problems": problems,
-        "ok": not problems,
+        "overhead_ratio": (min(traced_walls) / floor) if floor > 0 else 0.0,
+        "overhead_ceiling": OVERHEAD_CEILING,
+        "artifact_problems": [
+            problem for path in sorted(glob.glob("BENCH_*.json"))
+            for problem in validate_file(path)],
     }
+    report["problems"] = [p for _, p in violations(SUITE, report)]
+    report["ok"] = not report["problems"]
+    return report
 
 
 def format_check_report(report: Mapping[str, Any]) -> List[str]:
-    """Human-readable lines for one ``--check`` report."""
+    """Human-readable lines for one gate report."""
     replay = report.get("replay", {})
     return [
         f"parity       traced answers identical to untraced: "
@@ -258,3 +238,43 @@ def format_check_report(report: Mapping[str, Any]) -> List[str]:
         f"(ceiling {report['overhead_ceiling']:.2f}x)",
         f"artifacts    {len(report['artifact_problems'])} schema problems",
     ]
+
+
+def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
+    return {
+        "overhead_ratio": float(report["overhead_ratio"]),
+        "n_events": int(report["n_events"]),
+        "n_spans": int(report["n_spans"]),
+        "replay_ok": report["replay"]["ok"] is True,
+    }
+
+
+SUITE = BenchSuite(
+    name="trace",
+    doc="tracing never perturbs the simulation (traced == untraced "
+        "answers/digests); the decision journal is byte-deterministic and "
+        "replays fence-legal; the span tree is well-formed; "
+        "instrumentation overhead <= 1.05x; every `BENCH_*.json` in the "
+        "working directory is schema-valid (no baseline of its own is "
+        "read)",
+    run=check_traced_run,
+    keys=("schema_version", "quick", "n_requests", "digests_identical",
+          "journal_deterministic", "replay", "span_problems",
+          "overhead_ratio", "overhead_ceiling", "artifact_problems", "ok"),
+    gates=(
+        Gate("digests_identical", "is", True,
+             "tracing perturbed the run: traced answers/digests diverged "
+             "from the untraced run"),
+        Gate("journal_deterministic", "is", True,
+             "the journal digest differs between traced runs"),
+        Gate("replay.ok", "is", True,
+             "journal replay found the run fence-illegal"),
+        Gate("span_problems", "len==", 0, "span tree malformed"),
+        Gate("overhead_ratio", "<=", OVERHEAD_CEILING,
+             "tracing overhead exceeds the ceiling"),
+        Gate("artifact_problems", "len==", 0,
+             "artifact schema: a BENCH_*.json fails validation"),
+    ),
+    headline=_headline,
+    summary=format_check_report,
+)

@@ -27,26 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.throughput import kernel_times_vectorized
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.local import lcc_from_triplets, triangles_per_vertex_batched
-from repro.core.threading import OpenMPModel
+from repro.core.threading import OpenMPModel, kernel_times_vectorized
 from repro.graph.csr import CSRGraph
 from repro.graph.distributed import DistributedCSR
 from repro.graph.partition import Partition
 from repro.runtime.engine import Engine, RunOutcome
 from repro.runtime.trace import RankTrace
-
-
-def _get_time_vec(network, nbytes: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`NetworkModel.get_time`."""
-    t = network.alpha + nbytes * network.beta
-    return t + (nbytes > network.rendezvous_threshold) * network.rendezvous_penalty
-
-
-def _local_read_vec(memory, nbytes: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`MemoryModel.local_read_time`."""
-    return memory.dram_latency + nbytes / memory.dram_bandwidth
 
 
 def simulate_rank_fast(graph: CSRGraph, dist: DistributedCSR,
@@ -82,10 +70,10 @@ def simulate_rank_fast(graph: CSRGraph, dist: DistributedCSR,
     # -- per-edge communication ------------------------------------------------
     adj_bytes = lb * itemsize
     comm = np.empty(dst.shape[0], dtype=np.float64)
-    comm[remote] = (_get_time_vec(network, np.full(remote.sum(),
-                                                   2 * offs_itemsize))
-                    + _get_time_vec(network, adj_bytes[remote]))
-    comm[~remote] = _local_read_vec(memory, adj_bytes[~remote])
+    comm[remote] = (network.get_times(np.full(remote.sum(),
+                                              2 * offs_itemsize))
+                    + network.get_times(adj_bytes[remote]))
+    comm[~remote] = memory.local_read_times(adj_bytes[~remote])
 
     # -- per-edge computation -----------------------------------------------------
     kern = kernel_times_vectorized(omp, config.method,
@@ -114,7 +102,7 @@ def simulate_rank_fast(graph: CSRGraph, dist: DistributedCSR,
     else:
         edge_total = float(comm.sum() + kern.sum())
 
-    own_read = _local_read_vec(memory, degs * itemsize).sum()
+    own_read = memory.local_read_times(degs * itemsize).sum()
     clock = (edge_total + float(own_read)
              + n_local_vertices * compute.vertex_overhead)
 

@@ -51,7 +51,6 @@ import numpy as np
 from repro.clampi.cache import BatchStream
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.lcc import _merged_stats
-from repro.core.lcc_fast import _get_time_vec
 from repro.core.local import _to_sparse, lcc_from_triplets
 from repro.core.tc2d import (
     BLOCKS_WINDOW,
@@ -202,7 +201,7 @@ class _RankReplay2D:
         if cache is not None:
             dur, hit = cache.access_batch(stream=stream)
         else:
-            dur = _get_time_vec(config.network, stream.counts * win.itemsize)
+            dur = config.network.get_times(stream.counts * win.itemsize)
             hit = np.zeros(stream.m, dtype=bool)
 
         block_nnz = stats.block_nnz

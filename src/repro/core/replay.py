@@ -13,7 +13,7 @@ same runs in bulk:
   cache for state-changing events (misses with their insert/evict/resize
   side effects);
 * per-edge compute costs come from the closed-form vectorized formulas in
-  :mod:`repro.analysis.throughput` and the scores from the batched counting
+  :mod:`repro.core.threading` and the scores from the batched counting
   path in :mod:`repro.core.local`, exactly like the cache-less fast path in
   :mod:`repro.core.lcc_fast`.
 
@@ -37,7 +37,6 @@ import math
 
 import numpy as np
 
-from repro.analysis.throughput import kernel_times_vectorized
 from repro.clampi.cache import BatchStream
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.local import (
@@ -45,8 +44,7 @@ from repro.core.local import (
     triangles_min_vertex,
     triangles_per_vertex_batched,
 )
-from repro.core.lcc_fast import _get_time_vec, _local_read_vec
-from repro.core.threading import OpenMPModel
+from repro.core.threading import OpenMPModel, kernel_times_vectorized
 from repro.graph.distributed import DistributedCSR
 from repro.runtime.engine import Engine, RunOutcome
 from repro.runtime.trace import RankTrace
@@ -78,7 +76,7 @@ def _window_stream(cache, window, network, stream: BatchStream
     """
     if cache is not None:
         return cache.access_batch(stream=stream)
-    t = _get_time_vec(network, stream.counts * window.itemsize)
+    t = network.get_times(stream.counts * window.itemsize)
     return t, np.zeros(stream.m, dtype=bool)
 
 
@@ -176,7 +174,7 @@ class _RankReplay:
             ctx.cache_for(dist.w_adj), dist.w_adj, network, st.adj_stream)
 
         nbytes_l = st.nbytes_l
-        dur_loc = _local_read_vec(memory, nbytes_l)
+        dur_loc = memory.local_read_times(nbytes_l)
 
         # Full-length per-edge slot arrays (first comm slot, second slot
         # for the remote adjacency get).
@@ -189,7 +187,7 @@ class _RankReplay:
         kern = kernel_times_vectorized(omp, config.method,
                                        la.astype(np.float64),
                                        lb.astype(np.float64))
-        own_dt = _local_read_vec(memory, st.own_nbytes)
+        own_dt = memory.local_read_times(st.own_nbytes)
 
         self.remote = remote
         self.kern = kern

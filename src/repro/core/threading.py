@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.runtime.compute import ComputeModel
 from repro.utils.units import US
 from repro.utils.validation import require_in_range, require_positive
@@ -108,3 +110,70 @@ class OpenMPModel:
             region_overhead_passive=self.region_overhead_passive,
             chunk_imbalance=self.chunk_imbalance,
         )
+
+
+# -- the same cost formulas over arrays of list-length pairs -------------------
+#
+# The vectorized kernel paths (:mod:`repro.core.lcc_fast`,
+# :mod:`repro.core.replay`) and the shared-memory throughput sweeps need
+# per-edge kernel times for whole edge lists; looping
+# :meth:`OpenMPModel.kernel_time` per edge in Python is too slow.  A unit
+# test pins these forms to the scalar model.
+
+def exact_log2(x: np.ndarray) -> np.ndarray:
+    """``log2`` evaluated with :func:`math.log2` per distinct value.
+
+    ``np.log2`` disagrees with ``math.log2`` by one ulp on a sparse set of
+    inputs (1621.0 is one), which is enough to break bit-identical parity
+    between these vectorized formulas and the scalar :class:`OpenMPModel`.
+    List lengths are integers drawn from few distinct values, so a
+    per-unique lookup table is both exact and cheap.
+    """
+    uniq, inv = np.unique(x, return_inverse=True)
+    lut = np.array([math.log2(float(u)) for u in uniq], dtype=np.float64)
+    return lut[inv.reshape(-1)].reshape(np.asarray(x).shape)
+
+
+def _ssi_time_vec(m: OpenMPModel, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    cm = m.compute
+    seq = cm.edge_overhead + (la + lb) * cm.c_ssi
+    if m.threads == 1:
+        return seq
+    short = np.minimum(la, lb)
+    long_ = np.maximum(la, lb)
+    per_thread = long_ / m.threads + short
+    par = (cm.edge_overhead + m.region_overhead
+           + per_thread * (1.0 + m.chunk_imbalance) * cm.c_ssi)
+    return np.where(la + lb < m.cutoff, seq, par)
+
+
+def _bs_time_vec(m: OpenMPModel, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    cm = m.compute
+    short = np.minimum(la, lb)
+    long_ = np.maximum(la, lb)
+    log_term = np.where(long_ > 1,
+                        np.maximum(1.0, exact_log2(np.maximum(long_, 2))), 1.0)
+    seq = cm.edge_overhead + short * log_term * cm.c_bs
+    # Degenerate tree (<= 1 element): one comparison per key.
+    seq = np.where(long_ <= 1, cm.edge_overhead + short * cm.c_bs, seq)
+    if m.threads == 1:
+        return seq
+    keys_per_thread = np.ceil(short / m.threads)
+    par = (cm.edge_overhead + m.region_overhead
+           + keys_per_thread * log_term * (1.0 + m.chunk_imbalance) * cm.c_bs)
+    return np.where(short < max(1, m.cutoff // 8), seq, par)
+
+
+def kernel_times_vectorized(model: OpenMPModel, method: str,
+                            la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Per-edge kernel times for arrays of list-length pairs."""
+    la = np.asarray(la, dtype=np.float64)
+    lb = np.asarray(lb, dtype=np.float64)
+    if method == "ssi":
+        return _ssi_time_vec(model, la, lb)
+    if method == "binary":
+        return _bs_time_vec(model, la, lb)
+    if method == "hybrid":
+        return np.minimum(_ssi_time_vec(model, la, lb),
+                          _bs_time_vec(model, la, lb))
+    raise ValueError(f"unknown intersection method: {method!r}")

@@ -76,6 +76,12 @@ class NetworkModel:
             t += self.rendezvous_penalty
         return t
 
+    def get_times(self, nbytes):
+        """:meth:`get_time` over a NumPy array of sizes, bit-identical per
+        element (same operations in the same order)."""
+        t = self.alpha + nbytes * self.beta
+        return t + (nbytes > self.rendezvous_threshold) * self.rendezvous_penalty
+
     def put_time(self, nbytes: int) -> float:
         """Time for a one-sided write; same cost shape as a get."""
         return self.get_time(nbytes)
@@ -161,6 +167,10 @@ class MemoryModel:
         """Reading ``nbytes`` from the local partition (DRAM-resident)."""
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
+        return self.dram_latency + nbytes / self.dram_bandwidth
+
+    def local_read_times(self, nbytes):
+        """:meth:`local_read_time` over a NumPy array of sizes."""
         return self.dram_latency + nbytes / self.dram_bandwidth
 
     def cache_service_time(self, nbytes: int) -> float:

@@ -97,7 +97,7 @@ from repro.serve.tasks import (
     effect_name,
     make_task,
 )
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, SimulationError
 
 #: Back-compat alias: the digest helper moved to :mod:`repro.serve.records`.
 _digest = result_digest
@@ -617,7 +617,7 @@ class AsyncServingEngine(ServingEngine):
             h.task.resume([t.request for t in riders])
             effect = h.task.effect
             if not isinstance(effect, Commit):  # pragma: no cover - guard
-                raise ConfigError("update task must commit after its hold")
+                raise SimulationError("update task must commit after its hold")
             t0 = time.perf_counter()
             group = [effect.leader, *effect.riders]
             tick(h.close)
@@ -658,7 +658,7 @@ class AsyncServingEngine(ServingEngine):
         def retire(r: _Inflight) -> None:
             task = r.task
             if not task.done:  # pragma: no cover - structural guard
-                raise ConfigError("inflight task retired before completion")
+                raise SimulationError("inflight task retired before completion")
             jot("retire", qid=task.request.qid, worker=r.worker,
                 finish=r.finish)
             if task.request.is_update:
@@ -732,7 +732,7 @@ class AsyncServingEngine(ServingEngine):
                 tick(clock)
                 if req.is_update:
                     if not isinstance(task.effect, Hold):  # pragma: no cover
-                        raise ConfigError("update task must hold first")
+                        raise SimulationError("update task must hold first")
                     # Window close: bounded by the adaptive window and
                     # by the leader's own deadline — a hold never pushes
                     # the commit past arrival + slo_update_s.
@@ -757,14 +757,14 @@ class AsyncServingEngine(ServingEngine):
                         close_window(h)
                 else:
                     if not isinstance(task.effect, Acquire):  # pragma: no cover
-                        raise ConfigError("query task must acquire first")
+                        raise SimulationError("query task must acquire first")
                     t0 = time.perf_counter()
                     session, built = pool.acquire(req.session_key)
                     pool.pin(req.session_key)
                     locks.add(req.session_key)
                     task.resume((session, built))
                     if not isinstance(task.effect, Run):  # pragma: no cover
-                        raise ConfigError("query task must run after acquire")
+                        raise SimulationError("query task must run after acquire")
                     result = session.run(req.kernel, keep_cache=True)
                     wall = time.perf_counter() - t0
                     version = store.version(req.graph).version
@@ -822,7 +822,7 @@ class AsyncServingEngine(ServingEngine):
                     # Unreachable: the globally earliest waiting request
                     # is always fence-eligible and, with no task in
                     # flight, all locks and workers are free.
-                    raise ConfigError("cooperative scheduler deadlock")
+                    raise SimulationError("cooperative scheduler deadlock")
                 clock = max(clock, min(horizon))
                 tick(clock)
             pool_stats = pool.stats.as_dict()

@@ -4,28 +4,29 @@ import copy
 
 import pytest
 
-from repro.analysis.async_serve import (
-    ASYNC_REPORT_KEYS,
-    MIN_ASYNC_SPEEDUP,
-    async_trajectory_row,
-    check_async_against_baseline,
-    check_async_report,
-    one_off_async_run,
-    run_async_bench,
-    write_async_report,
+from repro.analysis.async_serve import SUITE, one_off_async_run
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    Gate,
+    evaluate,
+    trajectory_row,
+    write_report,
 )
+
+#: The burst-throughput floor the gate table declares.
+MIN_ASYNC_SPEEDUP = 1.3
 
 
 @pytest.fixture(scope="module")
-def quick_report():
-    return run_async_bench(quick=True)
+def quick_report(quick_report_of):
+    return quick_report_of("async")
 
 
 class TestQuickRun:
     def test_schema_and_gates(self, quick_report):
-        for key in ASYNC_REPORT_KEYS:
+        for key in SUITE.keys:
             assert key in quick_report
-        assert check_async_report(quick_report) == []
+        assert evaluate(SUITE, quick_report) == []
 
     def test_steady_row(self, quick_report):
         steady = quick_report["steady"]
@@ -58,20 +59,24 @@ class TestQuickRun:
         assert inter["overlap_fraction_min"] > 0
 
     def test_write_round_trip(self, quick_report, tmp_path):
-        from repro.analysis.benchreport import load_report
+        import json
 
         path = tmp_path / "async.json"
-        write_async_report(quick_report, str(path))
-        loaded = load_report(str(path))
-        assert set(loaded) >= set(ASYNC_REPORT_KEYS)
+        assert write_report(SUITE, quick_report, str(path)) == []
+        loaded = json.loads(path.read_text())
+        assert set(loaded) >= set(SUITE.keys)
         assert loaded["burst"]["throughput_ratio"] == pytest.approx(
             quick_report["burst"]["throughput_ratio"])
 
     def test_passes_against_itself_as_baseline(self, quick_report):
-        assert check_async_against_baseline(quick_report, quick_report) == []
+        import json
+
+        assert evaluate(SUITE, quick_report, quick_report) == []
+        with open("BENCH_async.json") as fh:
+            assert evaluate(SUITE, quick_report, json.load(fh)) == []
 
     def test_trajectory_row_fields(self, quick_report):
-        row = async_trajectory_row(quick_report)
+        row = trajectory_row(SUITE, quick_report)
         assert row["kind"] == "async"
         assert row["burst_speedup"] >= MIN_ASYNC_SPEEDUP
         assert row["interleavings_identical"] is True
@@ -83,61 +88,61 @@ class TestGates:
         for scenario in ("steady", "burst"):
             bad = copy.deepcopy(quick_report)
             bad[scenario]["results_identical"] = False
-            assert any("diverged" in p for p in check_async_report(bad))
+            assert any("diverged" in p for p in evaluate(SUITE, bad))
 
     def test_p99_ceiling(self, quick_report):
         bad = copy.deepcopy(quick_report)
         bad["steady"]["p99_ratio"] = 2.0
-        assert any("ceiling" in p for p in check_async_report(bad))
+        assert any("ceiling" in p for p in evaluate(SUITE, bad))
 
     def test_throughput_floor(self, quick_report):
         bad = copy.deepcopy(quick_report)
         bad["burst"]["throughput_ratio"] = 1.0
-        assert any("floor" in p for p in check_async_report(bad))
+        assert any("floor" in p for p in evaluate(SUITE, bad))
 
     def test_overlap_required(self, quick_report):
         """A 'speedup' with no measured overlap is an accounting bug."""
         bad = copy.deepcopy(quick_report)
         bad["burst"]["async"]["overlap_fraction"] = 0.0
-        assert any("no overlap" in p for p in check_async_report(bad))
+        assert any("no overlap" in p for p in evaluate(SUITE, bad))
 
     def test_backpressure_booleans_required(self, quick_report):
         bad = copy.deepcopy(quick_report)
         bad["backpressure"]["shed_deterministic"] = False
         assert any("shed_deterministic" in p
-                   for p in check_async_report(bad))
+                   for p in evaluate(SUITE, bad))
 
     def test_interleaving_battery_required(self, quick_report):
         bad = copy.deepcopy(quick_report)
         bad["interleavings"]["all_identical"] = False
         bad["interleavings"]["identical"]["3"] = False
-        assert any("diverged" in p for p in check_async_report(bad))
+        assert any("diverged" in p for p in evaluate(SUITE, bad))
         short = copy.deepcopy(quick_report)
         short["interleavings"]["seeds"] = [0]
-        assert any("battery" in p for p in check_async_report(short))
+        assert any("battery" in p for p in evaluate(SUITE, short))
 
     def test_baseline_relative_speedup(self, quick_report):
         inflated = copy.deepcopy(quick_report)
         inflated["burst"]["throughput_ratio"] *= 1000
-        problems = check_async_against_baseline(quick_report, inflated)
+        problems = evaluate(SUITE, quick_report, inflated)
         assert any("fell below" in p for p in problems)
 
     def test_wrong_baseline_kind_flagged(self, quick_report):
-        problems = check_async_against_baseline(quick_report,
-                                                {"quick": True})
+        problems = evaluate(SUITE, quick_report, {"quick": True})
         assert any("BENCH_async.json" in p for p in problems)
 
-    def test_bad_tolerance_rejected(self, quick_report):
+    def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            check_async_against_baseline(quick_report, quick_report,
-                                         tolerance=0.0)
+            Gate("burst.throughput_ratio", ">=", 1.3, "w", rel=0.0)
+        assert [g.rel for g in SUITE.gates if g.rel is not None] \
+            == [REL_TOLERANCE]
 
     def test_write_refuses_failing_report(self, quick_report, tmp_path):
         bad = copy.deepcopy(quick_report)
         bad["burst"]["results_identical"] = False
-        with pytest.raises(ValueError):
-            write_async_report(bad, str(tmp_path / "bad.json"))
-        write_async_report(bad, str(tmp_path / "ungated.json"), gate=False)
+        path = tmp_path / "bad.json"
+        assert write_report(SUITE, bad, str(path))
+        assert not path.exists()
 
 
 class TestCommittedBaseline:
@@ -152,7 +157,7 @@ class TestCommittedBaseline:
         with open(path) as fh:
             report = json.load(fh)
         assert report["quick"] is False
-        assert check_async_report(report) == []
+        assert evaluate(SUITE, report) == []
 
 
 class TestOneOff:

@@ -1,13 +1,22 @@
-"""The bench regression gate: check_against_baseline semantics."""
+"""The kernels suite's gate table and the shared trajectory appender."""
+
+import json
 
 import pytest
 
-from repro.analysis.benchreport import (
-    DEFAULT_CHECK_TOLERANCE,
-    check_against_baseline,
-    load_report,
+from repro.analysis.benchreport import SUITE
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    Gate,
+    append_trajectory,
+    evaluate,
+    trajectory_row,
+    violations,
     write_report,
 )
+from tests.helpers import REPO_ROOT
+
+COMMITTED = REPO_ROOT / "BENCH_kernels.json"
 
 
 def replay_row(warm=10.0, cold=2.0, identical=True):
@@ -17,6 +26,11 @@ def replay_row(warm=10.0, cold=2.0, identical=True):
 
 def report_with(rows):
     return {"cached_replay": rows}
+
+
+def check_against_baseline(report, baseline):
+    """Gate rows only: these synthetic reports carry one section."""
+    return [problem for _, problem in violations(SUITE, report, baseline)]
 
 
 BASELINE = report_with({
@@ -53,6 +67,9 @@ class TestGate:
             "tc:a": replay_row(warm=100.0)})
         problems = check_against_baseline(fresh, BASELINE)
         assert any("bit-identical" in p for p in problems)
+        # ... with or without a baseline.
+        assert any("bit-identical" in p
+                   for p in check_against_baseline(fresh, None))
 
     def test_missing_kernel_flagged(self):
         fresh = report_with({"lcc:a": replay_row(warm=9.0)})
@@ -61,7 +78,8 @@ class TestGate:
 
     def test_empty_fresh_report_flagged(self):
         problems = check_against_baseline(report_with({}), BASELINE)
-        assert any("no cached_replay" in p for p in problems)
+        assert any("cached_replay" in p and "nothing recorded" in p
+                   for p in problems)
 
     def test_empty_baseline_flagged_not_vacuously_passed(self):
         """--check pointed at the wrong file must fail, not gate nothing."""
@@ -70,95 +88,114 @@ class TestGate:
         assert any("baseline has no cached_replay" in p for p in problems)
 
     def test_tolerance_scales_the_floor(self):
+        """The floor is REL_TOLERANCE x the baseline's worst, per kernel."""
         fresh = report_with({"lcc:a": replay_row(warm=5.0),
                              "tc:a": replay_row(warm=5.0)})
-        assert check_against_baseline(fresh, BASELINE, tolerance=0.3) == []
-        problems = check_against_baseline(fresh, BASELINE, tolerance=0.9)
-        assert len(problems) == 2
+        assert check_against_baseline(fresh, BASELINE) == []
+        steep = report_with({
+            key: replay_row(warm=row["warm_speedup"] * 4)
+            for key, row in BASELINE["cached_replay"].items()})
+        # floors: lcc 0.25*32=8.0, tc 0.25*48=12.0 -> both fail at 5.0
+        assert len(check_against_baseline(fresh, steep)) == 2
 
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
-            check_against_baseline(BASELINE, BASELINE, tolerance=0.0)
+            Gate("cached_replay.*.warm_speedup", ">=", None, "w", rel=0.0)
 
     def test_default_tolerance_is_loose(self):
-        assert 0 < DEFAULT_CHECK_TOLERANCE <= 0.5
+        assert 0 < REL_TOLERANCE <= 0.5
+        relative = [g for g in SUITE.gates if g.rel is not None]
+        assert relative and all(g.rel == REL_TOLERANCE for g in relative)
+
+    def test_linalg_rows_need_a_baseline_that_records_them(self):
+        slow = report_with({"lcc:a": replay_row(), "tc:a": replay_row()})
+        slow["linalg"] = {"tc2d_spgemm:a": {"warm_speedup": 1.5,
+                                            "bit_identical": True}}
+        assert check_against_baseline(slow, None) == []
+        assert check_against_baseline(slow, BASELINE) == []
+        with_linalg = dict(BASELINE, linalg={"tc2d_spgemm:m": {
+            "warm_speedup": 30.0, "bit_identical": True}})
+        problems = check_against_baseline(slow, with_linalg)
+        assert len(problems) == 1 and "absolute floor" in problems[0]
+        del slow["linalg"]
+        assert any("linalg" in p and "nothing recorded" in p
+                   for p in check_against_baseline(slow, with_linalg))
 
 
 class TestCommittedBaseline:
     def test_committed_baseline_is_self_consistent(self):
         """The repo-root BENCH_kernels.json passes the gate against itself."""
-        from pathlib import Path
-        path = Path(__file__).resolve().parents[2] / "BENCH_kernels.json"
-        report = load_report(str(path))
-        assert check_against_baseline(report, report) == []
+        report = json.loads(COMMITTED.read_text())
+        assert evaluate(SUITE, report, report) == []
 
     def test_load_write_round_trip(self, tmp_path):
-        from pathlib import Path
-        path = Path(__file__).resolve().parents[2] / "BENCH_kernels.json"
-        report = load_report(str(path))
+        report = json.loads(COMMITTED.read_text())
         out = tmp_path / "copy.json"
-        write_report(report, str(out))
-        assert load_report(str(out)) == report
+        assert write_report(SUITE, report, str(out)) == []
+        assert json.loads(out.read_text()) == report
 
 
 class TestTrajectory:
     def test_row_summarizes_report(self):
-        from repro.analysis.benchreport import trajectory_row
-
         report = report_with({"lcc:g": replay_row(warm=4.0),
                               "tc:g": replay_row(warm=6.0)})
-        report["kernels"] = {"lcc:g": {"wall_clock_s": 0.5,
-                                       "adj_hit_rate": 0.8},
-                             "tc:g": {"wall_clock_s": 1.5,
-                                      "adj_hit_rate": None}}
-        row = trajectory_row(report, date="2026-07-26")
+        report["quick"] = True
+        report["kernels"] = {
+            "lcc:g": {"wall_clock_s": 0.5, "adj_hit_rate": 0.8,
+                      "offsets_hit_rate": 0.7},
+            "tc:g": {"wall_clock_s": 1.5, "adj_hit_rate": None,
+                     "offsets_hit_rate": None},
+            # A 2D block cache's cold pass: not the 1D population.
+            "lcc2d:g": {"wall_clock_s": 0.0, "adj_hit_rate": 0.0,
+                        "offsets_hit_rate": None}}
+        row = trajectory_row(SUITE, report, date="2026-07-26")
         assert row["date"] == "2026-07-26"
-        assert row["n_kernels"] == 2
+        assert row["kind"] == "kernels"
+        assert row["quick"] is True
+        assert row["n_kernels"] == 3
         assert row["total_kernel_wall_s"] == 2.0
         assert row["max_kernel_wall_s"] == 1.5
         assert row["mean_adj_hit_rate"] == 0.8
         assert row["min_warm_speedups"] == {"lcc": 4.0, "tc": 6.0}
 
     def test_append_creates_then_extends(self, tmp_path):
-        from repro.analysis.benchreport import append_trajectory
-
         report = report_with({"lcc:g": replay_row(warm=4.0)})
         path = tmp_path / "BENCH_trajectory.json"
-        append_trajectory(report, str(path), date="2026-07-25")
-        append_trajectory(report, str(path), date="2026-07-26")
-        import json
-
+        for date in ("2026-07-25", "2026-07-26"):
+            append_trajectory(trajectory_row(SUITE, report, date=date),
+                              str(path))
         data = json.loads(path.read_text())
         assert [r["date"] for r in data["rows"]] == ["2026-07-25",
                                                      "2026-07-26"]
         assert data["schema_version"] == 1
 
     def test_committed_trajectory_is_valid(self):
-        """The repo-root trajectory file parses and has at least one row."""
-        import json
+        """The repo-root trajectory is one series: every row is dated and
+        tagged with its suite, and carries that suite's headline."""
+        from repro.analysis.benchsuite import SUITE_NAMES
+        from repro.analysis.schema import validate_trajectory
 
-        with open("BENCH_trajectory.json") as fh:
-            data = json.load(fh)
-        assert isinstance(data["rows"], list) and data["rows"]
+        data = json.loads(
+            (COMMITTED.parent / "BENCH_trajectory.json").read_text())
+        assert validate_trajectory(data) == []
+        assert data["rows"]
         for row in data["rows"]:
-            assert row["date"]
-            # Kernel-bench rows carry warm speedups; other benches tag
-            # their rows with a "kind" (e.g. the shard bench).
-            if row.get("kind") == "shard":
+            assert row["kind"] in SUITE_NAMES
+            assert isinstance(row["quick"], bool)
+            if row["kind"] == "shard":
                 assert row["read_scaling"] > 0
                 assert row["failover_digests_identical"] is True
-            elif row.get("kind") == "async":
+            elif row["kind"] == "async":
                 assert row["burst_speedup"] > 0
                 assert row["interleavings_identical"] is True
-            else:
+            elif row["kind"] == "kernels":
                 assert "min_warm_speedups" in row
 
     def test_corrupt_trajectory_reported_cleanly(self, tmp_path):
-        from repro.analysis.benchreport import append_trajectory
-
         path = tmp_path / "BENCH_trajectory.json"
         path.write_text('{"rows": [')  # truncated by a killed run
+        row = trajectory_row(SUITE, report_with({}))
         with pytest.raises(ValueError, match="corrupt"):
-            append_trajectory(report_with({}), str(path))
+            append_trajectory(row, str(path))
         # The corrupt file is left untouched for manual inspection.
         assert path.read_text() == '{"rows": ['

@@ -1,28 +1,29 @@
 """The dynamic-graph bench report and its regression gates."""
 
 import copy
+import json
 
 import pytest
 
-from repro.analysis.dynamic import (
-    DYNAMIC_REPORT_KEYS,
-    check_dynamic_against_baseline,
-    check_dynamic_report,
-    run_dynamic_bench,
-    write_dynamic_report,
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    Gate,
+    evaluate,
+    write_report,
 )
+from repro.analysis.dynamic import SUITE
 
 
 @pytest.fixture(scope="module")
-def quick_report():
-    return run_dynamic_bench(quick=True)
+def quick_report(quick_report_of):
+    return quick_report_of("dynamic")
 
 
 class TestQuickRun:
     def test_schema_and_gates(self, quick_report):
-        for key in DYNAMIC_REPORT_KEYS:
+        for key in SUITE.keys:
             assert key in quick_report
-        assert check_dynamic_report(quick_report) == []
+        assert evaluate(SUITE, quick_report) == []
 
     def test_incremental_rows(self, quick_report):
         assert quick_report["incremental"]
@@ -48,17 +49,14 @@ class TestQuickRun:
         assert set(srv["schedulers"]) == {"fifo", "affinity"}
 
     def test_write_round_trip(self, quick_report, tmp_path):
-        import json
-
         path = tmp_path / "BENCH_dynamic.json"
-        write_dynamic_report(quick_report, str(path))
+        assert write_report(SUITE, quick_report, str(path)) == []
         assert json.loads(path.read_text())["quick"] is True
 
     def test_passes_against_committed_baseline(self, quick_report):
-        from repro.analysis.benchreport import load_report
-
-        baseline = load_report("BENCH_dynamic.json")
-        assert check_dynamic_against_baseline(quick_report, baseline) == []
+        with open("BENCH_dynamic.json") as fh:
+            baseline = json.load(fh)
+        assert evaluate(SUITE, quick_report, baseline) == []
 
 
 class TestGateClauses:
@@ -71,50 +69,55 @@ class TestGateClauses:
         gname = next(iter(quick_report["incremental"]))
         bad = self.doctor(quick_report, "incremental", gname,
                           bit_identical=False)
-        assert any("bit-identical" in p for p in check_dynamic_report(bad))
+        assert any("bit-identical" in p for p in evaluate(SUITE, bad))
         # Even the tolerance-based CI gate never waives it.
         assert any("bit-identical" in p
-                   for p in check_dynamic_against_baseline(bad, quick_report))
+                   for p in evaluate(SUITE, bad, quick_report))
 
     def test_speedup_floor_full_reports(self, quick_report):
         gname = next(iter(quick_report["incremental"]))
         slow = self.doctor(quick_report, "incremental", gname, speedup=1.5)
         slow["quick"] = False
-        assert any("below" in p for p in check_dynamic_report(slow))
+        assert any("below" in p for p in evaluate(SUITE, slow))
         # The same 1.5x is fine for a quick run...
         slow["quick"] = True
-        assert check_dynamic_report(slow) == []
+        assert evaluate(SUITE, slow) == []
+        # ... and against a baseline the relative clause owns the verdict.
+        slow["quick"] = False
+        assert evaluate(SUITE, slow, slow) == []
 
     def test_retained_hits_required(self, quick_report):
         gname = next(iter(quick_report["invalidation"]))
         flushed = self.doctor(quick_report, "invalidation", gname,
                               retained_warm_hits=0)
         assert any("retained" in p or "flushed" in p
-                   for p in check_dynamic_report(flushed))
+                   for p in evaluate(SUITE, flushed))
 
     def test_serving_identity_required(self, quick_report):
         bad = copy.deepcopy(quick_report)
         bad["serving"]["results_identical"] = False
-        assert any("barrier" in p for p in check_dynamic_report(bad))
+        assert any("barrier" in p for p in evaluate(SUITE, bad))
 
     def test_baseline_relative_speedup(self, quick_report):
         base = copy.deepcopy(quick_report)
         for row in base["incremental"].values():
             row["speedup"] = 1000.0  # worst-case baseline speedup: 1000x
-        problems = check_dynamic_against_baseline(quick_report, base)
+        problems = evaluate(SUITE, quick_report, base)
         assert any("fell below" in p for p in problems)
 
     def test_missing_baseline_section_flagged(self, quick_report):
-        problems = check_dynamic_against_baseline(quick_report, {})
-        assert any("baseline" in p for p in problems)
+        problems = evaluate(SUITE, quick_report, {})
+        assert any("baseline has no incremental" in p for p in problems)
 
-    def test_bad_tolerance_rejected(self, quick_report):
+    def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            check_dynamic_against_baseline(quick_report, quick_report,
-                                           tolerance=0)
+            Gate("incremental.*.speedup", ">=", 2.0, "w", rel=0)
+        assert [g.rel for g in SUITE.gates if g.rel is not None] \
+            == [REL_TOLERANCE]
 
     def test_write_refuses_failing_report(self, quick_report, tmp_path):
         bad = copy.deepcopy(quick_report)
         bad["serving"]["results_identical"] = False
-        with pytest.raises(ValueError):
-            write_dynamic_report(bad, str(tmp_path / "x.json"))
+        path = tmp_path / "x.json"
+        assert write_report(SUITE, bad, str(path))
+        assert not path.exists()

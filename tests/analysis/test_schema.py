@@ -4,90 +4,116 @@ import json
 
 import pytest
 
-from repro.analysis.benchreport import append_trajectory_row
-from repro.analysis.schema import (
-    REPORT_KINDS,
-    infer_kind,
-    required_keys,
+from repro.analysis.benchsuite import (
+    SUITE_NAMES,
+    append_trajectory,
+    get_suite,
+    load_baseline,
     validate_file,
+)
+from repro.analysis.schema import (
+    trajectory_row_problems,
     validate_report,
     validate_trajectory,
-    validate_trajectory_row,
-    validate_tree,
 )
 
 
 def _minimal_report(kind):
-    report = {key: {} for key in required_keys(kind)}
+    report = {key: {} for key in get_suite(kind).keys}
     report["schema_version"] = 1
     report["quick"] = True
     return report
 
 
-def test_infer_kind_from_filenames():
-    assert infer_kind("BENCH_kernels.json") == "kernels"
-    assert infer_kind("/some/dir/BENCH_async.json") == "async"
-    assert infer_kind("BENCH_async_quick.json") is None
-    assert infer_kind("BENCH_trajectory.json") is None
-    assert infer_kind("report.json") is None
+def test_infer_kind_from_filenames(tmp_path):
+    """A file is validated as what its name claims, nothing more."""
+    doc = json.dumps({"schema_version": 1})
+
+    def problems(name):
+        path = tmp_path / name
+        path.write_text(doc)
+        return validate_file(str(path))
+
+    assert any("missing key 'kernels'" in p
+               for p in problems("BENCH_kernels.json"))
+    assert any("missing key 'burst'" in p
+               for p in problems("BENCH_async.json"))
+    assert problems("BENCH_async_quick.json") == []
+    assert problems("report.json") == []
+    assert any("'rows'" in p for p in problems("BENCH_trajectory.json"))
 
 
 def test_required_keys_unknown_kind():
-    with pytest.raises(ValueError, match="unknown report kind"):
-        required_keys("nope")
+    with pytest.raises(ValueError, match="unknown bench suite"):
+        get_suite("nope")
 
 
-@pytest.mark.parametrize("kind", sorted(REPORT_KINDS))
+@pytest.mark.parametrize("kind", sorted(SUITE_NAMES))
 def test_minimal_report_passes_per_kind(kind):
-    assert validate_report(_minimal_report(kind), kind) == []
+    assert validate_report(_minimal_report(kind), get_suite(kind).keys) == []
 
 
 def test_missing_key_and_bad_schema_version():
     report = _minimal_report("kernels")
     del report["graphs"]
     report["schema_version"] = 0
-    problems = validate_report(report, "kernels")
+    problems = validate_report(report, get_suite("kernels").keys)
     assert any("missing key 'graphs'" in p for p in problems)
     assert any("schema_version" in p for p in problems)
 
 
-def test_baseline_mode_accepts_partial_reports():
+def test_baseline_mode_accepts_partial_reports(tmp_path):
     # --check baselines may be partial: only the compared sections exist.
     partial = {"cached_replay": {"lcc:g": {"warm_speedup": 8.0}}}
-    assert validate_report(partial, "kernels", strict=False) == []
+    keys = get_suite("kernels").keys
+    assert validate_report(partial, keys, strict=False) == []
     # But anything present must still be well-formed.
-    assert validate_report({"schema_version": "one"}, "kernels",
-                           strict=False)
-    assert validate_report({"x": float("nan")}, "kernels", strict=False)
+    assert validate_report({"schema_version": "one"}, keys, strict=False)
+    assert validate_report({"x": float("nan")}, keys, strict=False)
+    # The one baseline loader applies exactly that mode.
+    path = tmp_path / "BENCH_kernels.json"
+    path.write_text(json.dumps(partial))
+    assert load_baseline(str(path)) == partial
+    path.write_text('{"x": NaN}')
+    with pytest.raises(SystemExit, match="fails schema validation"):
+        load_baseline(str(path))
+    path.write_text("[1, 2]")
+    with pytest.raises(SystemExit, match="fails schema validation"):
+        load_baseline(str(path))
 
 
 def test_non_finite_numbers_rejected():
     report = _minimal_report("kernels")
     report["kernels"] = {"lcc:g": {"wall_clock_s": float("nan")}}
-    problems = validate_report(report, "kernels")
+    problems = validate_report(report, get_suite("kernels").keys)
     assert any("non-finite" in p and "wall_clock_s" in p for p in problems)
 
 
 def test_non_dict_report():
-    assert validate_report([1, 2], "kernels")
+    assert validate_report([1, 2], get_suite("kernels").keys)
     assert validate_report(None) != []
 
 
 def test_trajectory_row_validation():
     good = {"date": "2026-08-08", "kind": "async", "speedup": 2.0}
-    assert validate_trajectory_row(good) == []
-    assert validate_trajectory_row({"date": "yesterday", "x": 1})
-    assert validate_trajectory_row({"date": "2026-08-08"})  # no payload
-    assert validate_trajectory_row(
-        {"date": "2026-08-08", "x": float("inf")})
+    assert trajectory_row_problems(good) == []
+    assert trajectory_row_problems({"date": "yesterday", "kind": "async",
+                                    "x": 1})
+    # Every row names its suite: the trajectory is one series.
+    assert any("'kind'" in p for p in trajectory_row_problems(
+        {"date": "2026-08-08", "x": 1}))
+    assert trajectory_row_problems(
+        {"date": "2026-08-08", "kind": "async", "quick": True})  # no payload
+    assert trajectory_row_problems(
+        {"date": "2026-08-08", "kind": "async", "x": float("inf")})
 
 
 def test_trajectory_document_validation():
     good = {"schema_version": 1,
-            "rows": [{"date": "2026-01-01", "n": 3}]}
+            "rows": [{"date": "2026-01-01", "kind": "kernels", "n": 3}]}
     assert validate_trajectory(good) == []
     assert validate_trajectory({"schema_version": 1, "rows": "nope"})
-    bad_row = {"schema_version": 1, "rows": [{"n": 3}]}
+    bad_row = {"schema_version": 1, "rows": [{"kind": "kernels", "n": 3}]}
     problems = validate_trajectory(bad_row)
     assert any("row 0" in p for p in problems)
 
@@ -103,17 +129,18 @@ def test_validate_file_dispatch(tmp_path):
     assert missing and "does not exist" in missing[0]
     corrupt = tmp_path / "BENCH_async.json"
     corrupt.write_text("{not json")
-    assert any("not valid JSON" in p for p in validate_file(str(corrupt)))
-    problems = validate_tree([str(p), str(corrupt)])
-    assert len(problems) == 1 and str(corrupt) in problems[0]
+    problems = validate_file(str(corrupt))
+    assert len(problems) == 1 and "not valid JSON" in problems[0]
+    assert str(corrupt) in problems[0]
 
 
 def test_append_refuses_malformed_row(tmp_path):
     path = str(tmp_path / "BENCH_trajectory.json")
     with pytest.raises(ValueError, match="malformed trajectory row"):
-        append_trajectory_row({"date": "not-a-date", "x": 1}, path)
+        append_trajectory({"date": "not-a-date", "kind": "k", "x": 1}, path)
+    with pytest.raises(ValueError, match="malformed trajectory row"):
+        append_trajectory({"date": "2026-08-08", "x": 1}, path)
     # A good row still appends.
-    row = append_trajectory_row({"date": "2026-08-08", "x": 1}, path)
-    assert row["x"] == 1
+    append_trajectory({"date": "2026-08-08", "kind": "kernels", "x": 1}, path)
     data = json.loads(open(path).read())
-    assert len(data["rows"]) == 1
+    assert [row["x"] for row in data["rows"]] == [1]

@@ -1,25 +1,22 @@
 """The recorded serving benchmark and its gate (BENCH_serve.json)."""
 
+import copy
 import json
 
 import pytest
 
-from repro.analysis.serving import (
-    SERVE_REPORT_KEYS,
-    check_serve_report,
-    run_serving_bench,
-    write_serve_report,
-)
+from repro.analysis.benchsuite import evaluate, write_report
+from repro.analysis.serving import SUITE
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_serving_bench(quick=True)
+def report(quick_report_of):
+    return quick_report_of("serve")
 
 
 class TestServingBench:
     def test_report_shape(self, report):
-        for key in SERVE_REPORT_KEYS:
+        for key in SUITE.keys:
             assert key in report
         assert set(report["workloads"]) == {"zipf", "uniform"}
         for row in report["workloads"].values():
@@ -35,48 +32,51 @@ class TestServingBench:
         assert report["workloads"]["zipf"]["throughput_ratio"] > 1.0
 
     def test_gate_passes_on_fresh_report(self, report):
-        assert check_serve_report(report) == []
+        assert evaluate(SUITE, report) == []
 
     def test_gate_catches_parity_breaks(self, report):
-        broken = json.loads(json.dumps(report))
+        broken = copy.deepcopy(report)
         broken["workloads"]["zipf"]["results_identical"] = False
         assert any("not proven identical" in p
-                   for p in check_serve_report(broken))
+                   for p in evaluate(SUITE, broken))
 
     def test_gate_rejects_vacuous_reports(self, report):
         """Dropping the comparison fields must fail, not pass silently."""
-        vacuous = json.loads(json.dumps(report))
+        vacuous = copy.deepcopy(report)
         del vacuous["workloads"]["zipf"]["results_identical"]
         del vacuous["workloads"]["zipf"]["throughput_ratio"]
-        problems = check_serve_report(vacuous)
+        problems = evaluate(SUITE, vacuous)
         assert any("not proven identical" in p for p in problems)
-        assert any("no affinity-vs-fifo" in p for p in problems)
+        assert any("throughput_ratio" in p and "nothing recorded" in p
+                   for p in problems)
 
     def test_gate_requires_both_workloads(self, report):
-        partial = json.loads(json.dumps(report))
+        partial = copy.deepcopy(report)
         del partial["workloads"]["uniform"]
-        assert any("missing workload 'uniform'" in p
-                   for p in check_serve_report(partial))
+        assert any("workloads.uniform" in p and "must be recorded" in p
+                   for p in evaluate(SUITE, partial))
 
     def test_gate_catches_affinity_losing(self, report):
-        broken = json.loads(json.dumps(report))
+        broken = copy.deepcopy(report)
         broken["workloads"]["zipf"]["throughput_ratio"] = 0.9
-        assert any("must beat FIFO" in p for p in check_serve_report(broken))
+        assert any("must beat FIFO" in p for p in evaluate(SUITE, broken))
 
     def test_gate_catches_missing_keys(self):
-        assert any("missing key" in p for p in check_serve_report({}))
+        assert any("missing key" in p for p in evaluate(SUITE, {}))
 
     def test_write_round_trip(self, report, tmp_path):
         path = tmp_path / "BENCH_serve.json"
-        write_serve_report(report, str(path))
+        assert write_report(SUITE, report, str(path)) == []
         assert json.loads(path.read_text())["workloads"]["zipf"][
             "results_identical"] is True
 
     def test_write_refuses_failing_report(self, report, tmp_path):
-        broken = json.loads(json.dumps(report))
+        broken = copy.deepcopy(report)
         broken["workloads"]["zipf"]["throughput_ratio"] = 0.5
-        with pytest.raises(ValueError, match="beat FIFO"):
-            write_serve_report(broken, str(tmp_path / "x.json"))
+        path = tmp_path / "x.json"
+        assert any("beat FIFO" in p
+                   for p in write_report(SUITE, broken, str(path)))
+        assert not path.exists()
 
 
 class TestCommittedReport:
@@ -84,5 +84,5 @@ class TestCommittedReport:
         from pathlib import Path
         committed = Path(__file__).resolve().parents[2] / "BENCH_serve.json"
         report = json.loads(committed.read_text())
-        assert check_serve_report(report) == []
+        assert evaluate(SUITE, report) == []
         assert report["quick"] is False

@@ -4,29 +4,27 @@ import copy
 
 import pytest
 
-from repro.analysis.shard import (
-    MIN_READ_SCALING,
-    SHARD_REPORT_KEYS,
-    check_shard_against_baseline,
-    check_shard_report,
-    one_off_shard_run,
-    run_shard_bench,
-    shard_trajectory_row,
-    write_shard_report,
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    Gate,
+    evaluate,
+    trajectory_row,
+    write_report,
 )
+from repro.analysis.shard import SUITE, one_off_shard_run
 from repro.graph.generators import powerlaw_configuration
 
 
 @pytest.fixture(scope="module")
-def quick_report():
-    return run_shard_bench(quick=True)
+def quick_report(quick_report_of):
+    return quick_report_of("shard")
 
 
 class TestQuickRun:
     def test_schema_and_gates(self, quick_report):
-        for key in SHARD_REPORT_KEYS:
+        for key in SUITE.keys:
             assert key in quick_report
-        assert check_shard_report(quick_report) == []
+        assert evaluate(SUITE, quick_report) == []
 
     def test_bit_identity_rows(self, quick_report):
         assert quick_report["bit_identity"]
@@ -39,7 +37,7 @@ class TestQuickRun:
     def test_read_scaling_row(self, quick_report):
         scaling = quick_report["read_scaling"]
         assert scaling["digests_identical"] is True
-        assert scaling["read_scaling"] >= MIN_READ_SCALING
+        assert scaling["read_scaling"] >= 1.5
         assert scaling["replicas"] == 3
 
     def test_failover_row(self, quick_report):
@@ -56,20 +54,24 @@ class TestQuickRun:
             assert row["converged_after_heal"] is True
 
     def test_write_round_trip(self, quick_report, tmp_path):
-        from repro.analysis.benchreport import load_report
+        import json
 
         path = tmp_path / "shard.json"
-        write_shard_report(quick_report, str(path))
-        loaded = load_report(str(path))
-        assert set(loaded) >= set(SHARD_REPORT_KEYS)
+        assert write_report(SUITE, quick_report, str(path)) == []
+        loaded = json.loads(path.read_text())
+        assert set(loaded) >= set(SUITE.keys)
         assert loaded["read_scaling"]["read_scaling"] == pytest.approx(
             quick_report["read_scaling"]["read_scaling"])
 
     def test_passes_against_itself_as_baseline(self, quick_report):
-        assert check_shard_against_baseline(quick_report, quick_report) == []
+        import json
+
+        assert evaluate(SUITE, quick_report, quick_report) == []
+        with open("BENCH_shard.json") as fh:
+            assert evaluate(SUITE, quick_report, json.load(fh)) == []
 
     def test_trajectory_row_fields(self, quick_report):
-        row = shard_trajectory_row(quick_report)
+        row = trajectory_row(SUITE, quick_report)
         assert row["kind"] == "shard"
         assert row["read_scaling"] > 0
         assert row["failover_digests_identical"] is True
@@ -81,7 +83,7 @@ class TestGates:
         bad = copy.deepcopy(quick_report)
         gname = next(iter(bad["bit_identity"]))
         bad["bit_identity"][gname]["kernels_identical"] = False
-        assert any("differ" in p for p in check_shard_report(bad))
+        assert any("differ" in p for p in evaluate(SUITE, bad))
 
     def test_multi_shard_commits_required(self, quick_report):
         """A bit-identity round that never crossed a shard boundary
@@ -89,45 +91,46 @@ class TestGates:
         bad = copy.deepcopy(quick_report)
         gname = next(iter(bad["bit_identity"]))
         bad["bit_identity"][gname]["multi_shard_commits"] = 0
-        assert any("multi-shard" in p for p in check_shard_report(bad))
+        assert any("multi-shard" in p for p in evaluate(SUITE, bad))
 
     def test_read_scaling_floor(self, quick_report):
         bad = copy.deepcopy(quick_report)
         bad["read_scaling"]["read_scaling"] = 1.1
-        assert any("floor" in p for p in check_shard_report(bad))
+        assert any("floor" in p for p in evaluate(SUITE, bad))
 
     def test_version_vector_consistency_required(self, quick_report):
         bad = copy.deepcopy(quick_report)
         gname = next(iter(bad["bit_identity"]))
         bad["bit_identity"][gname]["version_vector_ok"] = False
-        assert any("version vector" in p for p in check_shard_report(bad))
+        assert any("version vector" in p for p in evaluate(SUITE, bad))
 
     def test_failover_gate(self, quick_report):
         bad = copy.deepcopy(quick_report)
         bad["failover"]["digests_identical"] = False
-        assert any("failover" in p for p in check_shard_report(bad))
+        assert any("failover" in p for p in evaluate(SUITE, bad))
 
     def test_baseline_relative_scaling(self, quick_report):
         inflated = copy.deepcopy(quick_report)
         inflated["read_scaling"]["read_scaling"] *= 1000
-        problems = check_shard_against_baseline(quick_report, inflated)
+        problems = evaluate(SUITE, quick_report, inflated)
         assert any("fell below" in p for p in problems)
 
     def test_wrong_baseline_kind_flagged(self, quick_report):
-        problems = check_shard_against_baseline(quick_report, {"quick": True})
+        problems = evaluate(SUITE, quick_report, {"quick": True})
         assert any("BENCH_shard.json" in p for p in problems)
 
-    def test_bad_tolerance_rejected(self, quick_report):
+    def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            check_shard_against_baseline(quick_report, quick_report,
-                                         tolerance=0.0)
+            Gate("read_scaling.read_scaling", ">=", 1.5, "w", rel=0.0)
+        assert [g.rel for g in SUITE.gates if g.rel is not None] \
+            == [REL_TOLERANCE]
 
     def test_write_refuses_failing_report(self, quick_report, tmp_path):
         bad = copy.deepcopy(quick_report)
         bad["read_scaling"]["digests_identical"] = False
-        with pytest.raises(ValueError):
-            write_shard_report(bad, str(tmp_path / "bad.json"))
-        write_shard_report(bad, str(tmp_path / "ungated.json"), gate=False)
+        path = tmp_path / "bad.json"
+        assert write_report(SUITE, bad, str(path))
+        assert not path.exists()
 
 
 class TestOneOff:

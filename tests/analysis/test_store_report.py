@@ -4,34 +4,32 @@ import copy
 
 import pytest
 
-from repro.analysis.store import (
-    MIN_WARM_SPEEDUP,
-    STORE_REPORT_KEYS,
-    check_store_against_baseline,
-    check_store_report,
-    one_off_store_run,
-    run_store_bench,
-    write_store_report,
+from repro.analysis.benchsuite import (
+    REL_TOLERANCE,
+    Gate,
+    evaluate,
+    write_report,
 )
+from repro.analysis.store import SUITE, one_off_store_run
 from repro.graph.generators import powerlaw_configuration
 
 
 @pytest.fixture(scope="module")
-def quick_report():
-    return run_store_bench(quick=True)
+def quick_report(quick_report_of):
+    return quick_report_of("store")
 
 
 class TestQuickRun:
     def test_schema_and_gates(self, quick_report):
-        for key in STORE_REPORT_KEYS:
+        for key in SUITE.keys:
             assert key in quick_report
-        assert check_store_report(quick_report) == []
+        assert evaluate(SUITE, quick_report) == []
 
     def test_tc2d_rows(self, quick_report):
         assert quick_report["tc2d"]
         for row in quick_report["tc2d"].values():
             assert row["bit_identical"] is True
-            assert row["warm_speedup"] >= MIN_WARM_SPEEDUP
+            assert row["warm_speedup"] >= 2.0
             assert row["grid_builds"] == 1
 
     def test_versions_row(self, quick_report):
@@ -54,20 +52,23 @@ class TestQuickRun:
             assert row["delete_fraction"] >= 0.75
 
     def test_write_round_trip(self, quick_report, tmp_path):
-        from repro.analysis.benchreport import load_report
+        import json
 
         path = tmp_path / "store.json"
-        write_store_report(quick_report, str(path))
-        loaded = load_report(str(path))
-        assert set(loaded) >= set(STORE_REPORT_KEYS)
+        assert write_report(SUITE, quick_report, str(path)) == []
+        loaded = json.loads(path.read_text())
+        assert set(loaded) >= set(SUITE.keys)
         for gname, row in quick_report["tc2d"].items():
             assert loaded["tc2d"][gname]["warm_speedup"] == pytest.approx(
                 row["warm_speedup"])
             assert loaded["tc2d"][gname]["bit_identical"] is True
 
     def test_passes_against_committed_baseline(self, quick_report):
-        problems = check_store_against_baseline(quick_report, quick_report)
-        assert problems == []
+        import json
+
+        assert evaluate(SUITE, quick_report, quick_report) == []
+        with open("BENCH_store.json") as fh:
+            assert evaluate(SUITE, quick_report, json.load(fh)) == []
 
 
 class TestGates:
@@ -75,25 +76,25 @@ class TestGates:
         bad = copy.deepcopy(quick_report)
         gname = next(iter(bad["tc2d"]))
         bad["tc2d"][gname]["bit_identical"] = False
-        assert any("differ" in p for p in check_store_report(bad))
+        assert any("differ" in p for p in evaluate(SUITE, bad))
 
     def test_warm_speedup_floor(self, quick_report):
         bad = copy.deepcopy(quick_report)
         gname = next(iter(bad["tc2d"]))
         bad["tc2d"][gname]["warm_speedup"] = 1.5
         assert any("below the 2.0x floor" in p for p in
-                   check_store_report(bad))
+                   evaluate(SUITE, bad))
 
     def test_grid_must_build_once(self, quick_report):
         bad = copy.deepcopy(quick_report)
         gname = next(iter(bad["tc2d"]))
         bad["tc2d"][gname]["grid_builds"] = 3
-        assert any("must build once" in p for p in check_store_report(bad))
+        assert any("must build once" in p for p in evaluate(SUITE, bad))
 
     def test_version_history_independence_required(self, quick_report):
         bad = copy.deepcopy(quick_report)
         bad["versions"]["version_histories_identical"] = False
-        assert any("version histories" in p for p in check_store_report(bad))
+        assert any("version histories" in p for p in evaluate(SUITE, bad))
 
     def test_delete_heavy_parity_required(self, quick_report):
         bad = copy.deepcopy(quick_report)
@@ -101,30 +102,31 @@ class TestGates:
             if gname != "serving":
                 row["bit_identical"] = False
                 break
-        assert any("shrinkage" in p for p in check_store_report(bad))
+        assert any("shrinkage" in p for p in evaluate(SUITE, bad))
 
     def test_baseline_relative_speedup(self, quick_report):
         inflated = copy.deepcopy(quick_report)
         for row in inflated["tc2d"].values():
             row["warm_speedup"] = row["warm_speedup"] * 1000
-        problems = check_store_against_baseline(quick_report, inflated)
+        problems = evaluate(SUITE, quick_report, inflated)
         assert any("fell below" in p for p in problems)
 
     def test_missing_baseline_section_flagged(self, quick_report):
-        problems = check_store_against_baseline(quick_report, {"tc2d": {}})
+        problems = evaluate(SUITE, quick_report, {"tc2d": {}})
         assert any("baseline has no tc2d" in p for p in problems)
 
-    def test_bad_tolerance_rejected(self, quick_report):
+    def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            check_store_against_baseline(quick_report, quick_report,
-                                         tolerance=0.0)
+            Gate("tc2d.*.warm_speedup", ">=", 2.0, "w", rel=0.0)
+        assert [g.rel for g in SUITE.gates if g.rel is not None] \
+            == [REL_TOLERANCE]
 
     def test_write_refuses_failing_report(self, quick_report, tmp_path):
         bad = copy.deepcopy(quick_report)
         bad["versions"]["results_identical"] = False
-        with pytest.raises(ValueError):
-            write_store_report(bad, str(tmp_path / "bad.json"))
-        write_store_report(bad, str(tmp_path / "ungated.json"), gate=False)
+        path = tmp_path / "bad.json"
+        assert write_report(SUITE, bad, str(path))
+        assert not path.exists()
 
 
 class TestOneOff:

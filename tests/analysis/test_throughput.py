@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.throughput import (
-    edge_length_pairs,
-    edges_per_microsecond,
-    kernel_times_vectorized,
-)
-from repro.core.threading import OpenMPModel
+from repro.analysis.throughput import edge_length_pairs, edges_per_microsecond
+from repro.core.threading import OpenMPModel, kernel_times_vectorized
 from repro.graph.generators import rmat
 
 

@@ -1,11 +1,13 @@
-"""The ``repro trace`` command: artifacts, summary, and the gate."""
+"""The ``repro trace`` command and the ``trace`` bench suite."""
 
+import copy
 import json
 
 import pytest
 
+from repro.analysis.benchsuite import evaluate
 from repro.analysis.tracing import (
-    TRACE_REPORT_KEYS,
+    SUITE,
     check_traced_run,
     format_check_report,
     one_off_trace_run,
@@ -15,20 +17,24 @@ from repro.obs.journal import DecisionJournal, replay_journal
 
 
 @pytest.fixture(scope="module")
-def check_report():
-    return check_traced_run(quick=True, repeats=1)
+def check_report(quick_report_of):
+    return quick_report_of("trace")
 
 
 def test_check_report_shape_and_verdict(check_report):
-    for key in TRACE_REPORT_KEYS:
+    for key in SUITE.keys:
         assert key in check_report, key
     assert check_report["ok"], check_report["problems"]
+    assert evaluate(SUITE, check_report) == []
     assert check_report["digests_identical"] is True
     assert check_report["journal_deterministic"] is True
     assert check_report["replay"]["ok"] is True
     assert check_report["span_problems"] == []
     assert check_report["overhead_ratio"] >= 0.0
     json.dumps(check_report)
+    slow = copy.deepcopy(check_report)
+    slow["overhead_ratio"] = 1.2
+    assert any("overhead" in p for p in evaluate(SUITE, slow))
 
 
 def test_format_check_report_lines(check_report):
@@ -82,8 +88,14 @@ def test_cli_trace_interleave_scheduler(tmp_path, capsys):
 
 
 def test_cli_trace_check_rejects_customization(tmp_path):
-    with pytest.raises(SystemExit, match="pinned gate workload"):
-        main(["trace", "--quick", "--check", "--scheduler", "interleave"])
+    """The gate is `repro bench trace`: it takes no workload flags, and
+    `repro trace` no longer has a gate mode to customize."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "trace", "--quick", "--scheduler", "interleave"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--quick", "--check"])
+    assert exc.value.code == 2
 
 
 def test_check_flags_artifact_problems(tmp_path, monkeypatch):
@@ -93,3 +105,7 @@ def test_check_flags_artifact_problems(tmp_path, monkeypatch):
     report = check_traced_run(quick=True, repeats=1)
     assert not report["ok"]
     assert any("artifact schema" in p for p in report["problems"])
+    # The gate run leaves the CI artifacts behind.
+    assert (tmp_path / "TRACE_journal.jsonl").exists()
+    assert json.loads((tmp_path / "TRACE_events.json").read_text())[
+        "traceEvents"]

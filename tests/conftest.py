@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.graph.generators import (
 )
 from repro.runtime.engine import Engine
 from repro.runtime.window import Window
+from tests.helpers import REPO_ROOT
 
 
 @pytest.fixture
@@ -87,3 +91,33 @@ def make_graph_suite(seed: int = 42) -> list[CSRGraph]:
         powerlaw_configuration(128, 900, seed=seed),
         ego_circles(n_egos=2, circle_size=8, n_circles_per_ego=2, seed=seed),
     ]
+
+
+@pytest.fixture(scope="session")
+def quick_report_of(tmp_path_factory):
+    """``name -> that bench suite's real --quick report``, each computed
+    once per session (the report tests and the CLI tests share them).
+
+    Callers must not mutate what they get; doctor a ``copy.deepcopy``.
+    """
+    from repro.analysis.benchsuite import get_suite
+
+    reports: dict = {}
+
+    def get(name: str) -> dict:
+        if name not in reports:
+            # The trace suite validates every BENCH_*.json of, and leaves
+            # its journal/trace artifacts in, the working directory: give
+            # it a scratch copy of the committed reports, not the repo.
+            scratch = tmp_path_factory.mktemp(f"bench-{name}")
+            for committed in REPO_ROOT.glob("BENCH_*.json"):
+                shutil.copy(committed, scratch)
+            cwd = os.getcwd()
+            os.chdir(scratch)
+            try:
+                reports[name] = get_suite(name).run(True)
+            finally:
+                os.chdir(cwd)
+        return reports[name]
+
+    return get

@@ -1,5 +1,7 @@
 """Shared helpers importable from any test module."""
 
+from pathlib import Path
+
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     complete_graph,
@@ -9,6 +11,9 @@ from repro.graph.generators import (
     ring_of_cliques,
     rmat,
 )
+
+#: Where the committed ``BENCH_*.json`` reports and README live.
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_graph_suite(seed: int = 42) -> list[CSRGraph]:

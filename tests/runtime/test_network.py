@@ -1,6 +1,7 @@
 """Tests for the network and memory cost models."""
 
 
+import numpy as np
 import pytest
 
 from repro.runtime.network import MemoryModel, NetworkModel
@@ -103,3 +104,40 @@ class TestMemoryModel:
             mem.local_read_time(-5)
         with pytest.raises(ValueError):
             mem.cache_service_time(-5)
+
+
+class TestArrayPricingMatchesScalar:
+    """``get_times``/``local_read_times`` are the scalar formulas applied
+    element-wise — same operations, same order, so the same bits (the
+    vectorized kernels' clocks are pinned bit-identical to the loops)."""
+
+    SIZES = [0, 1, 8, 64, 4 * KiB, 16 * MiB - 1, 16 * MiB, 16 * MiB + 1,
+             3 * GiB]
+
+    @pytest.mark.parametrize("net", [
+        NetworkModel.aries(), NetworkModel.infiniband(),
+        NetworkModel.ethernet(), NetworkModel.zero_latency()])
+    def test_get_times_bitwise(self, net):
+        rng = np.random.default_rng(11)
+        sizes = np.concatenate([
+            np.array(self.SIZES, dtype=np.int64),
+            rng.integers(0, 64 * MiB, 500)])
+        vec = net.get_times(sizes)
+        assert vec.dtype == np.float64
+        assert vec.tolist() == [net.get_time(int(s)) for s in sizes]
+
+    def test_get_times_accepts_float_byte_counts(self):
+        # The replay paths pass counts * itemsize as float64 arrays too.
+        net = NetworkModel.aries()
+        sizes = np.array(self.SIZES, dtype=np.float64)
+        assert net.get_times(sizes).tolist() == [
+            net.get_time(int(s)) for s in sizes]
+
+    def test_local_read_times_bitwise(self):
+        mem = MemoryModel()
+        rng = np.random.default_rng(12)
+        sizes = np.concatenate([
+            np.array(self.SIZES, dtype=np.int64),
+            rng.integers(0, 64 * MiB, 500)])
+        vec = mem.local_read_times(sizes)
+        assert vec.tolist() == [mem.local_read_time(int(s)) for s in sizes]

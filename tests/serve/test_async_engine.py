@@ -187,3 +187,31 @@ class TestValidation:
     def test_bad_knobs_rejected(self, kw):
         with pytest.raises(ConfigError):
             AsyncServeConfig(**kw)
+
+
+class TestInvariantBreaks:
+    def test_illegal_task_sequence_is_a_simulation_error(
+            self, catalog, requests, config, monkeypatch):
+        """A task that skips its protocol (a query that runs before it
+        acquires) is an engine bug, not a user mistake: it must surface
+        as SimulationError, never as ConfigError."""
+        import repro.serve.engine as engine
+        from repro.serve.tasks import Run, Task
+        from repro.utils.errors import SimulationError
+
+        def rogue_query(req):
+            yield Run(req)
+
+        def make_task(req):
+            if req.is_update:
+                return engine_make_task(req)
+            task = Task(req, rogue_query(req))
+            task.start()
+            return task
+
+        engine_make_task = engine.make_task
+        monkeypatch.setattr(engine, "make_task", make_task)
+        with pytest.raises(SimulationError,
+                           match="query task must acquire first") as exc:
+            AsyncServingEngine(catalog, config).serve(requests)
+        assert not isinstance(exc.value, ConfigError)

@@ -1,11 +1,27 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.cli import main
+from tests.helpers import REPO_ROOT
+
+
+def patch_suite_run(monkeypatch, module, report):
+    """Make ``module.SUITE`` "measure" ``report`` instead of running."""
+    monkeypatch.setattr(module, "SUITE", dataclasses.replace(
+        module.SUITE, run=lambda quick: report))
+
+
+def bench_dir(tmp_path, *suites):
+    """A ``--dir`` holding copies of the named suites' committed reports."""
+    for name in suites:
+        shutil.copy(REPO_ROOT / f"BENCH_{name}.json", tmp_path)
+    return str(tmp_path)
 
 
 class TestDatasets:
@@ -139,24 +155,30 @@ class TestServe:
         assert "affinity_throughput_qps" in out
         assert "results_identical" not in out
 
-    def test_serve_bench_writes_gated_report(self, tmp_path, capsys):
-        from repro.analysis.serving import SERVE_REPORT_KEYS, check_serve_report
+    def test_serve_bench_writes_gated_report(self, tmp_path, capsys,
+                                             monkeypatch, quick_report_of):
+        import repro.analysis.serving as srv
+        from repro.analysis.benchsuite import evaluate
 
-        out_file = tmp_path / "BENCH_serve.json"
-        assert main(["serve", "--quick", "--bench", str(out_file)]) == 0
-        report = json.loads(out_file.read_text())
-        for key in SERVE_REPORT_KEYS:
-            assert key in report
-        assert check_serve_report(report) == []
-        out = capsys.readouterr().out
-        assert "affinity/fifo throughput" in out
+        patch_suite_run(monkeypatch, srv, quick_report_of("serve"))
+        assert main(["bench", "serve", "--quick", "--check",
+                     "--dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "BENCH_serve_quick.json").read_text())
+        assert evaluate(srv.SUITE, report) == []
+        captured = capsys.readouterr()
+        assert "affinity/fifo throughput" in captured.out
+        # No relative rows: --check reads no baseline for this suite.
+        assert "serve gate OK;" in captured.err
 
     def test_serve_bench_rejects_customization_flags(self, tmp_path):
-        """The recorded benchmark is pinned; one-off flags must not be
-        silently ignored when writing a baseline."""
-        with pytest.raises(SystemExit, match="--pool-capacity"):
-            main(["serve", "--bench", str(tmp_path / "x.json"),
-                  "--quick", "--pool-capacity", "5"])
+        """The recorded benchmark is pinned: the bench command takes no
+        workload flags, and `serve` has no bench mode left to customize."""
+        for argv in (["bench", "serve", "--quick", "--pool-capacity", "5"],
+                     ["serve", "--bench", str(tmp_path / "x.json")],
+                     ["serve", "--quick"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_serve_rejects_bad_pool(self):
         from repro.utils.errors import ConfigError
@@ -167,21 +189,24 @@ class TestServe:
 
 class TestBench:
     def test_bench_json_round_trip(self, tmp_path, capsys):
-        from repro.analysis.benchreport import REPORT_KEYS, check_report
+        from repro.analysis.benchreport import SUITE
+        from repro.analysis.benchsuite import evaluate
 
-        out_file = tmp_path / "BENCH_kernels.json"
-        assert main(["bench", "--quick", "--json", str(out_file)]) == 0
-        assert out_file.exists()
+        assert main(["bench", "kernels", "--quick",
+                     "--dir", str(tmp_path)]) == 0
+        out_file = tmp_path / "BENCH_kernels_quick.json"
+        assert not (tmp_path / "BENCH_kernels.json").exists()
         report = json.loads(out_file.read_text())
-        for key in REPORT_KEYS:
-            assert key in report
-        check_report(report)  # raises on any non-finite value
+        assert evaluate(SUITE, report) == []  # keys, finite numbers, gates
         assert report["quick"] is True
         # Every kernel × graph cell records wall clock + simulated time.
         assert report["kernels"]
-        for row in report["kernels"].values():
+        for name, row in report["kernels"].items():
             assert row["wall_clock_s"] > 0
             assert row["simulated_time_s"] > 0
+            # Only the 1D CLaMPI kernels carry both cache rates.
+            if name.split(":")[0] in ("lcc", "tc"):
+                assert row["offsets_hit_rate"] is not None
         # The cached-replay section proves the fast path stayed exact.
         assert report["cached_replay"]
         for row in report["cached_replay"].values():
@@ -194,45 +219,81 @@ class TestBench:
                                                          capsys,
                                                          monkeypatch):
         self._patch_canned_bench(monkeypatch, warm=8.0)
-        baseline = tmp_path / "baseline.json"
+        baseline = tmp_path / "BENCH_kernels.json"
         baseline.write_text(json.dumps({"cached_replay": {
             "lcc:full": {"warm_speedup": 8.0, "bit_identical": True},
             "tc:full": {"warm_speedup": 12.0, "bit_identical": True},
         }}))
-        out_file = tmp_path / "fresh.json"
-        assert main(["bench", "--quick", "--json", str(out_file),
-                     "--check", str(baseline)]) == 0
-        assert "bench check OK" in capsys.readouterr().err
-        assert out_file.exists()
+        assert main(["bench", "kernels", "--quick", "--check",
+                     "--dir", str(tmp_path)]) == 0
+        assert ("kernels gate OK against baseline BENCH_kernels.json"
+                in capsys.readouterr().err)
+        assert (tmp_path / "BENCH_kernels_quick.json").exists()
 
     def test_bench_check_fails_on_regression(self, tmp_path, capsys,
                                              monkeypatch):
         self._patch_canned_bench(monkeypatch, warm=0.5)
-        baseline = tmp_path / "baseline.json"
+        baseline = tmp_path / "BENCH_kernels.json"
         baseline.write_text(json.dumps({"cached_replay": {
             "lcc:full": {"warm_speedup": 8.0, "bit_identical": True},
         }}))
-        assert main(["bench", "--quick", "--json",
-                     str(tmp_path / "fresh.json"),
-                     "--check", str(baseline),
-                     "--check-tolerance", "0.5"]) == 1
+        assert main(["bench", "kernels", "--quick", "--check",
+                     "--dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert "bench check FAILED" in err
+        assert "kernels gate FAILED" in err
         assert "fell below" in err
+        assert err.count("kernels gate: ") == 1  # one line per problem
+        assert "Traceback" not in err
+        assert not (tmp_path / "BENCH_kernels_quick.json").exists()
 
     def test_bench_check_same_path_reads_baseline_before_writing(
             self, tmp_path, capsys, monkeypatch):
-        """--json defaults to the baseline path; the gate must compare
-        against the *previous* contents, not the just-written report."""
+        """A full-size --check run writes to the very file it is gated
+        against; the gate must compare against the *previous* contents,
+        and a failing run must leave them in place."""
         self._patch_canned_bench(monkeypatch, warm=0.5)
         path = tmp_path / "BENCH_kernels.json"
-        path.write_text(json.dumps({"cached_replay": {
+        committed = json.dumps({"cached_replay": {
             "lcc:full": {"warm_speedup": 8.0, "bit_identical": True},
-        }}))
-        assert main(["bench", "--quick", "--json", str(path),
-                     "--check", str(path),
-                     "--check-tolerance", "0.5"]) == 1
-        assert "bench check FAILED" in capsys.readouterr().err
+        }})
+        path.write_text(committed)
+        assert main(["bench", "kernels", "--check",
+                     "--dir", str(tmp_path)]) == 1
+        assert "kernels gate FAILED" in capsys.readouterr().err
+        assert path.read_text() == committed
+        # A passing run then replaces it.
+        self._patch_canned_bench(monkeypatch, warm=8.0)
+        assert main(["bench", "kernels", "--check",
+                     "--dir", str(tmp_path)]) == 0
+        assert json.loads(path.read_text())["kernels"]
+
+    def test_all_runs_every_suite_and_reports_every_failure(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.analysis.benchsuite as bs
+
+        monkeypatch.setattr(bs, "SUITE_NAMES", ("kernels", "shard"))
+        self._patch_canned_bench(monkeypatch, warm=8.0)
+        TestShard._patch_canned_shard(monkeypatch, scaling=1.1)
+        assert main(["bench", "--quick", "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "kernels gate OK" in err and "shard gate FAILED" in err
+        assert "bench FAILED: shard" in err
+        assert (tmp_path / "BENCH_kernels_quick.json").exists()
+        assert not (tmp_path / "BENCH_shard_quick.json").exists()
+        rows = json.loads(
+            (tmp_path / "BENCH_trajectory.json").read_text())["rows"]
+        assert [row["kind"] for row in rows] == ["kernels"]
+
+    def test_list_and_unknown_suite(self, capsys):
+        from repro.analysis.benchsuite import SUITE_NAMES
+
+        assert main(["bench", "--list"]) == 0
+        out = capsys.readouterr().out
+        for name in SUITE_NAMES:
+            assert f"| `{name}` | `BENCH_{name}.json` |" in out
+        assert "incremental.*.speedup >= 2.0 (1.0 with --quick)" in out
+        with pytest.raises(SystemExit, match="unknown bench suite"):
+            main(["bench", "nope"])
 
     @staticmethod
     def _patch_canned_bench(monkeypatch, warm):
@@ -240,7 +301,7 @@ class TestBench:
         import repro.analysis.benchreport as br
 
         canned = {
-            "schema_version": br.SCHEMA_VERSION, "quick": True,
+            "schema_version": 1, "quick": True,
             "nranks": 8, "threads": 4,
             "grid_nranks": br.BENCH_GRID_NRANKS, "graphs": {},
             "linalg": {"tc2d_spgemm:quick": {
@@ -267,43 +328,46 @@ class TestBench:
                 "warm_speedup": warm, "bit_identical": True,
                 "adj_hit_rate": 0.9, "offsets_hit_rate": 0.9}},
         }
-        monkeypatch.setattr(br, "run_bench", lambda quick=False: canned)
+        patch_suite_run(monkeypatch, br, canned)
 
 
 class TestBenchTrajectory:
     def test_row_appended_next_to_report(self, tmp_path, capsys, monkeypatch):
         TestBench._patch_canned_bench(monkeypatch, warm=8.0)
-        out_file = tmp_path / "BENCH_kernels.json"
         traj = tmp_path / "BENCH_trajectory.json"
-        assert main(["bench", "--quick", "--json", str(out_file)]) == 0
+        argv = ["bench", "kernels", "--quick", "--dir", str(tmp_path)]
+        assert main(argv) == 0
         data = json.loads(traj.read_text())
         assert len(data["rows"]) == 1
         row = data["rows"][0]
+        assert row["kind"] == "kernels"
         assert row["quick"] is True
         assert row["min_warm_speedups"]["lcc"] == 8.0
         assert row["date"]
         # A second run appends, never overwrites.
-        assert main(["bench", "--quick", "--json", str(out_file)]) == 0
+        assert main(argv) == 0
         assert len(json.loads(traj.read_text())["rows"]) == 2
 
     def test_explicit_path_and_opt_out(self, tmp_path, monkeypatch):
+        """The trajectory path is derived from --dir; --no-trajectory
+        opts out."""
         TestBench._patch_canned_bench(monkeypatch, warm=8.0)
-        traj = tmp_path / "history.json"
-        assert main(["bench", "--quick", "--json",
-                     str(tmp_path / "r.json"), "--trajectory",
-                     str(traj)]) == 0
+        elsewhere = tmp_path / "history"
+        elsewhere.mkdir()
+        traj = elsewhere / "BENCH_trajectory.json"
+        assert main(["bench", "kernels", "--quick",
+                     "--dir", str(elsewhere)]) == 0
         assert len(json.loads(traj.read_text())["rows"]) == 1
-        assert main(["bench", "--quick", "--json",
-                     str(tmp_path / "r.json"), "--no-trajectory"]) == 0
+        assert main(["bench", "kernels", "--quick", "--dir", str(elsewhere),
+                     "--no-trajectory"]) == 0
         assert len(json.loads(traj.read_text())["rows"]) == 1
 
     def test_non_trajectory_file_rejected(self, tmp_path, monkeypatch):
         TestBench._patch_canned_bench(monkeypatch, warm=8.0)
-        traj = tmp_path / "not_a_trajectory.json"
+        traj = tmp_path / "BENCH_trajectory.json"
         traj.write_text(json.dumps({"rows": "oops"}))
         with pytest.raises(ValueError, match="trajectory"):
-            main(["bench", "--quick", "--json", str(tmp_path / "r.json"),
-                  "--trajectory", str(traj)])
+            main(["bench", "kernels", "--quick", "--dir", str(tmp_path)])
 
 
 class TestUpdate:
@@ -317,27 +381,27 @@ class TestUpdate:
         assert payload["retained_entries"] > 0
 
     def test_update_bench_writes_gated_report(self, tmp_path, capsys):
-        from repro.analysis.dynamic import (
-            DYNAMIC_REPORT_KEYS,
-            check_dynamic_report,
-        )
+        from repro.analysis.benchsuite import evaluate
+        from repro.analysis.dynamic import SUITE
 
-        out_file = tmp_path / "BENCH_dynamic.json"
-        assert main(["update", "--quick", "--bench", str(out_file)]) == 0
-        report = json.loads(out_file.read_text())
-        for key in DYNAMIC_REPORT_KEYS:
-            assert key in report
-        assert check_dynamic_report(report) == []
+        assert main(["bench", "dynamic", "--quick",
+                     "--dir", str(tmp_path)]) == 0
+        report = json.loads(
+            (tmp_path / "BENCH_dynamic_quick.json").read_text())
+        assert evaluate(SUITE, report) == []
         out = capsys.readouterr().out
         assert "incremental" in out
         assert "answers identical: True" in out
 
-    def test_update_bench_check_against_committed_baseline(self, tmp_path,
-                                                           capsys):
-        out_file = tmp_path / "fresh.json"
-        assert main(["update", "--quick", "--bench", str(out_file),
-                     "--check", "BENCH_dynamic.json"]) == 0
-        assert "dynamic check OK" in capsys.readouterr().err
+    def test_update_bench_check_against_committed_baseline(
+            self, tmp_path, capsys, monkeypatch, quick_report_of):
+        import repro.analysis.dynamic as dyn
+
+        patch_suite_run(monkeypatch, dyn, quick_report_of("dynamic"))
+        assert main(["bench", "dynamic", "--quick", "--check",
+                     "--dir", bench_dir(tmp_path, "dynamic")]) == 0
+        assert ("dynamic gate OK against baseline BENCH_dynamic.json"
+                in capsys.readouterr().err)
 
     def test_update_bench_check_fails_on_regression(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -352,23 +416,27 @@ class TestUpdate:
                 "full_wall_s": 1.5, "edges_inserted": 1, "edges_deleted": 0}},
             "invalidation": {"g": {
                 "warm_hit_rate": 0.9, "post_update_hit_rate": 0.7,
+                "post_update_hit_rate_no_rekey": 0.6,
                 "cold_hit_rate": 0.5, "retained_warm_hits": 5,
-                "invalidated_entries": 3, "retained_entries": 4,
+                "invalidated_entries": 3, "rekeyed_entries": 2,
+                "retained_entries": 4,
                 "touched_ranks": 1, "update_time_s": 0.0,
                 "post_update_bit_identical": True}},
             "serving": {"results_identical": True, "n_requests": 4,
                         "n_updates": 1, "update_mix": 0.25,
                         "throughput_ratio": 1.1, "schedulers": {}},
         }
-        monkeypatch.setattr(dyn, "run_dynamic_bench",
-                            lambda quick=False: canned)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
+        patch_suite_run(monkeypatch, dyn, canned)
+        # Passes on its own (quick floor 1.0x) ...
+        assert main(["bench", "dynamic", "--quick", "--no-trajectory",
+                     "--dir", str(tmp_path)]) == 0
+        # ... but not against a baseline whose worst speedup is 8x.
+        (tmp_path / "BENCH_dynamic.json").write_text(json.dumps(
             {"incremental": {"g": {"speedup": 8.0}}}))
-        assert main(["update", "--quick", "--bench",
-                     str(tmp_path / "fresh.json"),
-                     "--check", str(baseline)]) == 1
-        assert "dynamic check FAILED" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["bench", "dynamic", "--quick", "--check",
+                     "--dir", str(tmp_path)]) == 1
+        assert "dynamic gate FAILED" in capsys.readouterr().err
 
 
 class TestStore:
@@ -382,24 +450,26 @@ class TestStore:
         assert payload["warm_speedup"] > 1.0
 
     def test_store_bench_writes_gated_report(self, tmp_path, capsys):
-        from repro.analysis.store import STORE_REPORT_KEYS, check_store_report
+        from repro.analysis.benchsuite import evaluate
+        from repro.analysis.store import SUITE
 
-        out_file = tmp_path / "BENCH_store.json"
-        assert main(["store", "--quick", "--bench", str(out_file)]) == 0
-        report = json.loads(out_file.read_text())
-        for key in STORE_REPORT_KEYS:
-            assert key in report
-        assert check_store_report(report) == []
+        assert main(["bench", "store", "--quick",
+                     "--dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "BENCH_store_quick.json").read_text())
+        assert evaluate(SUITE, report) == []
         out = capsys.readouterr().out
         assert "resident tc2d" in out
         assert "histories identical: True" in out
 
-    def test_store_bench_check_against_committed_baseline(self, tmp_path,
-                                                          capsys):
-        out_file = tmp_path / "fresh.json"
-        assert main(["store", "--quick", "--bench", str(out_file),
-                     "--check", "BENCH_store.json"]) == 0
-        assert "store check OK" in capsys.readouterr().err
+    def test_store_bench_check_against_committed_baseline(
+            self, tmp_path, capsys, monkeypatch, quick_report_of):
+        import repro.analysis.store as sto
+
+        patch_suite_run(monkeypatch, sto, quick_report_of("store"))
+        assert main(["bench", "store", "--quick", "--check",
+                     "--dir", bench_dir(tmp_path, "store")]) == 0
+        assert ("store gate OK against baseline BENCH_store.json"
+                in capsys.readouterr().err)
 
     def test_store_bench_check_fails_on_regression(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -429,27 +499,25 @@ class TestStore:
                                    "bit_identical": True,
                                    "collapsed_below_min_degree": 0}},
         }
-        monkeypatch.setattr(sto, "run_store_bench",
-                            lambda quick=False: canned)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"tc2d": {"g": {
-            "warm_speedup": 100.0}}}))
-        assert main(["store", "--quick", "--bench",
-                     str(tmp_path / "fresh.json"),
-                     "--check", str(baseline)]) == 1
-        assert "store check FAILED" in capsys.readouterr().err
+        patch_suite_run(monkeypatch, sto, canned)
+        (tmp_path / "BENCH_store.json").write_text(json.dumps(
+            {"tc2d": {"g": {"warm_speedup": 100.0}}}))
+        assert main(["bench", "store", "--quick", "--check",
+                     "--dir", str(tmp_path)]) == 1
+        assert "store gate FAILED" in capsys.readouterr().err
 
     def test_store_bench_rejects_customization_flags(self, tmp_path):
-        with pytest.raises(SystemExit, match="--edges"):
-            main(["store", "--bench", str(tmp_path / "x.json"), "--quick",
-                  "--edges", "50"])
-        with pytest.raises(SystemExit, match="dataset"):
-            main(["store", "skitter", "--bench", str(tmp_path / "x.json"),
-                  "--quick"])
+        for argv in (["bench", "store", "--quick", "--edges", "50"],
+                     ["store", "skitter", "--bench", str(tmp_path / "x")],
+                     ["store", "skitter", "--quick"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_check_without_bench_rejected(self):
-        with pytest.raises(SystemExit, match="--bench"):
+        with pytest.raises(SystemExit) as exc:
             main(["store", "skitter", "--check", "BENCH_store.json"])
+        assert exc.value.code == 2
 
 
 class TestShard:
@@ -459,7 +527,7 @@ class TestShard:
         import repro.analysis.shard as shd
 
         canned = {
-            "schema_version": shd.SHARD_SCHEMA_VERSION, "quick": True,
+            "schema_version": 1, "quick": True,
             "nranks": 8, "nshards": 4, "replicas": 3, "threads": 4,
             "graphs": {},
             "bit_identity": {"g": {
@@ -495,8 +563,7 @@ class TestShard:
                 "converged_after_heal": True, "reseeds": 1}},
         }
         canned.update(overrides)
-        monkeypatch.setattr(shd, "run_shard_bench",
-                            lambda quick=False, graphs=None: canned)
+        patch_suite_run(monkeypatch, shd, canned)
 
     def test_one_off_shard_json(self, capsys):
         assert main(["shard", "skitter", "--scale", "0.2", "--nranks", "8",
@@ -509,77 +576,73 @@ class TestShard:
 
     def test_shard_bench_writes_gated_report(self, tmp_path, capsys,
                                              monkeypatch):
-        from repro.analysis.shard import SHARD_REPORT_KEYS, check_shard_report
+        from repro.analysis.benchsuite import evaluate
 
         self._patch_canned_shard(monkeypatch)
-        out_file = tmp_path / "BENCH_shard.json"
-        assert main(["shard", "--quick", "--bench", str(out_file)]) == 0
-        report = json.loads(out_file.read_text())
-        for key in SHARD_REPORT_KEYS:
-            assert key in report
-        assert check_shard_report(report) == []
+        from repro.analysis.shard import SUITE
+
+        assert main(["bench", "shard", "--quick",
+                     "--dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "BENCH_shard_quick.json").read_text())
+        assert evaluate(SUITE, report) == []
         out = capsys.readouterr().out
         assert "sharded == unsharded" in out
         assert "failover" in out
 
+    def _record_baseline(self, tmp_path, monkeypatch, scaling):
+        """A full-size run into ``tmp_path`` leaves BENCH_shard.json."""
+        self._patch_canned_shard(monkeypatch, scaling=scaling)
+        assert main(["bench", "shard", "--dir", str(tmp_path),
+                     "--no-trajectory"]) == 0
+        assert (tmp_path / "BENCH_shard.json").exists()
+
     def test_shard_bench_check_against_baseline(self, tmp_path, capsys,
                                                 monkeypatch):
-        self._patch_canned_shard(monkeypatch)
-        baseline = tmp_path / "baseline.json"
-        self._patch_canned_shard(monkeypatch)
-        assert main(["shard", "--quick", "--bench", str(baseline),
-                     "--no-trajectory"]) == 0
-        assert main(["shard", "--quick", "--bench",
-                     str(tmp_path / "fresh.json"), "--check",
-                     str(baseline), "--no-trajectory"]) == 0
-        assert "shard check OK" in capsys.readouterr().err
+        self._record_baseline(tmp_path, monkeypatch, scaling=2.0)
+        assert main(["bench", "shard", "--quick", "--check",
+                     "--dir", str(tmp_path), "--no-trajectory"]) == 0
+        assert ("shard gate OK against baseline BENCH_shard.json"
+                in capsys.readouterr().err)
 
     def test_shard_bench_check_fails_on_regression(self, tmp_path, capsys,
                                                    monkeypatch):
-        self._patch_canned_shard(monkeypatch, scaling=8.0)
-        baseline = tmp_path / "baseline.json"
-        assert main(["shard", "--quick", "--bench", str(baseline),
-                     "--no-trajectory"]) == 0
+        self._record_baseline(tmp_path, monkeypatch, scaling=8.0)
         self._patch_canned_shard(monkeypatch, scaling=1.6)
-        assert main(["shard", "--quick", "--bench",
-                     str(tmp_path / "fresh.json"), "--check",
-                     str(baseline), "--no-trajectory"]) == 1
+        assert main(["bench", "shard", "--quick", "--check",
+                     "--dir", str(tmp_path), "--no-trajectory"]) == 1
         err = capsys.readouterr().err
-        assert "shard check FAILED" in err
+        assert "shard gate FAILED" in err
         assert "fell below" in err
 
     def test_failed_check_records_no_trajectory_row(self, tmp_path,
                                                     monkeypatch):
-        self._patch_canned_shard(monkeypatch, scaling=8.0)
-        baseline = tmp_path / "baseline.json"
-        assert main(["shard", "--quick", "--bench", str(baseline),
-                     "--no-trajectory"]) == 0
+        self._record_baseline(tmp_path, monkeypatch, scaling=8.0)
         self._patch_canned_shard(monkeypatch, scaling=1.6)
-        assert main(["shard", "--quick", "--bench",
-                     str(tmp_path / "fresh.json"), "--check",
-                     str(baseline)]) == 1
+        assert main(["bench", "shard", "--quick", "--check",
+                     "--dir", str(tmp_path)]) == 1
         assert not (tmp_path / "BENCH_trajectory.json").exists()
 
     def test_trajectory_row_appended(self, tmp_path, monkeypatch):
         self._patch_canned_shard(monkeypatch)
-        out_file = tmp_path / "BENCH_shard.json"
-        assert main(["shard", "--quick", "--bench", str(out_file)]) == 0
+        assert main(["bench", "shard", "--quick",
+                     "--dir", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "BENCH_trajectory.json").read_text())
         assert len(data["rows"]) == 1
         assert data["rows"][0]["kind"] == "shard"
         assert data["rows"][0]["read_scaling"] == 2.0
 
     def test_shard_bench_rejects_customization_flags(self, tmp_path):
-        with pytest.raises(SystemExit, match="--nshards"):
-            main(["shard", "--bench", str(tmp_path / "x.json"), "--quick",
-                  "--nshards", "8"])
-        with pytest.raises(SystemExit, match="dataset"):
-            main(["shard", "skitter", "--bench", str(tmp_path / "x.json"),
-                  "--quick"])
+        for argv in (["bench", "shard", "--quick", "--nshards", "8"],
+                     ["shard", "skitter", "--bench", str(tmp_path / "x")],
+                     ["shard", "skitter", "--quick"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_check_without_bench_rejected(self):
-        with pytest.raises(SystemExit, match="--bench"):
+        with pytest.raises(SystemExit) as exc:
             main(["shard", "skitter", "--check", "BENCH_shard.json"])
+        assert exc.value.code == 2
 
 
 class TestAsyncServe:
@@ -589,7 +652,7 @@ class TestAsyncServe:
         import repro.analysis.async_serve as asv
 
         canned = {
-            "schema_version": asv.ASYNC_SCHEMA_VERSION, "quick": True,
+            "schema_version": 1, "quick": True,
             "nranks": 8, "threads": 4, "workers": 6,
             "steady": {
                 "n_requests": 48, "results_identical": True,
@@ -615,8 +678,7 @@ class TestAsyncServe:
                 "all_identical": True, "overlap_fraction_min": 0.4},
         }
         canned.update(overrides)
-        monkeypatch.setattr(asv, "run_async_bench",
-                            lambda quick=False: canned)
+        patch_suite_run(monkeypatch, asv, canned)
 
     def test_one_off_async_json(self, capsys):
         assert main(["async-serve", "--queries", "24", "--tenants", "4",
@@ -629,82 +691,82 @@ class TestAsyncServe:
 
     def test_async_bench_writes_gated_report(self, tmp_path, capsys,
                                              monkeypatch):
-        from repro.analysis.async_serve import (
-            ASYNC_REPORT_KEYS,
-            check_async_report,
-        )
+        from repro.analysis.benchsuite import evaluate
 
         self._patch_canned_async(monkeypatch)
-        out_file = tmp_path / "BENCH_async.json"
-        assert main(["async-serve", "--quick", "--bench",
-                     str(out_file)]) == 0
-        report = json.loads(out_file.read_text())
-        for key in ASYNC_REPORT_KEYS:
-            assert key in report
-        assert check_async_report(report) == []
+        from repro.analysis.async_serve import SUITE
+
+        assert main(["bench", "async", "--quick",
+                     "--dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "BENCH_async_quick.json").read_text())
+        assert evaluate(SUITE, report) == []
         out = capsys.readouterr().out
         assert "answers identical: True" in out
         assert "interleaving" in out
 
+    def _record_baseline(self, tmp_path, monkeypatch, speedup):
+        """A full-size run into ``tmp_path`` leaves BENCH_async.json."""
+        self._patch_canned_async(monkeypatch, speedup=speedup)
+        assert main(["bench", "async", "--dir", str(tmp_path),
+                     "--no-trajectory"]) == 0
+        assert (tmp_path / "BENCH_async.json").exists()
+
     def test_async_bench_check_against_baseline(self, tmp_path, capsys,
                                                 monkeypatch):
-        self._patch_canned_async(monkeypatch)
-        baseline = tmp_path / "baseline.json"
-        assert main(["async-serve", "--quick", "--bench", str(baseline),
-                     "--no-trajectory"]) == 0
-        assert main(["async-serve", "--quick", "--bench",
-                     str(tmp_path / "fresh.json"), "--check",
-                     str(baseline), "--no-trajectory"]) == 0
-        assert "async check OK" in capsys.readouterr().err
+        self._record_baseline(tmp_path, monkeypatch, speedup=2.0)
+        assert main(["bench", "async", "--quick", "--check",
+                     "--dir", str(tmp_path), "--no-trajectory"]) == 0
+        assert ("async gate OK against baseline BENCH_async.json"
+                in capsys.readouterr().err)
 
     def test_async_bench_check_fails_on_regression(self, tmp_path, capsys,
                                                    monkeypatch):
-        self._patch_canned_async(monkeypatch, speedup=8.0)
-        baseline = tmp_path / "baseline.json"
-        assert main(["async-serve", "--quick", "--bench", str(baseline),
-                     "--no-trajectory"]) == 0
+        self._record_baseline(tmp_path, monkeypatch, speedup=8.0)
         self._patch_canned_async(monkeypatch, speedup=1.6)
-        assert main(["async-serve", "--quick", "--bench",
-                     str(tmp_path / "fresh.json"), "--check",
-                     str(baseline), "--no-trajectory"]) == 1
+        assert main(["bench", "async", "--quick", "--check",
+                     "--dir", str(tmp_path), "--no-trajectory"]) == 1
         err = capsys.readouterr().err
-        assert "async check FAILED" in err
+        assert "async gate FAILED" in err
         assert "fell below" in err
 
     def test_failed_check_records_no_trajectory_row(self, tmp_path,
                                                     monkeypatch):
-        self._patch_canned_async(monkeypatch, speedup=8.0)
-        baseline = tmp_path / "baseline.json"
-        assert main(["async-serve", "--quick", "--bench", str(baseline),
-                     "--no-trajectory"]) == 0
+        self._record_baseline(tmp_path, monkeypatch, speedup=8.0)
         self._patch_canned_async(monkeypatch, speedup=1.6)
-        assert main(["async-serve", "--quick", "--bench",
-                     str(tmp_path / "fresh.json"), "--check",
-                     str(baseline)]) == 1
+        assert main(["bench", "async", "--quick", "--check",
+                     "--dir", str(tmp_path)]) == 1
         assert not (tmp_path / "BENCH_trajectory.json").exists()
 
     def test_trajectory_row_appended(self, tmp_path, monkeypatch):
         self._patch_canned_async(monkeypatch)
-        out_file = tmp_path / "BENCH_async.json"
-        assert main(["async-serve", "--quick", "--bench",
-                     str(out_file)]) == 0
+        assert main(["bench", "async", "--quick",
+                     "--dir", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "BENCH_trajectory.json").read_text())
         assert len(data["rows"]) == 1
         assert data["rows"][0]["kind"] == "async"
         assert data["rows"][0]["burst_speedup"] == 2.0
 
     def test_async_bench_rejects_customization_flags(self, tmp_path):
-        with pytest.raises(SystemExit, match="--workers"):
-            main(["async-serve", "--bench", str(tmp_path / "x.json"),
-                  "--quick", "--workers", "2"])
+        for argv in (["bench", "async", "--quick", "--workers", "2"],
+                     ["async-serve", "--bench", str(tmp_path / "x")],
+                     ["async-serve", "--quick"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_check_without_bench_rejected(self):
-        with pytest.raises(SystemExit, match="--bench"):
+        with pytest.raises(SystemExit) as exc:
             main(["async-serve", "--check", "BENCH_async.json"])
+        assert exc.value.code == 2
 
     def test_bad_overflow_rejected(self):
         with pytest.raises(SystemExit):
             main(["async-serve", "--overflow", "drop"])
+
+
+#: The gated subcommands of old, and the suite each became.
+GATED = {"bench": "kernels", "update": "dynamic", "store": "store",
+         "shard": "shard", "async-serve": "async"}
 
 
 class TestBaselineErrors:
@@ -712,49 +774,51 @@ class TestBaselineErrors:
 
     def test_missing_baseline_one_line_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["shard", "--quick", "--bench", str(tmp_path / "f.json"),
-                  "--check", str(tmp_path / "nope.json")])
+            main(["bench", "shard", "--quick", "--check",
+                  "--dir", str(tmp_path)])
         msg = str(exc.value)
         assert "does not exist" in msg and "\n" not in msg
         # Nothing ran, nothing was written.
-        assert not (tmp_path / "f.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_baseline_one_line_error(self, tmp_path):
-        bad = tmp_path / "corrupt.json"
+        bad = tmp_path / "BENCH_store.json"
         bad.write_text("{not json")
         with pytest.raises(SystemExit) as exc:
-            main(["store", "--quick", "--bench", str(tmp_path / "f.json"),
-                  "--check", str(bad)])
+            main(["bench", "store", "--quick", "--check",
+                  "--dir", str(tmp_path)])
         msg = str(exc.value)
         assert "not valid JSON" in msg and "\n" not in msg
-        assert not (tmp_path / "f.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_store.json"]
 
-    @pytest.mark.parametrize("cmd", ["bench", "update", "store", "shard",
-                                     "async-serve"])
+    @pytest.mark.parametrize("cmd", sorted(GATED))
     def test_every_gated_command_fails_fast(self, cmd, tmp_path):
-        flag = "--json" if cmd == "bench" else "--bench"
         with pytest.raises(SystemExit, match="does not exist"):
-            main([cmd, "--quick", flag, str(tmp_path / "f.json"),
-                  "--check", str(tmp_path / "missing.json")])
+            main(["bench", GATED[cmd], "--quick", "--check",
+                  "--dir", str(tmp_path)])
+        # `all` reads every baseline before running anything, too.
+        bench_dir(tmp_path, "kernels", "dynamic", "store")
+        with pytest.raises(SystemExit, match="BENCH_shard.json"):
+            main(["bench", "all", "--quick", "--check",
+                  "--dir", str(tmp_path)])
 
 
 class TestRound2Guards:
     def test_failed_bench_check_records_no_trajectory_row(self, tmp_path,
                                                           monkeypatch):
         TestBench._patch_canned_bench(monkeypatch, warm=0.5)
-        baseline = tmp_path / "baseline.json"
+        baseline = tmp_path / "BENCH_kernels.json"
         baseline.write_text(json.dumps({"cached_replay": {
             "lcc:full": {"warm_speedup": 8.0, "bit_identical": True},
         }}))
-        assert main(["bench", "--quick", "--json", str(tmp_path / "f.json"),
-                     "--check", str(baseline),
-                     "--check-tolerance", "0.5"]) == 1
+        assert main(["bench", "kernels", "--quick", "--check",
+                     "--dir", str(tmp_path)]) == 1
         assert not (tmp_path / "BENCH_trajectory.json").exists()
 
     def test_update_bench_rejects_customization_flags(self, tmp_path):
-        with pytest.raises(SystemExit, match="--edges"):
-            main(["update", "--bench", str(tmp_path / "x.json"), "--quick",
-                  "--edges", "50"])
-        with pytest.raises(SystemExit, match="dataset"):
-            main(["update", "skitter", "--bench", str(tmp_path / "x.json"),
-                  "--quick"])
+        for argv in (["bench", "dynamic", "--quick", "--edges", "50"],
+                     ["update", "skitter", "--bench", str(tmp_path / "x")],
+                     ["update", "skitter", "--quick"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2

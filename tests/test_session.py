@@ -319,3 +319,17 @@ class TestResultSurface:
         res = run_kernel("lcc", graph, LCCConfig(nranks=2))
         with pytest.raises(AttributeError):
             res.does_not_exist
+
+
+def test_importing_the_session_does_not_import_the_analysis_layer():
+    """Layering: core/session price their kernels with core + runtime
+    models only; `repro.analysis` sits above them, never beneath."""
+    import subprocess
+    import sys
+
+    code = ("import sys, repro.session, repro.core.replay, "
+            "repro.core.linalg\n"
+            "bad = sorted(m for m in sys.modules "
+            "if m.startswith('repro.analysis'))\n"
+            "assert not bad, bad")
+    subprocess.run([sys.executable, "-c", code], check=True)
