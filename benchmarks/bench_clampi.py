@@ -3,22 +3,34 @@
 import numpy as np
 import pytest
 
-from repro.clampi.allocator import BufferAllocator
-from repro.clampi.avl import AVLTree
+from repro.clampi.allocator import BufferAllocator, FreeList
 from repro.clampi.cache import ClampiCache, ClampiConfig
 from repro.runtime.window import Window
 
 
-def test_avl_insert_remove(benchmark):
-    def churn():
-        tree = AVLTree()
-        for k in range(512):
-            tree.insert((k * 37) % 1024)
-        for k in range(512):
-            tree.remove((k * 37) % 1024)
-        return tree
+@pytest.mark.parametrize("extents", [24, 4096])
+def test_free_list_churn(benchmark, extents):
+    """Remove + re-insert (size, start) extents at a steady list length.
 
-    benchmark(churn)
+    24 is what an eviction-pressed cache holds (frees coalesce at once);
+    4096 shows the list's O(n) ``insert``/``del`` memmove staying cheap
+    far beyond that.
+    """
+    rng = np.random.default_rng(3)
+    keys = [(int(s), i) for i, s in enumerate(rng.integers(8, 4096, extents))]
+    free = FreeList()
+    for key in keys:
+        free.add(key)
+    victims = [keys[i] for i in rng.integers(0, extents, 1024)]
+
+    def churn():
+        for key in victims:
+            free.remove(key)
+            free.ceiling((key[0], -1))
+            free.add(key)
+        return free
+
+    assert len(benchmark(churn)) == extents
 
 
 def test_allocator_churn(benchmark):
@@ -62,3 +74,21 @@ def test_cache_hot_access_stream(benchmark, cache_setup):
 
     hit_rate = benchmark(run)
     assert hit_rate > 0.3
+
+
+def test_cache_eviction_heavy_access_stream(benchmark, cache_setup):
+    """The miss path: variable-size entries, room for a tenth of the keys,
+    hash slots to match — most accesses miss, insert and evict."""
+    win, _ = cache_setup
+    offsets = np.random.default_rng(4).integers(0, 512, 4096).tolist()
+
+    def run():
+        cache = ClampiCache(win, 0, ClampiConfig(capacity_bytes=1 << 11,
+                                                 nslots=48))
+        for off in offsets:
+            cache.access(1, off, 1 + off % 12)
+        return cache.stats
+
+    stats = benchmark(run)
+    assert stats.hit_rate < 0.5
+    assert stats.hash_conflicts > 0 and stats.capacity_evictions > 0

@@ -10,8 +10,10 @@ lists themselves).
 This package reimplements the system as described:
 
 * variable-size entries in a bounded memory buffer, managed by a best-fit
-  allocator whose free regions live in an **AVL tree**
-  (:mod:`~repro.clampi.avl`, :mod:`~repro.clampi.allocator`);
+  allocator whose free regions live in an ordered set keyed by
+  ``(size, start)`` — an AVL tree in the C library, one sorted list here:
+  best fit depends only on the order of the extents, so the choices are
+  the same (:mod:`~repro.clampi.allocator`);
 * a **hash-table index** with bounded probing; probe-window exhaustion is a
   *conflict* and triggers eviction within the window
   (:mod:`~repro.clampi.hashtable`);
@@ -26,7 +28,6 @@ This package reimplements the system as described:
   always-cache (read-only data), user-defined (:class:`ConsistencyMode`).
 """
 
-from repro.clampi.avl import AVLTree
 from repro.clampi.allocator import BufferAllocator
 from repro.clampi.hashtable import HashIndex
 from repro.clampi.scores import DefaultScorePolicy, AppScorePolicy, ScorePolicy
@@ -42,7 +43,6 @@ from repro.clampi.adaptive import AdaptiveTuner, AdaptiveConfig
 from repro.clampi.wrapper import attach_adjacency_caches, attach_offset_caches
 
 __all__ = [
-    "AVLTree",
     "BufferAllocator",
     "HashIndex",
     "ScorePolicy",

@@ -1,13 +1,21 @@
 """Best-fit variable-size allocator over a bounded cache buffer.
 
 CLaMPI reserves a contiguous memory buffer for cached entries and tracks
-the *free* regions in an AVL tree.  Because entries have variable sizes
-(adjacency lists are as long as the vertex degree), the buffer suffers
-**external fragmentation**: free space may exist but be split into pieces
-too small for a new entry.  The paper's positional eviction score exists
-precisely to fight this; the allocator therefore exposes
-:meth:`BufferAllocator.adjacent_free`, the amount of free space bordering a
-used block (how much would coalesce if the block were evicted).
+the *free* regions in an ordered set (an AVL tree in the C library).
+Because entries have variable sizes (adjacency lists are as long as the
+vertex degree), the buffer suffers **external fragmentation**: free space
+may exist but be split into pieces too small for a new entry.  The paper's
+positional eviction score exists precisely to fight this; the allocator
+therefore exposes :meth:`BufferAllocator.adjacent_free`, the amount of free
+space bordering a used block (how much would coalesce if the block were
+evicted).
+
+Here the ordered set is :class:`FreeList`, one sorted list driven by
+``bisect``.  Best fit depends only on the *order* of the ``(size, start)``
+extents, not on the shape of the structure holding them, so the list makes
+exactly the choices a tree makes; and since frees coalesce at once it stays
+short (tens of extents under eviction pressure), where one C ``memmove``
+beats rebalancing node objects.
 
 No real bytes live here — the simulated cache stores NumPy arrays — but the
 offsets are real, so fragmentation behaves exactly as it would in C.
@@ -15,8 +23,44 @@ offsets are real, so fragmentation behaves exactly as it would in C.
 
 from __future__ import annotations
 
-from repro.clampi.avl import AVLTree
+from bisect import bisect_left
+from typing import Any
+
 from repro.utils.errors import AllocationError
+
+
+class FreeList(list):
+    """A sorted list used as an ordered set (mutate it through these only).
+
+    The allocator stores ``(size, start)`` extents, so ``ceiling((size, -1))``
+    is the *smallest* free region able to hold ``size`` bytes (best fit) and
+    the last element is the largest one (the fragmentation metric).
+    """
+
+    __slots__ = ()
+
+    def add(self, key: Any) -> None:
+        """Insert ``key`` in order; duplicate keys raise ``KeyError``."""
+        i = bisect_left(self, key)
+        if i < len(self) and self[i] == key:
+            raise KeyError(f"duplicate key {key!r}")
+        self.insert(i, key)
+
+    def remove(self, key: Any) -> None:
+        """Remove ``key``; missing keys raise ``KeyError``."""
+        i = bisect_left(self, key)
+        if i == len(self) or self[i] != key:
+            raise KeyError(f"key not found: {key!r}")
+        del self[i]
+
+    def ceiling(self, key: Any) -> Any | None:
+        """Smallest stored key ``>= key``, or None."""
+        i = bisect_left(self, key)
+        return self[i] if i < len(self) else None
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless strictly sorted (hence duplicate-free)."""
+        assert all(a < b for a, b in zip(self, self[1:])), "free list out of order"
 
 
 class BufferAllocator:
@@ -27,8 +71,8 @@ class BufferAllocator:
             raise AllocationError(f"capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
         self.free_bytes = self.capacity
-        # Free regions: AVL of (size, start) for best-fit; dicts for coalescing.
-        self._free_by_size = AVLTree()
+        # Free regions: (size, start) ordered for best fit; dicts for coalescing.
+        self._free_by_size = FreeList()
         self._free_start_to_size: dict[int, int] = {}
         self._free_end_to_start: dict[int, int] = {}
         # Used blocks: start -> size.
@@ -37,7 +81,7 @@ class BufferAllocator:
 
     # -- free-region bookkeeping ---------------------------------------------
     def _add_free(self, start: int, size: int) -> None:
-        self._free_by_size.insert((size, start))
+        self._free_by_size.add((size, start))
         self._free_start_to_size[start] = size
         self._free_end_to_start[start + size] = start
 
@@ -107,8 +151,7 @@ class BufferAllocator:
 
     def largest_free_block(self) -> int:
         """Largest contiguous free region (0 when full)."""
-        top = self._free_by_size.max()
-        return top[0] if top is not None else 0
+        return self._free_by_size[-1][0] if self._free_by_size else 0
 
     def external_fragmentation(self) -> float:
         """1 - largest_free/free_total; 0 = one contiguous free region."""
@@ -116,14 +159,17 @@ class BufferAllocator:
             return 0.0
         return 1.0 - self.largest_free_block() / self.free_bytes
 
-    def adjacent_free(self, offset: int) -> int:
+    def adjacent_free(self, offset: int, size: int | None = None) -> int:
         """Free bytes bordering the used block at ``offset``.
 
         This is the paper's positional signal: a block surrounded by free
         space would, if evicted, produce a large coalesced region, so it is a
-        preferred victim even at equal temporal locality.
+        preferred victim even at equal temporal locality.  Callers that
+        already hold the block's ``size`` (a cache entry's ``nbytes``) pass
+        it to skip the lookup; without it an unknown ``offset`` raises.
         """
-        size = self.block_size(offset)
+        if size is None:
+            size = self.block_size(offset)
         total = 0
         prev_start = self._free_end_to_start.get(offset)
         if prev_start is not None:
@@ -147,6 +193,8 @@ class BufferAllocator:
     def check_invariants(self) -> None:
         """Assert the free/used accounting exactly tiles the buffer."""
         self._free_by_size.check_invariants()
+        assert self._free_by_size == sorted(
+            (sz, s) for s, sz in self._free_start_to_size.items())
         regions = sorted(
             [(s, sz, "free") for s, sz in self._free_start_to_size.items()]
             + [(s, sz, "used") for s, sz in self._used.items()]

@@ -7,7 +7,7 @@ the retrieved data is stored).
 
 Keyed by ``(target_rank, offset, count)``, entries hold the fetched bytes;
 the index is a bounded-probing hash table and the data lives in a bounded
-buffer managed by a best-fit allocator (AVL free list).  Evictions are
+buffer managed by a best-fit allocator (sorted free list).  Evictions are
 driven by a :class:`~repro.clampi.scores.ScorePolicy`; victim candidates
 are drawn with deterministic sampling (a standard approximation of
 global-minimum-score selection that keeps eviction O(sample) — exact
@@ -23,13 +23,12 @@ misses, Section IV-D2 scenario 2) emerges in our simulation.
 from __future__ import annotations
 
 import enum
+import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-
-import heapq
 
 from repro.clampi.allocator import BufferAllocator
 from repro.clampi.hashtable import HashIndex
@@ -192,11 +191,12 @@ class ClampiCache:
         # Victim sampling gets a private, reproducibly-derived stream so
         # identical configs evict identically across process runs.
         self._rng = random.Random(derive_seed(config.seed, "clampi-evict", rank))
-        self._keys: list[tuple] = []       # sampling support:
-        self._key_pos: dict[tuple, int] = {}  # key -> index in _keys
-        # NumPy mirror of _keys (rows of (target, offset, count)) kept in
-        # lock-step by insert/evict; access_batch resolves membership of
-        # whole access streams against it without per-key Python lookups.
+        # The live table, kept in lock-step with the index by _attach/_detach:
+        # entries (victim sampling indexes them; removal is swap-pop), each
+        # one's position by key, and a NumPy mirror of the keys against which
+        # access_batch resolves whole streams without per-key Python lookups.
+        self._entries: list[CacheEntry] = []
+        self._key_pos: dict[tuple, int] = {}
         self._mirror = np.zeros((64, 3), dtype=np.int64)
         self._batch_events: list | None = None  # armed during access_batch
         # Batch-replay memo: per-stream membership + entry handles, valid
@@ -245,7 +245,7 @@ class ClampiCache:
         duration += self.network.get_time(nbytes)
         self.stats.bytes_fetched += nbytes
 
-        duration += self._try_insert(key, data, target, offset, count, nbytes)
+        duration += self._try_insert(key, data, nbytes)
 
         if self._tuner is not None:
             duration += self._tuner.observe(self)
@@ -413,7 +413,7 @@ class ClampiCache:
 
     def _member_mask(self, uniq: np.ndarray) -> np.ndarray:
         """Vectorized membership of unique key rows against the mirror."""
-        n_live = len(self._keys)
+        n_live = len(self._entries)
         if n_live == 0:
             return np.zeros(uniq.shape[0], dtype=bool)
         stacked = np.concatenate([uniq, self._mirror[:n_live]])
@@ -483,8 +483,7 @@ class ClampiCache:
         return self.config.score_policy.victim_score(probe, self.allocator,
                                                      self._clock)
 
-    def _try_insert(self, key: tuple, data: np.ndarray, target: int,
-                    offset: int, count: int, nbytes: int) -> float:
+    def _try_insert(self, key: tuple, data: np.ndarray, nbytes: int) -> float:
         """Attempt to cache a fetched entry; returns management time spent."""
         cfg = self.config
         t = cfg.insert_overhead
@@ -495,12 +494,14 @@ class ClampiCache:
 
         app_score: float | None = None
         if cfg.app_score_fn is not None:
-            app_score = float(cfg.app_score_fn(target, offset, count, data))
+            app_score = float(cfg.app_score_fn(*key, data))
         guard = cfg.score_policy.uses_app_score
         new_score = self._prospective_score(key, app_score) if guard else None
 
         # 1. Buffer space (capacity evictions).
-        buf_off = self.allocator.alloc(nbytes)
+        allocator = self.allocator
+        score = cfg.score_policy.victim_score
+        buf_off = allocator.alloc(nbytes)
         evictions = 0
         while buf_off is None:
             if evictions >= cfg.max_evictions_per_insert:
@@ -510,102 +511,110 @@ class ClampiCache:
             if victim is None:
                 self.stats.insert_failures += 1
                 return t
-            if guard and self.config.score_policy.victim_score(
-                victim, self.allocator, self._clock
-            ) > new_score:
+            if guard and score(victim, allocator, self._clock) > new_score:
                 # Everything sampled is more valuable than the newcomer:
                 # do not cache (protects high-degree entries, paper III-B2).
                 self.stats.insert_failures += 1
                 return t
-            self._evict(victim, conflict=False)
+            self._remove_entry(victim)
+            self.stats.capacity_evictions += 1
             t += cfg.eviction_overhead
             self.stats.mgmt_time += cfg.eviction_overhead
             evictions += 1
-            buf_off = self.allocator.alloc(nbytes)
+            buf_off = allocator.alloc(nbytes)
 
         entry = CacheEntry(key, data, buf_off, nbytes, self._clock, app_score)
 
         # 2. Hash slot (conflict evictions inside the probe window).
-        if not self.index.insert(key, entry):
+        if not self._attach(entry):
             self.stats.hash_conflicts += 1
             window_entries = [e for _, e in self.index.probe_window(key)]
             if not window_entries:
                 # Pathological (probe window empty yet insert failed).
-                self.allocator.free(buf_off)
+                allocator.free(buf_off)
                 self.stats.insert_failures += 1
                 return t  # pragma: no cover - defensive
-            victim = min(
-                window_entries,
-                key=lambda e: cfg.score_policy.victim_score(
-                    e, self.allocator, self._clock),
-            )
-            if guard and cfg.score_policy.victim_score(
-                victim, self.allocator, self._clock
-            ) > new_score:
-                self.allocator.free(buf_off)
+            victim = self._lowest_score(window_entries)
+            if guard and score(victim, allocator, self._clock) > new_score:
+                allocator.free(buf_off)
                 self.stats.insert_failures += 1
                 return t
-            self._evict(victim, conflict=True)
+            self._remove_entry(victim)
+            self.stats.conflict_evictions += 1
             t += cfg.eviction_overhead
             self.stats.mgmt_time += cfg.eviction_overhead
-            if not self.index.insert(key, entry):  # pragma: no cover - defensive
-                self.allocator.free(buf_off)
+            if not self._attach(entry):  # pragma: no cover - defensive
+                allocator.free(buf_off)
                 self.stats.insert_failures += 1
-                return t
-
-        pos = len(self._keys)
-        if pos >= self._mirror.shape[0]:
-            grown = np.zeros((2 * self._mirror.shape[0], 3), dtype=np.int64)
-            grown[:pos] = self._mirror[:pos]
-            self._mirror = grown
-        self._mirror[pos, 0] = target
-        self._mirror[pos, 1] = offset
-        self._mirror[pos, 2] = count
-        self._key_pos[key] = pos
-        self._keys.append(key)
-        self._state_epoch += 1
         return t
+
+    def _lowest_score(self, candidates: list[CacheEntry]) -> CacheEntry:
+        """The first lowest-score entry of a non-empty candidate list."""
+        score = self.config.score_policy.victim_score
+        allocator, clock = self.allocator, self._clock
+        return min(candidates, key=lambda e: score(e, allocator, clock))
 
     def _sample_victim(self) -> CacheEntry | None:
         """Pick the lowest-score entry among a deterministic random sample."""
-        n = len(self._keys)
+        candidates = self._entries
+        n = len(candidates)
         if n == 0:
             return None
-        sample_size = min(self.config.eviction_sample, n)
-        if sample_size == n:
-            candidates = list(self._keys)
-        else:
-            candidates = [self._keys[self._rng.randrange(n)]
-                          for _ in range(sample_size)]
-        policy = self.config.score_policy
-        best_key = min(
-            candidates,
-            key=lambda k: policy.victim_score(
-                self.index.lookup(k), self.allocator, self._clock),
-        )
-        return self.index.lookup(best_key)
+        if self.config.eviction_sample < n:
+            randrange = self._rng.randrange
+            candidates = [candidates[randrange(n)]
+                          for _ in range(self.config.eviction_sample)]
+        return self._lowest_score(candidates)
 
-    def _remove_entry(self, entry: CacheEntry) -> None:
-        """Remove an entry from index, buffer and sampling list (no stats)."""
+    # -- the live table ------------------------------------------------------------
+    def _attach(self, entry: CacheEntry) -> bool:
+        """Index ``entry`` under its key and append it to the live table.
+
+        False (nothing changed) when the key's probe window is full.
+        """
+        key = entry.key
+        if not self.index.insert(key, entry):
+            return False
+        pos = len(self._entries)
+        if pos >= self._mirror.shape[0]:
+            grown = np.zeros((2 * pos, 3), dtype=np.int64)
+            grown[:pos] = self._mirror
+            self._mirror = grown
+        self._mirror[pos] = key
+        self._key_pos[key] = pos
+        self._entries.append(entry)
+        self._state_epoch += 1
+        return True
+
+    def _detach(self, entry: CacheEntry) -> None:
+        """Drop ``entry`` from index and live table; its buffer stays allocated."""
         self.index.remove(entry.key)
-        self.allocator.free(entry.buffer_offset)
+        entries = self._entries
         pos = self._key_pos.pop(entry.key)
-        last = self._keys.pop()
-        if pos < len(self._keys):
-            self._keys[pos] = last
-            self._key_pos[last] = pos
-            self._mirror[pos] = self._mirror[len(self._keys)]
+        last = entries.pop()
+        if pos < len(entries):
+            entries[pos] = last
+            self._key_pos[last.key] = pos
+            self._mirror[pos] = self._mirror[len(entries)]
+        self._state_epoch += 1
+
+    def _clear(self) -> None:
+        """Empty the cache under the current geometry (counts as a flush)."""
+        self.index = HashIndex(self.config.nslots, self.config.probe_limit)
+        self.allocator = BufferAllocator(self.config.capacity_bytes)
+        self._entries.clear()
+        self._key_pos.clear()
         self._state_epoch += 1
         if self._batch_events is not None:
-            self._batch_events.append(entry.key)
+            self._batch_events.append(_CLEARED)
+        self.stats.flushes += 1
 
-    def _evict(self, entry: CacheEntry, *, conflict: bool) -> None:
-        """Remove an entry, counting it as a score-driven eviction."""
-        self._remove_entry(entry)
-        if conflict:
-            self.stats.conflict_evictions += 1
-        else:
-            self.stats.capacity_evictions += 1
+    def _remove_entry(self, entry: CacheEntry) -> None:
+        """Remove an entry from the live table and free its buffer (no stats)."""
+        self._detach(entry)
+        self.allocator.free(entry.buffer_offset)
+        if self._batch_events is not None:
+            self._batch_events.append(entry.key)
 
     # -- invalidation ---------------------------------------------------------------
     def invalidate(self, keys: "Iterable[tuple]") -> tuple[int, int]:
@@ -671,38 +680,20 @@ class ClampiCache:
             entry = self.index.lookup(old_key)
             if entry is None or old_key == new_key:
                 continue
-            self.index.remove(old_key)
-            pos = self._key_pos.pop(old_key)
-            last = self._keys.pop()
-            if pos < len(self._keys):
-                self._keys[pos] = last
-                self._key_pos[last] = pos
-                self._mirror[pos] = self._mirror[len(self._keys)]
+            self._detach(entry)
             detached.append((entry, new_key))
         moved = 0
         moved_bytes = 0
         for entry, new_key in detached:
             self.stats.mgmt_time += self.config.eviction_overhead
             entry.key = new_key
-            if (self.index.lookup(new_key) is None
-                    and self.index.insert(new_key, entry)):
-                pos = len(self._keys)
-                if pos >= self._mirror.shape[0]:
-                    grown = np.zeros((2 * self._mirror.shape[0], 3),
-                                     dtype=np.int64)
-                    grown[:pos] = self._mirror[:pos]
-                    self._mirror = grown
-                self._mirror[pos] = new_key
-                self._key_pos[new_key] = pos
-                self._keys.append(new_key)
+            if self.index.lookup(new_key) is None and self._attach(entry):
                 moved += 1
                 moved_bytes += entry.nbytes
             else:
                 self.allocator.free(entry.buffer_offset)
                 self.stats.invalidations += 1
                 self.stats.invalidated_bytes += entry.nbytes
-        if detached:
-            self._state_epoch += 1
         self.stats.rekeys += moved
         self.stats.rekeyed_bytes += moved_bytes
         return moved, moved_bytes
@@ -710,15 +701,8 @@ class ClampiCache:
     # -- maintenance ---------------------------------------------------------------
     def flush(self) -> None:
         """Drop every entry (compulsory-miss history is preserved)."""
-        with obs_span("flush", cat="cache", entries=len(self._keys)):
-            self.index.clear()
-            self.allocator = BufferAllocator(self.config.capacity_bytes)
-            self._keys.clear()
-            self._key_pos.clear()
-            self._state_epoch += 1
-            if self._batch_events is not None:
-                self._batch_events.append(_CLEARED)
-            self.stats.flushes += 1
+        with obs_span("flush", cat="cache", entries=len(self._entries)):
+            self._clear()
 
     def resize(self, *, nslots: int | None = None,
                capacity_bytes: int | None = None) -> None:
@@ -731,19 +715,12 @@ class ClampiCache:
             if capacity_bytes <= 0:
                 raise CacheError(f"capacity must be > 0, got {capacity_bytes}")
             self.config.capacity_bytes = int(capacity_bytes)
-        self.index = HashIndex(self.config.nslots, self.config.probe_limit)
-        self.allocator = BufferAllocator(self.config.capacity_bytes)
-        self._keys.clear()
-        self._key_pos.clear()
-        self._state_epoch += 1
-        if self._batch_events is not None:
-            self._batch_events.append(_CLEARED)
-        self.stats.flushes += 1
+        self._clear()
         self.stats.adaptive_resizes += 1
 
     # -- inspection -------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._entries)
 
     @property
     def used_bytes(self) -> int:
@@ -751,16 +728,23 @@ class ClampiCache:
 
     def entries(self) -> list[CacheEntry]:
         """Snapshot of live entries (reporting / tests)."""
-        return [self.index.lookup(k) for k in self._keys]
+        return list(self._entries)
 
     def check_invariants(self) -> None:
         """Cross-structure consistency (exercised by property tests)."""
         self.allocator.check_invariants()
-        assert len(self._keys) == len(self._key_pos) == len(self.index)
-        total = 0
-        for key in self._keys:
-            entry = self.index.lookup(key)
-            assert entry is not None, f"indexed key missing: {key}"
+        self.index.check_invariants()
+        entries = self._entries
+        n = len(entries)
+        assert n == len(self._key_pos) == len(self.index)
+        keys = [entry.key for entry in entries]
+        assert self._key_pos == {key: pos for pos, key in enumerate(keys)}, \
+            "_key_pos is not the inverse of the live table"
+        assert self._mirror[:n].tolist() == [list(key) for key in keys], \
+            "key mirror out of step with the live table"
+        for entry in entries:
+            assert self.index.lookup(entry.key) is entry, \
+                f"live entry not indexed under its key: {entry.key}"
             assert self.allocator.block_size(entry.buffer_offset) == entry.nbytes
-            total += entry.nbytes
-        assert total == self.allocator.used_bytes
+        assert sum(entry.nbytes for entry in entries) == self.allocator.used_bytes
+        assert n == self.allocator.n_used_blocks()

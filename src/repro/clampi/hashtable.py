@@ -8,6 +8,11 @@ insert examines at most ``probe_limit`` slots.  An insert that finds its
 whole probe window occupied by other keys is a **conflict** — in CLaMPI
 this triggers eviction within the window (victim chosen by score) and is
 one of the signals the adaptive tuner watches.
+
+Placement invariant: a key sits at the first slot that was empty when it
+was probed from its *home* slot ``hash(key) % nslots``, so every slot
+between a key's home and its position is occupied and the distance is
+below ``probe_limit``.  :meth:`HashIndex.remove` restores it by backshift.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ class HashIndex:
             raise CacheError(f"probe_limit must be >= 1, got {probe_limit}")
         self.nslots = int(nslots)
         self.probe_limit = min(int(probe_limit), self.nslots)
-        self._slots: list[tuple[Hashable, Any] | None] = [None] * self.nslots
+        # Occupied slots hold (key, value, home slot).
+        self._slots: list[tuple[Hashable, Any, int] | None] = [None] * self.nslots
         self._count = 0
         self.conflicts = 0  # inserts that found a full probe window
 
@@ -38,20 +44,20 @@ class HashIndex:
     def load_factor(self) -> float:
         return self._count / self.nslots
 
-    def _probe(self, key: Hashable) -> Iterator[int]:
-        start = hash(key) % self.nslots
-        for i in range(self.probe_limit):
-            yield (start + i) % self.nslots
-
     # -- operations -------------------------------------------------------------
     def lookup(self, key: Hashable) -> Any | None:
         """Return the stored value or None."""
-        for idx in self._probe(key):
-            slot = self._slots[idx]
+        slots, n = self._slots, self.nslots
+        idx = hash(key) % n
+        for _ in range(self.probe_limit):
+            slot = slots[idx]
             if slot is None:
                 return None
             if slot[0] == key:
                 return slot[1]
+            idx += 1
+            if idx == n:
+                idx = 0
         return None
 
     def insert(self, key: Hashable, value: Any) -> bool:
@@ -60,70 +66,96 @@ class HashIndex:
         The caller is expected to react to a False return by evicting one of
         :meth:`probe_window` and retrying.
         """
-        free_idx = None
-        for idx in self._probe(key):
-            slot = self._slots[idx]
-            if slot is None:
-                if free_idx is None:
-                    free_idx = idx
-                break  # probing stops at the first empty slot
-            if slot[0] == key:
-                self._slots[idx] = (key, value)
+        slots, n = self._slots, self.nslots
+        idx = home = hash(key) % n
+        for _ in range(self.probe_limit):
+            slot = slots[idx]
+            if slot is None:  # probing stops at the first empty slot
+                slots[idx] = (key, value, home)
+                self._count += 1
                 return True
-        if free_idx is None:
-            self.conflicts += 1
-            return False
-        self._slots[free_idx] = (key, value)
-        self._count += 1
-        return True
+            if slot[0] == key:
+                slots[idx] = (key, value, home)
+                return True
+            idx += 1
+            if idx == n:
+                idx = 0
+        self.conflicts += 1
+        return False
 
     def remove(self, key: Hashable) -> Any:
         """Remove ``key`` and return its value; raises CacheError if absent.
 
-        Removal re-inserts the tail of the probe cluster so lookups never
-        break across the hole (standard open-addressing backshift).
+        Backshift: the cluster following the hole is scanned once and a
+        member moves into the hole only when the hole lies between its home
+        slot and its position — exactly where probing it afresh would put
+        it — so lookups never break across the hole.
         """
-        target_idx = None
-        for idx in self._probe(key):
-            slot = self._slots[idx]
+        slots, n = self._slots, self.nslots
+        idx = hash(key) % n
+        for _ in range(self.probe_limit):
+            slot = slots[idx]
+            if slot is None or slot[0] == key:
+                break
+            idx += 1
+            if idx == n:
+                idx = 0
+        else:
+            slot = None
+        if slot is None:
+            raise CacheError(f"hash index: key not present: {key!r}")
+        value = slot[1]
+        slots[idx] = None
+        self._count -= 1
+        hole = idx
+        for _ in range(n):
+            idx += 1
+            if idx == n:
+                idx = 0
+            slot = slots[idx]
             if slot is None:
                 break
-            if slot[0] == key:
-                target_idx = idx
-                break
-        if target_idx is None:
-            raise CacheError(f"hash index: key not present: {key!r}")
-        value = self._slots[target_idx][1]  # type: ignore[index]
-        self._slots[target_idx] = None
-        self._count -= 1
-        # Backshift: rehash the contiguous cluster following the hole.
-        idx = (target_idx + 1) % self.nslots
-        scanned = 0
-        while self._slots[idx] is not None and scanned < self.nslots:
-            k, v = self._slots[idx]  # type: ignore[misc]
-            self._slots[idx] = None
-            self._count -= 1
-            if not self.insert(k, v):
-                # Cannot happen: removing freed a slot inside the window.
-                raise CacheError("hash index backshift failed")  # pragma: no cover
-            idx = (idx + 1) % self.nslots
-            scanned += 1
+            home = slot[2]
+            if (hole - home) % n < (idx - home) % n:
+                slots[hole] = slot
+                slots[idx] = None
+                hole = idx
         return value
 
     def probe_window(self, key: Hashable) -> list[tuple[Hashable, Any]]:
         """Occupied (key, value) pairs in ``key``'s probe window."""
+        slots, n = self._slots, self.nslots
+        idx = hash(key) % n
         out = []
-        for idx in self._probe(key):
-            slot = self._slots[idx]
+        for _ in range(self.probe_limit):
+            slot = slots[idx]
             if slot is not None:
-                out.append(slot)
+                out.append(slot[:2])
+            idx += 1
+            if idx == n:
+                idx = 0
         return out
 
     def items(self) -> Iterator[tuple[Hashable, Any]]:
         for slot in self._slots:
             if slot is not None:
-                yield slot
+                yield slot[:2]
 
     def clear(self) -> None:
         self._slots = [None] * self.nslots
         self._count = 0
+
+    # -- validation (test hook) ---------------------------------------------------
+    def check_invariants(self) -> None:
+        """Assert the count and every occupied slot's placement invariant."""
+        slots, n = self._slots, self.nslots
+        assert self._count == sum(slot is not None for slot in slots)
+        for idx, slot in enumerate(slots):
+            if slot is None:
+                continue
+            key, _, home = slot
+            assert home == hash(key) % n, f"stale home slot for {key!r}"
+            dist = (idx - home) % n
+            assert dist < self.probe_limit, f"{key!r} outside its probe window"
+            assert all(slots[(home + d) % n] is not None for d in range(dist)), \
+                f"empty slot between {key!r} and its home"

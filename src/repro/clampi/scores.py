@@ -60,7 +60,8 @@ class DefaultScorePolicy(ScorePolicy):
         recency = entry.last_access / clock if clock > 0 else 0.0
         relief = 0.0
         if self.w_positional > 0.0:
-            adjacent = allocator.adjacent_free(entry.buffer_offset)
+            adjacent = allocator.adjacent_free(entry.buffer_offset,
+                                               entry.nbytes)
             denom = adjacent + entry.nbytes
             relief = adjacent / denom if denom > 0 else 0.0
         return self.w_recency * recency - self.w_positional * relief

@@ -236,3 +236,53 @@ class TestEvictionDeterminism:
         r1 = ClampiCache(win, 1, cfg)
         assert [r0._rng.randrange(1000) for _ in range(8)] != \
             [r1._rng.randrange(1000) for _ in range(8)]
+
+
+class TestCheckInvariants:
+    """``check_invariants`` notices each way the live table can drift."""
+
+    def warm(self):
+        cache, _ = make_cache(capacity=512, nslots=8, probe_limit=4)
+        for i in range(60):
+            cache.access(1, (i * 5) % 40, 1 + i % 6)
+        assert len(cache) >= 3 and cache.stats.evictions > 0
+        cache.check_invariants()
+        return cache
+
+    def test_mirror_row_out_of_step(self):
+        cache = self.warm()
+        cache._mirror[1, 1] += 1
+        with pytest.raises(AssertionError, match="mirror"):
+            cache.check_invariants()
+
+    def test_key_pos_not_the_inverse(self):
+        cache = self.warm()
+        a, b = cache._entries[0].key, cache._entries[1].key
+        cache._key_pos[a], cache._key_pos[b] = 1, 0
+        with pytest.raises(AssertionError, match="_key_pos"):
+            cache.check_invariants()
+
+    def test_entry_key_mismatch(self):
+        cache = self.warm()
+        entry = cache._entries[0]
+        old = entry.key
+        entry.key = (old[0], old[1] + 1000, old[2])
+        with pytest.raises(AssertionError):
+            cache.check_invariants()
+
+    def test_entry_size_differs_from_its_block(self):
+        cache = self.warm()
+        cache._entries[0].nbytes += 8
+        with pytest.raises(AssertionError):
+            cache.check_invariants()
+
+    def test_hole_between_a_key_and_its_home(self):
+        cache = self.warm()
+        slots = cache.index._slots
+        displaced = [i for i, s in enumerate(slots)
+                     if s is not None and s[2] != i]
+        assert displaced, "8 slots under pressure always leave a displaced key"
+        home = slots[displaced[0]][2]
+        slots[home] = None
+        with pytest.raises(AssertionError):
+            cache.check_invariants()

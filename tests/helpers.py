@@ -26,3 +26,36 @@ def make_graph_suite(seed: int = 42) -> list[CSRGraph]:
         powerlaw_configuration(128, 900, seed=seed),
         ego_circles(n_egos=2, circle_size=8, n_circles_per_ego=2, seed=seed),
     ]
+
+
+def cache_maintenance_ops(max_nslots: int, min_capacity: int,
+                          max_capacity: int):
+    """Hypothesis strategy: one ``(op, a, b)`` cache upkeep step.
+
+    Interpreted by :func:`apply_cache_maintenance`; resizes stay inside the
+    calling suite's geometry range.
+    """
+    from hypothesis import strategies as st
+
+    return st.one_of(
+        st.tuples(st.just("invalidate"), st.integers(1, 4), st.just(0)),
+        st.tuples(st.just("rekey"), st.integers(1, 4), st.integers(1, 12)),
+        st.tuples(st.just("flush"), st.just(0), st.just(0)),
+        st.tuples(st.just("resize"), st.integers(2, max_nslots),
+                  st.integers(min_capacity, max_capacity)),
+    )
+
+
+def apply_cache_maintenance(cache, op: str, a: int, b: int) -> None:
+    """Apply one step drawn from :func:`cache_maintenance_ops` to ``cache``."""
+    live = sorted(e.key for e in cache.entries())
+    if op == "invalidate":      # every a-th live key, plus one that is absent
+        cache.invalidate(live[::a] + [(9, 9, 9)])
+    elif op == "rekey":         # slide every a-th key by b; rows may collide
+        cache.rekey([(k, (k[0], k[1] + b, k[2])) for k in live[::a]])
+    elif op == "flush":
+        cache.flush()
+    elif op == "resize":
+        cache.resize(nslots=a, capacity_bytes=b)
+    else:
+        raise ValueError(op)

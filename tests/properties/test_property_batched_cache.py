@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.clampi.cache import BatchStream, ClampiCache, ClampiConfig
 from repro.clampi.scores import AppScorePolicy, DefaultScorePolicy, LRUScorePolicy
 from repro.runtime.window import Window
+from tests.helpers import apply_cache_maintenance, cache_maintenance_ops
 
 N = 96
 
@@ -135,3 +136,33 @@ def test_empty_batch():
                                          np.zeros(0, dtype=np.int64))
     assert durations.shape == hits.shape == (0,)
     assert cache.stats.accesses == 0
+
+
+@given(accesses, geometries, policies, chunk_sizes,
+       st.lists(cache_maintenance_ops(48, 48, 1024), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_batch_equals_scalar_across_maintenance(stream, geometry, policy,
+                                                chunk, upkeep):
+    """invalidate/rekey/flush/resize between chunks keep the twins in step."""
+    capacity, nslots = geometry
+    window = make_window()
+    window.lock_all(0)
+    batched = make_cache(window, capacity, nslots, policy)
+    scalar = make_cache(window, capacity, nslots, policy)
+
+    keys = np.array(stream, dtype=np.int64)
+    for n_chunk, lo in enumerate(range(0, keys.shape[0], chunk)):
+        part = keys[lo:lo + chunk]
+        durations, hits = batched.access_batch(part[:, 0], part[:, 1],
+                                               part[:, 2])
+        for i, (t, o, c) in enumerate(part):
+            _, dt, hit = scalar.access(int(t), int(o), int(c))
+            assert hit == bool(hits[i])
+            assert dt == durations[i]
+        op, a, b = upkeep[n_chunk % len(upkeep)]
+        for cache in (batched, scalar):
+            apply_cache_maintenance(cache, op, a, b)
+            cache.check_invariants()
+        assert batched.stats.snapshot() == scalar.stats.snapshot()
+        assert (sorted(e.key for e in batched.entries())
+                == sorted(e.key for e in scalar.entries()))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.clampi.cache import ClampiCache, ClampiConfig
 from repro.clampi.scores import AppScorePolicy, DefaultScorePolicy, LRUScorePolicy
 from repro.runtime.window import Window
+from tests.helpers import apply_cache_maintenance, cache_maintenance_ops
 
 N = 128
 
@@ -92,3 +93,30 @@ def test_repeated_streams_eventually_hit(stream, repeats):
             _, _, hit = cache.access(1, offset, count)
             assert hit
     assert cache.stats.misses == misses_after_first
+
+
+maintenance_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), st.integers(0, N - 9), st.integers(1, 8)),
+        cache_maintenance_ops(64, 64, 2048),
+    ),
+    min_size=1, max_size=80,
+)
+
+
+@given(maintenance_ops, geometries, policies)
+@settings(max_examples=120, deadline=None)
+def test_invariants_hold_after_every_op(operations, geometry, policy_name):
+    capacity, nslots = geometry
+    cache, _ = make_cache(capacity, nslots, policy_name)
+    accesses_done = 0
+    for op, a, b in operations:
+        if op == "access":
+            cache.access(1, a, b)
+            accesses_done += 1
+        else:
+            apply_cache_maintenance(cache, op, a, b)
+        cache.check_invariants()
+        assert cache.used_bytes <= cache.config.capacity_bytes
+        assert len(cache) <= cache.config.nslots
+    assert cache.stats.hits + cache.stats.misses == accesses_done
