@@ -24,6 +24,7 @@ import json
 import operator
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -360,12 +361,24 @@ def load_baseline(path: str) -> dict:
     return report
 
 
+def _source_commit() -> Optional[str]:
+    """Short hash of the checkout this package runs from (None outside one)."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], capture_output=True,
+            text=True, timeout=10, cwd=os.path.dirname(os.path.abspath(__file__)))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def trajectory_row(suite: BenchSuite, report: Mapping, *,
                    date: Optional[str] = None) -> dict:
-    """Condense one report into its dated trajectory row."""
+    """Condense one report into its dated, commit-stamped trajectory row."""
     return {
         "date": date or datetime.date.today().isoformat(),
         "kind": suite.name,
+        "commit": _source_commit(),
         "quick": bool(report.get("quick", False)),
         **suite.headline(report),
     }

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_COMMIT_RE = re.compile(r"^[0-9a-f]{4,40}$")
 
 
 def _check_numbers(node: Any, path: str, problems: List[str]) -> None:
@@ -70,7 +71,11 @@ def validate_report(report: Any, keys: Sequence[str] = (), *,
 
 def trajectory_row_problems(row: Any, index: Optional[int] = None
                             ) -> List[str]:
-    """One trajectory row: dated, tagged with its suite, finite."""
+    """One trajectory row: dated, tagged with its suite, finite.
+
+    ``commit`` (the source's git hash) is ``null`` outside a checkout and
+    absent from rows older than the field.
+    """
     where = "row" if index is None else f"row {index}"
     if not isinstance(row, Mapping):
         return [f"{where} is a {type(row).__name__}, not an object"]
@@ -83,7 +88,12 @@ def trajectory_row_problems(row: Any, index: Optional[int] = None
     if not isinstance(kind, str) or not kind:
         problems.append(
             f"{where}: 'kind' must name the row's suite, got {kind!r}")
-    if not any(k not in ("date", "kind", "quick") for k in row):
+    commit = row.get("commit")
+    if commit is not None and not (isinstance(commit, str)
+                                   and _COMMIT_RE.match(commit)):
+        problems.append(
+            f"{where}: 'commit' must be a git hash or null, got {commit!r}")
+    if not any(k not in ("date", "kind", "commit", "quick") for k in row):
         problems.append(f"{where}: carries no measurements")
     _check_numbers(row, where, problems)
     return problems

@@ -7,7 +7,9 @@ the retrieved data is stored).
 
 Keyed by ``(target_rank, offset, count)``, entries hold the fetched bytes;
 the index is a bounded-probing hash table and the data lives in a bounded
-buffer managed by a best-fit allocator (sorted free list).  Evictions are
+buffer managed by a best-fit allocator (sorted free list).  Warm streams
+go through :meth:`ClampiCache.access_batch`, whose hit runs are array
+operations on slot-indexed key and metadata arrays.  Evictions are
 driven by a :class:`~repro.clampi.scores.ScorePolicy`; victim candidates
 are drawn with deterministic sampling (a standard approximation of
 global-minimum-score selection that keeps eviction O(sample) — exact
@@ -144,18 +146,17 @@ class BatchStream:
     def key_to_uid(self) -> dict[tuple, int]:
         """Key tuple -> row in :attr:`uniq` (built on first use)."""
         if self._key2uid is None:
-            self._key2uid = {
-                (int(r[0]), int(r[1]), int(r[2])): i
-                for i, r in enumerate(self.uniq)
-            }
+            self._key2uid = {tuple(row): i
+                             for i, row in enumerate(self.uniq.tolist())}
         return self._key2uid
 
 
 class CacheEntry:
-    """One cached get result."""
+    """One cached get result; ``slot`` is its row in the owning cache's
+    slot-indexed arrays while it is live (see :class:`ClampiCache`)."""
 
     __slots__ = ("key", "data", "buffer_offset", "nbytes", "last_access",
-                 "n_accesses", "app_score")
+                 "n_accesses", "app_score", "slot")
 
     def __init__(self, key: tuple, data: np.ndarray, buffer_offset: int,
                  nbytes: int, clock: int, app_score: float | None):
@@ -166,10 +167,27 @@ class CacheEntry:
         self.last_access = clock
         self.n_accesses = 1
         self.app_score = app_score
+        self.slot = -1
 
 
 class ClampiCache:
-    """Per-(rank, window) RMA cache implementing the CLaMPI design."""
+    """Per-(rank, window) RMA cache implementing the CLaMPI design.
+
+    Beside the hash index and the allocator sits one *live table*, touched
+    only by ``_attach``/``_detach``/``_clear``: the dense ``_entries`` list
+    (victim sampling indexes it, removal is swap-pop), ``_key_pos`` (key ->
+    position) and, per entry, a stable *slot* from a free stack.  Slots
+    index what :meth:`access_batch` works on instead of objects: the key
+    ``_mirror`` (free rows read -1) that a stream's unique keys are joined
+    against once per key-set epoch — the per-stream memo keeps that slot
+    array, never an entry — and ``_pend_n``/``_pend_last``, where hit runs
+    past ``_SMALL_RUN`` leave their counts and last clocks.  Metadata is
+    write-mostly, so it *settles* into ``CacheEntry.n_accesses`` /
+    ``last_access`` only for the candidates a victim selection is about to
+    score, for an entry being detached (evicted, invalidated, rekeyed) and
+    wholesale in :meth:`entries` / :meth:`check_invariants`; scalar hits
+    and short runs write the object directly.
+    """
 
     def __init__(
         self,
@@ -191,16 +209,18 @@ class ClampiCache:
         # Victim sampling gets a private, reproducibly-derived stream so
         # identical configs evict identically across process runs.
         self._rng = random.Random(derive_seed(config.seed, "clampi-evict", rank))
-        # The live table, kept in lock-step with the index by _attach/_detach:
-        # entries (victim sampling indexes them; removal is swap-pop), each
-        # one's position by key, and a NumPy mirror of the keys against which
-        # access_batch resolves whole streams without per-key Python lookups.
+        # The live table and its slot-indexed arrays (class docstring).
         self._entries: list[CacheEntry] = []
         self._key_pos: dict[tuple, int] = {}
-        self._mirror = np.zeros((64, 3), dtype=np.int64)
+        self._slot_entry: list[CacheEntry | None] = []
+        self._free_slots: list[int] = []
+        self._mirror = np.empty((64, 3), dtype=np.int64)
+        self._pend_n = np.zeros(64, dtype=np.int64)
+        self._pend_last = np.zeros(64, dtype=np.int64)
+        self._pending = False  # False: every _pend_n row is zero
         self._batch_events: list | None = None  # armed during access_batch
-        # Batch-replay memo: per-stream membership + entry handles, valid
-        # while no insert/evict/flush changed the key set (_state_epoch).
+        # Batch-replay memo: id(stream) -> (epoch, uniq, slots), valid while
+        # no insert/evict/flush changed the key set (_state_epoch).
         self._state_epoch = 0
         self._batch_memo: dict[int, tuple] = {}
         self.allocator = BufferAllocator(config.capacity_bytes)
@@ -295,19 +315,16 @@ class ClampiCache:
         if self._batch_events is not None:
             raise CacheError("access_batch is not reentrant")
 
-        uniq, inv = stream.uniq, stream.inv
-        # Membership and entry handles survive across replays of the same
-        # stream while the key set is unchanged (warm resident queries).
+        inv = stream.inv
+        # Each unique key's slot survives across replays of the same stream
+        # while the key set is unchanged (warm resident queries).  Patched in
+        # place below: slots only change together with the epoch.
         memo = self._batch_memo.get(id(stream))
         if (memo is not None and memo[0] == self._state_epoch
                 and memo[1] is stream.uniq):
-            member = memo[2].copy()
-            entries = memo[3]
+            slots = memo[2]
         else:
-            member = self._member_mask(uniq)
-            # Entry objects by unique key, filled lazily and dropped when
-            # the entry is evicted or the cache cleared.
-            entries = [None] * uniq.shape[0]
+            slots = self._join_slots(stream.uniq)
 
         # Per-position hit costs, precomputed once: a hit's duration and
         # byte volume depend only on the key, never on cache state.
@@ -320,7 +337,7 @@ class ClampiCache:
 
         # Candidate miss positions: the initially-predicted ones (sorted)
         # plus positions re-flagged after evictions, merged via a heap.
-        init_miss = np.flatnonzero(~member[inv])
+        init_miss = np.flatnonzero(slots[inv] < 0)
         ptr = 0
         heap: list[int] = []
         key2uid: dict[tuple, int] | None = None
@@ -355,27 +372,24 @@ class ClampiCache:
         try:
             while True:
                 p = pop_candidate()
-                while p is not None and member[inv[p]]:
+                while p is not None and slots[inv[p]] >= 0:
                     p = pop_candidate()  # key reinserted since prediction
                 stop = m if p is None else p
                 if stop > cur:
-                    self._apply_hit_run(uniq, inv, entries, cur, stop,
+                    self._apply_hit_run(slots[inv[cur:stop]], cur, stop,
                                         durations, hit_dur, nbytes_pref)
                     hits[cur:stop] = True
                 if p is None:
-                    # Prune memos stale epochs made useless (they would
-                    # never validate again) and bound the table so a
-                    # cache replaying many one-off streams cannot pin
-                    # evicted entries or grow without limit.
+                    # Drop memos a newer epoch made useless (they would
+                    # never validate again) and bound the table against
+                    # a cache replaying many one-off streams.
                     epoch = self._state_epoch
-                    stale = [k for k, v in self._batch_memo.items()
-                             if v[0] != epoch]
-                    for k in stale:
-                        del self._batch_memo[k]
-                    if len(self._batch_memo) >= 16:
-                        self._batch_memo.clear()
-                    self._batch_memo[id(stream)] = (epoch, stream.uniq,
-                                                    member, entries)
+                    memos = {k: v for k, v in self._batch_memo.items()
+                             if v[0] == epoch}
+                    if len(memos) >= 16:
+                        memos.clear()
+                    memos[id(stream)] = (epoch, stream.uniq, slots)
+                    self._batch_memo = memos
                     return durations, hits
                 key = (int(targets[p]), int(offsets[p]), int(counts[p]))
                 _, dt, was_hit = self.access(*key)
@@ -387,8 +401,7 @@ class ClampiCache:
                         if ev is _CLEARED:
                             # Flush/resize: every later access is a
                             # candidate miss again.
-                            member[:] = False
-                            entries = [None] * uniq.shape[0]
+                            slots[:] = -1
                             init_miss = np.arange(p + 1, m, dtype=np.int64)
                             ptr = 0
                             heap.clear()
@@ -396,49 +409,54 @@ class ClampiCache:
                             if key2uid is None:
                                 key2uid = stream.key_to_uid()
                             uid = key2uid.get(ev)
-                            if uid is not None:
-                                entries[uid] = None
-                                if member[uid]:
-                                    member[uid] = False
-                                    push_next(uid, p)
+                            if uid is not None and slots[uid] >= 0:
+                                slots[uid] = -1
+                                push_next(uid, p)
                     events.clear()
                 u = int(inv[p])
-                entries[u] = None  # a fresh entry replaced any cached one
-                member[u] = key in self._key_pos
-                if not member[u]:
+                pos = self._key_pos.get(key)
+                if pos is None:
                     push_next(u, p)  # insert failed: later uses still miss
+                else:
+                    slots[u] = self._entries[pos].slot
                 cur = p + 1
         finally:
             self._batch_events = None
 
-    def _member_mask(self, uniq: np.ndarray) -> np.ndarray:
-        """Vectorized membership of unique key rows against the mirror."""
-        n_live = len(self._entries)
-        if n_live == 0:
-            return np.zeros(uniq.shape[0], dtype=bool)
-        stacked = np.concatenate([uniq, self._mirror[:n_live]])
-        _, inv2, cnt = np.unique(stacked, axis=0, return_inverse=True,
-                                 return_counts=True)
-        inv2 = inv2.reshape(-1)
-        # Both inputs are duplicate-free, so count 2 == present in both.
-        return cnt[inv2[:uniq.shape[0]]] > 1
+    def _join_slots(self, uniq: np.ndarray) -> np.ndarray:
+        """Live-table slot of each unique key row (-1 = absent): one join.
 
-    #: Hit runs at most this long update entry metadata with a plain loop;
-    #: longer runs amortize the vectorized group-by machinery.
-    _SMALL_RUN = 32
+        ``uniq`` is duplicate-free and lexicographically sorted, so packing
+        the key columns into one mixed-radix integer keeps it sorted and
+        every mirror row finds its match with a single ``searchsorted``.
+        """
+        n = uniq.shape[0]
+        slots = np.full(n, -1, dtype=np.int64)
+        live = self._mirror[:len(self._slot_entry)]
+        if not (n and live.shape[0]):
+            return slots
+        cols = np.concatenate([uniq.T, live.T], axis=1)
+        lo = cols.min(axis=1)
+        span = (cols.max(axis=1) - lo + 1).tolist()
+        if span[0] * span[1] * span[2] >= 1 << 63:
+            raise CacheError("batch stream keys do not pack into 63 bits")
+        packed = (((cols[0] - lo[0]) * span[1] + (cols[1] - lo[1])) * span[2]
+                  + (cols[2] - lo[2]))
+        at = np.searchsorted(packed[:n], packed[n:])
+        at[at == n] = 0
+        # A cached count is > 0; free mirror rows read -1.
+        found = (packed[at] == packed[n:]) & (live[:, 2] > 0)
+        slots[at[found]] = np.flatnonzero(found)
+        return slots
 
-    def _lookup_uid(self, uniq: np.ndarray, entries: list, uid: int):
-        entry = entries[uid]
-        if entry is None:
-            row = uniq[uid]
-            entry = self.index.lookup((int(row[0]), int(row[1]), int(row[2])))
-            entries[uid] = entry
-        return entry
+    #: Measured crossover (NumPy 2.4): a plain loop over the entry objects
+    #: costs ~1.5 us + 0.09 us/hit, the array writes ~6 us + 0.01 us/hit.
+    _SMALL_RUN = 64
 
-    def _apply_hit_run(self, uniq: np.ndarray, inv: np.ndarray, entries: list,
-                       start: int, stop: int, durations: np.ndarray,
-                       hit_dur: np.ndarray, nbytes_pref: np.ndarray) -> None:
-        """Apply ``stop - start`` consecutive hits in one vectorized step."""
+    def _apply_hit_run(self, run: np.ndarray, start: int, stop: int,
+                       durations: np.ndarray, hit_dur: np.ndarray,
+                       nbytes_pref: np.ndarray) -> None:
+        """Apply consecutive hits on the entries in slots ``run``, O(k)."""
         k = stop - start
         cfg = self.config
         durations[start:stop] = hit_dur[start:stop]
@@ -451,11 +469,10 @@ class ClampiCache:
             # mgmt_time: k sequential `+= lookup_overhead` additions.
             mgmt = self.stats.mgmt_time
             overhead = cfg.lookup_overhead
-            clock = c0
-            for i in range(start, stop):
+            by_slot = self._slot_entry
+            for clock, slot in enumerate(run.tolist(), c0 + 1):
                 mgmt += overhead
-                clock += 1
-                entry = self._lookup_uid(uniq, entries, inv[i])
+                entry = by_slot[slot]
                 entry.n_accesses += 1
                 entry.last_access = clock
             self.stats.mgmt_time = mgmt
@@ -466,15 +483,24 @@ class ClampiCache:
         fold[0] = self.stats.mgmt_time
         fold[1:] = cfg.lookup_overhead
         self.stats.mgmt_time = float(np.cumsum(fold)[-1])
-        sub = inv[start:stop]
-        uids, run_inv = np.unique(sub, return_inverse=True)
-        n_acc = np.bincount(run_inv)
-        last_rel = np.full(uids.shape[0], -1, dtype=np.int64)
-        np.maximum.at(last_rel, run_inv, np.arange(k, dtype=np.int64))
-        for i in range(uids.shape[0]):
-            entry = self._lookup_uid(uniq, entries, int(uids[i]))
-            entry.n_accesses += int(n_acc[i])
-            entry.last_access = c0 + 1 + int(last_rel[i])
+        # Write-mostly metadata stays in the slot arrays until _settle: a
+        # repeated slot counts every hit and keeps its last (largest) clock.
+        np.add.at(self._pend_n, run, 1)
+        self._pend_last[run] = np.arange(c0 + 1, c0 + 1 + k)
+        self._pending = True
+
+    def _settle(self, entries: Iterable[CacheEntry]) -> None:
+        """Fold pending hit-run metadata into these live entries' objects."""
+        pend_n, pend_last = self._pend_n, self._pend_last
+        for entry in entries:
+            slot = entry.slot
+            n = int(pend_n[slot])
+            if n:
+                pend_n[slot] = 0
+                entry.n_accesses += n
+                # Scalar hits write the object directly, so it may be ahead.
+                entry.last_access = max(entry.last_access,
+                                        int(pend_last[slot]))
 
     # -- insertion & eviction ------------------------------------------------------
     def _prospective_score(self, key: tuple, app_score: float | None) -> float:
@@ -550,6 +576,8 @@ class ClampiCache:
 
     def _lowest_score(self, candidates: list[CacheEntry]) -> CacheEntry:
         """The first lowest-score entry of a non-empty candidate list."""
+        if self._pending:
+            self._settle(candidates)
         score = self.config.score_policy.victim_score
         allocator, clock = self.allocator, self._clock
         return min(candidates, key=lambda e: score(e, allocator, clock))
@@ -568,34 +596,45 @@ class ClampiCache:
 
     # -- the live table ------------------------------------------------------------
     def _attach(self, entry: CacheEntry) -> bool:
-        """Index ``entry`` under its key and append it to the live table.
+        """Index ``entry`` under its key and give it a live-table row + slot.
 
         False (nothing changed) when the key's probe window is full.
         """
         key = entry.key
         if not self.index.insert(key, entry):
             return False
-        pos = len(self._entries)
-        if pos >= self._mirror.shape[0]:
-            grown = np.zeros((2 * pos, 3), dtype=np.int64)
-            grown[:pos] = self._mirror
-            self._mirror = grown
-        self._mirror[pos] = key
-        self._key_pos[key] = pos
+        if self._free_slots:
+            slot = self._free_slots.pop()
+            self._slot_entry[slot] = entry
+        else:
+            slot = len(self._slot_entry)
+            self._slot_entry.append(entry)
+            if slot == self._pend_n.shape[0]:  # double; fresh rows read zero
+                self._mirror, self._pend_n, self._pend_last = (
+                    np.concatenate([a, np.zeros_like(a)])
+                    for a in (self._mirror, self._pend_n, self._pend_last))
+        entry.slot = slot
+        self._mirror[slot] = key
+        self._key_pos[key] = len(self._entries)
         self._entries.append(entry)
         self._state_epoch += 1
         return True
 
     def _detach(self, entry: CacheEntry) -> None:
         """Drop ``entry`` from index and live table; its buffer stays allocated."""
+        if self._pending:
+            self._settle((entry,))  # rekey keeps the object; the slot is reused
         self.index.remove(entry.key)
+        slot = entry.slot
+        self._slot_entry[slot] = None
+        self._free_slots.append(slot)
+        self._mirror[slot] = -1
         entries = self._entries
         pos = self._key_pos.pop(entry.key)
         last = entries.pop()
         if pos < len(entries):
             entries[pos] = last
             self._key_pos[last.key] = pos
-            self._mirror[pos] = self._mirror[len(entries)]
         self._state_epoch += 1
 
     def _clear(self) -> None:
@@ -604,6 +643,10 @@ class ClampiCache:
         self.allocator = BufferAllocator(self.config.capacity_bytes)
         self._entries.clear()
         self._key_pos.clear()
+        self._slot_entry.clear()
+        self._free_slots.clear()
+        self._pend_n[:] = 0
+        self._pending = False
         self._state_epoch += 1
         if self._batch_events is not None:
             self._batch_events.append(_CLEARED)
@@ -727,21 +770,31 @@ class ClampiCache:
         return self.allocator.used_bytes
 
     def entries(self) -> list[CacheEntry]:
-        """Snapshot of live entries (reporting / tests)."""
+        """Snapshot of live entries, metadata settled (reporting / tests)."""
+        if self._pending:
+            self._settle(self._entries)
+            self._pending = False
         return list(self._entries)
 
     def check_invariants(self) -> None:
         """Cross-structure consistency (exercised by property tests)."""
         self.allocator.check_invariants()
         self.index.check_invariants()
-        entries = self._entries
+        entries = self.entries()
         n = len(entries)
         assert n == len(self._key_pos) == len(self.index)
         keys = [entry.key for entry in entries]
         assert self._key_pos == {key: pos for pos, key in enumerate(keys)}, \
             "_key_pos is not the inverse of the live table"
-        assert self._mirror[:n].tolist() == [list(key) for key in keys], \
+        slots = [entry.slot for entry in entries]
+        assert [self._slot_entry[slot] for slot in slots] == entries
+        assert sorted(slots + self._free_slots) == \
+            list(range(len(self._slot_entry))), "slots neither live nor free"
+        assert self._mirror[slots].tolist() == [list(key) for key in keys], \
             "key mirror out of step with the live table"
+        assert (self._mirror[self._free_slots] == -1).all(), \
+            "free key mirror rows must read -1"
+        assert not self._pend_n.any(), "pending metadata outlived a settle"
         for entry in entries:
             assert self.index.lookup(entry.key) is entry, \
                 f"live entry not indexed under its key: {entry.key}"

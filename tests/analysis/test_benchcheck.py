@@ -1,6 +1,7 @@
 """The kernels suite's gate table and the shared trajectory appender."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -152,6 +153,12 @@ class TestTrajectory:
         assert row["date"] == "2026-07-26"
         assert row["kind"] == "kernels"
         assert row["quick"] is True
+        # Stamped with the checkout the code ran from (null outside one).
+        head = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True,
+                              cwd=COMMITTED.parent)
+        assert row["commit"] == (head.stdout.strip()
+                                 if head.returncode == 0 else None)
         assert row["n_kernels"] == 3
         assert row["total_kernel_wall_s"] == 2.0
         assert row["max_kernel_wall_s"] == 1.5

@@ -106,6 +106,16 @@ def test_trajectory_row_validation():
         {"date": "2026-08-08", "kind": "async", "quick": True})  # no payload
     assert trajectory_row_problems(
         {"date": "2026-08-08", "kind": "async", "x": float("inf")})
+    # The source commit: a git hash, null outside a checkout, or absent
+    # (rows older than the field) -- and never the row's only payload.
+    assert trajectory_row_problems({**good, "commit": "059a4fc"}) == []
+    assert trajectory_row_problems({**good, "commit": None}) == []
+    assert any("'commit'" in p for p in trajectory_row_problems(
+        {**good, "commit": "HEAD~1"}))
+    assert any("'commit'" in p for p in trajectory_row_problems(
+        {**good, "commit": 15}))
+    assert trajectory_row_problems(
+        {"date": "2026-08-08", "kind": "async", "commit": "059a4fc"})
 
 
 def test_trajectory_document_validation():

@@ -250,9 +250,30 @@ class TestCheckInvariants:
         return cache
 
     def test_mirror_row_out_of_step(self):
+        # The key mirror is indexed by each entry's stable slot.
         cache = self.warm()
-        cache._mirror[1, 1] += 1
+        cache._mirror[cache._entries[1].slot, 1] += 1
         with pytest.raises(AssertionError, match="mirror"):
+            cache.check_invariants()
+
+    def test_free_mirror_row_left_matchable(self):
+        cache = self.warm()
+        cache.invalidate([cache._entries[0].key])
+        cache._mirror[cache._free_slots[-1]] = (1, 0, 1)
+        with pytest.raises(AssertionError, match="mirror"):
+            cache.check_invariants()
+
+    def test_slot_owned_twice(self):
+        cache = self.warm()
+        cache._free_slots.append(cache._entries[0].slot)
+        with pytest.raises(AssertionError, match="slot"):
+            cache.check_invariants()
+
+    def test_pending_metadata_left_on_a_free_slot(self):
+        cache = self.warm()
+        cache.invalidate([cache._entries[0].key])
+        cache._pend_n[cache._free_slots[-1]] = 3
+        with pytest.raises(AssertionError, match="pending"):
             cache.check_invariants()
 
     def test_key_pos_not_the_inverse(self):
