@@ -119,6 +119,16 @@ class CacheStats:
         """
         return self.as_registry().snapshot()
 
+    @classmethod
+    def merged(cls, caches) -> dict | None:
+        """One snapshot over per-rank ``caches``' counters; ``None`` if empty."""
+        if not caches:
+            return None
+        total = cls()
+        for cache in caches:
+            total.merge(cache.stats)
+        return total.snapshot()
+
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another cache's counters (cluster-wide reporting)."""
         for name in (

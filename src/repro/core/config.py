@@ -109,7 +109,7 @@ class LCCConfig:
     wait_policy: str = "active"
     partition: str = "block"         # 'block' | 'cyclic'
     overlap: bool = True             # double-buffering (Section III-A)
-    fast_path: bool = True           # closed-form accounting when cacheless
+    fast_path: bool = True           # batched replay instead of per-edge loop
     cache: Optional[CacheSpec] = None
     network: NetworkModel = field(default_factory=NetworkModel.aries)
     memory: MemoryModel = field(default_factory=MemoryModel)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.clampi.stats import CacheStats
 from repro.clampi.wrapper import attach_adjacency_caches, attach_offset_caches
 from repro.core.config import CacheSpec, DistributedRunResult, LCCConfig
 from repro.core.intersect import count_common
@@ -175,17 +176,13 @@ def run_distributed_lcc(graph: CSRGraph, config: LCCConfig | None = None
                         ) -> DistributedRunResult:
     """Run Algorithm 3 over the simulated cluster; returns scores + metrics.
 
-    Without op recording, runs take a vectorized path pinned by tests to
-    produce identical clocks, traces and scores: cache-less runs the
-    closed-form accounting (:mod:`repro.core.lcc_fast`), cached runs the
-    batched cache replay (:mod:`repro.core.replay`).  Pass
-    ``fast_path=False`` to force the per-edge loop.
+    Without op recording, runs take the batched replay
+    (:mod:`repro.core.replay`), pinned by tests to produce bit-identical
+    clocks, traces and scores — with CLaMPI caches or without (a cache-less
+    run is the same replay with no cache stage).  Pass ``fast_path=False``
+    to force the per-edge loop.
     """
     config = config or LCCConfig()
-    if config.fast_path and config.cache is None and not config.record_ops:
-        from repro.core.lcc_fast import run_distributed_lcc_fast
-
-        return run_distributed_lcc_fast(graph, config)
     engine, dist, off_caches, adj_caches = setup_distributed(graph, config)
     return execute_lcc(engine, dist, config, off_caches, adj_caches)
 
@@ -197,8 +194,8 @@ def execute_lcc(engine: Engine, dist: DistributedCSR, config: LCCConfig,
 
     Dispatches between two bit-identical implementations: the batched
     replay (:mod:`repro.core.replay`) whenever ``config.fast_path`` is on
-    and op recording is off — cached runs included — and the per-edge loop
-    (:func:`execute_lcc_loop`) otherwise.
+    and op recording is off — cached and cache-less runs alike — and the
+    per-edge loop (:func:`execute_lcc_loop`) otherwise.
     """
     if config.fast_path and not config.record_ops:
         from repro.core.replay import execute_lcc_batched
@@ -237,18 +234,6 @@ def execute_lcc_loop(engine: Engine, dist: DistributedCSR, config: LCCConfig,
         triangles_per_vertex=tpv,
         global_triangles=global_triangles,
         outcome=outcome,
-        offsets_cache_stats=_merged_stats(off_caches),
-        adj_cache_stats=_merged_stats(adj_caches),
+        offsets_cache_stats=CacheStats.merged(off_caches),
+        adj_cache_stats=CacheStats.merged(adj_caches),
     )
-
-
-def _merged_stats(caches: list) -> dict | None:
-    """Aggregate per-rank cache stats into one snapshot dict."""
-    if not caches:
-        return None
-    from repro.clampi.stats import CacheStats
-
-    merged = CacheStats()
-    for cache in caches:
-        merged.merge(cache.stats)
-    return merged.snapshot()

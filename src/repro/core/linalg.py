@@ -49,9 +49,10 @@ import math
 import numpy as np
 
 from repro.clampi.cache import BatchStream
+from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
-from repro.core.lcc import _merged_stats
-from repro.core.local import _to_sparse, lcc_from_triplets
+from repro.core.local import lcc_from_triplets, to_sparse
+from repro.core.replay import fold_left
 from repro.core.tc2d import (
     BLOCKS_WINDOW,
     build_grid_blocks,
@@ -74,13 +75,6 @@ __all__ = [
     "run_tc2d_spgemm",
     "summa_stats",
 ]
-
-
-def _fold(deltas: np.ndarray) -> float:
-    """Strict left-to-right sum — bit-identical to repeated ``+=``."""
-    if deltas.shape[0] == 0:
-        return 0.0
-    return float(np.cumsum(deltas)[-1])
 
 
 class SummaStats:
@@ -128,7 +122,7 @@ def summa_stats(graph: CSRGraph, grid: GridPartition2D,
     prod_nnz = np.zeros((c, p), dtype=np.int64)
     masked_sum = np.zeros((c, p), dtype=np.int64)
     tpv = np.zeros(n, dtype=np.int64)
-    a = _to_sparse(graph)
+    a = to_sparse(graph)
     with obs_span("summa", cat="kernel", rounds=c, nranks=p,
                   graph=graph.name or "") as sp:
         for k in range(c):
@@ -224,10 +218,10 @@ class _RankReplay2D:
         deltas[(start[:-1] + lr + rr)[comp_mask]] = comp_dt[comp_mask]
 
         self.round_deltas = deltas
-        self.clock = _fold(deltas)
-        self.comp_time = _fold(comp_dt[comp_mask])
-        self.comm_time = _fold(dur[~hit])
-        self.cache_time = _fold(dur[hit])
+        self.clock = fold_left(deltas)
+        self.comp_time = fold_left(comp_dt[comp_mask])
+        self.comm_time = fold_left(dur[~hit])
+        self.cache_time = fold_left(dur[hit])
         nbytes = stream.counts * win.itemsize
         self.n_miss = int(np.count_nonzero(~hit))
         self.n_hit = int(stream.m - self.n_miss)
@@ -293,7 +287,7 @@ def execute_tc2d_spgemm(engine: Engine, grid: GridPartition2D, blocks: list,
         triangles_per_vertex=None,
         global_triangles=total // 6,
         outcome=outcome,
-        adj_cache_stats=_merged_stats(caches),
+        adj_cache_stats=CacheStats.merged(caches),
     )
 
 
@@ -348,10 +342,10 @@ def execute_lcc2d(engine: Engine, grid: GridPartition2D, blocks: list,
             tail = np.concatenate([
                 np.full(stages, reduce_dt, dtype=np.float64),
                 np.asarray([final_dt], dtype=np.float64)])
-            clocks.append(_fold(np.concatenate(
+            clocks.append(fold_left(np.concatenate(
                 [np.asarray([own_dt]), rr.round_deltas, tail])))
             comp_tail = np.asarray([final_dt], dtype=np.float64)
-            comp = _fold(np.concatenate(
+            comp = fold_left(np.concatenate(
                 [np.asarray([own_dt]),
                  np.asarray([rr.comp_time]), comp_tail]))
             traces.append(RankTrace.from_totals(
@@ -378,7 +372,7 @@ def execute_lcc2d(engine: Engine, grid: GridPartition2D, blocks: list,
         triangles_per_vertex=tpv,
         global_triangles=total // 6,
         outcome=outcome,
-        adj_cache_stats=_merged_stats(_block_caches(engine, win)),
+        adj_cache_stats=CacheStats.merged(_block_caches(engine, win)),
     )
 
 

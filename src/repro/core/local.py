@@ -23,10 +23,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.intersect import count_common
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_ranges
 
 
-def _to_sparse(graph: CSRGraph) -> sp.csr_matrix:
+def to_sparse(graph: CSRGraph) -> sp.csr_matrix:
     """CSR graph -> scipy CSR 0/1 adjacency matrix."""
     n = graph.n
     data = np.ones(graph.adjacency.shape[0], dtype=np.int64)
@@ -44,45 +44,46 @@ def triangles_per_vertex_matrix(graph: CSRGraph) -> np.ndarray:
     """
     if graph.n == 0:
         return np.zeros(0, dtype=np.int64)
-    a = _to_sparse(graph)
+    a = to_sparse(graph)
     prod = (a @ a.T).multiply(a)
     return np.asarray(prod.sum(axis=1)).ravel().astype(np.int64)
 
 
-def triangles_per_vertex_batched(graph: CSRGraph) -> np.ndarray:
-    """Per-vertex triplet counts, one vectorized pass per vertex.
+def triangles_per_vertex_subset(graph: CSRGraph, vertices: np.ndarray
+                                ) -> np.ndarray:
+    """``t_v = sum_j |adj(v) ∩ adj(j)|`` for the listed vertices only.
 
-    Same result as the matrix path but without materializing ``A A^T``
-    (whose fill-in explodes on hub-heavy graphs): for each vertex the
-    neighbours' adjacency lists are gathered into one array and counted
-    against the vertex's own sorted list with a single ``searchsorted``.
-    Runs in O(sum_over_edges deg(j) * log deg(v)) with ~2 NumPy calls per
-    vertex.
+    One vectorized pass per vertex: the neighbours' adjacency lists are
+    gathered into one array and counted against the vertex's own sorted
+    list with a single ``searchsorted`` — O(sum_over_edges deg(j) *
+    log deg(v)), ~2 NumPy calls per listed vertex.
     """
-    n = graph.n
-    offsets = graph.offsets
-    adjacency = graph.adjacency
+    offsets, adjacency = graph.offsets, graph.adjacency
     degrees = np.diff(offsets)
-    t = np.zeros(n, dtype=np.int64)
-    for v in range(n):
+    vertices = np.asarray(vertices, dtype=np.int64)
+    out = np.zeros(vertices.shape[0], dtype=np.int64)
+    for i, v in enumerate(vertices.tolist()):
         a = adjacency[offsets[v]:offsets[v + 1]]
         if a.shape[0] == 0:
             continue
-        starts = offsets[a]
-        lens = degrees[a]
-        total = int(lens.sum())
-        if total == 0:
+        candidates, _ = gather_ranges(adjacency, offsets[a], degrees[a])
+        if candidates.shape[0] == 0:
             continue
-        local_offsets = np.zeros(a.shape[0] + 1, dtype=np.int64)
-        np.cumsum(lens, out=local_offsets[1:])
-        gather = (np.arange(total, dtype=np.int64)
-                  - np.repeat(local_offsets[:-1], lens)
-                  + np.repeat(starts, lens))
-        candidates = adjacency[gather]
         idx = np.searchsorted(a, candidates)
         idx[idx == a.shape[0]] = 0  # clip; mismatch check below handles it
-        t[v] = int(np.count_nonzero(a[idx] == candidates))
-    return t
+        out[i] = int(np.count_nonzero(a[idx] == candidates))
+    return out
+
+
+def triangles_per_vertex_batched(graph: CSRGraph) -> np.ndarray:
+    """Per-vertex triplet counts of every vertex.
+
+    Same result as the matrix path but without materializing ``A A^T``
+    (whose fill-in explodes on hub-heavy graphs):
+    :func:`triangles_per_vertex_subset` over all ``n`` vertices.
+    """
+    return triangles_per_vertex_subset(graph,
+                                       np.arange(graph.n, dtype=np.int64))
 
 
 def triangles_min_vertex(graph: CSRGraph) -> np.ndarray:
@@ -97,7 +98,7 @@ def triangles_min_vertex(graph: CSRGraph) -> np.ndarray:
     """
     if graph.n == 0:
         return np.zeros(0, dtype=np.int64)
-    u = sp.triu(_to_sparse(graph), k=1, format="csr")
+    u = sp.triu(to_sparse(graph), k=1, format="csr")
     prod = (u @ u).multiply(u)
     return np.asarray(prod.sum(axis=1)).ravel().astype(np.int64)
 

@@ -14,8 +14,13 @@ same runs in bulk:
   side effects);
 * per-edge compute costs come from the closed-form vectorized formulas in
   :mod:`repro.core.threading` and the scores from the batched counting
-  path in :mod:`repro.core.local`, exactly like the cache-less fast path in
-  :mod:`repro.core.lcc_fast`.
+  path in :mod:`repro.core.local`.
+
+This is the only vectorized 1D path.  A cache-less run is the same replay
+with no CLaMPI stage: a window without a cache attached prices its gets
+from their byte counts alone (:func:`_window_stream`), and the
+:class:`~repro.clampi.cache.BatchStream` a cache would consume is never
+built.
 
 The replay is **bit-identical** to the loop, including every floating-point
 accumulation: virtual clocks and trace totals are rebuilt as the *same
@@ -38,6 +43,7 @@ import math
 import numpy as np
 
 from repro.clampi.cache import BatchStream
+from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.local import (
     lcc_from_triplets,
@@ -50,7 +56,7 @@ from repro.runtime.engine import Engine, RunOutcome
 from repro.runtime.trace import RankTrace
 
 
-def _fold(deltas: np.ndarray) -> float:
+def fold_left(deltas: np.ndarray) -> float:
     """Strict left-to-right sum — bit-identical to repeated ``+=``."""
     if deltas.shape[0] == 0:
         return 0.0
@@ -67,27 +73,32 @@ def _adjacency_starts(dist: DistributedCSR) -> np.ndarray:
     return start_of
 
 
-def _window_stream(cache, window, network, stream: BatchStream
+def _window_stream(ctx, window, network, static: _RankStatic
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Durations + hit verdicts for one rank's gets on one window.
 
-    With a cache attached this is the batched CLaMPI replay; without one it
-    is the closed-form network cost (and every get counts as remote).
+    With a cache attached this is the batched CLaMPI replay; without one
+    there is no CLaMPI stage: the closed-form network cost of each get's
+    byte count, and every get counts as remote.
     """
+    cache = ctx.cache_for(window)
     if cache is not None:
-        return cache.access_batch(stream=stream)
-    t = network.get_times(stream.counts * window.itemsize)
-    return t, np.zeros(stream.m, dtype=bool)
+        return cache.access_batch(stream=static.stream(window.name))
+    _, _, counts = static.gets[window.name]
+    return (network.get_times(counts * window.itemsize),
+            np.zeros(counts.shape[0], dtype=bool))
 
 
 class _RankStatic:
     """One rank's topology-derived access pattern, cached on the ``dist``.
 
     Everything here is a pure function of the partitioned CSR: the edge
-    stream, remote/local split, list-length pairs and the prebuilt
-    :class:`BatchStream` objects for the two windows.  A resident session
-    replays the same pattern query after query, so this is computed once
-    per ``DistributedCSR``.
+    stream, remote/local split, list-length pairs and the remote gets'
+    ``(targets, offsets, counts)`` arrays for the two windows.  A resident
+    session replays the same pattern query after query, so this is
+    computed once per ``DistributedCSR``; a window's
+    :class:`BatchStream` (an ``np.unique`` over its gets) is built the
+    first time a cache attached to *that* window replays it, and kept.
     """
 
     def __init__(self, dist: DistributedCSR, rank: int, start_of: np.ndarray,
@@ -109,7 +120,7 @@ class _RankStatic:
         else:
             e_degs = degs
         self.e_degs = e_degs
-        self.E = E = dst.shape[0]
+        self.E = dst.shape[0]
         self.estart = np.zeros(n_v + 1, dtype=np.int64)
         np.cumsum(e_degs, out=self.estart[1:])
 
@@ -120,16 +131,26 @@ class _RankStatic:
         self.r_idx = r_idx = np.flatnonzero(remote)
         self.l_idx = l_idx = np.flatnonzero(~remote)
 
-        li = part.to_local_many(dst)
-        R = r_idx.shape[0]
-        self.off_stream = BatchStream(owners[r_idx], li[r_idx],
-                                      np.full(R, 2, dtype=np.int64))
+        targets = owners[r_idx]
         self.cnt_r = cnt_r = lb[r_idx]
-        self.adj_stream = BatchStream(owners[r_idx], start_of[dst[r_idx]],
-                                      cnt_r)
+        #: window name -> the remote gets' (targets, offsets, counts).
+        self.gets = {
+            dist.w_offsets.name: (targets, part.to_local_many(dst)[r_idx],
+                                  np.full(r_idx.shape[0], 2, dtype=np.int64)),
+            dist.w_adj.name: (targets, start_of[dst[r_idx]], cnt_r),
+        }
+        self._streams: dict[str, BatchStream] = {}
         adj_itemsize = dist.w_adj.itemsize
         self.nbytes_l = lb[l_idx] * adj_itemsize
         self.own_nbytes = degs * adj_itemsize
+
+    def stream(self, window_name: str) -> BatchStream:
+        """One window's gets as a stream, built on first use and kept."""
+        stream = self._streams.get(window_name)
+        if stream is None:
+            stream = self._streams[window_name] = BatchStream(
+                *self.gets[window_name])
+        return stream
 
 
 def _rank_static(dist: DistributedCSR, rank: int, start_of: np.ndarray,
@@ -167,11 +188,8 @@ class _RankReplay:
         # The two cache streams are independent state machines, so each is
         # replayed separately; interleaving only matters for the time
         # folds, which re-merge them below in program order.
-        dur_off, hit_off = _window_stream(
-            ctx.cache_for(dist.w_offsets), dist.w_offsets, network,
-            st.off_stream)
-        dur_adj, hit_adj = _window_stream(
-            ctx.cache_for(dist.w_adj), dist.w_adj, network, st.adj_stream)
+        dur_off, hit_off = _window_stream(ctx, dist.w_offsets, network, st)
+        dur_adj, hit_adj = _window_stream(ctx, dist.w_adj, network, st)
 
         nbytes_l = st.nbytes_l
         dur_loc = memory.local_read_times(nbytes_l)
@@ -217,8 +235,8 @@ class _RankReplay:
             fhit = np.empty(2 * R, dtype=bool)
             fhit[0::2] = hit_off
             fhit[1::2] = hit_adj
-            comm_time = _fold(flat[~fhit])
-            cache_time = _fold(flat[fhit])
+            comm_time = fold_left(flat[~fhit])
+            cache_time = fold_left(flat[fhit])
         else:
             comm_time = cache_time = 0.0
 
@@ -274,7 +292,7 @@ class _RankReplay:
         deltas[epos + nslots] = self.kern
         if not tc:
             deltas[vcum[1:] - 1] = overhead
-        return _fold(deltas)
+        return fold_left(deltas)
 
     def _sequential_comp(self, tc: bool, overhead: float) -> float:
         """comp_time charges in loop order: own, local reads, kernels."""
@@ -287,7 +305,7 @@ class _RankReplay:
         deltas[epos + sizes - 1] = self.kern
         if not tc:
             deltas[vcum[1:] - 1] = overhead
-        return _fold(deltas)
+        return fold_left(deltas)
 
     def _overlap_clock(self, tc: bool, overhead: float) -> float:
         """[own][comm_0][max(kern_i, comm_{i+1})...][kern_last][overhead?]."""
@@ -317,7 +335,7 @@ class _RankReplay:
         deltas[vstart_ne + e_degs[nonempty] + 1] = self.kern[last_e]
         if not tc:
             deltas[vcum[1:] - 1] = overhead
-        return _fold(deltas)
+        return fold_left(deltas)
 
     def _overlap_comp(self, tc: bool, overhead: float) -> float:
         """comp charges with the pipeline's issue order.
@@ -357,7 +375,7 @@ class _RankReplay:
         deltas[(steps_begin + sseg)[nonempty]] = self.kern[last_e]
         if not tc:
             deltas[cvcum[1:] - 1] = overhead
-        return _fold(deltas)
+        return fold_left(deltas)
 
 
 def _replay_ranks(engine: Engine, dist: DistributedCSR, config: LCCConfig,
@@ -375,6 +393,36 @@ def _replay_ranks(engine: Engine, dist: DistributedCSR, config: LCCConfig,
     return clocks, traces
 
 
+def _replay_result(engine: Engine, dist: DistributedCSR, config: LCCConfig,
+                   off_caches: list, adj_caches: list, *, tc: bool
+                   ) -> DistributedRunResult:
+    """Replayed clocks + counted scores -> one ``DistributedRunResult``."""
+    graph = dist.graph
+    clocks, traces = _replay_ranks(engine, dist, config, tc=tc)
+    dist.close_epochs()
+
+    memo_key, count = (("tmin", triangles_min_vertex) if tc
+                       else ("tpv", triangles_per_vertex_batched))
+    per_vertex = dist._replay_memo.get(memo_key)
+    if per_vertex is None:
+        per_vertex = dist._replay_memo[memo_key] = count(graph)
+    total = int(per_vertex.sum())
+    outcome = RunOutcome(
+        time=max(clocks), clocks=clocks, traces=traces,
+        results=[int(per_vertex[dist.local_vertices(r)].sum())
+                 for r in range(engine.nranks)])
+    return DistributedRunResult(
+        lcc=None if tc else lcc_from_triplets(graph, per_vertex),
+        triangles_per_vertex=None if tc else per_vertex.copy(),
+        # tmin counts each triangle once; tpv counts it six times unless
+        # the graph is directed (transitive triads).
+        global_triangles=total if tc or graph.directed else total // 6,
+        outcome=outcome,
+        offsets_cache_stats=CacheStats.merged(off_caches),
+        adj_cache_stats=CacheStats.merged(adj_caches),
+    )
+
+
 def execute_lcc_batched(engine: Engine, dist: DistributedCSR,
                         config: LCCConfig, off_caches: list = (),
                         adj_caches: list = ()) -> DistributedRunResult:
@@ -385,54 +433,13 @@ def execute_lcc_batched(engine: Engine, dist: DistributedCSR,
     loop).  Scores come from the vectorized counting path, timing from the
     cache replay — both bit-identical to the loop.
     """
-    from repro.core.lcc import _merged_stats
-
-    graph = dist.graph
-    clocks, traces = _replay_ranks(engine, dist, config, tc=False)
-    dist.close_epochs()
-
-    tpv = dist._replay_memo.get("tpv")
-    if tpv is None:
-        tpv = triangles_per_vertex_batched(graph)
-        dist._replay_memo["tpv"] = tpv
-    lcc = lcc_from_triplets(graph, tpv)
-    total = int(tpv.sum())
-    outcome = RunOutcome(
-        time=max(clocks), clocks=clocks, traces=traces,
-        results=[int(tpv[dist.local_vertices(r)].sum())
-                 for r in range(engine.nranks)])
-    return DistributedRunResult(
-        lcc=lcc,
-        triangles_per_vertex=tpv.copy(),
-        global_triangles=total if graph.directed else total // 6,
-        outcome=outcome,
-        offsets_cache_stats=_merged_stats(off_caches),
-        adj_cache_stats=_merged_stats(adj_caches),
-    )
+    return _replay_result(engine, dist, config, off_caches, adj_caches,
+                          tc=False)
 
 
 def execute_tc_batched(engine: Engine, dist: DistributedCSR,
                        config: LCCConfig, off_caches: list = (),
                        adj_caches: list = ()) -> DistributedRunResult:
     """Batched-replay counterpart of :func:`repro.core.tc.execute_tc_loop`."""
-    from repro.core.lcc import _merged_stats
-
-    clocks, traces = _replay_ranks(engine, dist, config, tc=True)
-    dist.close_epochs()
-
-    t_min = dist._replay_memo.get("tmin")
-    if t_min is None:
-        t_min = triangles_min_vertex(dist.graph)
-        dist._replay_memo["tmin"] = t_min
-    results = [int(t_min[dist.local_vertices(r)].sum())
-               for r in range(engine.nranks)]
-    outcome = RunOutcome(time=max(clocks), clocks=clocks, traces=traces,
-                         results=results)
-    return DistributedRunResult(
-        lcc=None,
-        triangles_per_vertex=None,
-        global_triangles=int(sum(results)),
-        outcome=outcome,
-        offsets_cache_stats=_merged_stats(off_caches),
-        adj_cache_stats=_merged_stats(adj_caches),
-    )
+    return _replay_result(engine, dist, config, off_caches, adj_caches,
+                          tc=True)

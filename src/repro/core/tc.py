@@ -16,9 +16,10 @@ import math
 
 import numpy as np
 
+from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.intersect import count_common_above
-from repro.core.lcc import setup_distributed, _merged_stats
+from repro.core.lcc import setup_distributed
 from repro.core.threading import OpenMPModel
 from repro.graph.csr import CSRGraph
 from repro.graph.distributed import DistributedCSR
@@ -138,6 +139,6 @@ def execute_tc_loop(engine, dist: DistributedCSR, config: LCCConfig,
         triangles_per_vertex=None,
         global_triangles=int(counts.sum()),
         outcome=outcome,
-        offsets_cache_stats=_merged_stats(off_caches),
-        adj_cache_stats=_merged_stats(adj_caches),
+        offsets_cache_stats=CacheStats.merged(off_caches),
+        adj_cache_stats=CacheStats.merged(adj_caches),
     )

@@ -114,11 +114,10 @@ class OpenMPModel:
 
 # -- the same cost formulas over arrays of list-length pairs -------------------
 #
-# The vectorized kernel paths (:mod:`repro.core.lcc_fast`,
-# :mod:`repro.core.replay`) and the shared-memory throughput sweeps need
-# per-edge kernel times for whole edge lists; looping
-# :meth:`OpenMPModel.kernel_time` per edge in Python is too slow.  A unit
-# test pins these forms to the scalar model.
+# The batched replay (:mod:`repro.core.replay`) and the shared-memory
+# throughput sweeps need per-edge kernel times for whole edge lists;
+# looping :meth:`OpenMPModel.kernel_time` per edge in Python is too slow.
+# A unit test pins these forms to the scalar model.
 
 def exact_log2(x: np.ndarray) -> np.ndarray:
     """``log2`` evaluated with :func:`math.log2` per distinct value.

@@ -12,9 +12,10 @@ function of counts and degrees), the fold is **bit-identical** to a full
 recompute — pinned by :meth:`IncrementalState.verify` (the full-recompute
 parity oracle, which stays the reference path) and by the property suite.
 
-The subset kernels mirror :func:`repro.core.local.triangles_per_vertex_batched`
-and :func:`repro.core.local.triangles_min_vertex` exactly, restricted to a
-vertex list.
+The per-vertex count is :func:`repro.core.local.triangles_per_vertex_subset`
+(the one scoring body, which the full count also runs over all ``n``
+vertices; re-exported here); :func:`triangles_min_vertex_subset` mirrors
+:func:`repro.core.local.triangles_min_vertex` restricted to a vertex list.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.local import (
     lcc_from_triplets,
     triangles_min_vertex,
     triangles_per_vertex_batched,
+    triangles_per_vertex_subset,
 )
 from repro.dynamic.delta import DeltaResult, UpdateBatch, apply_delta
 from repro.graph.csr import CSRGraph, gather_ranges
@@ -34,30 +36,6 @@ __all__ = [
     "triangles_min_vertex_subset",
     "triangles_per_vertex_subset",
 ]
-
-
-def triangles_per_vertex_subset(graph: CSRGraph, vertices: np.ndarray
-                                ) -> np.ndarray:
-    """``t_v = sum_j |adj(v) ∩ adj(j)|`` for the listed vertices only.
-
-    Same vectorized inner body as the full
-    :func:`~repro.core.local.triangles_per_vertex_batched`, looping over
-    ``len(vertices)`` vertices instead of all ``n``.
-    """
-    offsets, adjacency = graph.offsets, graph.adjacency
-    degrees = np.diff(offsets)
-    out = np.zeros(vertices.shape[0], dtype=np.int64)
-    for i, v in enumerate(np.asarray(vertices, dtype=np.int64)):
-        a = adjacency[offsets[v]:offsets[v + 1]]
-        if a.shape[0] == 0:
-            continue
-        candidates, _ = gather_ranges(adjacency, offsets[a], degrees[a])
-        if candidates.shape[0] == 0:
-            continue
-        idx = np.searchsorted(a, candidates)
-        idx[idx == a.shape[0]] = 0  # clip; mismatch check below handles it
-        out[i] = int(np.count_nonzero(a[idx] == candidates))
-    return out
 
 
 def triangles_min_vertex_subset(graph: CSRGraph, vertices: np.ndarray

@@ -35,7 +35,6 @@ import numpy as np
 from repro.clampi.cache import ClampiCache, ClampiConfig
 from repro.clampi.stats import CacheStats
 from repro.core.config import CacheSpec, DistributedRunResult, LCCConfig
-from repro.core.lcc import _merged_stats
 from repro.core.linalg import (
     build_round_streams,
     execute_lcc2d,
@@ -250,7 +249,7 @@ class GridCluster2D(ResidentCluster):
             result = replace(
                 execute_tc2d(self._engine, self._grid, self._blocks,
                              self._win, config, self.graph),
-                adj_cache_stats=_merged_stats(self._caches))
+                adj_cache_stats=CacheStats.merged(self._caches))
         else:
             stats, streams = self.panel_state()
             result = execute_tc2d_spgemm(

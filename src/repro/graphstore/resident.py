@@ -125,7 +125,7 @@ class Cluster1D(ResidentCluster):
 
     # -- acquisition ---------------------------------------------------------
     def acquire(self, graph: CSRGraph, config: LCCConfig,
-                keep_cache: bool = False, need_epochs: bool = True
+                keep_cache: bool = False
                 ) -> tuple[Engine, DistributedCSR, list, list]:
         """Build or reuse the engine + partitioned CSR for ``config``.
 
@@ -133,8 +133,7 @@ class Cluster1D(ResidentCluster):
         clocks and traces are always reset so every query starts cold
         (simulated times match a standalone run), while the CSR split —
         and, with ``keep_cache=True``, the CLaMPI cache contents — are
-        reused while the cluster shape is unchanged.  Epochs are
-        (re)opened unless ``need_epochs=False``.
+        reused while the cluster shape is unchanged.  Epochs are (re)opened.
         """
         key = (config.nranks, config.partition, config.network,
                config.memory, config.compute, config.record_ops)
@@ -156,12 +155,11 @@ class Cluster1D(ResidentCluster):
         for ctx in engine.contexts:
             ctx.now = 0.0
             ctx.trace = RankTrace(rank=ctx.rank, record_ops=config.record_ops)
-        if need_epochs:
-            # execute_lcc/execute_tc close epochs after each query.
-            for rank in range(engine.nranks):
-                for win in (dist.w_offsets, dist.w_adj):
-                    if not win.epoch_open(rank):
-                        win.lock_all(rank)
+        # execute_lcc/execute_tc close epochs after each query.
+        for rank in range(engine.nranks):
+            for win in (dist.w_offsets, dist.w_adj):
+                if not win.epoch_open(rank):
+                    win.lock_all(rank)
         self._configure_caches(config, keep_cache, rebuilt)
         self.last_reused = not rebuilt
         return engine, dist, self._off_caches, self._adj_caches

@@ -141,7 +141,7 @@ class RankTrace:
     def from_totals(cls, rank: int, **totals: float) -> "RankTrace":
         """Build a trace directly from aggregate counters.
 
-        Used by the closed-form/batched replay paths, which compute a
+        Used by the batched replay paths, which compute a
         rank's totals without stepping through individual operations.
         Unknown counter names are rejected so replay code cannot silently
         drop a statistic.

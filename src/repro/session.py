@@ -55,7 +55,6 @@ from repro.baselines.tric import TricConfig, run_tric
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.lcc import execute_lcc
 from repro.dynamic.delta import DeltaResult, UpdateBatch, apply_delta
-from repro.core.lcc_fast import run_distributed_lcc_fast
 from repro.core.tc import execute_tc, require_undirected
 from repro.graph.csr import CSRGraph
 from repro.graph.distributed import DistributedCSR
@@ -335,9 +334,9 @@ class Session:
         rest are forwarded to the kernel (e.g. TriC's ``buffer_capacity``).
         ``keep_cache=True`` preserves CLaMPI cache contents from the
         previous query, reproducing the paper's reuse effect; statistics
-        are still per-query.  Cached lcc/tc queries run through the batched
-        cache replay (:mod:`repro.core.replay`) unless ``fast_path=False``
-        or ``record_ops=True`` forces the per-edge loop.
+        are still per-query.  lcc/tc queries run through the batched
+        replay (:mod:`repro.core.replay`), cached or not, unless
+        ``fast_path=False`` or ``record_ops=True`` forces the per-edge loop.
         """
         if self._closed:
             raise KernelError("session is closed")
@@ -425,7 +424,7 @@ class Session:
 
     # -- resident clusters ---------------------------------------------------
     def resident_cluster(self, config: LCCConfig | None = None,
-                         keep_cache: bool = False, need_epochs: bool = True
+                         keep_cache: bool = False
                          ) -> tuple[Engine, DistributedCSR, list, list]:
         """Build or reuse the 1D engine + partitioned CSR for ``config``.
 
@@ -434,15 +433,15 @@ class Session:
         are always reset so every query starts cold (simulated times match
         a standalone run), while the CSR split — and, with
         ``keep_cache=True``, the CLaMPI cache contents — are reused while
-        the cluster shape is unchanged.  Epochs are (re)opened unless
-        ``need_epochs=False``; kernels that issue RMA should call
-        ``dist.close_epochs()`` when done, as the built-ins do.
+        the cluster shape is unchanged.  Epochs are (re)opened; kernels
+        that issue RMA should call ``dist.close_epochs()`` when done, as
+        the built-ins do.
         """
         if self._c1d is None:
             self._c1d = Cluster1D()
         cluster = self._c1d
         out = cluster.acquire(self.graph, config or self.config,
-                              keep_cache=keep_cache, need_epochs=need_epochs)
+                              keep_cache=keep_cache)
         self._last_reused = cluster.last_reused
         self._last_warm = cluster.last_warm
         return out
@@ -493,10 +492,6 @@ def run_kernel(kernel: str, graph: CSRGraph,
                  description="asynchronous per-vertex LCC (Algorithm 3)")
 def _kernel_lcc(session: Session, config: LCCConfig, *,
                 keep_cache: bool = False, **_: Any) -> DistributedRunResult:
-    if config.fast_path and config.cache is None and not config.record_ops:
-        _, dist, _, _ = session.resident_cluster(config, keep_cache,
-                                                 need_epochs=False)
-        return run_distributed_lcc_fast(session.graph, config, dist=dist)
     engine, dist, off, adj = session.resident_cluster(config, keep_cache)
     return execute_lcc(engine, dist, config, off, adj)
 

@@ -117,7 +117,7 @@ class TestRegistry:
 class TestLegacyParity:
     """`Session.run` is bit-identical to every legacy entry point."""
 
-    def test_lcc_fast_path(self, graph):
+    def test_lcc_cacheless(self, graph):
         cfg = LCCConfig(nranks=4, threads=4)
         with Session(graph, cfg) as s:
             assert_identical(run_distributed_lcc(graph, cfg), s.run("lcc"))
