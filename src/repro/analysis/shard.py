@@ -53,7 +53,8 @@ from repro.core.config import LCCConfig
 from repro.dynamic import UpdateBatch, random_update_batch
 from repro.graph.csr import CSRGraph
 from repro.graphstore import GraphStore, graph_digest
-from repro.serve.engine import ServeConfig, ServingEngine, _digest
+from repro.serve.engine import ServeConfig, ServingEngine
+from repro.serve.records import result_digest
 from repro.serve.scheduler import make_scheduler
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 from repro.session import get_kernel, kernel_names, run_kernel
@@ -122,7 +123,7 @@ def bench_bit_identity(graph: CSRGraph, gname: str, *,
         rs = run_kernel(kernel, sharded.graph(name), config)
         ru = run_kernel(kernel, plain.graph(name), config)
         kernels_identical = kernels_identical and (
-            _digest(rs, version) == _digest(ru, version))
+            result_digest(rs, version) == result_digest(ru, version))
         kernels_checked += 1
     return {
         "rounds": rounds,

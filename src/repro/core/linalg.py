@@ -14,14 +14,24 @@ multiplies the column panel ``A[:, V_K]`` by the row panel ``A[V_K, :]``
 (one strip SpGEMM for the whole grid) and masks by ``A``; every rank's
 per-round product nnz, masked contribution and per-vertex row sums then
 fall out of two ``np.bincount`` passes over the block coordinates.  The
-per-rank simulated clocks and traces are rebuilt exactly as
-:mod:`repro.core.replay` rebuilds the 1D kernels': the remote block
-fetches are emitted as a :class:`~repro.clampi.cache.BatchStream` per
-rank (pushed through :meth:`ClampiCache.access_batch` when block caches
-are attached, closed-form network costs otherwise) and every clock /
-trace total is a strict left-to-right ``np.cumsum`` fold over delta
-arrays laid out in the scalar loop's program order — **bit-identical**
-to :func:`repro.core.tc2d.execute_tc2d`, including each float add.
+per-rank simulated clocks and traces are rebuilt with the three stages of
+:mod:`repro.core.replay`, shared with the 1D kernels: a rank's remote
+block fetches (one :class:`~repro.clampi.cache.BatchStream`) go through
+:func:`~repro.core.replay.price_gets`, the get fields of its trace come
+from :func:`~repro.core.replay.get_totals`, and its clock is one
+:func:`~repro.core.replay.fold_slots` over the 2D slot table, in the
+scalar loop's program order::
+
+    [head] [left][right][compute] ... [left][right][compute] [tail...]
+     0      round k: 1 + 3k, + 1, + 2                         1 + 3c ...
+
+A slot a round does not use — the fetch of a rank's own block, the
+multiply of a round with an empty operand — holds ``0.0``; by the
+zero-padding rule stated there (durations are ``>= 0``, never ``-0.0`` or
+NaN, so ``x + 0.0 == x``) the fold is **bit-identical** to
+:func:`repro.core.tc2d.execute_tc2d`, including each float add.  ``head``
+and ``tail`` are ``0.0`` / empty for the triangle count; ``lcc2d`` puts
+its own-block read, reduction stages and final pass there.
 
 Three entry points build on the shared :class:`SummaStats` tables:
 
@@ -52,7 +62,7 @@ from repro.clampi.cache import BatchStream
 from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.local import lcc_from_triplets, to_sparse
-from repro.core.replay import fold_left
+from repro.core.replay import fold_left, fold_slots, get_totals, price_gets
 from repro.core.tc2d import (
     BLOCKS_WINDOW,
     build_grid_blocks,
@@ -175,72 +185,40 @@ def build_round_streams(grid: GridPartition2D, win: Window
     return streams
 
 
-class _RankReplay2D:
-    """One rank's replayed SUMMA pass: durations, folds, trace totals."""
+def _replay_rank2d(engine: Engine, grid: GridPartition2D, win: Window,
+                   config: LCCConfig, stats: SummaStats, stream: BatchStream,
+                   rank: int, head: float = 0.0, tail: tuple = ()
+                   ) -> tuple[float, float, dict]:
+    """One rank's replayed SUMMA pass: ``(clock, comp_time, get totals)``.
 
-    def __init__(self, engine: Engine, grid: GridPartition2D, win: Window,
-                 config: LCCConfig, stats: SummaStats, stream: BatchStream,
-                 rank: int):
-        c = grid.cols
-        cm = config.compute
-        ctx = engine.contexts[rank]
-        row, col = grid.grid_coords(rank)
-        ks = np.arange(c, dtype=np.int64)
-        left = row * c + ks
-        right = ks * c + col
-        left_remote = left != rank
-        right_remote = right != rank
+    ``head``/``tail`` are the charges a kernel makes before and after its
+    rounds (``lcc2d``'s own-block read, reduction stages and final pass).
+    """
+    c = grid.cols
+    cm = config.compute
+    row, col = grid.grid_coords(rank)
+    ks = np.arange(c, dtype=np.int64)
+    left = row * c + ks
+    right = ks * c + col
+    dur, hit = price_gets(engine.contexts[rank], win, config.network,
+                          stream.counts, lambda: stream)
 
-        cache = ctx.cache_for(win)
-        if cache is not None:
-            dur, hit = cache.access_batch(stream=stream)
-        else:
-            dur = config.network.get_times(stream.counts * win.itemsize)
-            hit = np.zeros(stream.m, dtype=bool)
+    block_nnz = stats.block_nnz
+    busy = ((block_nnz[left] > 0) & (block_nnz[right] > 0)
+            & (block_nnz[rank] > 0))
+    flops = block_nnz[left] + block_nnz[right] + stats.prod_nnz[:, rank]
+    comp_dt = np.where(busy, cm.edge_overhead + flops * cm.c_ssi, 0.0)
 
-        block_nnz = stats.block_nnz
-        comp_mask = ((block_nnz[left] > 0) & (block_nnz[right] > 0)
-                     & (block_nnz[rank] > 0))
-        flops = block_nnz[left] + block_nnz[right] + stats.prod_nnz[:, rank]
-        comp_dt = cm.edge_overhead + flops * cm.c_ssi
-
-        # Program-order slot layout, per round: [left?][right?][compute?]
-        # — the exact ctx.advance sequence of the scalar loop.
-        lr = left_remote.astype(np.int64)
-        rr = right_remote.astype(np.int64)
-        sizes = lr + rr + comp_mask.astype(np.int64)
-        start = np.zeros(c + 1, dtype=np.int64)
-        np.cumsum(sizes, out=start[1:])
-        deltas = np.zeros(int(start[-1]), dtype=np.float64)
-        get_pos = np.stack([start[:-1], start[:-1] + lr], axis=1)
-        get_mask = np.stack([left_remote, right_remote], axis=1)
-        deltas[get_pos[get_mask]] = dur  # row-major: k order, left first
-        deltas[(start[:-1] + lr + rr)[comp_mask]] = comp_dt[comp_mask]
-
-        self.round_deltas = deltas
-        self.clock = fold_left(deltas)
-        self.comp_time = fold_left(comp_dt[comp_mask])
-        self.comm_time = fold_left(dur[~hit])
-        self.cache_time = fold_left(dur[hit])
-        nbytes = stream.counts * win.itemsize
-        self.n_miss = int(np.count_nonzero(~hit))
-        self.n_hit = int(stream.m - self.n_miss)
-        self.bytes_remote = int(nbytes[~hit].sum())
-        self.bytes_cached = int(nbytes[hit].sum())
-        self.count = int(stats.masked_sum[:, rank].sum())
-
-    def trace(self, rank: int, **extra: float) -> RankTrace:
-        return RankTrace.from_totals(
-            rank,
-            n_remote_gets=self.n_miss,
-            n_cache_hits=self.n_hit,
-            bytes_remote=self.bytes_remote,
-            bytes_cached=self.bytes_cached,
-            comm_time=self.comm_time,
-            comp_time=self.comp_time,
-            cache_time=self.cache_time,
-            **extra,
-        )
+    # Round k's slots are 1 + 3k (left get), + 1 (right get), + 2 (compute);
+    # the stream holds the remote fetches row-major: k order, left first.
+    base = 1 + 3 * ks
+    remote = np.stack([left != rank, right != rank], axis=1)
+    clock = fold_slots(
+        1 + 3 * c + len(tail), (0, head),
+        (np.stack([base, base + 1], axis=1)[remote], dur),
+        (base + 2, comp_dt), (slice(1 + 3 * c, None), tail))
+    return clock, fold_left(comp_dt), get_totals(
+        dur, hit, stream.counts * win.itemsize)
 
 
 def _block_caches(engine: Engine, win: Window) -> list:
@@ -267,15 +245,15 @@ def execute_tc2d_spgemm(engine: Engine, grid: GridPartition2D, blocks: list,
     require_square_grid(grid, kernel="tc2d_spgemm", strict=True)
     clocks: list[float] = []
     traces: list[RankTrace] = []
-    results: list[int] = []
+    results = stats.masked_sum.sum(axis=0).tolist()
     with obs_span("tc2d_spgemm", cat="kernel", rounds=grid.cols,
                   nranks=grid.nranks) as sp:
         for rank in range(grid.nranks):
-            rr = _RankReplay2D(engine, grid, win, config, stats,
-                               streams[rank], rank)
-            clocks.append(rr.clock)
-            traces.append(rr.trace(rank))
-            results.append(rr.count)
+            clock, comp, totals = _replay_rank2d(
+                engine, grid, win, config, stats, streams[rank], rank)
+            clocks.append(clock)
+            traces.append(RankTrace.from_totals(rank, comp_time=comp,
+                                                **totals))
         total = int(sum(results))
         assert total % 6 == 0, f"2D triplet total {total} not divisible by 6"
         sp.note(triangles=total // 6)
@@ -319,6 +297,9 @@ def execute_lcc2d(engine: Engine, grid: GridPartition2D, blocks: list,
     if graph.directed:
         raise ConfigError("lcc2d expects an undirected graph "
                           "((A·A)∘A only counts wedges symmetrically)")
+    if config.record_ops:
+        raise ConfigError("kernel 'lcc2d' cannot record ops: it has no "
+                          "per-operation loop (record_ops=True)")
     cm = config.compute
     memory = config.memory
     network = config.network
@@ -326,47 +307,31 @@ def execute_lcc2d(engine: Engine, grid: GridPartition2D, blocks: list,
     stages = int(math.ceil(math.log2(c))) if c > 1 else 0
     clocks: list[float] = []
     traces: list[RankTrace] = []
-    results: list[int] = []
     with obs_span("lcc2d", cat="kernel", rounds=c,
                   nranks=grid.nranks) as sp:
         for rank in range(grid.nranks):
             row, col = grid.grid_coords(rank)
             r_lo, r_hi = grid.row_range(row)
             n_rows = r_hi - r_lo
-            rr = _RankReplay2D(engine, grid, win, config, stats,
-                               streams[rank], rank)
             own_nbytes = win.part_nbytes(rank)
             own_dt = float(memory.local_read_time(own_nbytes))
             reduce_dt = float(network.get_time(8 * n_rows))
             final_dt = (cm.vertex_overhead * n_rows) if row == col else 0.0
-            tail = np.concatenate([
-                np.full(stages, reduce_dt, dtype=np.float64),
-                np.asarray([final_dt], dtype=np.float64)])
-            clocks.append(fold_left(np.concatenate(
-                [np.asarray([own_dt]), rr.round_deltas, tail])))
-            comp_tail = np.asarray([final_dt], dtype=np.float64)
-            comp = fold_left(np.concatenate(
-                [np.asarray([own_dt]),
-                 np.asarray([rr.comp_time]), comp_tail]))
+            clock, comp, totals = _replay_rank2d(
+                engine, grid, win, config, stats, streams[rank], rank,
+                head=own_dt, tail=(reduce_dt,) * stages + (final_dt,))
+            clocks.append(clock)
+            # The rounds' compute is one pre-folded charge between the
+            # own-block read and the final pass.
             traces.append(RankTrace.from_totals(
-                rank,
-                n_remote_gets=rr.n_miss,
-                n_cache_hits=rr.n_hit,
-                n_local_reads=1,
-                bytes_remote=rr.bytes_remote,
-                bytes_cached=rr.bytes_cached,
-                bytes_local=own_nbytes,
-                comm_time=rr.comm_time,
-                comp_time=comp,
-                cache_time=rr.cache_time,
-            ))
-            results.append(rr.count)
+                rank, n_local_reads=1, bytes_local=own_nbytes,
+                comp_time=own_dt + comp + final_dt, **totals))
         total = int(stats.tpv.sum())
         sp.note(triplets=total)
     tpv = stats.tpv.copy()
     lcc = lcc_from_triplets(graph, tpv)
     outcome = RunOutcome(time=max(clocks), clocks=clocks, traces=traces,
-                         results=results)
+                         results=stats.masked_sum.sum(axis=0).tolist())
     return DistributedRunResult(
         lcc=lcc,
         triangles_per_vertex=tpv,

@@ -112,11 +112,6 @@ def build_grid_blocks(graph: CSRGraph, grid: GridPartition2D
     return blocks
 
 
-# Backwards-compatible aliases (pre-refactor private names).
-_pack_block = pack_block
-_build_blocks = build_grid_blocks
-
-
 def require_square_grid(grid: GridPartition2D, *, kernel: str | None = None,
                         strict: bool = False) -> bool:
     """True when the SUMMA-style square-grid kernel applies.
@@ -209,7 +204,8 @@ def run_distributed_tc_2d(graph: CSRGraph, config: LCCConfig | None = None
         raise ConfigError("2D triangle counting expects an undirected graph")
     config = config or LCCConfig()
     engine = Engine(config.nranks, network=config.network,
-                    memory=config.memory, compute=config.compute)
+                    memory=config.memory, compute=config.compute,
+                    record_ops=config.record_ops)
     grid = GridPartition2D(graph.n, config.nranks)
     blocks = build_grid_blocks(graph, grid)
     win = engine.windows.add(Window(BLOCKS_WINDOW,

@@ -54,7 +54,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.partition2d import GridPartition2D
 from repro.graphstore.resident import ClusterResync, ResidentCluster
 from repro.runtime.engine import Engine, RunOutcome
-from repro.runtime.trace import RankTrace
 from repro.runtime.window import Window
 
 __all__ = ["GridCluster2D", "stale_block_keys", "touched_blocks"]
@@ -140,12 +139,14 @@ class GridCluster2D(ResidentCluster):
         ``keep_cache=True``, the block-cache contents — are reused while
         the cluster shape is unchanged.
         """
-        key = (config.nranks, config.network, config.memory, config.compute)
+        key = (config.nranks, config.network, config.memory, config.compute,
+               config.record_ops)
         rebuilt = self._engine is None or key != self._cluster_key
         if rebuilt:
             self._drop_caches()
             engine = Engine(config.nranks, network=config.network,
-                            memory=config.memory, compute=config.compute)
+                            memory=config.memory, compute=config.compute,
+                            record_ops=config.record_ops)
             grid = GridPartition2D(graph.n, config.nranks)
             blocks = build_grid_blocks(graph, grid)
             win = engine.windows.add(
@@ -157,14 +158,7 @@ class GridCluster2D(ResidentCluster):
             self.grid_builds += 1
             self._epoch += 1
         engine, win = self._engine, self._win
-        for ctx in engine.contexts:
-            ctx.now = 0.0
-            ctx.trace = RankTrace(rank=ctx.rank, record_ops=False)
-        # Each query is one access epoch (as the 1D kernels model it):
-        # re-open here, close after execution / on update boundaries.
-        for rank in range(engine.nranks):
-            if not win.epoch_open(rank):
-                win.lock_all(rank)
+        self._begin_query(engine, (win,), config.record_ops)
         self._configure_caches(config, keep_cache, rebuilt)
         self.last_reused = not rebuilt
         return engine, self._grid, self._blocks, win, self._caches

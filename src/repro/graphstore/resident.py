@@ -80,6 +80,23 @@ class ResidentCluster(abc.ABC):
     def resident(self) -> bool:
         """Is there live cluster state to reuse (or to resync)?"""
 
+    @staticmethod
+    def _begin_query(engine: Engine, windows: tuple, record_ops: bool
+                     ) -> None:
+        """Reset per-rank clocks/traces; (re)open an epoch on ``windows``.
+
+        Every query starts cold on the simulated clock and is one access
+        epoch: the kernels close it after execution, updates close it at
+        their boundary.
+        """
+        for ctx in engine.contexts:
+            ctx.now = 0.0
+            ctx.trace = RankTrace(rank=ctx.rank, record_ops=record_ops)
+        for rank in range(engine.nranks):
+            for win in windows:
+                if not win.epoch_open(rank):
+                    win.lock_all(rank)
+
     @abc.abstractmethod
     def resync(self, result: DeltaResult, *, rekey: bool = True
                ) -> ClusterResync:
@@ -152,14 +169,8 @@ class Cluster1D(ResidentCluster):
             self.graph = graph
             self.partition_builds += 1
         engine, dist = self._engine, self._dist
-        for ctx in engine.contexts:
-            ctx.now = 0.0
-            ctx.trace = RankTrace(rank=ctx.rank, record_ops=config.record_ops)
-        # execute_lcc/execute_tc close epochs after each query.
-        for rank in range(engine.nranks):
-            for win in (dist.w_offsets, dist.w_adj):
-                if not win.epoch_open(rank):
-                    win.lock_all(rank)
+        self._begin_query(engine, (dist.w_offsets, dist.w_adj),
+                          config.record_ops)
         self._configure_caches(config, keep_cache, rebuilt)
         self.last_reused = not rebuilt
         return engine, dist, self._off_caches, self._adj_caches

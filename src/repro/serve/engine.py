@@ -99,9 +99,6 @@ from repro.serve.tasks import (
 )
 from repro.utils.errors import ConfigError, SimulationError
 
-#: Back-compat alias: the digest helper moved to :mod:`repro.serve.records`.
-_digest = result_digest
-
 __all__ = [
     "AsyncServeConfig",
     "AsyncServingEngine",

@@ -55,9 +55,11 @@ from repro.baselines.tric import TricConfig, run_tric
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.lcc import execute_lcc
 from repro.dynamic.delta import DeltaResult, UpdateBatch, apply_delta
-from repro.core.tc import execute_tc, require_undirected
+from repro.core.tc import execute_tc
+from repro.core.tc2d import require_square_grid
 from repro.graph.csr import CSRGraph
 from repro.graph.distributed import DistributedCSR
+from repro.graph.partition2d import GridPartition2D
 from repro.graphstore.grid2d import GridCluster2D
 from repro.graphstore.resident import Cluster1D, ClusterResync, ResidentCluster
 from repro.obs.trace import span as obs_span
@@ -90,10 +92,11 @@ class KernelSpec:
     (``tc2d``/``tc2d_spgemm``/``lcc2d``) — built once and reused across
     queries; the others own their run's cluster shape (TriC's
     edge-balanced split, ...) and build it per call, exactly like their
-    legacy entry points.  ``square_grid_only`` marks the SUMMA-family
-    kernels that require a square process grid (``nranks`` a perfect
-    square); they raise a :class:`~repro.utils.errors.ConfigError`
-    otherwise instead of silently falling back.
+    legacy entry points.  ``undirected_only`` and ``square_grid_only``
+    (the SUMMA-family kernels need ``nranks`` a perfect square) are
+    enforced by :meth:`Session.run` before the kernel is called: a
+    violating query raises a :class:`~repro.utils.errors.ConfigError`
+    naming the kernel, for built-ins and plugins alike.
     """
 
     name: str
@@ -346,6 +349,12 @@ class Session:
                      if k in LCCConfig.__dataclass_fields__}
         if overrides:
             cfg = cfg.replace(**overrides)
+        if spec.undirected_only and self.graph.directed:
+            raise ConfigError(
+                f"kernel {kernel!r} expects an undirected graph")
+        if spec.square_grid_only:
+            require_square_grid(GridPartition2D(self.graph.n, cfg.nranks),
+                                kernel=kernel, strict=True)
         self._last_reused = False
         self._last_warm = False
         raw = spec.fn(self, cfg, keep_cache=keep_cache, **opts)
@@ -457,9 +466,6 @@ class Session:
         cluster shape is unchanged), which is what deletes the per-call
         edge re-split the legacy path pays.
         """
-        if self.graph.directed:
-            raise ConfigError(
-                "2D triangle counting expects an undirected graph")
         if self._c2d is None:
             self._c2d = GridCluster2D()
         cluster = self._c2d
@@ -500,7 +506,6 @@ def _kernel_lcc(session: Session, config: LCCConfig, *,
                  description="asynchronous global triangle count")
 def _kernel_tc(session: Session, config: LCCConfig, *,
                keep_cache: bool = False, **_: Any) -> DistributedRunResult:
-    require_undirected(session.graph)
     engine, dist, off, adj = session.resident_cluster(config, keep_cache)
     return execute_tc(engine, dist, config, off, adj)
 

@@ -35,8 +35,9 @@ from dataclasses import dataclass, field
 
 from repro.dynamic.delta import UpdateBatch
 from repro.graph.csr import CSRGraph
-from repro.serve.engine import ServeConfig, _digest
+from repro.serve.engine import ServeConfig
 from repro.serve.pool import SessionPool
+from repro.serve.records import result_digest
 from repro.serve.request import arrival_order
 from repro.shardstore.router import DEFAULT_VNODES, ShardRouter
 from repro.shardstore.sharded import ShardedGraphStore, ShardedUpdate
@@ -293,7 +294,7 @@ class ReplicaSet:
                     start=start, finish=finish, service_s=service,
                     wall_s=wall, warm_cache=result.warm_cache,
                     built_session=built, version=version,
-                    digest=_digest(result, version)))
+                    digest=result_digest(result, version)))
             pool_stats = {rid: pool.stats.as_dict()
                           for rid, pool in pools.items()}
         finally:

@@ -128,8 +128,8 @@ class TestCrossVariantPropagation:
         assert outcome.records[1].version == 1
         ref = run_distributed_tc_2d(post, LCCConfig(nranks=4, threads=2))
         # digest covers global_triangles; recompute it for the reference
-        from repro.serve.engine import _digest
-        assert outcome.records[1].digest == _digest(ref, 1)
+        from repro.serve.records import result_digest
+        assert outcome.records[1].digest == result_digest(ref, 1)
 
 
 class TestCoalescing:

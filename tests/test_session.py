@@ -19,6 +19,7 @@ from repro.core.local import lcc_local, triangle_count_local
 from repro.core.tc import run_distributed_tc
 from repro.core.tc2d import run_distributed_tc_2d
 from repro.graph.generators import rmat
+from repro.runtime.trace import OpKind
 from repro.session import (
     KernelResult,
     Session,
@@ -112,6 +113,75 @@ class TestRegistry:
         session.close()
         with pytest.raises(KernelError, match="closed"):
             session.run("lcc")
+
+
+class TestKernelTraits:
+    """``Session.run`` enforces a spec's declared traits, plugins included."""
+
+    @pytest.fixture
+    def plugin(self):
+        @register_kernel("test-traits", undirected_only=True,
+                         square_grid_only=True)
+        def traits(session, config, **opts):
+            return "ran"
+
+        yield "test-traits"
+        unregister_kernel("test-traits")
+
+    def test_undirected_only_rejects_directed_graph(self, plugin):
+        g = rmat(6, 4, seed=3, directed=True)
+        with pytest.raises(ConfigError, match="test-traits.*undirected"):
+            Session(g, LCCConfig(nranks=4)).run(plugin)
+
+    def test_square_grid_only_rejects_rectangular_grid(self, plugin, graph):
+        with pytest.raises(ConfigError,
+                           match="test-traits.*square.*4 or 9"):
+            Session(graph).run(plugin, nranks=8)
+
+    def test_satisfied_traits_run(self, plugin, graph):
+        assert Session(graph).run(plugin, nranks=4).raw == "ran"
+
+
+def get_ops(trace):
+    return [op for op in trace.ops
+            if op.kind in (OpKind.GET_REMOTE, OpKind.CACHE_HIT)]
+
+
+class TestRecordOps2D:
+    """``record_ops=True`` reaches the 2D kernels' engines and traces."""
+
+    CFG = LCCConfig(nranks=4, threads=2, record_ops=True)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cached"])
+    def test_resident_and_per_call_record_the_same_ops(self, graph, cached):
+        cfg = self.CFG.replace(cache=CacheSpec.relative(
+            graph.nbytes, 0.0, 1.0)) if cached else self.CFG
+        per_call = run_distributed_tc_2d(graph, self.CFG)
+        with Session(graph, cfg) as s:
+            runs = [s.run("tc2d", keep_cache=True) for _ in range(2)]
+            runs.append(s.run("tc2d_spgemm", keep_cache=True))
+        for res in runs:
+            for trace, ref in zip(res.outcome.traces,
+                                  per_call.outcome.traces):
+                gets = get_ops(trace)
+                # One get op per remote block fetch, hit or miss.
+                assert len(gets) == (trace.n_remote_gets
+                                     + trace.n_cache_hits) > 0
+                assert ([op[1:6] for op in gets]
+                        == [op[1:6] for op in get_ops(ref)])
+        if cached:  # the warm queries were served from the block caches
+            assert all(t.n_cache_hits for t in runs[-1].outcome.traces)
+        else:
+            assert ([t.ops for t in runs[0].outcome.traces]
+                    == [t.ops for t in per_call.outcome.traces])
+
+    def test_recording_off_keeps_traces_empty(self, graph):
+        res = run_kernel("tc2d", graph, self.CFG.replace(record_ops=False))
+        assert not any(t.ops for t in res.outcome.traces)
+
+    def test_lcc2d_has_no_loop_to_record_from(self, graph):
+        with pytest.raises(ConfigError, match="lcc2d.*record"):
+            run_kernel("lcc2d", graph, self.CFG)
 
 
 class TestLegacyParity:
