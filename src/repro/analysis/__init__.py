@@ -3,8 +3,8 @@ reproduction scripts.
 
 Every table and figure of the paper's evaluation section has a module in
 :mod:`repro.analysis.experiments`; ``python -m repro.analysis.runner --all``
-regenerates them all and prints paper-style tables (recorded in
-EXPERIMENTS.md).
+regenerates them all and prints paper-style tables; ``python -m repro bench
+paper`` gates the claims they carry (:mod:`repro.analysis.paper`).
 """
 
 from repro.analysis.tables import Table
@@ -13,7 +13,6 @@ from repro.analysis.reuse import (
     repetition_histogram,
     top_degree_read_share,
 )
-from repro.analysis.sweep import run_variants
 from repro.analysis.statistics import MedianCI, median_ci, repeat_over_seeds
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "remote_read_counts",
     "repetition_histogram",
     "top_degree_read_share",
-    "run_variants",
     "MedianCI",
     "median_ci",
     "repeat_over_seeds",

@@ -24,12 +24,7 @@ import sys
 import time
 from typing import Any, Mapping
 
-from repro.analysis.benchsuite import (
-    REL_TOLERANCE,
-    SCHEMA_VERSION,
-    BenchSuite,
-    Gate,
-)
+from repro.analysis.benchsuite import SCHEMA_VERSION, BenchSuite, Gate
 from repro.core.config import CacheSpec, LCCConfig
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import powerlaw_configuration, rmat
@@ -346,9 +341,9 @@ SUITE = BenchSuite(
     name="kernels",
     doc="every registered kernel (incl. the SUMMA `tc2d_spgemm`/`lcc2d` "
         "pair on the square grid); batched replay bit-identical to the "
-        "per-edge loop and its per-kernel worst warm speedup >= 25% of the "
-        "baseline's; `linalg` rows bit-identical to their oracles with an "
-        "absolute 2x warm floor",
+        "per-edge loop; `linalg` rows bit-identical to their oracles (warm "
+        "speedups over the loops are recorded, not gated: the ledger's "
+        "`wall_s` rows hold the fast paths)",
     run=run_bench,
     keys=("schema_version", "quick", "nranks", "threads", "grid_nranks",
           "graphs", "kernels", "cached_replay", "linalg"),
@@ -356,20 +351,9 @@ SUITE = BenchSuite(
         Gate("cached_replay.*.bit_identical", "is", True,
              "batched replay is no longer bit-identical to the per-edge "
              "loop"),
-        # Graph names are not matched across reports (quick CI sizes vs
-        # the full-size baseline): the per-kernel minimum is the contract.
-        Gate("cached_replay.*.warm_speedup", ">=", None,
-             "warm loop-vs-batched speedup", rel=REL_TOLERANCE,
-             rel_by_prefix=True),
         Gate("linalg.*.bit_identical", "is", True,
              "algebraic replay is no longer bit-identical to its "
-             "edge-centric oracle", if_in_baseline=True),
-        # A hard contract, unlike the relative row above: the vectorized
-        # paths beat their loops by far more than 2x on every size, so
-        # even --quick runs only trip it when a path degenerates.
-        Gate("linalg.*.warm_speedup", ">=", 2.0,
-             "warm speedup fell below the absolute floor",
-             if_in_baseline=True),
+             "edge-centric oracle"),
     ),
     headline=_headline,
     summary=_summary,

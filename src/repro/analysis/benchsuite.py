@@ -29,7 +29,9 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence,
+)
 
 from repro.analysis.schema import (
     trajectory_row_problems,
@@ -59,6 +61,7 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
     ">": operator.gt,
     "<=": operator.le,
     "<": operator.lt,
+    "in": lambda value, bound: bound[0] < value < bound[1],
     "len>=": lambda value, bound: len(value) >= bound,
     "len==": lambda value, bound: len(value) == bound,
 }
@@ -83,8 +86,9 @@ class Sibling:
 class Gate:
     """One row of a suite's gate table (see the module docstring).
 
-    ``bound`` is a constant, a :class:`Quick` pair or a :class:`Sibling`
-    key; ``None`` means the row has no absolute clause (only ``rel``).
+    ``bound`` is a constant (for ``in``, an open ``(low, high)`` interval),
+    a :class:`Quick` pair or a :class:`Sibling` key; ``None`` means the row
+    has no absolute clause (only ``rel``).
     ``skip`` names keys a ``*`` must not match (sections that mix
     per-graph rows with one differently-shaped row).
     """
@@ -96,15 +100,8 @@ class Gate:
     #: With a baseline: the minimum over the ``*`` matches must stay at or
     #: above ``rel`` x the baseline's minimum over its own matches.
     rel: Optional[float] = None
-    #: ``rel`` compares minima per ``prefix:`` of the ``*`` key (one per
-    #: kernel across graphs) instead of one minimum over all matches.
-    rel_by_prefix: bool = False
     #: With a baseline the ``rel`` clause replaces the absolute one.
     rel_waives_bound: bool = False
-    #: Evaluate the row only against a baseline that records the path's
-    #: section (not without ``--check``, nor against a baseline recorded
-    #: before the section existed).
-    if_in_baseline: bool = False
     skip: tuple = ()
 
     def __post_init__(self) -> None:
@@ -175,6 +172,7 @@ _SUITE_MODULES = {
     "store": "store",
     "shard": "shard",
     "async": "async_serve",
+    "paper": "paper",
     "trace": "tracing",
 }
 
@@ -213,6 +211,13 @@ def _resolve(node: Any, parts: Sequence[str], skip: tuple,
             yield at + (key,), node, node[key]
 
 
+def matched(gate: Gate, report: Mapping) -> list:
+    """Every value of ``report`` the row reads (its ``*`` expanded)."""
+    return [value for _, _, value
+            in _resolve(report, gate.path.split("."), gate.skip)
+            if value is not _MISSING]
+
+
 def _show(value: Any) -> str:
     if value is _MISSING:
         return "nothing recorded"
@@ -223,39 +228,28 @@ def _show(value: Any) -> str:
     return repr(value)
 
 
-def _minima(gate: Gate, matches: Sequence[tuple]) -> dict:
-    """Worst (minimum) numeric value per relative group of a row."""
-    star = gate.path.split(".").index("*") if "*" in gate.path else None
-    minima: dict = {}
-    for path, _, value in matches:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        group = (path[star].split(":", 1)[0]
-                 if gate.rel_by_prefix and star is not None else "")
-        minima[group] = min(minima.get(group, value), value)
-    return minima
+def _worst(matches: Iterable[tuple]) -> Optional[float]:
+    """The minimum numeric value a row matched (``None``: matched none)."""
+    return min((value for _, _, value in matches
+                if isinstance(value, (int, float))
+                and not isinstance(value, bool)), default=None)
 
 
 def _relative(suite: BenchSuite, gate: Gate, matches: Sequence[tuple],
               baseline: Mapping) -> Iterator[str]:
     parts = gate.path.split(".")
-    base = _minima(gate, list(_resolve(baseline, parts, gate.skip)))
-    if not base:
+    floor = _worst(_resolve(baseline, parts, gate.skip))
+    if floor is None:
         yield (f"baseline has no {parts[0]} section (is --check pointed "
                f"at a {suite.baseline_file}?)")
         return
-    fresh = _minima(gate, matches)
-    for group, floor in sorted(base.items()):
-        label = f"{gate.path} [{group}]" if group else gate.path
-        if group not in fresh:
-            yield (f"{label}: {group!r} present in the baseline but "
-                   "missing from the fresh report")
-            continue
-        threshold = gate.rel * floor
-        if fresh[group] < threshold:
-            yield (f"{label}: {fresh[group]:.2f}x fell below "
-                   f"{threshold:.2f}x ({gate.rel:.0%} of the baseline's "
-                   f"{floor:.2f}x)")
+    fresh, threshold = _worst(matches), gate.rel * floor
+    if fresh is None:
+        yield (f"{gate.path}: the baseline records {floor:.2f}x but the "
+               "fresh report has no number to hold to it")
+    elif fresh < threshold:
+        yield (f"{gate.path}: {fresh:.2f}x fell below {threshold:.2f}x "
+               f"({gate.rel:.0%} of the baseline's {floor:.2f}x)")
 
 
 def violations(suite: BenchSuite, report: Mapping,
@@ -268,10 +262,7 @@ def violations(suite: BenchSuite, report: Mapping,
     """
     quick = bool(report.get("quick"))
     for gate in suite.gates:
-        parts = gate.path.split(".")
-        if gate.if_in_baseline and not (baseline or {}).get(parts[0]):
-            continue
-        matches = list(_resolve(report, parts, gate.skip))
+        matches = list(_resolve(report, gate.path.split("."), gate.skip))
         absolute = gate.bound is not None and not (
             gate.rel_waives_bound and baseline is not None)
         for path, parent, value in matches:

@@ -2,9 +2,13 @@
 
 Every module exposes ``run(scale=1.0, seed=0, fast=False) -> list[Table]``
 and can be executed directly (``python -m
-repro.analysis.experiments.exp_fig9``).  ``fast=True`` trims the sweep for
-smoke tests and pytest-benchmark wrappers; the defaults regenerate the
-EXPERIMENTS.md numbers.
+repro.analysis.experiments.exp_fig9``).  Modules that carry a gated claim
+split ``run`` in two: ``sweep(...)`` measures and returns plain numbers
+(JSON-ready, string keys), ``run`` formats them — so the ``paper`` bench
+suite (:mod:`repro.analysis.paper`) gates the very measurement the table
+prints and nothing reads a rendered cell back.  ``fast=True`` trims the
+sweep for smoke tests and ``--quick`` bench runs; the defaults are the
+full-size sweeps.
 """
 
 from repro.analysis.experiments import (  # noqa: F401

@@ -1,4 +1,4 @@
-"""Ablations for the design choices DESIGN.md calls out.
+"""Ablations for the paper's design choices.
 
 Not figures from the paper, but the knobs the paper discusses in prose:
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.tables import Table
+from repro.analysis.tables import Table, print_tables
 from repro.baselines.disttc import DistTCConfig, run_disttc
 from repro.baselines.tric import TricConfig, run_tric
 from repro.core.config import CacheSpec, LCCConfig
@@ -25,33 +25,51 @@ from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat
 
 
-def ablate_overlap(scale: float, seed: int) -> Table:
+def overlap_sweep(scale: float, seed: int) -> dict:
+    """``{node count: LCC time with double buffering on / off, and on/off}``."""
     g = load_dataset("rmat-s21-ef16", scale=scale, seed=seed)
+    out = {}
+    for p in (4, 16, 64):
+        on, off = (run_distributed_lcc(
+            g, LCCConfig(nranks=p, threads=12, overlap=overlap)).time
+            for overlap in (True, False))
+        out[str(p)] = {"on_s": on, "off_s": off, "on_over_off": on / off}
+    return out
+
+
+def ablate_overlap(scale: float, seed: int) -> Table:
     t = Table(["nodes", "overlap on (s)", "overlap off (s)", "gain"],
               title="Ablation: double buffering (Section III-A)")
-    for p in (4, 16, 64):
-        on = run_distributed_lcc(g, LCCConfig(nranks=p, threads=12,
-                                              overlap=True))
-        off = run_distributed_lcc(g, LCCConfig(nranks=p, threads=12,
-                                               overlap=False))
-        t.add_row(p, round(on.time, 4), round(off.time, 4),
-                  f"{(1 - on.time / off.time):.1%}")
+    for p, row in overlap_sweep(scale, seed).items():
+        t.add_row(p, round(row["on_s"], 4), round(row["off_s"], 4),
+                  f"{(1 - row['on_over_off']):.1%}")
     return t
 
 
-def ablate_partition(scale: float, seed: int) -> Table:
+def partition_sweep(scale: float, seed: int) -> dict:
+    """``{node count: time, load imbalance and triangle count per 1D
+    partitioning}``."""
     g = load_dataset("orkut", scale=scale, seed=seed)
+    out = {}
+    for p in (8, 32):
+        row = out[str(p)] = {}
+        for partition in ("block", "cyclic"):
+            res = run_distributed_lcc(g, LCCConfig(nranks=p, threads=12,
+                                                   partition=partition))
+            row.update({f"{partition}_s": res.time,
+                        f"{partition}_imbalance": res.outcome.load_imbalance,
+                        f"{partition}_triangles": int(res.global_triangles)})
+    return out
+
+
+def ablate_partition(scale: float, seed: int) -> Table:
     t = Table(["nodes", "block (s)", "cyclic (s)", "block imbalance",
                "cyclic imbalance"],
               title="Ablation: 1D block vs cyclic partitioning")
-    for p in (8, 32):
-        blk = run_distributed_lcc(g, LCCConfig(nranks=p, threads=12,
-                                               partition="block"))
-        cyc = run_distributed_lcc(g, LCCConfig(nranks=p, threads=12,
-                                               partition="cyclic"))
-        t.add_row(p, round(blk.time, 4), round(cyc.time, 4),
-                  f"{blk.outcome.load_imbalance:.2%}",
-                  f"{cyc.outcome.load_imbalance:.2%}")
+    for p, row in partition_sweep(scale, seed).items():
+        t.add_row(p, round(row["block_s"], 4), round(row["cyclic_s"], 4),
+                  f"{row['block_imbalance']:.2%}",
+                  f"{row['cyclic_imbalance']:.2%}")
     return t
 
 
@@ -88,6 +106,25 @@ def ablate_disttc(scale: float, seed: int) -> Table:
     return t
 
 
+def tric_volume_sweep(seed: int) -> dict:
+    """``{"scales": {R-MAT scale: wire words, their ratio, time ratio},
+    "ratio_growth": largest scale's word ratio / smallest scale's}``."""
+    scales = {}
+    for s in (9, 11, 13):
+        g = rmat(s, 16, seed=seed)
+        p = 8
+        async_res = run_distributed_lcc(g, LCCConfig(nranks=p, threads=12))
+        tric_res = run_tric(g, TricConfig(nranks=p))
+        async_words = async_res.outcome.total("bytes_remote") / 4
+        tric_words = (tric_res.outcome.total("bytes_sent")) / 4
+        scales[f"S{s}"] = {
+            "async_words": int(async_words), "tric_words": int(tric_words),
+            "words_ratio": tric_words / max(async_words, 1),
+            "time_ratio": tric_res.time / async_res.time}
+    ratios = [row["words_ratio"] for row in scales.values()]
+    return {"scales": scales, "ratio_growth": ratios[-1] / ratios[0]}
+
+
 def tric_volume_growth(scale: float, seed: int) -> Table:
     """The quadratic-volume mechanism behind the paper's 100x claim."""
     t = Table(
@@ -96,16 +133,9 @@ def tric_volume_growth(scale: float, seed: int) -> Table:
         title=("Ablation: TriC wedge volume vs async fetch volume "
                "(grows with hub degree -> the paper's 100x at S21+)"),
     )
-    for s in (9, 11, 13):
-        g = rmat(s, 16, seed=seed)
-        p = 8
-        async_res = run_distributed_lcc(g, LCCConfig(nranks=p, threads=12))
-        tric_res = run_tric(g, TricConfig(nranks=p))
-        async_words = async_res.outcome.total("bytes_remote") / 4
-        tric_words = (tric_res.outcome.total("bytes_sent")) / 4
-        t.add_row(f"S{s}", int(async_words), int(tric_words),
-                  f"{tric_words / max(async_words, 1):.2f}",
-                  f"{tric_res.time / async_res.time:.1f}x")
+    for label, row in tric_volume_sweep(seed)["scales"].items():
+        t.add_row(label, row["async_words"], row["tric_words"],
+                  f"{row['words_ratio']:.2f}", f"{row['time_ratio']:.1f}x")
     return t
 
 
@@ -224,11 +254,5 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
     ]
 
 
-def main() -> None:
-    for table in run():
-        print(table.render())
-        print()
-
-
 if __name__ == "__main__":
-    main()
+    print_tables(run())

@@ -10,42 +10,46 @@ from __future__ import annotations
 
 
 from repro.analysis.reuse import remote_read_counts, repetition_histogram
-from repro.analysis.tables import Table
+from repro.analysis.tables import Table, print_tables
 from repro.graph.datasets import load_dataset
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
+def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+    """The repetition histogram (bucketed) and the reuse summary, as numbers."""
     g = load_dataset("facebook-circles", scale=scale, seed=seed)
     reps, freq = repetition_histogram(g, nranks=2, initiator=0)
-
-    table = Table(["repetitions", "vertices read that often"],
-                  title=(f"Figure 1 (right): remote reads by rank 0 of 2 on "
-                         f"{g.name} (n={g.n}, m={g.m})"))
     # Bucket the tail like the paper's plot (1, 2-3, 4-15, 16-63, 64-255...).
     buckets = [(1, 1), (2, 3), (4, 15), (16, 63), (64, 255), (256, 10**9)]
+    histogram = {}
     for lo, hi in buckets:
         mask = (reps >= lo) & (reps <= hi)
-        count = int(freq[mask].sum())
         label = f"{lo}" if lo == hi else f"{lo}-{hi if hi < 10**9 else '...'}"
-        table.add_row(label, count)
-
+        histogram[label] = int(freq[mask].sum())
     counts = remote_read_counts(g, 2, initiator=0)
-    summary = Table(["metric", "value"], title="Reuse summary")
     touched = counts[counts > 0]
-    summary.add_row("remote reads total", int(touched.sum()))
-    summary.add_row("distinct vertices read", int(touched.shape[0]))
-    summary.add_row("mean repetitions", round(float(touched.mean()), 2))
-    summary.add_row("max repetitions", int(touched.max()))
+    return {"graph": g.name, "n": g.n, "m": g.m, "histogram": histogram,
+            "remote_reads": int(touched.sum()),
+            "distinct_vertices": int(touched.shape[0]),
+            "mean_repetitions": float(touched.mean()),
+            "max_repetitions": int(touched.max())}
+
+
+def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
+    r = sweep(scale, seed, fast)
+    table = Table(["repetitions", "vertices read that often"],
+                  title=(f"Figure 1 (right): remote reads by rank 0 of 2 on "
+                         f"{r['graph']} (n={r['n']}, m={r['m']})"))
+    for label, count in r["histogram"].items():
+        table.add_row(label, count)
+    summary = Table(["metric", "value"], title="Reuse summary")
+    summary.add_row("remote reads total", r["remote_reads"])
+    summary.add_row("distinct vertices read", r["distinct_vertices"])
+    summary.add_row("mean repetitions", round(r["mean_repetitions"], 2))
+    summary.add_row("max repetitions", r["max_repetitions"])
     summary.add_row("reads avoidable by a perfect cache",
-                    int(touched.sum() - touched.shape[0]))
+                    r["remote_reads"] - r["distinct_vertices"])
     return [table, summary]
 
 
-def main() -> None:
-    for table in run():
-        print(table.render())
-        print()
-
-
 if __name__ == "__main__":
-    main()
+    print_tables(run())

@@ -10,9 +10,9 @@ paper's headline is a 73% total-time reduction for R-MAT S30.
 
 from __future__ import annotations
 
-from repro.analysis.sweep import run_kernel_variants, series, speedup
-from repro.analysis.tables import Table
-from repro.core.config import CacheSpec, LCCConfig
+from repro.analysis.sweep import scaling_table, strong_scaling
+from repro.analysis.tables import Table, print_tables
+from repro.core.config import CacheSpec
 from repro.graph.datasets import load_dataset
 
 GRAPHS = ["rmat-s30-ef16", "uk-2005", "wiki-en"]
@@ -22,50 +22,37 @@ NODE_COUNTS = [128, 256, 512]
 PAPER_SPEEDUPS = {"rmat-s30-ef16": 3.4, "uk-2005": 1.5, "wiki-en": 1.7}
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False,
-        graphs: list[str] | None = None) -> list[Table]:
-    names = graphs or (GRAPHS[1:2] if fast else GRAPHS)
-    counts = [128] if fast else NODE_COUNTS
-    tables = []
-    for name in names:
+def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False,
+          graphs: list[str] | None = None) -> dict:
+    """``{graph: strong_scaling(...)}`` over the three Figure 10 series."""
+    out = {}
+    for name in graphs or (GRAPHS[1:2] if fast else GRAPHS):
         g = load_dataset(name, scale=scale, seed=seed)
         cache = CacheSpec.paper_split(max(4096, int(0.12 * g.nbytes)), g.n)
-
-        variants = {
+        out[name] = strong_scaling(g, [128] if fast else NODE_COUNTS, {
             "lcc": {"kernel": "lcc"},
             "lcc-cached": {"kernel": "lcc", "cache": cache},
             "tric": {"kernel": "tric"},
-        }
-        cells = run_kernel_variants(g, counts, variants,
-                                    config=LCCConfig(threads=12))
-        by = {v: dict(series(cells, v)) for v in variants}
-        t = Table(
-            ["nodes", "lcc", "lcc-cached", "tric", "cache gain", "tric/lcc"],
-            title=(f"Figure 10: {name} (n={g.n:,}, m={g.m:,}) "
-                   "- running time (s), cache = 12% of CSR"),
-        )
-        for p in counts:
-            lcc_t, cached_t, tric_t = (by["lcc"][p], by["lcc-cached"][p],
-                                       by["tric"][p])
-            t.add_row(p, round(lcc_t, 4), round(cached_t, 4),
-                      round(tric_t, 4),
-                      f"{(1 - cached_t / lcc_t):.1%}",
-                      f"{tric_t / lcc_t:.1f}x")
-        tables.append(t)
+        })
+    return out
+
+
+def run(scale: float = 1.0, seed: int = 0, fast: bool = False,
+        graphs: list[str] | None = None) -> list[Table]:
+    tables = []
+    for name, r in sweep(scale, seed, fast, graphs).items():
+        tables.append(scaling_table(r, (
+            f"Figure 10: {name} (n={r['n']:,}, m={r['m']:,}) "
+            "- running time (s), cache = 12% of CSR")))
+        counts = list(r["nodes"])
         if len(counts) > 1:
             ann = Table(["series", "speedup (ours)", "speedup (paper)"],
                         title=f"{name}: speedup {counts[0]} -> {counts[-1]}")
-            ann.add_row("lcc", f"{speedup(cells, 'lcc'):.1f}x",
+            ann.add_row("lcc", f"{r['speedup']['lcc']:.1f}x",
                         f"{PAPER_SPEEDUPS.get(name, float('nan'))}x")
             tables.append(ann)
     return tables
 
 
-def main() -> None:
-    for table in run():
-        print(table.render())
-        print()
-
-
 if __name__ == "__main__":
-    main()
+    print_tables(run())

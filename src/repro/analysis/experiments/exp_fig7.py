@@ -14,7 +14,7 @@ observes:
 
 from __future__ import annotations
 
-from repro.analysis.tables import Table
+from repro.analysis.tables import Table, print_tables
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.lcc import run_distributed_lcc
 from repro.graph.datasets import load_dataset
@@ -22,40 +22,52 @@ from repro.graph.datasets import load_dataset
 RELATIVE_SIZES = [0.05, 0.1, 0.2, 0.4, 0.7, 1.0]
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
+def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+    """``{window: {"sizes": {relative size: that run's numbers}, and the
+    miss rate / saving at the smallest and the largest size}}``."""
     g = load_dataset("rmat-s20-ef16", scale=scale, seed=seed)
-    sizes = [0.1, 1.0] if fast else RELATIVE_SIZES
     base_cfg = LCCConfig(nranks=2, threads=12)
-    baseline = run_distributed_lcc(g, base_cfg)
-    base_comm = baseline.comm_time
-
+    base_comm = run_distributed_lcc(g, base_cfg).comm_time
+    windows = {}
     # Full-need capacities: every (start,end) pair / the whole adjacency.
-    offsets_full = g.n * 16
-    adj_full = g.adjacency.nbytes
+    for which, full in [("offsets", g.n * 16), ("adj", g.adjacency.nbytes)]:
+        sizes = {}
+        for rel in [0.1, 1.0] if fast else RELATIVE_SIZES:
+            cap = max(64, int(rel * full))
+            spec = CacheSpec(**{"offsets_bytes": 0, "adj_bytes": 0,
+                                f"{which}_bytes": cap})
+            res = run_distributed_lcc(g, base_cfg.replace(cache=spec))
+            stats = getattr(res, f"{which}_cache_stats")
+            sizes[str(rel)] = {
+                "capacity_bytes": cap, "miss_rate": stats["miss_rate"],
+                "compulsory_floor": stats["compulsory_miss_rate"],
+                "comm_time_s": res.comm_time,
+                "saving": 1 - res.comm_time / base_comm}
+        smallest, *_, largest = sizes.values()
+        windows[f"C_{which}"] = {
+            "sizes": sizes,
+            "miss_rate_smallest": smallest["miss_rate"],
+            "miss_rate_largest": largest["miss_rate"],
+            "saving_smallest": smallest["saving"],
+            "saving_largest": largest["saving"]}
+    return {"graph": g.name, "uncached_comm_s": base_comm, "windows": windows}
 
+
+def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
+    r = sweep(scale, seed, fast)
     tables = []
-    for label, full, which in [("C_offsets", offsets_full, "offsets"),
-                               ("C_adj", adj_full, "adj")]:
+    for label, window in r["windows"].items():
         t = Table(
             ["relative size", "capacity (B)", "miss rate",
              "compulsory floor", "comm time (s)", "saving vs uncached"],
-            title=(f"Figure 7 ({label}): cache-size sweep on {g.name}, "
-                   f"2 nodes (uncached comm {base_comm:.3f}s)"),
+            title=(f"Figure 7 ({label}): cache-size sweep on {r['graph']}, "
+                   f"2 nodes (uncached comm {r['uncached_comm_s']:.3f}s)"),
         )
-        for rel in sizes:
-            cap = max(64, int(rel * full))
-            if which == "offsets":
-                spec = CacheSpec(offsets_bytes=cap, adj_bytes=0)
-            else:
-                spec = CacheSpec(offsets_bytes=0, adj_bytes=cap)
-            res = run_distributed_lcc(g, base_cfg.replace(cache=spec))
-            stats = (res.offsets_cache_stats if which == "offsets"
-                     else res.adj_cache_stats)
-            comm = res.comm_time
-            t.add_row(rel, cap, f"{stats['miss_rate']:.3f}",
-                      f"{stats['compulsory_miss_rate']:.3f}",
-                      round(comm, 4),
-                      f"{(1 - comm / base_comm):.1%}")
+        for rel, row in window["sizes"].items():
+            t.add_row(float(rel), row["capacity_bytes"],
+                      f"{row['miss_rate']:.3f}",
+                      f"{row['compulsory_floor']:.3f}",
+                      round(row["comm_time_s"], 4), f"{row['saving']:.1%}")
         tables.append(t)
     note = Table(["note"], title="")
     note.add_row(
@@ -69,11 +81,5 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
     return tables
 
 
-def main() -> None:
-    for table in run():
-        print(table.render())
-        print()
-
-
 if __name__ == "__main__":
-    main()
+    print_tables(run())

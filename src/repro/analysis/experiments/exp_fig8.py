@@ -10,7 +10,7 @@ the compulsory-miss floor is reported alongside (the grey band).
 from __future__ import annotations
 
 
-from repro.analysis.tables import Table
+from repro.analysis.tables import Table, print_tables
 from repro.core.config import LCCConfig
 from repro.core.lcc import run_distributed_lcc
 from repro.graph.datasets import load_dataset
@@ -49,31 +49,41 @@ def avg_remote_read_time(result) -> float:
     return (out.total("comm_time") + out.total("cache_time")) / intents
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
+def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+    """``{"graph": name, "nodes": {node count: stock vs degree scores}}``."""
     g = load_dataset("rmat-s20-ef16", scale=scale, seed=seed)
-    counts = [4, 16] if fast else NODE_COUNTS
+    nodes = {}
+    for p in [4, 16] if fast else NODE_COUNTS:
+        base = _run_with_adj_cache(g, p, "default", seed)
+        deg = _run_with_adj_cache(g, p, "degree", seed)
+        nodes[str(p)] = {
+            "avg_read_stock_s": avg_remote_read_time(base),
+            "avg_read_degree_s": avg_remote_read_time(deg),
+            "miss_rate_stock": base.adj_cache_stats["miss_rate"],
+            "miss_rate_degree": deg.adj_cache_stats["miss_rate"],
+            "compulsory_floor": deg.adj_cache_stats["compulsory_miss_rate"]}
+    return {"graph": g.name, "nodes": nodes}
+
+
+def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
+    r = sweep(scale, seed, fast)
     t = Table(
         ["nodes", "avg read (us, LRU+pos)", "avg read (us, degree)",
          "improvement", "miss rate (LRU+pos)", "miss rate (degree)",
          "compulsory floor"],
-        title=(f"Figure 8: original vs degree-centrality scores on {g.name} "
-               "(C_adj = 25% of non-local partition)"),
+        title=(f"Figure 8: original vs degree-centrality scores on "
+               f"{r['graph']} (C_adj = 25% of non-local partition)"),
     )
-    for p in counts:
-        base = _run_with_adj_cache(g, p, "default", seed)
-        deg = _run_with_adj_cache(g, p, "degree", seed)
-        a, b = avg_remote_read_time(base), avg_remote_read_time(deg)
-        mr_a = base.adj_cache_stats["miss_rate"]
-        mr_b = deg.adj_cache_stats["miss_rate"]
-        comp = deg.adj_cache_stats["compulsory_miss_rate"]
+    for p, row in r["nodes"].items():
+        a, b = row["avg_read_stock_s"], row["avg_read_degree_s"]
         t.add_row(
             p,
             round(a * 1e6, 2),
             round(b * 1e6, 2),
             f"{(1 - b / a):.1%}" if a > 0 else "-",
-            f"{mr_a:.3f}",
-            f"{mr_b:.3f}",
-            f"{comp:.3f}",
+            f"{row['miss_rate_stock']:.3f}",
+            f"{row['miss_rate_degree']:.3f}",
+            f"{row['compulsory_floor']:.3f}",
         )
     note = Table(["note"], title="")
     note.add_row(
@@ -84,11 +94,5 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
     return [t, note]
 
 
-def main() -> None:
-    for table in run():
-        print(table.render())
-        print()
-
-
 if __name__ == "__main__":
-    main()
+    print_tables(run())

@@ -15,9 +15,9 @@ scale-free graphs, nearly flat in node count.
 
 from __future__ import annotations
 
-from repro.analysis.sweep import run_kernel_variants, series, speedup
-from repro.analysis.tables import Table
-from repro.core.config import CacheSpec, LCCConfig
+from repro.analysis.sweep import scaling_table, strong_scaling
+from repro.analysis.tables import Table, print_tables
+from repro.core.config import CacheSpec
 from repro.graph.datasets import load_dataset
 
 GRAPHS = ["rmat-s21-ef16", "rmat-s23-ef16", "orkut", "livejournal",
@@ -42,48 +42,45 @@ def make_variants(graph, buffered_cap: int = 1 << 18):
     }
 
 
+def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False,
+          graphs: list[str] | None = None,
+          counts: list[int] | None = None) -> dict:
+    """``{graph: strong_scaling(...)}`` plus TriC-Buffered's ratio per node
+    count and, per graph, the cached series' gain at the smallest node
+    count and the share of that gain left at the largest."""
+    out = {}
+    for name in graphs or (GRAPHS[:1] if fast else GRAPHS):
+        g = load_dataset(name, scale=scale, seed=seed)
+        r = out[name] = strong_scaling(
+            g, counts or ([4, 16] if fast else NODE_COUNTS), make_variants(g))
+        for row in r["nodes"].values():
+            row["tric_buffered_over_tric"] = row["tric-buffered"] / row["tric"]
+        gains = [1 - row["cached_over_lcc"] for row in r["nodes"].values()]
+        r.update(directed=g.directed, cache_gain_smallest=gains[0],
+                 cache_gain_retained=gains[-1] / gains[0])
+    return out
+
+
 def run(scale: float = 1.0, seed: int = 0, fast: bool = False,
         graphs: list[str] | None = None) -> list[Table]:
-    names = graphs or (GRAPHS[:1] if fast else GRAPHS)
-    counts = [4, 16] if fast else NODE_COUNTS
     tables = []
-    for name in names:
-        g = load_dataset(name, scale=scale, seed=seed)
-        variants = make_variants(g)
-        cells = run_kernel_variants(g, counts, variants,
-                                    config=LCCConfig(threads=12))
-        directed_note = " (directed: transitive triads)" if g.directed else ""
-        t = Table(
-            ["nodes"] + list(variants) + ["cache gain", "tric/lcc"],
-            title=(f"Figure 9: {name} (n={g.n:,}, m={g.m:,}){directed_note} "
-                   "- running time (s)"),
-        )
-        by = {v: dict(series(cells, v)) for v in variants}
-        for p in counts:
-            lcc_t = by["lcc"][p]
-            cached_t = by["lcc-cached"][p]
-            tric_t = by["tric"][p]
-            t.add_row(p, *[round(by[v][p], 4) for v in variants],
-                      f"{(1 - cached_t / lcc_t):.1%}",
-                      f"{tric_t / lcc_t:.1f}x")
-        tables.append(t)
-
+    for name, r in sweep(scale, seed, fast, graphs).items():
+        directed_note = (" (directed: transitive triads)" if r["directed"]
+                         else "")
+        tables.append(scaling_table(r, (
+            f"Figure 9: {name} (n={r['n']:,}, m={r['m']:,}){directed_note} "
+            "- running time (s)")))
+        first, *_, last = r["nodes"]
         ann = Table(["series", "speedup (ours)", "speedup (paper)"],
-                    title=f"{name}: speedup {counts[0]} -> {counts[-1]} nodes")
-        ann.add_row("lcc", f"{speedup(cells, 'lcc'):.1f}x",
+                    title=f"{name}: speedup {first} -> {last} nodes")
+        ann.add_row("lcc", f"{r['speedup']['lcc']:.1f}x",
                     f"{PAPER_SPEEDUPS.get(name, float('nan'))}x")
-        ann.add_row("lcc-cached", f"{speedup(cells, 'lcc-cached'):.1f}x", "-")
-        ann.add_row("tric", f"{speedup(cells, 'tric'):.1f}x",
+        ann.add_row("lcc-cached", f"{r['speedup']['lcc-cached']:.1f}x", "-")
+        ann.add_row("tric", f"{r['speedup']['tric']:.1f}x",
                     "~flat in the paper")
         tables.append(ann)
     return tables
 
 
-def main() -> None:
-    for table in run():
-        print(table.render())
-        print()
-
-
 if __name__ == "__main__":
-    main()
+    print_tables(run())

@@ -7,7 +7,7 @@ visible.
 
 from __future__ import annotations
 
-from repro.analysis.tables import Table
+from repro.analysis.tables import Table, print_tables
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.utils.units import format_bytes
 
@@ -41,11 +41,5 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
     return [table]
 
 
-def main() -> None:
-    for table in run():
-        print(table.render())
-        print()
-
-
 if __name__ == "__main__":
-    main()
+    print_tables(run())

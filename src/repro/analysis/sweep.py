@@ -2,31 +2,24 @@
 
 Used by the Figure 9/10 experiments, which compare four series (LCC
 non-cached, LCC cached, TriC, TriC-Buffered) over a range of node counts.
-
-Two drivers coexist:
-
-* :func:`run_kernel_variants` — the Session-backed path: variants are
-  kernel names plus config overrides, and one resident
-  :class:`~repro.session.Session` amortizes graph partitioning across
-  every variant sharing a cluster shape;
-* :func:`run_variants` — the legacy callable-based path, kept for ad-hoc
-  sweeps over arbitrary runner functions.
+Variants are kernel names plus config overrides, and one resident
+:class:`~repro.session.Session` amortizes graph partitioning across every
+variant sharing a cluster shape (:func:`run_kernel_variants`);
+:func:`strong_scaling` condenses such a sweep into the figures' numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
+from repro.analysis.tables import Table
 from repro.core.config import LCCConfig
 from repro.graph.csr import CSRGraph
 from repro.session import Session
 from repro.utils.log import get_logger
 
 logger = get_logger("analysis.sweep")
-
-#: A variant maps (graph, nranks) to an object with a ``.time`` attribute.
-Variant = Callable[[CSRGraph, int], Any]
 
 #: A kernel variant: options for ``Session.run`` (plus optional "kernel").
 KernelVariant = Mapping[str, Any]
@@ -40,23 +33,6 @@ class SweepCell:
     nranks: int
     time: float
     result: Any
-
-
-def run_variants(
-    graph: CSRGraph,
-    node_counts: Sequence[int],
-    variants: Mapping[str, Variant],
-) -> list[SweepCell]:
-    """Run every variant at every node count (deterministic order)."""
-    cells: list[SweepCell] = []
-    for nranks in node_counts:
-        for name, fn in variants.items():
-            logger.info("running %s on %s with %d ranks",
-                        name, graph.name or "graph", nranks)
-            result = fn(graph, nranks)
-            cells.append(SweepCell(variant=name, nranks=nranks,
-                                   time=result.time, result=result))
-    return cells
 
 
 def run_kernel_variants(
@@ -86,6 +62,36 @@ def run_kernel_variants(
                 cells.append(SweepCell(variant=name, nranks=nranks,
                                        time=result.time, result=result))
     return cells
+
+
+def strong_scaling(graph: CSRGraph, node_counts: Sequence[int],
+                   variants: Mapping[str, KernelVariant]) -> dict:
+    """The Figure 9/10 measurement, as numbers: per node count every
+    variant's time and the two ratios the figures annotate, per variant
+    the smallest -> largest speedup.  Needs the ``lcc``, ``lcc-cached``
+    and ``tric`` variants."""
+    cells = run_kernel_variants(graph, node_counts, variants,
+                                config=LCCConfig(threads=12))
+    nodes: dict = {}
+    for cell in cells:
+        nodes.setdefault(str(cell.nranks), {})[cell.variant] = cell.time
+    for row in nodes.values():
+        row["cached_over_lcc"] = row["lcc-cached"] / row["lcc"]
+        row["tric_over_lcc"] = row["tric"] / row["lcc"]
+    return {"n": graph.n, "m": graph.m, "nodes": nodes,
+            "speedup": {v: speedup(cells, v) for v in variants}}
+
+
+def scaling_table(scaling: Mapping, title: str) -> Table:
+    """One :func:`strong_scaling` result in the figures' layout."""
+    variants = list(scaling["speedup"])
+    table = Table(["nodes"] + variants + ["cache gain", "tric/lcc"],
+                  title=title)
+    for p, row in scaling["nodes"].items():
+        table.add_row(p, *[round(row[v], 4) for v in variants],
+                      f"{(1 - row['cached_over_lcc']):.1%}",
+                      f"{row['tric_over_lcc']:.1f}x")
+    return table
 
 
 def series(cells: Sequence[SweepCell], variant: str) -> list[tuple[int, float]]:

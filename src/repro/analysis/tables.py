@@ -55,6 +55,14 @@ class Table:
         return self.render()
 
 
+def print_tables(tables: Sequence[Table]) -> None:
+    """Print each table and a blank line: what an experiment module does
+    when run as a script."""
+    for table in tables:
+        print(table.render())
+        print()
+
+
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         if value == 0:

@@ -234,7 +234,7 @@ def _commit_update_group(store, pool: SessionPool,
             # Coalesced == sequential is a structural invariant (the
             # property suite pins it); serving stale resident slices
             # would be silent corruption, so fail loudly.
-            raise ConfigError(
+            raise SimulationError(
                 f"coalesced flush for {name!r} diverged from the "
                 "sequential version chain")
         # Resync resident state to the chain's own head snapshot so

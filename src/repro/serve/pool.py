@@ -28,7 +28,7 @@ from repro.graphstore.store import GraphStore
 from repro.obs.trace import span as obs_span
 from repro.serve.request import SessionKey
 from repro.session import Session
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, SimulationError
 
 #: Supported eviction policies.
 POOL_POLICIES = ("lru", "lfu")
@@ -166,7 +166,7 @@ class SessionPool:
     def _evict_one(self) -> None:
         victims = [k for k, e in self._entries.items() if not e.pinned]
         if not victims:
-            raise ConfigError(
+            raise SimulationError(
                 "session pool is full of pinned sessions; admission must "
                 "check can_admit() before acquiring a new key")
         if self.policy == "lfu":

@@ -31,7 +31,7 @@ from typing import Any, Iterator
 
 from repro.serve.records import QueryRecord, UpdateRecord, result_digest
 from repro.serve.request import QueryRequest, SessionKey, UpdateRequest
-from repro.utils.errors import ConfigError
+from repro.utils.errors import SimulationError
 
 # -- effects: what a suspended task is waiting on ---------------------------
 
@@ -161,7 +161,7 @@ def update_task(req: UpdateRequest) -> Iterator:
     done: Committed = yield Commit(req, tuple(riders))
     group = (req, *riders)
     if len(done.updates) != len(group):
-        raise ConfigError("commit returned a mismatched update group")
+        raise SimulationError("commit returned a mismatched update group")
     records = []
     for i, (member, upd) in enumerate(zip(group, done.updates)):
         head = i == 0

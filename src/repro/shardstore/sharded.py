@@ -51,7 +51,7 @@ from repro.graph.csr import CSRGraph
 from repro.graphstore.store import GraphStore, GraphVersion, graph_digest
 from repro.obs.trace import span as obs_span
 from repro.shardstore.plan import ShardPlan
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, SimulationError
 
 __all__ = ["ShardSnapshot", "ShardedGraphStore", "ShardedUpdate",
            "annotate_shard_sets"]
@@ -296,7 +296,7 @@ class ShardedGraphStore:
                     # is a structural invariant (the property suite pins
                     # it); serving from diverged shards would be silent
                     # corruption, so fail loudly mid-barrier.
-                    raise ConfigError(
+                    raise SimulationError(
                         f"sharded commit for {name!r} diverged from the "
                         "unsharded application (assembly digest mismatch)")
                 sp.note(subcommits=len(pieces))

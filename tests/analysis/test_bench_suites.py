@@ -33,16 +33,13 @@ ROWS = [pytest.param(name, i, id=f"{name}-{gate.path}")
 def passing_report(quick_report_of):
     """A report that passes its suite's table, also against itself.
 
-    Real quick runs — except ``kernels``, whose absolute ``linalg`` floor
-    is a wall-clock ratio of millisecond-long runs that a loaded machine
-    can momentarily invert; its committed full-size report is the stable
-    stand-in (CI's ``bench all --quick --check`` gates the real thing),
-    and ``trace``, whose measured ``overhead_ratio`` is doctored to a
-    nominal value for the same reason (its other rows stay measured).
+    Real quick runs — except ``trace``, whose measured ``overhead_ratio``
+    is a wall-clock ratio of sub-second runs that a loaded machine can
+    push past its ceiling; it is doctored to a nominal value (CI's ``bench
+    all --quick --check`` gates the real thing; its other rows stay
+    measured).
     """
     def get(name):
-        if name == "kernels":
-            return json.loads((REPO_ROOT / "BENCH_kernels.json").read_text())
         if name == "trace":
             return with_nominal_overhead(quick_report_of(name))
         return quick_report_of(name)
@@ -76,6 +73,7 @@ def _just_past(gate, parent, leaf, quick):
         ">": lambda: bound,
         "<=": lambda: bound + step,
         "<": lambda: bound,
+        "in": lambda: bound[1],
         "len>=": lambda: parent[leaf][:bound - 1],
         "len==": lambda: ["one entry too many"],
     }[gate.op]()
@@ -101,10 +99,7 @@ def test_each_row_fires_alone_just_past_its_bound(name, index,
     if gate.bound is not None:
         parent, leaf = _first_match(report, gate)
         parent[leaf] = _just_past(gate, parent, leaf, report["quick"])
-        # Rows that only apply against a baseline get the unmutated
-        # report as one; the rest are checked as a recording run is.
-        baseline = passing_report(name) if gate.if_in_baseline else None
-        assert _fired(suite, report, baseline) == {gate}
+        assert _fired(suite, report, None) == {gate}
     if gate.rel is not None:
         # Relative clause: the same report against a 1000x better baseline.
         report = copy.deepcopy(passing_report(name))
@@ -129,8 +124,7 @@ def test_a_report_missing_the_rows_key_never_passes(name, index,
         parent.clear()  # a `*` that matches nothing
     else:
         del parent[leaf]
-    baseline = passing_report(name) if gate.if_in_baseline else None
-    assert gate in _fired(suite, report, baseline)
+    assert gate in _fired(suite, report, None)
 
 
 @pytest.mark.parametrize("name", COMMITTED)

@@ -215,3 +215,20 @@ class TestInvariantBreaks:
                            match="query task must acquire first") as exc:
             AsyncServingEngine(catalog, config).serve(requests)
         assert not isinstance(exc.value, ConfigError)
+
+    def test_mismatched_commit_payload_is_a_simulation_error(self, requests):
+        """An update task resumed with fewer store updates than it has
+        group members (leader + riders) was lied to by the runtime."""
+        from repro.serve.tasks import Commit, Committed, Hold, update_task
+        from repro.utils.errors import SimulationError
+
+        leader, rider = [r for r in requests if r.is_update][:2]
+        task = update_task(leader)
+        assert isinstance(next(task), Hold)
+        assert isinstance(task.send([rider]), Commit)
+        short = Committed(updates=("only one",), fields={}, start=0.0,
+                          commit_at=0.0, finish=0.0, service_s=0.0,
+                          wall_s=0.0, worker=0)
+        with pytest.raises(SimulationError, match="mismatched") as exc:
+            task.send(short)
+        assert not isinstance(exc.value, ConfigError)

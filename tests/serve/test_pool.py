@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import LCCConfig
 from repro.graph.generators import complete_graph, ring_of_cliques
 from repro.serve.pool import SessionPool
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, SimulationError
 
 CATALOG = {
     "k6": complete_graph(6, name="k6"),
@@ -112,6 +112,52 @@ class TestEviction:
             pool.acquire(key("k7"))
             pool.acquire(key("k6"))
             assert pool.resident_keys() == [key("k7"), key("k6")]
+
+
+class TestPinning:
+    @pytest.mark.parametrize("policy", ["lru", "lfu"])
+    def test_pinned_session_survives_eviction_pressure(self, policy):
+        """The pinned key is both the LRU and the LFU victim-to-be."""
+        with make_pool(capacity=2, policy=policy) as pool:
+            pinned, _ = pool.acquire(key("k6"))
+            pool.pin(key("k6"))
+            for graph in ("k7", "k7", "ring", "k7"):
+                pool.acquire(key(graph))
+                assert key("k6") in pool and not pinned._closed
+            assert pool.stats.evictions == 2
+
+    def test_can_admit_counts_only_unpinned_victims(self):
+        with make_pool(capacity=2) as pool:
+            for graph in ("k6", "k7"):
+                pool.acquire(key(graph))
+                pool.pin(key(graph))
+            assert not pool.can_admit(key("ring"))
+            assert pool.can_admit(key("k6"))       # resident: no victim needed
+            pool.unpin(key("k7"))
+            assert pool.can_admit(key("ring"))
+            pool.acquire(key("ring"))              # evicts the unpinned k7
+            assert key("k7") not in pool and key("k6") in pool
+            pool.unpin(key("k7"))                  # evicted key: a no-op
+
+    def test_acquiring_past_a_fully_pinned_pool_is_an_invariant_violation(self):
+        with make_pool(capacity=1) as pool:
+            resident, _ = pool.acquire(key("k6"))
+            pool.pin(key("k6"))
+            with pytest.raises(SimulationError, match="full of pinned"):
+                pool.acquire(key("k7"))
+            assert not resident._closed and pool.stats.evictions == 0
+
+    def test_evict_where_ignores_pins(self):
+        """The failover hook: a dead replica's sessions go, pinned or not."""
+        with make_pool(capacity=3) as pool:
+            sessions = {g: pool.acquire(key(g))[0]
+                        for g in ("k6", "k7", "ring")}
+            pool.pin(key("k6"))
+            assert pool.evict_where(lambda k: k[0].startswith("k")) == 2
+            assert sessions["k6"]._closed and sessions["k7"]._closed
+            assert not sessions["ring"]._closed
+            assert pool.resident_keys() == [key("ring")]
+            assert pool.stats.evictions == 2
 
 
 class TestLifecycle:

@@ -175,6 +175,22 @@ class TestCoalescing:
         assert (coalesced.records[-1].digest
                 == sequential.records[-1].digest)
 
+    def test_diverged_flush_is_a_simulation_error(self, catalog,
+                                                  monkeypatch):
+        """Coalesced != sequential is an engine bug, not a user mistake."""
+        import itertools
+
+        import repro.serve.engine as engine
+        from repro.utils.errors import ConfigError, SimulationError
+
+        ticket = itertools.count()
+        monkeypatch.setattr(engine, "graph_digest",
+                            lambda graph: next(ticket))  # no two agree
+        _, _, _, reqs = self.make_requests(catalog, gap=0.0)
+        with pytest.raises(SimulationError, match="diverged") as exc:
+            serve(catalog, reqs)
+        assert not isinstance(exc.value, ConfigError)
+
     def test_store_chain_matches_direct_application(self, catalog):
         name, g, batches, reqs = self.make_requests(catalog, gap=0.0)
         outcome = serve(catalog, reqs)

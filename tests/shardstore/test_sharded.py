@@ -9,7 +9,7 @@ from repro.graphstore import GraphStore
 from repro.graphstore.store import graph_digest
 from repro.serve.request import QueryRequest, UpdateRequest
 from repro.shardstore import ShardedGraphStore, annotate_shard_sets
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, SimulationError
 from repro.utils.rng import derive_seed
 
 
@@ -211,6 +211,23 @@ class TestErrors:
     def test_bad_geometry(self, graph):
         with pytest.raises(ConfigError, match=">= 1 shard"):
             ShardedGraphStore(nshards=0)
+
+    def test_diverged_assembly_is_a_simulation_error(self, graph,
+                                                     monkeypatch):
+        """Per-shard != whole-batch application is a store bug, and the
+        barrier's fence is released on the way out."""
+        import itertools
+
+        import repro.shardstore.sharded as sharded_mod
+
+        ticket = itertools.count()
+        monkeypatch.setattr(sharded_mod, "graph_digest",
+                            lambda graph: next(ticket))  # no two agree
+        sharded = ShardedGraphStore({"g": graph}, nshards=4, nranks=8)
+        with pytest.raises(SimulationError, match="diverged") as exc:
+            sharded.apply("g", batches(graph, rounds=1)[0])
+        assert not isinstance(exc.value, ConfigError)
+        assert "g" not in sharded._fenced
 
 
 class TestAnnotation:

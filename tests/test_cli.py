@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import copy
 import dataclasses
 import json
 import shutil
@@ -22,6 +23,17 @@ def bench_dir(tmp_path, *suites):
     for name in suites:
         shutil.copy(REPO_ROOT / f"BENCH_{name}.json", tmp_path)
     return str(tmp_path)
+
+
+def patch_dynamic_speedup(monkeypatch, quick_report_of, speedup):
+    """`bench dynamic` "measures" the session's real quick report, its one
+    baseline-relative row (`incremental.*.speedup`) doctored to ``speedup``."""
+    import repro.analysis.dynamic as dyn
+
+    report = copy.deepcopy(quick_report_of("dynamic"))
+    for row in report["incremental"].values():
+        row["speedup"] = speedup
+    patch_suite_run(monkeypatch, dyn, report)
 
 
 class TestDatasets:
@@ -215,64 +227,85 @@ class TestBench:
         out = capsys.readouterr().out
         assert "batched replay" in out
 
-    def test_bench_check_passes_against_lenient_baseline(self, tmp_path,
-                                                         capsys,
-                                                         monkeypatch):
-        self._patch_canned_bench(monkeypatch, warm=8.0)
-        baseline = tmp_path / "BENCH_kernels.json"
-        baseline.write_text(json.dumps({"cached_replay": {
-            "lcc:full": {"warm_speedup": 8.0, "bit_identical": True},
-            "tc:full": {"warm_speedup": 12.0, "bit_identical": True},
-        }}))
-        assert main(["bench", "kernels", "--quick", "--check",
+    # The --check mechanics, on a suite with a baseline-relative row
+    # (`dynamic`: incremental.*.speedup >= 25% of the baseline's worst).
+    BASELINE_8X = json.dumps({"incremental": {"g": {"speedup": 8.0}}})
+
+    def test_bench_check_passes_against_lenient_baseline(
+            self, tmp_path, capsys, monkeypatch, quick_report_of):
+        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=8.0)
+        (tmp_path / "BENCH_dynamic.json").write_text(self.BASELINE_8X)
+        assert main(["bench", "dynamic", "--quick", "--check",
                      "--dir", str(tmp_path)]) == 0
-        assert ("kernels gate OK against baseline BENCH_kernels.json"
+        assert ("dynamic gate OK against baseline BENCH_dynamic.json"
                 in capsys.readouterr().err)
-        assert (tmp_path / "BENCH_kernels_quick.json").exists()
+        assert (tmp_path / "BENCH_dynamic_quick.json").exists()
 
     def test_bench_check_fails_on_regression(self, tmp_path, capsys,
-                                             monkeypatch):
-        self._patch_canned_bench(monkeypatch, warm=0.5)
-        baseline = tmp_path / "BENCH_kernels.json"
-        baseline.write_text(json.dumps({"cached_replay": {
-            "lcc:full": {"warm_speedup": 8.0, "bit_identical": True},
-        }}))
-        assert main(["bench", "kernels", "--quick", "--check",
+                                             monkeypatch, quick_report_of):
+        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=1.5)
+        # Passes on its own (quick floor 1.0x) ...
+        assert main(["bench", "dynamic", "--quick", "--no-trajectory",
+                     "--dir", str(tmp_path)]) == 0
+        (tmp_path / "BENCH_dynamic_quick.json").unlink()
+        # ... but not against a baseline whose worst speedup is 8x.
+        (tmp_path / "BENCH_dynamic.json").write_text(self.BASELINE_8X)
+        capsys.readouterr()
+        assert main(["bench", "dynamic", "--quick", "--check",
                      "--dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert "kernels gate FAILED" in err
+        assert "dynamic gate FAILED" in err
         assert "fell below" in err
-        assert err.count("kernels gate: ") == 1  # one line per problem
+        assert err.count("dynamic gate: ") == 1  # one line per problem
         assert "Traceback" not in err
-        assert not (tmp_path / "BENCH_kernels_quick.json").exists()
+        assert not (tmp_path / "BENCH_dynamic_quick.json").exists()
 
     def test_bench_check_same_path_reads_baseline_before_writing(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, quick_report_of):
         """A full-size --check run writes to the very file it is gated
         against; the gate must compare against the *previous* contents,
         and a failing run must leave them in place."""
-        self._patch_canned_bench(monkeypatch, warm=0.5)
-        path = tmp_path / "BENCH_kernels.json"
-        committed = json.dumps({"cached_replay": {
-            "lcc:full": {"warm_speedup": 8.0, "bit_identical": True},
-        }})
-        path.write_text(committed)
-        assert main(["bench", "kernels", "--check",
+        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=1.5)
+        path = tmp_path / "BENCH_dynamic.json"
+        path.write_text(self.BASELINE_8X)
+        assert main(["bench", "dynamic", "--check",
                      "--dir", str(tmp_path)]) == 1
-        assert "kernels gate FAILED" in capsys.readouterr().err
-        assert path.read_text() == committed
+        assert "dynamic gate FAILED" in capsys.readouterr().err
+        assert path.read_text() == self.BASELINE_8X
         # A passing run then replaces it.
-        self._patch_canned_bench(monkeypatch, warm=8.0)
-        assert main(["bench", "kernels", "--check",
+        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=8.0)
+        assert main(["bench", "dynamic", "--check",
                      "--dir", str(tmp_path)]) == 0
-        assert json.loads(path.read_text())["kernels"]
+        assert json.loads(path.read_text())["invalidation"]
+
+    def test_paper_bench_names_the_violated_claim(
+            self, tmp_path, capsys, monkeypatch, quick_report_of):
+        """One claim pushed past its bound: exit 1, one line naming the
+        row and quoting the paper, FAIL in the summary, nothing written."""
+        import repro.analysis.paper as paper
+
+        doctored = copy.deepcopy(quick_report_of("paper"))
+        for graph in doctored["scaling"]["fig9"].values():
+            graph["speedup"]["lcc"] = 3.9
+        patch_suite_run(monkeypatch, paper, doctored)
+        assert main(["bench", "paper", "--quick", "--check",
+                     "--dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("paper gate: ") == 1
+        assert "speedup.lcc: Fig. 9: non-cached LCC strong-scales" \
+            in captured.err
+        n = len(paper.SUITE.gates)
+        assert f"claim ({n - 1}/{n} hold" in captured.out
+        assert captured.out.count("| FAIL |") == 1
+        assert not (tmp_path / "BENCH_paper_quick.json").exists()
 
     def test_all_runs_every_suite_and_reports_every_failure(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, quick_report_of):
+        import repro.analysis.benchreport as br
         import repro.analysis.benchsuite as bs
 
         monkeypatch.setattr(bs, "SUITE_NAMES", ("kernels", "shard"))
-        self._patch_canned_bench(monkeypatch, warm=8.0)
+        patch_suite_run(monkeypatch, br, quick_report_of("kernels"))
         TestShard._patch_canned_shard(monkeypatch, scaling=1.1)
         assert main(["bench", "--quick", "--dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -295,45 +328,16 @@ class TestBench:
         with pytest.raises(SystemExit, match="unknown bench suite"):
             main(["bench", "nope"])
 
-    @staticmethod
-    def _patch_canned_bench(monkeypatch, warm):
-        """Replace the (slow) bench run with a canned report."""
-        import repro.analysis.benchreport as br
-
-        canned = {
-            "schema_version": 1, "quick": True,
-            "nranks": 8, "threads": 4,
-            "grid_nranks": br.BENCH_GRID_NRANKS, "graphs": {},
-            "linalg": {"tc2d_spgemm:quick": {
-                "warm_wall_clock_loop_s": 0.2,
-                "warm_wall_clock_spgemm_s": 0.2 / max(warm, 4.0),
-                "warm_speedup": max(warm, 4.0), "bit_identical": True,
-                "global_triangles": 1, "nranks": br.BENCH_GRID_NRANKS}},
-            "kernels": {"lcc:quick": {
-                "wall_clock_s": 0.1, "simulated_time_s": 0.01,
-                "global_triangles": 1, "adj_hit_rate": None,
-                "offsets_hit_rate": None}},
-            "cached_replay": {"lcc:quick": {
-                "cold_wall_clock_loop_s": 0.2,
-                "cold_wall_clock_batched_s": 0.1, "cold_speedup": 2.0,
-                "warm_wall_clock_loop_s": 0.2,
-                "warm_wall_clock_batched_s": 0.2 / warm,
-                "warm_speedup": warm, "bit_identical": True,
-                "adj_hit_rate": 0.9, "offsets_hit_rate": 0.9},
-                "tc:quick": {
-                "cold_wall_clock_loop_s": 0.2,
-                "cold_wall_clock_batched_s": 0.1, "cold_speedup": 2.0,
-                "warm_wall_clock_loop_s": 0.2,
-                "warm_wall_clock_batched_s": 0.2 / warm,
-                "warm_speedup": warm, "bit_identical": True,
-                "adj_hit_rate": 0.9, "offsets_hit_rate": 0.9}},
-        }
-        patch_suite_run(monkeypatch, br, canned)
-
 
 class TestBenchTrajectory:
-    def test_row_appended_next_to_report(self, tmp_path, capsys, monkeypatch):
-        TestBench._patch_canned_bench(monkeypatch, warm=8.0)
+    @pytest.fixture(autouse=True)
+    def kernels_report(self, monkeypatch, quick_report_of):
+        """`bench kernels` "measures" the session's one real quick report."""
+        import repro.analysis.benchreport as br
+
+        patch_suite_run(monkeypatch, br, quick_report_of("kernels"))
+
+    def test_row_appended_next_to_report(self, tmp_path):
         traj = tmp_path / "BENCH_trajectory.json"
         argv = ["bench", "kernels", "--quick", "--dir", str(tmp_path)]
         assert main(argv) == 0
@@ -342,16 +346,15 @@ class TestBenchTrajectory:
         row = data["rows"][0]
         assert row["kind"] == "kernels"
         assert row["quick"] is True
-        assert row["min_warm_speedups"]["lcc"] == 8.0
+        assert row["min_warm_speedups"]["lcc"] > 0
         assert row["date"]
         # A second run appends, never overwrites.
         assert main(argv) == 0
         assert len(json.loads(traj.read_text())["rows"]) == 2
 
-    def test_explicit_path_and_opt_out(self, tmp_path, monkeypatch):
+    def test_explicit_path_and_opt_out(self, tmp_path):
         """The trajectory path is derived from --dir; --no-trajectory
         opts out."""
-        TestBench._patch_canned_bench(monkeypatch, warm=8.0)
         elsewhere = tmp_path / "history"
         elsewhere.mkdir()
         traj = elsewhere / "BENCH_trajectory.json"
@@ -362,8 +365,7 @@ class TestBenchTrajectory:
                      "--no-trajectory"]) == 0
         assert len(json.loads(traj.read_text())["rows"]) == 1
 
-    def test_non_trajectory_file_rejected(self, tmp_path, monkeypatch):
-        TestBench._patch_canned_bench(monkeypatch, warm=8.0)
+    def test_non_trajectory_file_rejected(self, tmp_path):
         traj = tmp_path / "BENCH_trajectory.json"
         traj.write_text(json.dumps({"rows": "oops"}))
         with pytest.raises(ValueError, match="trajectory"):
@@ -402,41 +404,6 @@ class TestUpdate:
                      "--dir", bench_dir(tmp_path, "dynamic")]) == 0
         assert ("dynamic gate OK against baseline BENCH_dynamic.json"
                 in capsys.readouterr().err)
-
-    def test_update_bench_check_fails_on_regression(self, tmp_path, capsys,
-                                                    monkeypatch):
-        import repro.analysis.dynamic as dyn
-
-        canned = {
-            "schema_version": 1, "quick": True, "nranks": 8, "threads": 4,
-            "graphs": {}, "update_edges": 12,
-            "incremental": {"g": {
-                "speedup": 1.5, "bit_identical": True, "n_affected": 1,
-                "n_vertices": 10, "incremental_wall_s": 1.0,
-                "full_wall_s": 1.5, "edges_inserted": 1, "edges_deleted": 0}},
-            "invalidation": {"g": {
-                "warm_hit_rate": 0.9, "post_update_hit_rate": 0.7,
-                "post_update_hit_rate_no_rekey": 0.6,
-                "cold_hit_rate": 0.5, "retained_warm_hits": 5,
-                "invalidated_entries": 3, "rekeyed_entries": 2,
-                "retained_entries": 4,
-                "touched_ranks": 1, "update_time_s": 0.0,
-                "post_update_bit_identical": True}},
-            "serving": {"results_identical": True, "n_requests": 4,
-                        "n_updates": 1, "update_mix": 0.25,
-                        "throughput_ratio": 1.1, "schedulers": {}},
-        }
-        patch_suite_run(monkeypatch, dyn, canned)
-        # Passes on its own (quick floor 1.0x) ...
-        assert main(["bench", "dynamic", "--quick", "--no-trajectory",
-                     "--dir", str(tmp_path)]) == 0
-        # ... but not against a baseline whose worst speedup is 8x.
-        (tmp_path / "BENCH_dynamic.json").write_text(json.dumps(
-            {"incremental": {"g": {"speedup": 8.0}}}))
-        capsys.readouterr()
-        assert main(["bench", "dynamic", "--quick", "--check",
-                     "--dir", str(tmp_path)]) == 1
-        assert "dynamic gate FAILED" in capsys.readouterr().err
 
 
 class TestStore:
@@ -764,8 +731,9 @@ class TestAsyncServe:
             main(["async-serve", "--overflow", "drop"])
 
 
-#: The gated subcommands of old, and the suite each became.
-GATED = {"bench": "kernels", "update": "dynamic", "store": "store",
+#: The baseline-gated subcommands of old, and the suite each became
+#: (`bench` became `kernels`, which no longer has a baseline-relative row).
+GATED = {"update": "dynamic", "store": "store",
          "shard": "shard", "async-serve": "async"}
 
 
@@ -804,14 +772,11 @@ class TestBaselineErrors:
 
 
 class TestRound2Guards:
-    def test_failed_bench_check_records_no_trajectory_row(self, tmp_path,
-                                                          monkeypatch):
-        TestBench._patch_canned_bench(monkeypatch, warm=0.5)
-        baseline = tmp_path / "BENCH_kernels.json"
-        baseline.write_text(json.dumps({"cached_replay": {
-            "lcc:full": {"warm_speedup": 8.0, "bit_identical": True},
-        }}))
-        assert main(["bench", "kernels", "--quick", "--check",
+    def test_failed_bench_check_records_no_trajectory_row(
+            self, tmp_path, monkeypatch, quick_report_of):
+        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=1.5)
+        (tmp_path / "BENCH_dynamic.json").write_text(TestBench.BASELINE_8X)
+        assert main(["bench", "dynamic", "--quick", "--check",
                      "--dir", str(tmp_path)]) == 1
         assert not (tmp_path / "BENCH_trajectory.json").exists()
 
