@@ -45,7 +45,11 @@ from repro.analysis.benchsuite import (
 )
 from repro.analysis.serving import serve_fifo_vs_affinity
 from repro.core.config import CacheSpec, LCCConfig
-from repro.core.local import triangles_min_vertex, triangles_per_vertex_batched
+from repro.core.local import (
+    lcc_from_triplets,
+    triangles_min_vertex,
+    triangles_per_vertex_batched,
+)
 from repro.dynamic import IncrementalState, random_update_batch
 from repro.graph.csr import CSRGraph
 from repro.serve.engine import ServeConfig
@@ -101,7 +105,8 @@ def bench_invalidation(graph: CSRGraph, *, n_edges: int = BENCH_UPDATE_EDGES,
     minus the hits an identically-configured cold session scores on the
     same (updated) graph — i.e. hits served by entries that survived the
     invalidation.  ``post_update_bit_identical`` pins correctness: the
-    cached post-update answer equals the cold fresh one, bit for bit.
+    cached post-update answer equals the cold fresh one, bit for bit —
+    and the raw counters', since both sessions read one score record.
 
     The update is applied twice on twin sessions — with rekeying of
     shifted-but-unchanged adjacency entries (the default) and without —
@@ -128,10 +133,14 @@ def bench_invalidation(graph: CSRGraph, *, n_edges: int = BENCH_UPDATE_EDGES,
 
     warm_stats, post_stats, cold_stats = (
         warm.adj_cache_stats, post.adj_cache_stats, cold.adj_cache_stats)
+    raw_tpv = triangles_per_vertex_batched(outcome.graph)
     identical = (np.array_equal(post.lcc, cold.lcc)
                  and np.array_equal(post.triangles_per_vertex,
                                     cold.triangles_per_vertex)
-                 and int(post.global_triangles) == int(cold.global_triangles))
+                 and int(post.global_triangles) == int(cold.global_triangles)
+                 and np.array_equal(post.triangles_per_vertex, raw_tpv)
+                 and np.array_equal(
+                     post.lcc, lcc_from_triplets(outcome.graph, raw_tpv)))
     return {
         "warm_hit_rate": float(warm_stats["hit_rate"]),
         "post_update_hit_rate": float(post_stats["hit_rate"]),

@@ -134,7 +134,13 @@ class LCCConfig:
 
 @dataclass
 class DistributedRunResult:
-    """Outcome of one distributed LCC or TC run."""
+    """Outcome of one distributed LCC or TC run.
+
+    From the batched replay, ``lcc`` and ``triangles_per_vertex`` are the
+    graph version's own **read-only** vectors
+    (:func:`repro.core.local.vertex_scores`), shared by every result on
+    that graph: writing into one raises ``ValueError`` — ``.copy()`` first.
+    """
 
     lcc: Optional[np.ndarray]        # per-vertex LCC (None for TC-only runs)
     triangles_per_vertex: Optional[np.ndarray]

@@ -127,6 +127,55 @@ def lcc_from_triplets(graph: CSRGraph, triplets: np.ndarray) -> np.ndarray:
     return lcc
 
 
+def vertex_scores(graph: CSRGraph, kind: str) -> np.ndarray:
+    """``graph``'s ``'tpv'`` | ``'tmin'`` | ``'lcc'`` vector, counted once.
+
+    Scores are a function of the graph alone, so they live in
+    ``graph.scores`` — shared by every cluster shape, session and sweep on
+    this graph object, gone with it — and are **read-only**: results
+    reference them.  A ``tpv`` that :func:`inherit_scores` left pending is
+    finished here by recounting the affected vertices only.  The counters
+    above stay raw (the full-recompute oracle).
+    """
+    record = graph.scores
+    out = record.get(kind)
+    if out is None:
+        if kind == "lcc":
+            out = lcc_from_triplets(graph, vertex_scores(graph, "tpv"))
+        elif kind == "tmin":
+            out = triangles_min_vertex(graph)
+        elif "pending" in record:
+            base, affected = record.pop("pending")
+            out = base.copy()
+            out[affected] = triangles_per_vertex_subset(graph, affected)
+        else:
+            out = triangles_per_vertex_batched(graph)
+        out.flags.writeable = False
+        record[kind] = out
+    return out
+
+
+def inherit_scores(parent: CSRGraph, child: CSRGraph, affected: np.ndarray
+                   ) -> None:
+    """Hand ``parent``'s ``tpv`` to the graph version an update produced.
+
+    ``child`` differs from ``parent`` only on ``affected``
+    (:func:`~repro.dynamic.delta.apply_delta`'s contract), so it gets the
+    pending pair *(parent's vector, affected)* — the array, never the
+    parent graph.  An unread pair is carried forward over the union of the
+    affected sets, a never-scored parent leaves nothing (a full count),
+    and a batch that changed nothing shares the whole record.
+    """
+    record = parent.scores
+    if affected.size == 0:
+        child.scores = record
+    elif "tpv" in record:
+        child.scores["pending"] = (record["tpv"], affected)
+    elif "pending" in record:
+        base, earlier = record["pending"]
+        child.scores["pending"] = (base, np.union1d(earlier, affected))
+
+
 def lcc_local(graph: CSRGraph, method: str = "matrix") -> np.ndarray:
     """Local clustering coefficient of every vertex.
 

@@ -66,11 +66,7 @@ import numpy as np
 from repro.clampi.cache import BatchStream
 from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
-from repro.core.local import (
-    lcc_from_triplets,
-    triangles_min_vertex,
-    triangles_per_vertex_batched,
-)
+from repro.core.local import vertex_scores
 from repro.core.threading import OpenMPModel, kernel_times_vectorized
 from repro.graph.distributed import DistributedCSR
 from repro.runtime.engine import Engine, RunOutcome
@@ -188,6 +184,7 @@ class _RankStatic:
     is computed once per ``DistributedCSR``; a window's
     :class:`BatchStream` (an ``np.unique`` over its gets) is built the
     first time a cache attached to *that* window replays it, and kept.
+    ``dist._replay_memo`` holds nothing else: scores belong to the graph.
     """
 
     def __init__(self, dist: DistributedCSR, rank: int, start_of: np.ndarray,
@@ -283,7 +280,12 @@ def _replay_rank(dist: DistributedCSR, config: LCCConfig, omp: OpenMPModel,
 def _replay_result(engine: Engine, dist: DistributedCSR, config: LCCConfig,
                    off_caches: list, adj_caches: list, *, tc: bool
                    ) -> DistributedRunResult:
-    """Replayed clocks + counted scores -> one ``DistributedRunResult``."""
+    """Replayed clocks + the graph's scores -> one ``DistributedRunResult``.
+
+    The scores are the graph version's, referenced read-only
+    (:func:`~repro.core.local.vertex_scores`): every query and cluster
+    shape on one graph shares one count.
+    """
     graph = dist.graph
     omp = OpenMPModel(threads=config.threads, compute=config.compute,
                       wait_policy=config.wait_policy)
@@ -294,11 +296,7 @@ def _replay_result(engine: Engine, dist: DistributedCSR, config: LCCConfig,
     clocks = [clock for clock, _ in ranks]
     dist.close_epochs()
 
-    memo_key, count = (("tmin", triangles_min_vertex) if tc
-                       else ("tpv", triangles_per_vertex_batched))
-    per_vertex = dist._replay_memo.get(memo_key)
-    if per_vertex is None:
-        per_vertex = dist._replay_memo[memo_key] = count(graph)
+    per_vertex = vertex_scores(graph, "tmin" if tc else "tpv")
     total = int(per_vertex.sum())
     outcome = RunOutcome(
         time=max(clocks), clocks=clocks,
@@ -306,8 +304,8 @@ def _replay_result(engine: Engine, dist: DistributedCSR, config: LCCConfig,
         results=[int(per_vertex[dist.local_vertices(r)].sum())
                  for r in range(engine.nranks)])
     return DistributedRunResult(
-        lcc=None if tc else lcc_from_triplets(graph, per_vertex),
-        triangles_per_vertex=None if tc else per_vertex.copy(),
+        lcc=None if tc else vertex_scores(graph, "lcc"),
+        triangles_per_vertex=None if tc else per_vertex,
         # tmin counts each triangle once; tpv counts it six times unless
         # the graph is directed (transitive triads).
         global_triangles=total if tc or graph.directed else total // 6,

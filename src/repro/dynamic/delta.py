@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.intersect import intersect_values
+from repro.core.local import inherit_scores
 from repro.graph.csr import (
     CSRGraph,
     OFFSET_DTYPE,
@@ -278,8 +280,6 @@ def _in_neighbors(graph: CSRGraph, vs: np.ndarray) -> np.ndarray:
 def _common_neighbors_pairs(graph: CSRGraph, us: np.ndarray, vs: np.ndarray
                             ) -> np.ndarray:
     """Concatenated ``adj(u) ∩ adj(v)`` over the given endpoint pairs."""
-    from repro.core.intersect import intersect_values
-
     pieces = [intersect_values(graph.adj(int(u)), graph.adj(int(v)))
               .astype(np.int64)
               for u, v in zip(us, vs)]
@@ -381,10 +381,12 @@ def apply_delta(graph: CSRGraph, batch: UpdateBatch, *,
     endpoints = (np.unique(np.concatenate([changed // n, changed % n]))
                  if changed.size else np.empty(0, dtype=np.int64))
     div = 1 if graph.directed else 2
+    affected = _affected_vertices(graph, new_graph, eff_ins, eff_del,
+                                  endpoints)
+    inherit_scores(graph, new_graph, affected)
     return DeltaResult(
         graph=new_graph,
-        affected=_affected_vertices(graph, new_graph, eff_ins, eff_del,
-                                    endpoints),
+        affected=affected,
         endpoints=endpoints,
         changed_keys=np.sort(changed),
         n_inserted=n_ins // div,

@@ -23,10 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.local import (
-    lcc_from_triplets,
     triangles_min_vertex,
     triangles_per_vertex_batched,
     triangles_per_vertex_subset,
+    vertex_scores,
 )
 from repro.dynamic.delta import DeltaResult, UpdateBatch, apply_delta
 from repro.graph.csr import CSRGraph, gather_ranges
@@ -72,35 +72,32 @@ class IncrementalState:
     """Resident per-vertex triangle state, maintained across update batches.
 
     Holds the graph plus the full ``tpv`` (per-vertex triplet counts, the
-    LCC numerator) and — for undirected graphs — ``tmin`` (min-vertex
-    triangle counts, the TC per-rank contribution).  :meth:`apply` folds
-    an :class:`~repro.dynamic.delta.UpdateBatch` in by recomputing only
-    the affected vertices.  All registered kernels' primary outputs
-    derive from this state: ``lcc``, ``global_triangles`` (and through
-    it every TC baseline's answer).
+    LCC numerator — the graph's own read-only score record, see
+    :func:`~repro.core.local.vertex_scores`) and — for undirected graphs —
+    ``tmin`` (min-vertex triangle counts, the TC per-rank contribution).
+    :meth:`apply` folds an :class:`~repro.dynamic.delta.UpdateBatch` in by
+    recomputing only the affected vertices.  All registered kernels'
+    primary outputs derive from this state: ``lcc``, ``global_triangles``
+    (and through it every TC baseline's answer).
     """
 
-    def __init__(self, graph: CSRGraph, *, tpv: np.ndarray | None = None,
-                 tmin: np.ndarray | None = None):
+    def __init__(self, graph: CSRGraph):
         self.graph = graph
-        self.tpv = tpv if tpv is not None else triangles_per_vertex_batched(graph)
-        if graph.directed:
-            self.tmin = None
-        else:
-            self.tmin = tmin if tmin is not None else triangles_min_vertex(graph)
+        self.tpv = vertex_scores(graph, "tpv")
+        self.tmin = None if graph.directed else vertex_scores(graph, "tmin")
         self.updates_applied = 0
         self.vertices_recomputed = 0
 
     @classmethod
     def from_graph(cls, graph: CSRGraph) -> "IncrementalState":
-        """Build with a full cold recompute (the oracle path, once)."""
+        """Build from ``graph``'s score record (a full count if unscored)."""
         return cls(graph)
 
     # -- derived results -----------------------------------------------------
     @property
     def lcc(self) -> np.ndarray:
         """Per-vertex LCC from the resident counts (exact fold of tpv)."""
-        return lcc_from_triplets(self.graph, self.tpv)
+        return vertex_scores(self.graph, "lcc")
 
     @property
     def global_triangles(self) -> int:
@@ -113,13 +110,13 @@ class IncrementalState:
         """Fold one update batch into the resident state."""
         res = apply_delta(self.graph, batch, strict=strict)
         self.graph = res.graph
+        # apply_delta left (old tpv, affected) on the new graph; this read
+        # is the fold: triangles_per_vertex_subset over the affected set.
+        self.tpv = vertex_scores(res.graph, "tpv")
         aff = res.affected
-        if aff.size:
-            self.tpv = self.tpv.copy()
-            self.tpv[aff] = triangles_per_vertex_subset(res.graph, aff)
-            if self.tmin is not None:
-                self.tmin = self.tmin.copy()
-                self.tmin[aff] = triangles_min_vertex_subset(res.graph, aff)
+        if aff.size and self.tmin is not None:
+            self.tmin = self.tmin.copy()
+            self.tmin[aff] = triangles_min_vertex_subset(res.graph, aff)
         self.updates_applied += 1
         self.vertices_recomputed += int(aff.shape[0])
         return res

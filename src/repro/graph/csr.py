@@ -66,7 +66,7 @@ def _check_vertex_range(n: int) -> None:
 class CSRGraph:
     """Immutable CSR graph."""
 
-    __slots__ = ("offsets", "adjacency", "directed", "name")
+    __slots__ = ("offsets", "adjacency", "directed", "name", "scores")
 
     def __init__(self, offsets: np.ndarray, adjacency: np.ndarray,
                  directed: bool = False, name: str = "", validate: bool = True):
@@ -74,6 +74,10 @@ class CSRGraph:
         self.adjacency = np.ascontiguousarray(adjacency, dtype=VERTEX_DTYPE)
         self.directed = bool(directed)
         self.name = name
+        #: Per-vertex scores of this graph version (kind -> read-only array,
+        #: or a ``pending`` patch), filled by ``repro.core.local``'s
+        #: ``vertex_scores``.  Derived: not in ``nbytes``/digest/``repr``.
+        self.scores: dict = {}
         if validate:
             self.check_invariants()
 

@@ -50,9 +50,9 @@ class DistributedCSR:
         # Cache the per-rank local vertex id arrays (global ids).
         self._local_vertices = [partition.local_vertices(r)
                                 for r in range(engine.nranks)]
-        # Scratch for repro.core.replay: per-rank access streams and
-        # counting results, valid for this object's lifetime (the graph
-        # and partition are immutable once distributed).
+        # Scratch for repro.core.replay: per-rank access streams, valid
+        # until rebind_graph (they follow the partitioned slices).  The
+        # per-vertex scores are not here: they live on ``graph.scores``.
         self._replay_memo: dict = {}
 
     # -- epochs -------------------------------------------------------------
@@ -99,7 +99,8 @@ class DistributedCSR:
         self.w_adj.replace_part(rank, adjacency)
 
     def rebind_graph(self, graph: CSRGraph) -> None:
-        """Point at the post-update graph and drop topology-derived memos."""
+        """Point at the post-update graph and drop the access-stream memos
+        (scores need no clearing: ``graph`` carries its own record)."""
         if graph.n != self.partition.n:
             raise PartitionError(
                 f"updated graph has {graph.n} vertices, partition covers "

@@ -9,6 +9,7 @@ from repro.dynamic import IncrementalState, UpdateBatch, random_update_batch
 from repro.graph.generators import powerlaw_configuration
 from repro.session import Session, get_kernel, kernel_names
 from repro.utils.errors import KernelError
+from tests.helpers import assert_scores_raw
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,9 @@ class TestParityAfterUpdates:
         np.testing.assert_array_equal(post_lcc.triangles_per_vertex,
                                       ref_lcc.triangles_per_vertex)
         assert post_tc.global_triangles == ref_tc.global_triangles
+        # ``fresh`` read the same record as ``session``: recount as well.
+        assert_scores_raw(post_lcc, new_graph)
+        assert_scores_raw(post_tc, new_graph)
 
     def test_all_six_kernels_match_incremental_fold(self, graph):
         """Acceptance gate: every registered kernel's primary output after
@@ -69,6 +73,7 @@ class TestParityAfterUpdates:
                         == state.global_triangles), kernel
                 if result.lcc is not None:
                     np.testing.assert_array_equal(result.lcc, state.lcc)
+        assert state.verify()  # the fold itself, against the raw counters
 
     def test_cyclic_partition_resync(self, graph):
         cfg = cached_config(graph, partition="cyclic")
@@ -81,6 +86,7 @@ class TestParityAfterUpdates:
         with Session(session.graph, cfg) as fresh:
             ref = fresh.run("lcc")
         np.testing.assert_array_equal(post.lcc, ref.lcc)
+        assert_scores_raw(post, session.graph)
 
     def test_repeated_update_query_cycles(self, graph):
         cfg = cached_config(graph)
@@ -146,6 +152,7 @@ class TestInvalidationBookkeeping:
         with Session(session.graph, cached_config(graph)) as fresh:
             ref = fresh.run("lcc")
         np.testing.assert_array_equal(res.lcc, ref.lcc)
+        assert_scores_raw(res, session.graph)
 
     def test_cacheless_session_update(self, graph):
         cfg = LCCConfig(nranks=4, threads=2)

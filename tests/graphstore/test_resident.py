@@ -8,6 +8,7 @@ from repro.dynamic import apply_delta, random_update_batch
 from repro.graph.generators import powerlaw_configuration
 from repro.graphstore import Cluster1D, GridCluster2D, ResidentCluster
 from repro.session import Session
+from tests.helpers import assert_scores_raw
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,7 @@ class TestResyncRekey:
         np.testing.assert_array_equal(post.lcc, cold.lcc)
         np.testing.assert_array_equal(post.triangles_per_vertex,
                                       cold.triangles_per_vertex)
+        assert_scores_raw(post, out.graph)  # cold shares post's record
 
     def test_cache_stats_carry_rekeys(self, graph):
         cfg = cached_cfg(graph)

@@ -3,6 +3,13 @@
 import copy
 from pathlib import Path
 
+import numpy as np
+
+from repro.core.local import (
+    lcc_from_triplets,
+    triangles_min_vertex,
+    triangles_per_vertex_batched,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     complete_graph,
@@ -29,6 +36,22 @@ def with_nominal_overhead(trace_report: dict) -> dict:
     report = copy.deepcopy(trace_report)
     report["overhead_ratio"] = 1.0
     return report
+
+
+def assert_scores_raw(result, graph: CSRGraph) -> None:
+    """``result``'s scores equal the raw, un-memoised counters on ``graph``.
+
+    Two sessions on one graph object read one score record
+    (``graph.scores``), so comparing their answers proves nothing about
+    the scores; this recounts from the CSR.
+    """
+    if result.lcc is None:
+        assert (int(result.global_triangles)
+                == int(triangles_min_vertex(graph).sum()))
+        return
+    tpv = triangles_per_vertex_batched(graph)
+    np.testing.assert_array_equal(result.triangles_per_vertex, tpv)
+    np.testing.assert_array_equal(result.lcc, lcc_from_triplets(graph, tpv))
 
 
 def make_graph_suite(seed: int = 42) -> list[CSRGraph]:
