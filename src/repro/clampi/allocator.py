@@ -24,6 +24,7 @@ offsets are real, so fragmentation behaves exactly as it would in C.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Any
 
 from repro.utils.errors import AllocationError
@@ -109,6 +110,37 @@ class BufferAllocator:
             self._add_free(start + size, region_size - size)
         self._used[start] = size
         self.free_bytes -= size
+        return start
+
+    def single_free_extent(self) -> tuple[int, int] | None:
+        """``(start, size)`` of the free list when it is exactly one extent.
+
+        Best fit over one extent is a bump pointer: every :meth:`alloc`
+        that fits takes its front (see :meth:`take_front`).
+        """
+        if len(self._free_by_size) != 1:
+            return None
+        size, start = self._free_by_size[0]
+        return start, size
+
+    def take_front(self, sizes: list[int]) -> int:
+        """Allocate consecutive blocks off the front of the only free extent.
+
+        Leaves exactly the state ``alloc(size)`` for each size in turn
+        leaves; returns the first block's offset.
+        """
+        extent = self.single_free_extent()
+        total = sum(sizes)
+        if extent is None or total > extent[1] or min(sizes, default=1) <= 0:
+            raise AllocationError(
+                f"take_front needs one free extent holding {len(sizes)} "
+                f"positive sizes ({total} B), free list is {extent}")
+        start, size = extent
+        self._remove_free(start, size)
+        self._used.update(zip(accumulate(sizes, initial=start), sizes))
+        if size > total:
+            self._add_free(start + total, size - total)
+        self.free_bytes -= total
         return start
 
     def free(self, offset: int) -> int:

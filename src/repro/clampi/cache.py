@@ -7,9 +7,10 @@ the retrieved data is stored).
 
 Keyed by ``(target_rank, offset, count)``, entries hold the fetched bytes;
 the index is a bounded-probing hash table and the data lives in a bounded
-buffer managed by a best-fit allocator (sorted free list).  Warm streams
-go through :meth:`ClampiCache.access_batch`, whose hit runs are array
-operations on slot-indexed key and metadata arrays.  Evictions are
+buffer managed by a best-fit allocator (sorted free list).  Replayed
+streams go through :meth:`ClampiCache.access_batch`, whose hit runs (warm)
+and fill runs (cold, on a one-extent free list) are array operations on
+slot-indexed key and metadata arrays.  Evictions are
 driven by a :class:`~repro.clampi.scores.ScorePolicy`; victim candidates
 are drawn with deterministic sampling (a standard approximation of
 global-minimum-score selection that keeps eviction O(sample) — exact
@@ -98,19 +99,35 @@ class ClampiConfig:
             )
 
 
+def _pack_keys(cols: np.ndarray) -> np.ndarray:
+    """One mixed-radix integer per key column of the ``(3, n)`` ``cols``.
+
+    Order-preserving (lexicographic on target, offset, count) and
+    injective over these keys, so sorting or joining key rows is sorting
+    or joining integers.
+    """
+    lo = cols.min(axis=1)
+    span = (cols.max(axis=1) - lo + 1).tolist()
+    if span[0] * span[1] * span[2] >= 1 << 63:
+        raise CacheError("batch stream keys do not pack into 63 bits")
+    return (((cols[0] - lo[0]) * span[1] + (cols[1] - lo[1])) * span[2]
+            + (cols[2] - lo[2]))
+
+
 class BatchStream:
     """A precomputed access stream for :meth:`ClampiCache.access_batch`.
 
     Bundles the ``(targets, offsets, counts)`` arrays with their
-    deduplicated key table, inverse mapping and (lazily built) occurrence
-    index, so replay engines that push the same stream through a cache
-    query after query — a resident :class:`~repro.session.Session` cluster
-    — pay the ``O(m log m)`` preprocessing once.  Streams are immutable
-    and cache-agnostic: the same instance may be replayed through any
-    number of caches.
+    deduplicated key table, inverse mapping, each position's previous
+    occurrence of its key and the (lazily built) occurrence index, so
+    replay engines that push the same stream through a cache query after
+    query — a resident :class:`~repro.session.Session` cluster — pay the
+    ``O(m log m)`` preprocessing once.  Streams are immutable and
+    cache-agnostic: the same instance may be replayed through any number
+    of caches.
     """
 
-    __slots__ = ("targets", "offsets", "counts", "m", "uniq", "inv",
+    __slots__ = ("targets", "offsets", "counts", "m", "uniq", "inv", "prev",
                  "_occ", "_key2uid")
 
     def __init__(self, targets: np.ndarray, offsets: np.ndarray,
@@ -122,15 +139,25 @@ class BatchStream:
                 and self.targets.ndim == 1):
             raise CacheError("a batch stream needs three equal-length "
                              "1-D arrays")
-        self.m = self.targets.shape[0]
-        if self.m:
-            keys3 = np.stack([self.targets, self.offsets, self.counts],
-                             axis=1)
-            self.uniq, inv = np.unique(keys3, axis=0, return_inverse=True)
-            self.inv = inv.reshape(-1)
-        else:
-            self.uniq = np.zeros((0, 3), dtype=np.int64)
-            self.inv = np.zeros(0, dtype=np.int64)
+        self.m = m = self.targets.shape[0]
+        self.uniq = np.zeros((0, 3), dtype=np.int64)
+        self.inv = np.zeros(m, dtype=np.int64)
+        #: Position of the same key's previous get (-1: none), so "first
+        #: occurrence at or after p" is ``prev[p:] < p`` for any p.  Kept
+        #: for the stream's lifetime, hence the narrow dtype.
+        self.prev = np.full(m, -1, dtype=np.int32)
+        if m:
+            # One stable sort of the packed keys groups equal keys with
+            # their positions ascending: unique rows, inverse and prev.
+            cols = np.stack([self.targets, self.offsets, self.counts])
+            packed = _pack_keys(cols)
+            order = np.argsort(packed, kind="stable")
+            ranked = packed[order]
+            new = np.ones(m, dtype=bool)
+            new[1:] = ranked[1:] != ranked[:-1]
+            self.uniq = np.ascontiguousarray(cols[:, order[new]].T)
+            self.inv[order] = np.cumsum(new) - 1
+            self.prev[order[~new]] = order[:-1][~new[1:]]
         self._occ = None
         self._key2uid = None
 
@@ -223,6 +250,11 @@ class ClampiCache:
         # no insert/evict/flush changed the key set (_state_epoch).
         self._state_epoch = 0
         self._batch_memo: dict[int, tuple] = {}
+        #: Which path ``access_batch`` took, bumped once per run (a debugging
+        #: aid outside ``stats``): vectorised hit runs and fill runs, the
+        #: entries fill runs inserted, accesses handed to scalar ``access``.
+        self.run_counts = {"hit_runs": 0, "fill_runs": 0,
+                           "filled_entries": 0, "scalar_fallbacks": 0}
         self.allocator = BufferAllocator(config.capacity_bytes)
         self.index = HashIndex(config.nslots, config.probe_limit)
         self._tuner = None
@@ -289,16 +321,19 @@ class ClampiCache:
         every hit/miss verdict, duration, statistic, eviction decision and
         entry-metadata update comes out bit-identical — but runs of
         consecutive hits are resolved with NumPy lookups against the
-        mirrored array-backed key index; only state-changing events (each
-        miss, with its insert/evict/resize side effects) fall back to the
-        scalar path.  The cached payloads are not materialized: replay
-        callers only need timing and verdicts, the data stays in the cache.
+        mirrored array-backed key index, stretches of clean misses by
+        :meth:`_fill_run`, and only what those cannot serve (a miss that
+        evicts, meets a hash conflict or is not cacheable, with its
+        insert/evict/resize side effects) falls back to the scalar path.
+        The cached payloads are not materialized: replay callers only need
+        timing and verdicts, the data stays in the cache.
 
         Runs of hits are safe to vectorize because a hit never changes
         cache *membership*: between two misses the key set is frozen, so
         one membership query decides every access in the run.  Each scalar
         miss logs the evictions/flushes it caused and the predictions for
-        the remaining stream are patched incrementally.
+        the remaining stream are patched incrementally.  ``run_counts``
+        records which path served what.
 
         Pass a prebuilt :class:`BatchStream` via ``stream`` to amortize
         the stream preprocessing across repeated replays of the same
@@ -367,6 +402,10 @@ class ClampiCache:
             if j < positions.shape[0]:
                 heapq.heappush(heap, int(positions[j]))
 
+        # A tuner may resize (replace the allocator) at any miss: no runs.
+        free_extent = (self.allocator.single_free_extent
+                       if self._tuner is None else None)
+        hit_runs = scalar_fallbacks = 0
         events: list = []
         self._batch_events = events
         try:
@@ -379,6 +418,7 @@ class ClampiCache:
                     self._apply_hit_run(slots[inv[cur:stop]], cur, stop,
                                         durations, hit_dur, nbytes_pref)
                     hits[cur:stop] = True
+                    hit_runs += 1
                 if p is None:
                     # Drop memos a newer epoch made useless (they would
                     # never validate again) and bound the table against
@@ -391,6 +431,16 @@ class ClampiCache:
                     memos[id(stream)] = (epoch, stream.uniq, slots)
                     self._batch_memo = memos
                     return durations, hits
+                if m - p >= self._MIN_FILL_RUN and free_extent is not None:
+                    extent = free_extent()
+                    if extent is not None:
+                        cur = self._fill_run(stream, slots, p, extent,
+                                             durations, hits, hit_dur,
+                                             nbytes_all, nbytes_pref)
+                        if cur > p:
+                            ptr = int(np.searchsorted(init_miss, cur))
+                            continue
+                scalar_fallbacks += 1
                 key = (int(targets[p]), int(offsets[p]), int(counts[p]))
                 _, dt, was_hit = self.access(*key)
                 if was_hit:  # pragma: no cover - mirror invariant
@@ -422,26 +472,22 @@ class ClampiCache:
                 cur = p + 1
         finally:
             self._batch_events = None
+            self.run_counts["hit_runs"] += hit_runs
+            self.run_counts["scalar_fallbacks"] += scalar_fallbacks
 
     def _join_slots(self, uniq: np.ndarray) -> np.ndarray:
         """Live-table slot of each unique key row (-1 = absent): one join.
 
         ``uniq`` is duplicate-free and lexicographically sorted, so packing
-        the key columns into one mixed-radix integer keeps it sorted and
-        every mirror row finds its match with a single ``searchsorted``.
+        the key columns (:func:`_pack_keys`) keeps it sorted and every
+        mirror row finds its match with a single ``searchsorted``.
         """
         n = uniq.shape[0]
         slots = np.full(n, -1, dtype=np.int64)
         live = self._mirror[:len(self._slot_entry)]
         if not (n and live.shape[0]):
             return slots
-        cols = np.concatenate([uniq.T, live.T], axis=1)
-        lo = cols.min(axis=1)
-        span = (cols.max(axis=1) - lo + 1).tolist()
-        if span[0] * span[1] * span[2] >= 1 << 63:
-            raise CacheError("batch stream keys do not pack into 63 bits")
-        packed = (((cols[0] - lo[0]) * span[1] + (cols[1] - lo[1])) * span[2]
-                  + (cols[2] - lo[2]))
+        packed = _pack_keys(np.concatenate([uniq.T, live.T], axis=1))
         at = np.searchsorted(packed[:n], packed[n:])
         at[at == n] = 0
         # A cached count is > 0; free mirror rows read -1.
@@ -483,11 +529,136 @@ class ClampiCache:
         fold[0] = self.stats.mgmt_time
         fold[1:] = cfg.lookup_overhead
         self.stats.mgmt_time = float(np.cumsum(fold)[-1])
-        # Write-mostly metadata stays in the slot arrays until _settle: a
-        # repeated slot counts every hit and keeps its last (largest) clock.
+        self._defer_hits(run, np.arange(c0 + 1, c0 + 1 + k))
+
+    def _defer_hits(self, run: np.ndarray, clocks: np.ndarray) -> None:
+        """Leave hits on slots ``run`` (at ascending ``clocks``) to _settle.
+
+        Write-mostly metadata stays in the slot arrays until then: a
+        repeated slot counts every hit and keeps its last (largest) clock.
+        """
         np.add.at(self._pend_n, run, 1)
-        self._pend_last[run] = np.arange(c0 + 1, c0 + 1 + k)
+        self._pend_last[run] = clocks
         self._pending = True
+
+    #: Shortest stretch worth a fill run, and the longest one run looks
+    #: ahead.  Measured (NumPy 2.4): a run costs ~65 us of array set-up and
+    #: ~1.3 us per miss, scalar ``access`` ~5.5 us per clean miss — even at
+    #: ~14 accesses when all miss, ~42 at one miss in four.  The minimum is
+    #: compared first, so the 2D kernels' <= 4-get streams leave on one
+    #: comparison; the window bounds what a run that ends early has wasted
+    #: (a stream that keeps ending runs would otherwise cost O(m) each).
+    _MIN_FILL_RUN = 32
+    _FILL_WINDOW = 2048
+
+    def _fill_run(self, stream: BatchStream, slots: np.ndarray, p: int,
+                  extent: tuple[int, int], durations: np.ndarray,
+                  hits: np.ndarray, hit_dur: np.ndarray,
+                  nbytes_all: np.ndarray, nbytes_pref: np.ndarray) -> int:
+        """Resolve the stretch from candidate miss ``p`` as array work.
+
+        While the allocator holds one free ``extent``, best fit is a bump
+        pointer and a miss that neither evicts nor meets a hash conflict
+        changes nothing a later access depends on: from ``p`` on, the first
+        occurrence of every absent key is a miss placed at the extent's
+        front, every other access a hit — on a resident entry or on one
+        this run inserted.  Returns the first position that state cannot
+        serve (an uncacheable size, the extent overflowing, a full probe
+        window, a get the window refuses), left to scalar :meth:`access`,
+        or the end of the look-ahead window; ``p`` itself when no run
+        forms.  Bit-identical to the scalar path.
+        """
+        # O(1) gates, or a nearly full cache would set up a run per miss:
+        # the extent must hold the shortest run even if all of it missed,
+        # and the first key's probe window must have room.
+        index = self.index
+        if (nbytes_pref[p + self._MIN_FILL_RUN] - nbytes_pref[p] > extent[1]
+                or len(index.probe_window(
+                    (int(stream.targets[p]), int(stream.offsets[p]),
+                     int(stream.counts[p])))) == index.probe_limit):
+            return p
+        cfg, stats = self.config, self.stats
+        hi = min(stream.m, p + self._FILL_WINDOW)
+        uids = stream.inv[p:hi]
+        miss = (slots[uids] < 0) & (stream.prev[p:hi] < p)
+        rel = np.flatnonzero(miss)          # run-relative miss positions
+        sizes = nbytes_all[p:hi][rel]
+        ends = np.cumsum(sizes)
+        unfit = (sizes <= 0) | (ends > extent[1])
+        k = int(unfit.argmax()) if unfit.any() else rel.shape[0]
+        at = rel[:k] + p
+        key_cols = stream.targets[at], stream.offsets[at], stream.counts[at]
+        payloads = self.window.read_run(self.rank, *key_cols)
+        k = len(payloads)
+
+        # What stays per entry: the object and its index placement.  Free
+        # slots go out as `_attach` pops them (newest first), then new rows.
+        c0 = self._clock
+        place, score_fn = index.place, cfg.app_score_fn
+        by_slot, free = self._slot_entry, self._free_slots
+        new_slots = free[::-1][:k]
+        new_slots += range(len(by_slot), len(by_slot) + k - len(new_slots))
+        keys = list(zip(*(col.tolist() for col in key_cols)))
+        made: list[CacheEntry] = []
+        for key, data, end, nbytes, clock, slot in zip(
+                keys, payloads, (extent[0] + ends[:k]).tolist(),
+                sizes[:k].tolist(), (c0 + 1 + rel[:k]).tolist(), new_slots):
+            entry = CacheEntry(key, data, end - nbytes, nbytes, clock, None)
+            if not place(key, entry):
+                break  # full probe window: the scalar path's to resolve
+            if score_fn is not None:
+                entry.app_score = float(score_fn(*key, data))
+            entry.slot = slot
+            made.append(entry)
+        k = len(made)
+        if k == 0:
+            return p
+        n = int(rel[k]) if k < rel.shape[0] else hi - p
+        q = p + n
+        del keys[k:]
+        taken = np.array(new_slots[:k])
+        rel, sizes, fetched = rel[:k], sizes[:k], int(ends[k - 1])
+        self.allocator.take_front(sizes.tolist())
+        reused = min(k, len(free))
+        del free[len(free) - reused:]
+        for entry in made[:reused]:
+            by_slot[entry.slot] = entry
+        by_slot += made[reused:]
+        while len(by_slot) > self._pend_n.shape[0]:
+            self._grow_slot_arrays()
+        slots[uids[rel]] = taken
+        self._mirror[taken] = np.stack(key_cols, axis=1)[:k]
+        self._key_pos.update(zip(keys, range(len(self._entries),
+                                             len(self._entries) + k)))
+        self._entries += made
+        seen_before = len(self._seen)
+        self._seen.update(keys)
+        stats.compulsory_misses += len(self._seen) - seen_before
+        self._state_epoch += k
+        self._clock = c0 + n
+
+        hits[p:q] = ~miss[:n]
+        durations[p:q] = hit_dur[p:q]
+        durations[at[:k]] = ((cfg.lookup_overhead
+                              + self.network.get_times(sizes))
+                             + cfg.insert_overhead)
+        # mgmt_time: `+= lookup` per access and `+= insert` right after each
+        # miss, as one strict left-to-right fold (see _apply_hit_run).
+        fold = np.full(1 + n + k, cfg.lookup_overhead)
+        fold[0] = stats.mgmt_time
+        fold[rel + np.arange(2, k + 2)] = cfg.insert_overhead
+        stats.mgmt_time = float(np.cumsum(fold)[-1])
+        stats.misses += k
+        stats.bytes_fetched += fetched
+        stats.hits += n - k
+        stats.bytes_served_from_cache += int(nbytes_pref[q]
+                                             - nbytes_pref[p]) - fetched
+        if n > k:
+            at_hits = np.flatnonzero(hits[p:q])
+            self._defer_hits(slots[uids[at_hits]], c0 + 1 + at_hits)
+        self.run_counts["fill_runs"] += 1
+        self.run_counts["filled_entries"] += k
+        return q
 
     def _settle(self, entries: Iterable[CacheEntry]) -> None:
         """Fold pending hit-run metadata into these live entries' objects."""
@@ -609,16 +780,20 @@ class ClampiCache:
         else:
             slot = len(self._slot_entry)
             self._slot_entry.append(entry)
-            if slot == self._pend_n.shape[0]:  # double; fresh rows read zero
-                self._mirror, self._pend_n, self._pend_last = (
-                    np.concatenate([a, np.zeros_like(a)])
-                    for a in (self._mirror, self._pend_n, self._pend_last))
+            if slot == self._pend_n.shape[0]:
+                self._grow_slot_arrays()
         entry.slot = slot
         self._mirror[slot] = key
         self._key_pos[key] = len(self._entries)
         self._entries.append(entry)
         self._state_epoch += 1
         return True
+
+    def _grow_slot_arrays(self) -> None:
+        """Double the slot-indexed arrays; fresh rows read zero."""
+        self._mirror, self._pend_n, self._pend_last = (
+            np.concatenate([a, np.zeros_like(a)])
+            for a in (self._mirror, self._pend_n, self._pend_last))
 
     def _detach(self, entry: CacheEntry) -> None:
         """Drop ``entry`` from index and live table; its buffer stays allocated."""

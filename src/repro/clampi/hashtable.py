@@ -66,6 +66,14 @@ class HashIndex:
         The caller is expected to react to a False return by evicting one of
         :meth:`probe_window` and retrying.
         """
+        if self.place(key, value):
+            return True
+        self.conflicts += 1
+        return False
+
+    def place(self, key: Hashable, value: Any) -> bool:
+        """:meth:`insert` that leaves a full window *uncounted*: for callers
+        that answer False by handing the key to a path that inserts again."""
         slots, n = self._slots, self.nslots
         idx = home = hash(key) % n
         for _ in range(self.probe_limit):
@@ -80,7 +88,6 @@ class HashIndex:
             idx += 1
             if idx == n:
                 idx = 0
-        self.conflicts += 1
         return False
 
     def remove(self, key: Hashable) -> Any:

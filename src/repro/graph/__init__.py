@@ -17,7 +17,6 @@ from repro.graph.partition import (
 )
 from repro.graph.distributed import DistributedCSR
 from repro.graph.partition2d import GridPartition2D, split_edges_2d
-from repro.graph.exchange import ExchangeResult, exchange_graph
 from repro.graph.generators import (
     erdos_renyi,
     rmat,
@@ -39,8 +38,6 @@ __all__ = [
     "DistributedCSR",
     "GridPartition2D",
     "split_edges_2d",
-    "ExchangeResult",
-    "exchange_graph",
     "erdos_renyi",
     "rmat",
     "powerlaw_configuration",

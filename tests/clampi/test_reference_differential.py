@@ -18,7 +18,7 @@ from repro.clampi.cache import ClampiCache, ClampiConfig
 from repro.clampi.hashtable import HashIndex
 from repro.clampi.scores import AppScorePolicy
 from repro.runtime.window import Window
-from repro.utils.errors import CacheError
+from repro.utils.errors import AllocationError, CacheError
 from tests.clampi_reference import ReferenceAllocator, ReferenceHashIndex
 
 # -- hash index ----------------------------------------------------------------
@@ -30,7 +30,8 @@ hash_keys = st.one_of(
     st.tuples(st.integers(0, 1), st.integers(0, 20), st.integers(1, 3)),
 )
 hash_ops = st.lists(
-    st.tuples(st.sampled_from(["insert", "insert", "remove", "lookup"]),
+    st.tuples(st.sampled_from(["insert", "insert", "place", "remove",
+                               "lookup"]),
               hash_keys),
     max_size=120,
 )
@@ -54,6 +55,10 @@ def test_hash_index_matches_reference(operations, nslots, probe_limit):
     for step, (op, key) in enumerate(operations):
         if op == "insert":
             assert new.insert(key, step) == ref.insert(key, step)
+        elif op == "place":   # insert, but a full window stays uncounted
+            counted = ref.conflicts
+            assert new.place(key, step) == ref.insert(key, step)
+            ref.conflicts = counted
         elif op == "remove":
             if ref.lookup(key) is None:
                 with pytest.raises(CacheError):
@@ -86,6 +91,9 @@ alloc_ops = st.lists(
     st.one_of(
         st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=300)),
         st.tuples(st.just("free"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("take_front"),
+                  st.lists(st.integers(min_value=0, max_value=120),
+                           min_size=1, max_size=6)),
     ),
     max_size=200,
 )
@@ -102,6 +110,21 @@ def test_allocator_matches_reference(operations, capacity):
             assert off == ref.alloc(arg)
             if off is not None:
                 live.append(off)
+        elif op == "take_front":
+            # One call for what `alloc` per size does on a one-extent free
+            # list; anything else (several extents, no room, a size <= 0)
+            # is refused with the allocator untouched.
+            free = sorted(ref._free.items())
+            assert new.single_free_extent() == (free[0] if len(free) == 1
+                                                else None)
+            if len(free) == 1 and min(arg) > 0 and sum(arg) <= free[0][1]:
+                offsets = [ref.alloc(size) for size in arg]
+                assert new.take_front(arg) == offsets[0] == free[0][0]
+                assert [new.block_size(off) for off in offsets] == arg
+                live.extend(offsets)
+            else:
+                with pytest.raises(AllocationError):
+                    new.take_front(arg)
         elif live:
             off = live.pop(arg % len(live))
             assert new.free(off) == ref.free(off)

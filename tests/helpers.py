@@ -97,3 +97,33 @@ def apply_cache_maintenance(cache, op: str, a: int, b: int) -> None:
         cache.resize(nslots=a, capacity_bytes=b)
     else:
         raise ValueError(op)
+
+
+def assert_caches_identical(cache, oracle) -> None:
+    """Two ``ClampiCache`` objects cannot be told apart by any later access.
+
+    Statistics and clocks, every live entry with its settled metadata, slot
+    and payload, the allocator's free list and used map, the hash index's
+    layout and conflict count, and the victim sampler's RNG state.
+    """
+    def rows(c):
+        return [(e.key, e.buffer_offset, e.nbytes, e.last_access,
+                 e.n_accesses, e.app_score, e.slot, e.data.tolist())
+                for e in c.entries()]
+
+    assert cache.stats.mgmt_time == oracle.stats.mgmt_time
+    assert cache.stats.snapshot() == oracle.stats.snapshot()
+    assert cache.stats.compulsory_misses == oracle.stats.compulsory_misses
+    assert cache._clock == oracle._clock
+    assert cache._seen == oracle._seen
+    assert rows(cache) == rows(oracle)
+    assert cache._free_slots == oracle._free_slots
+    assert (list(cache.allocator._free_by_size)
+            == list(oracle.allocator._free_by_size))
+    assert cache.allocator.used_blocks() == oracle.allocator.used_blocks()
+    assert cache.index.conflicts == oracle.index.conflicts
+    assert ([s and s[0] for s in cache.index._slots]
+            == [s and s[0] for s in oracle.index._slots])
+    assert cache._rng.getstate() == oracle._rng.getstate()
+    cache.check_invariants()
+    oracle.check_invariants()
