@@ -9,11 +9,16 @@ identity
 
     6T = sum_{I,J} sum_K  || (A[I,K] @ A[K,J]) ∘ A[I,J] ||_1
 
-evaluated **per round instead of per rank**.  Round ``K`` of SUMMA
-multiplies the column panel ``A[:, V_K]`` by the row panel ``A[V_K, :]``
-(one strip SpGEMM for the whole grid) and masks by ``A``; every rank's
-per-round product nnz, masked contribution and per-vertex row sums then
-fall out of two ``np.bincount`` passes over the block coordinates.  The
+evaluated **per round instead of per rank, and on the mask**.  On the
+undirected graphs the 2D kernels accept, entry ``(i, j)`` of round ``K``
+is ``|adj(i) ∩ adj(j) ∩ V_K|``: one sorted-row intersection per stored
+edge over the column panel ``A[:, V_K]``
+(:func:`~repro.core.intersect.edge_support`), ``Σ_edges deg_K(i) +
+deg_K(j)`` merge steps in strips of bounded memory — the strip product
+``A[:, V_K] @ A[V_K, :]`` and its fill-in (every open wedge through the
+panel) are never formed.  Every rank's per-round product nnz and masked
+contribution then fall out of ``np.bincount`` passes over the edges'
+owner ranks, the per-vertex row sums out of two over their endpoints.  The
 per-rank simulated clocks and traces are rebuilt with the three stages of
 :mod:`repro.core.replay`, shared with the 1D kernels: a rank's remote
 block fetches (one :class:`~repro.clampi.cache.BatchStream`) go through
@@ -57,11 +62,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.clampi.cache import BatchStream
 from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
-from repro.core.local import lcc_from_triplets, to_sparse
+from repro.core.intersect import edge_support
+from repro.core.local import lcc_from_triplets
 from repro.core.replay import fold_left, fold_slots, get_totals, price_gets
 from repro.core.tc2d import (
     BLOCKS_WINDOW,
@@ -90,9 +97,10 @@ __all__ = [
 class SummaStats:
     """Per-epoch tables one SUMMA pass over the resident blocks yields.
 
-    Everything here is a pure function of block state, so a resident
-    :class:`~repro.graphstore.grid2d.GridCluster2D` computes it once per
-    state epoch and replays it for every warm query:
+    Defined for symmetric ``A`` only (:func:`summa_stats` rejects directed
+    graphs).  Everything here is a pure function of block state, so a
+    resident :class:`~repro.graphstore.grid2d.GridCluster2D` computes it
+    once per state epoch and replays it for every warm query:
 
     * ``block_nnz[rank]`` — nnz of each resident block;
     * ``prod_nnz[k, rank]`` — nnz of round ``k``'s masked partial
@@ -102,17 +110,22 @@ class SummaStats:
       round's wedge-closure count on the rank);
     * ``tpv[v]`` — per-vertex triplet counts, the row sums of
       ``(A·A)∘A`` accumulated over all rounds (what ``lcc2d`` scores
-      from).
+      from), read-only like ``graph.scores``: results reference it;
+    * ``lcc`` — the scores of ``tpv``, filled (read-only) by the first
+      ``lcc2d`` query of the epoch.
     """
 
-    __slots__ = ("block_nnz", "prod_nnz", "masked_sum", "tpv", "rounds")
+    __slots__ = ("block_nnz", "prod_nnz", "masked_sum", "tpv", "lcc",
+                 "rounds")
 
     def __init__(self, block_nnz: np.ndarray, prod_nnz: np.ndarray,
                  masked_sum: np.ndarray, tpv: np.ndarray):
         self.block_nnz = block_nnz
         self.prod_nnz = prod_nnz
         self.masked_sum = masked_sum
+        tpv.flags.writeable = False
         self.tpv = tpv
+        self.lcc: np.ndarray | None = None
         self.rounds = prod_nnz.shape[0]
 
 
@@ -120,41 +133,52 @@ def summa_stats(graph: CSRGraph, grid: GridPartition2D,
                 blocks: list) -> SummaStats:
     """One SUMMA sweep: per-round, per-rank masked-product tables.
 
-    Round ``k`` multiplies the column panel ``A[:, V_k]`` by the row
-    panel ``A[V_k, :]`` in one strip SpGEMM and masks elementwise by
-    ``A``; restricted to block ``(I, J)`` that is exactly the partial
-    product the edge-centric loop materializes per rank, so the tables
-    are bit-equal to what ``p`` per-rank multiplies would produce.
+    Round ``k``'s masked product is computed on the mask: the entry of a
+    stored edge ``(i, j)`` is ``|adj(i) ∩ adj(j) ∩ V_k|``, one
+    :func:`~repro.core.intersect.edge_support` call over the column panel
+    ``A[:, V_k]`` — ``Σ_edges deg_k(i) + deg_k(j)`` merge steps, no
+    fill-in.  ``A`` is symmetric, so the sweep visits the strictly-upper
+    edges and credits each count to both stored directions; restricted to
+    block ``(I, J)`` that is exactly the partial product the edge-centric
+    loop materializes per rank, so the tables are bit-equal to what ``p``
+    per-rank multiplies would produce.
     """
     require_square_grid(grid, kernel="summa_stats", strict=True)
+    if graph.directed:
+        raise ConfigError("summa_stats expects an undirected graph")
     c, p, n = grid.cols, grid.nranks, graph.n
     block_nnz = np.array([b.nnz for b in blocks], dtype=np.int64)
     prod_nnz = np.zeros((c, p), dtype=np.int64)
     masked_sum = np.zeros((c, p), dtype=np.int64)
-    tpv = np.zeros(n, dtype=np.int64)
-    a = to_sparse(graph)
+    a = csr_matrix(
+        (np.ones(graph.adjacency.shape[0], dtype=np.int8), graph.adjacency,
+         graph.offsets), shape=(n, n))
+    edges = graph.edges()
+    upper = edges[edges[:, 0] < edges[:, 1]]
+    i, j = np.ascontiguousarray(upper.T)
+    # Owner of every upper edge (i, j), then of its stored mirror (j, i).
+    owners = (grid.owners_of_edges(upper),
+              grid.owners_of_edges(upper[:, ::-1]))
+
+    def per_rank(select, weights=None):
+        return sum(np.bincount(o[select], weights=weights, minlength=p)
+                   for o in owners).astype(np.int64)
+
+    support = np.zeros(i.shape[0], dtype=np.int64)
     with obs_span("summa", cat="kernel", rounds=c, nranks=p,
                   graph=graph.name or "") as sp:
         for k in range(c):
             lo, hi = grid.col_range(k)
             with obs_span("summa_round", cat="kernel", k=k) as rsp:
-                if lo == hi:
-                    continue
-                masked = (a[:, lo:hi] @ a[lo:hi, :]).multiply(a).tocoo()
-                if masked.nnz:
-                    edges = np.column_stack([
-                        masked.row.astype(np.int64),
-                        masked.col.astype(np.int64)])
-                    owners = grid.owners_of_edges(edges)
-                    prod_nnz[k] = np.bincount(owners, minlength=p)
-                    masked_sum[k] = np.bincount(
-                        owners, weights=masked.data.astype(np.float64),
-                        minlength=p).astype(np.int64)
-                    tpv += np.bincount(
-                        masked.row.astype(np.int64),
-                        weights=masked.data.astype(np.float64),
-                        minlength=n).astype(np.int64)
-                rsp.note(nnz=int(masked.nnz) if lo != hi else 0)
+                cnt = edge_support(a[:, lo:hi], i, j)
+                closed = cnt > 0
+                prod_nnz[k] = per_rank(closed)
+                masked_sum[k] = per_rank(closed, cnt[closed])
+                support += cnt
+                rsp.note(nnz=2 * int(np.count_nonzero(closed)))
+        tpv = (np.bincount(i, weights=support, minlength=n)
+               + np.bincount(j, weights=support, minlength=n)
+               ).astype(np.int64)
         sp.note(triplets=int(tpv.sum()))
     return SummaStats(block_nnz, prod_nnz, masked_sum, tpv)
 
@@ -328,13 +352,14 @@ def execute_lcc2d(engine: Engine, grid: GridPartition2D, blocks: list,
                 comp_time=own_dt + comp + final_dt, **totals))
         total = int(stats.tpv.sum())
         sp.note(triplets=total)
-    tpv = stats.tpv.copy()
-    lcc = lcc_from_triplets(graph, tpv)
+    if stats.lcc is None:
+        stats.lcc = lcc_from_triplets(graph, stats.tpv)
+        stats.lcc.flags.writeable = False
     outcome = RunOutcome(time=max(clocks), clocks=clocks, traces=traces,
                          results=stats.masked_sum.sum(axis=0).tolist())
     return DistributedRunResult(
-        lcc=lcc,
-        triangles_per_vertex=tpv,
+        lcc=stats.lcc,
+        triangles_per_vertex=stats.tpv,
         global_triangles=total // 6,
         outcome=outcome,
         adj_cache_stats=CacheStats.merged(_block_caches(engine, win)),

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.intersect import (
     binary_search_count,
     count_common,
     count_common_above,
+    edge_support,
     hybrid_count,
     intersect_values,
     ssi_count,
@@ -105,3 +107,60 @@ class TestCountAbove:
 class TestIntersectValues:
     def test_values(self):
         np.testing.assert_array_equal(intersect_values(A, B), [3, 7])
+
+
+class _CountingPattern(sp.csr_matrix):
+    """Counts the strip merges ``edge_support`` runs."""
+
+    merges = 0
+
+    def multiply(self, other):
+        _CountingPattern.merges += 1
+        return super().multiply(other)
+
+
+class TestEdgeSupport:
+    LEAVES = 1000
+
+    def wheel(self):
+        # Hub 0 next to every leaf, leaves 1..L on a ring: every spoke
+        # closes two triangles, every ring edge one.
+        leaves = np.arange(1, self.LEAVES + 1)
+        spokes = np.column_stack([np.zeros_like(leaves), leaves])
+        ring = np.column_stack([leaves, np.roll(leaves, -1)])
+        e = np.concatenate([spokes, ring])
+        e = np.concatenate([e, e[:, ::-1]])
+        n = self.LEAVES + 1
+        return _CountingPattern(
+            (np.ones(e.shape[0], dtype=np.int8), (e[:, 0], e[:, 1])),
+            shape=(n, n))
+
+    def test_strip_boundaries_inside_the_hub_row(self):
+        pattern = self.wheel()
+        leaves = np.arange(1, self.LEAVES + 1)
+        hub = np.zeros_like(leaves)
+        # Every spoke gathers L + 3 entries (hub row + a leaf row); a budget
+        # of 7.5 spokes cuts the hub's own run of pairs into 134 strips.
+        budget = 15 * (self.LEAVES + 3) // 2
+        _CountingPattern.merges = 0
+        got = edge_support(pattern, hub, leaves, budget)
+        assert got.tolist() == [2] * self.LEAVES
+        assert _CountingPattern.merges == -(-self.LEAVES * 2 // 15)
+        # Budgeted or not, the counts agree.
+        _CountingPattern.merges = 0
+        np.testing.assert_array_equal(
+            edge_support(pattern, hub, leaves), got)
+        assert _CountingPattern.merges == 1
+
+    def test_pair_wider_than_the_budget_is_its_own_strip(self):
+        pattern = self.wheel()
+        got = edge_support(pattern, np.array([0, 1, 0]), np.array([1, 2, 0]),
+                           budget=1)
+        assert got.tolist() == [2, 1, self.LEAVES]
+
+    def test_no_pairs_and_empty_rows(self):
+        pattern = sp.csr_matrix((3, 0), dtype=np.int8)
+        none = np.zeros(0, dtype=np.int64)
+        assert edge_support(pattern, none, none).shape == (0,)
+        assert edge_support(pattern, np.array([0, 1]),
+                            np.array([2, 2])).tolist() == [0, 0]

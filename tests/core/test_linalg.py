@@ -11,11 +11,14 @@ through :meth:`ClampiCache.access_batch` and is pinned against the
 scalar cached loop including CLaMPI statistics.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.clampi.cache import ConsistencyMode
 from repro.core.config import CacheSpec, LCCConfig
+from repro.core.intersect import SUPPORT_BUDGET
 from repro.core.linalg import (
     build_round_streams,
     run_tc2d_spgemm,
@@ -151,6 +154,45 @@ class TestLCC2D:
         g = powerlaw_configuration(64, 300, seed=3, directed=True)
         with pytest.raises(ConfigError):
             run_kernel("lcc2d", g, LCCConfig(nranks=4))
+
+
+class TestSummaTables:
+    def test_directed_graph_rejected(self):
+        # The sweep credits each upper edge to both stored directions; on
+        # a directed graph that symmetry does not exist, so fail closed.
+        g = powerlaw_configuration(64, 300, seed=3, directed=True)
+        grid = GridPartition2D(g.n, 4)
+        with pytest.raises(ConfigError, match="expects an undirected graph"):
+            summa_stats(g, grid, build_grid_blocks(g, grid))
+
+    def test_results_reference_read_only_tables(self):
+        with Session(GRAPH, LCCConfig(nranks=9)) as session:
+            first = session.run("lcc2d").raw
+            again = session.run("lcc2d").raw
+            stats, _ = session._c2d.panel_state()
+        assert first.triangles_per_vertex is stats.tpv
+        assert first.lcc is again.lcc is stats.lcc  # scored once per epoch
+        for held in (stats.tpv, stats.lcc):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0
+
+    def test_peak_memory_bounded_by_strip_budget(self):
+        # A strip holds two gathered operands and SciPy's worst-case-sized
+        # output, a 4-byte index and a 1-byte value each: ~10 B per budgeted
+        # entry.  The rest is O(m) - edge list, owners, counts - and measures
+        # ~67 B per stored edge.  The strip product A[:, V_k] @ A[V_k, :]
+        # (the formulation this replaced) peaks at ~100 MB on this graph,
+        # 6x what the masked sweep allocates and 4x this bound.
+        g = rmat(12, 16, seed=1)
+        grid = GridPartition2D(g.n, 9)
+        blocks = build_grid_blocks(g, grid)
+        tracemalloc.start()
+        try:
+            summa_stats(g, grid, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * SUPPORT_BUDGET + 96 * g.num_adjacency_entries
 
 
 class TestSquareGridGuard:

@@ -4,28 +4,38 @@ Random catalogs × square grid shapes × cached/uncached × cold/warm: the
 algebraic ``tc2d_spgemm`` replay must reproduce the edge-centric
 ``tc2d`` oracle's triangle counts and virtual clocks with exact float
 equality, and ``lcc2d`` must reproduce the 1D ``lcc`` scores bit for
-bit.  Also the packed-CSR wire format: ``pack_block`` round-trips
+bit.  The SUMMA tables behind both come from per-edge row intersections
+(``summa_stats``), so the scalar loops here are their only oracle: the
+catalogs reach down to the empty graph and ``n < cols`` (empty panels),
+and named shapes cover a star, a clique and isolated vertices.  Also
+the packed-CSR wire format: ``pack_block`` round-trips
 through ``_unpack_block`` for arbitrary sparse blocks.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.linalg import run_tc2d_spgemm
-from repro.core.local import triangle_count_local
+from repro.core.local import (
+    lcc_local,
+    triangle_count_local,
+    triangles_per_vertex_matrix,
+)
 from repro.core.tc2d import _unpack_block, pack_block, run_distributed_tc_2d
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import complete_graph
 from repro.session import Session, run_kernel
 from repro.utils.errors import ConfigError
 
 
 @st.composite
 def random_graphs(draw):
-    n = draw(st.integers(min_value=3, max_value=48))
-    m = draw(st.integers(min_value=0, max_value=140))
+    n = draw(st.integers(min_value=0, max_value=48))
+    m = draw(st.integers(min_value=0, max_value=140)) if n else 0
     seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
     edges = rng.integers(0, n, size=(m, 2))
@@ -35,9 +45,8 @@ def random_graphs(draw):
 square_nranks = st.sampled_from([1, 4, 9, 16])
 
 
-@given(random_graphs(), square_nranks)
-@settings(max_examples=50, deadline=None)
-def test_spgemm_matches_oracle_uncached(graph, nranks):
+def assert_tables_match_scalar_oracles(graph, nranks):
+    """``tc2d_spgemm`` == the edge-centric loop, ``lcc2d`` == ``(A·Aᵀ)∘A``."""
     cfg = LCCConfig(nranks=nranks)
     oracle = run_distributed_tc_2d(graph, cfg)
     res = run_tc2d_spgemm(graph, cfg)
@@ -45,6 +54,46 @@ def test_spgemm_matches_oracle_uncached(graph, nranks):
     assert res.global_triangles == triangle_count_local(graph)
     assert res.outcome.clocks == oracle.outcome.clocks
     assert res.outcome.results == oracle.outcome.results
+    assert res.outcome.traces == oracle.outcome.traces
+    lcc2d = run_kernel("lcc2d", graph, cfg).raw
+    np.testing.assert_array_equal(lcc2d.triangles_per_vertex,
+                                  triangles_per_vertex_matrix(graph))
+    np.testing.assert_array_equal(lcc2d.lcc, lcc_local(graph))
+    assert lcc2d.outcome.results == oracle.outcome.results
+
+
+@given(random_graphs(), square_nranks)
+@settings(max_examples=50, deadline=None)
+def test_spgemm_matches_oracle_uncached(graph, nranks):
+    assert_tables_match_scalar_oracles(graph, nranks)
+
+
+def star(leaves):
+    hub = np.zeros(leaves, dtype=np.int64)
+    return CSRGraph.from_edges(
+        np.column_stack([hub, np.arange(1, leaves + 1)]), leaves + 1)
+
+
+def clique_among_isolated():
+    # Vertices 0-5 and 30-39 have no edges; 6-29 form a clique.
+    edges = complete_graph(24).edges() + 6
+    return CSRGraph.from_edges(edges, 40)
+
+
+NAMED_SHAPES = {
+    "no-vertices": CSRGraph.from_edges(np.zeros((0, 2), dtype=np.int64), 0),
+    "no-edges": CSRGraph.from_edges(np.zeros((0, 2), dtype=np.int64), 7),
+    "fewer-vertices-than-panels": complete_graph(3),
+    "star": star(3000),  # one hub row against thousands of leaves
+    "clique": complete_graph(40),
+    "clique-among-isolated": clique_among_isolated(),
+}
+
+
+@pytest.mark.parametrize("nranks", [1, 4, 9, 16])
+@pytest.mark.parametrize("shape", NAMED_SHAPES)
+def test_named_shapes_match_oracle(shape, nranks):
+    assert_tables_match_scalar_oracles(NAMED_SHAPES[shape], nranks)
 
 
 @given(random_graphs(), st.sampled_from([4, 9]),
