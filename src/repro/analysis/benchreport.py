@@ -317,26 +317,6 @@ def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _summary(report: Mapping[str, Any]) -> list[str]:
-    lines = []
-    for name, row in report["kernels"].items():
-        hit = row["adj_hit_rate"]
-        hit_s = f"  adj-hit {hit:.3f}" if hit is not None else ""
-        lines.append(f"{name:22s} wall {row['wall_clock_s']:8.3f}s  "
-                     f"simulated {row['simulated_time_s']:.6g}s{hit_s}")
-    for name, row in report["cached_replay"].items():
-        lines.append(f"{name:22s} batched replay: cold "
-                     f"{row['cold_speedup']:.1f}x, warm "
-                     f"{row['warm_speedup']:.1f}x vs loop  "
-                     f"(bit-identical: {row['bit_identical']})")
-    for name, row in report["linalg"].items():
-        lines.append(f"{name:22s} algebraic replay: warm "
-                     f"{row['warm_speedup']:.1f}x vs loop on "
-                     f"{row['nranks']} ranks  "
-                     f"(bit-identical: {row['bit_identical']})")
-    return lines
-
-
 SUITE = BenchSuite(
     name="kernels",
     doc="every registered kernel (incl. the SUMMA `tc2d_spgemm`/`lcc2d` "
@@ -356,5 +336,4 @@ SUITE = BenchSuite(
              "edge-centric oracle"),
     ),
     headline=_headline,
-    summary=_summary,
 )

@@ -2,19 +2,21 @@
 
 Every committed ``BENCH_<suite>.json`` is produced and guarded by one
 :class:`BenchSuite`: a name, a ``run(quick) -> report`` function, the
-report's required top-level keys, a **gate table** of :class:`Gate` rows,
-a trajectory headline and a summary printer.  Everything else — the
-evaluator, the report writer, the baseline loader, the trajectory
-appender and the CLI driver — exists once, here, and reads the table.
+report's required top-level keys, a **gate table** of :class:`Gate` rows
+and a trajectory headline.  Everything else — the evaluator, the report
+writer, the one gate-table renderer, the trajectory appender and the
+``repro bench`` command — exists once, here, and reads the table.
 
 A gate row is ``report[path] <op> bound``: ``path`` is a dotted key path
 whose ``*`` matches every key of a mapping (graph names differ between
-``--quick`` CI runs and the committed full-size baselines, so rows are
+``--quick`` CI runs and the committed full-size reports, so rows are
 never matched by name).  A key the path names but the report lacks, and a
 ``*`` that matches nothing, are violations — a vacuous report never
-passes.  With a baseline (``--check``) a row's ``rel`` additionally
-requires the worst matched value to stay above that fraction of the
-baseline's worst value.
+passes.  Every row reads a deterministic value — a bit-identity, a count,
+a simulated-clock ratio — so a report's verdict does not depend on the
+machine that measured it.  Wall-clock measurements stay in the reports
+and the trajectory headlines as recorded numbers; wall time is gated by
+the ledger (``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import import_module
-from typing import (
-    Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence,
-)
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.analysis.schema import (
     trajectory_row_problems,
@@ -41,13 +41,6 @@ from repro.analysis.schema import (
 
 #: ``schema_version`` of every report and of the trajectory file.
 SCHEMA_VERSION = 1
-
-#: Fraction of the baseline's worst value a relative row must retain.
-#: Deliberately loose: baselines are recorded on full-size graphs while CI
-#: measures ``--quick`` sizes on noisy shared runners — the relative
-#: clause catches a fast path silently degrading to loop speed, not 10%
-#: wall-clock jitter.
-REL_TOLERANCE = 0.25
 
 #: The cross-PR perf history; every accepted run appends one dated row.
 TRAJECTORY_FILE = "BENCH_trajectory.json"
@@ -68,14 +61,6 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 
 
 @dataclass(frozen=True)
-class Quick:
-    """A bound that depends on the report's size: ``full`` vs ``--quick``."""
-
-    full: float
-    quick: float
-
-
-@dataclass(frozen=True)
 class Sibling:
     """A bound read from another key of the same row."""
 
@@ -86,48 +71,26 @@ class Sibling:
 class Gate:
     """One row of a suite's gate table (see the module docstring).
 
-    ``bound`` is a constant (for ``in``, an open ``(low, high)`` interval),
-    a :class:`Quick` pair or a :class:`Sibling` key; ``None`` means the row
-    has no absolute clause (only ``rel``).
-    ``skip`` names keys a ``*`` must not match (sections that mix
-    per-graph rows with one differently-shaped row).
+    ``bound`` is a constant (for ``in``, an open ``(low, high)`` interval)
+    or a :class:`Sibling` key.  ``skip`` names keys a ``*`` must not match
+    (sections that mix per-graph rows with one differently-shaped row).
     """
 
     path: str
     op: str
     bound: Any
     why: str
-    #: With a baseline: the minimum over the ``*`` matches must stay at or
-    #: above ``rel`` x the baseline's minimum over its own matches.
-    rel: Optional[float] = None
-    #: With a baseline the ``rel`` clause replaces the absolute one.
-    rel_waives_bound: bool = False
     skip: tuple = ()
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise ValueError(f"unknown gate op {self.op!r}")
-        if self.rel is not None and not 0 < self.rel <= 1:
-            raise ValueError(
-                f"relative tolerance must be in (0, 1], got {self.rel}")
-        if self.bound is None and self.rel is None:
-            raise ValueError(f"gate {self.path!r} has neither bound nor rel")
 
     def describe(self) -> str:
         """The row as ``--list`` prints it."""
-        clauses = []
-        if self.bound is not None:
-            bound = self.bound
-            if isinstance(bound, Quick):
-                bound = f"{bound.full} ({bound.quick} with --quick)"
-            elif isinstance(bound, Sibling):
-                bound = bound.key
-            clauses.append(f"{self.op} {bound}")
-        if self.rel is not None:
-            clauses.append(f">= {self.rel:.0%} of baseline"
-                           + (" instead, under --check"
-                              if self.rel_waives_bound else ""))
-        return f"{self.path} {', '.join(clauses)} -- {self.why}"
+        bound = (self.bound.key if isinstance(self.bound, Sibling)
+                 else self.bound)
+        return f"{self.path} {self.op} {bound} -- {self.why}"
 
 
 @dataclass(frozen=True)
@@ -142,20 +105,14 @@ class BenchSuite:
     gates: tuple
     #: ``report -> {field: value}``: the suite's trajectory headline.
     headline: Callable[[Mapping], dict]
-    #: ``report -> lines`` printed after a run.
-    summary: Callable[[Mapping], list]
 
     @property
-    def baseline_file(self) -> str:
+    def committed_file(self) -> str:
         return f"BENCH_{self.name}.json"
 
     def report_file(self, quick: bool) -> str:
-        """Where a fresh report lands: never the baseline under ``--quick``."""
-        return f"BENCH_{self.name}_quick.json" if quick else self.baseline_file
-
-    @property
-    def reads_baseline(self) -> bool:
-        return any(g.rel is not None for g in self.gates)
+        """Where a fresh report lands: never the committed one under ``--quick``."""
+        return f"BENCH_{self.name}_quick.json" if quick else self.committed_file
 
 
 # ---------------------------------------------------------------------------
@@ -218,86 +175,84 @@ def matched(gate: Gate, report: Mapping) -> list:
             if value is not _MISSING]
 
 
+def _brief(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, Mapping):
+        return "{" + ", ".join(f"{k} {_brief(v)}"
+                               for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return f"{len(value)} entries"
+    return str(value)
+
+
 def _show(value: Any) -> str:
+    """:func:`_brief`, naming what a problem line needs to be acted on."""
     if value is _MISSING:
         return "nothing recorded"
-    if isinstance(value, float):
-        return f"{value:.3f}"
     if isinstance(value, list) and value:
         return f"{len(value)} entries, first: {value[0]}"
-    return repr(value)
+    return _brief(value)
 
 
-def _worst(matches: Iterable[tuple]) -> Optional[float]:
-    """The minimum numeric value a row matched (``None``: matched none)."""
-    return min((value for _, _, value in matches
-                if isinstance(value, (int, float))
-                and not isinstance(value, bool)), default=None)
-
-
-def _relative(suite: BenchSuite, gate: Gate, matches: Sequence[tuple],
-              baseline: Mapping) -> Iterator[str]:
-    parts = gate.path.split(".")
-    floor = _worst(_resolve(baseline, parts, gate.skip))
-    if floor is None:
-        yield (f"baseline has no {parts[0]} section (is --check pointed "
-               f"at a {suite.baseline_file}?)")
-        return
-    fresh, threshold = _worst(matches), gate.rel * floor
-    if fresh is None:
-        yield (f"{gate.path}: the baseline records {floor:.2f}x but the "
-               "fresh report has no number to hold to it")
-    elif fresh < threshold:
-        yield (f"{gate.path}: {fresh:.2f}x fell below {threshold:.2f}x "
-               f"({gate.rel:.0%} of the baseline's {floor:.2f}x)")
-
-
-def violations(suite: BenchSuite, report: Mapping,
-               baseline: Optional[Mapping] = None) -> Iterator[tuple]:
-    """``(gate, problem)`` for every row of the table ``report`` violates.
-
-    ``baseline=None`` evaluates the absolute clauses only (what a report
-    must satisfy to be recorded); with a baseline (``--check``) the
-    relative clauses apply on top.
-    """
-    quick = bool(report.get("quick"))
+def violations(suite: BenchSuite, report: Mapping) -> Iterator[tuple]:
+    """``(gate, problem)`` for every row of the table ``report`` violates."""
     for gate in suite.gates:
-        matches = list(_resolve(report, gate.path.split("."), gate.skip))
-        absolute = gate.bound is not None and not (
-            gate.rel_waives_bound and baseline is not None)
-        for path, parent, value in matches:
+        for path, parent, value in _resolve(report, gate.path.split("."),
+                                            gate.skip):
             bound = gate.bound
-            if isinstance(bound, Quick):
-                bound = bound.quick if quick else bound.full
-            elif isinstance(bound, Sibling):
+            if isinstance(bound, Sibling):
                 bound = (_MISSING if parent is None
                          else parent.get(bound.key, _MISSING))
             try:
                 ok = (value is not _MISSING and bound is not _MISSING
-                      and (not absolute or _OPS[gate.op](value, bound)))
+                      and _OPS[gate.op](value, bound))
             except TypeError:
                 ok = False
             if not ok:
-                need = f", need {gate.op} {_show(bound)}" if absolute else ""
                 yield gate, (f"{'.'.join(path)}: {gate.why} "
-                             f"(got {_show(value)}{need})")
-        if gate.rel is not None and baseline is not None:
-            for problem in _relative(suite, gate, matches, baseline):
-                yield gate, problem
+                             f"(got {_show(value)}, need {gate.op} "
+                             f"{_show(bound)})")
 
 
-def evaluate(suite: BenchSuite, report: Any,
-             baseline: Optional[Mapping] = None) -> list:
+def evaluate(suite: BenchSuite, report: Any) -> list:
     """Every problem with ``report``, one line each (empty = it passes):
     schema (required keys, finite numbers) first, then the gate table."""
     problems = validate_report(report, suite.keys)
     if isinstance(report, Mapping):
-        problems += [p for _, p in violations(suite, report, baseline)]
+        problems += [p for _, p in violations(suite, report)]
     return problems
 
 
+def summary_lines(suite: BenchSuite, report: Mapping) -> list:
+    """The suite's gate table as measured, one markdown line per row:
+    verdict, the value(s) the row read, and the row itself."""
+    failed = {gate for gate, _ in violations(suite, report)}
+    held = len(suite.gates) - len(failed)
+    try:
+        headline = ", ".join(f"{k} {_brief(v)}"
+                             for k, v in suite.headline(report).items())
+    except (KeyError, TypeError, ValueError):
+        headline = "no headline (incomplete report)"
+    lines = [f"| {suite.name} | measured | {held}/{len(suite.gates)} rows "
+             f"hold; {headline} |", "|---|---|---|"]
+    for gate in suite.gates:
+        values = matched(gate, report)
+        numeric = all(isinstance(v, (int, float))
+                      and not isinstance(v, bool) for v in values)
+        shown = ([_brief(v) for v in sorted({min(values), max(values)})]
+                 if values and numeric
+                 else dict.fromkeys(_brief(v) for v in values))
+        span = (" .. " if numeric else " / ").join(shown) \
+            or "nothing recorded"
+        rows = f" ({len(values)} rows)" if len(values) > 1 else ""
+        lines.append(f"| {'FAIL' if gate in failed else 'PASS'} | "
+                     f"{span}{rows} | {gate.describe()} |")
+    return lines
+
+
 # ---------------------------------------------------------------------------
-# Reports, baselines, trajectory
+# Reports and the trajectory
 # ---------------------------------------------------------------------------
 
 def _write_json(data: Any, path: str) -> None:
@@ -314,42 +269,13 @@ def _write_json(data: Any, path: str) -> None:
         raise
 
 
-def write_report(suite: BenchSuite, report: Mapping, path: str,
-                 baseline: Optional[Mapping] = None) -> list:
+def write_report(suite: BenchSuite, report: Mapping, path: str) -> list:
     """Gate, then write: returns the problems and writes only when there
     are none, so a failing run never replaces a committed report."""
-    problems = evaluate(suite, report, baseline)
+    problems = evaluate(suite, report)
     if not problems:
         _write_json(report, path)
     return problems
-
-
-def load_baseline(path: str) -> dict:
-    """Read a ``--check`` baseline, failing with a one-line ``SystemExit``.
-
-    A missing, unparseable or malformed baseline is an operator mistake
-    (wrong ``--dir``, corrupt checkout), not a bug.  Baselines may be
-    partial — the gates only read the sections they compare — but
-    whatever is present must be well-formed.
-    """
-    try:
-        with open(path) as fh:
-            report = json.load(fh)
-    except FileNotFoundError:
-        raise SystemExit(
-            f"--check baseline {path!r} does not exist; point --dir at "
-            "the directory holding the committed reports") from None
-    except json.JSONDecodeError as exc:
-        raise SystemExit(
-            f"--check baseline {path!r} is not valid JSON ({exc}); "
-            "restore it from version control") from None
-    problems = validate_report(report, strict=False)
-    if problems:
-        more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
-        raise SystemExit(
-            f"--check baseline {path!r} fails schema validation: "
-            f"{problems[0]}{more}; restore it from version control")
-    return report
 
 
 def _source_commit() -> Optional[str]:
@@ -429,9 +355,9 @@ def validate_file(path: str) -> list:
 
 def list_lines() -> list:
     """``repro bench --list``: the suite table, then every gate row."""
-    lines = ["| suite | baseline | gates |", "|---|---|---|"]
+    lines = ["| suite | committed report | gates |", "|---|---|---|"]
     suites = [get_suite(name) for name in SUITE_NAMES]
-    lines += [f"| `{s.name}` | `{s.baseline_file}` | {s.doc} |"
+    lines += [f"| `{s.name}` | `{s.committed_file}` | {s.doc} |"
               for s in suites]
     for suite in suites:
         lines += ["", f"{suite.name}:"]
@@ -440,27 +366,20 @@ def list_lines() -> list:
 
 
 def run_suites(names: Sequence[str], *, quick: bool = False,
-               check: bool = False, directory: str = ".",
-               trajectory: bool = True) -> int:
+               directory: str = ".", trajectory: bool = True) -> int:
     """Run, gate and record each named suite; the process exit code.
 
-    Baselines are read before anything runs or is written: a full-size
-    ``--check`` run writes to the very file it is gated against.  A suite
-    that fails any row prints one line per problem, writes no report and
-    appends no trajectory row; the remaining suites still run.
+    Every suite prints its gate table as measured.  A suite that fails any
+    row also prints one line per problem, writes no report and appends no
+    trajectory row; the remaining suites still run.
     """
-    suites = [get_suite(name) for name in names]
-    baselines = {
-        s.name: load_baseline(os.path.join(directory, s.baseline_file))
-        for s in suites if check and s.reads_baseline}
     failed = []
-    for suite in suites:
+    for suite in (get_suite(name) for name in names):
         report = suite.run(quick)
-        for line in suite.summary(report):
+        for line in summary_lines(suite, report):
             print(line)
         path = os.path.join(directory, suite.report_file(quick))
-        problems = write_report(suite, report, path,
-                                baselines.get(suite.name))
+        problems = write_report(suite, report, path)
         if problems:
             for problem in problems:
                 print(f"{suite.name} gate: {problem}", file=sys.stderr)
@@ -468,9 +387,7 @@ def run_suites(names: Sequence[str], *, quick: bool = False,
                   file=sys.stderr)
             failed.append(suite.name)
             continue
-        against = (f" against baseline {suite.baseline_file}"
-                   if suite.name in baselines else "")
-        print(f"{suite.name} gate OK{against}; report written to {path}",
+        print(f"{suite.name} gate OK; report written to {path}",
               file=sys.stderr)
         if trajectory:
             append_trajectory(trajectory_row(suite, report),

@@ -18,9 +18,9 @@ dynamic subsystem's trajectory point, ``BENCH_dynamic.json``:
   cache-affinity scheduling, proving per-query answers and per-key graph
   histories identical between schedulers.
 
-The committed report must show >= 2x incremental-vs-full speedup and
-nonzero retained warm hits; CI re-runs ``--quick`` sizes and gates them
-against the committed baseline (:data:`SUITE`).
+The committed report must show a bit-identical fold and nonzero retained
+warm hits (:data:`SUITE`); the incremental-vs-full wall-clock speedup is
+recorded, not gated.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from repro.analysis.benchreport import (
     bench_graphs,
 )
 from repro.analysis.benchsuite import (
-    REL_TOLERANCE,
     SCHEMA_VERSION,
     BenchSuite,
     Gate,
-    Quick,
     Sibling,
 )
 from repro.analysis.serving import serve_fifo_vs_affinity
@@ -225,32 +223,10 @@ def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _summary(report: Mapping[str, Any]) -> list[str]:
-    lines = []
-    for gname, row in report["incremental"].items():
-        lines.append(
-            f"{gname:12s} incremental {row['speedup']:6.1f}x vs full "
-            f"recompute  affected {row['n_affected']}/{row['n_vertices']}"
-            f"  (bit-identical: {row['bit_identical']})")
-    for gname, row in report["invalidation"].items():
-        lines.append(
-            f"{gname:12s} hit rate warm {row['warm_hit_rate']:.3f} -> "
-            f"post-update {row['post_update_hit_rate']:.3f} "
-            f"(cold {row['cold_hit_rate']:.3f})  "
-            f"retained warm hits {row['retained_warm_hits']}")
-    srv = report["serving"]
-    lines.append(
-        f"serving      {srv['n_updates']} updates in "
-        f"{srv['n_requests']} requests  affinity/fifo "
-        f"{srv['throughput_ratio']:.2f}x  "
-        f"(answers identical: {srv['results_identical']})")
-    return lines
-
-
 SUITE = BenchSuite(
     name="dynamic",
-    doc="incremental fold bit-identical to the full recompute and >= 2x "
-        "faster (>= 25% of the baseline's speedup under `--check`); the "
+    doc="incremental fold bit-identical to the full recompute (its "
+        "wall-clock speedup recorded, not gated); the "
         "post-update cached answer equals a cold run with warm hits "
         "retained by targeted invalidation + rekeying; mixed read/write "
         "serving scheduler-independent",
@@ -260,13 +236,6 @@ SUITE = BenchSuite(
     gates=(
         Gate("incremental.*.bit_identical", "is", True,
              "folded results are not bit-identical to the full recompute"),
-        # 2x for the committed full-size report; quick runs only have to
-        # beat the full recompute.  Against a baseline the relative
-        # clause owns the verdict: the absolute floor would fail a noisy
-        # runner on quick sizes.
-        Gate("incremental.*.speedup", ">=", Quick(full=2.0, quick=1.0),
-             "incremental speedup below the floor", rel=REL_TOLERANCE,
-             rel_waives_bound=True),
         Gate("invalidation.*.post_update_bit_identical", "is", True,
              "post-update cached answer differs from a cold full "
              "recompute"),
@@ -287,7 +256,6 @@ SUITE = BenchSuite(
              "schedulers (update barrier broken?)"),
     ),
     headline=_headline,
-    summary=_summary,
 )
 
 
@@ -313,8 +281,16 @@ def one_off_update_run(graph: CSRGraph, *, nranks: int = 8, threads: int = 4,
         incr_wall = time.perf_counter() - t0_inc
         post = session.run("lcc", keep_cache=True)
         apply_wall = t0_inc - t0
-    identical = (np.array_equal(post.lcc, state.lcc)
-                 and int(post.global_triangles) == state.global_triangles)
+    # Against the raw counters: the session and ``state`` both resolve the
+    # same inherited score patch, so comparing them with each other would
+    # pass a wrong patch.
+    raw_tpv = triangles_per_vertex_batched(outcome.graph)
+    raw_lcc = lcc_from_triplets(outcome.graph, raw_tpv)
+    raw_triangles = int(raw_tpv.sum()) // (1 if graph.directed else 6)
+    identical = (np.array_equal(post.lcc, raw_lcc)
+                 and np.array_equal(state.lcc, raw_lcc)
+                 and int(post.global_triangles) == state.global_triangles
+                 == raw_triangles)
     return {
         "graph": graph.name, "vertices": graph.n, "edges": graph.m,
         "nranks": nranks,

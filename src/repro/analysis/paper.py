@@ -24,7 +24,6 @@ from repro.analysis.benchsuite import (
     BenchSuite,
     Gate,
     Sibling,
-    matched,
     violations,
 )
 from repro.analysis.experiments import ALL_EXPERIMENTS as EXP
@@ -115,26 +114,6 @@ def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
         "best_cache_saving": max(1 - row["cached_over_lcc"] for row in nodes),
         "max_tric_over_lcc": max(row["tric_over_lcc"] for row in nodes),
     }
-
-
-def _summary(report: Mapping[str, Any]) -> list[str]:
-    """One markdown-table line per claim: verdict, measured value(s), and
-    the gate row (path, bound, the paper's sentence)."""
-    head = _headline(report)
-    failed = {gate for gate, _ in violations(SUITE, report)}
-    lines = [f"| paper | measured | claim ({head['claims_held']}/"
-             f"{head['claims_total']} hold; 4->64 nodes "
-             f"{head['best_speedup_4_to_64']:.1f}x, best cache saving "
-             f"{head['best_cache_saving']:.0%}, TriC up to "
-             f"{head['max_tric_over_lcc']:.1f}x slower) |", "|---|---|---|"]
-    for gate in SUITE.gates:
-        values = matched(gate, report)
-        span = " .. ".join(f"{v:.4g}" for v in sorted(
-            {min(values), max(values)})) if values else "nothing recorded"
-        rows = f" ({len(values)} rows)" if len(values) > 1 else ""
-        lines.append(f"| {'FAIL' if gate in failed else 'PASS'} | "
-                     f"{span}{rows} | {gate.describe()} |")
-    return lines
 
 
 SUITE = BenchSuite(
@@ -238,5 +217,4 @@ SUITE = BenchSuite(
              "Sec. I: the asynchronous kernels never synchronize"),
     ),
     headline=_headline,
-    summary=_summary,
 )

@@ -1,6 +1,6 @@
 """Shape validation for ``BENCH_*.json`` reports and trajectory rows.
 
-The *read-side* check: a report or baseline that was hand-edited,
+The *read-side* check: a report that was hand-edited,
 truncated by a bad merge, or written by a different repo fails with a
 one-line problem string instead of a ``KeyError`` three stacks deep.
 
@@ -47,24 +47,15 @@ def _check_version(data: Mapping, problems: List[str]) -> None:
             f"schema_version must be a positive integer, got {version!r}")
 
 
-def validate_report(report: Any, keys: Sequence[str] = (), *,
-                    strict: bool = True) -> List[str]:
+def validate_report(report: Any, keys: Sequence[str] = ()) -> List[str]:
     """One report dict: a positive integer ``schema_version``, every
-    required top-level key, finite numbers throughout.
-
-    ``strict=False`` is the *baseline* mode: ``--check`` baselines are
-    allowed to be partial (the gates only read the sections they
-    compare), so ``keys`` are not enforced and ``schema_version`` may be
-    absent — but anything present must still be well-formed.
-    """
+    required top-level key, finite numbers throughout."""
     if not isinstance(report, Mapping):
         return [f"report is a {type(report).__name__}, not an object"]
     problems: List[str] = []
-    if strict or "schema_version" in report:
-        _check_version(report, problems)
-    if strict:
-        problems += [f"report missing key {key!r}"
-                     for key in keys if key not in report]
+    _check_version(report, problems)
+    problems += [f"report missing key {key!r}"
+                 for key in keys if key not in report]
     _check_numbers(report, "report", problems)
     return problems
 

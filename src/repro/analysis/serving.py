@@ -118,21 +118,6 @@ def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _summary(report: Mapping[str, Any]) -> list[str]:
-    lines = []
-    for wname, row in report["workloads"].items():
-        for sname, agg in row["schedulers"].items():
-            lines.append(f"{wname:8s} {sname:9s} "
-                         f"throughput {agg['throughput_qps']:9.1f} q/s  "
-                         f"p95 latency {agg['latency_p95_s']:.4f}s  "
-                         f"warm {agg['warm_fraction']:.2f}  "
-                         f"builds {agg['session_builds']}")
-        lines.append(f"{wname:8s} affinity/fifo throughput "
-                     f"{row['throughput_ratio']:.2f}x  "
-                     f"(answers identical: {row['results_identical']})")
-    return lines
-
-
 SUITE = BenchSuite(
     name="serve",
     doc="FIFO vs cache-affinity on the Zipf and uniform workloads: "
@@ -150,5 +135,4 @@ SUITE = BenchSuite(
              "the uniform contrast workload must be recorded"),
     ),
     headline=_headline,
-    summary=_summary,
 )

@@ -7,10 +7,9 @@ graph-store subsystem's trajectory point, ``BENCH_store.json``:
   :class:`~repro.graphstore.grid2d.GridCluster2D` versus the legacy
   per-call rebuild path (:func:`~repro.core.tc2d.run_distributed_tc_2d`),
   per bench graph, with the rebuild path kept as the bit-identity oracle
-  (same triangles *and* same per-rank simulated clocks).  The committed
-  gate requires the warm resident query to be at least **2x** faster in
-  wall-clock terms — in practice the replay memo makes it orders of
-  magnitude faster;
+  (same triangles *and* same per-rank simulated clocks).  The warm
+  wall-clock speedup is recorded, not gated — in practice the replay
+  memo makes the resident query orders of magnitude faster;
 * **versions** — a mixed read/write serving run through FIFO and
   cache-affinity scheduling over the store: per-query answers (prefixed
   with the observed :class:`~repro.graphstore.store.GraphVersion`),
@@ -26,7 +25,7 @@ graph-store subsystem's trajectory point, ``BENCH_store.json``:
   serving workload must stay scheduler-independent.
 
 :data:`SUITE` declares the gate a recorded report must pass; CI re-runs
-``--quick`` sizes and gates them against the committed baseline.
+it on ``--quick`` sizes.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import numpy as np
 
 from repro.analysis.benchreport import BENCH_THREADS, bench_graphs
 from repro.analysis.benchsuite import (
-    REL_TOLERANCE,
     SCHEMA_VERSION,
     BenchSuite,
     Gate,
@@ -236,36 +234,10 @@ def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _summary(report: Mapping[str, Any]) -> list[str]:
-    lines = [
-        f"{gname:12s} resident tc2d {row['warm_speedup']:8.1f}x vs "
-        f"per-call rebuild  (bit-identical: {row['bit_identical']})"
-        for gname, row in report["tc2d"].items()]
-    ver = report["versions"]
-    lines.append(
-        f"versions     {ver['n_updates']} updates in "
-        f"{ver['n_requests']} requests  answers identical: "
-        f"{ver['results_identical']}  histories identical: "
-        f"{ver['version_histories_identical']}")
-    lines += [
-        f"  {sname:9s} coalesced {agg['updates_coalesced']:3d}  "
-        f"rekeyed {agg['rekeyed_entries']:5d}  "
-        f"warm {agg['warm_fraction']:.2f}"
-        for sname, agg in ver["schedulers"].items()]
-    dh = report["delete_heavy"]
-    lines.append(
-        f"delete-heavy serving answers identical: "
-        f"{dh['serving']['results_identical']}  "
-        + "  ".join(f"{g}: -{row['edges_before'] - row['edges_after']} "
-                    f"edges ok={row['bit_identical']}"
-                    for g, row in dh.items() if g != "serving"))
-    return lines
-
-
 SUITE = BenchSuite(
     name="store",
-    doc="resident-vs-rebuild `tc2d` answers and clocks bit-identical with "
-        "a 2x warm-speedup floor (and >= 25% of the baseline's); "
+    doc="resident-vs-rebuild `tc2d` answers and clocks bit-identical, the "
+        "grid built once (the warm wall-clock speedup recorded, not gated); "
         "scheduler- and version-history-independent mixed serving; "
         "delete-heavy shrinkage bit-identical to full recomputes",
     run=run_store_bench,
@@ -275,10 +247,6 @@ SUITE = BenchSuite(
         Gate("tc2d.*.bit_identical", "is", True,
              "resident grid answers/clocks differ from the per-call "
              "rebuild path"),
-        # 2x even for quick runs: the resident grid must always beat a
-        # full rebuild (in practice the replay memo wins by 100x+).
-        Gate("tc2d.*.warm_speedup", ">=", 2.0,
-             "warm speedup below the 2.0x floor", rel=REL_TOLERANCE),
         Gate("tc2d.*.grid_builds", "==", 1,
              "grid was rebuilt (the resident path must build once)"),
         Gate("versions.results_identical", "is", True,
@@ -300,7 +268,6 @@ SUITE = BenchSuite(
              "deletion-dominated)", skip=("serving",)),
     ),
     headline=_headline,
-    summary=_summary,
 )
 
 

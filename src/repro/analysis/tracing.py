@@ -21,15 +21,16 @@ into artifacts:
 * **parity** — a traced run and an untraced run of the same workload
   must produce bit-identical answers and store digests (observability
   may never perturb the simulation);
-* **overhead** — min-of-:data:`OVERHEAD_REPEATS` traced wall clock must
-  stay within :data:`OVERHEAD_CEILING` of untraced (tracing-off is the
-  zero-cost path; tracing-on must stay cheap enough to leave on);
 * **replay** — the recorded journal must replay fence-legal, and be
   byte-identical across two traced runs;
 * **spans** — the span tree must be well-formed (no orphans, no
   same-worker task overlaps);
 * **artifacts** — every ``BENCH_*.json`` in the working directory must
   pass schema validation.
+
+The report also records ``overhead_ratio``, min-of-:data:`OVERHEAD_REPEATS`
+traced over untraced wall clock, as a number, not a gate row; the ledger's
+``obs.enabled_overhead_frac`` is the recorded cost of tracing.
 
 The gate run leaves the journal and Chrome trace of its last traced
 repeat in the working directory, like the one-off run.
@@ -67,9 +68,6 @@ TRACE_NRANKS = 8
 TRACE_WORKERS = 6
 TRACE_NSHARDS = 4
 TRACE_SEED = 23
-
-#: Traced wall clock may exceed untraced by at most this factor.
-OVERHEAD_CEILING = 1.05
 
 #: Min-of-N repeats for the overhead measurement (shared runners jitter
 #: far more than the instrumentation costs; the minimum is the signal).
@@ -212,7 +210,6 @@ def check_traced_run(quick: bool = False,
         "wall_untraced_s": floor,
         "wall_traced_s": min(traced_walls),
         "overhead_ratio": (min(traced_walls) / floor) if floor > 0 else 0.0,
-        "overhead_ceiling": OVERHEAD_CEILING,
         "artifact_problems": [
             problem for path in sorted(glob.glob("BENCH_*.json"))
             for problem in validate_file(path)],
@@ -220,24 +217,6 @@ def check_traced_run(quick: bool = False,
     report["problems"] = [p for _, p in violations(SUITE, report)]
     report["ok"] = not report["problems"]
     return report
-
-
-def format_check_report(report: Mapping[str, Any]) -> List[str]:
-    """Human-readable lines for one gate report."""
-    replay = report.get("replay", {})
-    return [
-        f"parity       traced answers identical to untraced: "
-        f"{report['digests_identical']}",
-        f"journal      {report['n_events']} events, deterministic: "
-        f"{report['journal_deterministic']}, replay fence-legal: "
-        f"{replay.get('ok')} ({replay.get('n_dispatches')} dispatches, "
-        f"{replay.get('n_commits')} commits)",
-        f"spans        {report['n_spans']} spans, "
-        f"{len(report['span_problems'])} problems",
-        f"overhead     {report['overhead_ratio']:.3f}x untraced "
-        f"(ceiling {report['overhead_ceiling']:.2f}x)",
-        f"artifacts    {len(report['artifact_problems'])} schema problems",
-    ]
 
 
 def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
@@ -253,14 +232,12 @@ SUITE = BenchSuite(
     name="trace",
     doc="tracing never perturbs the simulation (traced == untraced "
         "answers/digests); the decision journal is byte-deterministic and "
-        "replays fence-legal; the span tree is well-formed; "
-        "instrumentation overhead <= 1.05x; every `BENCH_*.json` in the "
-        "working directory is schema-valid (no baseline of its own is "
-        "read)",
+        "replays fence-legal; the span tree is well-formed; every "
+        "`BENCH_*.json` in the working directory is schema-valid",
     run=check_traced_run,
     keys=("schema_version", "quick", "n_requests", "digests_identical",
           "journal_deterministic", "replay", "span_problems",
-          "overhead_ratio", "overhead_ceiling", "artifact_problems", "ok"),
+          "overhead_ratio", "artifact_problems", "ok"),
     gates=(
         Gate("digests_identical", "is", True,
              "tracing perturbed the run: traced answers/digests diverged "
@@ -270,11 +247,8 @@ SUITE = BenchSuite(
         Gate("replay.ok", "is", True,
              "journal replay found the run fence-illegal"),
         Gate("span_problems", "len==", 0, "span tree malformed"),
-        Gate("overhead_ratio", "<=", OVERHEAD_CEILING,
-             "tracing overhead exceeds the ceiling"),
         Gate("artifact_problems", "len==", 0,
              "artifact schema: a BENCH_*.json fails validation"),
     ),
     headline=_headline,
-    summary=format_check_report,
 )

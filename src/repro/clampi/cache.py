@@ -600,16 +600,25 @@ class ClampiCache:
         new_slots += range(len(by_slot), len(by_slot) + k - len(new_slots))
         keys = list(zip(*(col.tolist() for col in key_cols)))
         made: list[CacheEntry] = []
-        for key, data, end, nbytes, clock, slot in zip(
-                keys, payloads, (extent[0] + ends[:k]).tolist(),
-                sizes[:k].tolist(), (c0 + 1 + rel[:k]).tolist(), new_slots):
-            entry = CacheEntry(key, data, end - nbytes, nbytes, clock, None)
-            if not place(key, entry):
-                break  # full probe window: the scalar path's to resolve
-            if score_fn is not None:
-                entry.app_score = float(score_fn(*key, data))
-            entry.slot = slot
-            made.append(entry)
+        try:
+            for key, data, end, nbytes, clock, slot in zip(
+                    keys, payloads, (extent[0] + ends[:k]).tolist(),
+                    sizes[:k].tolist(), (c0 + 1 + rel[:k]).tolist(),
+                    new_slots):
+                entry = CacheEntry(key, data, end - nbytes, nbytes, clock,
+                                   None)
+                if not place(key, entry):
+                    break  # full probe window: the scalar path's to resolve
+                made.append(entry)
+                if score_fn is not None:
+                    entry.app_score = float(score_fn(*key, data))
+                entry.slot = slot
+        except BaseException:
+            # Fail closed, as the scalar path does: nothing else has changed
+            # yet, and unplacing newest-first restores the index's layout.
+            for entry in reversed(made):
+                index.remove(entry.key)
+            raise
         k = len(made)
         if k == 0:
             return p

@@ -217,8 +217,7 @@ def cmd_bench(args) -> int:
             f"{', '.join(SUITE_NAMES)} or all")
     if "all" in names:
         names = list(SUITE_NAMES)
-    return run_suites(names, quick=args.quick, check=args.check,
-                      directory=args.dir,
+    return run_suites(names, quick=args.quick, directory=args.dir,
                       trajectory=not args.no_trajectory)
 
 
@@ -425,16 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true",
                    help="small sizes (CI smoke run); the report lands in "
                         "BENCH_<suite>_quick.json")
-    p.add_argument("--check", action="store_true",
-                   help="regression gate: also hold each fresh run to its "
-                        "committed baseline's relative rows")
     p.add_argument("--dir", default=".", metavar="DIR",
-                   help="directory holding the baselines, the fresh "
-                        "reports and BENCH_trajectory.json (default: .)")
+                   help="directory the fresh reports and "
+                        "BENCH_trajectory.json are written to (default: .)")
     p.add_argument("--no-trajectory", action="store_true",
                    help="do not append trajectory rows")
     p.add_argument("--list", action="store_true",
-                   help="print every suite's baseline file and gate table")
+                   help="print every suite's committed report and gate table")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(

@@ -5,13 +5,7 @@ import copy
 import pytest
 
 from repro.analysis.async_serve import SUITE, one_off_async_run
-from repro.analysis.benchsuite import (
-    REL_TOLERANCE,
-    Gate,
-    evaluate,
-    trajectory_row,
-    write_report,
-)
+from repro.analysis.benchsuite import evaluate, trajectory_row, write_report
 
 #: The burst-throughput floor the gate table declares.
 MIN_ASYNC_SPEEDUP = 1.3
@@ -68,13 +62,6 @@ class TestQuickRun:
         assert loaded["burst"]["throughput_ratio"] == pytest.approx(
             quick_report["burst"]["throughput_ratio"])
 
-    def test_passes_against_itself_as_baseline(self, quick_report):
-        import json
-
-        assert evaluate(SUITE, quick_report, quick_report) == []
-        with open("BENCH_async.json") as fh:
-            assert evaluate(SUITE, quick_report, json.load(fh)) == []
-
     def test_trajectory_row_fields(self, quick_report):
         row = trajectory_row(SUITE, quick_report)
         assert row["kind"] == "async"
@@ -121,22 +108,6 @@ class TestGates:
         short["interleavings"]["seeds"] = [0]
         assert any("battery" in p for p in evaluate(SUITE, short))
 
-    def test_baseline_relative_speedup(self, quick_report):
-        inflated = copy.deepcopy(quick_report)
-        inflated["burst"]["throughput_ratio"] *= 1000
-        problems = evaluate(SUITE, quick_report, inflated)
-        assert any("fell below" in p for p in problems)
-
-    def test_wrong_baseline_kind_flagged(self, quick_report):
-        problems = evaluate(SUITE, quick_report, {"quick": True})
-        assert any("BENCH_async.json" in p for p in problems)
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            Gate("burst.throughput_ratio", ">=", 1.3, "w", rel=0.0)
-        assert [g.rel for g in SUITE.gates if g.rel is not None] \
-            == [REL_TOLERANCE]
-
     def test_write_refuses_failing_report(self, quick_report, tmp_path):
         bad = copy.deepcopy(quick_report)
         bad["burst"]["results_identical"] = False
@@ -147,8 +118,7 @@ class TestGates:
 
 class TestCommittedBaseline:
     def test_committed_report_passes_its_own_gate(self):
-        """The checked-in BENCH_async.json must satisfy the absolute
-        gate — CI compares fresh quick runs against it."""
+        """The checked-in BENCH_async.json satisfies its gate table."""
         import json
         import os
 

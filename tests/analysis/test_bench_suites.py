@@ -2,7 +2,7 @@
 
 The tables are data, so the test is too: for each row of each suite,
 push a passing report just past that row's bound and assert that row —
-and only that row — fires.
+and only that row — fires, in the evaluator and in the printed table.
 """
 
 import copy
@@ -12,14 +12,14 @@ import pytest
 
 from repro.analysis.benchsuite import (
     SUITE_NAMES,
-    Quick,
     Sibling,
     evaluate,
     get_suite,
     list_lines,
+    summary_lines,
     violations,
 )
-from tests.helpers import REPO_ROOT, with_nominal_overhead
+from tests.helpers import REPO_ROOT
 
 #: Suites with a committed full-size report at the repo root.
 COMMITTED = tuple(n for n in SUITE_NAMES if n != "trace")
@@ -31,19 +31,8 @@ ROWS = [pytest.param(name, i, id=f"{name}-{gate.path}")
 
 @pytest.fixture(scope="module")
 def passing_report(quick_report_of):
-    """A report that passes its suite's table, also against itself.
-
-    Real quick runs — except ``trace``, whose measured ``overhead_ratio``
-    is a wall-clock ratio of sub-second runs that a loaded machine can
-    push past its ceiling; it is doctored to a nominal value (CI's ``bench
-    all --quick --check`` gates the real thing; its other rows stay
-    measured).
-    """
-    def get(name):
-        if name == "trace":
-            return with_nominal_overhead(quick_report_of(name))
-        return quick_report_of(name)
-    return get
+    """Every suite's real quick report: it passes its table as measured."""
+    return quick_report_of
 
 
 def _first_match(report, gate):
@@ -57,12 +46,10 @@ def _first_match(report, gate):
     return node, leaf
 
 
-def _just_past(gate, parent, leaf, quick):
+def _just_past(gate, parent, leaf):
     """A value for ``parent[leaf]`` that barely violates the row."""
     bound = gate.bound
-    if isinstance(bound, Quick):
-        bound = bound.quick if quick else bound.full
-    elif isinstance(bound, Sibling):
+    if isinstance(bound, Sibling):
         bound = parent[bound.key]
     step = 1 if isinstance(bound, int) and not isinstance(bound, bool) \
         else 0.01
@@ -79,15 +66,49 @@ def _just_past(gate, parent, leaf, quick):
     }[gate.op]()
 
 
-def _fired(suite, report, baseline):
-    return {gate for gate, _ in violations(suite, report, baseline)}
+def _at_edge(gate, parent, leaf):
+    """The value for ``parent[leaf]`` nearest the bound that still holds."""
+    bound = gate.bound
+    if isinstance(bound, Sibling):
+        bound = parent[bound.key]
+    step = 1 if isinstance(bound, int) and not isinstance(bound, bool) \
+        else 0.01
+    return {
+        "is": lambda: bound,
+        "==": lambda: bound,
+        ">=": lambda: bound,
+        ">": lambda: bound + step,
+        "<=": lambda: bound,
+        "<": lambda: bound - step,
+        "in": lambda: (bound[0] + bound[1]) / 2,
+        "len>=": lambda: parent[leaf][:bound],
+        "len==": lambda: parent[leaf][:bound],
+    }[gate.op]()
+
+
+def _fired(suite, report):
+    return {gate for gate, _ in violations(suite, report)}
+
+
+def _verdicts(suite, report):
+    """The PASS/FAIL column of the printed table, one entry per row."""
+    lines = summary_lines(suite, report)
+    assert lines[0].startswith(f"| {suite.name} | measured | ")
+    assert lines[1] == "|---|---|---|"
+    rows = lines[2:]
+    assert len(rows) == len(suite.gates)
+    for line, gate in zip(rows, suite.gates):
+        assert line.endswith(f" | {gate.describe()} |"), line
+    return [line.split(" | ")[0].lstrip("| ") for line in rows]
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_passing_report_passes(name, passing_report):
     suite, report = get_suite(name), passing_report(name)
     assert evaluate(suite, report) == []
-    assert evaluate(suite, report, report) == []
+    assert _verdicts(suite, report) == ["PASS"] * len(suite.gates)
+    n = len(suite.gates)
+    assert f" | {n}/{n} rows hold; " in summary_lines(suite, report)[0]
 
 
 @pytest.mark.parametrize("name,index", ROWS)
@@ -96,21 +117,26 @@ def test_each_row_fires_alone_just_past_its_bound(name, index,
     suite = get_suite(name)
     gate = suite.gates[index]
     report = copy.deepcopy(passing_report(name))
-    if gate.bound is not None:
-        parent, leaf = _first_match(report, gate)
-        parent[leaf] = _just_past(gate, parent, leaf, report["quick"])
-        assert _fired(suite, report, None) == {gate}
-    if gate.rel is not None:
-        # Relative clause: the same report against a 1000x better baseline.
-        report = copy.deepcopy(passing_report(name))
-        baseline = copy.deepcopy(report)
-        parts = gate.path.split(".")
-        section = baseline[parts[0]]
-        for row in (section.values() if "*" in parts else [section]):
-            row[parts[-1]] *= 1000
-        assert _fired(suite, report, baseline) == {gate}
-        problems = evaluate(suite, report, baseline)
-        assert problems and all("fell below" in p for p in problems)
+    parent, leaf = _first_match(report, gate)
+    parent[leaf] = _just_past(gate, parent, leaf)
+    assert _fired(suite, report) == {gate}
+    verdicts = _verdicts(suite, report)
+    assert verdicts[index] == "FAIL"
+    assert verdicts.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("name,index", ROWS)
+def test_each_row_holds_at_the_edge_of_its_bound(name, index,
+                                                 passing_report):
+    """The other side of "just past": the tightest passing value holds,
+    so each row's op and bound are exactly the declared ones."""
+    suite = get_suite(name)
+    gate = suite.gates[index]
+    report = copy.deepcopy(passing_report(name))
+    parent, leaf = _first_match(report, gate)
+    parent[leaf] = _at_edge(gate, parent, leaf)
+    assert _fired(suite, report) == set()
+    assert _verdicts(suite, report) == ["PASS"] * len(suite.gates)
 
 
 @pytest.mark.parametrize("name,index", ROWS)
@@ -124,16 +150,17 @@ def test_a_report_missing_the_rows_key_never_passes(name, index,
         parent.clear()  # a `*` that matches nothing
     else:
         del parent[leaf]
-    assert gate in _fired(suite, report, None)
+    assert gate in _fired(suite, report)
+    # The table still renders (headline or not), that row failing.
+    assert _verdicts(suite, report)[index] == "FAIL"
 
 
 @pytest.mark.parametrize("name", COMMITTED)
 def test_committed_report_passes_its_own_table(name):
     suite = get_suite(name)
-    report = json.loads((REPO_ROOT / suite.baseline_file).read_text())
+    report = json.loads((REPO_ROOT / suite.committed_file).read_text())
     assert report["quick"] is False
     assert evaluate(suite, report) == []
-    assert evaluate(suite, report, report) == []
 
 
 def test_readme_table_is_the_list_output():

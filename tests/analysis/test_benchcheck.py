@@ -7,13 +7,12 @@ import pytest
 
 from repro.analysis.benchreport import SUITE
 from repro.analysis.benchsuite import (
-    REL_TOLERANCE,
     SUITE_NAMES,
     BenchSuite,
     Gate,
+    Sibling,
     append_trajectory,
     evaluate,
-    get_suite,
     trajectory_row,
     violations,
     write_report,
@@ -32,115 +31,119 @@ def report_with(rows):
     return {"cached_replay": rows}
 
 
-#: The evaluator's two clause kinds on the smallest table that has both:
-#: an exactness row and a baseline-relative speedup row.
+#: The evaluator on the smallest table: an exactness row and a floor.
 TOY = BenchSuite(
     name="toy", doc="", run=lambda quick: {}, keys=(),
     gates=(Gate("cached_replay.*.bit_identical", "is", True,
                 "fast path is no longer bit-identical to its oracle"),
-           Gate("cached_replay.*.warm_speedup", ">=", None,
-                "warm oracle-vs-fast speedup", rel=REL_TOLERANCE)),
-    headline=dict, summary=list)
+           Gate("cached_replay.*.warm_speedup", ">=", 1.0,
+                "warm oracle-vs-fast speedup")),
+    headline=dict)
 
 
-def check_against_baseline(report, baseline, suite=TOY):
+def problems_of(report, suite=TOY):
     """Gate rows only: these synthetic reports carry one section."""
-    return [problem for _, problem in violations(suite, report, baseline)]
-
-
-BASELINE = report_with({
-    "lcc:powerlaw-m": replay_row(warm=8.0),
-    "lcc:rmat-s10": replay_row(warm=14.0),
-    "tc:powerlaw-m": replay_row(warm=12.0),
-})
+    return [problem for _, problem in violations(suite, report)]
 
 
 class TestGate:
     def test_row_names_are_not_matched(self):
-        """CI quick graphs differ from the committed full-size baseline."""
+        """CI quick graphs differ from the committed full-size report."""
         fresh = report_with({"lcc:tiny-x": replay_row(warm=4.0),
                              "tc:tiny-x": replay_row(warm=4.0)})
-        # floor: 0.25 * the baseline's worst (8.0) = 2.0 -> passes at 4.0
-        assert check_against_baseline(fresh, BASELINE) == []
+        assert problems_of(fresh) == []
 
-    def test_worst_row_is_the_contract(self):
+    def test_every_match_is_held(self):
         fresh = report_with({"lcc:a": replay_row(warm=50.0),
                              "lcc:b": replay_row(warm=0.5),
                              "tc:a": replay_row(warm=11.0)})
-        problems = check_against_baseline(fresh, BASELINE)
+        problems = problems_of(fresh)
         assert len(problems) == 1
-        assert "0.50x fell below 2.00x" in problems[0]
+        assert problems[0].startswith("cached_replay.lcc:b.warm_speedup:")
+        assert "got 0.5, need >= 1" in problems[0]
 
     def test_bit_identical_is_non_negotiable(self):
         fresh = report_with({
             "lcc:a": replay_row(warm=100.0, identical=False),
             "tc:a": replay_row(warm=100.0)})
-        problems = check_against_baseline(fresh, BASELINE)
-        assert any("bit-identical" in p for p in problems)
-        # ... with or without a baseline.
-        assert any("bit-identical" in p
-                   for p in check_against_baseline(fresh, None))
+        assert any("bit-identical" in p for p in problems_of(fresh))
 
-    def test_empty_fresh_report_flagged(self):
-        problems = check_against_baseline(report_with({}), BASELINE)
-        assert any("cached_replay" in p and "nothing recorded" in p
+    def test_star_matching_nothing_flagged(self):
+        problems = problems_of(report_with({}))
+        assert len(problems) == 2
+        assert all("cached_replay" in p and "nothing recorded" in p
                    for p in problems)
 
-    def test_numberless_fresh_row_flagged(self):
-        """A relative row never passes for want of a number to compare."""
+    def test_missing_key_flagged(self):
+        row = replay_row()
+        del row["warm_speedup"]
+        problems = problems_of(report_with({"lcc:a": row}))
+        assert problems == [
+            "cached_replay.lcc:a.warm_speedup: warm oracle-vs-fast speedup "
+            "(got nothing recorded, need >= 1)"]
+        assert problems_of({}) and problems_of({"cached_replay": 3})
+
+    def test_numberless_row_flagged(self):
+        """A row never passes for want of a number to compare."""
         fresh = report_with({"lcc:a": dict(replay_row(), warm_speedup=None)})
-        assert any("no number" in p
-                   for p in check_against_baseline(fresh, BASELINE))
+        assert any("got None" in p for p in problems_of(fresh))
 
-    def test_empty_baseline_flagged_not_vacuously_passed(self):
-        """--check pointed at the wrong file must fail, not gate nothing."""
-        fresh = report_with({"lcc:a": replay_row(warm=9.0)})
-        problems = check_against_baseline(fresh, {"workloads": {}})
-        assert any("baseline has no cached_replay" in p for p in problems)
+    @pytest.mark.parametrize("op,bound,good,bad", [
+        ("is", True, True, 1),
+        ("==", 0.0, 0.0, 1e-12),
+        (">=", 1.5, 1.5, 1.49),
+        (">", 1.0, 1.01, 1.0),
+        ("<=", 1.1, 1.1, 1.11),
+        ("<", 3, 2, 3),
+        ("in", (0.0, 1.0), 0.5, 1.0),
+        ("len>=", 2, [0, 1], [0]),
+        ("len==", 0, [], ["a problem"]),
+    ])
+    def test_absolute_clause_per_op(self, op, bound, good, bad):
+        suite = BenchSuite(name="op", doc="", run=lambda quick: {}, keys=(),
+                           gates=(Gate("x.value", op, bound, "w"),),
+                           headline=dict)
+        assert problems_of({"x": {"value": good}}, suite) == []
+        assert len(problems_of({"x": {"value": bad}}, suite)) == 1
 
-    def test_tolerance_scales_the_floor(self):
-        """The floor is REL_TOLERANCE x the baseline's worst row."""
-        fresh = report_with({"lcc:a": replay_row(warm=5.0),
-                             "tc:a": replay_row(warm=5.0)})
-        assert check_against_baseline(fresh, BASELINE) == []
-        steep = report_with({
-            key: replay_row(warm=row["warm_speedup"] * 4)
-            for key, row in BASELINE["cached_replay"].items()})
-        # floor: 0.25 * 32 = 8.0 -> fails at 5.0, in one line
-        assert len(check_against_baseline(fresh, steep)) == 1
+    def test_sibling_bound(self):
+        suite = BenchSuite(
+            name="sib", doc="", run=lambda quick: {}, keys=(),
+            gates=(Gate("g.*.after", "<", Sibling("before"), "shrinks"),),
+            headline=dict)
+        assert problems_of({"g": {"a": {"before": 5, "after": 3}}},
+                           suite) == []
+        assert problems_of({"g": {"a": {"before": 5, "after": 5}}}, suite)
+        # A sibling the row lacks is a violation, not a pass.
+        assert problems_of({"g": {"a": {"after": 3}}}, suite)
 
-    def test_invalid_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            Gate("cached_replay.*.warm_speedup", ">=", None, "w", rel=0.0)
-
-    def test_default_tolerance_is_loose(self):
-        assert 0 < REL_TOLERANCE <= 0.5
-        relative = [g for name in SUITE_NAMES for g in get_suite(name).gates
-                    if g.rel is not None]
-        assert relative and all(g.rel == REL_TOLERANCE for g in relative)
+    def test_gate_rows_are_validated(self):
+        with pytest.raises(ValueError, match="unknown gate op"):
+            Gate("x", "~=", 1, "w")
+        with pytest.raises(TypeError):
+            Gate("x", ">=", why="a row needs a bound")
 
     def test_kernels_gates_exactness_and_only_records_speed(self):
         """The loop side of both speedups is only the bit-identity oracle:
         a slow ratio passes; a missing or inexact ``linalg`` row never
-        does, even on a plain recording run."""
+        does."""
         slow = report_with({"lcc:a": replay_row(warm=0.3)})
         slow["linalg"] = {"tc2d_spgemm:a": {"warm_speedup": 0.3,
                                             "bit_identical": True}}
-        assert check_against_baseline(slow, None, SUITE) == []
-        assert not SUITE.reads_baseline
+        assert problems_of(slow, SUITE) == []
         slow["linalg"]["tc2d_spgemm:a"]["bit_identical"] = False
         assert any("edge-centric oracle" in p
-                   for p in check_against_baseline(slow, None, SUITE))
+                   for p in problems_of(slow, SUITE))
         del slow["linalg"]
         assert any("linalg" in p and "nothing recorded" in p
-                   for p in check_against_baseline(slow, None, SUITE))
+                   for p in problems_of(slow, SUITE))
 
 
 class TestCommittedBaseline:
-    def test_committed_baseline_is_self_consistent(self):
-        """The repo-root BENCH_kernels.json passes the gate against itself."""
+    def test_committed_report_passes(self):
+        """The repo-root BENCH_kernels.json passes its gate table."""
         report = json.loads(COMMITTED.read_text())
-        assert evaluate(SUITE, report, report) == []
+        assert evaluate(SUITE, report) == []
 
     def test_load_write_round_trip(self, tmp_path):
         report = json.loads(COMMITTED.read_text())

@@ -5,12 +5,7 @@ import json
 
 import pytest
 
-from repro.analysis.benchsuite import (
-    REL_TOLERANCE,
-    Gate,
-    evaluate,
-    write_report,
-)
+from repro.analysis.benchsuite import evaluate, write_report
 from repro.analysis.dynamic import SUITE
 
 
@@ -53,11 +48,6 @@ class TestQuickRun:
         assert write_report(SUITE, quick_report, str(path)) == []
         assert json.loads(path.read_text())["quick"] is True
 
-    def test_passes_against_committed_baseline(self, quick_report):
-        with open("BENCH_dynamic.json") as fh:
-            baseline = json.load(fh)
-        assert evaluate(SUITE, quick_report, baseline) == []
-
 
 class TestGateClauses:
     def doctor(self, report, section, graph, **changes):
@@ -70,21 +60,12 @@ class TestGateClauses:
         bad = self.doctor(quick_report, "incremental", gname,
                           bit_identical=False)
         assert any("bit-identical" in p for p in evaluate(SUITE, bad))
-        # Even the tolerance-based CI gate never waives it.
-        assert any("bit-identical" in p
-                   for p in evaluate(SUITE, bad, quick_report))
 
-    def test_speedup_floor_full_reports(self, quick_report):
+    def test_wall_clock_speedup_is_recorded_not_gated(self, quick_report):
         gname = next(iter(quick_report["incremental"]))
-        slow = self.doctor(quick_report, "incremental", gname, speedup=1.5)
+        slow = self.doctor(quick_report, "incremental", gname, speedup=0.5)
         slow["quick"] = False
-        assert any("below" in p for p in evaluate(SUITE, slow))
-        # The same 1.5x is fine for a quick run...
-        slow["quick"] = True
         assert evaluate(SUITE, slow) == []
-        # ... and against a baseline the relative clause owns the verdict.
-        slow["quick"] = False
-        assert evaluate(SUITE, slow, slow) == []
 
     def test_retained_hits_required(self, quick_report):
         gname = next(iter(quick_report["invalidation"]))
@@ -98,26 +79,38 @@ class TestGateClauses:
         bad["serving"]["results_identical"] = False
         assert any("barrier" in p for p in evaluate(SUITE, bad))
 
-    def test_baseline_relative_speedup(self, quick_report):
-        base = copy.deepcopy(quick_report)
-        for row in base["incremental"].values():
-            row["speedup"] = 1000.0  # worst-case baseline speedup: 1000x
-        problems = evaluate(SUITE, quick_report, base)
-        assert any("fell below" in p for p in problems)
-
-    def test_missing_baseline_section_flagged(self, quick_report):
-        problems = evaluate(SUITE, quick_report, {})
-        assert any("baseline has no incremental" in p for p in problems)
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            Gate("incremental.*.speedup", ">=", 2.0, "w", rel=0)
-        assert [g.rel for g in SUITE.gates if g.rel is not None] \
-            == [REL_TOLERANCE]
-
     def test_write_refuses_failing_report(self, quick_report, tmp_path):
         bad = copy.deepcopy(quick_report)
         bad["serving"]["results_identical"] = False
         path = tmp_path / "x.json"
         assert write_report(SUITE, bad, str(path))
         assert not path.exists()
+
+
+class TestOneOffUpdate:
+    def test_exactness_is_checked_against_the_raw_counters(self, monkeypatch):
+        """A wrong inherited score patch fails `incremental_matches_query`:
+        the session and the incremental state share it, the raw recount
+        does not."""
+        import numpy as np
+
+        import repro.dynamic.delta as delta
+        from repro.analysis.dynamic import one_off_update_run
+        from repro.graph.generators import powerlaw_configuration
+
+        graph = powerlaw_configuration(160, 900, seed=3, name="oneoff")
+        assert one_off_update_run(
+            graph, nranks=4, n_edges=10, seed=1)["incremental_matches_query"]
+
+        inherit = delta.inherit_scores
+
+        def corrupt(parent, child, affected):
+            inherit(parent, child, affected)
+            base, pending = child.scores.pop("pending")
+            child.scores["pending"] = (base + 1, pending)
+
+        monkeypatch.setattr(delta, "inherit_scores", corrupt)
+        graph = powerlaw_configuration(160, 900, seed=3, name="oneoff")
+        payload = one_off_update_run(graph, nranks=4, n_edges=10, seed=1)
+        assert payload["incremental_matches_query"] is False
+        assert np.isfinite(payload["post_update_hit_rate"])

@@ -8,7 +8,6 @@ from repro.analysis.benchsuite import (
     SUITE_NAMES,
     append_trajectory,
     get_suite,
-    load_baseline,
     validate_file,
 )
 from repro.analysis.schema import (
@@ -60,26 +59,6 @@ def test_missing_key_and_bad_schema_version():
     problems = validate_report(report, get_suite("kernels").keys)
     assert any("missing key 'graphs'" in p for p in problems)
     assert any("schema_version" in p for p in problems)
-
-
-def test_baseline_mode_accepts_partial_reports(tmp_path):
-    # --check baselines may be partial: only the compared sections exist.
-    partial = {"cached_replay": {"lcc:g": {"warm_speedup": 8.0}}}
-    keys = get_suite("kernels").keys
-    assert validate_report(partial, keys, strict=False) == []
-    # But anything present must still be well-formed.
-    assert validate_report({"schema_version": "one"}, keys, strict=False)
-    assert validate_report({"x": float("nan")}, keys, strict=False)
-    # The one baseline loader applies exactly that mode.
-    path = tmp_path / "BENCH_kernels.json"
-    path.write_text(json.dumps(partial))
-    assert load_baseline(str(path)) == partial
-    path.write_text('{"x": NaN}')
-    with pytest.raises(SystemExit, match="fails schema validation"):
-        load_baseline(str(path))
-    path.write_text("[1, 2]")
-    with pytest.raises(SystemExit, match="fails schema validation"):
-        load_baseline(str(path))
 
 
 def test_non_finite_numbers_rejected():

@@ -1,6 +1,5 @@
 """The ``repro trace`` command and the ``trace`` bench suite."""
 
-import copy
 import json
 
 import pytest
@@ -9,12 +8,10 @@ from repro.analysis.benchsuite import evaluate
 from repro.analysis.tracing import (
     SUITE,
     check_traced_run,
-    format_check_report,
     one_off_trace_run,
 )
 from repro.cli import main
 from repro.obs.journal import DecisionJournal, replay_journal
-from tests.helpers import with_nominal_overhead
 
 
 @pytest.fixture(scope="module")
@@ -25,25 +22,16 @@ def check_report(quick_report_of):
 def test_check_report_shape_and_verdict(check_report):
     for key in SUITE.keys:
         assert key in check_report, key
-    # The measured overhead ratio is wall-clock noise at this size; its
-    # row is exercised with doctored values, every other row as measured.
-    assert evaluate(SUITE, with_nominal_overhead(check_report)) == []
-    assert all("overhead" in p for p in check_report["problems"])
+    assert evaluate(SUITE, check_report) == []
+    assert check_report["problems"] == [] and check_report["ok"] is True
     assert check_report["digests_identical"] is True
     assert check_report["journal_deterministic"] is True
     assert check_report["replay"]["ok"] is True
     assert check_report["span_problems"] == []
-    assert check_report["overhead_ratio"] >= 0.0
+    # Tracing's wall-clock cost is recorded, never gated.
+    assert check_report["overhead_ratio"] > 0.0
+    assert not any(gate.path == "overhead_ratio" for gate in SUITE.gates)
     json.dumps(check_report)
-    slow = copy.deepcopy(check_report)
-    slow["overhead_ratio"] = 1.2
-    assert any("overhead" in p for p in evaluate(SUITE, slow))
-
-
-def test_format_check_report_lines(check_report):
-    lines = format_check_report(check_report)
-    assert any("parity" in line for line in lines)
-    assert any("overhead" in line for line in lines)
 
 
 def test_one_off_writes_replayable_artifacts(tmp_path):

@@ -224,3 +224,33 @@ def test_stream_prev_is_the_previous_occurrence():
     assert stream.prev.tolist() == [-1, -1, 0, -1, 1]
     assert stream.uniq.tolist() == [[0, 5, 2], [0, 6, 2], [1, 5, 2]]
     assert stream.inv.tolist() == [0, 2, 0, 1, 2]
+
+
+def test_score_function_raising_mid_run_fails_closed():
+    """The entries a run placed before the score function raised leave the
+    index again: the error propagates, the cache is as before the batch."""
+    calls = []
+
+    def flaky(target, offset, count, data):
+        calls.append(offset)
+        if len(calls) == 25:
+            raise RuntimeError("score source unavailable")
+        return float(count)
+
+    cache, oracle = make_cache(app_score_fn=flaky), make_cache()
+    gets = distinct_gets(60)
+    with pytest.raises(RuntimeError, match="score source unavailable"):
+        replay(cache, gets)
+    assert len(calls) == 25
+    cache.check_invariants()
+    assert {key for key, _ in cache.index.items()} <= {
+        e.key for e in cache.entries()}
+    assert len(cache.index) == len(cache.entries()) == 0
+    assert cache.run_counts["fill_runs"] == 0
+    # The same cache then serves the batch, as one that never failed does.
+    replay(cache, gets)
+    replay(oracle, gets)
+    assert cache.run_counts == oracle.run_counts
+    assert cache.stats.snapshot() == oracle.stats.snapshot()
+    assert sorted(e.key for e in cache.entries()) == sorted(
+        e.key for e in oracle.entries())

@@ -1,6 +1,5 @@
 """Shared helpers importable from any test module."""
 
-import copy
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +21,6 @@ from repro.graph.generators import (
 
 #: Where the committed ``BENCH_*.json`` reports and README live.
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def with_nominal_overhead(trace_report: dict) -> dict:
-    """A measured ``trace`` suite report with its one wall-clock row doctored.
-
-    ``overhead_ratio`` is the ratio of two ~0.3 s measured runs; on a loaded
-    machine it reads past its 1.05x ceiling once in a few runs.  Tier-1
-    exercises that gate row with doctored values only (CI's ``repro bench
-    all --quick --check`` gates the measured one); every other row of the
-    measured report is left as it was and still has to pass.
-    """
-    report = copy.deepcopy(trace_report)
-    report["overhead_ratio"] = 1.0
-    return report
 
 
 def assert_scores_raw(result, graph: CSRGraph) -> None:

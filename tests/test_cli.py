@@ -3,37 +3,17 @@
 import copy
 import dataclasses
 import json
-import shutil
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from tests.helpers import REPO_ROOT
 
 
 def patch_suite_run(monkeypatch, module, report):
     """Make ``module.SUITE`` "measure" ``report`` instead of running."""
     monkeypatch.setattr(module, "SUITE", dataclasses.replace(
         module.SUITE, run=lambda quick: report))
-
-
-def bench_dir(tmp_path, *suites):
-    """A ``--dir`` holding copies of the named suites' committed reports."""
-    for name in suites:
-        shutil.copy(REPO_ROOT / f"BENCH_{name}.json", tmp_path)
-    return str(tmp_path)
-
-
-def patch_dynamic_speedup(monkeypatch, quick_report_of, speedup):
-    """`bench dynamic` "measures" the session's real quick report, its one
-    baseline-relative row (`incremental.*.speedup`) doctored to ``speedup``."""
-    import repro.analysis.dynamic as dyn
-
-    report = copy.deepcopy(quick_report_of("dynamic"))
-    for row in report["incremental"].values():
-        row["speedup"] = speedup
-    patch_suite_run(monkeypatch, dyn, report)
 
 
 class TestDatasets:
@@ -173,14 +153,15 @@ class TestServe:
         from repro.analysis.benchsuite import evaluate
 
         patch_suite_run(monkeypatch, srv, quick_report_of("serve"))
-        assert main(["bench", "serve", "--quick", "--check",
+        assert main(["bench", "serve", "--quick",
                      "--dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "BENCH_serve_quick.json").read_text())
         assert evaluate(srv.SUITE, report) == []
         captured = capsys.readouterr()
-        assert "affinity/fifo throughput" in captured.out
-        # No relative rows: --check reads no baseline for this suite.
-        assert "serve gate OK;" in captured.err
+        assert "| serve | measured | 3/3 rows hold; " in captured.out
+        assert "| PASS | True (2 rows) | workloads.*.results_identical" \
+            in captured.out
+        assert "serve gate OK; report written to" in captured.err
 
     def test_serve_bench_rejects_customization_flags(self, tmp_path):
         """The recorded benchmark is pinned: the bench command takes no
@@ -225,58 +206,34 @@ class TestBench:
             assert row["bit_identical"] is True
             assert row["warm_speedup"] > 0
         out = capsys.readouterr().out
-        assert "batched replay" in out
+        assert "| kernels | measured | 2/2 rows hold; n_kernels " in out
 
-    # The --check mechanics, on a suite with a baseline-relative row
-    # (`dynamic`: incremental.*.speedup >= 25% of the baseline's worst).
-    BASELINE_8X = json.dumps({"incremental": {"g": {"speedup": 8.0}}})
-
-    def test_bench_check_passes_against_lenient_baseline(
+    def test_failing_run_keeps_the_committed_report(
             self, tmp_path, capsys, monkeypatch, quick_report_of):
-        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=8.0)
-        (tmp_path / "BENCH_dynamic.json").write_text(self.BASELINE_8X)
-        assert main(["bench", "dynamic", "--quick", "--check",
-                     "--dir", str(tmp_path)]) == 0
-        assert ("dynamic gate OK against baseline BENCH_dynamic.json"
-                in capsys.readouterr().err)
-        assert (tmp_path / "BENCH_dynamic_quick.json").exists()
+        """A full-size run writes to the committed report's path: a failing
+        run leaves the previous contents in place, a passing one replaces
+        them."""
+        import repro.analysis.dynamic as dyn
 
-    def test_bench_check_fails_on_regression(self, tmp_path, capsys,
-                                             monkeypatch, quick_report_of):
-        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=1.5)
-        # Passes on its own (quick floor 1.0x) ...
-        assert main(["bench", "dynamic", "--quick", "--no-trajectory",
-                     "--dir", str(tmp_path)]) == 0
-        (tmp_path / "BENCH_dynamic_quick.json").unlink()
-        # ... but not against a baseline whose worst speedup is 8x.
-        (tmp_path / "BENCH_dynamic.json").write_text(self.BASELINE_8X)
-        capsys.readouterr()
-        assert main(["bench", "dynamic", "--quick", "--check",
-                     "--dir", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "dynamic gate FAILED" in err
-        assert "fell below" in err
-        assert err.count("dynamic gate: ") == 1  # one line per problem
-        assert "Traceback" not in err
-        assert not (tmp_path / "BENCH_dynamic_quick.json").exists()
-
-    def test_bench_check_same_path_reads_baseline_before_writing(
-            self, tmp_path, capsys, monkeypatch, quick_report_of):
-        """A full-size --check run writes to the very file it is gated
-        against; the gate must compare against the *previous* contents,
-        and a failing run must leave them in place."""
-        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=1.5)
         path = tmp_path / "BENCH_dynamic.json"
-        path.write_text(self.BASELINE_8X)
-        assert main(["bench", "dynamic", "--check",
-                     "--dir", str(tmp_path)]) == 1
+        path.write_text("{}")
+        bad = copy.deepcopy(quick_report_of("dynamic"))
+        next(iter(bad["incremental"].values()))["bit_identical"] = False
+        patch_suite_run(monkeypatch, dyn, bad)
+        assert main(["bench", "dynamic", "--dir", str(tmp_path)]) == 1
         assert "dynamic gate FAILED" in capsys.readouterr().err
-        assert path.read_text() == self.BASELINE_8X
-        # A passing run then replaces it.
-        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=8.0)
-        assert main(["bench", "dynamic", "--check",
-                     "--dir", str(tmp_path)]) == 0
+        assert path.read_text() == "{}"
+        assert not (tmp_path / "BENCH_trajectory.json").exists()
+        patch_suite_run(monkeypatch, dyn, quick_report_of("dynamic"))
+        assert main(["bench", "dynamic", "--dir", str(tmp_path)]) == 0
         assert json.loads(path.read_text())["invalidation"]
+
+    def test_check_flag_is_gone(self, capsys):
+        """No baseline mode: `--check` is an unknown option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "dynamic", "--quick", "--check"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --check" in capsys.readouterr().err
 
     def test_paper_bench_names_the_violated_claim(
             self, tmp_path, capsys, monkeypatch, quick_report_of):
@@ -288,14 +245,14 @@ class TestBench:
         for graph in doctored["scaling"]["fig9"].values():
             graph["speedup"]["lcc"] = 3.9
         patch_suite_run(monkeypatch, paper, doctored)
-        assert main(["bench", "paper", "--quick", "--check",
+        assert main(["bench", "paper", "--quick",
                      "--dir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.count("paper gate: ") == 1
         assert "speedup.lcc: Fig. 9: non-cached LCC strong-scales" \
             in captured.err
         n = len(paper.SUITE.gates)
-        assert f"claim ({n - 1}/{n} hold" in captured.out
+        assert f"| paper | measured | {n - 1}/{n} rows hold; " in captured.out
         assert captured.out.count("| FAIL |") == 1
         assert not (tmp_path / "BENCH_paper_quick.json").exists()
 
@@ -324,7 +281,12 @@ class TestBench:
         out = capsys.readouterr().out
         for name in SUITE_NAMES:
             assert f"| `{name}` | `BENCH_{name}.json` |" in out
-        assert "incremental.*.speedup >= 2.0 (1.0 with --quick)" in out
+        assert ("read_scaling.read_scaling >= 1.5 -- read scaling at the "
+                "full replica count is below the floor") in out
+        # Wall-clock measurements are recorded, never gated.
+        for path in ("incremental.*.speedup", "warm_speedup",
+                     "overhead_ratio"):
+            assert path not in out
         with pytest.raises(SystemExit, match="unknown bench suite"):
             main(["bench", "nope"])
 
@@ -392,18 +354,9 @@ class TestUpdate:
             (tmp_path / "BENCH_dynamic_quick.json").read_text())
         assert evaluate(SUITE, report) == []
         out = capsys.readouterr().out
-        assert "incremental" in out
-        assert "answers identical: True" in out
-
-    def test_update_bench_check_against_committed_baseline(
-            self, tmp_path, capsys, monkeypatch, quick_report_of):
-        import repro.analysis.dynamic as dyn
-
-        patch_suite_run(monkeypatch, dyn, quick_report_of("dynamic"))
-        assert main(["bench", "dynamic", "--quick", "--check",
-                     "--dir", bench_dir(tmp_path, "dynamic")]) == 0
-        assert ("dynamic gate OK against baseline BENCH_dynamic.json"
-                in capsys.readouterr().err)
+        n = len(SUITE.gates)
+        assert f"| dynamic | measured | {n}/{n} rows hold; " in out
+        assert "| PASS | True | serving.results_identical is True" in out
 
 
 class TestStore:
@@ -425,53 +378,10 @@ class TestStore:
         report = json.loads((tmp_path / "BENCH_store_quick.json").read_text())
         assert evaluate(SUITE, report) == []
         out = capsys.readouterr().out
-        assert "resident tc2d" in out
-        assert "histories identical: True" in out
-
-    def test_store_bench_check_against_committed_baseline(
-            self, tmp_path, capsys, monkeypatch, quick_report_of):
-        import repro.analysis.store as sto
-
-        patch_suite_run(monkeypatch, sto, quick_report_of("store"))
-        assert main(["bench", "store", "--quick", "--check",
-                     "--dir", bench_dir(tmp_path, "store")]) == 0
-        assert ("store gate OK against baseline BENCH_store.json"
-                in capsys.readouterr().err)
-
-    def test_store_bench_check_fails_on_regression(self, tmp_path, capsys,
-                                                   monkeypatch):
-        import repro.analysis.store as sto
-
-        canned = {
-            "schema_version": 1, "quick": True, "nranks": 9, "threads": 4,
-            "graphs": {},
-            "tc2d": {"g": {
-                "rebuild_warm_wall_s": 1.0, "resident_warm_wall_s": 0.4,
-                "warm_speedup": 2.5, "bit_identical": True,
-                "global_triangles": 1, "simulated_time_s": 0.0,
-                "grid_builds": 1, "nranks": 9}},
-            "versions": {"results_identical": True,
-                         "version_histories_identical": True,
-                         "n_requests": 4, "n_updates": 1, "update_mix": 0.3,
-                         "final_versions": {}, "schedulers": {
-                             "fifo": {"updates_coalesced": 0,
-                                      "rekeyed_entries": 0,
-                                      "warm_fraction": 0.5},
-                             "affinity": {"updates_coalesced": 0,
-                                          "rekeyed_entries": 0,
-                                          "warm_fraction": 0.5}}},
-            "delete_heavy": {"serving": {"results_identical": True},
-                             "g": {"rounds": 2, "delete_fraction": 0.8,
-                                   "edges_before": 10, "edges_after": 5,
-                                   "bit_identical": True,
-                                   "collapsed_below_min_degree": 0}},
-        }
-        patch_suite_run(monkeypatch, sto, canned)
-        (tmp_path / "BENCH_store.json").write_text(json.dumps(
-            {"tc2d": {"g": {"warm_speedup": 100.0}}}))
-        assert main(["bench", "store", "--quick", "--check",
-                     "--dir", str(tmp_path)]) == 1
-        assert "store gate FAILED" in capsys.readouterr().err
+        n = len(SUITE.gates)
+        assert f"| store | measured | {n}/{n} rows hold; " in out
+        assert ("| PASS | True | versions.version_histories_identical is "
+                "True") in out
 
     def test_store_bench_rejects_customization_flags(self, tmp_path):
         for argv in (["bench", "store", "--quick", "--edges", "50"],
@@ -553,41 +463,22 @@ class TestShard:
         report = json.loads((tmp_path / "BENCH_shard_quick.json").read_text())
         assert evaluate(SUITE, report) == []
         out = capsys.readouterr().out
-        assert "sharded == unsharded" in out
-        assert "failover" in out
+        n = len(SUITE.gates)
+        assert f"| shard | measured | {n}/{n} rows hold; read_scaling 2, " \
+            in out
+        assert "| PASS | 1 | failover.reseeds == 1" in out
 
-    def _record_baseline(self, tmp_path, monkeypatch, scaling):
-        """A full-size run into ``tmp_path`` leaves BENCH_shard.json."""
-        self._patch_canned_shard(monkeypatch, scaling=scaling)
-        assert main(["bench", "shard", "--dir", str(tmp_path),
-                     "--no-trajectory"]) == 0
-        assert (tmp_path / "BENCH_shard.json").exists()
-
-    def test_shard_bench_check_against_baseline(self, tmp_path, capsys,
-                                                monkeypatch):
-        self._record_baseline(tmp_path, monkeypatch, scaling=2.0)
-        assert main(["bench", "shard", "--quick", "--check",
-                     "--dir", str(tmp_path), "--no-trajectory"]) == 0
-        assert ("shard gate OK against baseline BENCH_shard.json"
-                in capsys.readouterr().err)
-
-    def test_shard_bench_check_fails_on_regression(self, tmp_path, capsys,
-                                                   monkeypatch):
-        self._record_baseline(tmp_path, monkeypatch, scaling=8.0)
-        self._patch_canned_shard(monkeypatch, scaling=1.6)
-        assert main(["bench", "shard", "--quick", "--check",
-                     "--dir", str(tmp_path), "--no-trajectory"]) == 1
-        err = capsys.readouterr().err
-        assert "shard gate FAILED" in err
-        assert "fell below" in err
-
-    def test_failed_check_records_no_trajectory_row(self, tmp_path,
-                                                    monkeypatch):
-        self._record_baseline(tmp_path, monkeypatch, scaling=8.0)
-        self._patch_canned_shard(monkeypatch, scaling=1.6)
-        assert main(["bench", "shard", "--quick", "--check",
+    def test_failed_run_records_nothing(self, tmp_path, capsys,
+                                        monkeypatch):
+        self._patch_canned_shard(monkeypatch, scaling=1.4)
+        assert main(["bench", "shard", "--quick",
                      "--dir", str(tmp_path)]) == 1
-        assert not (tmp_path / "BENCH_trajectory.json").exists()
+        captured = capsys.readouterr()
+        assert captured.err.count("shard gate: ") == 1
+        assert "read_scaling.read_scaling: read scaling" in captured.err
+        assert ("| FAIL | 1.4 | read_scaling.read_scaling >= 1.5"
+                in captured.out)
+        assert list(tmp_path.iterdir()) == []
 
     def test_trajectory_row_appended(self, tmp_path, monkeypatch):
         self._patch_canned_shard(monkeypatch)
@@ -668,41 +559,17 @@ class TestAsyncServe:
         report = json.loads((tmp_path / "BENCH_async_quick.json").read_text())
         assert evaluate(SUITE, report) == []
         out = capsys.readouterr().out
-        assert "answers identical: True" in out
-        assert "interleaving" in out
+        n = len(SUITE.gates)
+        assert f"| async | measured | {n}/{n} rows hold; burst_speedup 2, " \
+            in out
+        assert "| PASS | True (4 rows) | interleavings.identical.* is True" \
+            in out
 
-    def _record_baseline(self, tmp_path, monkeypatch, speedup):
-        """A full-size run into ``tmp_path`` leaves BENCH_async.json."""
-        self._patch_canned_async(monkeypatch, speedup=speedup)
-        assert main(["bench", "async", "--dir", str(tmp_path),
-                     "--no-trajectory"]) == 0
-        assert (tmp_path / "BENCH_async.json").exists()
-
-    def test_async_bench_check_against_baseline(self, tmp_path, capsys,
-                                                monkeypatch):
-        self._record_baseline(tmp_path, monkeypatch, speedup=2.0)
-        assert main(["bench", "async", "--quick", "--check",
-                     "--dir", str(tmp_path), "--no-trajectory"]) == 0
-        assert ("async gate OK against baseline BENCH_async.json"
-                in capsys.readouterr().err)
-
-    def test_async_bench_check_fails_on_regression(self, tmp_path, capsys,
-                                                   monkeypatch):
-        self._record_baseline(tmp_path, monkeypatch, speedup=8.0)
-        self._patch_canned_async(monkeypatch, speedup=1.6)
-        assert main(["bench", "async", "--quick", "--check",
-                     "--dir", str(tmp_path), "--no-trajectory"]) == 1
-        err = capsys.readouterr().err
-        assert "async gate FAILED" in err
-        assert "fell below" in err
-
-    def test_failed_check_records_no_trajectory_row(self, tmp_path,
-                                                    monkeypatch):
-        self._record_baseline(tmp_path, monkeypatch, speedup=8.0)
-        self._patch_canned_async(monkeypatch, speedup=1.6)
-        assert main(["bench", "async", "--quick", "--check",
+    def test_failed_run_records_nothing(self, tmp_path, monkeypatch):
+        self._patch_canned_async(monkeypatch, speedup=1.2)
+        assert main(["bench", "async", "--quick",
                      "--dir", str(tmp_path)]) == 1
-        assert not (tmp_path / "BENCH_trajectory.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_trajectory_row_appended(self, tmp_path, monkeypatch):
         self._patch_canned_async(monkeypatch)
@@ -731,55 +598,7 @@ class TestAsyncServe:
             main(["async-serve", "--overflow", "drop"])
 
 
-#: The baseline-gated subcommands of old, and the suite each became
-#: (`bench` became `kernels`, which no longer has a baseline-relative row).
-GATED = {"update": "dynamic", "store": "store",
-         "shard": "shard", "async-serve": "async"}
-
-
-class TestBaselineErrors:
-    """--check must fail fast, nonzero, with a one-line reason."""
-
-    def test_missing_baseline_one_line_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "shard", "--quick", "--check",
-                  "--dir", str(tmp_path)])
-        msg = str(exc.value)
-        assert "does not exist" in msg and "\n" not in msg
-        # Nothing ran, nothing was written.
-        assert list(tmp_path.iterdir()) == []
-
-    def test_corrupt_baseline_one_line_error(self, tmp_path):
-        bad = tmp_path / "BENCH_store.json"
-        bad.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "store", "--quick", "--check",
-                  "--dir", str(tmp_path)])
-        msg = str(exc.value)
-        assert "not valid JSON" in msg and "\n" not in msg
-        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_store.json"]
-
-    @pytest.mark.parametrize("cmd", sorted(GATED))
-    def test_every_gated_command_fails_fast(self, cmd, tmp_path):
-        with pytest.raises(SystemExit, match="does not exist"):
-            main(["bench", GATED[cmd], "--quick", "--check",
-                  "--dir", str(tmp_path)])
-        # `all` reads every baseline before running anything, too.
-        bench_dir(tmp_path, "kernels", "dynamic", "store")
-        with pytest.raises(SystemExit, match="BENCH_shard.json"):
-            main(["bench", "all", "--quick", "--check",
-                  "--dir", str(tmp_path)])
-
-
 class TestRound2Guards:
-    def test_failed_bench_check_records_no_trajectory_row(
-            self, tmp_path, monkeypatch, quick_report_of):
-        patch_dynamic_speedup(monkeypatch, quick_report_of, speedup=1.5)
-        (tmp_path / "BENCH_dynamic.json").write_text(TestBench.BASELINE_8X)
-        assert main(["bench", "dynamic", "--quick", "--check",
-                     "--dir", str(tmp_path)]) == 1
-        assert not (tmp_path / "BENCH_trajectory.json").exists()
-
     def test_update_bench_rejects_customization_flags(self, tmp_path):
         for argv in (["bench", "dynamic", "--quick", "--edges", "50"],
                      ["update", "skitter", "--bench", str(tmp_path / "x")],
