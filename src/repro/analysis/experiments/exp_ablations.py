@@ -14,8 +14,6 @@ Not figures from the paper, but the knobs the paper discusses in prose:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.tables import Table, print_tables
 from repro.baselines.disttc import DistTCConfig, run_disttc
 from repro.baselines.tric import TricConfig, run_tric
@@ -23,6 +21,7 @@ from repro.core.config import CacheSpec, LCCConfig
 from repro.core.lcc import run_distributed_lcc
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat
+from repro.utils.errors import SimulationError
 
 
 def overlap_sweep(scale: float, seed: int) -> dict:
@@ -156,7 +155,10 @@ def ablate_2d_partition(scale: float, seed: int) -> Table:
     for p in (16, 64):
         one = run_distributed_tc(g, LCCConfig(nranks=p, threads=12))
         two = run_distributed_tc_2d(g, LCCConfig(nranks=p, threads=12))
-        assert one.global_triangles == two.global_triangles
+        if one.global_triangles != two.global_triangles:
+            raise SimulationError(
+                f"1D and 2D triangle counts differ at p={p}: "
+                f"{one.global_triangles} vs {two.global_triangles}")
         t.add_row(p, round(one.time, 4), round(two.time, 4),
                   one.outcome.total("n_remote_gets"),
                   two.outcome.total("n_remote_gets"),
@@ -167,51 +169,35 @@ def ablate_2d_partition(scale: float, seed: int) -> Table:
 
 def ablate_score_policies(scale: float, seed: int) -> Table:
     """Extended eviction scores (future work iii)."""
+    from repro.clampi.scores import AppScorePolicy
     from repro.clampi.scores_ext import EXTENDED_POLICIES
     from repro.clampi.wrapper import degree_app_score
-    from repro.core.lcc import setup_distributed
+    from repro.core.lcc import execute_lcc
+    from repro.session import Session
 
     g = load_dataset("rmat-s20-ef16", scale=scale, seed=seed)
     cap = max(4096, g.adjacency.nbytes // 4)
     t = Table(["policy", "time (s)", "C_adj hit rate", "evictions"],
               title="Ablation: application-specific score policies "
                     "(future work iii), C_adj = 25% of adjacency")
-    policies = {"default": None, "degree": None}
-    names = ["default", "degree"] + sorted(EXTENDED_POLICIES)
-    for name in names:
-        spec = CacheSpec(offsets_bytes=0, adj_bytes=cap,
-                         score="default")  # placeholder, replaced below
-        config = LCCConfig(nranks=8, threads=12, cache=spec)
-        engine, dist, _, adj_caches = setup_distributed(g, config)
-        if name not in ("default", "degree"):
-            # Swap in the extended policy on every rank's cache.
-            policy_cls = EXTENDED_POLICIES[name]
-            for cache in adj_caches:
-                cache.config.score_policy = policy_cls()
-                if cache.config.score_policy.uses_app_score:
-                    cache.config.app_score_fn = degree_app_score
-        elif name == "degree":
-            from repro.clampi.scores import AppScorePolicy
-
-            for cache in adj_caches:
-                cache.config.score_policy = AppScorePolicy()
-                cache.config.app_score_fn = degree_app_score
-        from repro.core.lcc import _lcc_rank_fn
-        from repro.core.threading import OpenMPModel
-
-        import numpy as np
-
-        omp = OpenMPModel(threads=12, compute=config.compute)
-        tpv = np.zeros(g.n, dtype=np.int64)
-        lcc = np.zeros(g.n)
-        outcome = engine.run(_lcc_rank_fn(dist, config, omp, tpv, lcc))
-        from repro.clampi.stats import CacheStats
-
-        merged = CacheStats()
-        for cache in adj_caches:
-            merged.merge(cache.stats)
-        t.add_row(name, round(outcome.time, 4),
-                  f"{merged.hit_rate:.3f}", merged.evictions)
+    policies = {"default": None, "degree": AppScorePolicy,
+                **EXTENDED_POLICIES}
+    config = LCCConfig(nranks=8, threads=12, cache=CacheSpec(
+        offsets_bytes=0, adj_bytes=cap, score="default"))
+    with Session(g, config) as session:
+        for name in ["default", "degree"] + sorted(EXTENDED_POLICIES):
+            # Fresh caches per policy; swap it in on every rank's C_adj.
+            engine, dist, off_caches, adj_caches = session.resident_cluster()
+            if policies[name] is not None:
+                for cache in adj_caches:
+                    cache.config.score_policy = policies[name]()
+                    if cache.config.score_policy.uses_app_score:
+                        cache.config.app_score_fn = degree_app_score
+            res = execute_lcc(engine, dist, config, off_caches, adj_caches)
+            stats = res.adj_cache_stats
+            t.add_row(name, round(res.time, 4), f"{stats['hit_rate']:.3f}",
+                      stats["capacity_evictions"]
+                      + stats["conflict_evictions"])
     return t
 
 

@@ -58,6 +58,7 @@ from repro.serve.scheduler import make_scheduler
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 from repro.session import get_kernel, kernel_names, run_kernel
 from repro.shardstore import ReplicaSet, ShardedGraphStore, annotate_shard_sets
+from repro.utils.errors import SimulationError
 from repro.utils.rng import derive_seed
 
 #: Shard geometry every bench cell runs with: 4 shards grouping an
@@ -203,7 +204,9 @@ def bench_update_latency(graph: CSRGraph, gname: str, *,
     single_walls, cross_walls, cross_touched = [], [], []
     for _ in range(repeats):
         wall, touched = committed(rng.integers(lo, hi, size=(n_edges, 2)))
-        assert touched <= 1
+        if touched > 1:
+            raise SimulationError(
+                f"a batch inside shard 0's range touched {touched} shards")
         single_walls.append(wall)
         wall, touched = committed(rng.integers(0, graph.n,
                                                size=(n_edges, 2)))

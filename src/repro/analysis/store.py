@@ -5,11 +5,12 @@ graph-store subsystem's trajectory point, ``BENCH_store.json``:
 
 * **tc2d** — serving ``tc2d`` warm from a resident
   :class:`~repro.graphstore.grid2d.GridCluster2D` versus the legacy
-  per-call rebuild path (:func:`~repro.core.tc2d.run_distributed_tc_2d`),
-  per bench graph, with the rebuild path kept as the bit-identity oracle
-  (same triangles *and* same per-rank simulated clocks).  The warm
-  wall-clock speedup is recorded, not gated — in practice the replay
-  memo makes the resident query orders of magnitude faster;
+  per-call rebuild path (:func:`~repro.core.tc2d.run_distributed_tc_2d`,
+  the scalar loop on a throwaway grid), per bench graph, with the
+  rebuild path kept as the bit-identity oracle (same triangles *and*
+  same per-rank simulated clocks).  The warm wall-clock speedup is
+  recorded, not gated — in practice the resident panel replay makes the
+  warm query orders of magnitude faster;
 * **versions** — a mixed read/write serving run through FIFO and
   cache-affinity scheduling over the store: per-query answers (prefixed
   with the observed :class:`~repro.graphstore.store.GraphVersion`),

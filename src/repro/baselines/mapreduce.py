@@ -26,7 +26,7 @@ from repro.runtime.compute import ComputeModel
 from repro.runtime.context import SimContext
 from repro.runtime.engine import Engine
 from repro.runtime.network import MemoryModel, NetworkModel
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, SimulationError
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,10 @@ def run_mapreduce_tc(graph: CSRGraph, config: MapReduceConfig | None = None
 
     outcome = engine.run(rank_fn)
     closed_total = int(outcome.results[0])
-    assert closed_total % 3 == 0, "every triangle has three wedge centres"
+    if closed_total % 3:
+        raise SimulationError(f"closed-wedge total {closed_total} not "
+                              "divisible by 3 (every triangle has three "
+                              "wedge centres)")
     result = DistributedRunResult(
         lcc=None,
         triangles_per_vertex=None,

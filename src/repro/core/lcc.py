@@ -70,30 +70,6 @@ def attach_caches(engine: Engine, dist: DistributedCSR, spec: CacheSpec,
     return offsets_caches, adj_caches
 
 
-def setup_distributed(graph: CSRGraph, config: LCCConfig
-                      ) -> tuple[Engine, DistributedCSR, list, list]:
-    """Build engine + distributed CSR + (optional) caches for one run.
-
-    Returns ``(engine, dist, offsets_caches, adj_caches)``; the cache lists
-    are empty when caching is disabled.
-    """
-    engine = Engine(
-        config.nranks,
-        network=config.network,
-        memory=config.memory,
-        compute=config.compute,
-        record_ops=config.record_ops,
-    )
-    dist = DistributedCSR(graph, make_partition(config, graph.n), engine)
-    dist.open_epochs()
-    offsets_caches: list = []
-    adj_caches: list = []
-    if config.cache is not None:
-        offsets_caches, adj_caches = attach_caches(engine, dist,
-                                                   config.cache, graph.n)
-    return engine, dist, offsets_caches, adj_caches
-
-
 def _lcc_rank_fn(dist: DistributedCSR, config: LCCConfig, omp: OpenMPModel,
                  tpv_out: np.ndarray, lcc_out: np.ndarray):
     """Build the per-rank worker (a plain function: fully asynchronous)."""
@@ -174,17 +150,16 @@ def _process_vertex_overlapped(ctx: SimContext, dist: DistributedCSR,
 
 def run_distributed_lcc(graph: CSRGraph, config: LCCConfig | None = None
                         ) -> DistributedRunResult:
-    """Run Algorithm 3 over the simulated cluster; returns scores + metrics.
+    """Run Algorithm 3 over a throwaway simulated cluster.
 
-    Without op recording, runs take the batched replay
-    (:mod:`repro.core.replay`), pinned by tests to produce bit-identical
-    clocks, traces and scores — with CLaMPI caches or without (a cache-less
-    run is the same replay with no cache stage).  Pass ``fast_path=False``
-    to force the per-edge loop.
+    The ``"lcc"`` kernel on a one-query :class:`~repro.session.Session`:
+    the batched replay (:mod:`repro.core.replay`) unless op recording is
+    on or ``fast_path=False`` forces the per-edge loop, the oracle both
+    are pinned bit-identical against.
     """
-    config = config or LCCConfig()
-    engine, dist, off_caches, adj_caches = setup_distributed(graph, config)
-    return execute_lcc(engine, dist, config, off_caches, adj_caches)
+    from repro.session import run_kernel
+
+    return run_kernel("lcc", graph, config).raw
 
 
 def execute_lcc(engine: Engine, dist: DistributedCSR, config: LCCConfig,
@@ -210,9 +185,8 @@ def execute_lcc_loop(engine: Engine, dist: DistributedCSR, config: LCCConfig,
                      ) -> DistributedRunResult:
     """The per-edge loop implementation — the replay's reference oracle.
 
-    The building block behind both :func:`run_distributed_lcc` (which
-    creates a throwaway cluster) and :class:`repro.session.Session` (which
-    keeps one cluster resident across queries).  Epochs must be open on
+    Runs on any built 1D cluster (a :class:`repro.session.Session`'s
+    resident one, or a throwaway session's).  Epochs must be open on
     entry; they are closed on return.
     """
     graph = dist.graph

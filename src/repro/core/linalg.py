@@ -38,19 +38,17 @@ NaN, so ``x + 0.0 == x``) the fold is **bit-identical** to
 and ``tail`` are ``0.0`` / empty for the triangle count; ``lcc2d`` puts
 its own-block read, reduction stages and final pass there.
 
-Three entry points build on the shared :class:`SummaStats` tables:
+Two entry points build on the shared :class:`SummaStats` tables:
 
 * :func:`execute_tc2d_spgemm` — the ``tc2d_spgemm`` kernel, and equally
-  the batched replay the cached ``tc2d`` fast path dispatches to (the
-  two are the same program; only result cosmetics differ);
+  the replay every fast square-grid ``tc2d`` query dispatches to, cached
+  or not (the two are the same program; only result cosmetics differ);
 * :func:`execute_lcc2d` — the ``lcc2d`` kernel: per-vertex LCC on the
   same grid.  ``t_v`` is the row sum of ``(A·A)∘A`` accumulated across
   the SUMMA rounds; degrees come from row-strip bookkeeping over the
   resident blocks, and scores go through the same
   :func:`~repro.core.local.lcc_from_triplets` formula as the 1D kernel,
-  so the per-vertex values are bit-identical to ``session.run("lcc")``;
-* :func:`run_tc2d_spgemm` — a throwaway per-call convenience mirroring
-  :func:`~repro.core.tc2d.run_distributed_tc_2d`.
+  so the per-vertex values are bit-identical to ``session.run("lcc")``.
 
 Both kernels need a **square** process grid (SUMMA's inner index ranges
 over one shared vertex blocking); :func:`repro.core.tc2d.require_square_grid`
@@ -70,26 +68,20 @@ from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.intersect import edge_support
 from repro.core.local import lcc_from_triplets
 from repro.core.replay import fold_left, fold_slots, get_totals, price_gets
-from repro.core.tc2d import (
-    BLOCKS_WINDOW,
-    build_grid_blocks,
-    pack_block,
-    require_square_grid,
-)
+from repro.core.tc2d import require_square_grid
 from repro.graph.csr import CSRGraph
 from repro.graph.partition2d import GridPartition2D
 from repro.obs.trace import span as obs_span
 from repro.runtime.engine import Engine, RunOutcome
 from repro.runtime.trace import RankTrace
 from repro.runtime.window import Window
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, SimulationError
 
 __all__ = [
     "SummaStats",
     "build_round_streams",
     "execute_lcc2d",
     "execute_tc2d_spgemm",
-    "run_tc2d_spgemm",
     "summa_stats",
 ]
 
@@ -264,7 +256,7 @@ def execute_tc2d_spgemm(engine: Engine, grid: GridPartition2D, blocks: list,
     Epochs must be open on entry and are left open on return, exactly
     like the scalar path.  ``with_cache_stats=False`` reproduces the
     scalar result *exactly* (which never surfaces block-cache stats) —
-    the mode the cached ``tc2d`` batched replay runs in.
+    the mode the fast ``tc2d`` replay runs in.
     """
     require_square_grid(grid, kernel="tc2d_spgemm", strict=True)
     clocks: list[float] = []
@@ -279,7 +271,9 @@ def execute_tc2d_spgemm(engine: Engine, grid: GridPartition2D, blocks: list,
             traces.append(RankTrace.from_totals(rank, comp_time=comp,
                                                 **totals))
         total = int(sum(results))
-        assert total % 6 == 0, f"2D triplet total {total} not divisible by 6"
+        if total % 6:
+            raise SimulationError(
+                f"2D triplet total {total} not divisible by 6")
         sp.note(triangles=total // 6)
     outcome = RunOutcome(time=max(clocks), clocks=clocks, traces=traces,
                          results=results)
@@ -364,30 +358,3 @@ def execute_lcc2d(engine: Engine, grid: GridPartition2D, blocks: list,
         outcome=outcome,
         adj_cache_stats=CacheStats.merged(_block_caches(engine, win)),
     )
-
-
-def run_tc2d_spgemm(graph: CSRGraph, config: LCCConfig | None = None
-                    ) -> DistributedRunResult:
-    """Per-call convenience: masked-SpGEMM TC on a throwaway grid.
-
-    Mirrors :func:`repro.core.tc2d.run_distributed_tc_2d` — rebuilds
-    engine, grid, blocks and window each call — for tests and one-shot
-    scripts; served queries should go through the resident
-    ``tc2d_spgemm`` kernel instead.
-    """
-    if graph.directed:
-        raise ConfigError("2D triangle counting expects an undirected graph")
-    config = config or LCCConfig()
-    engine = Engine(config.nranks, network=config.network,
-                    memory=config.memory, compute=config.compute)
-    grid = GridPartition2D(graph.n, config.nranks)
-    require_square_grid(grid, kernel="tc2d_spgemm", strict=True)
-    blocks = build_grid_blocks(graph, grid)
-    win = engine.windows.add(Window(BLOCKS_WINDOW,
-                                    [pack_block(b) for b in blocks]))
-    for rank in range(config.nranks):
-        win.lock_all(rank)
-    stats = summa_stats(graph, grid, blocks)
-    streams = build_round_streams(grid, win)
-    return execute_tc2d_spgemm(engine, grid, blocks, win, config, graph,
-                               stats, streams)

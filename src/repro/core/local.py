@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from repro.core.intersect import count_common
 from repro.graph.csr import CSRGraph, gather_ranges
+from repro.utils.errors import SimulationError
 
 
 def to_sparse(graph: CSRGraph) -> sp.csr_matrix:
@@ -203,5 +204,7 @@ def triangle_count_local(graph: CSRGraph, method: str = "matrix") -> int:
     total = int(t.sum())
     if graph.directed:
         return total
-    assert total % 6 == 0, f"undirected triplet total {total} not divisible by 6"
+    if total % 6:
+        raise SimulationError(
+            f"undirected triplet total {total} not divisible by 6")
     return total // 6

@@ -19,7 +19,6 @@ import numpy as np
 from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.intersect import count_common_above
-from repro.core.lcc import setup_distributed
 from repro.core.threading import OpenMPModel
 from repro.graph.csr import CSRGraph
 from repro.graph.distributed import DistributedCSR
@@ -96,11 +95,14 @@ def require_undirected(graph: CSRGraph) -> None:
 
 def run_distributed_tc(graph: CSRGraph, config: LCCConfig | None = None
                        ) -> DistributedRunResult:
-    """Count all triangles of an undirected graph on the simulated cluster."""
+    """Count all triangles of an undirected graph on a throwaway cluster.
+
+    The ``"tc"`` kernel on a one-query :class:`~repro.session.Session`.
+    """
     require_undirected(graph)
-    config = config or LCCConfig()
-    engine, dist, off_caches, adj_caches = setup_distributed(graph, config)
-    return execute_tc(engine, dist, config, off_caches, adj_caches)
+    from repro.session import run_kernel
+
+    return run_kernel("tc", graph, config).raw
 
 
 def execute_tc(engine, dist: DistributedCSR, config: LCCConfig,

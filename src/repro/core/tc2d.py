@@ -20,11 +20,11 @@ operand and output element.
 
 The module is split the same way :mod:`repro.core.lcc` is: *setup*
 (:func:`build_grid_blocks` + a window) and *execution*
-(:func:`execute_tc2d`), so a resident
-:class:`~repro.graphstore.grid2d.GridCluster2D` can build the grid once
-and serve any number of warm queries, while the legacy per-call entry
-point :func:`run_distributed_tc_2d` keeps rebuilding everything per call
-(it is the resident path's bit-identity oracle).
+(:func:`execute_tc2d`).  Only the resident
+:class:`~repro.graphstore.grid2d.GridCluster2D` builds a grid; the
+per-round loop here is the 2D oracle every panel replay is pinned
+bit-identical against, and :func:`run_distributed_tc_2d` runs it on a
+throwaway session.
 """
 
 from __future__ import annotations
@@ -33,12 +33,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import DistributedRunResult, LCCConfig
+from repro.core.local import vertex_scores
 from repro.graph.csr import CSRGraph
 from repro.graph.partition2d import GridPartition2D, split_edges_2d
 from repro.runtime.context import SimContext
 from repro.runtime.engine import Engine
 from repro.runtime.window import Window
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, SimulationError
 
 #: Window name the packed blocks are exposed through.
 BLOCKS_WINDOW = "edge_blocks"
@@ -147,9 +148,9 @@ def execute_tc2d(engine: Engine, grid: GridPartition2D,
     """Run the 2D triangle count on an already-built grid cluster.
 
     Epochs must be open on entry and are left open on return (the
-    resident cluster keeps them open across queries; the per-call path
-    never reuses the engine).  Remote block fetches go through any
-    CLaMPI caches attached to ``win``, exactly like the 1D kernels.
+    resident cluster closes them after the query).  Remote block
+    fetches go through any CLaMPI caches attached to ``win``, exactly
+    like the 1D kernels.
     """
     counts = np.zeros(grid.nranks, dtype=np.int64)
     cm = config.compute
@@ -183,7 +184,8 @@ def execute_tc2d(engine: Engine, grid: GridPartition2D,
 
     outcome = engine.run(rank_fn_square)
     total = int(counts.sum())
-    assert total % 6 == 0, f"2D triplet total {total} not divisible by 6"
+    if total % 6:
+        raise SimulationError(f"2D triplet total {total} not divisible by 6")
     return DistributedRunResult(
         lcc=None,
         triangles_per_vertex=None,
@@ -194,25 +196,19 @@ def execute_tc2d(engine: Engine, grid: GridPartition2D,
 
 def run_distributed_tc_2d(graph: CSRGraph, config: LCCConfig | None = None
                           ) -> DistributedRunResult:
-    """Asynchronous triangle count over a throwaway 2D grid partition.
+    """The 2D oracle: the per-round loop on a throwaway grid.
 
-    Rebuilds the engine, grid, blocks and window on every call — the
-    legacy behavior, kept as the oracle the resident
-    ``GridCluster2D`` path is pinned bit-identical against.
+    The ``"tc2d"`` kernel on a one-query :class:`~repro.session.Session`
+    with ``fast_path=False`` and no caches (any ``config.cache`` is
+    ignored), so every call prices :func:`execute_tc2d` on a freshly
+    built grid.
     """
     if graph.directed:
         raise ConfigError("2D triangle counting expects an undirected graph")
-    config = config or LCCConfig()
-    engine = Engine(config.nranks, network=config.network,
-                    memory=config.memory, compute=config.compute,
-                    record_ops=config.record_ops)
-    grid = GridPartition2D(graph.n, config.nranks)
-    blocks = build_grid_blocks(graph, grid)
-    win = engine.windows.add(Window(BLOCKS_WINDOW,
-                                    [pack_block(b) for b in blocks]))
-    for rank in range(config.nranks):
-        win.lock_all(rank)
-    return execute_tc2d(engine, grid, blocks, win, config, graph)
+    from repro.session import run_kernel
+
+    config = (config or LCCConfig()).replace(fast_path=False, cache=None)
+    return run_kernel("tc2d", graph, config).raw
 
 
 def _fetch_block(ctx: SimContext, win: Window, blocks, grid, owner: int
@@ -241,11 +237,9 @@ def _execute_rectangular_fallback(engine: Engine, grid: GridPartition2D,
         return 0
 
     outcome = engine.run(rank_fn)
-    from repro.core.local import triangle_count_local
-
     return DistributedRunResult(
         lcc=None,
         triangles_per_vertex=None,
-        global_triangles=triangle_count_local(graph),
+        global_triangles=int(vertex_scores(graph, "tmin").sum()),
         outcome=outcome,
     )

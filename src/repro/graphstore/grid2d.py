@@ -1,25 +1,26 @@
-"""The resident 2D grid cluster: ``tc2d`` without per-call rebuilds.
-
-:func:`repro.core.tc2d.run_distributed_tc_2d` historically rebuilt its
-whole world — engine, :class:`~repro.graph.partition2d.GridPartition2D`,
-every adjacency block and the packed RMA window — on every call, so a
-served ``tc2d`` query paid the full edge-split cost no matter how warm
-the session was, and updates could only reach it via that rebuild.
+"""The resident 2D grid cluster: the one place a 2D grid is built.
 
 :class:`GridCluster2D` is the 2D member of the
-:class:`~repro.graphstore.resident.ResidentCluster` family:
+:class:`~repro.graphstore.resident.ResidentCluster` family — engine,
+:class:`~repro.graph.partition2d.GridPartition2D`, adjacency blocks and
+the packed RMA window are built once and served across queries:
 
-* **acquire** builds the grid once and replays queries against the same
-  blocks/window (bit-identical to the per-call path, pinned by tests:
-  same triangles, same per-rank clocks);
+* **acquire** builds the grid once and resets clocks and traces per
+  query, so a warm query prices exactly what a fresh grid would;
+* **dispatch** — each query is clocked one of two ways.  A fast query
+  (``fast_path`` on, ``record_ops`` off) on a square grid replays the
+  epoch's SUMMA panels (:meth:`GridCluster2D.panel_state`): ``tc2d``
+  with or without block caches, ``tc2d_spgemm`` and ``lcc2d``.  Every
+  other query runs the scalar loop :func:`repro.core.tc2d.execute_tc2d`,
+  the oracle the replay is pinned bit-identical against;
 * **resync** is the 2D analogue of :mod:`repro.dynamic.invalidate` —
   the touched units are ``(row, col)`` *blocks* instead of rank slices.
   A changed edge ``(u, v)`` (both stored directions) dirties exactly
   block ``(row_block(u), col_block(v))``; only those blocks are rebuilt
   (:func:`repro.core.tc2d.build_block` — one row-range slice of the new
-  CSR, not a full edge re-split), their window regions swapped, and
-  their packed-block cache entries invalidated while every other
-  block's cached bytes stay warm;
+  CSR, not a full edge re-split), their window regions swapped, their
+  packed-block cache entries invalidated while every other block's
+  cached bytes stay warm, and the epoch's panels retired;
 * optional **block caches**: with a cache spec configured, each rank
   gets a CLaMPI cache over the packed-blocks window, so repeated block
   fetches hit locally exactly like the 1D kernels' adjacency reads.
@@ -28,6 +29,7 @@ the session was, and updates could only reach it via that rebuild.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Any, Optional
 
 import numpy as np
@@ -53,7 +55,7 @@ from repro.dynamic.delta import DeltaResult
 from repro.graph.csr import CSRGraph
 from repro.graph.partition2d import GridPartition2D
 from repro.graphstore.resident import ClusterResync, ResidentCluster
-from repro.runtime.engine import Engine, RunOutcome
+from repro.runtime.engine import Engine
 from repro.runtime.window import Window
 
 __all__ = ["GridCluster2D", "stale_block_keys", "touched_blocks"]
@@ -105,16 +107,11 @@ class GridCluster2D(ResidentCluster):
         self._caches: list[ClampiCache] = []
         self._cluster_key: Any = None
         self._cache_spec: Optional[CacheSpec] = None
-        # Replay memo: warm cache-less queries over unchanged blocks are
-        # deterministic, so the previous result is replayed instead of
-        # re-multiplying (the 2D analogue of repro.core.replay's
-        # state-epoch memo).  _epoch bumps whenever block state changes.
+        # _epoch bumps whenever block state changes.
         self._epoch = 0
-        self._memo: Optional[tuple[int, DistributedRunResult]] = None
         # Resident SUMMA panels: the per-round masked-product tables and
-        # per-rank block-fetch streams the algebraic kernels
-        # (tc2d_spgemm / lcc2d) and the cached-tc2d batched replay run
-        # from.  Pure functions of block state, so they live and die
+        # per-rank block-fetch streams every fast square-grid query
+        # replays.  Pure functions of block state, so they live and die
         # with _epoch — a resync that swaps a block rebuilds them once,
         # and every warm query after that replays the same tables.
         self._panel_memo: Optional[tuple[int, Any, list]] = None
@@ -167,10 +164,8 @@ class GridCluster2D(ResidentCluster):
         """The resident SUMMA panels: ``(stats, streams)`` for this epoch.
 
         Built once per state epoch from the resident blocks (square
-        grids only) and reused by every warm ``tc2d_spgemm``/``lcc2d``
-        query and cached-tc2d batched replay until a resync swaps a
-        block (which bumps ``_epoch`` and retires the tables, exactly
-        like the result memo).
+        grids only) and reused by every fast query until a resync swaps
+        a block (which bumps ``_epoch`` and retires the tables).
         """
         if self._panel_memo is None or self._panel_memo[0] != self._epoch:
             stats = summa_stats(self.graph, self._grid, self._blocks)
@@ -179,87 +174,65 @@ class GridCluster2D(ResidentCluster):
         return self._panel_memo[1], self._panel_memo[2]
 
     def execute(self, config: LCCConfig) -> DistributedRunResult:
-        """Run the 2D triangle count on the resident grid.
+        """Run the edge-centric ``tc2d`` count on the resident grid.
 
-        Dispatch (mirroring the 1D kernels' ``fast_path`` contract):
-
-        * **cached, fast path, square grid** — the batched replay: the
-          per-rank block-fetch streams go through
-          :meth:`~repro.clampi.cache.ClampiCache.access_batch` and the
-          clocks/traces are rebuilt from the resident SUMMA tables,
-          bit-identical to the scalar loop (pinned by tests);
-        * **cached otherwise** — the scalar per-round loop (the oracle;
-          also the only path on rectangular grids, whose fallback has a
-          different access pattern);
-        * **cache-less, fast path** — a warm query over unchanged blocks
-          is fully determined by block state, so the previous result is
-          replayed from the state-epoch memo (fresh trace/clock objects;
-          nothing aliases the live contexts);
-        * ``fast_path=False`` always runs the scalar loop — the
-          reference oracle every fast path is pinned against.
+        A fast query (``fast_path`` on, ``record_ops`` off) on a square
+        grid replays this epoch's panels — through the block caches'
+        :meth:`~repro.clampi.cache.ClampiCache.access_batch` when they
+        are attached — bit-identical to the scalar loop (pinned by
+        tests).  Every other query, and every query on a rectangular
+        grid, runs :func:`~repro.core.tc2d.execute_tc2d`: the oracle.
         """
-        fast = config.fast_path and not config.record_ops
-        if self._caches:
-            if fast and require_square_grid(self._grid):
-                stats, streams = self.panel_state()
-                result = execute_tc2d_spgemm(
-                    self._engine, self._grid, self._blocks, self._win,
-                    config, self.graph, stats, streams,
-                    with_cache_stats=False)
-            else:
-                result = execute_tc2d(self._engine, self._grid, self._blocks,
-                                      self._win, config, self.graph)
-            self._close_epochs()  # transparent-mode caches flush here
-            return result
-        if fast and self._memo is not None and self._memo[0] == self._epoch:
-            prev = self._memo[1]
-            outcome = RunOutcome(
-                time=prev.outcome.time,
-                clocks=list(prev.outcome.clocks),
-                traces=[replace(t, ops=list(t.ops))
-                        for t in prev.outcome.traces],
-                results=list(prev.outcome.results),
-            )
-            return DistributedRunResult(
-                lcc=None, triangles_per_vertex=None,
-                global_triangles=prev.global_triangles, outcome=outcome)
-        result = execute_tc2d(self._engine, self._grid, self._blocks,
-                              self._win, config, self.graph)
-        self._close_epochs()
-        self._memo = (self._epoch, result)
-        return result
+        if self._fast(config):
+            return self._query(config, partial(execute_tc2d_spgemm,
+                                               with_cache_stats=False))
+        return self._query(config)
 
     def execute_spgemm(self, config: LCCConfig) -> DistributedRunResult:
         """Run the algebraic ``tc2d_spgemm`` kernel on the resident grid.
 
-        Square grids only (strict guard).  ``fast_path=False`` runs the
-        scalar edge-centric loop instead — the two price the identical
-        program, so this doubles as the kernel's in-place oracle mode
-        (with the same merged block-cache statistics attached, so the
-        two modes stay comparable field for field).
+        Square grids only (strict guard).  A query off the fast path runs
+        the scalar edge-centric loop instead — the two price the
+        identical program, so this doubles as the kernel's in-place
+        oracle mode (with the same merged block-cache statistics
+        attached, so the two modes stay comparable field for field).
         """
         require_square_grid(self._grid, kernel="tc2d_spgemm", strict=True)
-        if not config.fast_path or config.record_ops:
-            result = replace(
-                execute_tc2d(self._engine, self._grid, self._blocks,
-                             self._win, config, self.graph),
-                adj_cache_stats=CacheStats.merged(self._caches))
-        else:
-            stats, streams = self.panel_state()
-            result = execute_tc2d_spgemm(
-                self._engine, self._grid, self._blocks, self._win, config,
-                self.graph, stats, streams)
-        self._close_epochs()
-        return result
+        if self._fast(config):
+            return self._query(config, execute_tc2d_spgemm)
+        return self._query(config, cache_stats=True)
 
     def execute_lcc2d(self, config: LCCConfig) -> DistributedRunResult:
-        """Run the ``lcc2d`` kernel on the resident grid (square only)."""
+        """Run the ``lcc2d`` kernel on the resident grid (square only).
+
+        It has no scalar loop, so every query replays the panels.
+        """
         require_square_grid(self._grid, kernel="lcc2d", strict=True)
-        stats, streams = self.panel_state()
-        result = execute_lcc2d(
-            self._engine, self._grid, self._blocks, self._win, config,
-            self.graph, stats, streams)
-        self._close_epochs()
+        return self._query(config, execute_lcc2d)
+
+    def _fast(self, config: LCCConfig) -> bool:
+        return (config.fast_path and not config.record_ops
+                and require_square_grid(self._grid))
+
+    def _query(self, config: LCCConfig, replay=None, *,
+               cache_stats: bool = False) -> DistributedRunResult:
+        """One query on the resident grid; closes its epoch.
+
+        ``replay`` (a :mod:`repro.core.linalg` kernel) runs from this
+        epoch's panels; without one the scalar loop runs, with the merged
+        block-cache statistics attached when ``cache_stats`` is set.
+        """
+        if replay is None:
+            result = execute_tc2d(self._engine, self._grid, self._blocks,
+                                  self._win, config, self.graph)
+            if cache_stats:
+                result = replace(
+                    result, adj_cache_stats=CacheStats.merged(self._caches))
+        else:
+            stats, streams = self.panel_state()
+            result = replay(self._engine, self._grid, self._blocks,
+                            self._win, config, self.graph, stats, streams)
+        self._close_epochs()  # transparent-mode caches flush here
         return result
 
     def _configure_caches(self, config: LCCConfig, keep_cache: bool,
@@ -373,7 +346,6 @@ class GridCluster2D(ResidentCluster):
         self._win = None
         self._cluster_key = None
         self._panel_memo = None
-        self._memo = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "resident" if self.resident else "idle"

@@ -2,11 +2,12 @@
 
 The paper frames LCC/TC as repeated analytics over a graph that stays
 resident in a distributed cluster — the CLaMPI caches are valuable
-precisely because accesses repeat (the Figure 4 reuse study).  The legacy
-entry points (:func:`repro.core.lcc.run_distributed_lcc` and friends)
-rebuild the engine, the partitioned CSR and the caches on every call,
-discarding all warm state.  A :class:`Session` builds that cluster once
-and serves any number of queries against it::
+precisely because accesses repeat (the Figure 4 reuse study).  A
+:class:`Session` builds that cluster once and serves any number of
+queries against it; the per-call entry points
+(:func:`repro.core.lcc.run_distributed_lcc` and friends) are one query on
+a throwaway session, so the session's resident clusters are the only
+place a simulated cluster is built::
 
     from repro import Session
     from repro.core import CacheSpec, LCCConfig
@@ -27,11 +28,13 @@ and serves any number of queries against it::
 
 Kernels are registered by name (``@register_kernel``); the built-ins are
 ``lcc``, ``tc``, ``tc2d``, ``tc2d_spgemm``, ``lcc2d``, ``tric``,
-``disttc`` and ``mapreduce``, and each produces results **bit-identical**
-to its legacy entry point or oracle (pinned by tests).  The SUMMA-family
-kernels (``tc2d_spgemm``, ``lcc2d``) additionally require ``nranks`` to
-be a perfect square.  New workloads — per-vertex triangle queries, top-k LCC, anything
-expressible over the simulated cluster — plug in the same way::
+``disttc`` and ``mapreduce``.  Tests pin each fast path **bit-identical**
+to its scalar-loop oracle (``fast_path=False``), ``lcc2d``'s scores to
+the 1D ``lcc`` kernel and each baseline to its entry point.  The
+SUMMA-family kernels (``tc2d_spgemm``, ``lcc2d``) additionally require
+``nranks`` to be a perfect square.  New workloads — per-vertex triangle
+queries, top-k LCC, anything expressible over the simulated cluster —
+plug in the same way::
 
     @register_kernel("top5-lcc", description="five most clustered vertices")
     def _top5(session, config, **opts):
@@ -309,24 +312,6 @@ class Session:
         """How often the 2D grid blocks were built from scratch."""
         return self._c2d.grid_builds if self._c2d is not None else 0
 
-    # Backwards-compatible views of the 1D cluster internals (tests and
-    # downstream code predating the graphstore extraction read these).
-    @property
-    def _engine(self) -> Optional[Engine]:
-        return self._c1d._engine if self._c1d is not None else None
-
-    @property
-    def _dist(self) -> Optional[DistributedCSR]:
-        return self._c1d._dist if self._c1d is not None else None
-
-    @property
-    def _off_caches(self) -> list:
-        return self._c1d._off_caches if self._c1d is not None else []
-
-    @property
-    def _adj_caches(self) -> list:
-        return self._c1d._adj_caches if self._c1d is not None else []
-
     # -- queries ------------------------------------------------------------
     def run(self, kernel: str, *, config: LCCConfig | None = None,
             keep_cache: bool = False, **opts: Any) -> KernelResult:
@@ -517,10 +502,9 @@ def _kernel_tc2d(session: Session, config: LCCConfig, *,
     """Edge-centric 2D triangle count on the resident grid.
 
     Runs on any grid shape (rectangular grids use the strip-fetch
-    fallback).  With block caches and ``fast_path`` on (the default),
-    warm square-grid queries take the batched ``access_batch`` replay —
-    bit-identical to the scalar loop, which ``fast_path=False`` keeps
-    as the oracle.
+    fallback).  With ``fast_path`` on (the default), square-grid queries
+    replay the epoch's SUMMA panels, cached or not — bit-identical to
+    the scalar loop, which ``fast_path=False`` keeps as the oracle.
     """
     session.resident_grid(config, keep_cache)
     return session._c2d.execute(config)

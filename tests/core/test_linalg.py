@@ -19,11 +19,7 @@ import pytest
 from repro.clampi.cache import ConsistencyMode
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.intersect import SUPPORT_BUDGET
-from repro.core.linalg import (
-    build_round_streams,
-    run_tc2d_spgemm,
-    summa_stats,
-)
+from repro.core.linalg import summa_stats
 from repro.core.local import lcc_local, triangle_count_local
 from repro.core.tc2d import build_grid_blocks, run_distributed_tc_2d
 from repro.graph.generators import powerlaw_configuration, rmat
@@ -55,7 +51,7 @@ class TestUncachedParity:
     def test_clocks_and_counts_match_oracle(self, nranks):
         cfg = LCCConfig(nranks=nranks)
         oracle = run_distributed_tc_2d(GRAPH, cfg)
-        res = run_tc2d_spgemm(GRAPH, cfg)
+        res = run_kernel("tc2d_spgemm", GRAPH, cfg).raw
         assert res.global_triangles == oracle.global_triangles
         assert res.global_triangles == triangle_count_local(GRAPH)
         assert_outcomes_identical(res.outcome, oracle.outcome)
@@ -65,7 +61,7 @@ class TestUncachedParity:
         g = make_graph_suite()[idx]
         cfg = LCCConfig(nranks=4)
         oracle = run_distributed_tc_2d(g, cfg)
-        res = run_tc2d_spgemm(g, cfg)
+        res = run_kernel("tc2d_spgemm", g, cfg).raw
         assert res.global_triangles == oracle.global_triangles
         assert_outcomes_identical(res.outcome, oracle.outcome)
 
@@ -251,7 +247,7 @@ class TestObservability:
     def test_kernel_span_emitted(self):
         tracer = SpanTracer()
         with activate(tracer):
-            run_tc2d_spgemm(GRAPH, LCCConfig(nranks=4))
+            run_kernel("tc2d_spgemm", GRAPH, LCCConfig(nranks=4))
         assert "tc2d_spgemm" in {s.name for s in tracer.spans}
 
 

@@ -128,7 +128,7 @@ class TestInvalidationBookkeeping:
                 random_update_batch(graph, 12, 0.25, seed=BATCH_SEED + 4))
             merged_invalidations = sum(
                 c.stats.invalidations
-                for c in session._off_caches + session._adj_caches)
+                for c in session.clusters()[0].caches)
             assert merged_invalidations == out.invalidated_entries
             assert out.invalidated_bytes > 0
 
@@ -136,7 +136,7 @@ class TestInvalidationBookkeeping:
         with Session(graph, cached_config(graph)) as session:
             session.run("lcc", keep_cache=True)
             entries_before = sum(
-                len(c) for c in session._off_caches + session._adj_caches)
+                len(c) for c in session.clusters()[0].caches)
             out = session.apply_updates(UpdateBatch.build(n=graph.n))
             assert not out.delta.changed
             assert out.touched_ranks == ()

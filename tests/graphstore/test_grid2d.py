@@ -1,5 +1,7 @@
 """GridCluster2D: resident tc2d parity, 2D block resync, block caches."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.dynamic import apply_delta, random_update_batch, UpdateBatch
 from repro.graph.generators import powerlaw_configuration
 from repro.graph.partition2d import GridPartition2D
 from repro.graphstore import GridCluster2D, stale_block_keys, touched_blocks
+from repro.runtime.trace import RankTrace
 from repro.session import Session
 
 
@@ -181,7 +184,7 @@ class TestBlockCaches:
             ref = run_distributed_tc_2d(graph, square_cfg())
             assert int(warm.global_triangles) == int(ref.global_triangles)
 
-    def test_memo_not_used_when_cached(self, graph):
+    def test_warm_cached_query_is_faster_with_same_answer(self, graph):
         cfg = self.cached_cfg(graph)
         with Session(graph, cfg) as session:
             a = session.run("tc2d", keep_cache=True)
@@ -189,3 +192,103 @@ class TestBlockCaches:
             # Warm cached run differs in *timing* (hits), not answers.
             assert int(a.global_triangles) == int(b.global_triangles)
             assert b.outcome.time < a.outcome.time
+
+
+def cached_spec(graph):
+    return CacheSpec(offsets_bytes=max(1, graph.nbytes // 2),
+                     adj_bytes=graph.nbytes)
+
+
+def assert_same_run(res, ref, *, clocks=True):
+    """Field by field: triangles, per-rank results and, with ``clocks``,
+    the per-rank clocks and every :class:`RankTrace` field."""
+    assert int(res.global_triangles) == int(ref.global_triangles)
+    assert res.outcome.results == ref.outcome.results
+    if not clocks:
+        return
+    assert res.outcome.clocks == ref.outcome.clocks
+    assert len(res.outcome.traces) == len(ref.outcome.traces)
+    for got, want in zip(res.outcome.traces, ref.outcome.traces):
+        for f in fields(RankTrace):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Count the scalar-loop runs the resident grid dispatches to."""
+    import repro.graphstore.grid2d as g2d
+
+    calls = []
+    real = g2d.execute_tc2d
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(g2d, "execute_tc2d", counting)
+    return calls
+
+
+class TestOneDispatch:
+    """Fast square-grid queries replay the panels; all others run the loop."""
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["cache-less", "cached"])
+    def test_fast_square_grid_never_runs_the_loop(self, graph, loop_calls,
+                                                  cached):
+        cfg = square_cfg(cache=cached_spec(graph) if cached else None)
+        with Session(graph, cfg) as fast, \
+                Session(graph, cfg.replace(fast_path=False)) as loop:
+            for step in ("cold", "warm", "post-update"):
+                if step == "post-update":
+                    batch = random_update_batch(fast.graph, 12, 0.5, seed=41)
+                    fast.apply_updates(batch)
+                    loop.apply_updates(batch)
+                before = len(loop_calls)
+                res = fast.run("tc2d", keep_cache=True)
+                assert len(loop_calls) == before, step
+                twin = loop.run("tc2d", keep_cache=True)
+                oracle = run_distributed_tc_2d(fast.graph, cfg)
+                # Block-cache hits move the clocks, so a cached query's
+                # clocks are pinned to the cached loop twin.
+                assert_same_run(res, twin)
+                assert_same_run(res, oracle, clocks=not cached)
+
+    @pytest.mark.parametrize("cfg_fn", [
+        lambda: square_cfg(fast_path=False),
+        lambda: square_cfg(record_ops=True),
+        rect_cfg,
+    ], ids=["fast_path-off", "record_ops", "rect-2x4"])
+    def test_every_other_query_runs_the_loop(self, graph, loop_calls,
+                                             cfg_fn):
+        cfg = cfg_fn()
+        with Session(graph, cfg) as session:
+            runs = [session.run("tc2d") for _ in range(2)]
+        assert len(loop_calls) == 2
+        oracle = run_distributed_tc_2d(graph, cfg)
+        for res in runs:
+            assert_same_run(res, oracle)
+
+    def test_one_epoch_shares_one_summa_call(self, graph, monkeypatch,
+                                             loop_calls):
+        import repro.graphstore.grid2d as g2d
+
+        calls = []
+        real = g2d.summa_stats
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(g2d, "summa_stats", counting)
+        cfg = square_cfg()
+        with Session(graph, cfg) as session:
+            tc2d = session.run("tc2d")
+            spgemm = session.run("tc2d_spgemm")
+            lcc2d = session.run("lcc2d")
+        assert len(calls) == 1 and not loop_calls
+        oracle = run_distributed_tc_2d(graph, cfg)
+        assert_same_run(tc2d, oracle)
+        assert_same_run(spgemm, oracle)
+        # lcc2d adds row-strip bookkeeping to the clocks, not the counts.
+        assert_same_run(lcc2d, oracle, clocks=False)

@@ -93,8 +93,9 @@ class TestResyncRekey:
             session.run("lcc", keep_cache=True)
             batch = random_update_batch(graph, 12, 0.25, seed=55)
             session.apply_updates(batch)
-            stats = sum(c.stats.rekeys for c in session._adj_caches)
-            snap = session._adj_caches[0].stats.snapshot()
+            caches = session.clusters()[0].caches
+            stats = sum(c.stats.rekeys for c in caches)
+            snap = caches[-1].stats.snapshot()
         assert stats > 0
         assert "rekeys" in snap and "rekeyed_bytes" in snap
 

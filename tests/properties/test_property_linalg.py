@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CacheSpec, LCCConfig
-from repro.core.linalg import run_tc2d_spgemm
 from repro.core.local import (
     lcc_local,
     triangle_count_local,
@@ -49,7 +48,7 @@ def assert_tables_match_scalar_oracles(graph, nranks):
     """``tc2d_spgemm`` == the edge-centric loop, ``lcc2d`` == ``(A·Aᵀ)∘A``."""
     cfg = LCCConfig(nranks=nranks)
     oracle = run_distributed_tc_2d(graph, cfg)
-    res = run_tc2d_spgemm(graph, cfg)
+    res = run_kernel("tc2d_spgemm", graph, cfg).raw
     assert res.global_triangles == oracle.global_triangles
     assert res.global_triangles == triangle_count_local(graph)
     assert res.outcome.clocks == oracle.outcome.clocks
