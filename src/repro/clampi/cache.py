@@ -122,13 +122,15 @@ class BatchStream:
     occurrence of its key and the (lazily built) occurrence index, so
     replay engines that push the same stream through a cache query after
     query — a resident :class:`~repro.session.Session` cluster — pay the
-    ``O(m log m)`` preprocessing once.  Streams are immutable and
+    ``O(m log m)`` preprocessing once.  The pattern is immutable and
     cache-agnostic: the same instance may be replayed through any number
-    of caches.
+    of caches.  Its per-position hit costs (:meth:`hit_costs`) are kept
+    for the last cost model that asked; a cache under another one
+    reprices them.
     """
 
     __slots__ = ("targets", "offsets", "counts", "m", "uniq", "inv", "prev",
-                 "_occ", "_key2uid")
+                 "_occ", "_key2uid", "_hit_costs")
 
     def __init__(self, targets: np.ndarray, offsets: np.ndarray,
                  counts: np.ndarray):
@@ -160,6 +162,22 @@ class BatchStream:
             self.prev[order[~new]] = order[:-1][~new[1:]]
         self._occ = None
         self._key2uid = None
+        self._hit_costs: tuple | None = None
+
+    def hit_costs(self, itemsize: int, memory: MemoryModel,
+                  lookup_overhead: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(hit_dur, nbytes_pref)``: each position's duration as a hit
+        and the bytes before it.  A hit's cost reads its key and the cost
+        model, never cache state: priced once per model (the memo key)."""
+        key = (itemsize, memory.cache_hit_latency, memory.cache_bandwidth,
+               lookup_overhead)
+        if self._hit_costs is None or self._hit_costs[0] != key:
+            nbytes = self.counts * itemsize
+            service = memory.cache_hit_latency + nbytes / memory.cache_bandwidth
+            nbytes_pref = np.zeros(self.m + 1, dtype=np.int64)
+            np.cumsum(nbytes, out=nbytes_pref[1:])
+            self._hit_costs = (key, lookup_overhead + service, nbytes_pref)
+        return self._hit_costs[1:]
 
     def occurrence_index(self) -> tuple[np.ndarray, np.ndarray]:
         """``(order, starts)``: positions grouped by unique key."""
@@ -361,14 +379,8 @@ class ClampiCache:
         else:
             slots = self._join_slots(stream.uniq)
 
-        # Per-position hit costs, precomputed once: a hit's duration and
-        # byte volume depend only on the key, never on cache state.
-        mem = self.memory
-        nbytes_all = counts * self.window.itemsize
-        service = mem.cache_hit_latency + nbytes_all / mem.cache_bandwidth
-        hit_dur = self.config.lookup_overhead + service
-        nbytes_pref = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(nbytes_all, out=nbytes_pref[1:])
+        hit_dur, nbytes_pref = stream.hit_costs(
+            self.window.itemsize, self.memory, self.config.lookup_overhead)
 
         # Candidate miss positions: the initially-predicted ones (sorted)
         # plus positions re-flagged after evictions, merged via a heap.
@@ -436,7 +448,7 @@ class ClampiCache:
                     if extent is not None:
                         cur = self._fill_run(stream, slots, p, extent,
                                              durations, hits, hit_dur,
-                                             nbytes_all, nbytes_pref)
+                                             nbytes_pref)
                         if cur > p:
                             ptr = int(np.searchsorted(init_miss, cur))
                             continue
@@ -554,7 +566,7 @@ class ClampiCache:
     def _fill_run(self, stream: BatchStream, slots: np.ndarray, p: int,
                   extent: tuple[int, int], durations: np.ndarray,
                   hits: np.ndarray, hit_dur: np.ndarray,
-                  nbytes_all: np.ndarray, nbytes_pref: np.ndarray) -> int:
+                  nbytes_pref: np.ndarray) -> int:
         """Resolve the stretch from candidate miss ``p`` as array work.
 
         While the allocator holds one free ``extent``, best fit is a bump
@@ -582,7 +594,7 @@ class ClampiCache:
         uids = stream.inv[p:hi]
         miss = (slots[uids] < 0) & (stream.prev[p:hi] < p)
         rel = np.flatnonzero(miss)          # run-relative miss positions
-        sizes = nbytes_all[p:hi][rel]
+        sizes = stream.counts[p:hi][rel] * self.window.itemsize
         ends = np.cumsum(sizes)
         unfit = (sizes <= 0) | (ends > extent[1])
         k = int(unfit.argmax()) if unfit.any() else rel.shape[0]

@@ -14,8 +14,13 @@ from hypothesis import strategies as st
 
 from repro.clampi.cache import BatchStream, ClampiCache, ClampiConfig
 from repro.clampi.scores import AppScorePolicy, DefaultScorePolicy, LRUScorePolicy
+from repro.runtime.network import MemoryModel
 from repro.runtime.window import Window
-from tests.helpers import apply_cache_maintenance, cache_maintenance_ops
+from tests.helpers import (
+    apply_cache_maintenance,
+    assert_caches_identical,
+    cache_maintenance_ops,
+)
 
 N = 96
 
@@ -166,3 +171,41 @@ def test_batch_equals_scalar_across_maintenance(stream, geometry, policy,
         assert batched.stats.snapshot() == scalar.stats.snapshot()
         assert (sorted(e.key for e in batched.entries())
                 == sorted(e.key for e in scalar.entries()))
+
+
+@given(accesses, geometries, policies, st.integers(min_value=2, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_shared_stream_reprices_per_cost_model(stream, geometry, policy,
+                                                passes):
+    """One stream, alternately through two caches under different cost models.
+
+    The caches differ in ``MemoryModel``, ``lookup_overhead`` and window
+    itemsize, so each pass finds the stream's hit costs priced for the
+    other one; each must still match its own per-element scalar twin.
+    """
+    capacity, nslots = geometry
+    narrow = Window("adj", [np.arange(N, dtype=np.int32),
+                            np.arange(5000, 5000 + N, dtype=np.int32)])
+    models = [(make_window(), MemoryModel(), None),
+              (narrow, MemoryModel(cache_hit_latency=7e-9,
+                                   cache_bandwidth=3e9), 90e-9)]
+    twins = []
+    for window, memory, lookup in models:
+        window.lock_all(0)
+        pair = [make_cache(window, capacity, nslots, policy) for _ in "ab"]
+        for cache in pair:
+            cache.memory = memory
+            if lookup is not None:
+                cache.config.lookup_overhead = lookup
+        twins.append(pair)
+
+    keys = np.array(stream, dtype=np.int64)
+    shared = BatchStream(keys[:, 0], keys[:, 1], keys[:, 2])
+    for n in range(passes):
+        batched, scalar = twins[n % 2]
+        durations, hits = batched.access_batch(stream=shared)
+        for i, (t, o, c) in enumerate(keys):
+            _, dt, hit = scalar.access(int(t), int(o), int(c))
+            assert hit == bool(hits[i])
+            assert dt == durations[i]
+        assert_caches_identical(batched, scalar)

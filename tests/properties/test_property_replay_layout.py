@@ -92,10 +92,11 @@ def test_table_fold_equals_loop_order(e_degs, seed, remote_frac, overlap,
     want = walk_loop(e_degs, remote, own.tolist(), get1.tolist(),
                      get2.tolist(), read.tolist(), kern.tolist(), tail,
                      overlap)
-    got = SlotTable(np.asarray(e_degs, dtype=np.int64)).fold(
-        overlap, own, np.where(remote, 0.0, read),
-        np.where(remote, get1, read), np.where(remote, get2, 0.0), kern,
-        tail if lcc else 0.0)
+    table = SlotTable(np.asarray(e_degs, dtype=np.int64))
+    tail = tail if lcc else 0.0
+    got = (table.clock(overlap, own, remote, read[~remote], get1[remote],
+                       get2[remote], kern, tail),
+           table.comp(overlap, own, remote, read[~remote], kern, tail))
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
