@@ -15,7 +15,9 @@ driven by a :class:`~repro.clampi.scores.ScorePolicy`; victim candidates
 are drawn with deterministic sampling (a standard approximation of
 global-minimum-score selection that keeps eviction O(sample) — exact
 selection is used inside hash probe windows, where the candidate set is
-already small).
+already small).  Either way the victim and its score come from one
+:meth:`~repro.clampi.scores.ScorePolicy.pick` call over the candidates;
+the per-entry ``victim_score`` is the oracle ``pick`` must agree with.
 
 The cache also *prices* itself: every lookup/insert/eviction charges
 management overhead, which is how the paper's "CLaMPI's overhead leads to
@@ -28,6 +30,7 @@ from __future__ import annotations
 import enum
 import heapq
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -41,7 +44,7 @@ from repro.obs.trace import span as obs_span
 from repro.runtime.network import MemoryModel, NetworkModel
 from repro.runtime.window import Window
 from repro.utils.errors import CacheError
-from repro.utils.rng import derive_seed
+from repro.utils.rng import derive_seed, randrange_draws
 from repro.utils.units import NS
 
 #: Sentinel appended to the batch event log when the whole cache was
@@ -91,8 +94,19 @@ class ClampiConfig:
             raise CacheError(f"capacity_bytes must be > 0, got {self.capacity_bytes}")
         if self.nslots <= 0:
             raise CacheError(f"nslots must be > 0, got {self.nslots}")
+        if self.probe_limit <= 0:
+            raise CacheError(f"probe_limit must be > 0, got {self.probe_limit}")
         if self.eviction_sample <= 0:
             raise CacheError("eviction_sample must be > 0")
+        if self.max_evictions_per_insert < 0:
+            raise CacheError("max_evictions_per_insert must be >= 0, got "
+                             f"{self.max_evictions_per_insert}")
+        # A negative (or NaN) charge would make a get cost less than nothing.
+        for name in ("lookup_overhead", "insert_overhead",
+                     "eviction_overhead"):
+            if not getattr(self, name) >= 0:
+                raise CacheError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)}")
         if self.score_policy.uses_app_score and self.app_score_fn is None:
             raise CacheError(
                 "an application-score policy needs app_score_fn to supply scores"
@@ -408,11 +422,10 @@ class ClampiCache:
         def push_next(uid: int, after: int) -> None:
             """Queue the next occurrence of ``uid`` past ``after`` as a miss."""
             occ_order, occ_starts = stream.occurrence_index()
-            lo, hi = int(occ_starts[uid]), int(occ_starts[uid + 1])
-            positions = occ_order[lo:hi]
-            j = int(np.searchsorted(positions, after, side="right"))
-            if j < positions.shape[0]:
-                heapq.heappush(heap, int(positions[j]))
+            positions = occ_order[occ_starts[uid]:occ_starts[uid + 1]].tolist()
+            j = bisect_right(positions, after)
+            if j < len(positions):
+                heapq.heappush(heap, positions[j])
 
         # A tuner may resize (replace the allocator) at any miss: no runs.
         free_extent = (self.allocator.single_free_extent
@@ -698,8 +711,8 @@ class ClampiCache:
     def _prospective_score(self, key: tuple, app_score: float | None) -> float:
         """Score the candidate entry *as if* freshly inserted (for guards)."""
         probe = CacheEntry(key, np.empty(0), 0, 0, self._clock, app_score)
-        return self.config.score_policy.victim_score(probe, self.allocator,
-                                                     self._clock)
+        return self.config.score_policy.pick((probe,), self.allocator,
+                                             self._clock)[1]
 
     def _try_insert(self, key: tuple, data: np.ndarray, nbytes: int) -> float:
         """Attempt to cache a fetched entry; returns management time spent."""
@@ -718,18 +731,17 @@ class ClampiCache:
 
         # 1. Buffer space (capacity evictions).
         allocator = self.allocator
-        score = cfg.score_policy.victim_score
         buf_off = allocator.alloc(nbytes)
         evictions = 0
         while buf_off is None:
             if evictions >= cfg.max_evictions_per_insert:
                 self.stats.insert_failures += 1
                 return t
-            victim = self._sample_victim()
-            if victim is None:
+            if not self._entries:
                 self.stats.insert_failures += 1
                 return t
-            if guard and score(victim, allocator, self._clock) > new_score:
+            victim, victim_score = self._sample_victim()
+            if guard and victim_score > new_score:
                 # Everything sampled is more valuable than the newcomer:
                 # do not cache (protects high-degree entries, paper III-B2).
                 self.stats.insert_failures += 1
@@ -752,8 +764,8 @@ class ClampiCache:
                 allocator.free(buf_off)
                 self.stats.insert_failures += 1
                 return t  # pragma: no cover - defensive
-            victim = self._lowest_score(window_entries)
-            if guard and score(victim, allocator, self._clock) > new_score:
+            victim, victim_score = self._lowest_score(window_entries)
+            if guard and victim_score > new_score:
                 allocator.free(buf_off)
                 self.stats.insert_failures += 1
                 return t
@@ -766,24 +778,23 @@ class ClampiCache:
                 self.stats.insert_failures += 1
         return t
 
-    def _lowest_score(self, candidates: list[CacheEntry]) -> CacheEntry:
-        """The first lowest-score entry of a non-empty candidate list."""
+    def _lowest_score(self, candidates: list[CacheEntry]
+                      ) -> tuple[CacheEntry, float]:
+        """The first lowest-score entry of a non-empty candidate list and
+        its score: one :meth:`ScorePolicy.pick` call on settled metadata."""
         if self._pending:
             self._settle(candidates)
-        score = self.config.score_policy.victim_score
-        allocator, clock = self.allocator, self._clock
-        return min(candidates, key=lambda e: score(e, allocator, clock))
+        return self.config.score_policy.pick(candidates, self.allocator,
+                                             self._clock)
 
-    def _sample_victim(self) -> CacheEntry | None:
-        """Pick the lowest-score entry among a deterministic random sample."""
+    def _sample_victim(self) -> tuple[CacheEntry, float]:
+        """The lowest-score entry of a deterministic random sample of the
+        non-empty live table, and its score."""
         candidates = self._entries
         n = len(candidates)
-        if n == 0:
-            return None
         if self.config.eviction_sample < n:
-            randrange = self._rng.randrange
-            candidates = [candidates[randrange(n)]
-                          for _ in range(self.config.eviction_sample)]
+            candidates = [candidates[i] for i in randrange_draws(
+                self._rng, n, self.config.eviction_sample)]
         return self._lowest_score(candidates)
 
     # -- the live table ------------------------------------------------------------

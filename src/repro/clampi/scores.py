@@ -8,13 +8,17 @@ degree of the cached vertex, because degree predicts future reuse
 term (explicitly noted in the paper).
 
 A policy maps a cache entry to a scalar; the entry with the **lowest**
-score is evicted first.
+score is evicted first.  :meth:`ScorePolicy.victim_score` scores one entry
+and is the oracle; :meth:`ScorePolicy.pick` is the one call a victim
+selection makes.  Its base implementation is ``min`` over
+``victim_score``, and the stock policies override it with one loop that
+yields the same victim and the same score bits.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.clampi.allocator import BufferAllocator
 
@@ -25,10 +29,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class ScorePolicy(abc.ABC):
     """Strategy object computing eviction scores (lower = evict first)."""
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A subclass that redefines the per-entry score but not the
+        # selection must select on its own score, not an inherited loop.
+        if "victim_score" in cls.__dict__ and "pick" not in cls.__dict__:
+            cls.pick = ScorePolicy.pick
+
     @abc.abstractmethod
     def victim_score(self, entry: "CacheEntry", allocator: BufferAllocator,
                      clock: int) -> float:
         """Score ``entry`` given the allocator state and the logical clock."""
+
+    def pick(self, candidates: "Sequence[CacheEntry]",
+             allocator: BufferAllocator, clock: int
+             ) -> tuple["CacheEntry", float]:
+        """The first lowest-score entry of non-empty ``candidates`` and its
+        score: exactly ``min(candidates, key=victim_score)``."""
+        scores = [self.victim_score(entry, allocator, clock)
+                  for entry in candidates]
+        i = min(range(len(scores)), key=scores.__getitem__)
+        return candidates[i], scores[i]
 
     @property
     def uses_app_score(self) -> bool:
@@ -66,6 +87,23 @@ class DefaultScorePolicy(ScorePolicy):
             relief = adjacent / denom if denom > 0 else 0.0
         return self.w_recency * recency - self.w_positional * relief
 
+    def pick(self, candidates, allocator, clock):
+        w_recency, w_positional = self.w_recency, self.w_positional
+        adjacent_free = allocator.adjacent_free
+        best, best_score = None, 0.0
+        for entry in candidates:
+            recency = entry.last_access / clock if clock > 0 else 0.0
+            relief = 0.0
+            if w_positional > 0.0:
+                nbytes = entry.nbytes
+                adjacent = adjacent_free(entry.buffer_offset, nbytes)
+                denom = adjacent + nbytes
+                relief = adjacent / denom if denom > 0 else 0.0
+            score = w_recency * recency - w_positional * relief
+            if best is None or score < best_score:
+                best, best_score = entry, score
+        return best, best_score
+
 
 class AppScorePolicy(ScorePolicy):
     """The paper's extension: user-supplied scores drive victim selection.
@@ -93,6 +131,19 @@ class AppScorePolicy(ScorePolicy):
         recency = entry.last_access / clock if clock > 0 else 0.0
         return app + self.recency_tiebreak * recency
 
+    def pick(self, candidates, allocator, clock):
+        tiebreak = self.recency_tiebreak
+        best, best_score = None, 0.0
+        for entry in candidates:
+            app = entry.app_score
+            if app is None:
+                app = 0.0
+            recency = entry.last_access / clock if clock > 0 else 0.0
+            score = app + tiebreak * recency
+            if best is None or score < best_score:
+                best, best_score = entry, score
+        return best, best_score
+
 
 class LRUScorePolicy(ScorePolicy):
     """Pure LRU (positional weight zero) — used by ablation benchmarks."""
@@ -100,3 +151,11 @@ class LRUScorePolicy(ScorePolicy):
     def victim_score(self, entry: "CacheEntry", allocator: BufferAllocator,
                      clock: int) -> float:
         return entry.last_access / clock if clock > 0 else 0.0
+
+    def pick(self, candidates, allocator, clock):
+        best, best_score = None, 0.0
+        for entry in candidates:
+            score = entry.last_access / clock if clock > 0 else 0.0
+            if best is None or score < best_score:
+                best, best_score = entry, score
+        return best, best_score

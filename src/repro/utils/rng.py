@@ -9,6 +9,7 @@ paper-reproduction tables are stable across runs.
 
 from __future__ import annotations
 
+import random
 
 import numpy as np
 
@@ -59,3 +60,23 @@ def derive_seed(seed: int | None, *labels: str | int) -> int:
         for byte in str(label).encode():
             h = ((h ^ byte) * 0x100000001B3) & mask
     return h % (1 << 63)
+
+
+def randrange_draws(rng: random.Random, n: int, k: int) -> list[int]:
+    """``[rng.randrange(n) for _ in range(k)]`` in one loop (``n >= 1``).
+
+    CPython's ``randrange(n)`` takes ``getrandbits(n.bit_length())`` and
+    redraws while the value is ``>= n``.  Spelled out, the draws and the
+    generator state they leave behind are the same, without the per-call
+    argument checks (a victim sample is 16 draws per eviction).
+    """
+    if n < 1:   # randrange(n) raises too; getrandbits(0) would spin here
+        raise ValueError(f"empty range for randrange_draws: n={n}")
+    draw, bits = rng.getrandbits, n.bit_length()
+    out = []
+    for _ in range(k):
+        r = draw(bits)
+        while r >= n:
+            r = draw(bits)
+        out.append(r)
+    return out

@@ -160,6 +160,26 @@ class TestConfigValidation:
         with pytest.raises(CacheError):
             ClampiConfig(capacity_bytes=10, score_policy=AppScorePolicy())
 
+    @pytest.mark.parametrize("field, value", [
+        ("lookup_overhead", -1e-6),
+        ("insert_overhead", -1e-9),
+        ("eviction_overhead", -1.0),
+        ("eviction_overhead", float("nan")),
+        ("max_evictions_per_insert", -3),
+        ("probe_limit", 0),
+        ("probe_limit", -2),
+    ])
+    def test_negative_charges_and_limits_fail_closed(self, field, value):
+        # A negative overhead would price a get below zero.
+        with pytest.raises(CacheError, match=field):
+            ClampiConfig(capacity_bytes=10, **{field: value})
+
+    def test_zero_charges_and_eviction_limit_allowed(self):
+        cfg = ClampiConfig(capacity_bytes=10, lookup_overhead=0.0,
+                           insert_overhead=0.0, eviction_overhead=0.0,
+                           max_evictions_per_insert=0, probe_limit=1)
+        assert cfg.max_evictions_per_insert == 0
+
 
 class TestResize:
     def test_resize_flushes(self):
