@@ -9,7 +9,9 @@ return the size of the intersection:
 * :func:`hybrid_count` — picks per pair using the paper's Eq. 3 rule
   (``|B|/|A| <= log2|B| - 1`` -> SSI else binary search);
 * :func:`edge_support` — the same count for a whole edge list at once,
-  over the rows of a sparse 0/1 pattern (the masked-SpGEMM inner step).
+  over the rows of a sparse 0/1 pattern (the masked-SpGEMM inner step);
+* :func:`sorted_member` — membership of many queries in one strictly
+  sorted key array (the oriented triangle pass closes its wedges with it).
 
 The Python implementations are vectorized NumPy translations of the
 paper's Algorithms 1 and 2 — semantically identical, and fast enough to
@@ -32,6 +34,7 @@ __all__ = [
     "count_common",
     "count_common_above",
     "edge_support",
+    "sorted_member",
     "intersect_values",
     "prefer_ssi",
 ]
@@ -57,11 +60,7 @@ def binary_search_count(a: np.ndarray, b: np.ndarray) -> int:
     """|A ∩ B| by binary searches of the shorter list into the longer
     (Algorithm 1, vectorized via ``np.searchsorted``)."""
     keys, tree = (a, b) if a.shape[0] <= b.shape[0] else (b, a)
-    if keys.shape[0] == 0 or tree.shape[0] == 0:
-        return 0
-    idx = np.searchsorted(tree, keys)
-    valid = idx < tree.shape[0]
-    return int(np.count_nonzero(tree[idx[valid]] == keys[valid]))
+    return int(np.count_nonzero(sorted_member(tree, keys)))
 
 
 def hybrid_count(a: np.ndarray, b: np.ndarray) -> int:
@@ -126,6 +125,19 @@ def edge_support(pattern, i: np.ndarray, j: np.ndarray,
         common = pattern[i[lo:hi]].multiply(pattern[j[lo:hi]])
         out[lo:hi] = np.diff(common.indptr)
     return out
+
+
+def sorted_member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``queries[k] in keys`` per query, for a strictly sorted ``keys``.
+
+    One binary search per query; a query past the last key compares
+    against ``keys[0]``, which cannot equal it.
+    """
+    if keys.shape[0] == 0:
+        return np.zeros(queries.shape[0], dtype=bool)
+    idx = np.searchsorted(keys, queries)
+    idx[idx == keys.shape[0]] = 0
+    return keys[idx] == queries
 
 
 def intersect_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,6 +15,17 @@ triangle through ``i`` contributes 2 to ``t_i``, so triangles-through-i is
 ``t_i / 2``, the global count is ``sum_i t_i / 6``, and
 ``LCC(i) = t_i / (deg_i (deg_i - 1))`` — which matches both Eq. 1
 (directed) and Eq. 2 (undirected) of the paper.
+
+The per-graph score record (:func:`vertex_scores`) counts an undirected
+graph with a third path, :func:`oriented_triangle_scores`: one
+degree-ordered wedge pass that finds each triangle once and fills the
+triplet counts and the min-vertex counts together.  A graph version an
+update produced instead patches its parent's triplet counts over the
+affected vertices (:func:`triangles_per_vertex_subset`), and a directed
+graph is counted by the per-vertex loop.  The raw full counters
+(:func:`triangles_per_vertex_batched`, :func:`triangles_min_vertex`) are
+never memoised: they stay the oracles the incremental and store checks
+compare the record against.
 """
 
 from __future__ import annotations
@@ -22,9 +33,15 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.intersect import count_common
+from repro.core.intersect import count_common, sorted_member
 from repro.graph.csr import CSRGraph, gather_ranges
-from repro.utils.errors import SimulationError
+from repro.utils.errors import ConfigError, SimulationError
+
+# Wedges per strip of :func:`oriented_triangle_scores` (~80 B each across
+# the strip's temporaries): ~10 MB of working set whatever the hubs.
+WEDGE_BUDGET = 1 << 17
+
+SCORE_KINDS = ("tpv", "tmin", "lcc")
 
 
 def to_sparse(graph: CSRGraph) -> sp.csr_matrix:
@@ -104,6 +121,52 @@ def triangles_min_vertex(graph: CSRGraph) -> np.ndarray:
     return np.asarray(prod.sum(axis=1)).ravel().astype(np.int64)
 
 
+def oriented_triangle_scores(graph: CSRGraph, budget: int = WEDGE_BUDGET
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """``(tpv, tmin)`` of an undirected graph, each triangle found once.
+
+    The Chiba–Nishizeki orientation: vertices are ranked by (degree, id)
+    and each keeps only its higher-ranked neighbours, its *upward* list
+    (at most ``sqrt(2m)`` long).  Every pair of a vertex's upward
+    neighbours is a wedge, closed by one :func:`sorted_member` test of its
+    third edge against the packed ``row * n + col`` keys, which CSR order
+    already sorts (``n <= 2**31`` keeps them in int64).  Each triangle is
+    so enumerated once, from its lowest-ranked corner; it adds 2 to each
+    corner's triplet count (:func:`triangles_per_vertex_batched`) and 1 to
+    its smallest id's (:func:`triangles_min_vertex`).  Wedges are
+    enumerated in strips of ``budget``, cut anywhere in a vertex's pairs,
+    which bounds the peak by the budget.
+    """
+    n = graph.n
+    tpv = np.zeros(n, dtype=np.int64)
+    tmin = np.zeros(n, dtype=np.int64)
+    adjacency = graph.adjacency.astype(np.int64)
+    degrees = np.diff(graph.offsets)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(degrees, kind="stable")] = np.arange(n)
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    up = rank[adjacency] > rank[src]
+    up_src, up_dst = src[up], adjacency[up]
+    # An upward edge opens one wedge with each later entry of its row;
+    # ``ends`` numbers the wedges edge by edge.
+    row_end = np.cumsum(np.bincount(up_src, minlength=n))[up_src]
+    later = row_end - np.arange(up_src.shape[0]) - 1
+    ends = np.cumsum(later)
+    keys = src * n + adjacency
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, budget):
+        wedge = np.arange(lo, min(lo + budget, total))
+        first = np.searchsorted(ends, wedge, side="right")
+        second = first + 1 + wedge - (ends[first] - later[first])
+        v, a, b = up_src[first], up_dst[first], up_dst[second]
+        closed = sorted_member(keys, a * n + b)
+        v, a, b = v[closed], a[closed], b[closed]
+        tpv += 2 * np.bincount(np.concatenate((v, a, b)), minlength=n)
+        # Rows ascend, so a < b and the smallest id is min(v, a).
+        tmin += np.bincount(np.minimum(v, a), minlength=n)
+    return tpv, tmin
+
+
 def triangles_per_vertex_local(graph: CSRGraph, method: str = "hybrid"
                                ) -> np.ndarray:
     """Kernel path: per-vertex triplet counts via explicit intersections."""
@@ -134,25 +197,40 @@ def vertex_scores(graph: CSRGraph, kind: str) -> np.ndarray:
     Scores are a function of the graph alone, so they live in
     ``graph.scores`` — shared by every cluster shape, session and sweep on
     this graph object, gone with it — and are **read-only**: results
-    reference them.  A ``tpv`` that :func:`inherit_scores` left pending is
-    finished here by recounting the affected vertices only.  The counters
-    above stay raw (the full-recompute oracle).
+    reference them.  On an undirected graph a full count is one
+    :func:`oriented_triangle_scores` pass, which fills ``tpv`` and ``tmin``
+    together whichever was asked for and drops a pending pair; a ``tpv``
+    that :func:`inherit_scores` left pending is instead finished by
+    recounting the affected vertices only.  A directed graph counts
+    ``tpv`` with the per-vertex loop.  The raw counters above stay
+    un-memoised: they are the full-recompute oracles.  An unknown
+    ``kind`` raises :class:`ConfigError` before the record is touched.
     """
+    if kind not in SCORE_KINDS:
+        raise ConfigError(f"unknown score kind {kind!r}; "
+                          f"expected one of {', '.join(SCORE_KINDS)}")
     record = graph.scores
     out = record.get(kind)
-    if out is None:
-        if kind == "lcc":
-            out = lcc_from_triplets(graph, vertex_scores(graph, "tpv"))
-        elif kind == "tmin":
-            out = triangles_min_vertex(graph)
-        elif "pending" in record:
-            base, affected = record.pop("pending")
-            out = base.copy()
-            out[affected] = triangles_per_vertex_subset(graph, affected)
-        else:
-            out = triangles_per_vertex_batched(graph)
-        out.flags.writeable = False
-        record[kind] = out
+    if out is not None:
+        return out
+    if kind == "lcc":
+        out = lcc_from_triplets(graph, vertex_scores(graph, "tpv"))
+    elif kind == "tpv" and "pending" in record:
+        base, affected = record.pop("pending")
+        out = base.copy()
+        out[affected] = triangles_per_vertex_subset(graph, affected)
+    elif graph.directed:
+        out = (triangles_min_vertex(graph) if kind == "tmin"
+               else triangles_per_vertex_batched(graph))
+    else:
+        record.pop("pending", None)
+        for name, full in zip(("tpv", "tmin"),
+                              oriented_triangle_scores(graph)):
+            full.flags.writeable = False
+            record.setdefault(name, full)  # never swap an array results hold
+        return record[kind]
+    out.flags.writeable = False
+    record[kind] = out
     return out
 
 

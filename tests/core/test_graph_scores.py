@@ -1,8 +1,8 @@
 """The per-graph-version score record (``vertex_scores`` / ``inherit_scores``).
 
-The raw counters are wrapped where the accessor looks them up
-(``repro.core.local``), so every test states how many times the counting
-*work* ran, not only that the answers agree.
+The oriented pass and the raw counters are wrapped where the accessor
+looks them up (``repro.core.local``), so every test states how many times
+the counting *work* ran, not only that the answers agree.
 """
 
 import gc
@@ -18,7 +18,9 @@ from repro.core.local import vertex_scores
 from repro.dynamic import UpdateBatch, apply_delta, random_update_batch
 from repro.graph.generators import powerlaw_configuration
 from repro.session import Session, run_kernel
+from repro.utils.errors import ConfigError
 
+RAW_ORIENTED = local.oriented_triangle_scores
 RAW_TPV = local.triangles_per_vertex_batched
 RAW_TMIN = local.triangles_min_vertex
 RAW_SUBSET = local.triangles_per_vertex_subset
@@ -32,10 +34,15 @@ def make_graph(seed=3):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call logs: graphs counted in full (``tpv``/``tmin``), vertex sets
-    patched (``subset``), and every run of the counting body (``work``)."""
-    log = {"tpv": [], "tmin": [], "subset": [], "work": 0}
+    """Call logs: graphs counted by the oriented pass (``oriented``) or by
+    the raw full counters (``tpv``/``tmin``), vertex sets patched
+    (``subset``), and every run of the subset body (``work``)."""
+    log = {"oriented": [], "tpv": [], "tmin": [], "subset": [], "work": 0}
     in_full_count = []
+
+    def oriented(graph, *args, **kwargs):
+        log["oriented"].append(graph)
+        return RAW_ORIENTED(graph, *args, **kwargs)
 
     def tpv(graph):
         log["tpv"].append(graph)
@@ -55,6 +62,7 @@ def calls(monkeypatch):
             log["subset"].append(vertices)
         return RAW_SUBSET(graph, vertices)
 
+    monkeypatch.setattr(local, "oriented_triangle_scores", oriented)
     monkeypatch.setattr(local, "triangles_per_vertex_batched", tpv)
     monkeypatch.setattr(local, "triangles_min_vertex", tmin)
     monkeypatch.setattr(local, "triangles_per_vertex_subset", subset)
@@ -71,19 +79,20 @@ class TestOneCountPerGraph:
                 np.testing.assert_array_equal(lcc.triangles_per_vertex,
                                               REF_TPV(g))
                 assert tc.global_triangles == int(RAW_TMIN(g).sum())
-        assert len(calls["tpv"]) == len(calls["tmin"]) == 1
-        assert calls["subset"] == []
+        assert len(calls["oriented"]) == 1 and calls["oriented"][0] is g
+        assert calls["tpv"] == calls["tmin"] == calls["subset"] == []
 
-    def test_lcc_only_session_never_counts_tmin(self, calls):
+    def test_lcc_only_session_makes_one_pass(self, calls):
         with Session(make_graph(), LCCConfig(nranks=4, threads=2)) as session:
             session.run("lcc")
-        assert len(calls["tpv"]) == 1 and calls["tmin"] == []
+        assert len(calls["oriented"]) == 1
+        assert calls["tpv"] == calls["tmin"] == []
 
     def test_two_run_kernel_calls_share_the_graphs_record(self, calls):
         g = make_graph()
         first = run_kernel("lcc", g, LCCConfig(nranks=4, threads=2))
         second = run_kernel("lcc", g, LCCConfig(nranks=8, threads=2))
-        assert len(calls["tpv"]) == 1
+        assert calls["oriented"] == [g] and calls["tpv"] == []
         assert first.lcc is second.lcc is vertex_scores(g, "lcc")
         assert first.triangles_per_vertex is vertex_scores(g, "tpv")
 
@@ -93,6 +102,30 @@ class TestOneCountPerGraph:
         b = local.triangles_per_vertex_batched(g)
         assert calls["work"] == 2
         assert a is not b and a.flags.writeable and g.scores == {}
+
+    def test_oriented_pass_is_not_memoised(self, calls):
+        g = make_graph()
+        first = local.oriented_triangle_scores(g)
+        second = local.oriented_triangle_scores(g)
+        assert calls["oriented"] == [g, g] and g.scores == {}
+        for a, b in zip(first, second):
+            assert a is not b and a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+
+
+class TestUnknownKind:
+    def test_unknown_kind_raises_before_the_record_is_touched(self, calls):
+        g = make_graph()
+        vertex_scores(g, "tpv")
+        child = apply_delta(g, random_update_batch(g, 10, 0.5, seed=4),
+                            strict=False).graph
+        before = dict(child.scores)
+        assert "pending" in before
+        with pytest.raises(ConfigError, match="tpv, tmin, lcc"):
+            vertex_scores(child, "lccc")
+        assert child.scores.keys() == before.keys()
+        assert all(child.scores[k] is before[k] for k in before)
+        assert calls["oriented"] == [g] and calls["subset"] == []
 
 
 class TestReadOnlyResults:
@@ -121,7 +154,8 @@ class TestInheritance:
             assert out.affected.size and calls["subset"] == []
             post = session.run("lcc")
             new = session.graph
-        assert len(calls["tpv"]) == 1  # the pre-update count only
+        # The pre-update count only.
+        assert calls["oriented"] == [g] and calls["tpv"] == []
         assert len(calls["subset"]) == 1
         assert calls["subset"][0] is out.delta.affected
         np.testing.assert_array_equal(post.triangles_per_vertex, REF_TPV(new))
@@ -140,20 +174,33 @@ class TestInheritance:
             affected.append(res.affected)
         assert calls["subset"] == []
         tpv = vertex_scores(head, "tpv")
-        assert len(calls["tpv"]) == 1 and len(calls["subset"]) == 1
+        assert calls["oriented"] == [g] and len(calls["subset"]) == 1
         np.testing.assert_array_equal(
             calls["subset"][0], np.unique(np.concatenate(affected)))
         np.testing.assert_array_equal(tpv, REF_TPV(head))
         assert "pending" not in head.scores
 
-    def test_tmin_is_recounted_not_inherited(self, calls):
+    def test_tmin_read_is_a_full_pass_that_also_fills_tpv(self, calls):
         g = make_graph()
         vertex_scores(g, "tmin")
         new = apply_delta(g, random_update_batch(g, 10, 0.5, seed=4),
                           strict=False).graph
+        assert "pending" in new.scores
         np.testing.assert_array_equal(vertex_scores(new, "tmin"),
                                       RAW_TMIN(new))
-        assert calls["tmin"] == [g, new]
+        assert calls["oriented"] == [g, new] and calls["tmin"] == []
+        assert "pending" not in new.scores and calls["subset"] == []
+        np.testing.assert_array_equal(new.scores["tpv"], REF_TPV(new))
+
+    def test_tmin_pass_keeps_the_patched_tpv_results_hold(self, calls):
+        g = make_graph()
+        vertex_scores(g, "tpv")
+        new = apply_delta(g, random_update_batch(g, 10, 0.5, seed=4),
+                          strict=False).graph
+        patched = vertex_scores(new, "tpv")
+        vertex_scores(new, "tmin")
+        assert calls["oriented"] == [g, new] and len(calls["subset"]) == 1
+        assert vertex_scores(new, "tpv") is patched
 
     def test_never_scored_parent_falls_back_to_the_full_count(self, calls):
         g = make_graph()
@@ -161,7 +208,8 @@ class TestInheritance:
                           strict=False).graph
         assert new.scores == {}
         np.testing.assert_array_equal(vertex_scores(new, "tpv"), REF_TPV(new))
-        assert calls["tpv"] == [new] and calls["subset"] == []
+        assert calls["oriented"] == [new]
+        assert calls["tpv"] == calls["subset"] == []
 
     def test_all_skipped_batch_shares_the_record(self, calls):
         g = make_graph()
@@ -175,7 +223,8 @@ class TestInheritance:
         assert not res.changed and res.graph is not g
         assert res.graph.scores is g.scores
         assert vertex_scores(res.graph, "tpv") is tpv
-        assert len(calls["tpv"]) == 1 and calls["subset"] == []
+        assert calls["oriented"] == [g]
+        assert calls["tpv"] == calls["subset"] == []
 
 
 class TestLifetime:

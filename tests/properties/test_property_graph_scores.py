@@ -5,15 +5,23 @@ version's record is read or left pending at random — so a resolve sees
 patches over one batch, over a union of several, and full counts after a
 never-scored parent — checked at every version against the SciPy matrix
 path and the per-edge kernel path, neither of which shares a body with
-``vertex_scores``.
+``vertex_scores``.  The oriented pass that fills an undirected record is
+also checked on its own against the same oracles, on the shapes where its
+rank tie-break and strip cuts decide: no vertices, no edges, isolated
+vertices, stars, cliques, and budgets down to one wedge per strip.
 """
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import local
 from repro.core.local import (
+    WEDGE_BUDGET,
     lcc_from_triplets,
+    oriented_triangle_scores,
     triangles_min_vertex,
     triangles_per_vertex_local,
     triangles_per_vertex_matrix,
@@ -51,9 +59,59 @@ def check_version(graph: CSRGraph) -> None:
     assert not tpv.flags.writeable and "pending" not in graph.scores
 
 
+@st.composite
+def shaped_graphs(draw):
+    """An undirected graph of a drawn shape, on ``n`` vertices whose ids
+    are shuffled (so a clique's ties fall to arbitrary ids), and a wedge
+    budget from one per strip up to the module's."""
+    shape = draw(st.sampled_from(("empty", "edgeless", "star", "clique",
+                                  "random")))
+    n = 0 if shape == "empty" else draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    ids = rng.permutation(n)
+    k = draw(st.integers(1, n)) if n else 0
+    if shape == "star":
+        edges = [(ids[0], ids[i]) for i in range(1, k)]
+    elif shape == "clique":
+        edges = [(ids[i], ids[j]) for i in range(k) for j in range(i)]
+    elif shape == "random":
+        edges = rng.integers(0, n, size=(draw(st.integers(0, 90)), 2))
+    else:
+        edges = []
+    graph = CSRGraph.from_edges(np.asarray(edges, dtype=np.int64)
+                                .reshape(-1, 2), n)
+    budget = draw(st.sampled_from((1, 2, 3, 5, WEDGE_BUDGET)))
+    return graph, budget
+
+
+# K5 plus a pendant: vertex 0's upward list is the other four clique
+# vertices, six wedges, so a budget of four cuts them over two strips.
+K5_PENDANT = CSRGraph.from_edges(
+    np.array([(i, j) for i in range(5) for j in range(i)] + [(4, 5)]), 7)
+
+
+@given(shaped_graphs())
+@settings(max_examples=80, deadline=None)
+@example((CSRGraph.from_edges(np.zeros((0, 2), dtype=np.int64), 0), 1))
+@example((K5_PENDANT, 4))
+def test_oriented_pass_equals_oracles(case):
+    graph, budget = case
+    tpv, tmin = oriented_triangle_scores(graph, budget=budget)
+    np.testing.assert_array_equal(tpv, triangles_per_vertex_matrix(graph))
+    np.testing.assert_array_equal(tmin, triangles_min_vertex(graph))
+
+
 @given(update_chains())
 @settings(max_examples=60, deadline=None)
 def test_record_equals_oracles_at_every_version(case):
+    with mock.patch.object(local, "oriented_triangle_scores",
+                           wraps=oriented_triangle_scores) as oriented:
+        check_chain(case)
+    if case[0].directed:
+        assert oriented.call_count == 0
+
+
+def check_chain(case):
     graph, read_first, steps, rng = case
     versions = [graph]
     if read_first:
