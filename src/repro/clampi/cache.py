@@ -613,8 +613,7 @@ class ClampiCache:
         k = int(unfit.argmax()) if unfit.any() else rel.shape[0]
         at = rel[:k] + p
         key_cols = stream.targets[at], stream.offsets[at], stream.counts[at]
-        payloads = self.window.read_run(self.rank, *key_cols)
-        k = len(payloads)
+        k = self.window.servable(self.rank, *key_cols)
 
         # What stays per entry: the object and its index placement.  Free
         # slots go out as `_attach` pops them (newest first), then new rows.
@@ -623,18 +622,21 @@ class ClampiCache:
         by_slot, free = self._slot_entry, self._free_slots
         new_slots = free[::-1][:k]
         new_slots += range(len(by_slot), len(by_slot) + k - len(new_slots))
-        keys = list(zip(*(col.tolist() for col in key_cols)))
+        keys = list(zip(*(col[:k].tolist() for col in key_cols)))
+        copy_out = self.window.copy_out
         made: list[CacheEntry] = []
         try:
-            for key, data, end, nbytes, clock, slot in zip(
-                    keys, payloads, (extent[0] + ends[:k]).tolist(),
+            for key, end, nbytes, clock, slot in zip(
+                    keys, (extent[0] + ends[:k]).tolist(),
                     sizes[:k].tolist(), (c0 + 1 + rel[:k]).tolist(),
                     new_slots):
-                entry = CacheEntry(key, data, end - nbytes, nbytes, clock,
+                entry = CacheEntry(key, None, end - nbytes, nbytes, clock,
                                    None)
                 if not place(key, entry):
                     break  # full probe window: the scalar path's to resolve
                 made.append(entry)
+                # Only a placed entry's payload is copied.
+                entry.data = data = copy_out(*key)
                 if score_fn is not None:
                     entry.app_score = float(score_fn(*key, data))
                 entry.slot = slot

@@ -4,36 +4,46 @@ The per-edge loops in :mod:`repro.core.lcc` and :mod:`repro.core.tc` are
 exact but pay a Python round trip (``read_adjacency`` → ``SimContext.get``
 → ``ClampiCache.access`` plus a real intersection) per edge.  A rank's
 access pattern is a pure function of the partitioned CSR, so this module
-replays the same run in bulk, in three stages it shares with the 2D
-kernels of :mod:`repro.core.linalg`:
+replays the same run in bulk — for **every rank at once**: one
+:class:`_ClusterStatic` per ``(dist, kernel)`` holds every rank's edge
+stream concatenated rank-major, and each stage below is one NumPy pass
+over the whole cluster, cut into ranks by per-rank bounds:
 
-1. :func:`price_gets` — one window's remote gets become durations and hit
-   verdicts: through :meth:`ClampiCache.access_batch` when a cache is
-   attached (hit runs vectorized, the scalar cache only for state-changing
-   misses), else there is no CLaMPI stage — the closed-form network cost
-   of each get's byte count, every get a miss, no ``BatchStream`` built;
-2. :func:`get_totals` — the six ``RankTrace`` get fields from those arrays;
-3. :func:`fold_slots` — every charge is written into a fixed-width,
-   zero-padded **slot table** laid out in the loop's program order and
-   summed by one ``np.cumsum`` (a strict left-to-right fold).
+1. the gets — one window's remote gets become durations and hit
+   verdicts.  A rank with a cache attached to the window runs its own
+   :meth:`ClampiCache.access_batch` (CLaMPI state is per rank: hit runs
+   vectorized, the scalar cache only for state-changing misses) and its
+   outputs are scattered into the cluster arrays; every other get is a
+   miss at its closed-form network cost, one ``network.get_times`` call
+   for the cluster, no ``BatchStream`` built;
+2. the clock — every charge is written into one **slot table** laid out
+   in the loop's program order, every rank's table end to end, and each
+   rank's segment is summed strictly left to right from ``0.0`` by one
+   ``np.cumsum`` over its view (:func:`fold_segments`);
+3. the totals — the six ``RankTrace`` get fields: per-rank integer
+   reductions, the two time fields by the same segmented fold.
 
-The table, per local vertex (2D: ``[head] [left][right][compute]... [tail]``)::
+The table, per local vertex::
 
     [own][first] [a][b][c] [a][b][c] ... [tail]       3 * (n_v + E) slots
      head(v)      edge e    edge e+1
     head(v) = 3 * (v + estart[v])       edge(e) = 3 * (v_e + e) + 2
     tail(v) = head(v) + 2 + 3 * deg(v)
 
-Positions depend on the index structure alone (:class:`SlotTable`, kept on
-the per-``dist`` :class:`_RankStatic`), never on the values written.  A
-slot a run does not use holds ``0.0``.  **Zero-padding rule**: every charge
-is a duration — ``>= 0``, never ``-0.0`` or NaN — and for such ``x``,
-``x + 0.0 == x`` bit for bit, so the padded fold performs the loop's
-additions with no-ops in between and the replayed clocks and trace totals
-are **bit-identical** to the loop (``tests/core/test_cached_fast_parity.py``,
-``tests/properties/test_property_replay_layout.py``).  The four folds differ
-only in the columns they write (``own`` = the vertex's own-list read,
-``tail`` = ``vertex_overhead`` for LCC and ``0.0`` for TC, everywhere):
+With ``v`` and ``estart`` counted across the cluster, rank-major, rank
+``r``'s table starts at ``3 * (vbound[r] + ebound[r])``: the concatenation
+needs no per-rank base beyond the bounds, and pads no rank to another's
+width.  Positions depend on the index structure alone (:class:`SlotTable`,
+kept on the static), never on the values written.  A slot a run does not
+use holds ``0.0``.  **Zero-padding rule**: every charge is a duration —
+``>= 0``, never ``-0.0`` or NaN — and for such ``x``, ``x + 0.0 == x`` bit
+for bit, so the padded fold performs the loop's additions with no-ops in
+between and the replayed clocks and trace totals are **bit-identical** to
+the loop (``tests/core/test_cached_fast_parity.py``,
+``tests/properties/test_property_replay_layout.py``).  The four folds
+differ only in the columns they write (``own`` = the vertex's own-list
+read, ``tail`` = ``vertex_overhead`` for LCC and ``0.0`` for TC,
+everywhere):
 
     ================  =============  ========  =====  ====================
     fold              first          a         b      c
@@ -51,11 +61,16 @@ on its last edge): double buffering issues edge ``i+1``'s fetch before
 charging kernel ``i``, and hides it behind that kernel.
 
 **Pricing record.**  What reads no cache output — ``kern``, the local
-reads (``own``, ``loc``) and the whole comp fold — is priced before the
-first fold on a partition and kept on the rank's :class:`_RankStatic`,
+reads (``own``, ``loc``) and the whole comp fold — is priced for the
+cluster before the first fold on a partition and kept on the static,
 under keys naming every model field it read.  A warm query computes only
-what the cache decides: stage 1, the clock fold with the gets written
-in, stage 2.
+what the caches decide: stage 1, the clock fold with the gets written in,
+stage 3.  The only Python left per rank is the CLaMPI calls, the segment
+folds and the ``RankTrace`` construction.
+
+The 2D kernels of :mod:`repro.core.linalg` replay one rank at a time with
+the single-segment helpers :func:`price_gets`, :func:`get_totals`,
+:func:`fold_slots` and :func:`fold_left`.
 
 Dispatch (:func:`repro.core.lcc.execute_lcc`, :func:`repro.core.tc.execute_tc`):
 the replay runs whenever ``config.fast_path`` is set and op recording is off,
@@ -75,7 +90,9 @@ from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.local import vertex_scores
 from repro.core.threading import OpenMPModel, kernel_times_vectorized
+from repro.graph.csr import gather_ranges
 from repro.graph.distributed import DistributedCSR
+from repro.graph.partition import Partition
 from repro.runtime.engine import Engine, RunOutcome
 from repro.runtime.trace import RankTrace
 
@@ -100,10 +117,45 @@ def fold_slots(size: int, *columns: tuple) -> float:
     return float(table[-1]) if size else 0.0
 
 
+def fold_segments(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """:func:`fold_left` of every segment ``values[bounds[i]:bounds[i + 1]]``.
+
+    Each segment is summed from ``0.0``, strictly left to right down its
+    rows (every column on its own), by one ``np.cumsum`` over its view;
+    ``values`` is scratch and is folded in place.
+    """
+    out = np.zeros((bounds.shape[0] - 1, *values.shape[1:]))
+    for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(),
+                                     bounds[1:].tolist())):
+        if hi > lo:
+            segment = values[lo:hi]
+            segment.cumsum(axis=0, out=segment)
+            out[i] = segment[-1]
+    return out
+
+
+def _segment_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Exact per-segment sums of an integer (or boolean) array, whose end
+    is ``bounds[-1]``; an empty segment sums to ``0``."""
+    sums = np.zeros(bounds.shape[0] - 1, dtype=np.int64)
+    nonempty = bounds[1:] > bounds[:-1]
+    if nonempty.any():  # reduceat would read an empty segment's next item
+        sums[nonempty] = np.add.reduceat(x, bounds[:-1][nonempty],
+                                         dtype=np.int64)
+    return sums
+
+
+def _bounds(lengths: np.ndarray) -> np.ndarray:
+    """Segment bounds ``[0, l0, l0 + l1, ...]`` of consecutive lengths."""
+    bounds = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds
+
+
 def price_gets(ctx, window, network, counts: np.ndarray,
                stream: Callable[[], BatchStream]
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Durations + hit verdicts for one rank's gets on one window.
+    """Durations + hit verdicts for one rank's gets on one window (2D).
 
     ``stream()`` (the gets as a :class:`BatchStream`) is only called when
     a cache is attached; without one every get of ``counts[i]`` elements
@@ -117,7 +169,8 @@ def price_gets(ctx, window, network, counts: np.ndarray,
 
 
 def get_totals(dur: np.ndarray, hit: np.ndarray, nbytes: np.ndarray) -> dict:
-    """The six ``RankTrace`` get fields, from per-get arrays in program order."""
+    """The six ``RankTrace`` get fields, from one rank's per-get arrays in
+    program order (2D)."""
     miss = ~hit
     n_miss = int(np.count_nonzero(miss))
     bytes_remote = int(nbytes[miss].sum())
@@ -129,9 +182,13 @@ def get_totals(dur: np.ndarray, hit: np.ndarray, nbytes: np.ndarray) -> dict:
 
 
 class SlotTable:
-    """Slot positions of one rank's 1D table (layout: module docstring)."""
+    """Slot positions of the cluster's 1D table (layout: module docstring).
 
-    def __init__(self, e_degs: np.ndarray):
+    ``e_degs`` holds every vertex's edge count, rank-major; ``vbound`` the
+    per-rank vertex bounds.  Each fold returns one value per rank.
+    """
+
+    def __init__(self, e_degs: np.ndarray, vbound: np.ndarray):
         n_v = e_degs.shape[0]
         estart = np.zeros(n_v + 1, dtype=np.int64)
         np.cumsum(e_degs, out=estart[1:])
@@ -146,6 +203,17 @@ class SlotTable:
         self.first = self.head[nonempty] + 1
         self.first_e = estart[:-1][nonempty]
         self.last_e = estart[1:][nonempty] - 1
+        #: Per-rank edge bounds, and where each rank's table starts.
+        self.ebound = estart[vbound]
+        self.bounds = 3 * (vbound + self.ebound)
+
+    def _fold(self, *columns: tuple) -> list[float]:
+        """Write ``(positions, values)`` columns into a zeroed table and
+        fold each rank's segment (zero-padding rule: module docstring)."""
+        table = np.zeros(self.size, dtype=np.float64)
+        for positions, values in columns:
+            table[positions] = values
+        return fold_segments(table, self.bounds).tolist()
 
     def _next(self, x: np.ndarray) -> np.ndarray:
         """``x`` of each edge's successor, ``0.0`` on a vertex's last edge."""
@@ -156,53 +224,71 @@ class SlotTable:
 
     def clock(self, overlap: bool, own: np.ndarray, remote: np.ndarray,
               read: np.ndarray, get1: np.ndarray, get2: np.ndarray,
-              kern: np.ndarray, tail: float) -> float:
+              kern: np.ndarray, tail: float) -> list[float]:
         """The clock fold: ``read`` holds the local edges' reads, ``get1`` /
         ``get2`` the remote edges' offsets and adjacency gets."""
         ends = (self.head, own), (self.tail, tail)
         a = self.edge
         if not overlap:
             a_r = a[remote]
-            return fold_slots(self.size, *ends, (a[~remote], read),
-                              (a_r, get1), (a_r + 1, get2), (a + 2, kern))
+            return self._fold(*ends, (a[~remote], read), (a_r, get1),
+                              (a_r + 1, get2), (a + 2, kern))
         comm = np.empty(a.shape[0])  # read + 0.0 == read on a local edge
         comm[~remote] = read
         comm[remote] = get1 + get2
-        return fold_slots(self.size, *ends, (self.first, comm[self.first_e]),
+        return self._fold(*ends, (self.first, comm[self.first_e]),
                           (a + 2, np.maximum(kern, self._next(comm))))
 
     def comp(self, overlap: bool, own: np.ndarray, remote: np.ndarray,
-             read: np.ndarray, kern: np.ndarray, tail: float) -> float:
+             read: np.ndarray, kern: np.ndarray, tail: float) -> list[float]:
         """The comp fold: it reads no get, so no cache decision."""
         ends = (self.head, own), (self.tail, tail)
         a = self.edge
         loc = np.zeros(a.shape[0])  # 0.0 on a remote edge
         loc[~remote] = read
         if not overlap:
-            return fold_slots(self.size, *ends, (a, loc), (a + 2, kern))
-        return fold_slots(self.size, *ends, (self.first, loc[self.first_e]),
+            return self._fold(*ends, (a, loc), (a + 2, kern))
+        return self._fold(*ends, (self.first, loc[self.first_e]),
                           (a, self._next(loc)), (a + 2, kern))
 
 
-def _adjacency_starts(dist: DistributedCSR) -> np.ndarray:
-    """``start_of[v]``: where ``adj(v)`` begins in its owner's window part."""
-    start_of = np.zeros(dist.graph.n, dtype=np.int64)
-    for rank in range(dist.engine.nranks):
-        vs = dist.local_vertices(rank)
-        if vs.size:
-            start_of[vs] = dist.w_offsets.local_part(rank)[:-1]
+def _rank_major(part: Partition) -> tuple[np.ndarray, ...]:
+    """``(vs, vbound, owner, local)``: every vertex's global id rank-major
+    in local-index order, the per-rank bounds into that order, and each
+    global id's owner and local index (gathered, never searched again)."""
+    ids = np.arange(part.n, dtype=np.int64)
+    owner = part.owners(ids).astype(np.int64)
+    local = part.to_local_many(ids).astype(np.int64)
+    vbound = _bounds(np.bincount(owner, minlength=part.nranks))
+    vs = np.empty(part.n, dtype=np.int64)
+    vs[vbound[owner] + local] = ids
+    return vs, vbound, owner, local
+
+
+def _adjacency_starts(vs: np.ndarray, degs: np.ndarray,
+                      vbound: np.ndarray) -> np.ndarray:
+    """``start_of[v]``: where ``adj(v)`` begins in its owner's window part
+    (``vs`` / ``degs`` rank-major, ``vbound`` the per-rank bounds)."""
+    estart = np.zeros(vs.shape[0] + 1, dtype=np.int64)
+    np.cumsum(degs, out=estart[1:])
+    start_of = np.empty(vs.shape[0], dtype=np.int64)
+    start_of[vs] = estart[:-1] - np.repeat(estart[vbound[:-1]],
+                                           np.diff(vbound))
     return start_of
 
 
-class _RankStatic:
-    """One rank's access pattern and pricing record, cached on the ``dist``.
+class _ClusterStatic:
+    """Every rank's access pattern and the pricing record, cached on the
+    ``dist`` per kernel.
 
     The pattern is a pure function of the partitioned CSR: the edge
-    stream, remote/local split, list-length pairs, the slot table, the
-    remote gets' ``(targets, offsets, counts)`` arrays for the two
-    windows.  A resident session replays it query after query, so it is
-    computed once per ``DistributedCSR``; a window's :class:`BatchStream`
-    is built the first time a cache attached to *that* window replays it,
+    stream of every rank concatenated rank-major, its remote/local split
+    and list-length pairs, the slot table, the remote gets'
+    ``(targets, offsets, counts)`` arrays for the two windows, and the
+    per-rank vertex, edge and get bounds into those arrays.  A resident
+    session replays it query after query, so it is computed once per
+    ``DistributedCSR``; one rank's :class:`BatchStream` on one window is
+    built the first time a cache attached to *that* window replays it,
     and kept.  The pricing record (:meth:`pricing`) adds what the cost
     models alone derive from it.
     ``dist._replay_memo`` holds nothing else: scores belong to the graph.
@@ -211,52 +297,70 @@ class _RankStatic:
     #: Pricings kept before the record starts over (bounds a model sweep).
     MAX_PRICED = 32
 
-    def __init__(self, dist: DistributedCSR, rank: int, start_of: np.ndarray,
-                 degrees_all: np.ndarray, *, tc: bool):
-        part = dist.partition
-        vs = dist.local_vertices(rank)
-        offs_local = dist.w_offsets.local_part(rank).astype(np.int64)
-        adj_local = dist.w_adj.local_part(rank)
-        n_v = vs.shape[0]
-        degs = np.diff(offs_local)  # full local-vertex degrees
+    def __init__(self, dist: DistributedCSR, *, tc: bool):
+        graph, part = dist.graph, dist.partition
+        n = graph.n
+        vs, vbound, owner, local = _rank_major(part)
+        self.vs, self.vbound = vs, vbound
+        degrees_all = graph.degrees().astype(np.int64)
+        degs = degrees_all[vs]  # full local-vertex degrees, rank-major
+        start_of = _adjacency_starts(vs, degs, vbound)
 
-        dst = adj_local.astype(np.int64)
+        # Window parts are the owners' CSR rows in local order, so the
+        # rank-major edge stream is the graph's rows in ``vs`` order.
+        if np.array_equal(vs, np.arange(n)):
+            dst = graph.adjacency.astype(np.int64)
+        else:
+            dst = gather_ranges(graph.adjacency, graph.offsets[vs],
+                                degs)[0].astype(np.int64)
         if tc:
-            src = np.repeat(vs, degs)
-            keep = dst > src  # upper-triangle endpoints only
+            rows = np.repeat(np.arange(n, dtype=np.int64), degs)
+            keep = dst > vs[rows]  # upper-triangle endpoints only
             dst = dst[keep]
-            v_idx = np.repeat(np.arange(n_v, dtype=np.int64), degs)[keep]
-            e_degs = np.bincount(v_idx, minlength=n_v).astype(np.int64)
+            e_degs = np.bincount(rows[keep], minlength=n).astype(np.int64)
         else:
             e_degs = degs
-        self.table = SlotTable(e_degs)
+        self.table = table = SlotTable(e_degs, vbound)
 
-        owners = part.owners(dst).astype(np.int64)
-        self.remote = remote = owners != rank
+        owners = owner[dst]
+        self.remote = remote = owners != np.repeat(owner[vs], e_degs)
         self.lb = lb = degrees_all[dst]
         self.la = np.repeat(degs, e_degs)
+        #: Per-rank bounds into the remote gets and the local reads.
+        self.gbound = gbound = _bounds(_segment_sums(remote, table.ebound))
+        lbound = table.ebound - gbound
 
         targets = owners[remote]
-        #: window name -> the remote gets' (targets, offsets, counts).
-        self.gets = {
-            dist.w_offsets.name: (targets, part.to_local_many(dst)[remote],
-                                  np.full(targets.shape[0], 2,
-                                          dtype=np.int64)),
-            dist.w_adj.name: (targets, start_of[dst[remote]], lb[remote]),
-        }
-        self.tc = tc
-        self._streams: dict[str, BatchStream] = {}
-        self._priced: dict[tuple, object] = {}
+        #: Per window (offsets, adjacency): the remote gets' (targets,
+        #: offsets, counts), every rank's rank-major.
+        self.gets = (
+            (targets, local[dst[remote]],
+             np.full(targets.shape[0], 2, dtype=np.int64)),
+            (targets, start_of[dst[remote]], lb[remote]),
+        )
+        #: Each get's bytes, interleaved in program order (offsets get,
+        #: then adjacency get, per remote edge).
+        self.get_nbytes = np.empty(2 * targets.shape[0], dtype=np.int64)
+        self.get_nbytes[0::2] = self.gets[0][2] * dist.w_offsets.itemsize
+        self.get_nbytes[1::2] = self.gets[1][2] * dist.w_adj.itemsize
+        self.get_bytes = _segment_sums(self.get_nbytes, 2 * gbound)
         adj_itemsize = dist.w_adj.itemsize
         self.nbytes_l = lb[~remote] * adj_itemsize
         self.own_nbytes = degs * adj_itemsize
+        self.n_local_reads = np.diff(lbound).tolist()
+        self.bytes_local = _segment_sums(self.nbytes_l, lbound).tolist()
+        self.tc = tc
+        self._streams: dict[tuple[int, int], BatchStream] = {}
+        self._priced: dict[tuple, object] = {}
 
-    def stream(self, window_name: str) -> BatchStream:
-        """One window's gets as a stream, built on first use and kept."""
-        stream = self._streams.get(window_name)
+    def stream(self, window: int, rank: int) -> BatchStream:
+        """One rank's gets on one window (0: offsets, 1: adjacency) as a
+        stream, built on first use and kept."""
+        stream = self._streams.get((window, rank))
         if stream is None:
-            stream = self._streams[window_name] = BatchStream(
-                *self.gets[window_name])
+            lo, hi = self.gbound[rank:rank + 2].tolist()
+            stream = self._streams[window, rank] = BatchStream(
+                *(col[lo:hi] for col in self.gets[window]))
         return stream
 
     def priced(self, key: tuple, price: Callable[[], object]):
@@ -269,8 +373,9 @@ class _RankStatic:
         return value
 
     def pricing(self, config: LCCConfig, omp: OpenMPModel) -> tuple:
-        """``(kern, own, read, tail, comp)``; ``omp`` carries ``compute``,
-        so the comp key covers ``tail`` (``vertex_overhead``) too."""
+        """``(kern, own, read, tail, comp)`` for the cluster; ``omp``
+        carries ``compute``, so the comp key covers ``tail``
+        (``vertex_overhead``) too.  ``comp`` holds one value per rank."""
         memory, method, overlap = config.memory, config.method, config.overlap
         kern = self.priced(("kern", omp, method), partial(
             kernel_times_vectorized, omp, method, self.la, self.lb))
@@ -283,47 +388,75 @@ class _RankStatic:
             ("comp", omp, method, memory, overlap), partial(
                 self.table.comp, overlap, own, self.remote, read, kern, tail))
 
+    def price_gets(self, dist: DistributedCSR, network
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Durations + hit verdicts of every get, interleaved like
+        :attr:`get_nbytes`: a rank's cache decides its gets on the cache's
+        window, the network's closed form prices all the others."""
+        wins = dist.w_offsets, dist.w_adj
+        cached = [(rank, w, cache)
+                  for rank, ctx in enumerate(dist.engine.contexts)
+                  for w, win in enumerate(wins)
+                  if (cache := ctx.cache_for(win)) is not None]
+        nbytes = self.get_nbytes
+        dur = (np.empty(nbytes.shape[0])
+               if len(cached) == len(wins) * dist.engine.nranks
+               else network.get_times(nbytes))
+        hit = np.zeros(nbytes.shape[0], dtype=bool)
+        g = self.gbound.tolist()
+        for rank, w, cache in cached:
+            at = slice(2 * g[rank] + w, 2 * g[rank + 1], 2)
+            dur[at], hit[at] = cache.access_batch(stream=self.stream(w, rank))
+        return dur, hit
 
-def _rank_statics(dist: DistributedCSR, *, tc: bool) -> list[_RankStatic]:
-    """Every rank's :class:`_RankStatic` for one kernel, built on first use."""
+    def get_totals(self, dur: np.ndarray, hit: np.ndarray) -> dict:
+        """The six ``RankTrace`` get fields, one list entry per rank: the
+        misses' and the hits' durations each compacted, as the per-rank
+        loop charges them, and folded rank by rank."""
+        bounds = 2 * self.gbound
+        miss = ~hit
+        mbound = _bounds(_segment_sums(miss, bounds))  # into the misses
+        hbound = bounds - mbound        # ... and into the hits
+        bytes_remote = _segment_sums(self.get_nbytes[miss], mbound)
+        return dict(
+            n_remote_gets=np.diff(mbound).tolist(),
+            n_cache_hits=np.diff(hbound).tolist(),
+            bytes_remote=bytes_remote.tolist(),
+            bytes_cached=(self.get_bytes - bytes_remote).tolist(),
+            comm_time=fold_segments(dur[miss], mbound).tolist(),
+            cache_time=fold_segments(dur[hit], hbound).tolist())
+
+
+def _cluster_static(dist: DistributedCSR, *, tc: bool) -> _ClusterStatic:
+    """The cluster's :class:`_ClusterStatic` for one kernel, built on first
+    use."""
     key = "tc" if tc else "lcc"
-    statics = dist._replay_memo.get(key)
-    if statics is None:
-        start_of = _adjacency_starts(dist)
-        degrees_all = dist.graph.degrees().astype(np.int64)
-        statics = dist._replay_memo[key] = [
-            _RankStatic(dist, rank, start_of, degrees_all, tc=tc)
-            for rank in range(dist.engine.nranks)]
-    return statics
+    static = dist._replay_memo.get(key)
+    if static is None:
+        static = dist._replay_memo[key] = _ClusterStatic(dist, tc=tc)
+    return static
 
 
-def _replay_rank(dist: DistributedCSR, config: LCCConfig, rank: int,
-                 st: _RankStatic, pricing: tuple) -> tuple[float, RankTrace]:
-    """One rank's replayed clock and trace totals."""
+def _replay(dist: DistributedCSR, config: LCCConfig, st: _ClusterStatic,
+            pricing: tuple) -> tuple[list[float], list[RankTrace]]:
+    """Every rank's replayed clock and trace totals."""
     network = config.network
-    ctx = dist.engine.contexts[rank]
-
-    # The two cache streams are independent state machines, so each window
-    # is priced separately; the slot table and the totals re-merge them in
-    # program order (offsets get, then adjacency get, per remote edge).
-    wins = (dist.w_offsets, dist.w_adj)
-    (dur_off, hit_off), (dur_adj, hit_adj) = (
-        price_gets(ctx, win, network, st.gets[win.name][2],
-                   partial(st.stream, win.name)) for win in wins)
-
+    dur, hit = st.price_gets(dist, network)
     kern, own, read, tail, comp = pricing
-    clock = st.table.clock(config.overlap, own, st.remote, read, dur_off,
-                           dur_adj, kern, tail)
+    clocks = st.table.clock(config.overlap, own, st.remote, read,
+                            dur[0::2], dur[1::2], kern, tail)
     if st.tc:
         nranks = config.nranks
         stages = math.ceil(math.log2(nranks)) if nranks > 1 else 0
-        clock += stages * (network.alpha + 8 * network.beta)
-    totals = get_totals(*(np.column_stack(pair).ravel() for pair in (
-        (dur_off, dur_adj), (hit_off, hit_adj),
-        [st.gets[win.name][2] * win.itemsize for win in wins])))
-    return clock, RankTrace.from_totals(
-        rank, n_local_reads=st.nbytes_l.shape[0],
-        bytes_local=int(st.nbytes_l.sum()), comp_time=comp, **totals)
+        reduce = stages * (network.alpha + 8 * network.beta)
+        clocks = [clock + reduce for clock in clocks]
+    totals = st.get_totals(dur, hit)
+    traces = [RankTrace.from_totals(
+        rank, n_local_reads=st.n_local_reads[rank],
+        bytes_local=st.bytes_local[rank], comp_time=comp[rank],
+        **{name: values[rank] for name, values in totals.items()})
+        for rank in range(dist.engine.nranks)]
+    return clocks, traces
 
 
 def _replay_result(engine: Engine, dist: DistributedCSR, config: LCCConfig,
@@ -338,22 +471,18 @@ def _replay_result(engine: Engine, dist: DistributedCSR, config: LCCConfig,
     graph = dist.graph
     omp = OpenMPModel(threads=config.threads, compute=config.compute,
                       wait_policy=config.wait_policy)
-    statics = _rank_statics(dist, tc=tc)
-    # Every rank is priced before any cache is touched, so a pricing that
+    st = _cluster_static(dist, tc=tc)
+    # The cluster is priced before any cache is touched, so a pricing that
     # raises leaves the caches as the previous query left them.
-    pricings = [st.pricing(config, omp) for st in statics]
-    ranks = [_replay_rank(dist, config, rank, st, pricing)
-             for rank, (st, pricing) in enumerate(zip(statics, pricings))]
-    clocks = [clock for clock, _ in ranks]
+    pricing = st.pricing(config, omp)
+    clocks, traces = _replay(dist, config, st, pricing)
     dist.close_epochs()
 
     per_vertex = vertex_scores(graph, "tmin" if tc else "tpv")
     total = int(per_vertex.sum())
     outcome = RunOutcome(
-        time=max(clocks), clocks=clocks,
-        traces=[trace for _, trace in ranks],
-        results=[int(per_vertex[dist.local_vertices(r)].sum())
-                 for r in range(engine.nranks)])
+        time=max(clocks), clocks=clocks, traces=traces,
+        results=_segment_sums(per_vertex[st.vs], st.vbound).tolist())
     return DistributedRunResult(
         lcc=None if tc else vertex_scores(graph, "lcc"),
         triangles_per_vertex=None if tc else per_vertex,

@@ -107,24 +107,26 @@ class Window:
             )
         return part[offset:offset + count].copy()
 
-    def read_run(self, initiator: int, targets: np.ndarray,
-                 offsets: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-        """The data movement of consecutive gets: one copy per get, in order.
+    def servable(self, initiator: int, targets: np.ndarray,
+                 offsets: np.ndarray, counts: np.ndarray) -> int:
+        """How many leading gets of a run :meth:`read` would serve.
 
-        Stops before the first get :meth:`read` would refuse (closed epoch,
-        rank or bounds violation), so a result shorter than the request
-        means: issue the next get through :meth:`read` for its error.
+        The run stops before the first get :meth:`read` would refuse
+        (closed epoch, rank or bounds violation): issue that one through
+        :meth:`read` for its error.  Moves no data; :meth:`copy_out` does,
+        for the gets this count cleared.
         """
         if not (0 <= initiator < self.nranks and self._epoch_open[initiator]):
-            return []
-        parts = self._parts
+            return 0
         ok = (targets >= 0) & (targets < self.nranks)
-        lens = np.array([part.shape[0] for part in parts])[targets * ok]
+        lens = np.array([part.shape[0] for part in self._parts])[targets * ok]
         ok &= (counts >= 0) & (offsets >= 0) & (offsets + counts <= lens)
-        n = ok.shape[0] if ok.all() else int(ok.argmin())
-        return [parts[t][o:o + c].copy()
-                for t, o, c in zip(targets[:n].tolist(), offsets[:n].tolist(),
-                                   counts[:n].tolist())]
+        return ok.shape[0] if ok.all() else int(ok.argmin())
+
+    def copy_out(self, target: int, offset: int, count: int) -> np.ndarray:
+        """The data movement of one get :meth:`servable` cleared: a copy,
+        like :meth:`read`, without its checks."""
+        return self._parts[target][offset:offset + count].copy()
 
     def write(self, initiator: int, target: int, offset: int, data: np.ndarray) -> None:
         """Perform the data movement of a put."""

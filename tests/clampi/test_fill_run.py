@@ -109,6 +109,50 @@ def test_single_hash_conflict_is_the_single_scalar_access():
     assert_caches_identical(cache, oracle)
 
 
+def distinct_homes(nslots: int, n: int, taken: set, offset: int) -> list:
+    """``n`` keys from ``offset`` on whose home slots differ from each
+    other and from ``taken``."""
+    keys = []
+    while len(keys) < n:
+        key = (1, offset, 2)
+        if hash(key) % nslots not in taken:
+            taken.add(hash(key) % nslots)
+            keys.append(key)
+        offset += 1
+    return keys
+
+
+def test_run_copies_only_the_payloads_it_places(monkeypatch):
+    """A run's look-ahead reaches past the full probe window that ends
+    it; only the entries placed before that window pay a payload copy."""
+    copies, copy_out = [], Window.copy_out
+
+    def counting(window, target, offset, count):
+        copies.append((target, offset, count))
+        return copy_out(window, target, offset, count)
+
+    monkeypatch.setattr(Window, "copy_out", counting)
+    nslots, homes = 512, set()
+    keys = distinct_homes(nslots, 40, homes, 0)
+    offset = keys[0][1] + 1
+    while hash((1, offset, 2)) % nslots != hash(keys[0]) % nslots:
+        offset += 1
+    later = distinct_homes(nslots, 60, homes, 3000)
+    gets = np.array(keys + [(1, offset, 2)] + later, dtype=np.int64)
+
+    cache = make_cache(nslots=nslots, probe_limit=1)
+    replay(cache, gets)
+    # The run's look-ahead held all 101 misses; it placed the first 40.
+    assert copies[:40] == keys
+    assert len(copies) == cache.run_counts["filled_entries"]
+    assert cache.run_counts["filled_entries"] < cache.stats.misses == 101
+
+    oracle = make_cache(nslots=nslots, probe_limit=1)
+    for t, o, c in gets.tolist():
+        oracle.access(t, o, c)
+    assert_caches_identical(cache, oracle)
+
+
 def test_stream_below_the_crossover_takes_the_scalar_path():
     cache = make_cache()
     calls = count_scalar_calls(cache)

@@ -12,11 +12,14 @@ it is one more input here, not a suite of its own.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clampi.cache import BatchStream, ConsistencyMode
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.lcc import execute_lcc_loop, run_distributed_lcc
 from repro.core.tc import execute_tc_loop
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     complete_graph,
     erdos_renyi,
@@ -174,6 +177,53 @@ class TestCachelessShapes:
 
     def test_more_ranks_than_vertices(self):
         assert_lcc_tc_parity(complete_graph(5), nranks=8)
+
+
+def assert_cold_and_warm_parity(graph, **kw) -> None:
+    """Replay == loop for ``lcc`` and ``tc``, cold then warm (the caches,
+    if any, kept between queries)."""
+    with Session(graph, LCCConfig(fast_path=True, **kw)) as fast_s, \
+            Session(graph, LCCConfig(fast_path=False, **kw)) as loop_s:
+        for kernel in ("lcc", "tc", "lcc", "tc"):
+            assert_bit_identical(loop_s.run(kernel, keep_cache=True),
+                                 fast_s.run(kernel, keep_cache=True))
+
+
+class TestRankAxis:
+    """Every rank replays in one stacked pass: each rank's clock, trace and
+    cache must still be its own, at the ledger's rank counts and at
+    degenerate ones (ranks owning no vertex, or vertices but no edge)."""
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("partition", ["block", "cyclic"])
+    @pytest.mark.parametrize("mode", [ConsistencyMode.ALWAYS_CACHE, None],
+                             ids=cache_id)
+    def test_ledger_64_ranks(self, mode, partition, overlap):
+        assert_cold_and_warm_parity(GRAPH, nranks=64, threads=4,
+                                    partition=partition, overlap=overlap,
+                                    cache=make_spec(mode))
+
+    @given(st.integers(min_value=1, max_value=14), st.data(),
+           st.sampled_from(["block", "cyclic"]), st.booleans(),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_any_rank_count(self, n, data, partition, overlap, cached):
+        """``nranks`` in ``[1, 3n]`` over a graph whose last vertices are
+        isolated: ranks past ``n`` own no vertex, and a rank holding only
+        isolated vertices (for ``tc`` also: only vertices whose neighbours
+        all have lower ids) owns no edge."""
+        live = data.draw(st.integers(min_value=1, max_value=n), "live")
+        pairs = [(u, v) for u in range(live) for v in range(u + 1, live)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]), "edges")
+        graph = CSRGraph.from_edges(np.array(edges, dtype=np.int64)
+                                    .reshape(-1, 2), n)
+        nranks = data.draw(st.integers(min_value=1, max_value=3 * n),
+                           "nranks")
+        spec = CacheSpec(offsets_bytes=256, adj_bytes=512) if cached else None
+        assert_cold_and_warm_parity(graph, nranks=nranks, threads=2,
+                                    partition=partition, overlap=overlap,
+                                    cache=spec)
 
 
 class TestStreamLaziness:

@@ -1,10 +1,12 @@
 """The replay's pricing record: filled by the first query, used by the rest.
 
 ``core/replay.py`` prices every column that reads no cache output (kernel
-times, local reads, the comp fold) once per partition and cost model.
-These tests count the pricing calls, check that a model change reprices
-exactly the columns that read it, and that a pricing which raises leaves
-nothing behind: the next query equals the per-edge loop bit for bit.
+times, local reads, the comp fold) once per partition and cost model, for
+every rank at once.  These tests count the pricing calls per cluster,
+check that the counts do not grow with the rank count, that a model
+change reprices exactly the columns that read it, and that a pricing
+which raises leaves nothing behind: the next query equals the per-edge
+loop bit for bit.
 """
 
 from collections import Counter
@@ -26,9 +28,14 @@ NRANKS = 4
 SPEC = CacheSpec(offsets_bytes=2048, adj_bytes=8192)
 
 
+#: Segmented folds per query: the clock, then the misses' and the hits'
+#: get times.  The comp fold is one more, once per pricing.
+FOLDS = 3
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of each pricing function (and of the slot-table fold)."""
+    """Calls of each pricing function (and of the segmented fold)."""
     counts: Counter = Counter()
 
     def counting(name, fn):
@@ -38,7 +45,7 @@ def calls(monkeypatch):
         return wrapper
 
     for name in ("kernel_times_vectorized", "_adjacency_starts",
-                 "fold_slots"):
+                 "fold_segments"):
         monkeypatch.setattr(replay, name,
                             counting(name, getattr(replay, name)))
     monkeypatch.setattr(MemoryModel, "local_read_times", counting(
@@ -55,17 +62,18 @@ def per_query(calls, run, n=4) -> Counter:
 
 
 class TestRecordIsUsed:
+    """Every count is per cluster: none of them scales with the ranks."""
+
     def test_warm_queries_price_once(self, calls):
         with Session(GRAPH, LCCConfig(nranks=NRANKS, cache=SPEC)) as s:
             first = per_query(calls, lambda: s.run("lcc", keep_cache=True))
-            # Kernel times once per rank; own and loc reads once per rank
-            # each; one start table per dist; two folds per rank on the
-            # first query (clock and comp), then only the clock.
+            # Kernel times once; own and loc reads once each; one start
+            # table per dist; the comp fold on the first query only.
             assert first == Counter(
-                kernel_times_vectorized=NRANKS, _adjacency_starts=1,
-                local_read_times=2 * NRANKS, fold_slots=5 * NRANKS)
+                kernel_times_vectorized=1, _adjacency_starts=1,
+                local_read_times=2, fold_segments=1 + 4 * FOLDS)
             warm = per_query(calls, lambda: s.run("lcc", keep_cache=True))
-            assert warm == Counter(fold_slots=4 * NRANKS)
+            assert warm == Counter(fold_segments=4 * FOLDS)
 
     def test_each_method_and_overlap_priced_once(self, calls):
         with Session(GRAPH, LCCConfig(nranks=NRANKS, cache=SPEC)) as s:
@@ -73,11 +81,11 @@ class TestRecordIsUsed:
             for method in ("ssi", "binary"):
                 added = per_query(calls, lambda: s.run(
                     "lcc", keep_cache=True, method=method))
-                assert added == Counter(kernel_times_vectorized=NRANKS,
-                                        fold_slots=5 * NRANKS)
+                assert added == Counter(kernel_times_vectorized=1,
+                                        fold_segments=1 + 4 * FOLDS)
             added = per_query(calls, lambda: s.run(
                 "lcc", keep_cache=True, overlap=False))
-            assert added == Counter(fold_slots=5 * NRANKS)  # comp only
+            assert added == Counter(fold_segments=1 + 4 * FOLDS)  # comp
 
     def test_update_reprices_once(self, calls):
         with Session(GRAPH, LCCConfig(nranks=NRANKS, cache=SPEC)) as s:
@@ -86,8 +94,8 @@ class TestRecordIsUsed:
                 np.array([[0, 1], [2, 150]]), n=GRAPH.n))
             added = per_query(calls, lambda: s.run("lcc", keep_cache=True))
             assert added == Counter(
-                kernel_times_vectorized=NRANKS, _adjacency_starts=1,
-                local_read_times=2 * NRANKS, fold_slots=5 * NRANKS)
+                kernel_times_vectorized=1, _adjacency_starts=1,
+                local_read_times=2, fold_segments=1 + 4 * FOLDS)
 
     def test_memory_model_reprices_reads_not_kernels(self, calls):
         """On one partition, another ``MemoryModel`` reprices ``loc`` /
@@ -101,8 +109,23 @@ class TestRecordIsUsed:
                 engine, dist, off, adj = s.resident_cluster(config, True)
                 execute_lcc(engine, dist, other, off, adj)
             added = per_query(calls, query, n=3)
-            assert added == Counter(local_read_times=2 * NRANKS,
-                                    fold_slots=4 * NRANKS)
+            assert added == Counter(local_read_times=2,
+                                    fold_segments=1 + 3 * FOLDS)
+
+    @pytest.mark.parametrize("cache", [SPEC, None], ids=["cached", "no-cache"])
+    def test_counts_do_not_scale_with_ranks(self, calls, cache):
+        """The same queries at 4 and at 16 ranks price and fold the same
+        number of times: a per-rank loop would multiply these counts."""
+        seen = []
+        for nranks in (4, 16):
+            with Session(GRAPH, LCCConfig(nranks=nranks, cache=cache)) as s:
+                seen.append(per_query(calls, lambda: (
+                    s.run("lcc", keep_cache=True),
+                    s.run("tc", keep_cache=True)), n=2))
+        assert seen[0] == seen[1]
+        assert seen[0] == Counter(
+            kernel_times_vectorized=2, _adjacency_starts=2,
+            local_read_times=4, fold_segments=2 + 4 * FOLDS)
 
 
 def test_keys_name_every_field_they_read():
@@ -122,25 +145,24 @@ def test_keys_name_every_field_they_read():
 
 
 class TestFailClosed:
-    def test_raising_pricing_leaves_no_record(self, monkeypatch):
+    @pytest.mark.parametrize("stage", ["kernel_times_vectorized", "comp"])
+    def test_raising_pricing_leaves_no_record(self, monkeypatch, stage):
+        """A pricing stage that raises — the kernel times, or the comp
+        fold after them — leaves the caches and the record fit to use."""
         cfg = LCCConfig(nranks=NRANKS, cache=SPEC)
         with Session(GRAPH, cfg) as fast, \
                 Session(GRAPH, cfg.replace(fast_path=False)) as loop:
             assert_bit_identical(loop.run("lcc", keep_cache=True),
                                  fast.run("lcc", keep_cache=True))
-            real = replay.kernel_times_vectorized
-            priced = []
 
             def flaky(*args, **kw):
-                if priced:  # the second rank's pricing raises
-                    raise RuntimeError("pricing failed")
-                priced.append(1)
-                return real(*args, **kw)
+                raise RuntimeError("pricing failed")
 
-            monkeypatch.setattr(replay, "kernel_times_vectorized", flaky)
+            owner = replay if stage != "comp" else replay.SlotTable
+            monkeypatch.setattr(owner, stage, flaky)
             with pytest.raises(RuntimeError, match="pricing failed"):
                 fast.run("lcc", keep_cache=True, method="ssi")
-            monkeypatch.setattr(replay, "kernel_times_vectorized", real)
+            monkeypatch.undo()
             # The caches saw no get of the failed query, so the warm
             # loop twin, which never ran it, is the oracle.
             for kw in ({"method": "ssi"}, {"method": "ssi"}, {}):

@@ -1,8 +1,13 @@
 """Tests for the OpenMP cost model."""
 
-import pytest
+import math
 
-from repro.core.threading import OpenMPModel
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.threading import OpenMPModel, exact_log2
 from repro.runtime.compute import ComputeModel
 
 
@@ -76,3 +81,40 @@ class TestDispatch:
     def test_validation(self):
         with pytest.raises(Exception):
             OpenMPModel(threads=0)
+
+
+#: Lengths where a vectorized log2 is most likely to be off by an ulp:
+#: 1621 (a known case), every power of two and its neighbours, hubs.
+SPECIAL_LENGTHS = sorted({1621, 1, 2, 3, *(
+    2 ** k + d for k in range(1, 31) for d in (-1, 0, 1))})
+
+
+class TestExactLog2:
+    @given(st.lists(st.one_of(st.sampled_from(SPECIAL_LENGTHS),
+                              st.integers(min_value=1, max_value=4096),
+                              st.integers(min_value=1, max_value=2_000_000)),
+                    min_size=1, max_size=200),
+           st.sampled_from([np.float64, np.int64]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_math_log2_per_element(self, lengths, dtype):
+        x = np.array(lengths, dtype=dtype)
+        got = exact_log2(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert [v.hex() for v in got.tolist()] == \
+            [math.log2(float(v)).hex() for v in lengths]
+
+    def test_known_one_ulp_case(self):
+        assert exact_log2(np.array([1621.0]))[0] == math.log2(1621.0)
+        assert np.log2(1621.0) != math.log2(1621.0)  # why the table exists
+
+    def test_keeps_the_shape(self):
+        x = np.array([[2.0, 1621.0], [4.0, 2.0]])
+        assert exact_log2(x).tolist() == [[1.0, math.log2(1621.0)],
+                                          [2.0, 1.0]]
+        assert exact_log2(np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[2.5], [3.0, 0.1], [float("nan")],
+                                     [float("inf")], [0.0], [-4.0]])
+    def test_rejects_non_positive_integers(self, bad):
+        with pytest.raises(ValueError):
+            exact_log2(np.array(bad))

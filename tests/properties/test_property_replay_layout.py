@@ -1,19 +1,21 @@
 """The replay's slot table folds to the loop oracle's bits, at any shape.
 
-``core/replay.py`` writes a rank's charges into a fixed-width table with
-``0.0`` in the slots an edge does not use and sums it with one cumsum.
-That equals the loops' compact ``+=`` sequence only because
-``x + 0.0 == x`` bit for bit for every duration ``x >= 0`` — the
-precondition this file pins on shapes the end-to-end parity suites only
-sample: zero-edge vertices, empty ranks, one giant vertex, all-remote and
-all-local ranks, charges of 0.0, subnormals and mixed magnitudes.
+``core/replay.py`` writes every rank's charges into one table, rank
+after rank, with ``0.0`` in the slots an edge does not use, and sums each
+rank's segment with one cumsum from ``0.0``.  That equals each loop's
+compact ``+=`` sequence only because ``x + 0.0 == x`` bit for bit for
+every duration ``x >= 0``, and only if no rank's fold reads a neighbour's
+slots — the preconditions this file pins on shapes the end-to-end parity
+suites only sample: zero-edge vertices, empty ranks, one giant vertex,
+all-remote and all-local ranks, charges of 0.0, subnormals and mixed
+magnitudes.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.replay import SlotTable, get_totals
+from repro.core.replay import SlotTable, fold_left, fold_segments, get_totals
 
 #: Charge palette: exact zero, subnormals, the smallest normal, and the
 #: 1e-9 .. 1e3 range simulated durations actually span.
@@ -77,27 +79,38 @@ def rank_shapes(draw):
     return e_degs
 
 
-@given(rank_shapes(), st.integers(min_value=0, max_value=2**31),
+@given(st.lists(rank_shapes(), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2**31),
        st.sampled_from([0.0, 0.5, 1.0]), st.booleans(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_table_fold_equals_loop_order(e_degs, seed, remote_frac, overlap,
+def test_table_fold_equals_loop_order(ranks, seed, remote_frac, overlap,
                                       lcc):
+    """Each rank's segment of the cluster table folds to its own loop."""
     rng = np.random.default_rng(seed)
+    e_degs = [deg for rank in ranks for deg in rank]
     n_v, n_e = len(e_degs), sum(e_degs)
     remote = rng.random(n_e) < remote_frac
     own = draw_charges(rng, n_v)
     get1, get2, read, kern = (draw_charges(rng, n_e) for _ in range(4))
     tail = float(draw_charges(rng, 1)[0]) if lcc else None
 
-    want = walk_loop(e_degs, remote, own.tolist(), get1.tolist(),
-                     get2.tolist(), read.tolist(), kern.tolist(), tail,
-                     overlap)
-    table = SlotTable(np.asarray(e_degs, dtype=np.int64))
+    want = []
+    v0 = e0 = 0
+    for rank in ranks:
+        v1, e1 = v0 + len(rank), e0 + sum(rank)
+        want.append(walk_loop(
+            rank, remote[e0:e1], own[v0:v1].tolist(), get1[e0:e1].tolist(),
+            get2[e0:e1].tolist(), read[e0:e1].tolist(),
+            kern[e0:e1].tolist(), tail, overlap))
+        v0, e0 = v1, e1
+    vbound = np.cumsum([0] + [len(rank) for rank in ranks])
+    table = SlotTable(np.asarray(e_degs, dtype=np.int64), vbound)
     tail = tail if lcc else 0.0
-    got = (table.clock(overlap, own, remote, read[~remote], get1[remote],
-                       get2[remote], kern, tail),
-           table.comp(overlap, own, remote, read[~remote], kern, tail))
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    got = zip(table.clock(overlap, own, remote, read[~remote], get1[remote],
+                          get2[remote], kern, tail),
+              table.comp(overlap, own, remote, read[~remote], kern, tail))
+    assert [[x.hex() for x in pair] for pair in got] == \
+        [[x.hex() for x in pair] for pair in want]
 
 
 def test_get_totals_over_zero_gets_is_exact_zeros():
@@ -108,3 +121,24 @@ def test_get_totals_over_zero_gets_is_exact_zeros():
                           bytes_cached=0, comm_time=0.0, cache_time=0.0)
     assert all(type(v) in (int, float) for v in totals.values())
     assert totals["comm_time"].hex() == totals["cache_time"].hex() == "0x0.0p+0"
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1,
+                max_size=6),
+       st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=200, deadline=None)
+def test_segment_fold_equals_fold_left_per_column(lengths, seed):
+    """The totals' two-column segmented fold (misses' times, hits' times)
+    equals :func:`fold_left` of each rank's compacted column."""
+    rng = np.random.default_rng(seed)
+    bounds = np.cumsum([0] + lengths)
+    dur = draw_charges(rng, int(bounds[-1]))
+    hit = rng.random(dur.shape[0]) < 0.5
+    times = np.zeros((dur.shape[0], 2))
+    times[~hit, 0] = dur[~hit]
+    times[hit, 1] = dur[hit]
+    got = fold_segments(times, bounds)
+    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        want = [fold_left(dur[lo:hi][~hit[lo:hi]]),
+                fold_left(dur[lo:hi][hit[lo:hi]])]
+        assert [x.hex() for x in got[r].tolist()] == [x.hex() for x in want]

@@ -105,37 +105,38 @@ class TestDataMovement:
         with pytest.raises(WindowError):
             win.read(0, 7, 0, 1)
 
-    def test_read_run_is_read_per_get(self):
+    def test_copy_out_is_read_per_get(self):
         win = make_window()
         win.lock_all(0)
         targets, offsets, counts = (np.array(col) for col in
                                     ([0, 1, 0, 1], [2, 0, 9, 5], [3, 5, 1, 0]))
-        run = win.read_run(0, targets, offsets, counts)
-        assert len(run) == 4
-        for got, (t, o, c) in zip(run, zip(targets, offsets, counts)):
-            np.testing.assert_array_equal(got, win.read(0, t, o, c))
-        run[0][0] = 999                       # copies, like read
+        assert win.servable(0, targets, offsets, counts) == 4
+        for t, o, c in zip(targets, offsets, counts):
+            np.testing.assert_array_equal(win.copy_out(t, o, c),
+                                          win.read(0, t, o, c))
+        win.copy_out(0, 2, 3)[0] = 999        # copies, like read
         assert win.local_part(0)[2] == 2
 
     @pytest.mark.parametrize("refused", [(1, 3, 10), (1, -1, 2), (1, 0, -2),
                                          (7, 0, 1), (-1, 0, 1)])
-    def test_read_run_stops_before_a_refused_get(self, refused):
+    def test_servable_stops_before_a_refused_get(self, refused):
         win = make_window()
         win.lock_all(0)
         gets = np.array([(0, 0, 2), (1, 1, 2), refused, (0, 4, 1)])
-        run = win.read_run(0, gets[:, 0], gets[:, 1], gets[:, 2])
-        assert [r.tolist() for r in run] == [[0, 1], [101, 102]]
+        assert win.servable(0, gets[:, 0], gets[:, 1], gets[:, 2]) == 2
+        assert [win.copy_out(*get).tolist() for get in gets[:2]] == \
+            [[0, 1], [101, 102]]
         with pytest.raises(WindowError):
             win.read(0, *refused)
 
-    def test_read_run_outside_epoch_serves_nothing(self):
+    def test_servable_outside_epoch_is_none(self):
         win = make_window()
         one = np.array([0])
-        assert win.read_run(0, one, one, one) == []
-        assert win.read_run(9, one, one, one) == []   # no such initiator
+        assert win.servable(0, one, one, one) == 0
+        assert win.servable(9, one, one, one) == 0   # no such initiator
         win.lock_all(1)
-        assert win.read_run(0, one, one, one) == []   # epochs are per rank
-        assert len(win.read_run(1, one, one, one)) == 1
+        assert win.servable(0, one, one, one) == 0   # epochs are per rank
+        assert win.servable(1, one, one, one) == 1
 
     def test_write_roundtrip(self):
         win = make_window()
