@@ -230,11 +230,13 @@ def _replay_rank2d(engine: Engine, grid: GridPartition2D, win: Window,
     base = 1 + 3 * ks
     remote = np.stack([left != rank, right != rank], axis=1)
     clock = fold_slots(
-        1 + 3 * c + len(tail), (0, head),
+        np.array([0, 1 + 3 * c + len(tail)]), (0, head),
         (np.stack([base, base + 1], axis=1)[remote], dur),
         (base + 2, comp_dt), (slice(1 + 3 * c, None), tail))
-    return clock, fold_left(comp_dt), get_totals(
-        dur, hit, stream.counts * win.itemsize)
+    totals = get_totals(dur, hit, stream.counts * win.itemsize,
+                        np.array([0, dur.shape[0]]))
+    return (float(clock[0]), fold_left(comp_dt),
+            {name: values[0] for name, values in totals.items()})
 
 
 def _block_caches(engine: Engine, win: Window) -> list:

@@ -68,9 +68,9 @@ what the caches decide: stage 1, the clock fold with the gets written in,
 stage 3.  The only Python left per rank is the CLaMPI calls, the segment
 folds and the ``RankTrace`` construction.
 
-The 2D kernels of :mod:`repro.core.linalg` replay one rank at a time with
-the single-segment helpers :func:`price_gets`, :func:`get_totals`,
-:func:`fold_slots` and :func:`fold_left`.
+The 2D kernels of :mod:`repro.core.linalg` replay one rank at a time:
+:func:`price_gets` for its gets, and the same :func:`get_totals` and
+:func:`fold_slots` over one segment.
 
 Dispatch (:func:`repro.core.lcc.execute_lcc`, :func:`repro.core.tc.execute_tc`):
 the replay runs whenever ``config.fast_path`` is set and op recording is off,
@@ -97,41 +97,41 @@ from repro.runtime.engine import Engine, RunOutcome
 from repro.runtime.trace import RankTrace
 
 
-def fold_left(deltas: np.ndarray) -> float:
-    """Strict left-to-right sum — bit-identical to repeated ``+=``."""
-    if deltas.shape[0] == 0:
-        return 0.0
-    return float(np.cumsum(deltas)[-1])
-
-
-def fold_slots(size: int, *columns: tuple) -> float:
-    """Zero a ``size``-slot table, write ``(positions, values)`` columns, fold.
-
-    Values are durations (``>= 0``, never ``-0.0``/NaN), so the ``0.0`` left
-    in every unwritten slot passes through the fold unchanged.
-    """
-    table = np.zeros(size, dtype=np.float64)
-    for positions, values in columns:
-        table[positions] = values
-    np.cumsum(table, out=table)  # in place: the table is scratch
-    return float(table[-1]) if size else 0.0
-
-
 def fold_segments(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """:func:`fold_left` of every segment ``values[bounds[i]:bounds[i + 1]]``.
+    """Strict left-to-right sum of every segment
+    ``values[bounds[i]:bounds[i + 1]]`` — bit-identical to repeated ``+=``
+    from ``0.0``.
 
-    Each segment is summed from ``0.0``, strictly left to right down its
-    rows (every column on its own), by one ``np.cumsum`` over its view;
-    ``values`` is scratch and is folded in place.
+    One ``np.cumsum`` per segment view; ``values`` is scratch and is
+    folded in place.
     """
-    out = np.zeros((bounds.shape[0] - 1, *values.shape[1:]))
+    out = np.zeros(bounds.shape[0] - 1)
     for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(),
                                      bounds[1:].tolist())):
         if hi > lo:
             segment = values[lo:hi]
-            segment.cumsum(axis=0, out=segment)
+            segment.cumsum(out=segment)
             out[i] = segment[-1]
     return out
+
+
+def fold_left(deltas: np.ndarray) -> float:
+    """:func:`fold_segments` of one segment, ``deltas`` left untouched."""
+    deltas = np.array(deltas, dtype=np.float64)
+    return float(fold_segments(deltas, np.array([0, deltas.shape[0]]))[0])
+
+
+def fold_slots(bounds: np.ndarray, *columns: tuple) -> np.ndarray:
+    """Zero a ``bounds[-1]``-slot table, write ``(positions, values)``
+    columns, and :func:`fold_segments` it.
+
+    Values are durations (``>= 0``, never ``-0.0``/NaN), so the ``0.0`` left
+    in every unwritten slot passes through the fold unchanged.
+    """
+    table = np.zeros(int(bounds[-1]), dtype=np.float64)
+    for positions, values in columns:
+        table[positions] = values
+    return fold_segments(table, bounds)
 
 
 def _segment_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -168,17 +168,23 @@ def price_gets(ctx, window, network, counts: np.ndarray,
             np.zeros(counts.shape[0], dtype=bool))
 
 
-def get_totals(dur: np.ndarray, hit: np.ndarray, nbytes: np.ndarray) -> dict:
-    """The six ``RankTrace`` get fields, from one rank's per-get arrays in
-    program order (2D)."""
+def get_totals(dur: np.ndarray, hit: np.ndarray, nbytes: np.ndarray,
+               bounds: np.ndarray) -> dict:
+    """The six ``RankTrace`` get fields, one list entry per rank, from the
+    per-get arrays in program order, rank ``r``'s gets at
+    ``bounds[r]:bounds[r + 1]``: the misses' and the hits' durations are
+    each compacted, as the loop charges them, and folded rank by rank."""
     miss = ~hit
-    n_miss = int(np.count_nonzero(miss))
-    bytes_remote = int(nbytes[miss].sum())
+    mbound = _bounds(_segment_sums(miss, bounds))  # into the misses
+    hbound = bounds - mbound        # ... and into the hits
+    bytes_remote = _segment_sums(nbytes[miss], mbound)
     return dict(
-        n_remote_gets=n_miss, n_cache_hits=hit.shape[0] - n_miss,
-        bytes_remote=bytes_remote,
-        bytes_cached=int(nbytes.sum()) - bytes_remote,
-        comm_time=fold_left(dur[miss]), cache_time=fold_left(dur[hit]))
+        n_remote_gets=np.diff(mbound).tolist(),
+        n_cache_hits=np.diff(hbound).tolist(),
+        bytes_remote=bytes_remote.tolist(),
+        bytes_cached=(_segment_sums(nbytes, bounds) - bytes_remote).tolist(),
+        comm_time=fold_segments(dur[miss], mbound).tolist(),
+        cache_time=fold_segments(dur[hit], hbound).tolist())
 
 
 class SlotTable:
@@ -208,12 +214,9 @@ class SlotTable:
         self.bounds = 3 * (vbound + self.ebound)
 
     def _fold(self, *columns: tuple) -> list[float]:
-        """Write ``(positions, values)`` columns into a zeroed table and
-        fold each rank's segment (zero-padding rule: module docstring)."""
-        table = np.zeros(self.size, dtype=np.float64)
-        for positions, values in columns:
-            table[positions] = values
-        return fold_segments(table, self.bounds).tolist()
+        """Each rank's segment of the table the columns write (zero-padding
+        rule: module docstring)."""
+        return fold_slots(self.bounds, *columns).tolist()
 
     def _next(self, x: np.ndarray) -> np.ndarray:
         """``x`` of each edge's successor, ``0.0`` on a vertex's last edge."""
@@ -308,11 +311,8 @@ class _ClusterStatic:
 
         # Window parts are the owners' CSR rows in local order, so the
         # rank-major edge stream is the graph's rows in ``vs`` order.
-        if np.array_equal(vs, np.arange(n)):
-            dst = graph.adjacency.astype(np.int64)
-        else:
-            dst = gather_ranges(graph.adjacency, graph.offsets[vs],
-                                degs)[0].astype(np.int64)
+        dst = gather_ranges(graph.adjacency, graph.offsets[vs],
+                            degs)[0].astype(np.int64)
         if tc:
             rows = np.repeat(np.arange(n, dtype=np.int64), degs)
             keep = dst > vs[rows]  # upper-triangle endpoints only
@@ -343,7 +343,6 @@ class _ClusterStatic:
         self.get_nbytes = np.empty(2 * targets.shape[0], dtype=np.int64)
         self.get_nbytes[0::2] = self.gets[0][2] * dist.w_offsets.itemsize
         self.get_nbytes[1::2] = self.gets[1][2] * dist.w_adj.itemsize
-        self.get_bytes = _segment_sums(self.get_nbytes, 2 * gbound)
         adj_itemsize = dist.w_adj.itemsize
         self.nbytes_l = lb[~remote] * adj_itemsize
         self.own_nbytes = degs * adj_itemsize
@@ -409,23 +408,6 @@ class _ClusterStatic:
             dur[at], hit[at] = cache.access_batch(stream=self.stream(w, rank))
         return dur, hit
 
-    def get_totals(self, dur: np.ndarray, hit: np.ndarray) -> dict:
-        """The six ``RankTrace`` get fields, one list entry per rank: the
-        misses' and the hits' durations each compacted, as the per-rank
-        loop charges them, and folded rank by rank."""
-        bounds = 2 * self.gbound
-        miss = ~hit
-        mbound = _bounds(_segment_sums(miss, bounds))  # into the misses
-        hbound = bounds - mbound        # ... and into the hits
-        bytes_remote = _segment_sums(self.get_nbytes[miss], mbound)
-        return dict(
-            n_remote_gets=np.diff(mbound).tolist(),
-            n_cache_hits=np.diff(hbound).tolist(),
-            bytes_remote=bytes_remote.tolist(),
-            bytes_cached=(self.get_bytes - bytes_remote).tolist(),
-            comm_time=fold_segments(dur[miss], mbound).tolist(),
-            cache_time=fold_segments(dur[hit], hbound).tolist())
-
 
 def _cluster_static(dist: DistributedCSR, *, tc: bool) -> _ClusterStatic:
     """The cluster's :class:`_ClusterStatic` for one kernel, built on first
@@ -450,7 +432,7 @@ def _replay(dist: DistributedCSR, config: LCCConfig, st: _ClusterStatic,
         stages = math.ceil(math.log2(nranks)) if nranks > 1 else 0
         reduce = stages * (network.alpha + 8 * network.beta)
         clocks = [clock + reduce for clock in clocks]
-    totals = st.get_totals(dur, hit)
+    totals = get_totals(dur, hit, st.get_nbytes, 2 * st.gbound)
     traces = [RankTrace.from_totals(
         rank, n_local_reads=st.n_local_reads[rank],
         bytes_local=st.bytes_local[rank], comp_time=comp[rank],

@@ -125,12 +125,11 @@ def exact_log2(x: np.ndarray) -> np.ndarray:
     ``np.log2`` disagrees with ``math.log2`` by one ulp on a sparse set of
     inputs (1621.0 is one), which is enough to break bit-identical parity
     between these vectorized formulas and the scalar :class:`OpenMPModel`.
-    List lengths are integers drawn from few distinct values, so a lookup
-    table indexed by the value itself is exact and needs no sort: a
-    presence mask finds the distinct values, ``math.log2`` fills their
-    rows.  Values far above the array's size (a table would be mostly
-    empty) are deduplicated by sorting instead.  Raises
-    :class:`ValueError` on a value that is not a positive integer.
+    The values are list lengths, so a lookup table indexed by the value
+    itself is exact, needs no sort and has ``max(x) + 1`` rows, at most a
+    vertex count: a presence mask finds the distinct values,
+    ``math.log2`` fills their rows.  Raises :class:`ValueError` on a value
+    that is not a positive integer.
     """
     x = np.asarray(x)
     if x.size == 0:
@@ -138,18 +137,12 @@ def exact_log2(x: np.ndarray) -> np.ndarray:
     xi = x.astype(np.int64)
     if not (np.array_equal(xi, x) and xi.min() >= 1):
         raise ValueError("exact_log2 needs positive integer values")
-    hi = int(xi.max())
-    if hi < max(1 << 16, 4 * xi.size):
-        present = np.zeros(hi + 1, dtype=bool)
-        present[xi] = True
-        uniq = np.flatnonzero(present)
-        lut = np.zeros(hi + 1, dtype=np.float64)
-        lut[uniq] = [math.log2(float(u)) for u in uniq.tolist()]
-        return lut[xi]
-    uniq, inv = np.unique(xi, return_inverse=True)
-    lut = np.array([math.log2(float(u)) for u in uniq.tolist()],
-                   dtype=np.float64)
-    return lut[inv.reshape(xi.shape)]
+    present = np.zeros(int(xi.max()) + 1, dtype=bool)
+    present[xi] = True
+    uniq = np.flatnonzero(present)
+    lut = np.zeros(present.shape[0], dtype=np.float64)
+    lut[uniq] = [math.log2(float(u)) for u in uniq.tolist()]
+    return lut[xi]
 
 
 def _ssi_time_vec(m: OpenMPModel, la: np.ndarray, lb: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.replay import SlotTable, fold_left, fold_segments, get_totals
+from repro.core.replay import SlotTable, get_totals
 
 #: Charge palette: exact zero, subnormals, the smallest normal, and the
 #: 1e-9 .. 1e3 range simulated durations actually span.
@@ -116,29 +116,50 @@ def test_table_fold_equals_loop_order(ranks, seed, remote_frac, overlap,
 def test_get_totals_over_zero_gets_is_exact_zeros():
     """A single-rank run issues no remote get: every field is exactly 0."""
     totals = get_totals(np.zeros(0), np.zeros(0, dtype=bool),
-                        np.zeros(0, dtype=np.int64))
-    assert totals == dict(n_remote_gets=0, n_cache_hits=0, bytes_remote=0,
-                          bytes_cached=0, comm_time=0.0, cache_time=0.0)
-    assert all(type(v) in (int, float) for v in totals.values())
-    assert totals["comm_time"].hex() == totals["cache_time"].hex() == "0x0.0p+0"
+                        np.zeros(0, dtype=np.int64), np.array([0, 0]))
+    assert totals == dict(n_remote_gets=[0], n_cache_hits=[0],
+                          bytes_remote=[0], bytes_cached=[0],
+                          comm_time=[0.0], cache_time=[0.0])
+    assert all(type(v[0]) in (int, float) for v in totals.values())
+    assert totals["comm_time"][0].hex() == "0x0.0p+0"
+    assert totals["cache_time"][0].hex() == "0x0.0p+0"
+
+
+def charge_gets(dur, hit, nbytes) -> dict:
+    """One rank's get fields, accumulated get by get in program order as
+    the loop's ``SimContext.get`` charges them."""
+    out = dict(n_remote_gets=0, n_cache_hits=0, bytes_remote=0,
+               bytes_cached=0, comm_time=0.0, cache_time=0.0)
+    for d, h, b in zip(dur.tolist(), hit.tolist(), nbytes.tolist()):
+        if h:
+            out["n_cache_hits"] += 1
+            out["bytes_cached"] += b
+            out["cache_time"] += d
+        else:
+            out["n_remote_gets"] += 1
+            out["bytes_remote"] += b
+            out["comm_time"] += d
+    return out
 
 
 @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1,
                 max_size=6),
-       st.integers(min_value=0, max_value=2**31))
+       st.integers(min_value=0, max_value=2**31),
+       st.sampled_from([0.0, 0.5, 1.0]))
 @settings(max_examples=200, deadline=None)
-def test_segment_fold_equals_fold_left_per_column(lengths, seed):
-    """The totals' two-column segmented fold (misses' times, hits' times)
-    equals :func:`fold_left` of each rank's compacted column."""
+def test_get_totals_equal_each_ranks_charges(lengths, seed, hit_frac):
+    """The cluster's totals — misses and hits compacted across every rank,
+    then cut at per-rank bounds — equal each rank's own get-by-get
+    charges, bit for bit, empty ranks included."""
     rng = np.random.default_rng(seed)
     bounds = np.cumsum([0] + lengths)
     dur = draw_charges(rng, int(bounds[-1]))
-    hit = rng.random(dur.shape[0]) < 0.5
-    times = np.zeros((dur.shape[0], 2))
-    times[~hit, 0] = dur[~hit]
-    times[hit, 1] = dur[hit]
-    got = fold_segments(times, bounds)
+    hit = rng.random(dur.shape[0]) < hit_frac
+    nbytes = rng.integers(0, 1 << 20, dur.shape[0])
+    got = get_totals(dur, hit, nbytes, bounds)
     for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        want = [fold_left(dur[lo:hi][~hit[lo:hi]]),
-                fold_left(dur[lo:hi][hit[lo:hi]])]
-        assert [x.hex() for x in got[r].tolist()] == [x.hex() for x in want]
+        want = charge_gets(dur[lo:hi], hit[lo:hi], nbytes[lo:hi])
+        mine = {name: values[r] for name, values in got.items()}
+        for name in ("comm_time", "cache_time"):
+            assert mine.pop(name).hex() == want.pop(name).hex(), name
+        assert mine == want
