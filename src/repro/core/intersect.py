@@ -5,13 +5,18 @@ return the size of the intersection:
 
 * :func:`ssi_count` — sorted set intersection, O(|A| + |B|);
 * :func:`binary_search_count` — |A| binary searches into B,
-  O(|A| log |B|), with the shorter list always supplying the keys;
+  O(|A| log |B|), with the shorter list always supplying the keys (its
+  body is :func:`sorted_member`);
 * :func:`hybrid_count` — picks per pair using the paper's Eq. 3 rule
   (``|B|/|A| <= log2|B| - 1`` -> SSI else binary search);
 * :func:`edge_support` — the same count for a whole edge list at once,
-  over the rows of a sparse 0/1 pattern (the masked-SpGEMM inner step);
-* :func:`sorted_member` — membership of many queries in one strictly
-  sorted key array (the oriented triangle pass closes its wedges with it).
+  over the rows of a sparse 0/1 pattern (the masked-SpGEMM inner step).
+
+Membership of many queries in one key set is :class:`KeySet`, a hashed
+int64 set built and probed without a Python loop per key; the oriented
+triangle pass closes its wedges with it.  :func:`sorted_member` (one
+binary search per query into a sorted array) is Algorithm 1's body and
+the key set's test oracle.
 
 The Python implementations are vectorized NumPy translations of the
 paper's Algorithms 1 and 2 — semantically identical, and fast enough to
@@ -34,6 +39,7 @@ __all__ = [
     "count_common",
     "count_common_above",
     "edge_support",
+    "KeySet",
     "sorted_member",
     "intersect_values",
     "prefer_ssi",
@@ -138,6 +144,67 @@ def sorted_member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(keys, queries)
     idx[idx == keys.shape[0]] = 0
     return keys[idx] == queries
+
+
+class KeySet:
+    """A set of non-negative int64 keys, for vectorised membership tests.
+
+    Open addressing in one int64 ``table`` (``-1`` marks an empty slot):
+    a power-of-two home range at load <= 0.5, a multiplicative hash that
+    takes the product's top bits, and linear probing.  The table runs past
+    the home range far enough to hold the longest probe run plus one empty
+    slot, so a probe never wraps.  Building sorts the keys by home slot
+    and places each at ``max(home, previous slot + 1)`` — a running
+    maximum, no loop per key — which is where inserting them one by one
+    in that order would put them.  :meth:`contains` probes all queries in
+    rounds, each round one slot further for the still-unresolved ones.
+    """
+
+    #: 2**64 / golden ratio, odd: Fibonacci hashing's multiplier.
+    MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+    def __init__(self, keys: np.ndarray):
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size and int(keys.min()) < 0:
+            raise ValueError("KeySet keys must be non-negative "
+                             "(-1 marks an empty slot)")
+        self.bits = max(1, (2 * keys.shape[0] - 1).bit_length())
+        homes = self.home(keys)
+        order = np.argsort(homes)  # any order within one home slot will do
+        step = np.arange(keys.shape[0], dtype=np.int64)
+        slot = np.maximum.accumulate(homes[order] - step) + step
+        end = int(slot[-1]) + 2 if slot.size else 0
+        self.table = np.full(max(1 << self.bits, end), -1, dtype=np.int64)
+        self.table[slot] = keys[order]
+
+    def home(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's home slot: the top ``bits`` bits of its product
+        with :attr:`MULTIPLIER` (``keys`` int64, non-negative)."""
+        hashed = keys.view(np.uint64) * self.MULTIPLIER
+        hashed >>= np.uint64(64 - self.bits)
+        return hashed.view(np.int64)
+
+    def contains(self, queries: np.ndarray) -> np.ndarray:
+        """``queries[k] in self`` per query, as a bool array.
+
+        Rounds gather by integer index: a boolean mask as index is an
+        order of magnitude slower on NumPy 2 when the mask is random.
+        """
+        queries = np.asarray(queries, dtype=np.int64)
+        found = np.zeros(queries.shape[0], dtype=bool)
+        pending = np.flatnonzero(queries >= 0)
+        want = queries[pending]
+        slot = self.home(want)
+        while pending.size:
+            held = self.table[slot]
+            hit = held == want
+            found[pending] = hit
+            more = np.flatnonzero(~hit & (held >= 0))
+            # One column at a time: each old one is freed as it is cut.
+            pending = pending[more]
+            want = want[more]
+            slot = slot[more] + 1
+        return found
 
 
 def intersect_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,11 +18,13 @@ triangle through ``i`` contributes 2 to ``t_i``, so triangles-through-i is
 
 The per-graph score record (:func:`vertex_scores`) counts an undirected
 graph with a third path, :func:`oriented_triangle_scores`: one
-degree-ordered wedge pass that finds each triangle once and fills the
-triplet counts and the min-vertex counts together.  A graph version an
-update produced instead patches its parent's triplet counts over the
-affected vertices (:func:`triangles_per_vertex_subset`), and a directed
-graph is counted by the per-vertex loop.  The raw full counters
+degree-ordered wedge pass that finds each triangle once, closes its
+wedges in a hashed set of the upward edges
+(:class:`~repro.core.intersect.KeySet`, built and dropped with the pass),
+and fills the triplet counts and the min-vertex counts together.  A graph
+version an update produced instead patches its parent's triplet counts
+over the affected vertices (:func:`triangles_per_vertex_subset`), and a
+directed graph is counted by the per-vertex loop.  The raw full counters
 (:func:`triangles_per_vertex_batched`, :func:`triangles_min_vertex`) are
 never memoised: they stay the oracles the incremental and store checks
 compare the record against.
@@ -33,12 +35,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.intersect import count_common, sorted_member
+from repro.core.intersect import KeySet, count_common
 from repro.graph.csr import CSRGraph, gather_ranges
 from repro.utils.errors import ConfigError, SimulationError
 
-# Wedges per strip of :func:`oriented_triangle_scores` (~80 B each across
-# the strip's temporaries): ~10 MB of working set whatever the hubs.
+# Wedges per strip of :func:`oriented_triangle_scores`.  The strip's
+# temporaries take ~80 B a wedge, ~10.5 MB at this budget, on top of the
+# upward-edge columns and their key set: one pass on rmat(13, 8, seed=1)
+# peaks at 14.1 MB under tracemalloc (NumPy 2.4), 1 MB of it the table.
 WEDGE_BUDGET = 1 << 17
 
 SCORE_KINDS = ("tpv", "tmin", "lcc")
@@ -121,49 +125,77 @@ def triangles_min_vertex(graph: CSRGraph) -> np.ndarray:
     return np.asarray(prod.sum(axis=1)).ravel().astype(np.int64)
 
 
+def check_packable(n: int) -> None:
+    """Raise :class:`ConfigError` unless ``row * n + col`` keys of an
+    ``n``-vertex graph fit in int64 (``n * n`` does)."""
+    if int(n) ** 2 > np.iinfo(np.int64).max:
+        raise ConfigError(f"{n} vertices: packed row * n + col keys "
+                          "overflow int64")
+
+
+def upward_rows(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` of every edge from a lower- to a higher-ranked
+    vertex, in rank order (by degree, then id) within each source's row."""
+    n = graph.n
+    degrees = np.diff(graph.offsets)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(degrees, kind="stable")] = np.arange(n)
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    dst = graph.adjacency.astype(np.int64)
+    up = rank[dst] > rank[src]
+    src, dst = src[up], dst[up]
+    # CSR already groups the rows by source; this orders each by rank.
+    return src, dst[np.argsort(src * n + rank[dst])]
+
+
 def oriented_triangle_scores(graph: CSRGraph, budget: int = WEDGE_BUDGET
                              ) -> tuple[np.ndarray, np.ndarray]:
     """``(tpv, tmin)`` of an undirected graph, each triangle found once.
 
     The Chiba–Nishizeki orientation: vertices are ranked by (degree, id)
-    and each keeps only its higher-ranked neighbours, its *upward* list
-    (at most ``sqrt(2m)`` long).  Every pair of a vertex's upward
-    neighbours is a wedge, closed by one :func:`sorted_member` test of its
-    third edge against the packed ``row * n + col`` keys, which CSR order
-    already sorts (``n <= 2**31`` keeps them in int64).  Each triangle is
-    so enumerated once, from its lowest-ranked corner; it adds 2 to each
-    corner's triplet count (:func:`triangles_per_vertex_batched`) and 1 to
-    its smallest id's (:func:`triangles_min_vertex`).  Wedges are
-    enumerated in strips of ``budget``, cut anywhere in a vertex's pairs,
-    which bounds the peak by the budget.
+    and each keeps only its higher-ranked neighbours, its *upward* row
+    (at most ``sqrt(2m)`` long), sorted here by rank.  Every pair
+    ``a, b`` of a vertex's upward neighbours, ``a`` ranked below ``b``, is
+    a wedge whose third edge, if present, is upward from ``a``: one
+    :class:`KeySet` of the ``m`` upward edges as packed ``row * n + col``
+    keys closes them all (:func:`check_packable` rejects an ``n`` whose
+    keys overflow int64).  Each triangle is so enumerated once, from its
+    lowest-ranked corner; it adds 2 to each corner's triplet count
+    (:func:`triangles_per_vertex_batched`) and 1 to its smallest id's
+    (:func:`triangles_min_vertex`).  Wedges are expanded and counted in
+    strips of upward edges cut where their wedges pass ``budget``, which
+    bounds the peak by the key set plus the budget and one widest row.
     """
     n = graph.n
+    check_packable(n)
     tpv = np.zeros(n, dtype=np.int64)
     tmin = np.zeros(n, dtype=np.int64)
-    adjacency = graph.adjacency.astype(np.int64)
-    degrees = np.diff(graph.offsets)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(degrees, kind="stable")] = np.arange(n)
-    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    up = rank[adjacency] > rank[src]
-    up_src, up_dst = src[up], adjacency[up]
-    # An upward edge opens one wedge with each later entry of its row;
-    # ``ends`` numbers the wedges edge by edge.
-    row_end = np.cumsum(np.bincount(up_src, minlength=n))[up_src]
-    later = row_end - np.arange(up_src.shape[0]) - 1
+    up_src, up_dst = upward_rows(graph)
+    # An upward edge opens one wedge with each later entry of its row.
+    m = up_src.shape[0]
+    later = (np.cumsum(np.bincount(up_src, minlength=n))[up_src]
+             - np.arange(1, m + 1))
     ends = np.cumsum(later)
-    keys = src * n + adjacency
-    total = int(ends[-1]) if ends.size else 0
-    for lo in range(0, total, budget):
-        wedge = np.arange(lo, min(lo + budget, total))
-        first = np.searchsorted(ends, wedge, side="right")
-        second = first + 1 + wedge - (ends[first] - later[first])
+    if m == 0 or ends[-1] == 0:
+        return tpv, tmin
+    # Numbered edge by edge, wedge w of edge e pairs it with entry
+    # w + skip[e] of the row.
+    skip = np.arange(1, m + 1) - ends + later
+    closing = KeySet(up_src * n + up_dst)
+    cuts = np.searchsorted(ends, np.arange(budget, ends[-1], budget),
+                           side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [m])))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        count = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), count)
+        second = (np.arange(ends[lo] - later[lo], ends[hi - 1])
+                  + np.repeat(skip[lo:hi], count))
+        closed = np.flatnonzero(
+            closing.contains(up_dst[first] * n + up_dst[second]))
+        first, second = first[closed], second[closed]
         v, a, b = up_src[first], up_dst[first], up_dst[second]
-        closed = sorted_member(keys, a * n + b)
-        v, a, b = v[closed], a[closed], b[closed]
         tpv += 2 * np.bincount(np.concatenate((v, a, b)), minlength=n)
-        # Rows ascend, so a < b and the smallest id is min(v, a).
-        tmin += np.bincount(np.minimum(v, a), minlength=n)
+        tmin += np.bincount(np.minimum(np.minimum(v, a), b), minlength=n)
     return tpv, tmin
 
 
@@ -199,7 +231,8 @@ def vertex_scores(graph: CSRGraph, kind: str) -> np.ndarray:
     this graph object, gone with it — and are **read-only**: results
     reference them.  On an undirected graph a full count is one
     :func:`oriented_triangle_scores` pass, which fills ``tpv`` and ``tmin``
-    together whichever was asked for and drops a pending pair; a ``tpv``
+    together whichever was asked for and drops a pending pair (the pass's
+    key set goes with the pass: only the vectors are kept); a ``tpv``
     that :func:`inherit_scores` left pending is instead finished by
     recounting the affected vertices only.  A directed graph counts
     ``tpv`` with the per-vertex loop.  The raw counters above stay
