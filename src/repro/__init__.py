@@ -35,7 +35,7 @@ Subpackages: :mod:`repro.runtime` (simulated MPI/RMA), :mod:`repro.clampi`
 (TriC, DistTC, MapReduce), :mod:`repro.analysis` (the experiment harness
 regenerating every table and figure); :mod:`repro.session` (the
 resident-cluster query API); :mod:`repro.dynamic` (batched edge updates,
-incremental recompute and targeted cache invalidation);
+per-version rescoring and targeted cache invalidation);
 :mod:`repro.graphstore` (the versioned graph store and the resident 1D /
 2D clusters it feeds); :mod:`repro.serve` (multi-tenant query serving
 with cache-affinity scheduling over a bounded session pool, mixing reads
@@ -54,7 +54,6 @@ __version__ = "1.7.0"
 
 from repro.dynamic import (  # noqa: E402
     DeltaBuffer,
-    IncrementalState,
     UpdateBatch,
     apply_delta,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "GraphStore",
     "GraphVersion",
     "GridCluster2D",
-    "IncrementalState",
     "KernelResult",
     "KernelSpec",
     "MetricsRegistry",

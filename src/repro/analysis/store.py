@@ -21,8 +21,8 @@ graph-store subsystem's trajectory point, ``BENCH_store.json``:
   queued updates each scheduler coalesced into single store flushes;
 * **delete_heavy** — the deletion-dominated scenario (>= 75% deletes
   per batch, sustained across rounds until degrees collapse below the
-  min-degree preprocessing threshold): the incremental fold must stay
-  bit-identical to a full recompute at every round, and a delete-heavy
+  min-degree preprocessing threshold): every version's score record
+  must stay bit-identical to the raw full counters, and a delete-heavy
   serving workload must stay scheduler-independent.
 
 :data:`SUITE` declares the gate a recorded report must pass; CI re-runs
@@ -46,9 +46,13 @@ from repro.analysis.benchsuite import (
 from repro.analysis.serving import serve_fifo_vs_affinity
 from repro.core.config import LCCConfig
 from repro.core.tc2d import run_distributed_tc_2d
-from repro.dynamic import IncrementalState, random_update_batch
+from repro.dynamic import apply_delta, random_update_batch
 from repro.graph.csr import CSRGraph
-from repro.core.local import triangles_min_vertex, triangles_per_vertex_batched
+from repro.core.local import (
+    triangles_min_vertex,
+    triangles_per_vertex_batched,
+    vertex_scores,
+)
 from repro.serve.engine import ServeConfig
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 from repro.session import Session
@@ -148,31 +152,31 @@ def bench_delete_heavy(graph: CSRGraph, *, rounds: int = 6,
                        seed: int = STORE_SEED) -> dict[str, Any]:
     """Sustained shrinkage: delete-dominated batches, round after round.
 
-    Each round applies a batch that is >= 75% deletes through the
-    incremental fold and cross-checks it bit-identically against a full
-    recompute of the shrunken graph; degrees are tracked so the report
-    shows the collapse below the min-degree-2 preprocessing threshold
-    (vertices that can no longer be in any triangle).
+    Each round applies a batch that is >= 75% deletes and cross-checks
+    the shrunken graph's score record bit-identically against the raw
+    full counters; degrees are tracked so the report shows the collapse
+    below the min-degree-2 preprocessing threshold (vertices that can no
+    longer be in any triangle).
     """
-    state = IncrementalState.from_graph(graph)
-    m0 = graph.m
+    current = graph
     identical = True
     batch_edges = max(8, graph.m // 20)
     for r in range(rounds):
         batch = random_update_batch(
-            state.graph, batch_edges, DELETE_HEAVY_FRACTION,
+            current, batch_edges, DELETE_HEAVY_FRACTION,
             seed=derive_seed(seed, "store-del", graph.name, r))
-        state.apply(batch)
+        current = apply_delta(current, batch, strict=False).graph
         identical = identical and (
-            np.array_equal(triangles_per_vertex_batched(state.graph),
-                           state.tpv)
-            and np.array_equal(triangles_min_vertex(state.graph), state.tmin))
-    degrees = state.graph.degrees()
+            np.array_equal(triangles_per_vertex_batched(current),
+                           vertex_scores(current, "tpv"))
+            and np.array_equal(triangles_min_vertex(current),
+                               vertex_scores(current, "tmin")))
+    degrees = current.degrees()
     return {
         "rounds": rounds,
         "delete_fraction": DELETE_HEAVY_FRACTION,
-        "edges_before": int(m0),
-        "edges_after": int(state.graph.m),
+        "edges_before": int(graph.m),
+        "edges_after": int(current.m),
         "bit_identical": bool(identical),
         "collapsed_below_min_degree": int((degrees < 2).sum()),
     }
@@ -262,7 +266,7 @@ SUITE = BenchSuite(
              "answers are not scheduler-independent under deletion-heavy "
              "traffic"),
         Gate("delete_heavy.*.bit_identical", "is", True,
-             "incremental fold diverged from the full recompute under "
+             "score record diverged from the raw counters under "
              "sustained shrinkage", skip=("serving",)),
         Gate("delete_heavy.*.edges_after", "<", Sibling("edges_before"),
              "the graph did not shrink (scenario is not "

@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "update",
-        help="dynamic-graph updates: incremental recompute + targeted "
+        help="dynamic-graph updates: post-update rescoring + targeted "
              "cache invalidation")
     add_graph_args(p)
     p.add_argument("--nranks", type=int, default=8)

@@ -21,12 +21,13 @@ graph with a third path, :func:`oriented_triangle_scores`: one
 degree-ordered wedge pass that finds each triangle once, closes its
 wedges in a hashed set of the upward edges
 (:class:`~repro.core.intersect.KeySet`, built and dropped with the pass),
-and fills the triplet counts and the min-vertex counts together.  A graph
-version an update produced instead patches its parent's triplet counts
-over the affected vertices (:func:`triangles_per_vertex_subset`), and a
-directed graph is counted by the per-vertex loop.  The raw full counters
+and fills the triplet counts and the min-vertex counts together.  A
+directed graph is counted by the per-vertex loop.  Every graph version
+an update produced is counted in full on its first read, like any other
+graph: on the graphs the updates reach, one pass costs no more than
+recounting the update's affected vertices.  The raw full counters
 (:func:`triangles_per_vertex_batched`, :func:`triangles_min_vertex`) are
-never memoised: they stay the oracles the incremental and store checks
+never memoised: they stay the oracles the dynamic and store checks
 compare the record against.
 """
 
@@ -229,15 +230,14 @@ def vertex_scores(graph: CSRGraph, kind: str) -> np.ndarray:
     Scores are a function of the graph alone, so they live in
     ``graph.scores`` — shared by every cluster shape, session and sweep on
     this graph object, gone with it — and are **read-only**: results
-    reference them.  On an undirected graph a full count is one
+    reference them.  An undirected graph's first read, of any kind and
+    whether or not an update produced the graph, is one
     :func:`oriented_triangle_scores` pass, which fills ``tpv`` and ``tmin``
-    together whichever was asked for and drops a pending pair (the pass's
-    key set goes with the pass: only the vectors are kept); a ``tpv``
-    that :func:`inherit_scores` left pending is instead finished by
-    recounting the affected vertices only.  A directed graph counts
-    ``tpv`` with the per-vertex loop.  The raw counters above stay
-    un-memoised: they are the full-recompute oracles.  An unknown
-    ``kind`` raises :class:`ConfigError` before the record is touched.
+    together (the pass's key set goes with the pass: only the vectors are
+    kept).  A directed graph counts ``tpv`` with the per-vertex loop.  The
+    raw counters above stay un-memoised: they are the full-recompute
+    oracles.  An unknown ``kind`` raises :class:`ConfigError` before the
+    record is touched.
     """
     if kind not in SCORE_KINDS:
         raise ConfigError(f"unknown score kind {kind!r}; "
@@ -248,19 +248,14 @@ def vertex_scores(graph: CSRGraph, kind: str) -> np.ndarray:
         return out
     if kind == "lcc":
         out = lcc_from_triplets(graph, vertex_scores(graph, "tpv"))
-    elif kind == "tpv" and "pending" in record:
-        base, affected = record.pop("pending")
-        out = base.copy()
-        out[affected] = triangles_per_vertex_subset(graph, affected)
     elif graph.directed:
         out = (triangles_min_vertex(graph) if kind == "tmin"
                else triangles_per_vertex_batched(graph))
     else:
-        record.pop("pending", None)
         for name, full in zip(("tpv", "tmin"),
                               oriented_triangle_scores(graph)):
             full.flags.writeable = False
-            record.setdefault(name, full)  # never swap an array results hold
+            record[name] = full  # both absent: only this pass fills them
         return record[kind]
     out.flags.writeable = False
     record[kind] = out
@@ -269,23 +264,14 @@ def vertex_scores(graph: CSRGraph, kind: str) -> np.ndarray:
 
 def inherit_scores(parent: CSRGraph, child: CSRGraph, affected: np.ndarray
                    ) -> None:
-    """Hand ``parent``'s ``tpv`` to the graph version an update produced.
+    """Hand ``parent``'s score record to the graph version an update produced.
 
-    ``child`` differs from ``parent`` only on ``affected``
-    (:func:`~repro.dynamic.delta.apply_delta`'s contract), so it gets the
-    pending pair *(parent's vector, affected)* — the array, never the
-    parent graph.  An unread pair is carried forward over the union of the
-    affected sets, a never-scored parent leaves nothing (a full count),
-    and a batch that changed nothing shares the whole record.
+    A batch that changed nothing (``affected`` empty) shares the whole
+    record.  Any other ``child`` starts with an empty record: its first
+    read is a full count.
     """
-    record = parent.scores
     if affected.size == 0:
-        child.scores = record
-    elif "tpv" in record:
-        child.scores["pending"] = (record["tpv"], affected)
-    elif "pending" in record:
-        base, earlier = record["pending"]
-        child.scores["pending"] = (base, np.union1d(earlier, affected))
+        child.scores = parent.scores
 
 
 def lcc_local(graph: CSRGraph, method: str = "matrix") -> np.ndarray:

@@ -1,17 +1,19 @@
 """Dynamic graphs: batched edge updates over the resident cluster.
 
-The write path of the system.  Three layers:
+The write path of the system.  Two layers:
 
 * :mod:`repro.dynamic.delta` — validated insert/delete batches
   (:class:`UpdateBatch`, :class:`DeltaBuffer`) and the vectorized CSR
   merge :func:`apply_delta`, which also derives the affected-vertex set;
-* :mod:`repro.dynamic.incremental` — :class:`IncrementalState`, folding
-  batches into resident per-vertex LCC/TC results by recomputing only
-  affected vertices (bit-identical to a full recompute);
 * :mod:`repro.dynamic.invalidate` — exact CLaMPI invalidation: which
   ``(target, offset, count)`` cache keys went stale when a rank's CSR
   slice was rebuilt, keeping the rest of the warm cache alive.
 
+A new graph version's per-vertex LCC/TC scores are its own record
+(:func:`repro.core.local.vertex_scores`), counted in full on its first
+read (one oriented pass on an undirected graph); only a batch that
+changed nothing shares its parent's record (see
+:func:`repro.core.local.inherit_scores`).
 :meth:`repro.session.Session.apply_updates` ties them to the resident
 cluster; :mod:`repro.serve` adds update traffic to the serving workload.
 
@@ -35,11 +37,6 @@ from repro.dynamic.delta import (
     random_update_arrays,
     random_update_batch,
 )
-from repro.dynamic.incremental import (
-    IncrementalState,
-    triangles_min_vertex_subset,
-    triangles_per_vertex_subset,
-)
 from repro.dynamic.invalidate import (
     ResyncPlan,
     resync_distributed,
@@ -49,7 +46,6 @@ from repro.dynamic.invalidate import (
 __all__ = [
     "DeltaBuffer",
     "DeltaResult",
-    "IncrementalState",
     "ResyncPlan",
     "UpdateBatch",
     "apply_delta",
@@ -57,6 +53,4 @@ __all__ = [
     "random_update_batch",
     "resync_distributed",
     "stale_part_keys",
-    "triangles_min_vertex_subset",
-    "triangles_per_vertex_subset",
 ]

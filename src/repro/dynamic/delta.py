@@ -12,8 +12,10 @@ consumer of the change needs:
 * **application** (:func:`apply_delta`) is a vectorized three-way CSR
   merge — delete mask, sorted-key merge of the inserts, one ``bincount``
   for the new offsets — O((m + k) log k), no per-edge Python loop;
-* the **affected-vertex set** is the contract the incremental layer
-  builds on: every vertex whose LCC/TC value *can* have changed is in it
+* the **affected-vertex set** is what update reports count, and an
+  empty one lets the new version share its parent's score record (see
+  :func:`~repro.core.local.inherit_scores`): every vertex whose LCC/TC
+  value *can* have changed is in it
   (changed-edge endpoints plus, per changed edge, the old/new *common*
   neighborhoods — the exact subset of "endpoints ∪ their neighbors" that
   triangles actually touch; recomputing an unchanged vertex is exact,
@@ -299,9 +301,9 @@ def _affected_vertices(old: CSRGraph, new: CSRGraph, eff_ins: np.ndarray,
     there) and of the new graph for inserted ones.  The exact set is
     therefore the changed endpoints plus those per-edge *common*
     neighborhoods — a sharp subset of "endpoints ∪ their neighbors",
-    which is what keeps the incremental recompute sublinear on hub-heavy
-    graphs.  Directed graphs fall back to the conservative superset
-    (endpoints ∪ out- and in-neighborhoods, old and new).
+    which keeps the set small on hub-heavy graphs.  Directed graphs fall
+    back to the conservative superset (endpoints ∪ out- and
+    in-neighborhoods, old and new).
     """
     if endpoints.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -406,11 +408,13 @@ def random_update_arrays(graph: CSRGraph, n_edges: int = 16,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Raw ``(inserts, deletes)`` arrays for a synthetic update batch.
 
-    Inserts are uniform random pairs (self-loops and existing edges land
-    in the batch and are normalized/skipped downstream — as real feeds
-    do); deletes sample existing edges.  Deletes colliding with an insert
-    are dropped so the batch stays unambiguous.  Fully deterministic for
-    a given seed.
+    Inserts are uniform random pairs, so self-loops and existing edges
+    land in the batch, as real feeds do.  Self-loops are dropped when the
+    batch is built; an existing edge makes :func:`apply_delta` raise
+    :class:`GraphFormatError` under its default ``strict=True``, so
+    callers must pass ``strict=False`` to skip them.  Deletes sample
+    existing edges.  Deletes colliding with an insert are dropped so the
+    batch stays unambiguous.  Fully deterministic for a given seed.
     """
     if n_edges < 0:
         raise GraphFormatError(f"n_edges must be >= 0, got {n_edges}")

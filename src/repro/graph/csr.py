@@ -74,9 +74,9 @@ class CSRGraph:
         self.adjacency = np.ascontiguousarray(adjacency, dtype=VERTEX_DTYPE)
         self.directed = bool(directed)
         self.name = name
-        #: Per-vertex scores of this graph version (kind -> read-only array,
-        #: or a ``pending`` patch), filled by ``repro.core.local``'s
-        #: ``vertex_scores``.  Derived: not in ``nbytes``/digest/``repr``.
+        #: Per-vertex scores of this graph version (kind -> read-only
+        #: array), filled by ``repro.core.local``'s ``vertex_scores``.
+        #: Derived: not in ``nbytes``/digest/``repr``.
         self.scores: dict = {}
         if validate:
             self.check_invariants()

@@ -89,28 +89,27 @@ class TestGateClauses:
 
 class TestOneOffUpdate:
     def test_exactness_is_checked_against_the_raw_counters(self, monkeypatch):
-        """A wrong inherited score patch fails `incremental_matches_query`:
-        the session and the incremental state share it, the raw recount
-        does not."""
+        """A wrong post-update score record fails
+        `incremental_matches_query`: the query reads that record, the raw
+        recount does not."""
         import numpy as np
 
-        import repro.dynamic.delta as delta
         from repro.analysis.dynamic import one_off_update_run
+        from repro.core import local
         from repro.graph.generators import powerlaw_configuration
 
         graph = powerlaw_configuration(160, 900, seed=3, name="oneoff")
         assert one_off_update_run(
             graph, nranks=4, n_edges=10, seed=1)["incremental_matches_query"]
 
-        inherit = delta.inherit_scores
-
-        def corrupt(parent, child, affected):
-            inherit(parent, child, affected)
-            base, pending = child.scores.pop("pending")
-            child.scores["pending"] = (base + 1, pending)
-
-        monkeypatch.setattr(delta, "inherit_scores", corrupt)
         graph = powerlaw_configuration(160, 900, seed=3, name="oneoff")
+        oriented = local.oriented_triangle_scores
+
+        def corrupt(version, *args, **kwargs):
+            tpv, tmin = oriented(version, *args, **kwargs)
+            return (tpv, tmin) if version is graph else (tpv + 1, tmin)
+
+        monkeypatch.setattr(local, "oriented_triangle_scores", corrupt)
         payload = one_off_update_run(graph, nranks=4, n_edges=10, seed=1)
         assert payload["incremental_matches_query"] is False
         assert np.isfinite(payload["post_update_hit_rate"])

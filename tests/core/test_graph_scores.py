@@ -16,6 +16,7 @@ from repro.core import local
 from repro.core.config import LCCConfig
 from repro.core.local import vertex_scores
 from repro.dynamic import UpdateBatch, apply_delta, random_update_batch
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import powerlaw_configuration
 from repro.session import Session, run_kernel
 from repro.utils.errors import ConfigError
@@ -30,6 +31,13 @@ REF_TPV = local.triangles_per_vertex_matrix
 
 def make_graph(seed=3):
     return powerlaw_configuration(160, 900, seed=seed, name="scores")
+
+
+def make_directed(seed=3):
+    """Counted by the per-vertex loop, not the oriented pass."""
+    rng = np.random.default_rng(seed)
+    return CSRGraph.from_edges(rng.integers(0, 160, size=(900, 2)), n=160,
+                               directed=True, name="scores-directed")
 
 
 @pytest.fixture
@@ -119,12 +127,13 @@ class TestUnknownKind:
         vertex_scores(g, "tpv")
         child = apply_delta(g, random_update_batch(g, 10, 0.5, seed=4),
                             strict=False).graph
-        before = dict(child.scores)
-        assert "pending" in before
-        with pytest.raises(ConfigError, match="tpv, tmin, lcc"):
-            vertex_scores(child, "lccc")
-        assert child.scores.keys() == before.keys()
-        assert all(child.scores[k] is before[k] for k in before)
+        for graph in (g, child):
+            before = dict(graph.scores)
+            with pytest.raises(ConfigError, match="tpv, tmin, lcc"):
+                vertex_scores(graph, "lccc")
+            assert graph.scores.keys() == before.keys()
+            assert all(graph.scores[k] is before[k] for k in before)
+        assert child.scores == {}
         assert calls["oriented"] == [g] and calls["subset"] == []
 
 
@@ -145,62 +154,42 @@ class TestReadOnlyResults:
 
 
 class TestInheritance:
-    def test_update_patches_exactly_the_affected_set(self, calls):
+    def test_undirected_update_is_one_pass_on_first_read(self, calls):
         g = make_graph()
         with Session(g, LCCConfig(nranks=4, threads=2)) as session:
             session.run("lcc")
             out = session.apply_updates(random_update_batch(g, 12, 0.25,
                                                             seed=5))
-            assert out.affected.size and calls["subset"] == []
-            post = session.run("lcc")
             new = session.graph
-        # The pre-update count only.
-        assert calls["oriented"] == [g] and calls["tpv"] == []
-        assert len(calls["subset"]) == 1
-        assert calls["subset"][0] is out.delta.affected
+            assert out.affected.size and new.scores == {}
+            post = session.run("lcc")
+            tc = session.run("tc")
+        # The tc read found the record the lcc read filled.
+        assert post.triangles_per_vertex is vertex_scores(new, "tpv")
+        assert calls["oriented"] == [g, new]
+        assert calls["tpv"] == calls["tmin"] == calls["subset"] == []
         np.testing.assert_array_equal(post.triangles_per_vertex, REF_TPV(new))
         np.testing.assert_array_equal(
             post.lcc, local.lcc_from_triplets(new, REF_TPV(new)))
+        assert tc.global_triangles == int(RAW_TMIN(new).sum())
 
-    def test_unread_updates_resolve_as_one_patch_over_the_union(self, calls):
-        g = make_graph()
+    def test_directed_update_is_one_full_count_on_first_read(self, calls):
+        g = make_directed()
         vertex_scores(g, "tpv")
-        head, affected = g, []
-        for seed in (1, 2, 3):
+        head = g
+        for seed in (1, 2, 3):  # unread versions leave nothing behind
             res = apply_delta(head, random_update_batch(head, 10, 0.5,
                                                         seed=seed),
                               strict=False)
             head = res.graph
-            affected.append(res.affected)
-        assert calls["subset"] == []
+            assert res.affected.size and head.scores == {}
         tpv = vertex_scores(head, "tpv")
-        assert calls["oriented"] == [g] and len(calls["subset"]) == 1
-        np.testing.assert_array_equal(
-            calls["subset"][0], np.unique(np.concatenate(affected)))
+        lcc = vertex_scores(head, "lcc")
+        assert calls["tpv"] == [g, head]
+        assert calls["oriented"] == calls["subset"] == []
         np.testing.assert_array_equal(tpv, REF_TPV(head))
-        assert "pending" not in head.scores
-
-    def test_tmin_read_is_a_full_pass_that_also_fills_tpv(self, calls):
-        g = make_graph()
-        vertex_scores(g, "tmin")
-        new = apply_delta(g, random_update_batch(g, 10, 0.5, seed=4),
-                          strict=False).graph
-        assert "pending" in new.scores
-        np.testing.assert_array_equal(vertex_scores(new, "tmin"),
-                                      RAW_TMIN(new))
-        assert calls["oriented"] == [g, new] and calls["tmin"] == []
-        assert "pending" not in new.scores and calls["subset"] == []
-        np.testing.assert_array_equal(new.scores["tpv"], REF_TPV(new))
-
-    def test_tmin_pass_keeps_the_patched_tpv_results_hold(self, calls):
-        g = make_graph()
-        vertex_scores(g, "tpv")
-        new = apply_delta(g, random_update_batch(g, 10, 0.5, seed=4),
-                          strict=False).graph
-        patched = vertex_scores(new, "tpv")
-        vertex_scores(new, "tmin")
-        assert calls["oriented"] == [g, new] and len(calls["subset"]) == 1
-        assert vertex_scores(new, "tpv") is patched
+        np.testing.assert_array_equal(
+            lcc, local.lcc_from_triplets(head, REF_TPV(head)))
 
     def test_never_scored_parent_falls_back_to_the_full_count(self, calls):
         g = make_graph()
@@ -236,7 +225,7 @@ class TestLifetime:
         gc.collect()
         assert [r() for r in refs] == [None, None, None]
 
-    def test_pending_pair_does_not_pin_the_parent_graph(self):
+    def test_child_does_not_pin_the_parent_graph(self):
         parent = make_graph()
         vertex_scores(parent, "tpv")
         # CSRGraph has __slots__ and no __weakref__: watch its arrays.
@@ -245,7 +234,7 @@ class TestLifetime:
         child = apply_delta(parent, random_update_batch(parent, 10, 0.5,
                                                         seed=4),
                             strict=False).graph
-        assert "pending" in child.scores
+        assert child.scores == {}
         del parent
         gc.collect()
         assert [r() for r in parent_arrays] == [None, None]

@@ -28,7 +28,9 @@ def assert_scores_raw(result, graph: CSRGraph) -> None:
 
     Two sessions on one graph object read one score record
     (``graph.scores``), so comparing their answers proves nothing about
-    the scores; this recounts from the CSR.
+    the scores; this recounts from the CSR.  The global count is checked
+    on every result, an LCC kernel's too: some kernels reduce it apart
+    from their per-vertex vectors.
     """
     if result.lcc is None:
         assert (int(result.global_triangles)
@@ -37,6 +39,8 @@ def assert_scores_raw(result, graph: CSRGraph) -> None:
     tpv = triangles_per_vertex_batched(graph)
     np.testing.assert_array_equal(result.triangles_per_vertex, tpv)
     np.testing.assert_array_equal(result.lcc, lcc_from_triplets(graph, tpv))
+    assert (int(result.global_triangles)
+            == int(tpv.sum()) // (1 if graph.directed else 6))
 
 
 def make_graph_suite(seed: int = 42) -> list[CSRGraph]:

@@ -5,16 +5,20 @@ single mixed batches; this one stresses the regime the bench's
 ``delete_mix`` scenario models: round after round of batches that are
 mostly deletes, shrinking the graph until degrees collapse below the
 min-degree-2 preprocessing threshold (vertices that can no longer be in
-any triangle), with the incremental fold pinned bit-identical to a full
-recompute at *every* round — not just at the end.
+any triangle), with every version's score record pinned bit-identical to
+a full recompute at *every* round — not just at the end.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.local import triangles_min_vertex, triangles_per_vertex_batched
-from repro.dynamic import IncrementalState, UpdateBatch, apply_delta
+from repro.core.local import (
+    triangles_min_vertex,
+    triangles_per_vertex_batched,
+    vertex_scores,
+)
+from repro.dynamic import UpdateBatch, apply_delta
 from repro.graph.csr import CSRGraph, remove_low_degree_vertices
 
 
@@ -54,17 +58,16 @@ def delete_heavy_batch(graph, rng, delete_fraction=0.8, size=12):
 
 @given(shrinkage_cases())
 @settings(max_examples=40, deadline=None)
-def test_incremental_equals_full_under_sustained_shrinkage(case):
+def test_record_equals_full_under_sustained_shrinkage(case):
     graph, rounds, rng = case
-    state = IncrementalState.from_graph(graph)
+    vertex_scores(graph, "tpv")
     for _ in range(rounds):
-        batch = delete_heavy_batch(state.graph, rng)
-        state.apply(batch)
+        batch = delete_heavy_batch(graph, rng)
+        graph = apply_delta(graph, batch, strict=False).graph
         np.testing.assert_array_equal(
-            state.tpv, triangles_per_vertex_batched(state.graph))
+            vertex_scores(graph, "tpv"), triangles_per_vertex_batched(graph))
         np.testing.assert_array_equal(
-            state.tmin, triangles_min_vertex(state.graph))
-    state.verify()
+            vertex_scores(graph, "tmin"), triangles_min_vertex(graph))
 
 
 @given(shrinkage_cases())
@@ -91,7 +94,7 @@ def test_delta_chain_equals_rebuild_under_shrinkage(case):
 @settings(max_examples=25, deadline=None)
 def test_degree_collapse_below_min_degree_preprocessing(case):
     """Deleting every edge of some vertices must collapse them below the
-    min-degree-2 preprocessing threshold without breaking the fold."""
+    min-degree-2 preprocessing threshold without breaking the score record."""
     graph, _, rng = case
     degs = graph.degrees()
     victims = np.flatnonzero(degs > 0)[:3]
@@ -103,11 +106,11 @@ def test_degree_collapse_below_min_degree_preprocessing(case):
             rows.append((int(v), int(u)))
     batch = UpdateBatch.build(None, np.array(rows, dtype=np.int64),
                               n=graph.n)
-    state = IncrementalState.from_graph(graph)
-    state.apply(batch)
-    assert (state.graph.degrees()[victims] == 0).all()
+    vertex_scores(graph, "tpv")
+    new = apply_delta(graph, batch, strict=False).graph
+    assert (new.degrees()[victims] == 0).all()
     np.testing.assert_array_equal(
-        state.tpv, triangles_per_vertex_batched(state.graph))
+        vertex_scores(new, "tpv"), triangles_per_vertex_batched(new))
     # The preprocessing pass still composes with the shrunken graph.
-    pruned = remove_low_degree_vertices(state.graph, min_degree=2)
-    assert pruned.n <= state.graph.n
+    pruned = remove_low_degree_vertices(new, min_degree=2)
+    assert pruned.n <= new.n

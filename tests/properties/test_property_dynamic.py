@@ -1,11 +1,16 @@
-"""Property tests: delta merge == from-scratch rebuild, incremental == full."""
+"""Property tests: delta merge == from-scratch rebuild, post-update
+score record == full recompute."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.local import triangles_min_vertex, triangles_per_vertex_batched
-from repro.dynamic import IncrementalState, UpdateBatch, apply_delta
+from repro.core.local import (
+    triangles_min_vertex,
+    triangles_per_vertex_batched,
+    vertex_scores,
+)
+from repro.dynamic import UpdateBatch, apply_delta
 from repro.graph.csr import CSRGraph
 
 
@@ -65,15 +70,15 @@ def test_apply_delta_equals_rebuild(case):
 
 @given(update_cases())
 @settings(max_examples=40, deadline=None)
-def test_incremental_equals_full_recompute(case):
+def test_post_update_record_equals_full_recompute(case):
     graph, inserts, deletes = case
     batch = UpdateBatch.build(inserts, deletes, n=graph.n)
-    state = IncrementalState.from_graph(graph)
-    state.apply(batch)
+    vertex_scores(graph, "tpv")
+    new = apply_delta(graph, batch, strict=False).graph
     np.testing.assert_array_equal(
-        state.tpv, triangles_per_vertex_batched(state.graph))
+        vertex_scores(new, "tpv"), triangles_per_vertex_batched(new))
     np.testing.assert_array_equal(
-        state.tmin, triangles_min_vertex(state.graph))
+        vertex_scores(new, "tmin"), triangles_min_vertex(new))
 
 
 @given(update_cases())

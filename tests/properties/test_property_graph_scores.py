@@ -1,11 +1,13 @@
-"""Property: the inherited score record equals the independent oracles.
+"""Property: every graph version's score record equals the oracles.
 
 Random directed and undirected graphs, random update chains in which each
-version's record is read or left pending at random — so a resolve sees
-patches over one batch, over a union of several, and full counts after a
-never-scored parent — checked at every version against the SciPy matrix
-path and the per-edge kernel path, neither of which shares a body with
-``vertex_scores``.  The oriented pass that fills an undirected record is
+version's record is read or left unread at random, checked at every
+version against the SciPy matrix path and the per-edge kernel path,
+neither of which shares a body with ``vertex_scores``.  A version a batch
+changed starts with an empty record and one it did not shares its
+parent's, so each record's first read is one full count (the oriented
+pass if undirected, the per-vertex loop if directed) and no later read
+counts again.  The oriented pass that fills an undirected record is
 also checked on its own against the same oracles, on the shapes where its
 rank tie-break and strip cuts decide: no vertices, no edges, isolated
 vertices, stars, cliques, and budgets down to one wedge per strip.
@@ -56,7 +58,7 @@ def check_version(graph: CSRGraph) -> None:
     if not graph.directed:
         np.testing.assert_array_equal(vertex_scores(graph, "tmin"),
                                       triangles_min_vertex(graph))
-    assert not tpv.flags.writeable and "pending" not in graph.scores
+    assert not tpv.flags.writeable
 
 
 @st.composite
@@ -101,35 +103,63 @@ def test_oriented_pass_equals_oracles(case):
     np.testing.assert_array_equal(tmin, triangles_min_vertex(graph))
 
 
+# A directed chain: a changed version left unread, a batch that changes
+# nothing (its one insert is present) sharing that empty record, then a
+# read of each; the late reads find the shared record already filled.
+DIRECTED_SHARED_UNREAD = (
+    CSRGraph.from_edges(np.array([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                                  (4, 5)]), 6, directed=True),
+    True,
+    [(np.array([(0, 3)]), 0, False), (np.array([(0, 1)]), 0, True),
+     (np.array([(4, 0)]), 0, True)],
+    np.random.default_rng(0))
+
+
 @given(update_chains())
 @settings(max_examples=60, deadline=None)
+@example(DIRECTED_SHARED_UNREAD)
 def test_record_equals_oracles_at_every_version(case):
-    with mock.patch.object(local, "oriented_triangle_scores",
-                           wraps=oriented_triangle_scores) as oriented:
-        check_chain(case)
-    if case[0].directed:
-        assert oriented.call_count == 0
+    check_chain(case)
 
 
 def check_chain(case):
     graph, read_first, steps, rng = case
     versions = [graph]
-    if read_first:
-        check_version(graph)
-    for inserts, n_del, read in steps:
-        edges = graph.edges()
-        deletes = edges[rng.choice(edges.shape[0],
-                                   size=min(n_del, edges.shape[0]),
-                                   replace=False)]
-        # The buffer resolves an edge named on both sides (last op wins).
-        buffer = DeltaBuffer(graph.n, graph.directed)
-        buffer.insert_edges(inserts)
-        buffer.delete_edges(deletes)
-        batch = buffer.freeze()
-        graph = apply_delta(graph, batch, strict=False).graph
-        versions.append(graph)
-        if read:
-            check_version(graph)
-    # Late reads: every version still resolves on its own, in any order.
-    for version in reversed(versions):
-        check_version(version)
+    loop = mock.patch.object(local, "triangles_per_vertex_batched",
+                             wraps=local.triangles_per_vertex_batched)
+    passes = mock.patch.object(local, "oriented_triangle_scores",
+                               wraps=oriented_triangle_scores)
+    with loop as full, passes as oriented:
+        counts = (full, oriented) if graph.directed else (oriented, full)
+
+        def read(version):
+            fresh = not version.scores
+            before = [c.call_count for c in counts]
+            check_version(version)
+            after = [c.call_count for c in counts]
+            assert [a - b for a, b in zip(after, before)] == [int(fresh), 0]
+
+        if read_first:
+            read(graph)
+        for inserts, n_del, read_now in steps:
+            edges = graph.edges()
+            deletes = edges[rng.choice(edges.shape[0],
+                                       size=min(n_del, edges.shape[0]),
+                                       replace=False)]
+            # The buffer resolves an edge named on both sides (last op wins).
+            buffer = DeltaBuffer(graph.n, graph.directed)
+            buffer.insert_edges(inserts)
+            buffer.delete_edges(deletes)
+            res = apply_delta(graph, buffer.freeze(), strict=False)
+            if res.affected.size:
+                assert res.graph.scores == {}
+            else:
+                assert res.graph.scores is graph.scores
+            graph = res.graph
+            versions.append(graph)
+            if read_now:
+                read(graph)
+        # Late reads: every version still resolves on its own, in any
+        # order.
+        for version in reversed(versions):
+            read(version)
