@@ -113,6 +113,25 @@ class ClampiConfig:
             )
 
 
+def _key_columns(keys) -> np.ndarray:
+    """``keys`` as ``(k, 3)`` int64 key columns; CacheError on any other shape.
+
+    An empty sequence is the empty key set.
+    """
+    try:
+        cols = np.asarray(keys)
+    except ValueError as exc:  # ragged rows
+        raise CacheError(f"cache keys must be (k, 3) integer columns: {exc}"
+                         ) from None
+    if cols.shape == (0,):
+        cols = cols.reshape(0, 3)
+    if (cols.ndim != 2 or cols.shape[1] != 3
+            or (cols.size and cols.dtype.kind not in "iu")):
+        raise CacheError("cache keys must be (k, 3) integer columns, got "
+                         f"shape {cols.shape} of {cols.dtype}")
+    return cols.astype(np.int64, copy=False)
+
+
 def _pack_keys(cols: np.ndarray) -> np.ndarray:
     """One mixed-radix integer per key column of the ``(3, n)`` ``cols``.
 
@@ -548,12 +567,7 @@ class ClampiCache:
                 entry.last_access = clock
             self.stats.mgmt_time = mgmt
             return
-        # cumsum is a strict left-to-right fold, so this reproduces the
-        # scalar `+=` sequence bit-identically.
-        fold = np.empty(k + 1, dtype=np.float64)
-        fold[0] = self.stats.mgmt_time
-        fold[1:] = cfg.lookup_overhead
-        self.stats.mgmt_time = float(np.cumsum(fold)[-1])
+        self._charge(cfg.lookup_overhead, k)
         self._defer_hits(run, np.arange(c0 + 1, c0 + 1 + k))
 
     def _defer_hits(self, run: np.ndarray, clocks: np.ndarray) -> None:
@@ -869,86 +883,179 @@ class ClampiCache:
             self._batch_events.append(entry.key)
 
     # -- invalidation ---------------------------------------------------------------
-    def invalidate(self, keys: "Iterable[tuple]") -> tuple[int, int]:
+    def invalidate(self, keys: np.ndarray) -> tuple[int, int]:
         """Targeted eviction: drop exactly the entries matching ``keys``.
 
         The dynamic-graph subsystem calls this after an edge-update batch
-        with the ``(target, offset, count)`` triples whose remote data
-        changed, so stale entries are gone while the rest of the warm
-        cache stays resident (unlike :meth:`flush`, which drops
-        everything).  Keys not present are ignored.  Each dropped entry is
-        priced like an eviction (``eviction_overhead``) and counted in
-        ``stats.invalidations``.  Returns ``(entries_dropped,
-        bytes_dropped)``.
+        with the ``(target, offset, count)`` rows whose remote data
+        changed, as ``(k, 3)`` integer key columns (anything
+        ``np.asarray`` reads as such), so stale entries are gone while the
+        rest of the warm cache stays resident (unlike :meth:`flush`, which
+        drops everything).  Rows naming no live entry, and repeats of a
+        row already matched, are ignored; keys of any other shape raise
+        :class:`CacheError` before the cache is touched.  The entries are
+        matched in one join (:meth:`_match`) and detached in one batch, in
+        row order — bit-identical to dropping them one key at a time.
+        Each dropped entry is priced like an eviction
+        (``eviction_overhead``) and counted in ``stats.invalidations``.
+        Returns ``(entries_dropped, bytes_dropped)``.
         """
         if self._batch_events is not None:
             raise CacheError("invalidate() is not allowed during access_batch")
+        keys = _key_columns(keys)
         with obs_span("invalidate", cat="cache") as sp:
-            dropped = 0
-            dropped_bytes = 0
-            for key in keys:
-                entry = self.index.lookup(tuple(key))
-                if entry is None:
-                    continue
-                self._remove_entry(entry)
-                dropped += 1
-                dropped_bytes += entry.nbytes
-                self.stats.mgmt_time += self.config.eviction_overhead
+            entries, _ = self._match(keys)
+            self._detach_all(entries)
+            free = self.allocator.free
+            for entry in entries:
+                free(entry.buffer_offset)
+            dropped = len(entries)
+            dropped_bytes = sum(entry.nbytes for entry in entries)
+            self._charge(self.config.eviction_overhead, dropped)
             self.stats.invalidations += dropped
             self.stats.invalidated_bytes += dropped_bytes
             sp.note(dropped=dropped, bytes=dropped_bytes)
         return dropped, dropped_bytes
 
-    def rekey(self, pairs: "Iterable[tuple[tuple, tuple]]") -> tuple[int, int]:
+    def rekey(self, old: np.ndarray, new: np.ndarray) -> tuple[int, int]:
         """Remap entries whose cached bytes merely *moved* in the window.
 
-        ``pairs`` is an iterable of ``(old_key, new_key)`` tuples — the
-        dynamic-graph resync computes them for adjacency lists that an
-        update shifted without changing their content.  Each present
-        ``old_key`` entry is re-registered under ``new_key``, keeping its
-        buffer, data and score metadata, so the warmth survives where
-        plain invalidation would drop it.
+        ``old`` and ``new`` are equally long ``(k, 3)`` key columns: row i
+        moves the entry under ``old[i]`` to ``new[i]`` — the dynamic-graph
+        resync computes them for adjacency lists that an update shifted
+        without changing their content.  Each live ``old`` entry (matched
+        at its first row whose new key differs) is re-registered under its
+        new key, keeping its buffer, data and score metadata, so the
+        warmth survives where plain invalidation would drop it.  Malformed
+        columns raise :class:`CacheError` before the cache is touched.
 
-        The remap is two-phase (detach everything, then reinsert) because
-        a new key may equal *another* pair's old key when rows slide past
-        each other.  An entry whose new slot is already occupied — only
-        possible by a positionally-retained entry serving identical bytes
-        — or whose probe window is full is dropped and counted as an
-        invalidation instead.  Each processed pair is priced like an
+        The remap is two-phase (detach every match in one batch, then
+        reattach in row order) because a new key may equal *another* row's
+        old key when rows slide past each other.  An entry whose new slot
+        is already occupied — only possible by a positionally-retained
+        entry serving identical bytes, or an earlier row moving to the
+        same key — or whose probe window is full is dropped and counted as
+        an invalidation instead.  Each matched entry is priced like an
         eviction.  Returns ``(entries_rekeyed, bytes_rekeyed)``.
         """
         if self._batch_events is not None:
             raise CacheError("rekey() is not allowed during access_batch")
+        old, new = _key_columns(old), _key_columns(new)
+        if old.shape[0] != new.shape[0]:
+            raise CacheError(f"rekey needs as many new keys as old ones, got "
+                             f"{old.shape[0]} old and {new.shape[0]} new")
         with obs_span("rekey", cat="cache") as sp:
-            moved, moved_bytes = self._rekey(pairs)
+            moving = np.flatnonzero((old != new).any(axis=1))
+            entries, rows = self._match(old[moving])
+            self._detach_all(entries)
+            self._charge(self.config.eviction_overhead, len(entries))
+            moved = moved_bytes = dropped = dropped_bytes = 0
+            lookup, free = self.index.lookup, self.allocator.free
+            for entry, key in zip(entries,
+                                  map(tuple, new[moving[rows]].tolist())):
+                entry.key = key
+                if lookup(key) is None and self._attach(entry):
+                    moved += 1
+                    moved_bytes += entry.nbytes
+                else:
+                    free(entry.buffer_offset)
+                    dropped += 1
+                    dropped_bytes += entry.nbytes
+            stats = self.stats
+            stats.invalidations += dropped
+            stats.invalidated_bytes += dropped_bytes
+            stats.rekeys += moved
+            stats.rekeyed_bytes += moved_bytes
             sp.note(moved=moved, bytes=moved_bytes)
         return moved, moved_bytes
 
-    def _rekey(self, pairs: "Iterable[tuple[tuple, tuple]]"
-               ) -> tuple[int, int]:
-        detached: list[tuple[CacheEntry, tuple]] = []
-        for old_key, new_key in pairs:
-            old_key, new_key = tuple(old_key), tuple(new_key)
-            entry = self.index.lookup(old_key)
-            if entry is None or old_key == new_key:
-                continue
-            self._detach(entry)
-            detached.append((entry, new_key))
-        moved = 0
-        moved_bytes = 0
-        for entry, new_key in detached:
-            self.stats.mgmt_time += self.config.eviction_overhead
-            entry.key = new_key
-            if self.index.lookup(new_key) is None and self._attach(entry):
-                moved += 1
-                moved_bytes += entry.nbytes
-            else:
-                self.allocator.free(entry.buffer_offset)
-                self.stats.invalidations += 1
-                self.stats.invalidated_bytes += entry.nbytes
-        self.stats.rekeys += moved
-        self.stats.rekeyed_bytes += moved_bytes
-        return moved, moved_bytes
+    #: Measured crossover (NumPy 2.4): the join costs ~17 us + 0.035 us per
+    #: mirror row + 0.05 us per key row, a hash lookup ~0.4 us per key row;
+    #: so :meth:`_match` looks keys up below 48 rows plus one per 8 mirror
+    #: rows (~70 on the serve workloads' ~200-entry caches).
+    _SMALL_MATCH = 48
+
+    def _match(self, keys: np.ndarray) -> tuple[list[CacheEntry], np.ndarray]:
+        """Live entries the ``(k, 3)`` key rows name, and each one's row.
+
+        Every entry is matched at its first row, and the matches come in
+        row order.  Below the ``_SMALL_MATCH`` crossover each distinct key
+        is one :meth:`HashIndex.lookup`; above it the rows are packed and
+        sorted once (:func:`_pack_keys`, as :meth:`_join_slots` does) and
+        every mirror row finds its key with a single ``searchsorted``.
+        """
+        k = keys.shape[0]
+        if k < self._SMALL_MATCH + len(self._slot_entry) // 8:
+            first: dict[tuple, int] = {}
+            for row, key in enumerate(map(tuple, keys.tolist())):
+                first.setdefault(key, row)
+            lookup = self.index.lookup
+            found = [(entry, row) for key, row in first.items()
+                     if (entry := lookup(key)) is not None]
+            return ([entry for entry, _ in found],
+                    np.array([row for _, row in found], dtype=np.int64))
+        if not self._entries:
+            return [], np.zeros(0, dtype=np.int64)
+        live = self._mirror[:len(self._slot_entry)]
+        try:
+            packed = _pack_keys(np.concatenate([keys.T, live.T], axis=1))
+        except CacheError:
+            # Rows outside the live keys' box cannot match; without them
+            # the packing fits, as it does for the live keys alone.
+            inside = np.flatnonzero(((keys >= live.min(axis=0))
+                                     & (keys <= live.max(axis=0))).all(axis=1))
+            entries, rows = self._match(keys[inside])
+            return entries, inside[rows]
+        # A stable sort puts each key's first row first among its repeats,
+        # and the left ``searchsorted`` lands on it.
+        order = np.argsort(packed[:k], kind="stable")
+        ranked = packed[:k][order]
+        at = np.searchsorted(ranked, packed[k:])
+        at[at == k] = 0
+        # A cached count is > 0; free mirror rows read -1.
+        found = (ranked[at] == packed[k:]) & (live[:, 2] > 0)
+        slots = np.flatnonzero(found)
+        rows = order[at[found]]
+        by_row = np.argsort(rows)
+        by_slot = self._slot_entry
+        return [by_slot[slot] for slot in slots[by_row].tolist()], rows[by_row]
+
+    def _detach_all(self, entries: list[CacheEntry]) -> None:
+        """:meth:`_detach` each of ``entries`` in order, as one batch.
+
+        The hash removals and the live table's swap-pops stay per entry,
+        in order (both depend on it); the settle, the mirror write, the
+        free-slot stack and the epoch bump are one operation each.
+        """
+        if not entries:
+            return
+        if self._pending:
+            self._settle(entries)  # rekey keeps the objects; slots are reused
+        remove = self.index.remove
+        by_slot, key_pos, live = self._slot_entry, self._key_pos, self._entries
+        slots = [entry.slot for entry in entries]
+        for entry in entries:
+            remove(entry.key)
+            by_slot[entry.slot] = None
+            pos = key_pos.pop(entry.key)
+            last = live.pop()
+            if pos < len(live):
+                live[pos] = last
+                key_pos[last.key] = pos
+        self._free_slots += slots
+        self._mirror[slots] = -1
+        self._state_epoch += 1
+
+    def _charge(self, overhead: float, times: int) -> None:
+        """``times`` sequential ``mgmt_time += overhead`` additions.
+
+        ``cumsum`` is a strict left-to-right fold, so one call reproduces
+        the scalar ``+=`` sequence bit-identically.
+        """
+        fold = np.empty(times + 1, dtype=np.float64)
+        fold[0] = self.stats.mgmt_time
+        fold[1:] = overhead
+        self.stats.mgmt_time = float(np.cumsum(fold)[-1])
 
     # -- maintenance ---------------------------------------------------------------
     def flush(self) -> None:

@@ -27,6 +27,10 @@ dropped but **rekeyed**: the plan maps ``(target, old_start, count) ->
 .rekey` re-registers the entry under its new key, retaining that warmth
 too.  Offsets entries cannot be rekeyed (the shifted pair *is* the
 cached data, so its bytes did change).
+
+Keys travel as ``(k, 3)`` int64 columns, never as tuples: each rank's
+masks become key columns directly, the plan concatenates every kind once
+per resync, and each cache matches a whole kind in one join.
 """
 
 from __future__ import annotations
@@ -42,18 +46,34 @@ from repro.graph.partition import split_csr_rank
 __all__ = ["ResyncPlan", "resync_distributed", "stale_part_keys"]
 
 
+def _no_keys() -> np.ndarray:
+    return np.zeros((0, 3), dtype=np.int64)
+
+
+def _key_rows(target: int, starts: np.ndarray, counts: np.ndarray
+              ) -> np.ndarray:
+    """``(k, 3)`` key columns ``(target, starts[i], counts[i])``."""
+    keys = np.empty((starts.shape[0], 3), dtype=np.int64)
+    keys[:, 0] = target
+    keys[:, 1] = starts
+    keys[:, 2] = counts
+    return keys
+
+
 def stale_part_keys(target: int, old_offsets: np.ndarray,
                     old_adjacency: np.ndarray, new_offsets: np.ndarray,
                     new_adjacency: np.ndarray
-                    ) -> tuple[list[tuple], list[tuple], list[tuple]]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cache keys invalidated or remapped by swapping one rank's CSR slice.
 
-    Returns ``(offsets_keys, adjacency_keys, adjacency_rekeys)`` for
-    window reads targeting ``target``.  Keys are computed against the
-    *old* layout (that is what sits in the caches); an entry is kept in
-    place only if the new layout serves byte-identical data for its key,
-    and remapped (``adjacency_rekeys`` holds ``(old_key, new_key)``
-    pairs) when its unchanged list merely moved to a new start.
+    Returns ``(offsets_keys, adjacency_keys, rekey_old, rekey_new)`` for
+    window reads targeting ``target``, each a ``(k, 3)`` int64 array of
+    ``(target, offset, count)`` rows in ascending local-vertex order.
+    Keys are computed against the *old* layout (that is what sits in the
+    caches); an entry is kept in place only if the new layout serves
+    byte-identical data for its key, and remapped (row i of ``rekey_old``
+    to row i of ``rekey_new``) when its unchanged list merely moved to a
+    new start.
     """
     old_s, old_e = old_offsets[:-1], old_offsets[1:]
     new_s, new_e = new_offsets[:-1], new_offsets[1:]
@@ -82,23 +102,30 @@ def stale_part_keys(target: int, old_offsets: np.ndarray,
         same = np.add.reduceat(old_rows != new_rows, bounds[:-1]) == 0
         movable[mcand[same]] = True
 
-    off_keys = [(target, int(li), 2) for li in np.flatnonzero(~pair_ok)]
-    adj_keys = [(target, int(old_s[li]), int(old_len[li]))
-                for li in np.flatnonzero(~row_ok & ~movable)]
-    rekeys = [((target, int(old_s[li]), int(old_len[li])),
-               (target, int(new_s[li]), int(old_len[li])))
-              for li in np.flatnonzero(movable)]
-    return off_keys, adj_keys, rekeys
+    off_li = np.flatnonzero(~pair_ok)
+    adj_li = np.flatnonzero(~row_ok & ~movable)
+    mov_li = np.flatnonzero(movable)
+    return (_key_rows(target, off_li, np.full(off_li.shape[0], 2)),
+            _key_rows(target, old_s[adj_li], old_len[adj_li]),
+            _key_rows(target, old_s[mov_li], old_len[mov_li]),
+            _key_rows(target, new_s[mov_li], old_len[mov_li]))
 
 
 @dataclass
 class ResyncPlan:
-    """What resyncing a resident cluster to a new graph did / must do."""
+    """What resyncing a resident cluster to a new graph did / must do.
+
+    The stale keys of every touched rank, concatenated per kind in rank
+    order, as ``(k, 3)`` int64 columns: ``offsets_keys`` and
+    ``adjacency_keys`` to invalidate, and ``rekey_old`` / ``rekey_new``,
+    row for row, to rekey.
+    """
 
     touched_ranks: tuple[int, ...]
-    offsets_keys: list[tuple] = field(default_factory=list)
-    adjacency_keys: list[tuple] = field(default_factory=list)
-    adjacency_rekeys: list[tuple] = field(default_factory=list)
+    offsets_keys: np.ndarray = field(default_factory=_no_keys)
+    adjacency_keys: np.ndarray = field(default_factory=_no_keys)
+    rekey_old: np.ndarray = field(default_factory=_no_keys)
+    rekey_new: np.ndarray = field(default_factory=_no_keys)
     rebuilt_bytes_by_rank: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -122,16 +149,18 @@ def resync_distributed(dist: DistributedCSR, new_graph: CSRGraph,
         return ResyncPlan(touched_ranks=())
     part = dist.partition
     touched = np.unique(part.owners(np.asarray(endpoints, dtype=np.int64)))
-    plan = ResyncPlan(touched_ranks=tuple(int(r) for r in touched))
-    for rank in plan.touched_ranks:
+    ranks = tuple(int(r) for r in touched)
+    kinds: list[tuple[np.ndarray, ...]] = []
+    rebuilt: dict[int, int] = {}
+    for rank in ranks:
         old_off = dist.w_offsets.local_part(rank)
         old_adj = dist.w_adj.local_part(rank)
         new_off, new_adj = split_csr_rank(new_graph, part, rank)
-        off_keys, adj_keys, rekeys = stale_part_keys(rank, old_off, old_adj,
-                                                     new_off, new_adj)
-        plan.offsets_keys.extend(off_keys)
-        plan.adjacency_keys.extend(adj_keys)
-        plan.adjacency_rekeys.extend(rekeys)
+        kinds.append(stale_part_keys(rank, old_off, old_adj,
+                                     new_off, new_adj))
         dist.replace_rank_slice(rank, new_off, new_adj)
-        plan.rebuilt_bytes_by_rank[rank] = int(new_off.nbytes + new_adj.nbytes)
-    return plan
+        rebuilt[rank] = int(new_off.nbytes + new_adj.nbytes)
+    off_keys, adj_keys, rekey_old, rekey_new = (
+        np.concatenate(keys) for keys in zip(*kinds))
+    return ResyncPlan(ranks, off_keys, adj_keys, rekey_old, rekey_new,
+                      rebuilt)

@@ -76,18 +76,19 @@ def touched_blocks(grid: GridPartition2D, changed_keys: np.ndarray, n: int
 
 
 def stale_block_keys(rank: int, old_packed: np.ndarray,
-                     new_packed: np.ndarray) -> list[tuple]:
+                     new_packed: np.ndarray) -> np.ndarray:
     """Cache keys invalidated by swapping one rank's packed block.
 
     Block fetches are whole-part reads keyed ``(rank, 0, part_len)``, so
     at most one key per block can be live; it survives only if the new
     packed bytes are identical (same retention criterion as the 1D
-    :func:`~repro.dynamic.invalidate.stale_part_keys`).
+    :func:`~repro.dynamic.invalidate.stale_part_keys`).  Returned as
+    ``(k, 3)`` int64 key columns with ``k`` 0 or 1.
     """
     if (old_packed.shape[0] == new_packed.shape[0]
             and np.array_equal(old_packed, new_packed)):
-        return []
-    return [(rank, 0, int(old_packed.shape[0]))]
+        return np.zeros((0, 3), dtype=np.int64)
+    return np.array([[rank, 0, old_packed.shape[0]]], dtype=np.int64)
 
 
 class GridCluster2D(ResidentCluster):
@@ -313,7 +314,7 @@ class GridCluster2D(ResidentCluster):
             new_block = build_block(result.graph, grid, rank)
             new_packed = pack_block(new_block)
             stale = stale_block_keys(rank, old_packed, new_packed)
-            if not stale:
+            if not stale.shape[0]:
                 continue  # the dirtying edges netted out to no byte change
             touched.append(grid.grid_coords(rank))
             for cache in self._caches:

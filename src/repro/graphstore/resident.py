@@ -26,6 +26,8 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Optional
 
+import numpy as np
+
 from repro.clampi.stats import CacheStats
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.lcc import attach_caches, make_partition
@@ -230,10 +232,8 @@ class Cluster1D(ResidentCluster):
         outcome.rebuilt_bytes = plan.rebuilt_bytes
 
         inval_dt = [0.0] * engine.nranks
-        rekeys = plan.adjacency_rekeys if rekey else []
         stale_adj = (plan.adjacency_keys if rekey else
-                     plan.adjacency_keys + [old for old, _ in
-                                            plan.adjacency_rekeys])
+                     np.concatenate([plan.adjacency_keys, plan.rekey_old]))
         for caches, keys, counter in (
                 (self._off_caches, plan.offsets_keys,
                  "invalidated_offsets_entries"),
@@ -247,12 +247,13 @@ class Cluster1D(ResidentCluster):
                 inval_dt[cache.rank] += cache.stats.mgmt_time - mgmt_before
                 setattr(outcome, counter, getattr(outcome, counter) + dropped)
                 outcome.invalidated_bytes += dropped_bytes
-        if rekeys:
+        if rekey and plan.rekey_old.shape[0]:
             for cache in self._adj_caches:
                 mgmt_before = cache.stats.mgmt_time
                 inval_before = cache.stats.invalidations
                 bytes_before = cache.stats.invalidated_bytes
-                moved, moved_bytes = cache.rekey(rekeys)
+                moved, moved_bytes = cache.rekey(plan.rekey_old,
+                                                 plan.rekey_new)
                 inval_dt[cache.rank] += cache.stats.mgmt_time - mgmt_before
                 outcome.rekeyed_entries += moved
                 outcome.rekeyed_bytes += moved_bytes

@@ -117,3 +117,87 @@ class TestInvalidate:
         _, hits_post = cache.access_batch(stream=stream)
         assert not hits_post[0]          # first touch refetches
         assert hits_post[1] and hits_post[2] and hits_post[3]
+
+
+def cache_state(cache):
+    return (cache.stats.snapshot(), cache.stats.mgmt_time,
+            [(e.key, e.slot) for e in cache.entries()],
+            list(cache._free_slots), cache.allocator.used_blocks())
+
+
+class TestKeyColumns:
+    """Keys are ``(k, 3)`` integer columns; anything else fails closed."""
+
+    @pytest.mark.parametrize("keys", [
+        [(1, 2)],                        # pairs, not triples
+        [(1, 0, 4, 0)],
+        [1, 0, 4],                       # one bare row
+        [[(1, 0, 4)]],                   # one dimension too many
+        [(1, 0, 4), (1, 8)],             # ragged
+        [(1.0, 0.0, 4.0)],               # not integers
+        np.ones((2, 3), dtype=bool),
+    ], ids=["pair", "quad", "bare-row", "3d", "ragged", "float", "bool"])
+    def test_malformed_keys_raise_before_touching_the_cache(self, keys):
+        cache, _ = make_cache()
+        for off in (0, 8):
+            cache.access(1, off, 4)
+        before = cache_state(cache)
+        with pytest.raises(CacheError, match=r"\(k, 3\) integer columns"):
+            cache.invalidate(keys)
+        assert cache_state(cache) == before
+        cache.check_invariants()
+
+    @pytest.mark.parametrize("keys", [
+        [(1, 0, 4)], np.array([[1, 0, 4]], dtype=np.int32),
+        np.array([[1, 0, 4]], dtype=np.uint16)])
+    def test_lists_and_integer_arrays_are_columns(self, keys):
+        cache, _ = make_cache()
+        cache.access(1, 0, 4)
+        assert cache.invalidate(keys) == (1, 32)
+
+    @pytest.mark.parametrize("keys", [[], (), np.zeros((0, 3), np.int64)])
+    def test_empty_key_sets_drop_nothing(self, keys):
+        cache, _ = make_cache()
+        cache.access(1, 0, 4)
+        before = cache_state(cache)
+        assert cache.invalidate(keys) == (0, 0)
+        assert cache_state(cache) == before
+
+    def test_repeated_rows_drop_once_in_first_row_order(self):
+        cache, _ = make_cache()
+        for off in (0, 8, 16):
+            cache.access(1, off, 4)
+        # The live table swap-pops in row order: (1, 16) then (1, 0).
+        keys = [(1, 16, 4), (2, 0, 4), (1, 0, 4), (1, 16, 4), (1, 0, 4)]
+        assert cache.invalidate(keys) == (2, 64)
+        assert [e.key for e in cache._entries] == [(1, 8, 4)]
+        assert cache.stats.invalidations == 2
+        cache.check_invariants()
+
+    def test_join_above_the_crossover_lookups_below(self):
+        """Past ``_SMALL_MATCH`` rows no key goes through the hash index."""
+        cache, _ = make_cache()
+        for off in range(0, 40, 4):
+            cache.access(1, off, 4)
+        lookups = []
+        lookup = cache.index.lookup
+        cache.index.lookup = lambda key: lookups.append(key) or lookup(key)
+        small = [(1, 0, 4), (1, 4, 4), (1, 0, 4)]
+        assert cache.invalidate(small) == (2, 64)
+        assert len(lookups) == 2          # distinct rows only
+        big = [(1, off, 4) for off in range(8, 8 + 4 * 200, 4)]
+        assert len(big) >= ClampiCache._SMALL_MATCH + len(cache._slot_entry) // 8
+        assert cache.invalidate(big) == (8, 256)
+        assert len(lookups) == 2 and len(cache) == 0
+        cache.check_invariants()
+
+    def test_keys_far_outside_the_live_range_are_ignored(self):
+        """Rows too far apart to pack with the live keys cannot match."""
+        cache, _ = make_cache()
+        for off in range(0, 16, 4):
+            cache.access(1, off, 4)
+        far = [(1, 1 << 62, 4), (1 << 40, 0, 4)] * 60 + [(1, 4, 4)]
+        assert cache.invalidate(far) == (1, 32)
+        assert sorted(e.key for e in cache.entries()) == [
+            (1, 0, 4), (1, 8, 4), (1, 12, 4)]
+        cache.check_invariants()

@@ -205,7 +205,7 @@ def drive_eviction_heavy(policy: str) -> ClampiCache:
         if i % 500 == 499:
             live = sorted(e.key for e in cache.entries())
             cache.invalidate(live[::3])
-            cache.rekey([(k, (k[0], k[1] + 1, k[2])) for k in live[1::3]])
+            cache.rekey(live[1::3], [(t, o + 1, c) for t, o, c in live[1::3]])
             cache.check_invariants()
     return cache
 

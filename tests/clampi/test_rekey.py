@@ -26,7 +26,7 @@ class TestRekey:
         np.testing.assert_array_equal(data, [100, 101, 102, 103])
         # The window content slides right by 2; same bytes at offset 2.
         win.local_part(1)[2:6] = [100, 101, 102, 103]
-        moved, moved_bytes = cache.rekey([((1, 0, 4), (1, 2, 4))])
+        moved, moved_bytes = cache.rekey([(1, 0, 4)], [(1, 2, 4)])
         assert moved == 1 and moved_bytes == 32
         fresh, _, hit = cache.access(1, 2, 4)
         assert hit
@@ -39,7 +39,7 @@ class TestRekey:
     def test_stats_counters(self):
         cache, _ = make_cache()
         cache.access(1, 0, 4)
-        cache.rekey([((1, 0, 4), (1, 8, 4))])
+        cache.rekey([(1, 0, 4)], [(1, 8, 4)])
         assert cache.stats.rekeys == 1
         assert cache.stats.rekeyed_bytes == 32
         assert cache.stats.invalidations == 0
@@ -56,7 +56,7 @@ class TestRekey:
 
     def test_absent_old_key_ignored(self):
         cache, _ = make_cache()
-        moved, moved_bytes = cache.rekey([((1, 0, 4), (1, 8, 4))])
+        moved, moved_bytes = cache.rekey([(1, 0, 4)], [(1, 8, 4)])
         assert moved == 0 and moved_bytes == 0
         assert len(cache) == 0
 
@@ -64,7 +64,7 @@ class TestRekey:
         cache, _ = make_cache()
         cache.access(1, 0, 4)
         cache.access(1, 8, 4)   # occupies the rekey target
-        moved, _ = cache.rekey([((1, 0, 4), (1, 8, 4))])
+        moved, _ = cache.rekey([(1, 0, 4)], [(1, 8, 4)])
         assert moved == 0
         assert cache.stats.invalidations == 1
         assert len(cache) == 1
@@ -78,8 +78,7 @@ class TestRekey:
         b, _, _ = cache.access(1, 4, 4)
         win.local_part(1)[4:8] = a
         win.local_part(1)[8:12] = b
-        moved, _ = cache.rekey([((1, 0, 4), (1, 4, 4)),
-                                ((1, 4, 4), (1, 8, 4))])
+        moved, _ = cache.rekey([(1, 0, 4), (1, 4, 4)], [(1, 4, 4), (1, 8, 4)])
         assert moved == 2
         got_a, _, hit_a = cache.access(1, 4, 4)
         got_b, _, hit_b = cache.access(1, 8, 4)
@@ -92,7 +91,7 @@ class TestRekey:
         cache, _ = make_cache()
         cache._batch_events = []
         with pytest.raises(CacheError):
-            cache.rekey([((1, 0, 4), (1, 8, 4))])
+            cache.rekey([(1, 0, 4)], [(1, 8, 4)])
         cache._batch_events = None
 
     def test_batch_memo_revalidated_after_rekey(self):
@@ -103,7 +102,7 @@ class TestRekey:
         _, hits = cache.access_batch(stream=stream_old)
         assert hits.all()
         win.local_part(1)[2:6] = win.local_part(1)[0:4].copy()
-        cache.rekey([((1, 0, 4), (1, 2, 4))])
+        cache.rekey([(1, 0, 4)], [(1, 2, 4)])
         _, hits_old = cache.access_batch(stream=stream_old)
         assert not hits_old[0]          # old key refetches
         _, hits_new = cache.access_batch(stream=stream_new)
@@ -115,8 +114,52 @@ class TestRekey:
         cache.access(1, 0, 4)
         entry_before = cache.index.lookup((1, 0, 4))
         n_acc = entry_before.n_accesses
-        cache.rekey([((1, 0, 4), (1, 16, 4))])
+        cache.rekey([(1, 0, 4)], [(1, 16, 4)])
         entry = cache.index.lookup((1, 16, 4))
         assert entry is entry_before
         assert entry.n_accesses == n_acc
         assert entry.key == (1, 16, 4)
+
+
+class TestRekeyColumns:
+    """``old`` and ``new`` are equally long ``(k, 3)`` integer columns."""
+
+    @pytest.mark.parametrize("old, new", [
+        ([(1, 0, 4)], []),
+        ([(1, 0, 4), (1, 4, 4)], [(1, 8, 4)]),
+        ([(1, 0)], [(1, 8)]),
+        ([(1, 0, 4)], [(1.5, 8, 4)]),
+    ], ids=["no-new", "short-new", "pairs", "float"])
+    def test_malformed_columns_raise_before_touching_the_cache(self, old, new):
+        cache, _ = make_cache()
+        cache.access(1, 0, 4)
+        before = (cache.stats.snapshot(), cache.stats.mgmt_time,
+                  [e.key for e in cache.entries()])
+        with pytest.raises(CacheError):
+            cache.rekey(old, new)
+        assert (cache.stats.snapshot(), cache.stats.mgmt_time,
+                [e.key for e in cache.entries()]) == before
+        cache.check_invariants()
+
+    def test_unchanged_row_does_not_shadow_a_later_move(self):
+        """A row with ``old == new`` is skipped, so a later row for the
+        same old key is the one that moves it."""
+        cache, _ = make_cache()
+        cache.access(1, 0, 4)
+        moved, _ = cache.rekey([(1, 0, 4), (1, 0, 4), (1, 0, 4)],
+                               [(1, 0, 4), (1, 8, 4), (1, 16, 4)])
+        assert moved == 1
+        assert [e.key for e in cache.entries()] == [(1, 8, 4)]
+        assert cache.stats.mgmt_time == cache.config.lookup_overhead \
+            + cache.config.insert_overhead + cache.config.eviction_overhead
+
+    def test_two_rows_one_new_key_keep_the_first(self):
+        cache, _ = make_cache()
+        cache.access(1, 0, 4)
+        cache.access(1, 4, 4)
+        moved, _ = cache.rekey([(1, 4, 4), (1, 0, 4)],
+                               [(1, 16, 4), (1, 16, 4)])
+        assert moved == 1
+        assert cache.stats.invalidations == 1
+        assert cache.index.lookup((1, 16, 4)).buffer_offset == 32
+        cache.check_invariants()

@@ -8,12 +8,19 @@ deliberately naive:
 * :class:`ReferenceHashIndex` probes through a generator and backshifts by
   taking every member of the following cluster out and re-inserting it;
 * :class:`ReferenceAllocator` keeps free extents in a dict and finds the
-  best fit by scanning all of them for the minimum ``(size, start)``.
+  best fit by scanning all of them for the minimum ``(size, start)``;
+* :func:`reference_invalidate` / :func:`reference_rekey` are the per-key
+  loops ``ClampiCache.invalidate`` / ``rekey`` replaced with one join and
+  one batched detach: a hash lookup and a detach per key row, on a live
+  ``ClampiCache``.  Their results, and the cache they leave, are what the
+  batched methods must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import Any, Hashable, Iterator
+
+import numpy as np
 
 
 class ReferenceHashIndex:
@@ -140,3 +147,55 @@ class ReferenceAllocator:
         size = self._used[offset]
         return sum(sz for s, sz in self._free.items()
                    if s + sz == offset or s == offset + size)
+
+
+def _rows(keys) -> list[tuple]:
+    """Key rows (a list of triples or ``(k, 3)`` columns) as int tuples."""
+    return [tuple(row) for row in
+            np.asarray(keys, dtype=np.int64).reshape(-1, 3).tolist()]
+
+
+def reference_invalidate(cache, keys) -> tuple[int, int]:
+    """``cache.invalidate(keys)``, one lookup and one removal per key row."""
+    dropped = dropped_bytes = 0
+    for key in _rows(keys):
+        entry = cache.index.lookup(key)
+        if entry is None:
+            continue
+        cache._remove_entry(entry)
+        dropped += 1
+        dropped_bytes += entry.nbytes
+        cache.stats.mgmt_time += cache.config.eviction_overhead
+    cache.stats.invalidations += dropped
+    cache.stats.invalidated_bytes += dropped_bytes
+    return dropped, dropped_bytes
+
+
+def reference_rekey(cache, old, new) -> tuple[int, int]:
+    """``cache.rekey(old, new)``: detach every moving entry, then reattach.
+
+    Two phases, so a new key may be another row's old key (rows sliding
+    past each other); an entry whose new key is taken, or whose probe
+    window is full, is dropped and counted as an invalidation.
+    """
+    detached = []
+    for old_key, new_key in zip(_rows(old), _rows(new)):
+        entry = cache.index.lookup(old_key)
+        if entry is None or old_key == new_key:
+            continue
+        cache._detach(entry)
+        detached.append((entry, new_key))
+    moved = moved_bytes = 0
+    for entry, new_key in detached:
+        cache.stats.mgmt_time += cache.config.eviction_overhead
+        entry.key = new_key
+        if cache.index.lookup(new_key) is None and cache._attach(entry):
+            moved += 1
+            moved_bytes += entry.nbytes
+        else:
+            cache.allocator.free(entry.buffer_offset)
+            cache.stats.invalidations += 1
+            cache.stats.invalidated_bytes += entry.nbytes
+    cache.stats.rekeys += moved
+    cache.stats.rekeyed_bytes += moved_bytes
+    return moved, moved_bytes

@@ -55,11 +55,18 @@ class TestBlockBuild:
         assert set(ranks) == expect
 
     def test_stale_block_keys_positional(self):
+        def keys(*rows):  # (k, 3) int64 columns; strict= checks both
+            return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
         old = np.array([3, 2, 0, 1, 2], dtype=np.int32)
-        assert stale_block_keys(4, old, old.copy()) == []
-        assert stale_block_keys(4, old, np.array([3, 2, 0, 1, 3],
-                                                 dtype=np.int32)) == [(4, 0, 5)]
-        assert stale_block_keys(4, old, old[:-1]) == [(4, 0, 5)]
+        np.testing.assert_array_equal(
+            stale_block_keys(4, old, old.copy()), keys(), strict=True)
+        np.testing.assert_array_equal(
+            stale_block_keys(4, old, np.array([3, 2, 0, 1, 3],
+                                              dtype=np.int32)),
+            keys((4, 0, 5)), strict=True)
+        np.testing.assert_array_equal(
+            stale_block_keys(4, old, old[:-1]), keys((4, 0, 5)), strict=True)
 
 
 class TestResidentParity:

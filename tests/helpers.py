@@ -75,11 +75,12 @@ def cache_maintenance_ops(max_nslots: int, min_capacity: int,
 
 def apply_cache_maintenance(cache, op: str, a: int, b: int) -> None:
     """Apply one step drawn from :func:`cache_maintenance_ops` to ``cache``."""
-    live = sorted(e.key for e in cache.entries())
+    live = np.array(sorted(e.key for e in cache.entries()),
+                    dtype=np.int64).reshape(-1, 3)
     if op == "invalidate":      # every a-th live key, plus one that is absent
-        cache.invalidate(live[::a] + [(9, 9, 9)])
+        cache.invalidate(np.concatenate([live[::a], [(9, 9, 9)]]))
     elif op == "rekey":         # slide every a-th key by b; rows may collide
-        cache.rekey([(k, (k[0], k[1] + b, k[2])) for k in live[::a]])
+        cache.rekey(live[::a], live[::a] + (0, b, 0))
     elif op == "flush":
         cache.flush()
     elif op == "resize":

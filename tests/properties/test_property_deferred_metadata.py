@@ -141,10 +141,9 @@ def test_deferred_metadata_matches_scalar_twins(keys, walk_specs, program,
             for cache in caches:
                 cache.invalidate(keys[a % len(keys)::b])
         elif op == "rekey":        # slide the key and a neighbour by b
-            moved = [(k, (k[0], k[1] + b, k[2]))
-                     for k in (key, keys[(a + 1) % len(keys)])]
+            moved = np.array([key, keys[(a + 1) % len(keys)]])
             for cache in caches:
-                cache.rekey(moved)
+                cache.rekey(moved, moved + (0, b, 0))
         else:
             for cache in caches:
                 cache.flush()
