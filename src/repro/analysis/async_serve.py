@@ -1,7 +1,7 @@
 """Async-serving benchmark: overlap, tail latency, and the parity proof.
 
 ``repro bench async`` (and :func:`run_async_bench`) records the
-cooperative runtime's trajectory point, ``BENCH_async.json``:
+cooperative runtime's committed report, ``BENCH_async.json``:
 
 * **steady** — the same steady Zipf+Poisson read/write mix served by the
   serial :class:`~repro.serve.engine.ServingEngine` and the cooperative

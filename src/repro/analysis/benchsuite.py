@@ -3,9 +3,9 @@
 Every committed ``BENCH_<suite>.json`` is produced and guarded by one
 :class:`BenchSuite`: a name, a ``run(quick) -> report`` function, the
 report's required top-level keys, a **gate table** of :class:`Gate` rows
-and a trajectory headline.  Everything else — the evaluator, the report
-writer, the one gate-table renderer, the trajectory appender and the
-``repro bench`` command — exists once, here, and reads the table.
+and a headline.  Everything else — the evaluator, the report writer, the
+one gate-table renderer and the ``repro bench`` command — exists once,
+here, and reads the table.
 
 A gate row is ``report[path] <op> bound``: ``path`` is a dotted key path
 whose ``*`` matches every key of a mapping (graph names differ between
@@ -15,35 +15,26 @@ never matched by name).  A key the path names but the report lacks, and a
 passes.  Every row reads a deterministic value — a bit-identity, a count,
 a simulated-clock ratio — so a report's verdict does not depend on the
 machine that measured it.  Wall-clock measurements stay in the reports
-and the trajectory headlines as recorded numbers; wall time is gated by
-the ledger (``BENCHMARK.json``), not here.
+and the headlines as recorded numbers; wall time is gated by the ledger
+(``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
 import operator
 import os
 import re
-import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.analysis.schema import (
-    trajectory_row_problems,
-    validate_report,
-    validate_trajectory,
-)
+from repro.analysis.schema import validate_report
 
-#: ``schema_version`` of every report and of the trajectory file.
+#: ``schema_version`` of every report.
 SCHEMA_VERSION = 1
-
-#: The cross-PR perf history; every accepted run appends one dated row.
-TRAJECTORY_FILE = "BENCH_trajectory.json"
 
 _MISSING = object()
 
@@ -103,7 +94,8 @@ class BenchSuite:
     run: Callable[[bool], dict]
     keys: tuple
     gates: tuple
-    #: ``report -> {field: value}``: the suite's trajectory headline.
+    #: ``report -> {field: value}``: the suite's headline, printed in the
+    #: header of its gate table.
     headline: Callable[[Mapping], dict]
 
     @property
@@ -252,7 +244,7 @@ def summary_lines(suite: BenchSuite, report: Mapping) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Reports and the trajectory
+# Reports
 # ---------------------------------------------------------------------------
 
 def _write_json(data: Any, path: str) -> None:
@@ -278,59 +270,10 @@ def write_report(suite: BenchSuite, report: Mapping, path: str) -> list:
     return problems
 
 
-def _source_commit() -> Optional[str]:
-    """Short hash of the checkout this package runs from (None outside one)."""
-    try:
-        done = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], capture_output=True,
-            text=True, timeout=10, cwd=os.path.dirname(os.path.abspath(__file__)))
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return done.stdout.strip() if done.returncode == 0 else None
-
-
-def trajectory_row(suite: BenchSuite, report: Mapping, *,
-                   date: Optional[str] = None) -> dict:
-    """Condense one report into its dated, commit-stamped trajectory row."""
-    return {
-        "date": date or datetime.date.today().isoformat(),
-        "kind": suite.name,
-        "commit": _source_commit(),
-        "quick": bool(report.get("quick", False)),
-        **suite.headline(report),
-    }
-
-
-def append_trajectory(row: Mapping, path: str) -> None:
-    """Append one row to the trajectory file (created on first use).
-
-    Rows are append-only: every accepted run leaves its data point
-    behind chronologically.
-    """
-    problems = trajectory_row_problems(row)
-    if problems:
-        raise ValueError(
-            f"refusing to append a malformed trajectory row: {problems[0]}")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        data = {"schema_version": SCHEMA_VERSION, "rows": []}
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path} is corrupt ({exc}); repair or delete it to restart "
-            "the trajectory") from None
-    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
-        raise ValueError(
-            f"{path} is not a trajectory file (expected a 'rows' list)")
-    data["rows"].append(dict(row))
-    _write_json(data, path)
-
-
 def validate_file(path: str) -> list:
-    """Load and validate one benchmark artifact by what its name claims:
-    ``BENCH_trajectory.json`` as the trajectory, ``BENCH_<suite>.json``
-    against that suite's required keys, anything else kind-agnostically."""
+    """Load and validate one benchmark report by what its name claims:
+    ``BENCH_<suite>.json`` against that suite's required keys, anything
+    else kind-agnostically."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -340,9 +283,7 @@ def validate_file(path: str) -> list:
         return [f"{path}: not valid JSON ({exc})"]
     name = os.path.basename(path)
     stem = re.match(r"^BENCH_([a-z]+)\.json$", name)
-    if name == TRAJECTORY_FILE:
-        problems = validate_trajectory(data)
-    elif stem and stem.group(1) in _SUITE_MODULES:
+    if stem and stem.group(1) in _SUITE_MODULES:
         problems = validate_report(data, get_suite(stem.group(1)).keys)
     else:
         problems = validate_report(data)
@@ -366,12 +307,12 @@ def list_lines() -> list:
 
 
 def run_suites(names: Sequence[str], *, quick: bool = False,
-               directory: str = ".", trajectory: bool = True) -> int:
+               directory: str = ".") -> int:
     """Run, gate and record each named suite; the process exit code.
 
     Every suite prints its gate table as measured.  A suite that fails any
-    row also prints one line per problem, writes no report and appends no
-    trajectory row; the remaining suites still run.
+    row also prints one line per problem and writes no report; the
+    remaining suites still run.
     """
     failed = []
     for suite in (get_suite(name) for name in names):
@@ -389,9 +330,6 @@ def run_suites(names: Sequence[str], *, quick: bool = False,
             continue
         print(f"{suite.name} gate OK; report written to {path}",
               file=sys.stderr)
-        if trajectory:
-            append_trajectory(trajectory_row(suite, report),
-                              os.path.join(directory, TRAJECTORY_FILE))
     if failed:
         print(f"bench FAILED: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

@@ -1,7 +1,7 @@
 """Dynamic-graph benchmark: post-update scoring + cache invalidation.
 
 ``repro bench dynamic`` (and :func:`run_dynamic_bench`) records the
-dynamic subsystem's trajectory point, ``BENCH_dynamic.json``:
+dynamic subsystem's committed report, ``BENCH_dynamic.json``:
 
 * **incremental** — applying an update batch with
   :func:`~repro.dynamic.delta.apply_delta` and reading the new version's

@@ -4,8 +4,8 @@ Under Algorithm 3, rank ``r`` issues one remote adjacency read for every
 directed edge ``(v, j)`` with ``owner(v) = r != owner(j)``.  The read
 stream is therefore a pure function of the graph and the partition, and
 all reuse statistics can be computed analytically (vectorized) instead of
-tracing a simulation — the traced path exists too
-(``LCCConfig(record_ops=True)``) and the tests check they agree.
+tracing a simulation.  The tests cross-check the counts against the remote
+adjacency gets of a per-edge-loop run (``fast_path=False``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 deterministic multi-tenant workload through both schedulers, on the
 Zipf-skewed popularity the paper targets and on the uniform contrast, and
 writes ``BENCH_serve.json`` at the repo root.  The committed report is
-the serving layer's trajectory point: it must show
+the serving layer's gated record: it must show
 
 * **bit-identical per-query answers** between schedulers (scheduling
   changes order and timing, never results), and

@@ -1,7 +1,7 @@
 """Shardstore benchmark: bit-identity, read scaling, failover.
 
 ``repro bench shard`` (and :func:`run_shard_bench`) records the
-distribution layer's trajectory point, ``BENCH_shard.json``:
+distribution layer's committed report, ``BENCH_shard.json``:
 
 * **bit_identity** — per bench graph, a :class:`~repro.shardstore
   .sharded.ShardedGraphStore` and a plain :class:`~repro.graphstore

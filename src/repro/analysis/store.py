@@ -1,7 +1,7 @@
 """GraphStore benchmark: resident 2D grids, versioned update propagation.
 
 ``repro bench store`` (and :func:`run_store_bench`) records the
-graph-store subsystem's trajectory point, ``BENCH_store.json``:
+graph-store subsystem's committed report, ``BENCH_store.json``:
 
 * **tc2d** — serving ``tc2d`` warm from a resident
   :class:`~repro.graphstore.grid2d.GridCluster2D` versus the legacy

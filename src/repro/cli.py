@@ -217,8 +217,7 @@ def cmd_bench(args) -> int:
             f"{', '.join(SUITE_NAMES)} or all")
     if "all" in names:
         names = list(SUITE_NAMES)
-    return run_suites(names, quick=args.quick, directory=args.dir,
-                      trajectory=not args.no_trajectory)
+    return run_suites(names, quick=args.quick, directory=args.dir)
 
 
 def cmd_update(args) -> int:
@@ -425,10 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="small sizes (CI smoke run); the report lands in "
                         "BENCH_<suite>_quick.json")
     p.add_argument("--dir", default=".", metavar="DIR",
-                   help="directory the fresh reports and "
-                        "BENCH_trajectory.json are written to (default: .)")
-    p.add_argument("--no-trajectory", action="store_true",
-                   help="do not append trajectory rows")
+                   help="directory the fresh reports are written to "
+                        "(default: .)")
     p.add_argument("--list", action="store_true",
                    help="print every suite's committed report and gate table")
     p.set_defaults(fn=cmd_bench)

@@ -153,9 +153,9 @@ def run_distributed_lcc(graph: CSRGraph, config: LCCConfig | None = None
     """Run Algorithm 3 over a throwaway simulated cluster.
 
     The ``"lcc"`` kernel on a one-query :class:`~repro.session.Session`:
-    the batched replay (:mod:`repro.core.replay`) unless op recording is
-    on or ``fast_path=False`` forces the per-edge loop, the oracle both
-    are pinned bit-identical against.
+    the batched replay (:mod:`repro.core.replay`) unless
+    ``fast_path=False`` forces the per-edge loop, the oracle the replay
+    is pinned bit-identical against.
     """
     from repro.session import run_kernel
 
@@ -169,10 +169,10 @@ def execute_lcc(engine: Engine, dist: DistributedCSR, config: LCCConfig,
 
     Dispatches between two bit-identical implementations: the batched
     replay (:mod:`repro.core.replay`) whenever ``config.fast_path`` is on
-    and op recording is off — cached and cache-less runs alike — and the
-    per-edge loop (:func:`execute_lcc_loop`) otherwise.
+    — cached and cache-less runs alike — and the per-edge loop
+    (:func:`execute_lcc_loop`) otherwise.
     """
-    if config.fast_path and not config.record_ops:
+    if config.fast_path:
         from repro.core.replay import execute_lcc_batched
 
         return execute_lcc_batched(engine, dist, config, off_caches,

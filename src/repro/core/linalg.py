@@ -317,9 +317,6 @@ def execute_lcc2d(engine: Engine, grid: GridPartition2D, blocks: list,
     if graph.directed:
         raise ConfigError("lcc2d expects an undirected graph "
                           "((A·A)∘A only counts wedges symmetrically)")
-    if config.record_ops:
-        raise ConfigError("kernel 'lcc2d' cannot record ops: it has no "
-                          "per-operation loop (record_ops=True)")
     cm = config.compute
     memory = config.memory
     network = config.network

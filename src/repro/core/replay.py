@@ -73,8 +73,8 @@ The 2D kernels of :mod:`repro.core.linalg` replay one rank at a time:
 :func:`fold_slots` over one segment.
 
 Dispatch (:func:`repro.core.lcc.execute_lcc`, :func:`repro.core.tc.execute_tc`):
-the replay runs whenever ``config.fast_path`` is set and op recording is off,
-cached or not, warm or cold; otherwise the per-edge loop — the oracle.
+the replay runs whenever ``config.fast_path`` is set, cached or not, warm or
+cold; otherwise the per-edge loop — the oracle.
 """
 
 from __future__ import annotations

@@ -111,10 +111,10 @@ def execute_tc(engine, dist: DistributedCSR, config: LCCConfig,
     """Run the TC kernel on an already-built cluster (epochs open on entry).
 
     Like :func:`repro.core.lcc.execute_lcc`, dispatches to the batched
-    replay (:mod:`repro.core.replay`) when ``config.fast_path`` is on and
-    op recording is off, and to the per-edge loop otherwise.
+    replay (:mod:`repro.core.replay`) when ``config.fast_path`` is on, and
+    to the per-edge loop otherwise.
     """
-    if config.fast_path and not config.record_ops:
+    if config.fast_path:
         from repro.core.replay import execute_tc_batched
 
         return execute_tc_batched(engine, dist, config, off_caches,

@@ -8,11 +8,11 @@ the packed RMA window are built once and served across queries:
 * **acquire** builds the grid once and resets clocks and traces per
   query, so a warm query prices exactly what a fresh grid would;
 * **dispatch** — each query is clocked one of two ways.  A fast query
-  (``fast_path`` on, ``record_ops`` off) on a square grid replays the
-  epoch's SUMMA panels (:meth:`GridCluster2D.panel_state`): ``tc2d``
-  with or without block caches, ``tc2d_spgemm`` and ``lcc2d``.  Every
-  other query runs the scalar loop :func:`repro.core.tc2d.execute_tc2d`,
-  the oracle the replay is pinned bit-identical against;
+  (``fast_path`` on) on a square grid replays the epoch's SUMMA panels
+  (:meth:`GridCluster2D.panel_state`): ``tc2d`` with or without block
+  caches, ``tc2d_spgemm`` and ``lcc2d``.  Every other query runs the
+  scalar loop :func:`repro.core.tc2d.execute_tc2d`, the oracle the
+  replay is pinned bit-identical against;
 * **resync** is the 2D analogue of :mod:`repro.dynamic.invalidate` —
   the touched units are ``(row, col)`` *blocks* instead of rank slices.
   A changed edge ``(u, v)`` (both stored directions) dirties exactly
@@ -137,14 +137,12 @@ class GridCluster2D(ResidentCluster):
         ``keep_cache=True``, the block-cache contents — are reused while
         the cluster shape is unchanged.
         """
-        key = (config.nranks, config.network, config.memory, config.compute,
-               config.record_ops)
+        key = (config.nranks, config.network, config.memory, config.compute)
         rebuilt = self._engine is None or key != self._cluster_key
         if rebuilt:
             self._drop_caches()
             engine = Engine(config.nranks, network=config.network,
-                            memory=config.memory, compute=config.compute,
-                            record_ops=config.record_ops)
+                            memory=config.memory, compute=config.compute)
             grid = GridPartition2D(graph.n, config.nranks)
             blocks = build_grid_blocks(graph, grid)
             win = engine.windows.add(
@@ -156,7 +154,7 @@ class GridCluster2D(ResidentCluster):
             self.grid_builds += 1
             self._epoch += 1
         engine, win = self._engine, self._win
-        self._begin_query(engine, (win,), config.record_ops)
+        self._begin_query(engine, (win,))
         self._configure_caches(config, keep_cache, rebuilt)
         self.last_reused = not rebuilt
         return engine, self._grid, self._blocks, win, self._caches
@@ -177,8 +175,8 @@ class GridCluster2D(ResidentCluster):
     def execute(self, config: LCCConfig) -> DistributedRunResult:
         """Run the edge-centric ``tc2d`` count on the resident grid.
 
-        A fast query (``fast_path`` on, ``record_ops`` off) on a square
-        grid replays this epoch's panels — through the block caches'
+        A fast query (``fast_path`` on) on a square grid replays this
+        epoch's panels — through the block caches'
         :meth:`~repro.clampi.cache.ClampiCache.access_batch` when they
         are attached — bit-identical to the scalar loop (pinned by
         tests).  Every other query, and every query on a rectangular
@@ -212,8 +210,7 @@ class GridCluster2D(ResidentCluster):
         return self._query(config, execute_lcc2d)
 
     def _fast(self, config: LCCConfig) -> bool:
-        return (config.fast_path and not config.record_ops
-                and require_square_grid(self._grid))
+        return config.fast_path and require_square_grid(self._grid)
 
     def _query(self, config: LCCConfig, replay=None, *,
                cache_stats: bool = False) -> DistributedRunResult:

@@ -83,8 +83,7 @@ class ResidentCluster(abc.ABC):
         """Is there live cluster state to reuse (or to resync)?"""
 
     @staticmethod
-    def _begin_query(engine: Engine, windows: tuple, record_ops: bool
-                     ) -> None:
+    def _begin_query(engine: Engine, windows: tuple) -> None:
         """Reset per-rank clocks/traces; (re)open an epoch on ``windows``.
 
         Every query starts cold on the simulated clock and is one access
@@ -93,7 +92,7 @@ class ResidentCluster(abc.ABC):
         """
         for ctx in engine.contexts:
             ctx.now = 0.0
-            ctx.trace = RankTrace(rank=ctx.rank, record_ops=record_ops)
+            ctx.trace = RankTrace(rank=ctx.rank)
         for rank in range(engine.nranks):
             for win in windows:
                 if not win.epoch_open(rank):
@@ -155,15 +154,14 @@ class Cluster1D(ResidentCluster):
         reused while the cluster shape is unchanged.  Epochs are (re)opened.
         """
         key = (config.nranks, config.partition, config.network,
-               config.memory, config.compute, config.record_ops)
+               config.memory, config.compute)
         rebuilt = self._engine is None or key != self._cluster_key
         if rebuilt:
             if self._dist is not None:
                 self._dist.close_epochs()
             self._drop_caches()
             engine = Engine(config.nranks, network=config.network,
-                            memory=config.memory, compute=config.compute,
-                            record_ops=config.record_ops)
+                            memory=config.memory, compute=config.compute)
             self._dist = DistributedCSR(
                 graph, make_partition(config, graph.n), engine)
             self._engine = engine
@@ -171,8 +169,7 @@ class Cluster1D(ResidentCluster):
             self.graph = graph
             self.partition_builds += 1
         engine, dist = self._engine, self._dist
-        self._begin_query(engine, (dist.w_offsets, dist.w_adj),
-                          config.record_ops)
+        self._begin_query(engine, (dist.w_offsets, dist.w_adj))
         self._configure_caches(config, keep_cache, rebuilt)
         self.last_reused = not rebuilt
         return engine, dist, self._off_caches, self._adj_caches

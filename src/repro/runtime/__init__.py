@@ -28,7 +28,7 @@ from repro.runtime.compute import ComputeModel
 from repro.runtime.window import Window, WindowRegistry
 from repro.runtime.context import SimContext
 from repro.runtime.engine import Engine, RunOutcome
-from repro.runtime.trace import RankTrace, OpKind
+from repro.runtime.trace import RankTrace
 
 __all__ = [
     "NetworkModel",
@@ -40,5 +40,4 @@ __all__ = [
     "Engine",
     "RunOutcome",
     "RankTrace",
-    "OpKind",
 ]

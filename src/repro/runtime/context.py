@@ -32,7 +32,7 @@ from repro.runtime.requests import (
     RecvRequest,
     SendRequest,
 )
-from repro.runtime.trace import OpKind, RankTrace
+from repro.runtime.trace import RankTrace
 from repro.runtime.window import Window
 from repro.utils.errors import SimulationError
 
@@ -62,7 +62,6 @@ class SimContext:
         network: NetworkModel | None = None,
         memory: MemoryModel | None = None,
         compute: ComputeModel | None = None,
-        record_ops: bool = False,
     ):
         if not (0 <= rank < nranks):
             raise SimulationError(f"rank {rank} out of range [0, {nranks})")
@@ -72,7 +71,7 @@ class SimContext:
         self.memory = memory or MemoryModel()
         self.compute_model = compute or ComputeModel()
         self.now: float = 0.0
-        self.trace = RankTrace(rank=rank, record_ops=record_ops)
+        self.trace = RankTrace(rank=rank)
         self._caches: dict[str, CacheProtocol] = {}
 
     # -- clock -------------------------------------------------------------
@@ -97,7 +96,7 @@ class SimContext:
     def compute(self, seconds: float) -> None:
         """Charge ``seconds`` of local computation."""
         self.advance(seconds)
-        self.trace.compute(seconds, self.now)
+        self.trace.compute(seconds)
 
     def charge_kernel(self, method: str, len_a: int, len_b: int) -> float:
         """Charge one intersection-kernel invocation; returns the cost."""
@@ -131,7 +130,7 @@ class SimContext:
             data = window.local_part(self.rank)[offset:offset + count]
             dt = self.memory.local_read_time(nbytes)
             self.advance(dt)
-            self.trace.local_read(window.name, offset, count, nbytes, dt, self.now)
+            self.trace.local_read(nbytes, dt)
             return data
 
         cache = self._caches.get(window.name)
@@ -139,17 +138,15 @@ class SimContext:
             data, dt, hit = cache.access(target, offset, count)
             self.advance(dt)
             if hit:
-                self.trace.cache_hit(window.name, target, offset, count,
-                                     nbytes, dt, self.now)
+                self.trace.cache_hit(nbytes, dt)
             else:
-                self.trace.remote_get(window.name, target, offset, count,
-                                      nbytes, dt, self.now)
+                self.trace.remote_get(nbytes, dt)
             return data
 
         data = window.read(self.rank, target, offset, count)
         dt = self.network.get_time(nbytes)
         self.advance(dt)
-        self.trace.remote_get(window.name, target, offset, count, nbytes, dt, self.now)
+        self.trace.remote_get(nbytes, dt)
         return data
 
     def get_nowait(self, window: Window, target: int, offset: int, count: int
@@ -165,21 +162,19 @@ class SimContext:
         if target == self.rank:
             data = window.local_part(self.rank)[offset:offset + count]
             dt = self.memory.local_read_time(nbytes)
-            self.trace.local_read(window.name, offset, count, nbytes, dt, self.now)
+            self.trace.local_read(nbytes, dt)
             return data, dt
         cache = self._caches.get(window.name)
         if cache is not None:
             data, dt, hit = cache.access(target, offset, count)
             if hit:
-                self.trace.cache_hit(window.name, target, offset, count,
-                                     nbytes, dt, self.now)
+                self.trace.cache_hit(nbytes, dt)
             else:
-                self.trace.remote_get(window.name, target, offset, count,
-                                      nbytes, dt, self.now)
+                self.trace.remote_get(nbytes, dt)
             return data, dt
         data = window.read(self.rank, target, offset, count)
         dt = self.network.get_time(nbytes)
-        self.trace.remote_get(window.name, target, offset, count, nbytes, dt, self.now)
+        self.trace.remote_get(nbytes, dt)
         return data, dt
 
     def put(self, window: Window, target: int, offset: int, data: np.ndarray) -> None:
@@ -194,9 +189,6 @@ class SimContext:
         self.advance(dt)
         self.trace.n_puts += 1
         self.trace.comm_time += dt if target != self.rank else 0.0
-        self.trace.record(OpKind.PUT, window=window.name, target=target,
-                          offset=offset, count=arr.shape[0], nbytes=nbytes,
-                          t=self.now)
 
     # -- two-sided / collectives (yielded to the engine) -------------------------
     def send(self, dest: int, payload: Any, nbytes: int, tag: int = 0) -> SendRequest:

@@ -34,7 +34,7 @@ from repro.runtime.requests import (
     RecvRequest,
     SendRequest,
 )
-from repro.runtime.trace import OpKind, RankTrace
+from repro.runtime.trace import RankTrace
 from repro.runtime.window import WindowRegistry
 from repro.utils.errors import CommError
 
@@ -118,7 +118,6 @@ class Engine:
         network: NetworkModel | None = None,
         memory: MemoryModel | None = None,
         compute: ComputeModel | None = None,
-        record_ops: bool = False,
     ):
         if nranks < 1:
             raise CommError(f"need at least one rank, got {nranks}")
@@ -126,7 +125,6 @@ class Engine:
         self.network = network or NetworkModel.aries()
         self.memory = memory or MemoryModel()
         self.compute = compute or ComputeModel()
-        self.record_ops = record_ops
         self.windows = WindowRegistry()
         self.contexts: list[SimContext] = [
             SimContext(
@@ -135,7 +133,6 @@ class Engine:
                 network=self.network,
                 memory=self.memory,
                 compute=self.compute,
-                record_ops=record_ops,
             )
             for r in range(nranks)
         ]
@@ -206,8 +203,6 @@ class Engine:
                 ctx.set_time(max(ctx.now, arrival))
                 ctx.trace.n_recvs += 1
                 ctx.trace.bytes_received += nbytes
-                ctx.trace.record(OpKind.RECV, target=block.source,
-                                 nbytes=nbytes, t=ctx.now)
                 st.resume_value = payload
                 st.has_resume_value = True
                 st.blocked_on = None
@@ -253,8 +248,6 @@ class Engine:
                 ctx.trace.comm_time += dt
                 ctx.trace.n_sends += 1
                 ctx.trace.bytes_sent += request.nbytes
-                ctx.trace.record(OpKind.SEND, target=request.dest,
-                                 nbytes=request.nbytes, t=ctx.now)
                 arrival = ctx.now + self.network.message_time(request.nbytes)
                 key = (rank, request.dest, request.tag)
                 mailbox.setdefault(key, deque()).append(
@@ -284,7 +277,6 @@ class Engine:
                 seq = coll.join(rank, "alltoallv", ctx.now,
                                 (list(request.payloads), list(request.nbytes)))
                 st.blocked_on = seq
-                ctx.trace.record(OpKind.ALLTOALLV, nbytes=sent, t=ctx.now)
                 return
 
             if isinstance(request, AllreduceRequest):

@@ -1,55 +1,23 @@
-"""Per-rank operation traces and counters.
+"""Per-rank counters.
 
-Every :class:`~repro.runtime.context.SimContext` owns a :class:`RankTrace`.
-Counters are always collected (they are cheap); full per-operation records
-are only kept when ``record_ops=True``, which the reuse-analysis experiments
-(Figures 1, 4, 5) use to reconstruct the remote-read stream.
+Every :class:`~repro.runtime.context.SimContext` owns a :class:`RankTrace`:
+operation counts, bytes and the simulated seconds charged per category.
+The replay paths build the same record from totals
+(:meth:`RankTrace.from_totals`).  The remote-read stream of the paper's
+reuse study (Figures 1, 4, 5) is derived from the graph and the partition
+by :mod:`repro.analysis.reuse`, not logged here.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
-
-
-class OpKind(enum.Enum):
-    """Kinds of traced operations."""
-
-    GET_REMOTE = "get_remote"
-    GET_LOCAL = "get_local"
-    CACHE_HIT = "cache_hit"
-    PUT = "put"
-    SEND = "send"
-    RECV = "recv"
-    BARRIER = "barrier"
-    ALLTOALLV = "alltoallv"
-    COMPUTE = "compute"
-
-
-class OpRecord(NamedTuple):
-    """One traced operation.
-
-    ``window`` is the window name (or ``""`` for non-RMA ops), ``target`` the
-    peer rank (or ``-1``), ``offset``/``count`` the accessed element range
-    and ``t`` the rank-local completion time.
-    """
-
-    kind: OpKind
-    window: str
-    target: int
-    offset: int
-    count: int
-    nbytes: int
-    t: float
+from dataclasses import dataclass
 
 
 @dataclass
 class RankTrace:
-    """Counters (always on) and an optional operation log for one rank."""
+    """The counters of one rank."""
 
     rank: int
-    record_ops: bool = False
 
     # -- aggregate counters ---------------------------------------------------
     n_remote_gets: int = 0
@@ -72,51 +40,24 @@ class RankTrace:
     sync_time: float = 0.0
     cache_time: float = 0.0
 
-    ops: list[OpRecord] = field(default_factory=list)
-
-    # -- recording helpers ------------------------------------------------------
-    def record(
-        self,
-        kind: OpKind,
-        *,
-        window: str = "",
-        target: int = -1,
-        offset: int = 0,
-        count: int = 0,
-        nbytes: int = 0,
-        t: float = 0.0,
-    ) -> None:
-        """Append a full op record when op recording is enabled."""
-        if self.record_ops:
-            self.ops.append(OpRecord(kind, window, target, offset, count, nbytes, t))
-
-    def remote_get(self, window: str, target: int, offset: int, count: int,
-                   nbytes: int, duration: float, t: float) -> None:
+    # -- counting helpers -------------------------------------------------------
+    def remote_get(self, nbytes: int, duration: float) -> None:
         self.n_remote_gets += 1
         self.bytes_remote += nbytes
         self.comm_time += duration
-        self.record(OpKind.GET_REMOTE, window=window, target=target,
-                    offset=offset, count=count, nbytes=nbytes, t=t)
 
-    def local_read(self, window: str, offset: int, count: int, nbytes: int,
-                   duration: float, t: float) -> None:
+    def local_read(self, nbytes: int, duration: float) -> None:
         self.n_local_reads += 1
         self.bytes_local += nbytes
         self.comp_time += duration
-        self.record(OpKind.GET_LOCAL, window=window, target=self.rank,
-                    offset=offset, count=count, nbytes=nbytes, t=t)
 
-    def cache_hit(self, window: str, target: int, offset: int, count: int,
-                  nbytes: int, duration: float, t: float) -> None:
+    def cache_hit(self, nbytes: int, duration: float) -> None:
         self.n_cache_hits += 1
         self.bytes_cached += nbytes
         self.cache_time += duration
-        self.record(OpKind.CACHE_HIT, window=window, target=target,
-                    offset=offset, count=count, nbytes=nbytes, t=t)
 
-    def compute(self, duration: float, t: float) -> None:
+    def compute(self, duration: float) -> None:
         self.comp_time += duration
-        self.record(OpKind.COMPUTE, nbytes=0, t=t)
 
     # -- derived metrics ---------------------------------------------------------
     @property
@@ -131,12 +72,6 @@ class RankTrace:
         total = self.total_reads
         return self.n_remote_gets / total if total else 0.0
 
-    def iter_remote_reads(self) -> Iterator[OpRecord]:
-        """Yield recorded remote-get ops (requires ``record_ops=True``)."""
-        for op in self.ops:
-            if op.kind is OpKind.GET_REMOTE:
-                yield op
-
     @classmethod
     def from_totals(cls, rank: int, **totals: float) -> "RankTrace":
         """Build a trace directly from aggregate counters.
@@ -148,8 +83,7 @@ class RankTrace:
         """
         trace = cls(rank=rank)
         for name, value in totals.items():
-            if name not in cls.__dataclass_fields__ or name in (
-                    "rank", "record_ops", "ops"):
+            if name not in cls.__dataclass_fields__ or name == "rank":
                 raise ValueError(f"unknown trace counter {name!r}")
             setattr(trace, name, value)
         return trace

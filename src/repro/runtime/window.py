@@ -131,6 +131,7 @@ class Window:
     def write(self, initiator: int, target: int, offset: int, data: np.ndarray) -> None:
         """Perform the data movement of a put."""
         self._check_rank(target)
+        self._check_rank(initiator)
         if not self._epoch_open[initiator]:
             raise EpochError(
                 f"window {self.name!r}: rank {initiator} issued a put outside "

@@ -324,7 +324,7 @@ class Session:
         previous query, reproducing the paper's reuse effect; statistics
         are still per-query.  lcc/tc queries run through the batched
         replay (:mod:`repro.core.replay`), cached or not, unless
-        ``fast_path=False`` or ``record_ops=True`` forces the per-edge loop.
+        ``fast_path=False`` forces the per-edge loop.
         """
         if self._closed:
             raise KernelError("session is closed")

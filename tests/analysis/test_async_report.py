@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from repro.analysis.async_serve import SUITE, one_off_async_run
-from repro.analysis.benchsuite import evaluate, trajectory_row, write_report
+from repro.analysis.benchsuite import evaluate, write_report
 
 #: The burst-throughput floor the gate table declares.
 MIN_ASYNC_SPEEDUP = 1.3
@@ -62,12 +62,10 @@ class TestQuickRun:
         assert loaded["burst"]["throughput_ratio"] == pytest.approx(
             quick_report["burst"]["throughput_ratio"])
 
-    def test_trajectory_row_fields(self, quick_report):
-        row = trajectory_row(SUITE, quick_report)
-        assert row["kind"] == "async"
-        assert row["burst_speedup"] >= MIN_ASYNC_SPEEDUP
-        assert row["interleavings_identical"] is True
-        assert row["date"]
+    def test_headline_fields(self, quick_report):
+        headline = SUITE.headline(quick_report)
+        assert headline["burst_speedup"] >= MIN_ASYNC_SPEEDUP
+        assert headline["interleavings_identical"] is True
 
 
 class TestGates:

@@ -1,19 +1,15 @@
-"""Evaluator clauses, the kernels suite's table, the trajectory appender."""
+"""Evaluator clauses, the kernels suite's table and headline."""
 
 import json
-import subprocess
 
 import pytest
 
 from repro.analysis.benchreport import SUITE
 from repro.analysis.benchsuite import (
-    SUITE_NAMES,
     BenchSuite,
     Gate,
     Sibling,
-    append_trajectory,
     evaluate,
-    trajectory_row,
     violations,
     write_report,
 )
@@ -152,11 +148,10 @@ class TestCommittedBaseline:
         assert json.loads(out.read_text()) == report
 
 
-class TestTrajectory:
-    def test_row_summarizes_report(self):
+class TestHeadline:
+    def test_headline_summarizes_report(self):
         report = report_with({"lcc:g": replay_row(warm=4.0),
                               "tc:g": replay_row(warm=6.0)})
-        report["quick"] = True
         report["kernels"] = {
             "lcc:g": {"wall_clock_s": 0.5, "adj_hit_rate": 0.8,
                       "offsets_hit_rate": 0.7},
@@ -165,64 +160,9 @@ class TestTrajectory:
             # A 2D block cache's cold pass: not the 1D population.
             "lcc2d:g": {"wall_clock_s": 0.0, "adj_hit_rate": 0.0,
                         "offsets_hit_rate": None}}
-        row = trajectory_row(SUITE, report, date="2026-07-26")
-        assert row["date"] == "2026-07-26"
-        assert row["kind"] == "kernels"
-        assert row["quick"] is True
-        # Stamped with the checkout the code ran from (null outside one).
-        head = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                              capture_output=True, text=True,
-                              cwd=COMMITTED.parent)
-        assert row["commit"] == (head.stdout.strip()
-                                 if head.returncode == 0 else None)
-        assert row["n_kernels"] == 3
-        assert row["total_kernel_wall_s"] == 2.0
-        assert row["max_kernel_wall_s"] == 1.5
-        assert row["mean_adj_hit_rate"] == 0.8
-        assert row["min_warm_speedups"] == {"lcc": 4.0, "tc": 6.0}
-
-    def test_append_creates_then_extends(self, tmp_path):
-        report = report_with({"lcc:g": replay_row(warm=4.0)})
-        path = tmp_path / "BENCH_trajectory.json"
-        for date in ("2026-07-25", "2026-07-26"):
-            append_trajectory(trajectory_row(SUITE, report, date=date),
-                              str(path))
-        data = json.loads(path.read_text())
-        assert [r["date"] for r in data["rows"]] == ["2026-07-25",
-                                                     "2026-07-26"]
-        assert data["schema_version"] == 1
-
-    def test_committed_trajectory_is_valid(self):
-        """The repo-root trajectory is one series: every row is dated and
-        tagged with its suite, and carries that suite's headline."""
-        from repro.analysis.schema import validate_trajectory
-
-        data = json.loads(
-            (COMMITTED.parent / "BENCH_trajectory.json").read_text())
-        assert validate_trajectory(data) == []
-        assert data["rows"]
-        for row in data["rows"]:
-            assert row["kind"] in SUITE_NAMES
-            assert isinstance(row["quick"], bool)
-            if row["kind"] == "shard":
-                assert row["read_scaling"] > 0
-                assert row["failover_digests_identical"] is True
-            elif row["kind"] == "async":
-                assert row["burst_speedup"] > 0
-                assert row["interleavings_identical"] is True
-            elif row["kind"] == "kernels":
-                assert "min_warm_speedups" in row
-            elif row["kind"] == "paper":
-                assert row["claims_held"] == row["claims_total"] > 0
-                assert row["best_speedup_4_to_64"] > 4.0
-                assert row["commit"]
-        assert "paper" in {row["kind"] for row in data["rows"]}
-
-    def test_corrupt_trajectory_reported_cleanly(self, tmp_path):
-        path = tmp_path / "BENCH_trajectory.json"
-        path.write_text('{"rows": [')  # truncated by a killed run
-        row = trajectory_row(SUITE, report_with({}))
-        with pytest.raises(ValueError, match="corrupt"):
-            append_trajectory(row, str(path))
-        # The corrupt file is left untouched for manual inspection.
-        assert path.read_text() == '{"rows": ['
+        headline = SUITE.headline(report)
+        assert headline["n_kernels"] == 3
+        assert headline["total_kernel_wall_s"] == 2.0
+        assert headline["max_kernel_wall_s"] == 1.5
+        assert headline["mean_adj_hit_rate"] == 0.8
+        assert headline["min_warm_speedups"] == {"lcc": 4.0, "tc": 6.0}

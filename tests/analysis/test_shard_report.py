@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.analysis.benchsuite import evaluate, trajectory_row, write_report
+from repro.analysis.benchsuite import evaluate, write_report
 from repro.analysis.shard import SUITE, one_off_shard_run
 from repro.graph.generators import powerlaw_configuration
 
@@ -57,12 +57,10 @@ class TestQuickRun:
         assert loaded["read_scaling"]["read_scaling"] == pytest.approx(
             quick_report["read_scaling"]["read_scaling"])
 
-    def test_trajectory_row_fields(self, quick_report):
-        row = trajectory_row(SUITE, quick_report)
-        assert row["kind"] == "shard"
-        assert row["read_scaling"] > 0
-        assert row["failover_digests_identical"] is True
-        assert row["date"]
+    def test_headline_fields(self, quick_report):
+        headline = SUITE.headline(quick_report)
+        assert headline["read_scaling"] > 0
+        assert headline["failover_digests_identical"] is True
 
 
 class TestGates:

@@ -311,19 +311,6 @@ class TestDispatch:
             s.run("tc")
         run_distributed_lcc(GRAPH, cfg)
 
-    def test_record_ops_forces_loop_and_keeps_ops(self, monkeypatch, mode):
-        import repro.core.replay as replay_mod
-
-        def boom(*a, **kw):  # pragma: no cover - should never run
-            raise AssertionError("replay cannot record per-operation traces")
-
-        monkeypatch.setattr(replay_mod, "execute_lcc_batched", boom)
-        cfg = LCCConfig(nranks=2, cache=make_spec(mode), record_ops=True)
-        with Session(GRAPH, cfg) as s:
-            res = s.run("lcc")
-        assert len(res.outcome.traces[0].ops) > 0
-        assert len(run_distributed_lcc(GRAPH, cfg).outcome.traces[0].ops) > 0
-
 
 
 def test_loop_entry_points_importable():

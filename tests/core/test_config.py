@@ -71,3 +71,9 @@ class TestLCCConfig:
             LCCConfig(partition="2d")
         with pytest.raises(ConfigError):
             LCCConfig(threads=0)
+
+    def test_record_ops_is_an_unknown_field(self):
+        with pytest.raises(TypeError):
+            LCCConfig(record_ops=True)
+        with pytest.raises(TypeError):
+            LCCConfig().replace(record_ops=True)

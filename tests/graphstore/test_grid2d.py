@@ -263,9 +263,8 @@ class TestOneDispatch:
 
     @pytest.mark.parametrize("cfg_fn", [
         lambda: square_cfg(fast_path=False),
-        lambda: square_cfg(record_ops=True),
         rect_cfg,
-    ], ids=["fast_path-off", "record_ops", "rect-2x4"])
+    ], ids=["fast_path-off", "rect-2x4"])
     def test_every_other_query_runs_the_loop(self, graph, loop_calls,
                                              cfg_fn):
         cfg = cfg_fn()

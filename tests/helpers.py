@@ -18,6 +18,7 @@ from repro.graph.generators import (
     ring_of_cliques,
     rmat,
 )
+from repro.runtime.context import SimContext
 
 #: Where the committed ``BENCH_*.json`` reports and README live.
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -41,6 +42,26 @@ def assert_scores_raw(result, graph: CSRGraph) -> None:
     np.testing.assert_array_equal(result.lcc, lcc_from_triplets(graph, tpv))
     assert (int(result.global_triangles)
             == int(tpv.sum()) // (1 if graph.directed else 6))
+
+
+def spy_gets(monkeypatch) -> list:
+    """Record every :class:`SimContext` get for the rest of the test.
+
+    Wraps ``SimContext.get`` and ``SimContext.get_nowait`` and appends
+    ``(rank, window, target, offset, count)`` per call, in issue order.
+    Only the per-edge loops (``fast_path=False``) issue gets one by one;
+    the replays price theirs in bulk.
+    """
+    gets: list = []
+    for name in ("get", "get_nowait"):
+        def spied(ctx, window, target, offset, count,
+                  _original=getattr(SimContext, name)):
+            gets.append((ctx.rank, window.name, int(target), int(offset),
+                         int(count)))
+            return _original(ctx, window, target, offset, count)
+
+        monkeypatch.setattr(SimContext, name, spied)
+    return gets
 
 
 def make_graph_suite(seed: int = 42) -> list[CSRGraph]:

@@ -42,6 +42,10 @@ class TestClock:
             SimContext(5, 2)
 
 
+    def test_recording_switch_is_gone(self):
+        with pytest.raises(TypeError):
+            SimContext(0, 2, record_ops=True)
+
 class TestCompute:
     def test_compute_charges_clock_and_trace(self):
         ctx = make_ctx()

@@ -30,6 +30,10 @@ class TestPlainFunctions:
             Engine(0)
 
 
+    def test_recording_switch_is_gone(self):
+        with pytest.raises(TypeError):
+            Engine(2, record_ops=True)
+
 class TestSendRecv:
     def test_message_delivery(self):
         eng = Engine(2)

@@ -150,6 +150,24 @@ class TestDataMovement:
         with pytest.raises(WindowError):
             win.write(0, 1, 4, np.array([1, 2], dtype=np.int32))
 
+    @pytest.mark.parametrize("initiator", [-1, 2])
+    def test_write_from_invalid_initiator_rejected(self, initiator):
+        """A put from a rank outside the window fails like a get does,
+        instead of borrowing another rank's epoch (-1 wraps to the last)."""
+        win = make_window()
+        win.lock_all(1)
+        with pytest.raises(WindowError):
+            win.write(initiator, 0, 0, np.array([7], dtype=np.int32))
+        assert win.local_part(0)[0] == 0
+
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_write_to_invalid_target_rejected(self, target):
+        win = make_window()
+        win.lock_all(0)
+        with pytest.raises(WindowError):
+            win.write(0, target, 0, np.array([7], dtype=np.int32))
+        assert win.local_part(1)[0] == 100
+
     def test_local_part_is_view(self):
         win = make_window()
         win.local_part(0)[0] = 42

@@ -223,7 +223,7 @@ class TestBench:
         assert main(["bench", "dynamic", "--dir", str(tmp_path)]) == 1
         assert "dynamic gate FAILED" in capsys.readouterr().err
         assert path.read_text() == "{}"
-        assert not (tmp_path / "BENCH_trajectory.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_dynamic.json"]
         patch_suite_run(monkeypatch, dyn, quick_report_of("dynamic"))
         assert main(["bench", "dynamic", "--dir", str(tmp_path)]) == 0
         assert json.loads(path.read_text())["invalidation"]
@@ -268,11 +268,8 @@ class TestBench:
         err = capsys.readouterr().err
         assert "kernels gate OK" in err and "shard gate FAILED" in err
         assert "bench FAILED: shard" in err
-        assert (tmp_path / "BENCH_kernels_quick.json").exists()
-        assert not (tmp_path / "BENCH_shard_quick.json").exists()
-        rows = json.loads(
-            (tmp_path / "BENCH_trajectory.json").read_text())["rows"]
-        assert [row["kind"] for row in rows] == ["kernels"]
+        assert [p.name for p in tmp_path.iterdir()] == \
+            ["BENCH_kernels_quick.json"]
 
     def test_list_and_unknown_suite(self, capsys):
         from repro.analysis.benchsuite import SUITE_NAMES
@@ -291,47 +288,24 @@ class TestBench:
             main(["bench", "nope"])
 
 
-class TestBenchTrajectory:
-    @pytest.fixture(autouse=True)
-    def kernels_report(self, monkeypatch, quick_report_of):
-        """`bench kernels` "measures" the session's one real quick report."""
+class TestBenchWritesOnlyReports:
+    def test_passing_run_leaves_only_its_report(
+            self, tmp_path, capsys, monkeypatch, quick_report_of):
+        """A passing `bench kernels --quick --dir D` leaves exactly its
+        report in D, and `--no-trajectory` is an unknown option."""
         import repro.analysis.benchreport as br
 
         patch_suite_run(monkeypatch, br, quick_report_of("kernels"))
-
-    def test_row_appended_next_to_report(self, tmp_path):
-        traj = tmp_path / "BENCH_trajectory.json"
-        argv = ["bench", "kernels", "--quick", "--dir", str(tmp_path)]
-        assert main(argv) == 0
-        data = json.loads(traj.read_text())
-        assert len(data["rows"]) == 1
-        row = data["rows"][0]
-        assert row["kind"] == "kernels"
-        assert row["quick"] is True
-        assert row["min_warm_speedups"]["lcc"] > 0
-        assert row["date"]
-        # A second run appends, never overwrites.
-        assert main(argv) == 0
-        assert len(json.loads(traj.read_text())["rows"]) == 2
-
-    def test_explicit_path_and_opt_out(self, tmp_path):
-        """The trajectory path is derived from --dir; --no-trajectory
-        opts out."""
-        elsewhere = tmp_path / "history"
-        elsewhere.mkdir()
-        traj = elsewhere / "BENCH_trajectory.json"
         assert main(["bench", "kernels", "--quick",
-                     "--dir", str(elsewhere)]) == 0
-        assert len(json.loads(traj.read_text())["rows"]) == 1
-        assert main(["bench", "kernels", "--quick", "--dir", str(elsewhere),
-                     "--no-trajectory"]) == 0
-        assert len(json.loads(traj.read_text())["rows"]) == 1
-
-    def test_non_trajectory_file_rejected(self, tmp_path):
-        traj = tmp_path / "BENCH_trajectory.json"
-        traj.write_text(json.dumps({"rows": "oops"}))
-        with pytest.raises(ValueError, match="trajectory"):
-            main(["bench", "kernels", "--quick", "--dir", str(tmp_path)])
+                     "--dir", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == \
+            ["BENCH_kernels_quick.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "kernels", "--quick", "--dir", str(tmp_path),
+                  "--no-trajectory"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-trajectory" \
+            in capsys.readouterr().err
 
 
 class TestUpdate:
@@ -480,14 +454,16 @@ class TestShard:
                 in captured.out)
         assert list(tmp_path.iterdir()) == []
 
-    def test_trajectory_row_appended(self, tmp_path, monkeypatch):
+    def test_passing_run_writes_only_its_report(self, tmp_path, monkeypatch):
+        from repro.analysis.shard import SUITE
+
         self._patch_canned_shard(monkeypatch)
         assert main(["bench", "shard", "--quick",
                      "--dir", str(tmp_path)]) == 0
-        data = json.loads((tmp_path / "BENCH_trajectory.json").read_text())
-        assert len(data["rows"]) == 1
-        assert data["rows"][0]["kind"] == "shard"
-        assert data["rows"][0]["read_scaling"] == 2.0
+        path = tmp_path / "BENCH_shard_quick.json"
+        assert list(tmp_path.iterdir()) == [path]
+        assert SUITE.headline(json.loads(path.read_text()))[
+            "read_scaling"] == 2.0
 
     def test_shard_bench_rejects_customization_flags(self, tmp_path):
         for argv in (["bench", "shard", "--quick", "--nshards", "8"],
@@ -571,14 +547,16 @@ class TestAsyncServe:
                      "--dir", str(tmp_path)]) == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_trajectory_row_appended(self, tmp_path, monkeypatch):
+    def test_passing_run_writes_only_its_report(self, tmp_path, monkeypatch):
+        from repro.analysis.async_serve import SUITE
+
         self._patch_canned_async(monkeypatch)
         assert main(["bench", "async", "--quick",
                      "--dir", str(tmp_path)]) == 0
-        data = json.loads((tmp_path / "BENCH_trajectory.json").read_text())
-        assert len(data["rows"]) == 1
-        assert data["rows"][0]["kind"] == "async"
-        assert data["rows"][0]["burst_speedup"] == 2.0
+        path = tmp_path / "BENCH_async_quick.json"
+        assert list(tmp_path.iterdir()) == [path]
+        assert SUITE.headline(json.loads(path.read_text()))[
+            "burst_speedup"] == 2.0
 
     def test_async_bench_rejects_customization_flags(self, tmp_path):
         for argv in (["bench", "async", "--quick", "--workers", "2"],

@@ -18,7 +18,6 @@ from repro.core.lcc import run_distributed_lcc
 from repro.core.local import lcc_local, triangle_count_local
 from repro.core.tc2d import run_distributed_tc_2d
 from repro.graph.generators import rmat
-from repro.runtime.trace import OpKind
 from repro.session import (
     KernelResult,
     Session,
@@ -29,6 +28,7 @@ from repro.session import (
     unregister_kernel,
 )
 from repro.utils.errors import ConfigError, KernelError
+from tests.helpers import spy_gets
 
 
 @pytest.fixture(scope="module")
@@ -141,46 +141,37 @@ class TestKernelTraits:
         assert Session(graph).run(plugin, nranks=4).raw == "ran"
 
 
-def get_ops(trace):
-    return [op for op in trace.ops
-            if op.kind in (OpKind.GET_REMOTE, OpKind.CACHE_HIT)]
+class TestLoopGets2D:
+    """A resident grid's per-edge loop issues the per-call run's gets."""
 
-
-class TestRecordOps2D:
-    """``record_ops=True`` reaches the 2D kernels' engines and traces."""
-
-    CFG = LCCConfig(nranks=4, threads=2, record_ops=True)
+    CFG = LCCConfig(nranks=4, threads=2, fast_path=False)
 
     @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cached"])
-    def test_resident_and_per_call_record_the_same_ops(self, graph, cached):
+    def test_resident_and_per_call_issue_the_same_gets(self, graph, cached,
+                                                       monkeypatch):
         cfg = self.CFG.replace(cache=CacheSpec.relative(
             graph.nbytes, 0.0, 1.0)) if cached else self.CFG
+        gets = spy_gets(monkeypatch)
         per_call = run_distributed_tc_2d(graph, self.CFG)
+        reference = list(gets)
+        runs = []
         with Session(graph, cfg) as s:
-            runs = [s.run("tc2d", keep_cache=True) for _ in range(2)]
-            runs.append(s.run("tc2d_spgemm", keep_cache=True))
+            for kernel in ("tc2d", "tc2d", "tc2d_spgemm"):
+                gets.clear()
+                runs.append(s.run(kernel, keep_cache=True))
+                assert gets == reference
         for res in runs:
-            for trace, ref in zip(res.outcome.traces,
-                                  per_call.outcome.traces):
-                gets = get_ops(trace)
-                # One get op per remote block fetch, hit or miss.
-                assert len(gets) == (trace.n_remote_gets
-                                     + trace.n_cache_hits) > 0
-                assert ([op[1:6] for op in gets]
-                        == [op[1:6] for op in get_ops(ref)])
+            for trace in res.outcome.traces:
+                # One remote get per remote block fetch, hit or miss.
+                remote = [g for g in reference
+                          if g[0] == trace.rank and g[2] != trace.rank]
+                assert len(remote) == (trace.n_remote_gets
+                                       + trace.n_cache_hits) > 0
         if cached:  # the warm queries were served from the block caches
             assert all(t.n_cache_hits for t in runs[-1].outcome.traces)
         else:
-            assert ([t.ops for t in runs[0].outcome.traces]
-                    == [t.ops for t in per_call.outcome.traces])
-
-    def test_recording_off_keeps_traces_empty(self, graph):
-        res = run_kernel("tc2d", graph, self.CFG.replace(record_ops=False))
-        assert not any(t.ops for t in res.outcome.traces)
-
-    def test_lcc2d_has_no_loop_to_record_from(self, graph):
-        with pytest.raises(ConfigError, match="lcc2d.*record"):
-            run_kernel("lcc2d", graph, self.CFG)
+            assert runs[0].outcome.clocks == per_call.outcome.clocks
+            assert runs[0].outcome.traces == per_call.outcome.traces
 
 
 class TestLegacyParity:
