@@ -1,4 +1,5 @@
-"""Which path ``access_batch`` takes: fill runs, and when they hand over.
+"""Which path ``access_batch`` takes: fill runs, when they hand over, and
+when an eviction-dense batch hands its rest to the scalar loop.
 
 The property suite (``tests/properties/test_property_fill_run.py``) proves
 fill runs bit-identical to scalar ``access``; these tests pin *that they
@@ -55,11 +56,13 @@ def test_eviction_free_stream_never_reaches_scalar_access():
     assert calls == []
     assert hits.sum() == 300 and cache.stats.misses == 300
     assert cache.run_counts == {"hit_runs": 0, "fill_runs": 1,
-                                "filled_entries": 300, "scalar_fallbacks": 0}
+                                "filled_entries": 300, "scalar_fallbacks": 0,
+                                "scalar_loops": 0}
     # Warm replay: one hit run, still no scalar access.
     _, hits = replay(cache, gets)
     assert hits.all() and calls == []
     assert cache.run_counts["hit_runs"] == 1
+    assert cache.run_counts["scalar_loops"] == 0
 
     oracle = make_cache()
     for t, o, c in gets.tolist() * 2:
@@ -100,13 +103,89 @@ def test_single_hash_conflict_is_the_single_scalar_access():
     assert cache.index.conflicts == cache.stats.hash_conflicts == 1
     assert cache.stats.conflict_evictions == 1
     assert cache.run_counts == {"hit_runs": 1, "fill_runs": 1,
-                                "filled_entries": 40, "scalar_fallbacks": 1}
+                                "filled_entries": 40, "scalar_fallbacks": 1,
+                                "scalar_loops": 0}
     assert hits.tolist() == [False] * 41 + [True] * 25
 
     oracle = make_cache(nslots=nslots, probe_limit=1)
     for t, o, c in gets.tolist():
         oracle.access(t, o, c)
     assert_caches_identical(cache, oracle)
+
+
+#: 32 four-element entries, two-slot probe windows: a cache that fills
+#: fast and then evicts on nearly every miss, by capacity and by conflict.
+DENSE = dict(capacity_bytes=1024, nslots=64, probe_limit=2)
+
+
+def dense_stream(n: int = 400, nkeys: int = 96) -> BatchStream:
+    """``n`` gets, with repeats, over three times the keys ``DENSE`` holds."""
+    picks = np.random.default_rng(3).integers(0, nkeys, n).tolist()
+    gets = np.array([(1, 10 * k, 4) for k in picks], dtype=np.int64)
+    return BatchStream(gets[:, 0], gets[:, 1], gets[:, 2])
+
+
+def replay_against_oracle(cache: ClampiCache, oracle: ClampiCache,
+                          stream: BatchStream) -> None:
+    """One batch against one ``access`` per get: verdicts, duration bits
+    and every piece of cache state agree."""
+    durations, hits = cache.access_batch(stream=stream)
+    expected = [oracle.access(*key)[1:] for key in zip(
+        stream.targets.tolist(), stream.offsets.tolist(),
+        stream.counts.tolist())]
+    assert hits.tolist() == [hit for _, hit in expected]
+    assert (durations.view(np.int64).tolist()
+            == np.array([dt for dt, _ in expected]).view(np.int64).tolist())
+    assert_caches_identical(cache, oracle)
+
+
+def test_eviction_dense_batch_hands_its_rest_to_the_scalar_loop():
+    cache, oracle = make_cache(**DENSE), make_cache(**DENSE)
+    calls = count_scalar_calls(cache)
+    stream = dense_stream()
+    replay_against_oracle(cache, oracle, stream)
+    counts, stats = cache.run_counts, cache.stats
+    assert counts["scalar_loops"] == 1
+    assert stats.capacity_evictions > 0 and stats.conflict_evictions > 0
+    assert counts["filled_entries"] + counts["scalar_fallbacks"] == stats.misses
+    # The loop serves its hits through `access` too; the slots the
+    # stream's memo held went stale with it.
+    assert len(calls) > counts["scalar_fallbacks"]
+    assert id(stream) not in cache._batch_memo
+
+
+def test_warm_replay_after_a_hand_off_rejoins_its_slots():
+    cache, oracle = make_cache(**DENSE), make_cache(**DENSE)
+    stream = dense_stream()
+    replay_against_oracle(cache, oracle, stream)
+    assert id(stream) not in cache._batch_memo
+    replay_against_oracle(cache, oracle, stream)
+    assert cache.run_counts["scalar_loops"] == 2
+    # A hit-dense stream over what is resident hands nothing off.
+    resident = sorted(e.key for e in cache.entries())
+    gets = np.array(resident * 8, dtype=np.int64)
+    replay_against_oracle(cache, oracle,
+                          BatchStream(gets[:, 0], gets[:, 1], gets[:, 2]))
+    assert cache.run_counts["scalar_loops"] == 2
+
+
+def test_adaptive_cache_resizes_inside_the_loop():
+    from repro.clampi.adaptive import AdaptiveConfig
+
+    config = dict(DENSE, adaptive=AdaptiveConfig(
+        check_interval=64, max_capacity_bytes=4096))
+    cache, oracle = make_cache(**config), make_cache(**config)
+    resize, loops_at_resize = cache.resize, []
+
+    def logging(**kw):
+        loops_at_resize.append(cache.run_counts["scalar_loops"])
+        resize(**kw)
+
+    cache.resize = logging
+    replay_against_oracle(cache, oracle, dense_stream())
+    assert cache.run_counts["scalar_loops"] == 1
+    assert 1 in loops_at_resize                  # resized after the hand-off
+    assert cache.stats.adaptive_resizes == len(loops_at_resize)
 
 
 def distinct_homes(nslots: int, n: int, taken: set, offset: int) -> list:
@@ -260,6 +339,24 @@ def test_stream_keys_must_pack():
     wide = np.array([0, 1 << 40], dtype=np.int64)
     with pytest.raises(CacheError, match="63 bits"):
         BatchStream(wide, wide, wide)
+
+
+def test_stream_columns_must_be_integers():
+    """A float get would be truncated to another key's; ``access`` refuses
+    it, so the batch does too.  Empty columns of any dtype are empty."""
+    from repro.utils.errors import CacheError
+
+    cache = make_cache()
+    with pytest.raises(CacheError, match="integer columns"):
+        cache.access_batch(np.array([1.9, 1.2]), np.array([3.7, 3.2]),
+                           np.array([2.5, 2.9]))
+    with pytest.raises(CacheError, match="integer columns"):
+        BatchStream(np.array([1]), np.array([3]), np.array([True]))
+    assert cache.stats.accesses == 0
+    empty = np.array([], dtype=np.float64)
+    durations, hits = cache.access_batch(empty, empty, empty)
+    assert durations.shape == hits.shape == (0,)
+    BatchStream(np.array([1], dtype=np.uint8), np.array([3]), np.array([2]))
 
 
 def test_stream_prev_is_the_previous_occurrence():

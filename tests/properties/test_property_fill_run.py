@@ -17,7 +17,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clampi.cache import ClampiCache, ClampiConfig, ConsistencyMode
+from repro.clampi.cache import (BatchStream, ClampiCache, ClampiConfig,
+                                ConsistencyMode)
 from repro.clampi.scores import AppScorePolicy, DefaultScorePolicy, LRUScorePolicy
 from repro.runtime.window import Window
 from tests.helpers import assert_caches_identical
@@ -130,5 +131,33 @@ def test_roomy_cache_fills_without_scalar_access(stream, policy, split):
     # every other miss was a fill run's.
     counts = batched.run_counts
     assert counts["scalar_fallbacks"] <= (split if split < MIN_RUN else 0)
+    assert (counts["filled_entries"] + counts["scalar_fallbacks"]
+            == batched.stats.misses)
+
+
+@given(st.lists(gets, max_size=200), st.sampled_from([256, 512, 1024]),
+       nslot_counts, st.sampled_from(["default", "lru"]), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_eviction_dense_batches_equal_scalar(tail, capacity, nslots, policy,
+                                             replays):
+    """A flood of distinct keys makes every replay of the stream
+    eviction-dense before the flood ends, so ``access_batch`` hands the rest,
+    repeats and all, to the scalar loop; each replay of the one stream
+    after that meets a dropped memo."""
+    window = make_window()
+    batched = make_cache(window, capacity, nslots, policy)
+    scalar = make_cache(window, capacity, nslots, policy)
+    flood = [(0, offset, 1 + offset % 4) for offset in range(120)]
+    keys = np.array(flood + tail, dtype=np.int64)
+    stream = BatchStream(keys[:, 0], keys[:, 1], keys[:, 2])
+    for n in range(1, replays + 1):
+        durations, hits = batched.access_batch(stream=stream)
+        for i, (t, o, c) in enumerate(keys.tolist()):
+            _, dt, hit = scalar.access(t, o, c)
+            assert hit == bool(hits[i]), (i, (t, o, c))
+            assert dt == durations[i], (i, (t, o, c))
+        assert_caches_identical(batched, scalar)
+        assert batched.run_counts["scalar_loops"] == n
+    counts = batched.run_counts
     assert (counts["filled_entries"] + counts["scalar_fallbacks"]
             == batched.stats.misses)
