@@ -5,9 +5,10 @@ exact but pay a Python round trip (``read_adjacency`` → ``SimContext.get``
 → ``ClampiCache.access`` plus a real intersection) per edge.  A rank's
 access pattern is a pure function of the partitioned CSR, so this module
 replays the same run in bulk — for **every rank at once**: one
-:class:`_ClusterStatic` per ``(dist, kernel)`` holds every rank's edge
-stream concatenated rank-major, and each stage below is one NumPy pass
-over the whole cluster, cut into ranks by per-rank bounds:
+:class:`_ClusterStatic` per ``(dist, kernel)`` reads every rank's edge
+stream off the dist's rank-major CSR (the arrays behind the windows),
+and each stage below is one NumPy pass over the whole cluster, cut into
+ranks by per-rank bounds:
 
 1. the gets — one window's remote gets become durations and hit
    verdicts.  A rank with a cache attached to the window runs its own
@@ -90,9 +91,7 @@ from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.local import vertex_scores
 from repro.core.threading import OpenMPModel, kernel_times_vectorized
-from repro.graph.csr import gather_ranges
 from repro.graph.distributed import DistributedCSR
-from repro.graph.partition import Partition
 from repro.runtime.engine import Engine, RunOutcome
 from repro.runtime.trace import RankTrace
 
@@ -255,37 +254,13 @@ class SlotTable:
                           (a, self._next(loc)), (a + 2, kern))
 
 
-def _rank_major(part: Partition) -> tuple[np.ndarray, ...]:
-    """``(vs, vbound, owner, local)``: every vertex's global id rank-major
-    in local-index order, the per-rank bounds into that order, and each
-    global id's owner and local index (gathered, never searched again)."""
-    ids = np.arange(part.n, dtype=np.int64)
-    owner = part.owners(ids).astype(np.int64)
-    local = part.to_local_many(ids).astype(np.int64)
-    vbound = _bounds(np.bincount(owner, minlength=part.nranks))
-    vs = np.empty(part.n, dtype=np.int64)
-    vs[vbound[owner] + local] = ids
-    return vs, vbound, owner, local
-
-
-def _adjacency_starts(vs: np.ndarray, degs: np.ndarray,
-                      vbound: np.ndarray) -> np.ndarray:
-    """``start_of[v]``: where ``adj(v)`` begins in its owner's window part
-    (``vs`` / ``degs`` rank-major, ``vbound`` the per-rank bounds)."""
-    estart = np.zeros(vs.shape[0] + 1, dtype=np.int64)
-    np.cumsum(degs, out=estart[1:])
-    start_of = np.empty(vs.shape[0], dtype=np.int64)
-    start_of[vs] = estart[:-1] - np.repeat(estart[vbound[:-1]],
-                                           np.diff(vbound))
-    return start_of
-
-
 class _ClusterStatic:
     """Every rank's access pattern and the pricing record, cached on the
     ``dist`` per kernel.
 
-    The pattern is a pure function of the partitioned CSR: the edge
-    stream of every rank concatenated rank-major, its remote/local split
+    The pattern is a pure function of the partitioned CSR, whose
+    rank-major arrays it reads from ``dist``: every rank's edge stream,
+    its remote/local split
     and list-length pairs, the slot table, the remote gets'
     ``(targets, offsets, counts)`` arrays for the two windows, and the
     per-rank vertex, edge and get bounds into those arrays.  A resident
@@ -301,18 +276,19 @@ class _ClusterStatic:
     MAX_PRICED = 32
 
     def __init__(self, dist: DistributedCSR, *, tc: bool):
-        graph, part = dist.graph, dist.partition
+        graph = dist.graph
         n = graph.n
-        vs, vbound, owner, local = _rank_major(part)
-        self.vs, self.vbound = vs, vbound
+        vs, vbound, owner, local = dist.vs, dist.vbound, dist.owner, dist.local
         degrees_all = graph.degrees().astype(np.int64)
         degs = degrees_all[vs]  # full local-vertex degrees, rank-major
-        start_of = _adjacency_starts(vs, degs, vbound)
+        # ``start_of[v]``: where adj(v) begins in its owner's window part,
+        # read off the owner's rebased offsets (at ``vbound[r] + r`` on).
+        start_of = dist.offsets[vbound[owner] + owner + local]
 
-        # Window parts are the owners' CSR rows in local order, so the
-        # rank-major edge stream is the graph's rows in ``vs`` order.
-        dst = gather_ranges(graph.adjacency, graph.offsets[vs],
-                            degs)[0].astype(np.int64)
+        # The windows' rank-major adjacency is the rank-major edge stream;
+        # one int64 copy, as every use below indexes with it (an int32
+        # index array is cast again by each of them).
+        dst = dist.adjacency.astype(np.int64)
         if tc:
             rows = np.repeat(np.arange(n, dtype=np.int64), degs)
             keep = dst > vs[rows]  # upper-triangle endpoints only
@@ -464,7 +440,7 @@ def _replay_result(engine: Engine, dist: DistributedCSR, config: LCCConfig,
     total = int(per_vertex.sum())
     outcome = RunOutcome(
         time=max(clocks), clocks=clocks, traces=traces,
-        results=_segment_sums(per_vertex[st.vs], st.vbound).tolist())
+        results=_segment_sums(per_vertex[dist.vs], dist.vbound).tolist())
     return DistributedRunResult(
         lcc=None if tc else vertex_scores(graph, "lcc"),
         triangles_per_vertex=None if tc else per_vertex,

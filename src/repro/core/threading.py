@@ -134,6 +134,8 @@ def exact_log2(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.size == 0:
         return np.zeros(x.shape, dtype=np.float64)
+    if not np.isfinite(x).all():  # NaN and inf have no int64 cast
+        raise ValueError("exact_log2 needs positive integer values")
     xi = x.astype(np.int64)
     if not (np.array_equal(xi, x) and xi.min() >= 1):
         raise ValueError("exact_log2 needs positive integer values")

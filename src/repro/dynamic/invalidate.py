@@ -1,8 +1,8 @@
 """Targeted CLaMPI invalidation (and rekeying) after an edge-update batch.
 
 The cache keys remote gets by ``(target, offset, count)``; after a batch
-is applied and a rank's CSR slice rebuilt, three kinds of entries can go
-stale:
+is applied and the partitioned CSR rebuilt, three kinds of entries on a
+rank the batch touched can go stale:
 
 * **offsets entries** — key ``(target, local_index, 2)``, data the
   ``(start, end)`` pair: stale whenever the vertex's pair changed (its
@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph, gather_ranges
 from repro.graph.distributed import DistributedCSR
-from repro.graph.partition import split_csr_rank
 
 __all__ = ["ResyncPlan", "resync_distributed", "stale_part_keys"]
 
@@ -135,30 +134,31 @@ class ResyncPlan:
 
 def resync_distributed(dist: DistributedCSR, new_graph: CSRGraph,
                        endpoints: np.ndarray) -> ResyncPlan:
-    """Swap the touched ranks' slices of a resident cluster in place.
+    """Point a resident cluster at ``new_graph`` and plan its caches' resync.
 
-    Only ranks owning an endpoint of a changed edge are rebuilt (a
-    vertex's CSR row changes only if its own edge set did); every other
-    rank's windows — and any cache entries pointing at them — are left
-    untouched.  Returns the plan with the per-target stale keys and
-    rekeyable moves; the caller pushes those through every rank's caches
-    and then calls
-    :meth:`~repro.graph.distributed.DistributedCSR.rebind_graph`.
+    :meth:`~repro.graph.distributed.DistributedCSR.rebind_graph` rebuilds
+    the partitioned CSR and points every rank's window parts at it.  Only
+    ranks owning an endpoint of a changed edge can expose other bytes (a
+    vertex's CSR row changes only if its own edge set did), so only their
+    old and new parts are diffed; any cache entry pointing at another
+    rank stays valid.  Returns the plan with the per-target stale keys
+    and rekeyable moves; the caller pushes those through every rank's
+    caches.
     """
-    if endpoints.size == 0:
+    ranks = tuple(int(r) for r in np.unique(
+        dist.partition.owners(np.asarray(endpoints, dtype=np.int64))))
+    old = [(dist.w_offsets.local_part(rank), dist.w_adj.local_part(rank))
+           for rank in ranks]
+    dist.rebind_graph(new_graph)
+    if not ranks:
         return ResyncPlan(touched_ranks=())
-    part = dist.partition
-    touched = np.unique(part.owners(np.asarray(endpoints, dtype=np.int64)))
-    ranks = tuple(int(r) for r in touched)
     kinds: list[tuple[np.ndarray, ...]] = []
     rebuilt: dict[int, int] = {}
-    for rank in ranks:
-        old_off = dist.w_offsets.local_part(rank)
-        old_adj = dist.w_adj.local_part(rank)
-        new_off, new_adj = split_csr_rank(new_graph, part, rank)
+    for rank, (old_off, old_adj) in zip(ranks, old):
+        new_off = dist.w_offsets.local_part(rank)
+        new_adj = dist.w_adj.local_part(rank)
         kinds.append(stale_part_keys(rank, old_off, old_adj,
                                      new_off, new_adj))
-        dist.replace_rank_slice(rank, new_off, new_adj)
         rebuilt[rank] = int(new_off.nbytes + new_adj.nbytes)
     off_keys, adj_keys, rekey_old, rekey_new = (
         np.concatenate(keys) for keys in zip(*kinds))

@@ -13,7 +13,6 @@ from repro.graph.partition import (
     BlockPartition1D,
     CyclicPartition1D,
     Partition,
-    split_csr,
 )
 from repro.graph.distributed import DistributedCSR
 from repro.graph.partition2d import GridPartition2D, split_edges_2d
@@ -34,7 +33,6 @@ __all__ = [
     "Partition",
     "BlockPartition1D",
     "CyclicPartition1D",
-    "split_csr",
     "DistributedCSR",
     "GridPartition2D",
     "split_edges_2d",

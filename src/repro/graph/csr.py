@@ -44,8 +44,8 @@ def gather_ranges(values: np.ndarray, starts: np.ndarray, lens: np.ndarray
     total = int(bounds[-1])
     if total == 0:
         return values[:0], bounds
-    idx = (np.arange(total, dtype=np.int64)
-           - np.repeat(bounds[:-1], lens) + np.repeat(starts, lens))
+    idx = np.repeat(starts - bounds[:-1], lens)
+    idx += np.arange(total, dtype=np.int64)
     return values[idx], bounds
 
 

@@ -9,14 +9,20 @@ windows.  Reading a remote vertex's adjacency list costs exactly two gets:
 2. ``list = Get(w_adj, owner, start, end - start)`` — the list itself.
 
 Both gets go through the attached CLaMPI caches when caching is enabled.
+
+The partitioned graph is held once, as one **rank-major CSR**: every
+rank's vertices in local-index order, rank 0's first, with each rank's
+offsets rebased to 0.  Each rank's two window parts are views of those
+two arrays, and the replay (:mod:`repro.core.replay`) and the update
+resync (:mod:`repro.dynamic.invalidate`) read the same arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.partition import BlockPartition1D, Partition, split_csr
+from repro.graph.csr import CSRGraph, OFFSET_DTYPE, gather_ranges
+from repro.graph.partition import BlockPartition1D, Partition
 from repro.runtime.context import SimContext
 from repro.runtime.engine import Engine
 from repro.runtime.window import Window
@@ -41,19 +47,52 @@ class DistributedCSR:
                 f"partition for {partition.nranks} ranks does not match engine "
                 f"with {engine.nranks}"
             )
-        self.graph = graph
         self.partition = partition
         self.engine = engine
-        offsets_parts, adjacency_parts = split_csr(graph, partition)
+        offsets_parts, adjacency_parts = self._build(graph)
         self.w_offsets = engine.windows.add(Window(OFFSETS_WINDOW, offsets_parts))
         self.w_adj = engine.windows.add(Window(ADJACENCY_WINDOW, adjacency_parts))
-        # Cache the per-rank local vertex id arrays (global ids).
-        self._local_vertices = [partition.local_vertices(r)
-                                for r in range(engine.nranks)]
         # Scratch for repro.core.replay: per-rank access streams, valid
-        # until rebind_graph (they follow the partitioned slices).  The
+        # until rebind_graph (they follow the partitioned CSR).  The
         # per-vertex scores are not here: they live on ``graph.scores``.
         self._replay_memo: dict = {}
+
+    def _build(self, graph: CSRGraph) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Hold ``graph`` as the rank-major CSR; return every rank's
+        ``(offsets, adjacency)`` window parts, views of its two arrays.
+
+        ``vs[vbound[r]:vbound[r + 1]]`` are rank ``r``'s vertices in
+        local-index order, and ``owner`` / ``local`` give each global id's
+        rank and local index.  ``offsets`` (length ``n + p``) holds rank
+        ``r``'s rebased offsets at ``vbound[r] + r`` onwards, and
+        ``adjacency`` its rows, global ids, in the same order.  Both
+        arrays are fresh: a put into a window part must not reach the
+        graph's own arrays, which its versions share.
+        """
+        part, nranks = self.partition, self.partition.nranks
+        ids = np.arange(graph.n, dtype=np.int64)
+        owner = part.owners(ids).astype(np.int64)
+        local = part.to_local_many(ids).astype(np.int64)
+        counts = np.bincount(owner, minlength=nranks)
+        vbound = np.zeros(nranks + 1, dtype=np.int64)
+        np.cumsum(counts, out=vbound[1:])
+        vs = np.empty(graph.n, dtype=np.int64)
+        vs[vbound[owner] + local] = ids
+
+        starts = graph.offsets[vs]
+        adjacency, estart = gather_ranges(graph.adjacency, starts,
+                                          graph.offsets[vs + 1] - starts)
+        ebound = estart[vbound]
+        rank_of = owner[vs]
+        offsets = np.zeros(graph.n + nranks, dtype=OFFSET_DTYPE)
+        offsets[ids + rank_of + 1] = estart[1:] - ebound[rank_of]
+
+        self.graph = graph
+        self.vs, self.vbound, self.owner, self.local = vs, vbound, owner, local
+        self.offsets, self.adjacency = offsets, adjacency
+        o, e = (vbound + np.arange(nranks + 1)).tolist(), ebound.tolist()
+        return ([offsets[o[r]:o[r + 1]] for r in range(nranks)],
+                [adjacency[e[r]:e[r + 1]] for r in range(nranks)])
 
     # -- epochs -------------------------------------------------------------
     def open_epochs(self) -> None:
@@ -76,42 +115,31 @@ class DistributedCSR:
                     cache.on_epoch_close()
 
     # -- dynamic updates -----------------------------------------------------
-    def replace_rank_slice(self, rank: int, offsets: np.ndarray,
-                           adjacency: np.ndarray) -> None:
-        """Swap one rank's exposed CSR slice (dynamic-graph resync).
-
-        The caller (``Session.apply_updates``) is responsible for
-        invalidating any CLaMPI entries that cached data from the old
-        slice and for calling :meth:`rebind_graph` once every touched
-        rank is resynced.
-        """
-        if offsets.shape[0] != self.w_offsets.part_len(rank):
-            raise PartitionError(
-                f"rank {rank} offsets length changed "
-                f"({self.w_offsets.part_len(rank)} -> {offsets.shape[0]}); "
-                "updates may not add or remove vertices")
-        if int(offsets[-1]) != adjacency.shape[0]:
-            raise PartitionError(
-                f"rank {rank} slice inconsistent: offsets end at "
-                f"{int(offsets[-1])} but adjacency has "
-                f"{adjacency.shape[0]} entries")
-        self.w_offsets.replace_part(rank, offsets)
-        self.w_adj.replace_part(rank, adjacency)
-
     def rebind_graph(self, graph: CSRGraph) -> None:
-        """Point at the post-update graph and drop the access-stream memos
-        (scores need no clearing: ``graph`` carries its own record)."""
+        """Hold the post-update ``graph`` (dynamic-graph resync).
+
+        Rebuilds the rank-major CSR, points every rank's window parts at
+        it and drops the access-stream memos (scores need no clearing:
+        ``graph`` carries its own record).  A rank whose rows the update
+        left alone exposes the same bytes at the same offsets, so its
+        cache entries stay valid; the caller invalidates the rest, from
+        the old parts it kept (:func:`repro.dynamic.invalidate
+        .resync_distributed`).
+        """
         if graph.n != self.partition.n:
             raise PartitionError(
                 f"updated graph has {graph.n} vertices, partition covers "
                 f"{self.partition.n}")
-        self.graph = graph
+        offsets_parts, adjacency_parts = self._build(graph)
+        for rank in range(self.partition.nranks):
+            self.w_offsets.replace_part(rank, offsets_parts[rank])
+            self.w_adj.replace_part(rank, adjacency_parts[rank])
         self._replay_memo.clear()
 
     # -- vertex access -------------------------------------------------------
     def local_vertices(self, rank: int) -> np.ndarray:
-        """Global ids of the vertices ``rank`` owns."""
-        return self._local_vertices[rank]
+        """Global ids of the vertices ``rank`` owns, in local-index order."""
+        return self.vs[self.vbound[rank]:self.vbound[rank + 1]]
 
     def local_adj(self, rank: int, v: int) -> np.ndarray:
         """Zero-copy adjacency list of a locally-owned vertex."""
@@ -151,10 +179,6 @@ class DistributedCSR:
         return data, t1 + t2
 
     # -- sizing helpers (cache configuration) ----------------------------------
-    def adjacency_nbytes(self) -> int:
-        """Total bytes in the adjacency window across ranks."""
-        return self.w_adj.total_nbytes()
-
     def nonlocal_adjacency_nbytes(self, rank: int) -> int:
         """Bytes of adjacency data *not* owned by ``rank``.
 

@@ -19,7 +19,6 @@ import abc
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, OFFSET_DTYPE, VERTEX_DTYPE, gather_ranges
 from repro.utils.errors import PartitionError
 
 
@@ -129,48 +128,3 @@ class CyclicPartition1D(Partition):
     def local_vertices(self, rank: int) -> np.ndarray:
         self._check_rank(rank)
         return np.arange(rank, self.n, self.nranks, dtype=np.int64)
-
-
-def split_csr_rank(graph: CSRGraph, partition: Partition, rank: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """One rank's (offsets, adjacency) slice of a global CSR.
-
-    The per-rank building block of :func:`split_csr`; the dynamic-graph
-    subsystem also calls it directly to rebuild only the ranks an update
-    batch touched.
-    """
-    vs = partition.local_vertices(rank)
-    if vs.size == 0:
-        return np.zeros(1, dtype=OFFSET_DTYPE), np.empty(0, dtype=VERTEX_DTYPE)
-    starts = graph.offsets[vs]
-    degs = graph.offsets[vs + 1] - starts
-    local_offsets = np.zeros(vs.shape[0] + 1, dtype=OFFSET_DTYPE)
-    np.cumsum(degs, out=local_offsets[1:])
-    total = int(local_offsets[-1])
-    if total == 0:
-        adj = np.empty(0, dtype=VERTEX_DTYPE)
-    elif vs[-1] - vs[0] + 1 == vs.shape[0]:
-        # Contiguous range (block partition): a single slice suffices.
-        adj = graph.adjacency[graph.offsets[vs[0]]:graph.offsets[vs[-1] + 1]].copy()
-    else:
-        # Gather each owned vertex's global adjacency row.
-        adj, _ = gather_ranges(graph.adjacency, starts, degs)
-    return local_offsets, np.ascontiguousarray(adj, dtype=VERTEX_DTYPE)
-
-
-def split_csr(graph: CSRGraph, partition: Partition
-              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Slice a global CSR into per-rank (offsets, adjacency) arrays.
-
-    Per-rank offsets are rebased to 0 so each rank's pair is a standalone
-    CSR over its local vertices, with **global** ids in the adjacency —
-    exactly what each node exposes through its two RMA windows (Figure 3).
-    Offsets use the window's int64 dtype; adjacency keeps int32.
-    """
-    offsets_parts: list[np.ndarray] = []
-    adjacency_parts: list[np.ndarray] = []
-    for rank in range(partition.nranks):
-        offs, adj = split_csr_rank(graph, partition, rank)
-        offsets_parts.append(offs)
-        adjacency_parts.append(adj)
-    return offsets_parts, adjacency_parts

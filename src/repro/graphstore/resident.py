@@ -205,7 +205,8 @@ class Cluster1D(ResidentCluster):
     # -- dynamic updates -----------------------------------------------------
     def resync(self, result: DeltaResult, *, rekey: bool = True
                ) -> ClusterResync:
-        """Swap in the post-update graph, rebuilding only touched ranks.
+        """Swap in the post-update graph: the partitioned CSR is rebuilt,
+        and only the touched ranks' parts are diffed and priced.
 
         Cache entries whose bytes changed are invalidated; entries whose
         adjacency list merely *moved* are rekeyed to their new offsets
@@ -224,7 +225,6 @@ class Cluster1D(ResidentCluster):
         dist, engine = self._dist, self._engine
         dist.close_epochs()
         plan = resync_distributed(dist, result.graph, result.endpoints)
-        dist.rebind_graph(result.graph)
         outcome.touched = plan.touched_ranks
         outcome.rebuilt_bytes = plan.rebuilt_bytes
 

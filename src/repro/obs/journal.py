@@ -55,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.serve.request import arrival_order
 from repro.serve.scheduler import eligible_requests
@@ -116,13 +116,6 @@ class DecisionJournal:
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_jsonl())
-
-    @classmethod
-    def from_events(cls, events: Iterable[dict]) -> "DecisionJournal":
-        journal = cls()
-        for e in events:
-            journal.events.append(dict(e))
-        return journal
 
     @classmethod
     def loads(cls, text: str) -> "DecisionJournal":

@@ -164,12 +164,6 @@ class SpanTracer:
             sp.attrs["wall_s"] = wall1 - wall0
             self.spans.append(sp)
 
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent is None]
-
-    def children_of(self, sid: int) -> List[Span]:
-        return [s for s in self.spans if s.parent == sid]
-
     def __len__(self) -> int:
         return len(self.spans)
 

@@ -136,13 +136,6 @@ class ReplicaSet:
             self._stores[rid].apply(name, batch, strict=strict)
         return update
 
-    def commit_edges(self, name: str, inserts=None, deletes=None,
-                     ) -> ShardedUpdate:
-        """Convenience: build the batch from raw edge arrays and commit."""
-        head = self.primary.graph(name)
-        return self.commit(name, UpdateBatch.build(
-            inserts, deletes, n=head.n, directed=head.directed))
-
     # -- convergence proof ---------------------------------------------------
     def verify(self, name: str | None = None) -> list[str]:
         """Chained-digest comparison of every live replica vs the primary.

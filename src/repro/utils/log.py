@@ -1,8 +1,8 @@
 """Lightweight logging facade.
 
-The library logs under the ``repro`` namespace; experiments pass
-``verbose=True`` to bump the level.  We never call ``basicConfig`` at import
-time so that embedding applications keep control of handlers.
+The library logs under the ``repro`` namespace.  We never call
+``basicConfig`` or attach a handler, so that embedding applications keep
+control of handlers and levels.
 """
 
 from __future__ import annotations
@@ -18,18 +18,6 @@ def get_logger(name: str) -> logging.Logger:
     if not name.startswith("repro"):
         name = f"repro.{name}"
     return logging.getLogger(name)
-
-
-def enable_verbose(level: int = logging.INFO) -> None:
-    """Attach a stderr handler to the root ``repro`` logger (idempotent)."""
-    root = logging.getLogger("repro")
-    root.setLevel(level)
-    if not any(isinstance(h, logging.StreamHandler) for h in root.handlers):
-        handler = logging.StreamHandler()
-        handler.setFormatter(
-            logging.Formatter("%(asctime)s %(name)s %(levelname)s %(message)s")
-        )
-        root.addHandler(handler)
 
 
 @contextmanager

@@ -35,7 +35,8 @@ FOLDS = 3
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of each pricing function (and of the segmented fold)."""
+    """Calls of each pricing function, of the segmented fold and of the
+    static's construction."""
     counts: Counter = Counter()
 
     def counting(name, fn):
@@ -44,7 +45,7 @@ def calls(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    for name in ("kernel_times_vectorized", "_adjacency_starts",
+    for name in ("kernel_times_vectorized", "_ClusterStatic",
                  "fold_segments"):
         monkeypatch.setattr(replay, name,
                             counting(name, getattr(replay, name)))
@@ -67,10 +68,10 @@ class TestRecordIsUsed:
     def test_warm_queries_price_once(self, calls):
         with Session(GRAPH, LCCConfig(nranks=NRANKS, cache=SPEC)) as s:
             first = per_query(calls, lambda: s.run("lcc", keep_cache=True))
-            # Kernel times once; own and loc reads once each; one start
-            # table per dist; the comp fold on the first query only.
+            # Kernel times once; own and loc reads once each; one
+            # static per dist; the comp fold on the first query only.
             assert first == Counter(
-                kernel_times_vectorized=1, _adjacency_starts=1,
+                kernel_times_vectorized=1, _ClusterStatic=1,
                 local_read_times=2, fold_segments=1 + 4 * FOLDS)
             warm = per_query(calls, lambda: s.run("lcc", keep_cache=True))
             assert warm == Counter(fold_segments=4 * FOLDS)
@@ -94,7 +95,7 @@ class TestRecordIsUsed:
                 np.array([[0, 1], [2, 150]]), n=GRAPH.n))
             added = per_query(calls, lambda: s.run("lcc", keep_cache=True))
             assert added == Counter(
-                kernel_times_vectorized=1, _adjacency_starts=1,
+                kernel_times_vectorized=1, _ClusterStatic=1,
                 local_read_times=2, fold_segments=1 + 4 * FOLDS)
 
     def test_memory_model_reprices_reads_not_kernels(self, calls):
@@ -124,7 +125,7 @@ class TestRecordIsUsed:
                     s.run("tc", keep_cache=True)), n=2))
         assert seen[0] == seen[1]
         assert seen[0] == Counter(
-            kernel_times_vectorized=2, _adjacency_starts=2,
+            kernel_times_vectorized=2, _ClusterStatic=2,
             local_read_times=4, fold_segments=2 + 4 * FOLDS)
 
 

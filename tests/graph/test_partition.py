@@ -5,12 +5,9 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
-from repro.graph.partition import (
-    BlockPartition1D,
-    CyclicPartition1D,
-    split_csr,
-)
+from repro.graph.partition import BlockPartition1D, CyclicPartition1D
 from repro.utils.errors import PartitionError
+from tests.helpers import window_parts
 
 
 class TestBlockPartition:
@@ -113,7 +110,7 @@ class TestSplitCSR:
     def test_split_preserves_adjacency(self, partition_cls):
         g = rmat(7, 8, seed=2)
         part = partition_cls(g.n, 4)
-        offsets_parts, adjacency_parts = split_csr(g, part)
+        offsets_parts, adjacency_parts = window_parts(g, part)
         for r in range(4):
             vs = part.local_vertices(r)
             offs = offsets_parts[r]
@@ -128,14 +125,14 @@ class TestSplitCSR:
     def test_split_covers_all_edges(self):
         g = rmat(7, 8, seed=2)
         part = BlockPartition1D(g.n, 4)
-        _, adjacency_parts = split_csr(g, part)
+        _, adjacency_parts = window_parts(g, part)
         total = sum(a.shape[0] for a in adjacency_parts)
         assert total == g.num_adjacency_entries
 
     def test_empty_rank(self):
         g = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)])
         part = BlockPartition1D(g.n, 8)  # more ranks than vertices
-        offsets_parts, adjacency_parts = split_csr(g, part)
+        offsets_parts, adjacency_parts = window_parts(g, part)
         assert len(offsets_parts) == 8
         for r in range(3, 8):
             assert adjacency_parts[r].shape[0] == 0

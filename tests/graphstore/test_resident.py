@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+import repro.graphstore.resident as resident
 from repro.core.config import CacheSpec, LCCConfig
+from repro.core.lcc import make_partition
 from repro.dynamic import apply_delta, random_update_batch
+from repro.graph.distributed import DistributedCSR
 from repro.graph.generators import powerlaw_configuration
 from repro.graphstore import Cluster1D, GridCluster2D, ResidentCluster
+from repro.runtime.engine import Engine
 from repro.session import Session
 from tests.helpers import assert_scores_raw
 
@@ -106,6 +110,59 @@ class TestResyncRekey:
         out = cluster.resync(res)
         assert cluster.graph is res.graph
         assert out.touched == () and out.time == 0.0
+
+
+def assert_parts_are_views(dist):
+    """Every window part is a view of the dist's rank-major CSR, never
+    of the graph's own arrays (a put would corrupt the graph)."""
+    graph = dist.graph
+    for win, csr, own in ((dist.w_offsets, dist.offsets, graph.offsets),
+                          (dist.w_adj, dist.adjacency, graph.adjacency)):
+        for rank in range(win.nranks):
+            part = win.local_part(rank)
+            if part.size:
+                assert np.shares_memory(part, csr), (win.name, rank)
+            assert not np.shares_memory(part, own), (win.name, rank)
+
+
+class TestResyncMatchesFresh:
+    @pytest.mark.parametrize("partition", ["block", "cyclic"])
+    def test_parts_match_fresh_build(self, graph, partition, monkeypatch):
+        """After each update every rank's parts equal a fresh build's, the
+        touched ranks' rebuilt bytes are their new parts' bytes, and the
+        parts stay views of the dist's arrays."""
+        real, plans = resident.resync_distributed, []
+
+        def spy(*args):
+            plans.append(real(*args))
+            return plans[-1]
+        monkeypatch.setattr(resident, "resync_distributed", spy)
+        cfg = cached_cfg(graph, partition=partition)
+        with Session(graph, cfg) as session:
+            session.run("lcc", keep_cache=True)
+            _, dist, _, _ = session.resident_cluster(keep_cache=True)
+            assert_parts_are_views(dist)
+            for step in range(3):
+                batch = random_update_batch(session.graph, 12, 0.25,
+                                            seed=60 + step)
+                out = session.apply_updates(batch)
+                plan = plans[-1]
+                assert plan.touched_ranks and (
+                    out.touched_ranks == plan.touched_ranks)
+                fresh = DistributedCSR(
+                    session.graph, make_partition(cfg, graph.n),
+                    Engine(cfg.nranks))
+                for rank in range(cfg.nranks):
+                    for win, ref in ((dist.w_offsets, fresh.w_offsets),
+                                     (dist.w_adj, fresh.w_adj)):
+                        np.testing.assert_array_equal(
+                            win.local_part(rank), ref.local_part(rank))
+                assert plan.rebuilt_bytes_by_rank == {
+                    rank: dist.w_offsets.part_nbytes(rank)
+                    + dist.w_adj.part_nbytes(rank)
+                    for rank in plan.touched_ranks}
+                assert_parts_are_views(dist)
+                session.run("lcc", keep_cache=True)
 
 
 class TestSessionFold:

@@ -10,6 +10,7 @@ from repro.core.local import (
     triangles_per_vertex_batched,
 )
 from repro.graph.csr import CSRGraph
+from repro.graph.distributed import DistributedCSR
 from repro.graph.generators import (
     complete_graph,
     ego_circles,
@@ -19,6 +20,7 @@ from repro.graph.generators import (
     rmat,
 )
 from repro.runtime.context import SimContext
+from repro.runtime.engine import Engine
 
 #: Where the committed ``BENCH_*.json`` reports and README live.
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -62,6 +64,16 @@ def spy_gets(monkeypatch) -> list:
 
         monkeypatch.setattr(SimContext, name, spied)
     return gets
+
+
+def window_parts(graph: CSRGraph, partition
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every rank's ``(offsets, adjacency)`` window parts of ``graph``
+    distributed over ``partition``."""
+    dist = DistributedCSR(graph, partition, Engine(partition.nranks))
+    ranks = range(partition.nranks)
+    return ([dist.w_offsets.local_part(r) for r in ranks],
+            [dist.w_adj.local_part(r) for r in ranks])
 
 
 def make_graph_suite(seed: int = 42) -> list[CSRGraph]:

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph, relabel_random, remove_low_degree_vertices
-from repro.graph.partition import BlockPartition1D, CyclicPartition1D, split_csr
+from repro.graph.partition import BlockPartition1D, CyclicPartition1D
+from tests.helpers import window_parts
 
 
 @st.composite
@@ -65,7 +66,7 @@ def test_split_csr_partitions_every_entry(data, nranks, cyclic):
     edges, n = data
     g = CSRGraph.from_edges(edges, n)
     part = (CyclicPartition1D if cyclic else BlockPartition1D)(g.n, nranks)
-    offsets_parts, adjacency_parts = split_csr(g, part)
+    offsets_parts, adjacency_parts = window_parts(g, part)
     assert sum(a.shape[0] for a in adjacency_parts) == g.num_adjacency_entries
     for r in range(nranks):
         vs = part.local_vertices(r)
