@@ -49,6 +49,10 @@ class AdaptiveConfig:
             raise ValueError("check_interval must be > 0")
         if self.hash_growth <= 1.0 or self.buffer_growth <= 1.0:
             raise ValueError("growth factors must be > 1")
+        # A negative (or NaN) charge would make a resizing get cost less
+        # than nothing.
+        if not self.resize_cost >= 0:
+            raise ValueError(f"resize_cost must be >= 0, got {self.resize_cost}")
 
 
 class AdaptiveTuner:

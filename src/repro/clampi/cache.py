@@ -10,7 +10,7 @@ the index is a bounded-probing hash table and the data lives in a bounded
 buffer managed by a best-fit allocator (sorted free list).  Replayed
 streams go through :meth:`ClampiCache.access_batch`, whose hit runs (warm)
 and fill runs (cold, on a one-extent free list) are array operations on
-slot-indexed key and metadata arrays.  Evictions are
+key and metadata columns indexed by each entry's live-table row.  Evictions are
 driven by a :class:`~repro.clampi.scores.ScorePolicy`; victim candidates
 are drawn with deterministic sampling (a standard approximation of
 global-minimum-score selection that keeps eviction O(sample) — exact
@@ -32,7 +32,7 @@ import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +48,8 @@ from repro.utils.rng import derive_seed, randrange_draws
 from repro.utils.units import NS
 
 #: Sentinel appended to the batch event log when the whole cache was
-#: emptied mid-batch (flush / adaptive resize), as opposed to a single
-#: eviction, whose event is the evicted key itself.
+#: emptied mid-batch (flush / adaptive resize), as opposed to a removal,
+#: whose event is ``(key, -1)``, or a row move, ``(key, new_row)``.
 _CLEARED = object()
 
 
@@ -235,7 +235,7 @@ class BatchStream:
 
 class CacheEntry:
     """One cached get result; ``slot`` is its row in the owning cache's
-    slot-indexed arrays while it is live (see :class:`ClampiCache`)."""
+    live table while it is live (see :class:`ClampiCache`)."""
 
     __slots__ = ("key", "data", "buffer_offset", "nbytes", "last_access",
                  "n_accesses", "app_score", "slot")
@@ -256,19 +256,20 @@ class ClampiCache:
     """Per-(rank, window) RMA cache implementing the CLaMPI design.
 
     Beside the hash index and the allocator sits one *live table*, touched
-    only by ``_attach``/``_detach``/``_clear``: the dense ``_entries`` list
-    (victim sampling indexes it, removal is swap-pop), ``_key_pos`` (key ->
-    position) and, per entry, a stable *slot* from a free stack.  Slots
-    index what :meth:`access_batch` works on instead of objects: the key
-    ``_mirror`` (free rows read -1) that a stream's unique keys are joined
-    against once per key-set epoch — the per-stream memo keeps that slot
-    array, never an entry — and ``_pend_n``/``_pend_last``, where hit runs
-    past ``_SMALL_RUN`` leave their counts and last clocks.  Metadata is
-    write-mostly, so it *settles* into ``CacheEntry.n_accesses`` /
-    ``last_access`` only for the candidates a victim selection is about to
-    score, for an entry being detached (evicted, invalidated, rekeyed) and
-    wholesale in :meth:`entries` / :meth:`check_invariants`; scalar hits
-    and short runs write the object directly.
+    only by ``_attach``/``_detach``/``_clear``: row ``i`` is the entry
+    ``_entries[i]`` (whose ``slot`` is ``i``), its key ``_mirror[i]`` and
+    its pending hit metadata ``_pend_n[i]``/``_pend_last[i]``.  Victim
+    sampling indexes the rows; an attach appends one; a removal is a
+    swap-pop that moves the last row into the freed one.  Rows are what
+    :meth:`access_batch` works on instead of objects: a stream's unique
+    keys are joined against ``_mirror[:len(_entries)]`` once per key-set
+    epoch — the per-stream memo keeps that row array, never an entry — and
+    hit runs past ``_SMALL_RUN`` leave their counts and last clocks in the
+    pending columns.  Metadata is write-mostly, so it *settles* into
+    ``CacheEntry.n_accesses`` / ``last_access`` only for the candidates a
+    victim selection is about to score, for an entry being detached or
+    moved and wholesale in :meth:`entries` / :meth:`check_invariants`;
+    scalar hits and short runs write the object directly.
     """
 
     def __init__(
@@ -291,17 +292,14 @@ class ClampiCache:
         # Victim sampling gets a private, reproducibly-derived stream so
         # identical configs evict identically across process runs.
         self._rng = random.Random(derive_seed(config.seed, "clampi-evict", rank))
-        # The live table and its slot-indexed arrays (class docstring).
+        # The live table's rows (class docstring).
         self._entries: list[CacheEntry] = []
-        self._key_pos: dict[tuple, int] = {}
-        self._slot_entry: list[CacheEntry | None] = []
-        self._free_slots: list[int] = []
         self._mirror = np.empty((64, 3), dtype=np.int64)
         self._pend_n = np.zeros(64, dtype=np.int64)
         self._pend_last = np.zeros(64, dtype=np.int64)
         self._pending = False  # False: every _pend_n row is zero
         self._batch_events: list | None = None  # armed during access_batch
-        # Batch-replay memo: id(stream) -> (epoch, uniq, slots), valid while
+        # Batch-replay memo: id(stream) -> (epoch, uniq, rows), valid while
         # no insert/evict/flush changed the key set (_state_epoch).
         self._state_epoch = 0
         self._batch_memo: dict[int, tuple] = {}
@@ -411,9 +409,9 @@ class ClampiCache:
             raise CacheError("access_batch is not reentrant")
 
         inv = stream.inv
-        # Each unique key's slot survives across replays of the same stream
+        # Each unique key's row survives across replays of the same stream
         # while the key set is unchanged (warm resident queries).  Patched in
-        # place below: slots only change together with the epoch.
+        # place below: rows only change together with the epoch.
         memo = self._batch_memo.get(id(stream))
         if (memo is not None and memo[0] == self._state_epoch
                 and memo[1] is stream.uniq):
@@ -531,17 +529,22 @@ class ClampiCache:
                         else:
                             if key2uid is None:
                                 key2uid = stream.key_to_uid()
-                            uid = key2uid.get(ev)
-                            if uid is not None and slots[uid] >= 0:
+                            uid = key2uid.get(ev[0])
+                            if uid is None:
+                                continue
+                            if ev[1] >= 0:
+                                slots[uid] = ev[1]  # moved by a swap-pop
+                            elif slots[uid] >= 0:
                                 slots[uid] = -1
                                 push_next(uid, p)
                     events.clear()
                 u = int(inv[p])
-                pos = self._key_pos.get(key)
-                if pos is None:
-                    push_next(u, p)  # insert failed: later uses still miss
+                # An insert appends, so it is the last row if it happened.
+                entries = self._entries
+                if entries and entries[-1].key == key:
+                    slots[u] = len(entries) - 1
                 else:
-                    slots[u] = self._entries[pos].slot
+                    push_next(u, p)  # insert failed: later uses still miss
                 cur = p + 1
         finally:
             self._batch_events = None
@@ -560,7 +563,7 @@ class ClampiCache:
     _DENSE_MISS = 4
 
     def _join_slots(self, uniq: np.ndarray) -> np.ndarray:
-        """Live-table slot of each unique key row (-1 = absent): one join.
+        """Live-table row of each unique key row (-1 = absent): one join.
 
         ``uniq`` is duplicate-free and lexicographically sorted, so packing
         the key columns (:func:`_pack_keys`) keeps it sorted and every
@@ -568,14 +571,13 @@ class ClampiCache:
         """
         n = uniq.shape[0]
         slots = np.full(n, -1, dtype=np.int64)
-        live = self._mirror[:len(self._slot_entry)]
+        live = self._mirror[:len(self._entries)]
         if not (n and live.shape[0]):
             return slots
         packed = _pack_keys(np.concatenate([uniq.T, live.T], axis=1))
         at = np.searchsorted(packed[:n], packed[n:])
         at[at == n] = 0
-        # A cached count is > 0; free mirror rows read -1.
-        found = (packed[at] == packed[n:]) & (live[:, 2] > 0)
+        found = packed[at] == packed[n:]
         slots[at[found]] = np.flatnonzero(found)
         return slots
 
@@ -586,7 +588,7 @@ class ClampiCache:
     def _apply_hit_run(self, run: np.ndarray, start: int, stop: int,
                        durations: np.ndarray, hit_dur: np.ndarray,
                        nbytes_pref: np.ndarray) -> None:
-        """Apply consecutive hits on the entries in slots ``run``, O(k)."""
+        """Apply consecutive hits on the entries in rows ``run``, O(k)."""
         k = stop - start
         cfg = self.config
         durations[start:stop] = hit_dur[start:stop]
@@ -599,10 +601,10 @@ class ClampiCache:
             # mgmt_time: k sequential `+= lookup_overhead` additions.
             mgmt = self.stats.mgmt_time
             overhead = cfg.lookup_overhead
-            by_slot = self._slot_entry
-            for clock, slot in enumerate(run.tolist(), c0 + 1):
+            entries = self._entries
+            for clock, row in enumerate(run.tolist(), c0 + 1):
                 mgmt += overhead
-                entry = by_slot[slot]
+                entry = entries[row]
                 entry.n_accesses += 1
                 entry.last_access = clock
             self.stats.mgmt_time = mgmt
@@ -611,10 +613,10 @@ class ClampiCache:
         self._defer_hits(run, np.arange(c0 + 1, c0 + 1 + k))
 
     def _defer_hits(self, run: np.ndarray, clocks: np.ndarray) -> None:
-        """Leave hits on slots ``run`` (at ascending ``clocks``) to _settle.
+        """Leave hits on rows ``run`` (at ascending ``clocks``) to _settle.
 
-        Write-mostly metadata stays in the slot arrays until then: a
-        repeated slot counts every hit and keeps its last (largest) clock.
+        Write-mostly metadata stays in the pending columns until then: a
+        repeated row counts every hit and keeps its last (largest) clock.
         """
         np.add.at(self._pend_n, run, 1)
         self._pend_last[run] = clocks
@@ -669,21 +671,18 @@ class ClampiCache:
         key_cols = stream.targets[at], stream.offsets[at], stream.counts[at]
         k = self.window.servable(self.rank, *key_cols)
 
-        # What stays per entry: the object and its index placement.  Free
-        # slots go out as `_attach` pops them (newest first), then new rows.
-        c0 = self._clock
+        # What stays per entry: the object and its index placement.  The
+        # run appends rows n0 .. n0 + k - 1, as `_attach` would one by one.
+        c0, n0 = self._clock, len(self._entries)
         place, score_fn = index.place, cfg.app_score_fn
-        by_slot, free = self._slot_entry, self._free_slots
-        new_slots = free[::-1][:k]
-        new_slots += range(len(by_slot), len(by_slot) + k - len(new_slots))
         keys = list(zip(*(col[:k].tolist() for col in key_cols)))
         copy_out = self.window.copy_out
         made: list[CacheEntry] = []
         try:
-            for key, end, nbytes, clock, slot in zip(
+            for key, end, nbytes, clock, row in zip(
                     keys, (extent[0] + ends[:k]).tolist(),
                     sizes[:k].tolist(), (c0 + 1 + rel[:k]).tolist(),
-                    new_slots):
+                    range(n0, n0 + k)):
                 entry = CacheEntry(key, None, end - nbytes, nbytes, clock,
                                    None)
                 if not place(key, entry):
@@ -693,7 +692,7 @@ class ClampiCache:
                 entry.data = data = copy_out(*key)
                 if score_fn is not None:
                     entry.app_score = float(score_fn(*key, data))
-                entry.slot = slot
+                entry.slot = row
         except BaseException:
             # Fail closed, as the scalar path does: nothing else has changed
             # yet, and unplacing newest-first restores the index's layout.
@@ -706,21 +705,13 @@ class ClampiCache:
         n = int(rel[k]) if k < rel.shape[0] else hi - p
         q = p + n
         del keys[k:]
-        taken = np.array(new_slots[:k])
         rel, sizes, fetched = rel[:k], sizes[:k], int(ends[k - 1])
         self.allocator.take_front(sizes.tolist())
-        reused = min(k, len(free))
-        del free[len(free) - reused:]
-        for entry in made[:reused]:
-            by_slot[entry.slot] = entry
-        by_slot += made[reused:]
-        while len(by_slot) > self._pend_n.shape[0]:
-            self._grow_slot_arrays()
-        slots[uids[rel]] = taken
-        self._mirror[taken] = np.stack(key_cols, axis=1)[:k]
-        self._key_pos.update(zip(keys, range(len(self._entries),
-                                             len(self._entries) + k)))
         self._entries += made
+        while n0 + k > self._pend_n.shape[0]:
+            self._grow_slot_arrays()
+        slots[uids[rel]] = np.arange(n0, n0 + k)
+        self._mirror[n0:n0 + k] = np.stack(key_cols, axis=1)[:k]
         seen_before = len(self._seen)
         self._seen.update(keys)
         stats.compulsory_misses += len(self._seen) - seen_before
@@ -855,49 +846,56 @@ class ClampiCache:
 
     # -- the live table ------------------------------------------------------------
     def _attach(self, entry: CacheEntry) -> bool:
-        """Index ``entry`` under its key and give it a live-table row + slot.
+        """Index ``entry`` under its key and append its live-table row.
 
         False (nothing changed) when the key's probe window is full.
         """
         key = entry.key
         if not self.index.insert(key, entry):
             return False
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._slot_entry[slot] = entry
-        else:
-            slot = len(self._slot_entry)
-            self._slot_entry.append(entry)
-            if slot == self._pend_n.shape[0]:
-                self._grow_slot_arrays()
-        entry.slot = slot
-        self._mirror[slot] = key
-        self._key_pos[key] = len(self._entries)
+        row = entry.slot = len(self._entries)
+        if row == self._pend_n.shape[0]:
+            self._grow_slot_arrays()
+        self._mirror[row] = key
         self._entries.append(entry)
         self._state_epoch += 1
         return True
 
     def _grow_slot_arrays(self) -> None:
-        """Double the slot-indexed arrays; fresh rows read zero."""
+        """Double the row-indexed columns; fresh rows read zero."""
         self._mirror, self._pend_n, self._pend_last = (
             np.concatenate([a, np.zeros_like(a)])
             for a in (self._mirror, self._pend_n, self._pend_last))
 
-    def _detach(self, entry: CacheEntry) -> None:
-        """Drop ``entry`` from index and live table; its buffer stays allocated."""
+    def _detach(self, entries: Sequence[CacheEntry]) -> None:
+        """Drop ``entries`` from index and live table, in order; their
+        buffers stay allocated.
+
+        Each removal is a swap-pop: the last row's entry, settled, moves
+        into the freed row with its key mirror row (a batch logs the move
+        as ``(key, new_row)``, the removal as ``(key, -1)``).  Settling the
+        dropped entries first keeps a rekeyed object's metadata.
+        """
+        if not entries:
+            return
         if self._pending:
-            self._settle((entry,))  # rekey keeps the object; the slot is reused
-        self.index.remove(entry.key)
-        slot = entry.slot
-        self._slot_entry[slot] = None
-        self._free_slots.append(slot)
-        self._mirror[slot] = -1
-        entries = self._entries
-        pos = self._key_pos.pop(entry.key)
-        last = entries.pop()
-        if pos < len(entries):
-            entries[pos] = last
-            self._key_pos[last.key] = pos
+            self._settle(entries)
+        remove, live, mirror = self.index.remove, self._entries, self._mirror
+        events = self._batch_events
+        for entry in entries:
+            remove(entry.key)
+            row = entry.slot
+            last = live.pop()
+            if last is not entry:
+                if self._pending:
+                    self._settle((last,))
+                live[row] = last
+                last.slot = row
+                mirror[row] = mirror[len(live)]
+                if events is not None:
+                    events.append((last.key, row))
+            if events is not None:
+                events.append((entry.key, -1))
         self._state_epoch += 1
 
     def _clear(self) -> None:
@@ -905,9 +903,6 @@ class ClampiCache:
         self.index = HashIndex(self.config.nslots, self.config.probe_limit)
         self.allocator = BufferAllocator(self.config.capacity_bytes)
         self._entries.clear()
-        self._key_pos.clear()
-        self._slot_entry.clear()
-        self._free_slots.clear()
         self._pend_n[:] = 0
         self._pending = False
         self._state_epoch += 1
@@ -917,10 +912,8 @@ class ClampiCache:
 
     def _remove_entry(self, entry: CacheEntry) -> None:
         """Remove an entry from the live table and free its buffer (no stats)."""
-        self._detach(entry)
+        self._detach((entry,))
         self.allocator.free(entry.buffer_offset)
-        if self._batch_events is not None:
-            self._batch_events.append(entry.key)
 
     # -- invalidation ---------------------------------------------------------------
     def invalidate(self, keys: np.ndarray) -> tuple[int, int]:
@@ -945,7 +938,7 @@ class ClampiCache:
         keys = _key_columns(keys)
         with obs_span("invalidate", cat="cache") as sp:
             entries, _ = self._match(keys)
-            self._detach_all(entries)
+            self._detach(entries)
             free = self.allocator.free
             for entry in entries:
                 free(entry.buffer_offset)
@@ -987,7 +980,7 @@ class ClampiCache:
         with obs_span("rekey", cat="cache") as sp:
             moving = np.flatnonzero((old != new).any(axis=1))
             entries, rows = self._match(old[moving])
-            self._detach_all(entries)
+            self._detach(entries)
             self._charge(self.config.eviction_overhead, len(entries))
             moved = moved_bytes = dropped = dropped_bytes = 0
             lookup, free = self.index.lookup, self.allocator.free
@@ -1025,7 +1018,7 @@ class ClampiCache:
         every mirror row finds its key with a single ``searchsorted``.
         """
         k = keys.shape[0]
-        if k < self._SMALL_MATCH + len(self._slot_entry) // 8:
+        if k < self._SMALL_MATCH + len(self._entries) // 8:
             first: dict[tuple, int] = {}
             for row, key in enumerate(map(tuple, keys.tolist())):
                 first.setdefault(key, row)
@@ -1036,7 +1029,7 @@ class ClampiCache:
                     np.array([row for _, row in found], dtype=np.int64))
         if not self._entries:
             return [], np.zeros(0, dtype=np.int64)
-        live = self._mirror[:len(self._slot_entry)]
+        live = self._mirror[:len(self._entries)]
         try:
             packed = _pack_keys(np.concatenate([keys.T, live.T], axis=1))
         except CacheError:
@@ -1052,39 +1045,13 @@ class ClampiCache:
         ranked = packed[:k][order]
         at = np.searchsorted(ranked, packed[k:])
         at[at == k] = 0
-        # A cached count is > 0; free mirror rows read -1.
-        found = (ranked[at] == packed[k:]) & (live[:, 2] > 0)
-        slots = np.flatnonzero(found)
+        found = ranked[at] == packed[k:]
+        live_rows = np.flatnonzero(found)
         rows = order[at[found]]
         by_row = np.argsort(rows)
-        by_slot = self._slot_entry
-        return [by_slot[slot] for slot in slots[by_row].tolist()], rows[by_row]
-
-    def _detach_all(self, entries: list[CacheEntry]) -> None:
-        """:meth:`_detach` each of ``entries`` in order, as one batch.
-
-        The hash removals and the live table's swap-pops stay per entry,
-        in order (both depend on it); the settle, the mirror write, the
-        free-slot stack and the epoch bump are one operation each.
-        """
-        if not entries:
-            return
-        if self._pending:
-            self._settle(entries)  # rekey keeps the objects; slots are reused
-        remove = self.index.remove
-        by_slot, key_pos, live = self._slot_entry, self._key_pos, self._entries
-        slots = [entry.slot for entry in entries]
-        for entry in entries:
-            remove(entry.key)
-            by_slot[entry.slot] = None
-            pos = key_pos.pop(entry.key)
-            last = live.pop()
-            if pos < len(live):
-                live[pos] = last
-                key_pos[last.key] = pos
-        self._free_slots += slots
-        self._mirror[slots] = -1
-        self._state_epoch += 1
+        entries = self._entries
+        return ([entries[row] for row in live_rows[by_row].tolist()],
+                rows[by_row])
 
     def _charge(self, overhead: float, times: int) -> None:
         """``times`` sequential ``mgmt_time += overhead`` additions.
@@ -1138,18 +1105,11 @@ class ClampiCache:
         self.index.check_invariants()
         entries = self.entries()
         n = len(entries)
-        assert n == len(self._key_pos) == len(self.index)
-        keys = [entry.key for entry in entries]
-        assert self._key_pos == {key: pos for pos, key in enumerate(keys)}, \
-            "_key_pos is not the inverse of the live table"
-        slots = [entry.slot for entry in entries]
-        assert [self._slot_entry[slot] for slot in slots] == entries
-        assert sorted(slots + self._free_slots) == \
-            list(range(len(self._slot_entry))), "slots neither live nor free"
-        assert self._mirror[slots].tolist() == [list(key) for key in keys], \
+        assert n == len(self.index)
+        assert [entry.slot for entry in entries] == list(range(n)), \
+            "an entry's slot is not its row in the live table"
+        assert self._mirror[:n].tolist() == [list(e.key) for e in entries], \
             "key mirror out of step with the live table"
-        assert (self._mirror[self._free_slots] == -1).all(), \
-            "free key mirror rows must read -1"
         assert not self._pend_n.any(), "pending metadata outlived a settle"
         for entry in entries:
             assert self.index.lookup(entry.key) is entry, \

@@ -186,10 +186,6 @@ class DistributedCSR:
         """
         return self.w_adj.total_nbytes() - self.w_adj.part_nbytes(rank)
 
-    def csr_nbytes(self) -> int:
-        """Total distributed CSR footprint (offsets + adjacency windows)."""
-        return self.w_offsets.total_nbytes() + self.w_adj.total_nbytes()
-
 
 def distribute(graph: CSRGraph, engine: Engine,
                partition: Partition | None = None) -> DistributedCSR:

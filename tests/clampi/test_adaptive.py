@@ -29,6 +29,11 @@ class TestAdaptiveConfig:
         with pytest.raises(ValueError):
             AdaptiveConfig(hash_growth=1.0)
 
+    @pytest.mark.parametrize("cost", [-1.0, float("nan")])
+    def test_negative_or_nan_resize_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="resize_cost"):
+            AdaptiveConfig(resize_cost=cost)
+
 
 class TestHashGrowth:
     def test_conflicts_trigger_hash_resize(self):

@@ -227,7 +227,8 @@ class TestEvictionDeterminism:
         self._drive(a)
         self._drive(b)
         assert a.stats.snapshot() == b.stats.snapshot()
-        assert sorted(a._key_pos) == sorted(b._key_pos)
+        assert (sorted(e.key for e in a._entries)
+                == sorted(e.key for e in b._entries))
 
     def test_seed_changes_the_sampling_stream(self):
         a, _ = make_cache(capacity=512, nslots=16, seed=1)
@@ -270,37 +271,24 @@ class TestCheckInvariants:
         return cache
 
     def test_mirror_row_out_of_step(self):
-        # The key mirror is indexed by each entry's stable slot.
+        # The key mirror is indexed by each entry's live-table row.
         cache = self.warm()
         cache._mirror[cache._entries[1].slot, 1] += 1
         with pytest.raises(AssertionError, match="mirror"):
             cache.check_invariants()
 
-    def test_free_mirror_row_left_matchable(self):
+    def test_entry_slot_is_not_its_row(self):
         cache = self.warm()
-        cache.invalidate([cache._entries[0].key])
-        cache._mirror[cache._free_slots[-1]] = (1, 0, 1)
-        with pytest.raises(AssertionError, match="mirror"):
+        live = cache._entries
+        live[0], live[1] = live[1], live[0]
+        with pytest.raises(AssertionError, match="slot is not its row"):
             cache.check_invariants()
 
-    def test_slot_owned_twice(self):
-        cache = self.warm()
-        cache._free_slots.append(cache._entries[0].slot)
-        with pytest.raises(AssertionError, match="slot"):
-            cache.check_invariants()
-
-    def test_pending_metadata_left_on_a_free_slot(self):
+    def test_pending_metadata_left_past_the_table_end(self):
         cache = self.warm()
         cache.invalidate([cache._entries[0].key])
-        cache._pend_n[cache._free_slots[-1]] = 3
+        cache._pend_n[len(cache._entries)] = 3
         with pytest.raises(AssertionError, match="pending"):
-            cache.check_invariants()
-
-    def test_key_pos_not_the_inverse(self):
-        cache = self.warm()
-        a, b = cache._entries[0].key, cache._entries[1].key
-        cache._key_pos[a], cache._key_pos[b] = 1, 0
-        with pytest.raises(AssertionError, match="_key_pos"):
             cache.check_invariants()
 
     def test_entry_key_mismatch(self):

@@ -284,7 +284,7 @@ def test_extent_overflow_hands_over_to_eviction():
     assert_caches_identical(cache, oracle)
 
 
-def test_emptied_cache_reuses_free_slots_in_attach_order():
+def test_emptied_cache_refills_rows_from_zero_in_one_fill_run():
     cache, oracle = make_cache(), make_cache()
     first, second = distinct_gets(50), distinct_gets(90, count=3)
     replay(cache, first)
@@ -292,12 +292,14 @@ def test_emptied_cache_reuses_free_slots_in_attach_order():
         oracle.access(t, o, c)
     for c in (cache, oracle):
         c.invalidate([e.key for e in c.entries()][::-1])
-    assert len(cache._free_slots) == 50
+    assert len(cache) == 0
+    runs = cache.run_counts["fill_runs"]
     calls = count_scalar_calls(cache)
     replay(cache, second)
     for t, o, c in second.tolist():
         oracle.access(t, o, c)
-    assert calls == []
+    assert calls == [] and cache.run_counts["fill_runs"] == runs + 1
+    assert [e.slot for e in cache.entries()] == list(range(90))
     assert_caches_identical(cache, oracle)
 
 

@@ -122,7 +122,7 @@ class TestInvalidate:
 def cache_state(cache):
     return (cache.stats.snapshot(), cache.stats.mgmt_time,
             [(e.key, e.slot) for e in cache.entries()],
-            list(cache._free_slots), cache.allocator.used_blocks())
+            cache.allocator.used_blocks())
 
 
 class TestKeyColumns:
@@ -186,7 +186,7 @@ class TestKeyColumns:
         assert cache.invalidate(small) == (2, 64)
         assert len(lookups) == 2          # distinct rows only
         big = [(1, off, 4) for off in range(8, 8 + 4 * 200, 4)]
-        assert len(big) >= ClampiCache._SMALL_MATCH + len(cache._slot_entry) // 8
+        assert len(big) >= ClampiCache._SMALL_MATCH + len(cache._entries) // 8
         assert cache.invalidate(big) == (8, 256)
         assert len(lookups) == 2 and len(cache) == 0
         cache.check_invariants()

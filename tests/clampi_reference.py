@@ -183,7 +183,7 @@ def reference_rekey(cache, old, new) -> tuple[int, int]:
         entry = cache.index.lookup(old_key)
         if entry is None or old_key == new_key:
             continue
-        cache._detach(entry)
+        cache._detach((entry,))
         detached.append((entry, new_key))
     moved = moved_bytes = 0
     for entry, new_key in detached:

@@ -38,9 +38,8 @@ class TestConstruction:
         with pytest.raises(PartitionError):
             DistributedCSR(g, BlockPartition1D(99, 2), eng)
 
-    def test_csr_nbytes_matches_graph(self, dist4):
+    def test_adjacency_window_holds_the_graph_adjacency(self, dist4):
         g, eng, d = dist4
-        # Window offsets carry one extra slot per rank (n_local + 1 each).
         assert d.w_adj.total_nbytes() == g.adjacency.nbytes
 
 

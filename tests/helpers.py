@@ -126,8 +126,9 @@ def assert_caches_identical(cache, oracle) -> None:
     """Two ``ClampiCache`` objects cannot be told apart by any later access.
 
     Statistics and clocks, every live entry with its settled metadata, slot
-    and payload, the allocator's free list and used map, the hash index's
-    layout and conflict count, and the victim sampler's RNG state.
+    (its live-table row, so the row order) and payload, the allocator's
+    free list and used map, the hash index's layout and conflict count,
+    and the victim sampler's RNG state.
     """
     def rows(c):
         return [(e.key, e.buffer_offset, e.nbytes, e.last_access,
@@ -140,7 +141,6 @@ def assert_caches_identical(cache, oracle) -> None:
     assert cache._clock == oracle._clock
     assert cache._seen == oracle._seen
     assert rows(cache) == rows(oracle)
-    assert cache._free_slots == oracle._free_slots
     assert (list(cache.allocator._free_by_size)
             == list(oracle.allocator._free_by_size))
     assert cache.allocator.used_blocks() == oracle.allocator.used_blocks()

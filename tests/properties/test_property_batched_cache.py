@@ -88,7 +88,7 @@ def test_batch_equals_scalar(stream, geometry, policy, chunk):
         scalar.check_invariants()
 
     # Entry metadata (drives future evictions) must have tracked too.
-    for key in sorted(batched._key_pos):
+    for key in sorted(entry.key for entry in batched._entries):
         be = batched.index.lookup(key)
         se = scalar.index.lookup(key)
         assert se is not None, key

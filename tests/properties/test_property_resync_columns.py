@@ -68,7 +68,7 @@ def random_keys(rng, k: int) -> list[tuple]:
 
 def live_keys(cache: ClampiCache) -> list[tuple]:
     """The live keys, without settling pending hit metadata."""
-    return sorted(cache._key_pos)
+    return sorted(entry.key for entry in cache._entries)
 
 
 def invalidate_keys(cache, k: int, seed: int) -> np.ndarray:
