@@ -17,8 +17,10 @@ exactly the choices a tree makes; and since frees coalesce at once it stays
 short (tens of extents under eviction pressure), where one C ``memmove``
 beats rebalancing node objects.
 
-No real bytes live here — the simulated cache stores NumPy arrays — but the
-offsets are real, so fragmentation behaves exactly as it would in C.
+The allocator itself holds no bytes: its offsets place the cached
+payloads in the cache's one byte buffer
+(:class:`~repro.clampi.cache.SlotTable`), so fragmentation behaves exactly
+as it would in C.  That buffer grows only as far as :attr:`high_water`.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class BufferAllocator:
         self._free_end_to_start: dict[int, int] = {}
         # Used blocks: start -> size.
         self._used: dict[int, int] = {}
+        #: The highest end offset any block has reached.
+        self.high_water = 0
         self._add_free(0, self.capacity)
 
     # -- free-region bookkeeping ---------------------------------------------
@@ -110,6 +114,8 @@ class BufferAllocator:
             self._add_free(start + size, region_size - size)
         self._used[start] = size
         self.free_bytes -= size
+        if start + size > self.high_water:
+            self.high_water = start + size
         return start
 
     def single_free_extent(self) -> tuple[int, int] | None:
@@ -141,6 +147,7 @@ class BufferAllocator:
         if size > total:
             self._add_free(start + total, size - total)
         self.free_bytes -= total
+        self.high_water = max(self.high_water, start + total)
         return start
 
     def free(self, offset: int) -> int:
@@ -241,4 +248,6 @@ class BufferAllocator:
             cursor = start + size
             prev_kind = kind
         assert cursor == self.capacity, f"buffer not tiled: {cursor} != {self.capacity}"
+        assert all(s + sz <= self.high_water for s, sz in self._used.items()), \
+            "a used block ends past the high-water mark"
         assert self.free_bytes == sum(self._free_start_to_size.values())

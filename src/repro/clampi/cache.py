@@ -5,19 +5,22 @@ RMA window (Figure 3 of the paper: MPI_Gets are intercepted, looked up in
 the cache, and only on a miss does the remote access happen, after which
 the retrieved data is stored).
 
-Keyed by ``(target_rank, offset, count)``, entries hold the fetched bytes;
-the index is a bounded-probing hash table and the data lives in a bounded
-buffer managed by a best-fit allocator (sorted free list).  Replayed
-streams go through :meth:`ClampiCache.access_batch`, whose hit runs (warm)
-and fill runs (cold, on a one-extent free list) are array operations on
-key and metadata columns indexed by each entry's live-table row.  Evictions are
-driven by a :class:`~repro.clampi.scores.ScorePolicy`; victim candidates
-are drawn with deterministic sampling (a standard approximation of
+Keyed by ``(target_rank, offset, count)``, entries hold the fetched bytes.
+As in CLaMPI, the bytes live in one buffer at the offsets of a best-fit
+allocator (sorted free list), and a bounded-probing hash table maps each
+key to its entry's *slot*: its row in the :class:`SlotTable`, whose
+slot-indexed columns are the only storage an entry has.  Replayed streams
+go through :meth:`ClampiCache.access_batch`, whose hit runs (warm) and
+fill runs (cold, on a one-extent free list) are array operations on those
+columns.  Evictions are driven by a
+:class:`~repro.clampi.scores.ScorePolicy`; victim candidates are drawn
+with deterministic sampling (a standard approximation of
 global-minimum-score selection that keeps eviction O(sample) — exact
 selection is used inside hash probe windows, where the candidate set is
 already small).  Either way the victim and its score come from one
-:meth:`~repro.clampi.scores.ScorePolicy.pick` call over the candidates;
-the per-entry ``victim_score`` is the oracle ``pick`` must agree with.
+:meth:`~repro.clampi.scores.ScorePolicy.pick` call over the candidate
+rows; the per-entry ``victim_score`` of a :class:`CacheEntry` snapshot is
+the oracle ``pick`` must agree with.
 
 The cache also *prices* itself: every lookup/insert/eviction charges
 management overhead, which is how the paper's "CLaMPI's overhead leads to
@@ -29,10 +32,13 @@ from __future__ import annotations
 
 import enum
 import heapq
+import numbers
+import operator
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,17 +96,8 @@ class ClampiConfig:
     adaptive: "AdaptiveConfig | None" = None  # resolved lazily to avoid cycle
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise CacheError(f"capacity_bytes must be > 0, got {self.capacity_bytes}")
-        if self.nslots <= 0:
-            raise CacheError(f"nslots must be > 0, got {self.nslots}")
-        if self.probe_limit <= 0:
-            raise CacheError(f"probe_limit must be > 0, got {self.probe_limit}")
-        if self.eviction_sample <= 0:
-            raise CacheError("eviction_sample must be > 0")
-        if self.max_evictions_per_insert < 0:
-            raise CacheError("max_evictions_per_insert must be >= 0, got "
-                             f"{self.max_evictions_per_insert}")
+        for name in _GEOMETRY:
+            setattr(self, name, _geometry(name, getattr(self, name)))
         # A negative (or NaN) charge would make a get cost less than nothing.
         for name in ("lookup_overhead", "insert_overhead",
                      "eviction_overhead"):
@@ -111,6 +108,30 @@ class ClampiConfig:
             raise CacheError(
                 "an application-score policy needs app_score_fn to supply scores"
             )
+
+
+#: The config fields that size or count something, with their minimum.
+_GEOMETRY = {"capacity_bytes": 1, "nslots": 1, "probe_limit": 1,
+             "eviction_sample": 1, "max_evictions_per_insert": 0}
+
+
+def _geometry(name: str, value) -> int:
+    """``value`` as a Python int of at least ``_GEOMETRY[name]``.
+
+    Python and NumPy integers pass, and so does an integral float;
+    4096.5, NaN, infinities, non-numbers and values below the minimum
+    raise :class:`CacheError`.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+            raise CacheError(f"{name} must be an integer, got {value!r}"
+                             ) from None
+        value = int(value)
+    if value < _GEOMETRY[name]:
+        raise CacheError(f"{name} must be >= {_GEOMETRY[name]}, got {value}")
+    return value
 
 
 def _key_columns(keys) -> np.ndarray:
@@ -233,43 +254,146 @@ class BatchStream:
         return self._key2uid
 
 
-class CacheEntry:
-    """One cached get result; ``slot`` is its row in the owning cache's
-    live table while it is live (see :class:`ClampiCache`)."""
+class CacheEntry(NamedTuple):
+    """A read-only snapshot of one live entry: row ``slot`` of the owning
+    cache's :class:`SlotTable`, with a copy of its payload as ``data``.
 
-    __slots__ = ("key", "data", "buffer_offset", "nbytes", "last_access",
-                 "n_accesses", "app_score", "slot")
+    :meth:`ClampiCache.entries` returns these.  The base
+    :meth:`~repro.clampi.scores.ScorePolicy.pick` scores records whose
+    ``data`` is None: a victim score reads the entry's metadata only.
+    """
 
-    def __init__(self, key: tuple, data: np.ndarray, buffer_offset: int,
-                 nbytes: int, clock: int, app_score: float | None):
-        self.key = key
-        self.data = data
-        self.buffer_offset = buffer_offset
-        self.nbytes = nbytes
-        self.last_access = clock
-        self.n_accesses = 1
-        self.app_score = app_score
-        self.slot = -1
+    key: tuple
+    data: np.ndarray | None
+    buffer_offset: int
+    nbytes: int
+    last_access: int
+    app_score: float | None = None
+    n_accesses: int = 1
+    slot: int = -1
+
+
+class SlotTable:
+    """The live entries as slot-indexed columns over one payload buffer.
+
+    Row ``i`` — the entry's *slot* — is one live entry, and the columns are
+    all the storage it has: ``meta[i]`` is the ``(key, offset, nbytes,
+    app_score)`` tuple written once per row; ``n_accesses``,
+    ``last_access`` and ``mirror`` (the keys again, three values per row)
+    are int64 ``array`` columns, which append, pop and write at list speed
+    and which :meth:`hit` and :meth:`key_rows` view as NumPy arrays
+    without a copy.  Only this class changes the row layout: :meth:`append`
+    adds a row, :meth:`swap_pop` removes one and :meth:`extend` adds a fill
+    run's.  Row ``i``'s payload is ``buffer[offset:offset + nbytes]``,
+    bytes of ``dtype``: one ``bytearray`` at the allocator's offsets, as
+    long as the highest byte written (a block is written at the front of a
+    free extent, which starts at 0 or where a written block ends), so
+    never longer than the allocator's high-water mark.
+    """
+
+    __slots__ = ("meta", "n_accesses", "last_access", "mirror", "buffer",
+                 "dtype")
+
+    def __init__(self, dtype) -> None:
+        self.dtype = np.dtype(dtype)
+        self.meta: list[tuple] = []
+        self.n_accesses, self.last_access, self.mirror = (
+            array("q") for _ in range(3))
+        self.buffer = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.meta)
+
+    def append(self, key: tuple, offset: int, nbytes: int,
+               app_score: float | None, n_accesses: int,
+               last_access: int) -> None:
+        """Add one row (the order of :meth:`row`'s fields)."""
+        self.meta.append((key, offset, nbytes, app_score))
+        self.n_accesses.append(n_accesses)
+        self.last_access.append(last_access)
+        self.mirror.extend(key)
+
+    def swap_pop(self, row: int) -> tuple | None:
+        """Remove row ``row``: the last row's columns move into it.
+
+        Returns the moved row's key, or None when ``row`` was the last.
+        """
+        meta, mirror = self.meta, self.mirror
+        moved = meta.pop()
+        n_accesses, last_access = self.n_accesses.pop(), self.last_access.pop()
+        del mirror[-3:]
+        if row == len(meta):
+            return None
+        meta[row] = moved
+        self.n_accesses[row] = n_accesses
+        self.last_access[row] = last_access
+        key = moved[0]
+        i = 3 * row
+        mirror[i], mirror[i + 1], mirror[i + 2] = key
+        return key
+
+    def extend(self, keys: list[tuple], offsets: list[int],
+               nbytes: list[int], app_scores: list, clocks: np.ndarray,
+               key_rows: np.ndarray) -> None:
+        """Add one row per key, each with one access (at ``clocks``)."""
+        self.meta += zip(keys, offsets, nbytes, app_scores)
+        self.n_accesses.extend([1] * len(keys))
+        self.last_access.frombytes(clocks.astype(np.int64).tobytes())
+        self.mirror.frombytes(key_rows.astype(np.int64).tobytes())
+
+    def hit(self, rows: np.ndarray, clocks: np.ndarray) -> None:
+        """Record hits on ``rows`` at ascending ``clocks``: a repeated row
+        counts every hit and keeps its last clock."""
+        np.add.at(np.frombuffer(self.n_accesses, np.int64), rows, 1)
+        np.frombuffer(self.last_access, np.int64)[rows] = clocks
+
+    def key_rows(self) -> np.ndarray:
+        """The keys as an ``(n, 3)`` int64 view of ``mirror`` (drop it
+        before the table changes: a view pins the array's size)."""
+        return np.frombuffer(self.mirror, np.int64).reshape(-1, 3)
+
+    def row(self, row: int) -> tuple:
+        """Row ``row``'s ``(key, offset, nbytes, app_score, n_accesses,
+        last_access)``, :meth:`append`'s arguments."""
+        return (*self.meta[row], self.n_accesses[row], self.last_access[row])
+
+    def write(self, offset: int, data: np.ndarray) -> None:
+        """Store ``data``'s bytes at ``offset`` (at most the buffer's end)."""
+        self.buffer[offset:offset + data.nbytes] = data.tobytes()
+
+    def payload(self, row: int) -> np.ndarray:
+        """A copy of row ``row``'s payload (never a view of the buffer)."""
+        _, offset, nbytes, _ = self.meta[row]
+        return np.frombuffer(self.buffer[offset:offset + nbytes], self.dtype)
+
+    def record(self, row: int, payload: bool = True) -> CacheEntry:
+        """Row ``row`` as a :class:`CacheEntry` snapshot (``data`` None
+        without ``payload``)."""
+        key, offset, nbytes, app_score, n_accesses, last_access = self.row(row)
+        return CacheEntry(key, self.payload(row) if payload else None, offset,
+                          nbytes, last_access, app_score, n_accesses, row)
+
+    def clear(self) -> None:
+        """Drop every row and the buffer."""
+        for col in (self.meta, self.n_accesses, self.last_access,
+                    self.mirror):
+            del col[:]
+        self.buffer = bytearray()
 
 
 class ClampiCache:
     """Per-(rank, window) RMA cache implementing the CLaMPI design.
 
-    Beside the hash index and the allocator sits one *live table*, touched
-    only by ``_attach``/``_detach``/``_clear``: row ``i`` is the entry
-    ``_entries[i]`` (whose ``slot`` is ``i``), its key ``_mirror[i]`` and
-    its pending hit metadata ``_pend_n[i]``/``_pend_last[i]``.  Victim
-    sampling indexes the rows; an attach appends one; a removal is a
-    swap-pop that moves the last row into the freed one.  Rows are what
-    :meth:`access_batch` works on instead of objects: a stream's unique
-    keys are joined against ``_mirror[:len(_entries)]`` once per key-set
-    epoch — the per-stream memo keeps that row array, never an entry — and
-    hit runs past ``_SMALL_RUN`` leave their counts and last clocks in the
-    pending columns.  Metadata is write-mostly, so it *settles* into
-    ``CacheEntry.n_accesses`` / ``last_access`` only for the candidates a
-    victim selection is about to score, for an entry being detached or
-    moved and wholesale in :meth:`entries` / :meth:`check_invariants`;
-    scalar hits and short runs write the object directly.
+    An entry is one row of the :class:`SlotTable` ``_table``, touched only
+    by ``_attach``/``_detach``/``_clear``, a fill run and the hit paths:
+    the hash index maps its key to the row, the allocator places its bytes
+    in the table's buffer.  Victim sampling indexes the rows; an attach
+    appends one; a removal is a :meth:`SlotTable.swap_pop`, after which the
+    moved key's index value is re-pointed at its new row.
+    Rows are what :meth:`access_batch` works on: a stream's unique keys are
+    joined against :meth:`SlotTable.key_rows` once per key-set epoch — the
+    per-stream memo keeps that row array — and hit runs write the
+    ``n_accesses`` / ``last_access`` columns directly.
     """
 
     def __init__(
@@ -292,12 +416,7 @@ class ClampiCache:
         # Victim sampling gets a private, reproducibly-derived stream so
         # identical configs evict identically across process runs.
         self._rng = random.Random(derive_seed(config.seed, "clampi-evict", rank))
-        # The live table's rows (class docstring).
-        self._entries: list[CacheEntry] = []
-        self._mirror = np.empty((64, 3), dtype=np.int64)
-        self._pend_n = np.zeros(64, dtype=np.int64)
-        self._pend_last = np.zeros(64, dtype=np.int64)
-        self._pending = False  # False: every _pend_n row is zero
+        self._table = SlotTable(window.dtype)
         self._batch_events: list | None = None  # armed during access_batch
         # Batch-replay memo: id(stream) -> (epoch, uniq, rows), valid while
         # no insert/evict/flush changed the key set (_state_epoch).
@@ -324,34 +443,29 @@ class ClampiCache:
                ) -> tuple[np.ndarray, float, bool]:
         """Serve a get through the cache.
 
-        Returns ``(data, duration_seconds, hit)``.  Exact-match semantics:
-        a cached ``(target, offset, count)`` triple only serves an identical
-        request, as in CLaMPI (no partial-range reuse).
+        Returns ``(data, duration_seconds, hit)``; ``data`` is the caller's
+        own copy.  Exact-match semantics: a cached ``(target, offset,
+        count)`` triple only serves an identical request, as in CLaMPI (no
+        partial-range reuse).  A get the window refuses raises its
+        ``EpochError`` / ``WindowError`` before anything is counted.
         """
-        self._clock += 1
-        cfg = self.config
-        duration = cfg.lookup_overhead
-        self.stats.mgmt_time += cfg.lookup_overhead
         key = (target, offset, count)
-        entry: CacheEntry | None = self.index.lookup(key)
-
-        if entry is not None:
-            entry.last_access = self._clock
-            entry.n_accesses += 1
-            duration += self.memory.cache_service_time(entry.nbytes)
-            self.stats.hits += 1
-            self.stats.bytes_served_from_cache += entry.nbytes
-            return entry.data, duration, True
+        row = self.index.lookup(key)
+        if row is not None:
+            return self._table.payload(row), self._hit(row), True
 
         # Miss: fetch over the network.
-        self.stats.misses += 1
-        if key not in self._seen:
-            self.stats.compulsory_misses += 1
-            self._seen.add(key)
+        cfg, stats = self.config, self.stats
         data = self.window.read(self.rank, target, offset, count)
+        self._clock += 1
+        stats.mgmt_time += cfg.lookup_overhead
+        stats.misses += 1
+        if key not in self._seen:
+            stats.compulsory_misses += 1
+            self._seen.add(key)
         nbytes = data.nbytes
-        duration += self.network.get_time(nbytes)
-        self.stats.bytes_fetched += nbytes
+        duration = cfg.lookup_overhead + self.network.get_time(nbytes)
+        stats.bytes_fetched += nbytes
 
         duration += self._try_insert(key, data, nbytes)
 
@@ -359,6 +473,18 @@ class ClampiCache:
             duration += self._tuner.observe(self)
 
         return data, duration, False
+
+    def _hit(self, row: int) -> float:
+        """Count a hit on row ``row``; returns the hit's duration."""
+        cfg, stats, table = self.config, self.stats, self._table
+        self._clock = clock = self._clock + 1
+        stats.mgmt_time += cfg.lookup_overhead
+        table.n_accesses[row] += 1
+        table.last_access[row] = clock
+        nbytes = table.meta[row][2]
+        stats.hits += 1
+        stats.bytes_served_from_cache += nbytes
+        return cfg.lookup_overhead + self.memory.cache_service_time(nbytes)
 
     def on_epoch_close(self) -> None:
         """Epoch-closure hook: transparent mode flushes (paper Section II-F)."""
@@ -458,6 +584,7 @@ class ClampiCache:
                        if self._tuner is None else None)
         hit_runs = scalar_fallbacks = 0
         stats = self.stats
+        live = self._table.meta
         evicted0 = stats.capacity_evictions + stats.conflict_evictions
         events: list = []
         self._batch_events = events
@@ -498,15 +625,22 @@ class ClampiCache:
                 if evicted >= self._DENSE_MIN and evicted * self._DENSE_MISS >= p:
                     # Eviction-dense: the rest is the oracle loop, whose
                     # evictions nothing patches and whose slots go stale.
+                    # A hit is counted without copying its payload out; a
+                    # miss is an ``access`` call (which may resize: the
+                    # index is looked up afresh).
                     self._batch_events = None
                     self._batch_memo.pop(id(stream), None)
                     self.run_counts["scalar_loops"] += 1
-                    access, dts, verdicts = self.access, [], []
+                    hit, access = self._hit, self.access
+                    dts, verdicts = [], []
                     for key in zip(targets[p:].tolist(), offsets[p:].tolist(),
                                    counts[p:].tolist()):
-                        _, dt, was_hit = access(*key)
-                        dts.append(dt)
-                        verdicts.append(was_hit)
+                        row = self.index.lookup(key)
+                        if row is None:
+                            dts.append(access(*key)[1])
+                        else:
+                            dts.append(hit(row))
+                        verdicts.append(row is not None)
                     durations[p:] = dts
                     hits[p:] = verdicts
                     scalar_fallbacks += verdicts.count(False)
@@ -540,9 +674,8 @@ class ClampiCache:
                     events.clear()
                 u = int(inv[p])
                 # An insert appends, so it is the last row if it happened.
-                entries = self._entries
-                if entries and entries[-1].key == key:
-                    slots[u] = len(entries) - 1
+                if live and live[-1][0] == key:
+                    slots[u] = len(live) - 1
                 else:
                     push_next(u, p)  # insert failed: later uses still miss
                 cur = p + 1
@@ -571,7 +704,7 @@ class ClampiCache:
         """
         n = uniq.shape[0]
         slots = np.full(n, -1, dtype=np.int64)
-        live = self._mirror[:len(self._entries)]
+        live = self._table.key_rows()
         if not (n and live.shape[0]):
             return slots
         packed = _pack_keys(np.concatenate([uniq.T, live.T], axis=1))
@@ -581,9 +714,10 @@ class ClampiCache:
         slots[at[found]] = np.flatnonzero(found)
         return slots
 
-    #: Measured crossover (NumPy 2.4): a plain loop over the entry objects
-    #: costs ~1.5 us + 0.09 us/hit, the array writes ~6 us + 0.01 us/hit.
-    _SMALL_RUN = 64
+    #: Measured crossover (NumPy 2.4): the loop of scalar column writes
+    #: costs ~1.9 us + 0.23 us per hit, the array path (:meth:`_charge` and
+    #: :meth:`SlotTable.hit`) ~11 us + 0.01 us per hit.
+    _SMALL_RUN = 40
 
     def _apply_hit_run(self, run: np.ndarray, start: int, stop: int,
                        durations: np.ndarray, hit_dur: np.ndarray,
@@ -601,26 +735,16 @@ class ClampiCache:
             # mgmt_time: k sequential `+= lookup_overhead` additions.
             mgmt = self.stats.mgmt_time
             overhead = cfg.lookup_overhead
-            entries = self._entries
+            n_accesses, last_access = (self._table.n_accesses,
+                                       self._table.last_access)
             for clock, row in enumerate(run.tolist(), c0 + 1):
                 mgmt += overhead
-                entry = entries[row]
-                entry.n_accesses += 1
-                entry.last_access = clock
+                n_accesses[row] += 1
+                last_access[row] = clock
             self.stats.mgmt_time = mgmt
             return
         self._charge(cfg.lookup_overhead, k)
-        self._defer_hits(run, np.arange(c0 + 1, c0 + 1 + k))
-
-    def _defer_hits(self, run: np.ndarray, clocks: np.ndarray) -> None:
-        """Leave hits on rows ``run`` (at ascending ``clocks``) to _settle.
-
-        Write-mostly metadata stays in the pending columns until then: a
-        repeated row counts every hit and keeps its last (largest) clock.
-        """
-        np.add.at(self._pend_n, run, 1)
-        self._pend_last[run] = clocks
-        self._pending = True
+        self._table.hit(run, np.arange(c0 + 1, c0 + 1 + k))
 
     #: Shortest stretch worth a fill run, and the longest one run looks
     #: ahead.  Measured (NumPy 2.4): a run costs ~65 us of array set-up and
@@ -647,7 +771,9 @@ class ClampiCache:
         serve (an uncacheable size, the extent overflowing, a full probe
         window, a get the window refuses), left to scalar :meth:`access`,
         or the end of the look-ahead window; ``p`` itself when no run
-        forms.  Bit-identical to the scalar path.
+        forms.  The placed entries' payloads arrive in one
+        :meth:`Window.gather` and land in the buffer as one block.
+        Bit-identical to the scalar path.
         """
         # O(1) gates, or a nearly full cache would set up a run per miss:
         # the extent must hold the shortest run even if all of it missed,
@@ -658,7 +784,7 @@ class ClampiCache:
                     (int(stream.targets[p]), int(stream.offsets[p]),
                      int(stream.counts[p])))) == index.probe_limit):
             return p
-        cfg, stats = self.config, self.stats
+        cfg, stats, table = self.config, self.stats, self._table
         hi = min(stream.m, p + self._FILL_WINDOW)
         uids = stream.inv[p:hi]
         miss = (slots[uids] < 0) & (stream.prev[p:hi] < p)
@@ -671,47 +797,43 @@ class ClampiCache:
         key_cols = stream.targets[at], stream.offsets[at], stream.counts[at]
         k = self.window.servable(self.rank, *key_cols)
 
-        # What stays per entry: the object and its index placement.  The
-        # run appends rows n0 .. n0 + k - 1, as `_attach` would one by one.
-        c0, n0 = self._clock, len(self._entries)
+        # What stays per entry: its index placement.  The run appends rows
+        # n0 .. n0 + k - 1, as `_attach` would one by one.
+        c0, n0 = self._clock, len(table)
         place, score_fn = index.place, cfg.app_score_fn
         keys = list(zip(*(col[:k].tolist() for col in key_cols)))
-        copy_out = self.window.copy_out
-        made: list[CacheEntry] = []
+        placed = 0
         try:
-            for key, end, nbytes, clock, row in zip(
-                    keys, (extent[0] + ends[:k]).tolist(),
-                    sizes[:k].tolist(), (c0 + 1 + rel[:k]).tolist(),
-                    range(n0, n0 + k)):
-                entry = CacheEntry(key, None, end - nbytes, nbytes, clock,
-                                   None)
-                if not place(key, entry):
+            for key in keys:
+                if not place(key, n0 + placed):
                     break  # full probe window: the scalar path's to resolve
-                made.append(entry)
-                # Only a placed entry's payload is copied.
-                entry.data = data = copy_out(*key)
-                if score_fn is not None:
-                    entry.app_score = float(score_fn(*key, data))
-                entry.slot = row
+                placed += 1
+            k = placed
+            if k == 0:
+                return p
+            del keys[k:]
+            data = self.window.gather(*(col[:k] for col in key_cols))
+            app_scores = [None] * k
+            if score_fn is not None:
+                cuts = [0, *np.cumsum(key_cols[2][:k]).tolist()]
+                app_scores = [float(score_fn(*key, data[a:b]))
+                              for key, a, b in zip(keys, cuts, cuts[1:])]
         except BaseException:
             # Fail closed, as the scalar path does: nothing else has changed
             # yet, and unplacing newest-first restores the index's layout.
-            for entry in reversed(made):
-                index.remove(entry.key)
+            for key in reversed(keys[:placed]):
+                index.remove(key)
             raise
-        k = len(made)
-        if k == 0:
-            return p
         n = int(rel[k]) if k < rel.shape[0] else hi - p
         q = p + n
-        del keys[k:]
         rel, sizes, fetched = rel[:k], sizes[:k], int(ends[k - 1])
-        self.allocator.take_front(sizes.tolist())
-        self._entries += made
-        while n0 + k > self._pend_n.shape[0]:
-            self._grow_slot_arrays()
+        size_list = sizes.tolist()
+        self.allocator.take_front(size_list)
+        table.extend(keys, (extent[0] + ends[:k] - sizes).tolist(), size_list,
+                     app_scores, c0 + 1 + rel,
+                     np.stack(key_cols, axis=1)[:k])
+        table.write(extent[0], data)
         slots[uids[rel]] = np.arange(n0, n0 + k)
-        self._mirror[n0:n0 + k] = np.stack(key_cols, axis=1)[:k]
         seen_before = len(self._seen)
         self._seen.update(keys)
         stats.compulsory_misses += len(self._seen) - seen_before
@@ -736,30 +858,17 @@ class ClampiCache:
                                              - nbytes_pref[p]) - fetched
         if n > k:
             at_hits = np.flatnonzero(hits[p:q])
-            self._defer_hits(slots[uids[at_hits]], c0 + 1 + at_hits)
+            table.hit(slots[uids[at_hits]], c0 + 1 + at_hits)
         self.run_counts["fill_runs"] += 1
         self.run_counts["filled_entries"] += k
         return q
 
-    def _settle(self, entries: Iterable[CacheEntry]) -> None:
-        """Fold pending hit-run metadata into these live entries' objects."""
-        pend_n, pend_last = self._pend_n, self._pend_last
-        for entry in entries:
-            slot = entry.slot
-            n = int(pend_n[slot])
-            if n:
-                pend_n[slot] = 0
-                entry.n_accesses += n
-                # Scalar hits write the object directly, so it may be ahead.
-                entry.last_access = max(entry.last_access,
-                                        int(pend_last[slot]))
-
     # -- insertion & eviction ------------------------------------------------------
     def _prospective_score(self, key: tuple, app_score: float | None) -> float:
         """Score the candidate entry *as if* freshly inserted (for guards)."""
-        probe = CacheEntry(key, np.empty(0), 0, 0, self._clock, app_score)
-        return self.config.score_policy.pick((probe,), self.allocator,
-                                             self._clock)[1]
+        probe = CacheEntry(key, None, 0, 0, self._clock, app_score)
+        return self.config.score_policy.victim_score(probe, self.allocator,
+                                                     self._clock)
 
     def _try_insert(self, key: tuple, data: np.ndarray, nbytes: int) -> float:
         """Attempt to cache a fetched entry; returns management time spent."""
@@ -784,7 +893,7 @@ class ClampiCache:
             if evictions >= cfg.max_evictions_per_insert:
                 self.stats.insert_failures += 1
                 return t
-            if not self._entries:
+            if not self._table.meta:
                 self.stats.insert_failures += 1
                 return t
             victim, victim_score = self._sample_victim()
@@ -800,18 +909,17 @@ class ClampiCache:
             evictions += 1
             buf_off = allocator.alloc(nbytes)
 
-        entry = CacheEntry(key, data, buf_off, nbytes, self._clock, app_score)
-
         # 2. Hash slot (conflict evictions inside the probe window).
-        if not self._attach(entry):
+        if self._attach(key, buf_off, nbytes, app_score) is None:
             self.stats.hash_conflicts += 1
-            window_entries = [e for _, e in self.index.probe_window(key)]
-            if not window_entries:
+            window_rows = [row for _, row in self.index.probe_window(key)]
+            if not window_rows:
                 # Pathological (probe window empty yet insert failed).
                 allocator.free(buf_off)
                 self.stats.insert_failures += 1
                 return t  # pragma: no cover - defensive
-            victim, victim_score = self._lowest_score(window_entries)
+            victim, victim_score = cfg.score_policy.pick(
+                window_rows, self._table, allocator, self._clock)
             if guard and victim_score > new_score:
                 allocator.free(buf_off)
                 self.stats.insert_failures += 1
@@ -820,100 +928,77 @@ class ClampiCache:
             self.stats.conflict_evictions += 1
             t += cfg.eviction_overhead
             self.stats.mgmt_time += cfg.eviction_overhead
-            if not self._attach(entry):  # pragma: no cover - defensive
-                allocator.free(buf_off)
+            if self._attach(key, buf_off, nbytes, app_score) is None:
+                allocator.free(buf_off)  # pragma: no cover - defensive
                 self.stats.insert_failures += 1
+                return t
+        self._table.write(buf_off, data)
         return t
 
-    def _lowest_score(self, candidates: list[CacheEntry]
-                      ) -> tuple[CacheEntry, float]:
-        """The first lowest-score entry of a non-empty candidate list and
-        its score: one :meth:`ScorePolicy.pick` call on settled metadata."""
-        if self._pending:
-            self._settle(candidates)
-        return self.config.score_policy.pick(candidates, self.allocator,
-                                             self._clock)
-
-    def _sample_victim(self) -> tuple[CacheEntry, float]:
-        """The lowest-score entry of a deterministic random sample of the
-        non-empty live table, and its score."""
-        candidates = self._entries
-        n = len(candidates)
-        if self.config.eviction_sample < n:
-            candidates = [candidates[i] for i in randrange_draws(
-                self._rng, n, self.config.eviction_sample)]
-        return self._lowest_score(candidates)
+    def _sample_victim(self) -> tuple[int, float]:
+        """The lowest-score row of a deterministic random sample of the
+        non-empty live table, and its score (one ``pick`` call)."""
+        n, sample = len(self._table.meta), self.config.eviction_sample
+        rows = randrange_draws(self._rng, n, sample) if sample < n else range(n)
+        return self.config.score_policy.pick(rows, self._table,
+                                             self.allocator, self._clock)
 
     # -- the live table ------------------------------------------------------------
-    def _attach(self, entry: CacheEntry) -> bool:
-        """Index ``entry`` under its key and append its live-table row.
+    def _attach(self, key: tuple, offset: int, nbytes: int,
+                app_score: float | None, n_accesses: int = 1,
+                last_access: int | None = None) -> int | None:
+        """Index ``key`` and append its row (last access: now by default).
 
-        False (nothing changed) when the key's probe window is full.
+        Returns the row, or None (nothing changed) when the key's probe
+        window is full.  The payload is the caller's to write.
         """
-        key = entry.key
-        if not self.index.insert(key, entry):
-            return False
-        row = entry.slot = len(self._entries)
-        if row == self._pend_n.shape[0]:
-            self._grow_slot_arrays()
-        self._mirror[row] = key
-        self._entries.append(entry)
+        table = self._table
+        row = len(table.meta)
+        if not self.index.insert(key, row):
+            return None
+        table.append(key, offset, nbytes, app_score, n_accesses,
+                     self._clock if last_access is None else last_access)
         self._state_epoch += 1
-        return True
+        return row
 
-    def _grow_slot_arrays(self) -> None:
-        """Double the row-indexed columns; fresh rows read zero."""
-        self._mirror, self._pend_n, self._pend_last = (
-            np.concatenate([a, np.zeros_like(a)])
-            for a in (self._mirror, self._pend_n, self._pend_last))
+    def _detach(self, keys: Sequence[tuple]) -> None:
+        """Drop the live entries under ``keys`` from index and table, in
+        order; their buffer blocks stay allocated.
 
-    def _detach(self, entries: Sequence[CacheEntry]) -> None:
-        """Drop ``entries`` from index and live table, in order; their
-        buffers stay allocated.
-
-        Each removal is a swap-pop: the last row's entry, settled, moves
-        into the freed row with its key mirror row (a batch logs the move
-        as ``(key, new_row)``, the removal as ``(key, -1)``).  Settling the
-        dropped entries first keeps a rekeyed object's metadata.
+        Each removal is a :meth:`SlotTable.swap_pop`, and the moved key's
+        index value is re-pointed at its new row (a batch logs the move as
+        ``(key, new_row)``, the removal as ``(key, -1)``).
         """
-        if not entries:
+        if not keys:
             return
-        if self._pending:
-            self._settle(entries)
-        remove, live, mirror = self.index.remove, self._entries, self._mirror
-        events = self._batch_events
-        for entry in entries:
-            remove(entry.key)
-            row = entry.slot
-            last = live.pop()
-            if last is not entry:
-                if self._pending:
-                    self._settle((last,))
-                live[row] = last
-                last.slot = row
-                mirror[row] = mirror[len(live)]
+        index, swap_pop, events = (self.index, self._table.swap_pop,
+                                   self._batch_events)
+        for key in keys:
+            row = index.remove(key)
+            moved = swap_pop(row)
+            if moved is not None:
+                index.place(moved, row)
                 if events is not None:
-                    events.append((last.key, row))
+                    events.append((moved, row))
             if events is not None:
-                events.append((entry.key, -1))
+                events.append((key, -1))
         self._state_epoch += 1
 
     def _clear(self) -> None:
         """Empty the cache under the current geometry (counts as a flush)."""
         self.index = HashIndex(self.config.nslots, self.config.probe_limit)
         self.allocator = BufferAllocator(self.config.capacity_bytes)
-        self._entries.clear()
-        self._pend_n[:] = 0
-        self._pending = False
+        self._table.clear()
         self._state_epoch += 1
         if self._batch_events is not None:
             self._batch_events.append(_CLEARED)
         self.stats.flushes += 1
 
-    def _remove_entry(self, entry: CacheEntry) -> None:
-        """Remove an entry from the live table and free its buffer (no stats)."""
-        self._detach((entry,))
-        self.allocator.free(entry.buffer_offset)
+    def _remove_entry(self, row: int) -> None:
+        """Remove row ``row``'s entry and free its buffer block (no stats)."""
+        key, offset, _, _ = self._table.meta[row]
+        self._detach((key,))
+        self.allocator.free(offset)
 
     # -- invalidation ---------------------------------------------------------------
     def invalidate(self, keys: np.ndarray) -> tuple[int, int]:
@@ -937,13 +1022,14 @@ class ClampiCache:
             raise CacheError("invalidate() is not allowed during access_batch")
         keys = _key_columns(keys)
         with obs_span("invalidate", cat="cache") as sp:
-            entries, _ = self._match(keys)
-            self._detach(entries)
+            rows, _ = self._match(keys)
+            meta = [self._table.meta[row] for row in rows]
+            dropped_bytes = sum(nbytes for _, _, nbytes, _ in meta)
+            self._detach([key for key, _, _, _ in meta])
             free = self.allocator.free
-            for entry in entries:
-                free(entry.buffer_offset)
-            dropped = len(entries)
-            dropped_bytes = sum(entry.nbytes for entry in entries)
+            for _, offset, _, _ in meta:
+                free(offset)
+            dropped = len(rows)
             self._charge(self.config.eviction_overhead, dropped)
             self.stats.invalidations += dropped
             self.stats.invalidated_bytes += dropped_bytes
@@ -958,9 +1044,10 @@ class ClampiCache:
         resync computes them for adjacency lists that an update shifted
         without changing their content.  Each live ``old`` entry (matched
         at its first row whose new key differs) is re-registered under its
-        new key, keeping its buffer, data and score metadata, so the
-        warmth survives where plain invalidation would drop it.  Malformed
-        columns raise :class:`CacheError` before the cache is touched.
+        new key, keeping its buffer block, payload and score metadata, so
+        the warmth survives where plain invalidation would drop it.
+        Malformed columns raise :class:`CacheError` before the cache is
+        touched.
 
         The remap is two-phase (detach every match in one batch, then
         reattach in row order) because a new key may equal *another* row's
@@ -979,21 +1066,23 @@ class ClampiCache:
                              f"{old.shape[0]} old and {new.shape[0]} new")
         with obs_span("rekey", cat="cache") as sp:
             moving = np.flatnonzero((old != new).any(axis=1))
-            entries, rows = self._match(old[moving])
-            self._detach(entries)
-            self._charge(self.config.eviction_overhead, len(entries))
+            rows, key_rows = self._match(old[moving])
+            taken = [self._table.row(row) for row in rows]
+            self._detach([key for key, *_ in taken])
+            self._charge(self.config.eviction_overhead, len(rows))
             moved = moved_bytes = dropped = dropped_bytes = 0
             lookup, free = self.index.lookup, self.allocator.free
-            for entry, key in zip(entries,
-                                  map(tuple, new[moving[rows]].tolist())):
-                entry.key = key
-                if lookup(key) is None and self._attach(entry):
+            for (_, offset, nbytes, *metadata), key in zip(
+                    taken, map(tuple, new[moving[key_rows]].tolist())):
+                if (lookup(key) is None
+                        and self._attach(key, offset, nbytes, *metadata)
+                        is not None):
                     moved += 1
-                    moved_bytes += entry.nbytes
+                    moved_bytes += nbytes
                 else:
-                    free(entry.buffer_offset)
+                    free(offset)
                     dropped += 1
-                    dropped_bytes += entry.nbytes
+                    dropped_bytes += nbytes
             stats = self.stats
             stats.invalidations += dropped
             stats.invalidated_bytes += dropped_bytes
@@ -1008,28 +1097,30 @@ class ClampiCache:
     #: rows (~70 on the serve workloads' ~200-entry caches).
     _SMALL_MATCH = 48
 
-    def _match(self, keys: np.ndarray) -> tuple[list[CacheEntry], np.ndarray]:
-        """Live entries the ``(k, 3)`` key rows name, and each one's row.
+    def _match(self, keys: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """Live rows the ``(k, 3)`` key rows name, and each one's key row.
 
-        Every entry is matched at its first row, and the matches come in
-        row order.  Below the ``_SMALL_MATCH`` crossover each distinct key
-        is one :meth:`HashIndex.lookup`; above it the rows are packed and
-        sorted once (:func:`_pack_keys`, as :meth:`_join_slots` does) and
-        every mirror row finds its key with a single ``searchsorted``.
+        Every entry is matched at its first key row, and the matches come
+        in key-row order.  Below the ``_SMALL_MATCH`` crossover each
+        distinct key is one :meth:`HashIndex.lookup`; above it the key rows
+        are packed and sorted once (:func:`_pack_keys`, as
+        :meth:`_join_slots` does) and every mirror row finds its key with a
+        single ``searchsorted``.
         """
         k = keys.shape[0]
-        if k < self._SMALL_MATCH + len(self._entries) // 8:
+        n = len(self._table)
+        if k < self._SMALL_MATCH + n // 8:
             first: dict[tuple, int] = {}
-            for row, key in enumerate(map(tuple, keys.tolist())):
-                first.setdefault(key, row)
+            for krow, key in enumerate(map(tuple, keys.tolist())):
+                first.setdefault(key, krow)
             lookup = self.index.lookup
-            found = [(entry, row) for key, row in first.items()
-                     if (entry := lookup(key)) is not None]
-            return ([entry for entry, _ in found],
-                    np.array([row for _, row in found], dtype=np.int64))
-        if not self._entries:
+            found = [(row, krow) for key, krow in first.items()
+                     if (row := lookup(key)) is not None]
+            return ([row for row, _ in found],
+                    np.array([krow for _, krow in found], dtype=np.int64))
+        if not n:
             return [], np.zeros(0, dtype=np.int64)
-        live = self._mirror[:len(self._entries)]
+        live = self._table.key_rows()
         try:
             packed = _pack_keys(np.concatenate([keys.T, live.T], axis=1))
         except CacheError:
@@ -1037,8 +1128,8 @@ class ClampiCache:
             # the packing fits, as it does for the live keys alone.
             inside = np.flatnonzero(((keys >= live.min(axis=0))
                                      & (keys <= live.max(axis=0))).all(axis=1))
-            entries, rows = self._match(keys[inside])
-            return entries, inside[rows]
+            rows, key_rows = self._match(keys[inside])
+            return rows, inside[key_rows]
         # A stable sort puts each key's first row first among its repeats,
         # and the left ``searchsorted`` lands on it.
         order = np.argsort(packed[:k], kind="stable")
@@ -1046,12 +1137,10 @@ class ClampiCache:
         at = np.searchsorted(ranked, packed[k:])
         at[at == k] = 0
         found = ranked[at] == packed[k:]
-        live_rows = np.flatnonzero(found)
-        rows = order[at[found]]
-        by_row = np.argsort(rows)
-        entries = self._entries
-        return ([entries[row] for row in live_rows[by_row].tolist()],
-                rows[by_row])
+        key_rows = order[at[found]]
+        by_key_row = np.argsort(key_rows)
+        return (np.flatnonzero(found)[by_key_row].tolist(),
+                key_rows[by_key_row])
 
     def _charge(self, overhead: float, times: int) -> None:
         """``times`` sequential ``mgmt_time += overhead`` additions.
@@ -1067,53 +1156,64 @@ class ClampiCache:
     # -- maintenance ---------------------------------------------------------------
     def flush(self) -> None:
         """Drop every entry (compulsory-miss history is preserved)."""
-        with obs_span("flush", cat="cache", entries=len(self._entries)):
+        with obs_span("flush", cat="cache", entries=len(self._table)):
             self._clear()
 
     def resize(self, *, nslots: int | None = None,
                capacity_bytes: int | None = None) -> None:
-        """Adaptive-tuning hook: change geometry, flushing as CLaMPI does."""
+        """Adaptive-tuning hook: change geometry, flushing as CLaMPI does.
+
+        Both arguments are checked before either is applied, with
+        :class:`ClampiConfig`'s rules: a refused resize changes nothing.
+        """
         if nslots is not None:
-            if nslots <= 0:
-                raise CacheError(f"nslots must be > 0, got {nslots}")
-            self.config.nslots = int(nslots)
+            nslots = _geometry("nslots", nslots)
         if capacity_bytes is not None:
-            if capacity_bytes <= 0:
-                raise CacheError(f"capacity must be > 0, got {capacity_bytes}")
-            self.config.capacity_bytes = int(capacity_bytes)
+            capacity_bytes = _geometry("capacity_bytes", capacity_bytes)
+        if nslots is not None:
+            self.config.nslots = nslots
+        if capacity_bytes is not None:
+            self.config.capacity_bytes = capacity_bytes
         self._clear()
         self.stats.adaptive_resizes += 1
 
     # -- inspection -------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._table)
 
     @property
     def used_bytes(self) -> int:
         return self.allocator.used_bytes
 
     def entries(self) -> list[CacheEntry]:
-        """Snapshot of live entries, metadata settled (reporting / tests)."""
-        if self._pending:
-            self._settle(self._entries)
-            self._pending = False
-        return list(self._entries)
+        """Snapshot records of the live entries, in row order."""
+        return [self._table.record(row) for row in range(len(self._table))]
 
     def check_invariants(self) -> None:
         """Cross-structure consistency (exercised by property tests)."""
         self.allocator.check_invariants()
         self.index.check_invariants()
-        entries = self.entries()
-        n = len(entries)
-        assert n == len(self.index)
-        assert [entry.slot for entry in entries] == list(range(n)), \
-            "an entry's slot is not its row in the live table"
-        assert self._mirror[:n].tolist() == [list(e.key) for e in entries], \
+        table = self._table
+        n = len(table)
+        assert n == len(self.index) == self.allocator.n_used_blocks()
+        assert (len(table.n_accesses) == len(table.last_access)
+                == len(table.mirror) // 3 == n), "table columns differ in length"
+        keys = [key for key, _, _, _ in table.meta]
+        assert table.key_rows().tolist() == [list(key) for key in keys], \
             "key mirror out of step with the live table"
-        assert not self._pend_n.any(), "pending metadata outlived a settle"
-        for entry in entries:
-            assert self.index.lookup(entry.key) is entry, \
-                f"live entry not indexed under its key: {entry.key}"
-            assert self.allocator.block_size(entry.buffer_offset) == entry.nbytes
-        assert sum(entry.nbytes for entry in entries) == self.allocator.used_bytes
-        assert n == self.allocator.n_used_blocks()
+        for row, key in enumerate(keys):
+            assert self.index.lookup(key) == row, \
+                f"key not indexed under its row: {key}"
+        assert min(table.n_accesses, default=1) >= 1, "an entry counts no access"
+        assert max(table.last_access, default=0) <= self._clock, \
+            "an entry's last access is in the future"
+        # One block per entry, each the allocator's, of the entry's size.
+        blocks = {offset: nbytes for _, offset, nbytes, _ in table.meta}
+        assert len(blocks) == n, "two entries share a buffer block"
+        assert blocks == self.allocator.used_blocks(), \
+            "the entries' blocks are not the allocator's used blocks"
+        assert len(table.buffer) <= self.allocator.high_water, \
+            "payload buffer past the allocator's high-water mark"
+        assert all(offset + nbytes <= len(table.buffer)
+                   for offset, nbytes in blocks.items()), \
+            "an entry's payload lies past the buffer's end"

@@ -9,10 +9,13 @@ term (explicitly noted in the paper).
 
 A policy maps a cache entry to a scalar; the entry with the **lowest**
 score is evicted first.  :meth:`ScorePolicy.victim_score` scores one entry
-and is the oracle; :meth:`ScorePolicy.pick` is the one call a victim
-selection makes.  Its base implementation is ``min`` over
-``victim_score``, and the stock policies override it with one loop that
-yields the same victim and the same score bits.
+(a :class:`~repro.clampi.cache.CacheEntry` snapshot record, whose ``data``
+is None: a score reads metadata only) and is the oracle; :meth:`ScorePolicy.pick` is the one call a victim selection makes,
+over candidate rows of the cache's
+:class:`~repro.clampi.cache.SlotTable`.  Its base implementation is
+``min`` over ``victim_score`` of each row's record, and the stock policies
+override it with one loop over the candidates' column values that yields
+the same victim and the same score bits.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.clampi.allocator import BufferAllocator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.clampi.cache import CacheEntry
+    from repro.clampi.cache import CacheEntry, SlotTable
 
 
 class ScorePolicy(abc.ABC):
@@ -41,15 +44,22 @@ class ScorePolicy(abc.ABC):
                      clock: int) -> float:
         """Score ``entry`` given the allocator state and the logical clock."""
 
-    def pick(self, candidates: "Sequence[CacheEntry]",
-             allocator: BufferAllocator, clock: int
-             ) -> tuple["CacheEntry", float]:
-        """The first lowest-score entry of non-empty ``candidates`` and its
-        score: exactly ``min(candidates, key=victim_score)``."""
-        scores = [self.victim_score(entry, allocator, clock)
-                  for entry in candidates]
+    def pick(self, rows: Sequence[int], table: "SlotTable",
+             allocator: BufferAllocator, clock: int) -> tuple[int, float]:
+        """The first lowest-score row of non-empty ``rows`` and its score:
+        exactly ``min`` over ``victim_score(table.record(row, False), ...)``.
+
+        The records carry no payload (``data`` is None): copying each
+        candidate's bytes out of the buffer would cost more than scoring
+        it.  ``rows`` may repeat a row; a tie goes to the first candidate.
+        Overrides read the table's columns (``last_access``,
+        ``n_accesses`` and the ``(key, offset, nbytes, app_score)`` rows
+        of ``meta``) and must select the same row with the same score bits.
+        """
+        scores = [self.victim_score(table.record(row, False), allocator, clock)
+                  for row in rows]
         i = min(range(len(scores)), key=scores.__getitem__)
-        return candidates[i], scores[i]
+        return rows[i], scores[i]
 
     @property
     def uses_app_score(self) -> bool:
@@ -87,21 +97,22 @@ class DefaultScorePolicy(ScorePolicy):
             relief = adjacent / denom if denom > 0 else 0.0
         return self.w_recency * recency - self.w_positional * relief
 
-    def pick(self, candidates, allocator, clock):
+    def pick(self, rows, table, allocator, clock):
         w_recency, w_positional = self.w_recency, self.w_positional
         adjacent_free = allocator.adjacent_free
+        last_access, meta = table.last_access, table.meta
         best, best_score = None, 0.0
-        for entry in candidates:
-            recency = entry.last_access / clock if clock > 0 else 0.0
+        for row in rows:
+            recency = last_access[row] / clock if clock > 0 else 0.0
             relief = 0.0
             if w_positional > 0.0:
-                nbytes = entry.nbytes
-                adjacent = adjacent_free(entry.buffer_offset, nbytes)
+                _, offset, nbytes, _ = meta[row]
+                adjacent = adjacent_free(offset, nbytes)
                 denom = adjacent + nbytes
                 relief = adjacent / denom if denom > 0 else 0.0
             score = w_recency * recency - w_positional * relief
             if best is None or score < best_score:
-                best, best_score = entry, score
+                best, best_score = row, score
         return best, best_score
 
 
@@ -131,17 +142,18 @@ class AppScorePolicy(ScorePolicy):
         recency = entry.last_access / clock if clock > 0 else 0.0
         return app + self.recency_tiebreak * recency
 
-    def pick(self, candidates, allocator, clock):
+    def pick(self, rows, table, allocator, clock):
         tiebreak = self.recency_tiebreak
+        last_access, meta = table.last_access, table.meta
         best, best_score = None, 0.0
-        for entry in candidates:
-            app = entry.app_score
+        for row in rows:
+            app = meta[row][3]
             if app is None:
                 app = 0.0
-            recency = entry.last_access / clock if clock > 0 else 0.0
+            recency = last_access[row] / clock if clock > 0 else 0.0
             score = app + tiebreak * recency
             if best is None or score < best_score:
-                best, best_score = entry, score
+                best, best_score = row, score
         return best, best_score
 
 
@@ -152,10 +164,11 @@ class LRUScorePolicy(ScorePolicy):
                      clock: int) -> float:
         return entry.last_access / clock if clock > 0 else 0.0
 
-    def pick(self, candidates, allocator, clock):
+    def pick(self, rows, table, allocator, clock):
+        last_access = table.last_access
         best, best_score = None, 0.0
-        for entry in candidates:
-            score = entry.last_access / clock if clock > 0 else 0.0
+        for row in rows:
+            score = last_access[row] / clock if clock > 0 else 0.0
             if best is None or score < best_score:
-                best, best_score = entry, score
+                best, best_score = row, score
         return best, best_score

@@ -113,7 +113,7 @@ class Window:
 
         The run stops before the first get :meth:`read` would refuse
         (closed epoch, rank or bounds violation): issue that one through
-        :meth:`read` for its error.  Moves no data; :meth:`copy_out` does,
+        :meth:`read` for its error.  Moves no data; :meth:`gather` does,
         for the gets this count cleared.
         """
         if not (0 <= initiator < self.nranks and self._epoch_open[initiator]):
@@ -123,10 +123,21 @@ class Window:
         ok &= (counts >= 0) & (offsets >= 0) & (offsets + counts <= lens)
         return ok.shape[0] if ok.all() else int(ok.argmin())
 
-    def copy_out(self, target: int, offset: int, count: int) -> np.ndarray:
-        """The data movement of one get :meth:`servable` cleared: a copy,
-        like :meth:`read`, without its checks."""
-        return self._parts[target][offset:offset + count].copy()
+    def gather(self, targets: np.ndarray, offsets: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+        """The data movement of a run of gets :meth:`servable` cleared:
+        their elements concatenated in get order, one copy for the run
+        (:meth:`read`'s copy without its checks)."""
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.shape[0] else 0
+        # Each element's index in its target's part.
+        src = np.arange(total) + np.repeat(offsets - (ends - counts), counts)
+        owner = np.repeat(targets, counts)
+        out = np.empty(total, dtype=self.dtype)
+        for target in set(targets.tolist()):
+            sel = owner == target
+            out[sel] = self._parts[target][src[sel]]
+        return out
 
     def write(self, initiator: int, target: int, offset: int, data: np.ndarray) -> None:
         """Perform the data movement of a put."""

@@ -6,7 +6,7 @@ import pytest
 from repro.clampi.cache import ClampiCache, ClampiConfig, ConsistencyMode
 from repro.clampi.scores import AppScorePolicy, LRUScorePolicy
 from repro.runtime.window import Window
-from repro.utils.errors import CacheError
+from repro.utils.errors import CacheError, EpochError, WindowError
 
 
 def make_window(n=256):
@@ -57,6 +57,16 @@ class TestHitMiss:
             data, _, _ = cache.access(1, 5, 7)
             np.testing.assert_array_equal(data, win.local_part(1)[5:12])
 
+    def test_hit_returns_a_copy_the_caller_may_keep(self):
+        # A view of the payload buffer could be overwritten by the next
+        # insert; the caller's array must never change under it.
+        cache, _ = make_cache(capacity=64, nslots=64, eviction_sample=1000)
+        cache.access(1, 0, 8)
+        kept, _, hit = cache.access(1, 0, 8)
+        assert hit
+        cache.access(1, 8, 8)          # evicts (1, 0, 8), reuses its bytes
+        assert kept.tolist() == list(range(1000, 1008))
+
     def test_miss_after_flush_not_compulsory(self):
         cache, _ = make_cache()
         cache.access(1, 0, 4)
@@ -65,6 +75,43 @@ class TestHitMiss:
         assert not hit
         assert cache.stats.misses == 2
         assert cache.stats.compulsory_misses == 1
+
+
+class TestRefusedGet:
+    """A get the window refuses is not a miss: nothing is counted."""
+
+    @staticmethod
+    def state(cache):
+        return (cache.stats.snapshot(), cache.stats.compulsory_misses,
+                cache.stats.mgmt_time, cache._clock, set(cache._seen),
+                len(cache), cache.used_bytes)
+
+    @pytest.mark.parametrize("refused, error", [
+        ((1, 250, 10), WindowError),       # past the region's end
+        ((7, 0, 1), WindowError),          # no such rank
+        ((1, 0, 4), EpochError),           # epoch closed below
+    ])
+    def test_refused_get_leaves_every_counter(self, refused, error):
+        cache, win = make_cache()
+        cache.access(1, 8, 4)
+        cache.access(1, 8, 4)
+        before = self.state(cache)
+        if error is EpochError:
+            win.unlock_all(0)
+        with pytest.raises(error):
+            cache.access(*refused)
+        assert self.state(cache) == before
+        cache.check_invariants()
+
+    def test_a_later_valid_get_is_still_compulsory(self):
+        cache, win = make_cache()
+        win.unlock_all(0)
+        for _ in range(2):
+            with pytest.raises(EpochError):
+                cache.access(1, 0, 4)
+        win.lock_all(0)
+        cache.access(1, 0, 4)
+        assert cache.stats.misses == cache.stats.compulsory_misses == 1
 
 
 class TestEviction:
@@ -174,6 +221,25 @@ class TestConfigValidation:
         with pytest.raises(CacheError, match=field):
             ClampiConfig(capacity_bytes=10, **{field: value})
 
+    @pytest.mark.parametrize("field", ["capacity_bytes", "nslots",
+                                       "probe_limit", "eviction_sample",
+                                       "max_evictions_per_insert"])
+    @pytest.mark.parametrize("value", [float("nan"), 4096.5, float("inf"),
+                                       "64"])
+    def test_geometry_must_be_integral(self, field, value):
+        # 4096.5 would be truncated by the allocator but kept by the
+        # config; NaN used to fail later, in int(), with a bare ValueError.
+        kw = {"capacity_bytes": 4096, field: value}
+        with pytest.raises(CacheError, match=field):
+            ClampiConfig(**kw)
+
+    def test_numpy_and_integral_values_become_ints(self):
+        cfg = ClampiConfig(capacity_bytes=np.int64(4096), nslots=np.int32(64),
+                           probe_limit=4.0)
+        assert (cfg.capacity_bytes, cfg.nslots, cfg.probe_limit) == (4096, 64, 4)
+        assert all(type(v) is int for v in
+                   (cfg.capacity_bytes, cfg.nslots, cfg.probe_limit))
+
     def test_zero_charges_and_eviction_limit_allowed(self):
         cfg = ClampiConfig(capacity_bytes=10, lookup_overhead=0.0,
                            insert_overhead=0.0, eviction_overhead=0.0,
@@ -194,6 +260,29 @@ class TestResize:
         assert not hit
         _, _, hit = cache.access(1, 0, 4)
         assert hit
+
+    @pytest.mark.parametrize("kw", [
+        {"nslots": 8, "capacity_bytes": 0},
+        {"nslots": 0, "capacity_bytes": 2048},
+        {"nslots": 8, "capacity_bytes": 4096.5},
+        {"nslots": float("nan")},
+        {"capacity_bytes": float("nan")},
+    ])
+    def test_refused_resize_changes_nothing(self, kw):
+        cache, _ = make_cache()
+        for off in range(0, 40, 4):
+            cache.access(1, off, 4)
+        before = (cache.config.nslots, cache.config.capacity_bytes,
+                  cache.index.nslots, cache.allocator.capacity,
+                  cache.stats.snapshot(), cache.entries())
+        with pytest.raises(CacheError):
+            cache.resize(**kw)
+        after = (cache.config.nslots, cache.config.capacity_bytes,
+                 cache.index.nslots, cache.allocator.capacity,
+                 cache.stats.snapshot(), cache.entries())
+        assert [repr(x) for x in after] == [repr(x) for x in before]
+        cache.flush()
+        assert cache.index.nslots == 64     # the geometry did not switch
 
     def test_invariants_after_heavy_use(self):
         rng = np.random.default_rng(3)
@@ -227,8 +316,7 @@ class TestEvictionDeterminism:
         self._drive(a)
         self._drive(b)
         assert a.stats.snapshot() == b.stats.snapshot()
-        assert (sorted(e.key for e in a._entries)
-                == sorted(e.key for e in b._entries))
+        assert sorted(a._table.meta) == sorted(b._table.meta)
 
     def test_seed_changes_the_sampling_stream(self):
         a, _ = make_cache(capacity=512, nslots=16, seed=1)
@@ -271,38 +359,69 @@ class TestCheckInvariants:
         return cache
 
     def test_mirror_row_out_of_step(self):
-        # The key mirror is indexed by each entry's live-table row.
+        # The key mirror is indexed by each entry's row.
         cache = self.warm()
-        cache._mirror[cache._entries[1].slot, 1] += 1
+        cache._table.mirror[3 * 1 + 1] += 1
         with pytest.raises(AssertionError, match="mirror"):
             cache.check_invariants()
 
-    def test_entry_slot_is_not_its_row(self):
+    def test_key_not_indexed_under_its_row(self):
+        # Rows swapped in every column but the index's values.
         cache = self.warm()
-        live = cache._entries
-        live[0], live[1] = live[1], live[0]
-        with pytest.raises(AssertionError, match="slot is not its row"):
+        table = cache._table
+        for col in (table.meta, table.n_accesses, table.last_access):
+            col[0], col[1] = col[1], col[0]
+        table.mirror[:6] = table.mirror[3:6] + table.mirror[:3]
+        with pytest.raises(AssertionError, match="not indexed under its row"):
             cache.check_invariants()
 
-    def test_pending_metadata_left_past_the_table_end(self):
+    def test_hit_metadata_out_of_range(self):
         cache = self.warm()
-        cache.invalidate([cache._entries[0].key])
-        cache._pend_n[len(cache._entries)] = 3
-        with pytest.raises(AssertionError, match="pending"):
+        cache._table.n_accesses[0] = 0
+        with pytest.raises(AssertionError, match="no access"):
+            cache.check_invariants()
+        cache = self.warm()
+        cache._table.last_access[len(cache) - 1] = cache._clock + 1
+        with pytest.raises(AssertionError, match="future"):
             cache.check_invariants()
 
     def test_entry_key_mismatch(self):
         cache = self.warm()
-        entry = cache._entries[0]
-        old = entry.key
-        entry.key = (old[0], old[1] + 1000, old[2])
+        (target, offset, count), *rest = cache._table.meta[0]
+        cache._table.meta[0] = ((target, offset + 1000, count), *rest)
         with pytest.raises(AssertionError):
             cache.check_invariants()
 
     def test_entry_size_differs_from_its_block(self):
         cache = self.warm()
-        cache._entries[0].nbytes += 8
-        with pytest.raises(AssertionError):
+        key, offset, nbytes, app_score = cache._table.meta[0]
+        cache._table.meta[0] = (key, offset, nbytes + 8, app_score)
+        with pytest.raises(AssertionError, match="blocks"):
+            cache.check_invariants()
+
+    def test_two_entries_share_a_block(self):
+        # Row 1 points at row 0's block: every entry's block is still one
+        # of the allocator's, and the allocator counts one block per entry.
+        cache = self.warm()
+        table = cache._table
+        _, offset, nbytes, _ = table.meta[0]
+        key, _, _, app_score = table.meta[1]
+        table.meta[1] = (key, offset, nbytes, app_score)
+        with pytest.raises(AssertionError, match="share a buffer block"):
+            cache.check_invariants()
+
+    def test_buffer_past_the_high_water_mark(self):
+        cache = self.warm()
+        cache._table.buffer += bytes(8)
+        with pytest.raises(AssertionError, match="high-water"):
+            cache.check_invariants()
+
+    def test_payload_past_the_buffer_end(self):
+        cache = self.warm()
+        end = max(offset + nbytes
+                  for _, offset, nbytes, _ in cache._table.meta)
+        del cache._table.buffer[end - 1:]
+        with pytest.raises(AssertionError, match="buffer's end"):
             cache.check_invariants()
 
     def test_hole_between_a_key_and_its_home(self):

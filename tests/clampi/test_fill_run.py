@@ -148,9 +148,9 @@ def test_eviction_dense_batch_hands_its_rest_to_the_scalar_loop():
     assert counts["scalar_loops"] == 1
     assert stats.capacity_evictions > 0 and stats.conflict_evictions > 0
     assert counts["filled_entries"] + counts["scalar_fallbacks"] == stats.misses
-    # The loop serves its hits through `access` too; the slots the
-    # stream's memo held went stale with it.
-    assert len(calls) > counts["scalar_fallbacks"]
+    # The loop's misses are `access` calls, its hits are counted in place
+    # (no payload copy); the slots the stream's memo held went stale.
+    assert len(calls) == counts["scalar_fallbacks"]
     assert id(stream) not in cache._batch_memo
 
 
@@ -201,16 +201,17 @@ def distinct_homes(nslots: int, n: int, taken: set, offset: int) -> list:
     return keys
 
 
-def test_run_copies_only_the_payloads_it_places(monkeypatch):
+def test_run_gathers_only_the_payloads_it_places(monkeypatch):
     """A run's look-ahead reaches past the full probe window that ends
-    it; only the entries placed before that window pay a payload copy."""
-    copies, copy_out = [], Window.copy_out
+    it; only the entries placed before that window are gathered."""
+    gathers, gather = [], Window.gather
 
-    def counting(window, target, offset, count):
-        copies.append((target, offset, count))
-        return copy_out(window, target, offset, count)
+    def counting(window, targets, offsets, counts):
+        gathers.append(list(zip(targets.tolist(), offsets.tolist(),
+                                counts.tolist())))
+        return gather(window, targets, offsets, counts)
 
-    monkeypatch.setattr(Window, "copy_out", counting)
+    monkeypatch.setattr(Window, "gather", counting)
     nslots, homes = 512, set()
     keys = distinct_homes(nslots, 40, homes, 0)
     offset = keys[0][1] + 1
@@ -222,8 +223,8 @@ def test_run_copies_only_the_payloads_it_places(monkeypatch):
     cache = make_cache(nslots=nslots, probe_limit=1)
     replay(cache, gets)
     # The run's look-ahead held all 101 misses; it placed the first 40.
-    assert copies[:40] == keys
-    assert len(copies) == cache.run_counts["filled_entries"]
+    assert gathers[0] == keys
+    assert sum(map(len, gathers)) == cache.run_counts["filled_entries"]
     assert cache.run_counts["filled_entries"] < cache.stats.misses == 101
 
     oracle = make_cache(nslots=nslots, probe_limit=1)

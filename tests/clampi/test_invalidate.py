@@ -170,7 +170,7 @@ class TestKeyColumns:
         # The live table swap-pops in row order: (1, 16) then (1, 0).
         keys = [(1, 16, 4), (2, 0, 4), (1, 0, 4), (1, 16, 4), (1, 0, 4)]
         assert cache.invalidate(keys) == (2, 64)
-        assert [e.key for e in cache._entries] == [(1, 8, 4)]
+        assert [key for key, *_ in cache._table.meta] == [(1, 8, 4)]
         assert cache.stats.invalidations == 2
         cache.check_invariants()
 
@@ -186,7 +186,7 @@ class TestKeyColumns:
         assert cache.invalidate(small) == (2, 64)
         assert len(lookups) == 2          # distinct rows only
         big = [(1, off, 4) for off in range(8, 8 + 4 * 200, 4)]
-        assert len(big) >= ClampiCache._SMALL_MATCH + len(cache._entries) // 8
+        assert len(big) >= ClampiCache._SMALL_MATCH + len(cache) // 8
         assert cache.invalidate(big) == (8, 256)
         assert len(lookups) == 2 and len(cache) == 0
         cache.check_invariants()

@@ -112,13 +112,14 @@ class TestRekey:
         cache, _ = make_cache()
         cache.access(1, 0, 4)
         cache.access(1, 0, 4)
-        entry_before = cache.index.lookup((1, 0, 4))
-        n_acc = entry_before.n_accesses
+        (before,) = cache.entries()
         cache.rekey([(1, 0, 4)], [(1, 16, 4)])
-        entry = cache.index.lookup((1, 16, 4))
-        assert entry is entry_before
-        assert entry.n_accesses == n_acc
-        assert entry.key == (1, 16, 4)
+        (after,) = cache.entries()
+        # Same row, block, size, clocks and counts; only the key moved.
+        assert (after._replace(key=None, data=None)
+                == before._replace(key=None, data=None))
+        assert after.key == (1, 16, 4) and after.n_accesses == 2
+        assert after.data.tolist() == before.data.tolist()
 
 
 class TestRekeyColumns:
@@ -161,5 +162,6 @@ class TestRekeyColumns:
                                [(1, 16, 4), (1, 16, 4)])
         assert moved == 1
         assert cache.stats.invalidations == 1
-        assert cache.index.lookup((1, 16, 4)).buffer_offset == 32
+        row = cache.index.lookup((1, 16, 4))
+        assert cache.entries()[row].buffer_offset == 32
         cache.check_invariants()

@@ -16,10 +16,8 @@ from repro.runtime.window import Window
 
 
 def entry(key, nbytes, offset, clock, n_accesses=1, app_score=None):
-    e = CacheEntry(key, np.zeros(max(1, nbytes // 8), dtype=np.int64),
-                   offset, nbytes, clock, app_score)
-    e.n_accesses = n_accesses
-    return e
+    return CacheEntry(key, np.zeros(max(1, nbytes // 8), dtype=np.int64),
+                      offset, nbytes, clock, app_score, n_accesses)
 
 
 @pytest.fixture

@@ -1,12 +1,13 @@
 """Victim selection: ``ScorePolicy.pick`` against the per-entry oracle.
 
-``victim_score`` scores one entry and stays the oracle; ``pick`` is the one
-call a victim selection makes.  The stock policies override ``pick`` with a
-loop, which must return the very object ``min(candidates,
-key=victim_score)`` returns, with the same score bits; the extended
-policies and any subclass that only redefines ``victim_score`` select
-through the base ``min``.  The victim sample's draws must be exactly
-``randrange``'s.
+``victim_score`` scores one entry record and stays the oracle; ``pick`` is
+the one call a victim selection makes, over candidate rows of a
+:class:`SlotTable`.  The stock policies override ``pick`` with a loop over
+the rows' column values, which must return the very row ``min(rows,
+key=victim_score of the row's record)`` returns, with the same score bits;
+the extended policies and any subclass that only redefines
+``victim_score`` select through the base ``min``.  The victim sample's
+draws must be exactly ``randrange``'s.
 """
 
 import random
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clampi.allocator import BufferAllocator
-from repro.clampi.cache import BatchStream, CacheEntry, ClampiCache, ClampiConfig
+from repro.clampi.cache import BatchStream, ClampiCache, ClampiConfig, SlotTable
 from repro.clampi.scores import (
     AppScorePolicy,
     DefaultScorePolicy,
@@ -58,6 +59,15 @@ def bits(score: float) -> str:
     return float(score).hex()
 
 
+def slot_table(rows) -> SlotTable:
+    """A table of ``(key, offset, nbytes, app_score, n_accesses,
+    last_access)`` rows (no payloads)."""
+    table = SlotTable(np.int64)
+    for row in rows:
+        table.append(*row)
+    return table
+
+
 # -- pick against min(victim_score) -----------------------------------------
 
 #: A buffer carved into blocks left to right; ``keep=False`` blocks are
@@ -81,28 +91,29 @@ def selections(draw):
     if not live:
         live = [(alloc.alloc(1), 1)]
     clock = draw(st.one_of(st.just(0), st.integers(1, 40)))
-    entries = []
-    for i, (offset, size) in enumerate(live):
-        entry = CacheEntry((0, i, size), np.empty(0), offset, size,
-                           draw(st.integers(0, clock)), draw(app_scores))
-        entry.n_accesses = draw(st.integers(1, 5))
-        entries.append(entry)
-    # Indices drawn with replacement: repeated candidates, equal scores.
-    picks = draw(st.lists(st.integers(0, len(entries) - 1),
-                          min_size=1, max_size=20))
-    return alloc, clock, [entries[i] for i in picks]
+    table = slot_table([((0, i, size), offset, size, draw(app_scores),
+                         draw(st.integers(1, 5)), draw(st.integers(0, clock)))
+                        for i, (offset, size) in enumerate(live)])
+    # Rows drawn with replacement: repeated candidates, equal scores.
+    rows = draw(st.lists(st.integers(0, len(table) - 1),
+                         min_size=1, max_size=20))
+    return alloc, clock, table, rows
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
 @given(selection=selections())
 @settings(max_examples=150, deadline=None)
 def test_pick_is_min_over_victim_score(name, selection):
-    alloc, clock, candidates = selection
+    alloc, clock, table, rows = selection
     policy = make_policy(name)
-    victim, score = policy.pick(candidates, alloc, clock)
-    want = min(candidates, key=lambda e: policy.victim_score(e, alloc, clock))
-    assert victim is want
-    assert bits(score) == bits(policy.victim_score(want, alloc, clock))
+
+    def score(row):
+        return policy.victim_score(table.record(row), alloc, clock)
+
+    victim, got = policy.pick(rows, table, alloc, clock)
+    want = min(rows, key=score)
+    assert victim == want
+    assert bits(got) == bits(score(want))
 
 
 def test_stock_policies_loop_and_the_rest_select_through_min():
@@ -116,13 +127,14 @@ def test_stock_policies_loop_and_the_rest_select_through_min():
 
 def test_ties_go_to_the_first_candidate():
     alloc = BufferAllocator(16)     # two full blocks: no free neighbours
-    a, b = (CacheEntry((0, i, 8), np.empty(0), alloc.alloc(8), 8, 3, 1.0)
-            for i in range(2))
+    table = slot_table([((0, i, 8), alloc.alloc(8), 8, 1.0, 1, 3)
+                        for i in range(2)])
+    a, b = 0, 1
     for name in ALL:
         policy = make_policy(name)
-        assert policy.pick([a, b, a], alloc, 10)[0] is a, name
-        assert policy.pick([b, a, b], alloc, 10)[0] is b, name
-        assert policy.pick([b, a], alloc, 0)[0] is b, name
+        assert policy.pick([a, b, a], table, alloc, 10)[0] == a, name
+        assert policy.pick([b, a, b], table, alloc, 10)[0] == b, name
+        assert policy.pick([b, a], table, alloc, 0)[0] == b, name
 
 
 # -- whole caches: the loop against the per-entry oracle ------------------------
@@ -186,10 +198,11 @@ def test_pressure_stream_matches_per_entry_twin(name, seed):
 @pytest.mark.parametrize("name", sorted(STOCK))
 def test_stock_eviction_makes_no_per_entry_score_call(monkeypatch, name):
     stock, oracle = make_twins(name)
-    calls = []
+    calls, guard_calls = [], []
 
     def counting(self, entry, allocator, clock):
-        calls.append(entry)
+        # A newcomer the app-score guard scores is no live row (slot -1).
+        (calls if entry.slot >= 0 else guard_calls).append(entry)
         return original(self, entry, allocator, clock)
 
     original = ALL[name][0].victim_score
@@ -197,6 +210,11 @@ def test_stock_eviction_makes_no_per_entry_score_call(monkeypatch, name):
     drive(stock, pressure_program(1))
     assert stock.stats.evictions > 100
     assert calls == []
+    # The guard scores each insert scalar ``access`` attempts, once; every
+    # size here is cacheable, so those are the misses no fill run served.
+    inserts = stock.stats.misses - stock.run_counts["filled_entries"]
+    guarded = stock.config.score_policy.uses_app_score
+    assert len(guard_calls) == (inserts if guarded else 0)
     # The per-entry twin selects through min: one call per candidate.
     drive(oracle, pressure_program(1))
     assert len(calls) >= oracle.stats.evictions
@@ -226,11 +244,11 @@ def test_draws_from_an_empty_range_raise(n):
 def test_victim_sample_is_the_randrange_sample():
     stock, _ = make_twins("lru", sample=5)
     drive(stock, pressure_program(4))
-    n = len(stock._entries)
+    n = len(stock)
     assert n > 5
     twin = random.Random()
     twin.setstate(stock._rng.getstate())
-    sample = [stock._entries[twin.randrange(n)] for _ in range(5)]
-    want = min(sample, key=lambda e: e.last_access)
-    assert stock._sample_victim()[0] is want
+    sample = [twin.randrange(n) for _ in range(5)]
+    want = min(sample, key=stock._table.last_access.__getitem__)
+    assert stock._sample_victim()[0] == want
     assert stock._rng.getstate() == twin.getstate()

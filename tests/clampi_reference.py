@@ -68,6 +68,13 @@ class ReferenceHashIndex:
         self._count += 1
         return True
 
+    def place(self, key: Hashable, value: Any) -> bool:
+        """:meth:`insert` that leaves a full window uncounted."""
+        conflicts = self.conflicts
+        placed = self.insert(key, value)
+        self.conflicts = conflicts
+        return placed
+
     def remove(self, key: Hashable) -> Any:
         target_idx = None
         for idx in self._probe(key):
@@ -159,12 +166,12 @@ def reference_invalidate(cache, keys) -> tuple[int, int]:
     """``cache.invalidate(keys)``, one lookup and one removal per key row."""
     dropped = dropped_bytes = 0
     for key in _rows(keys):
-        entry = cache.index.lookup(key)
-        if entry is None:
+        row = cache.index.lookup(key)
+        if row is None:
             continue
-        cache._remove_entry(entry)
         dropped += 1
-        dropped_bytes += entry.nbytes
+        dropped_bytes += cache._table.meta[row][2]
+        cache._remove_entry(row)
         cache.stats.mgmt_time += cache.config.eviction_overhead
     cache.stats.invalidations += dropped
     cache.stats.invalidated_bytes += dropped_bytes
@@ -176,20 +183,24 @@ def reference_rekey(cache, old, new) -> tuple[int, int]:
 
     Two phases, so a new key may be another row's old key (rows sliding
     past each other); an entry whose new key is taken, or whose probe
-    window is full, is dropped and counted as an invalidation.
+    window is full, is dropped and counted as an invalidation.  A detached
+    entry is carried as its snapshot record: block, size, score and hit
+    metadata.
     """
     detached = []
     for old_key, new_key in zip(_rows(old), _rows(new)):
-        entry = cache.index.lookup(old_key)
-        if entry is None or old_key == new_key:
+        row = cache.index.lookup(old_key)
+        if row is None or old_key == new_key:
             continue
-        cache._detach((entry,))
-        detached.append((entry, new_key))
+        detached.append((cache._table.record(row), new_key))
+        cache._detach((old_key,))
     moved = moved_bytes = 0
     for entry, new_key in detached:
         cache.stats.mgmt_time += cache.config.eviction_overhead
-        entry.key = new_key
-        if cache.index.lookup(new_key) is None and cache._attach(entry):
+        if (cache.index.lookup(new_key) is None
+                and cache._attach(new_key, entry.buffer_offset, entry.nbytes,
+                                  entry.app_score, entry.n_accesses,
+                                  entry.last_access) is not None):
             moved += 1
             moved_bytes += entry.nbytes
         else:

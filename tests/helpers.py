@@ -125,10 +125,11 @@ def apply_cache_maintenance(cache, op: str, a: int, b: int) -> None:
 def assert_caches_identical(cache, oracle) -> None:
     """Two ``ClampiCache`` objects cannot be told apart by any later access.
 
-    Statistics and clocks, every live entry with its settled metadata, slot
-    (its live-table row, so the row order) and payload, the allocator's
-    free list and used map, the hash index's layout and conflict count,
-    and the victim sampler's RNG state.
+    Statistics and clocks, every live entry's record — its hit metadata,
+    slot (its row, so the row order) and payload — the payload buffer's
+    length, the allocator's free list, used map and high-water mark, the
+    hash index's layout (keys and rows) and conflict count, and the victim
+    sampler's RNG state.
     """
     def rows(c):
         return [(e.key, e.buffer_offset, e.nbytes, e.last_access,
@@ -141,12 +142,14 @@ def assert_caches_identical(cache, oracle) -> None:
     assert cache._clock == oracle._clock
     assert cache._seen == oracle._seen
     assert rows(cache) == rows(oracle)
+    assert len(cache._table.buffer) == len(oracle._table.buffer)
     assert (list(cache.allocator._free_by_size)
             == list(oracle.allocator._free_by_size))
     assert cache.allocator.used_blocks() == oracle.allocator.used_blocks()
+    assert cache.allocator.high_water == oracle.allocator.high_water
     assert cache.index.conflicts == oracle.index.conflicts
-    assert ([s and s[0] for s in cache.index._slots]
-            == [s and s[0] for s in oracle.index._slots])
+    assert ([s and s[:2] for s in cache.index._slots]
+            == [s and s[:2] for s in oracle.index._slots])
     assert cache._rng.getstate() == oracle._rng.getstate()
     cache.check_invariants()
     oracle.check_invariants()

@@ -88,10 +88,10 @@ def test_batch_equals_scalar(stream, geometry, policy, chunk):
         scalar.check_invariants()
 
     # Entry metadata (drives future evictions) must have tracked too.
-    for key in sorted(entry.key for entry in batched._entries):
-        be = batched.index.lookup(key)
-        se = scalar.index.lookup(key)
-        assert se is not None, key
+    scalar_entries = {entry.key: entry for entry in scalar.entries()}
+    for be in batched.entries():
+        se = scalar_entries.get(be.key)
+        assert se is not None, be.key
         assert be.last_access == se.last_access
         assert be.n_accesses == se.n_accesses
 

@@ -1,20 +1,18 @@
-"""Deferred hit metadata of ``access_batch`` against scalar truth.
+"""Hit metadata columns of ``access_batch`` against scalar truth.
 
-Hit runs longer than ``ClampiCache._SMALL_RUN`` leave ``last_access`` /
-``n_accesses`` in slot-indexed pending arrays and fold them into the
-:class:`CacheEntry` objects only when an entry is scored, moved or
-inspected.  The chunked twin tests in ``test_property_batched_cache.py``
-cannot see that: their runs are short and ``check_invariants()`` settles
-everything at every chunk boundary.  Here the cache is roomy, the same
+Hit runs longer than ``ClampiCache._SMALL_RUN`` write ``n_accesses`` /
+``last_access`` as arrays (``SlotTable.hit``: ``np.add.at`` plus one
+fancy assignment, so a repeated row must count every hit and keep its
+last clock), and fill runs do the same for the hits inside them.  The
+chunked twin tests in ``test_property_batched_cache.py`` cannot see a
+slip there: their runs are short.  Here the cache is roomy, the same
 :class:`BatchStream` objects are replayed again and again (one long hit
-run each once warm), scalar accesses and maintenance are interleaved, and
-nothing inspects the batched cache until the very end, where its entries
-must equal those of a scalar twin and of a scalar cache running on the
-naive ``tests/clampi_reference.py`` structures.
+run each once warm), scalar accesses and maintenance are interleaved —
+swap-pops move the columns under the runs — and nothing inspects the
+batched cache until the very end, where its entry records must equal
+those of a scalar twin and of a scalar cache running on the naive
+``tests/clampi_reference.py`` structures.
 """
-
-import gc
-import weakref
 
 import numpy as np
 from hypothesis import given, settings
@@ -73,7 +71,7 @@ def make_caches(policy_name: str, capacity: int, nslots: int, **kw):
 
 def entry_rows(cache: ClampiCache) -> list[tuple]:
     return sorted((e.key, e.buffer_offset, e.nbytes, e.last_access,
-                   e.n_accesses) for e in cache.entries())
+                   e.n_accesses, e.data.tolist()) for e in cache.entries())
 
 
 def replay(caches, stream: BatchStream) -> None:
@@ -117,7 +115,7 @@ steps = st.lists(
 @given(universe, walks, steps, st.sampled_from(["default", "lru", "degree"]),
        st.integers(2048, 8192), st.sampled_from([16, 64, 256]))
 @settings(max_examples=60, deadline=None)
-def test_deferred_metadata_matches_scalar_twins(keys, walk_specs, program,
+def test_hit_metadata_columns_match_scalar_twins(keys, walk_specs, program,
                                                 policy, capacity, nslots):
     caches = make_caches(policy, capacity, nslots, probe_limit=4,
                          eviction_sample=8)
@@ -159,27 +157,28 @@ def test_deferred_metadata_matches_scalar_twins(keys, walk_specs, program,
     caches[1].check_invariants()
 
 
-def test_key_touched_only_in_a_deferred_run_survives_lru_eviction():
-    """Exact LRU: the victim must be chosen on settled, not stale, clocks."""
+def test_key_touched_only_in_a_long_run_survives_lru_eviction():
+    """Exact LRU: the victim is chosen on the clocks the run wrote."""
     batched, scalar, _ = make_caches("lru", 4 * 64, 16, eviction_sample=16)
     a, b, c, d, e = ((1, 10 * i, 8) for i in range(5))
     for cache in (batched, scalar):
-        for key in (a, b, c, d):       # clocks 1..4: `a` is the oldest object
+        for key in (a, b, c, d):       # clocks 1..4: `a` is the oldest entry
             cache.access(*key)
     stream = BatchStream(*np.array([a] * LONG, dtype=np.int64).T)
     _, hits = batched.access_batch(stream=stream)
-    assert hits.all() and batched._pending   # the run was deferred
+    row = batched.index.lookup(a)
+    assert hits.all() and batched._table.n_accesses[row] == 1 + LONG
+    assert batched._table.last_access[row] == 4 + LONG
     for _ in range(LONG):
         scalar.access(*a)
     for cache in (batched, scalar):
         cache.access(*e)                # full: evicts the true LRU, `b`
     assert sorted(x.key for x in batched.entries()) == sorted([a, c, d, e])
     assert entry_rows(batched) == entry_rows(scalar)
-    assert batched.index.lookup(a).n_accesses == 1 + LONG
 
 
-def test_pending_rows_start_clean_when_the_slot_arrays_grow():
-    """Entries attached past the initial 64 slots inherit nothing pending."""
+def test_metadata_rows_start_clean_when_the_columns_grow():
+    """Entries appended past the initial 64 rows inherit no old counts."""
     batched, scalar, _ = make_caches("default", 1 << 16, 1024)
     first = np.array([(1, 2 * i, 2) for i in range(60)] * 3, dtype=np.int64)
     more = np.array([(0, 2 * i, 2) for i in range(150)] * 2, dtype=np.int64)
@@ -193,32 +192,37 @@ def test_pending_rows_start_clean_when_the_slot_arrays_grow():
     batched.check_invariants()
 
 
-class TestMemoPinsNoEvictedEntry:
-    """Memos hold slot arrays, so an evicted entry (and its data) can go."""
+class TestMemoServesNoRemovedEntry:
+    """Memos hold row arrays: a removed entry's row is never served."""
 
     def warm(self):
         batched, _, _ = make_caches("lru", 2 * 64, 16)
         a, b = (1, 0, 8), (1, 16, 8)
         stream = BatchStream(*np.array([a, b, a, b], dtype=np.int64).T)
         batched.access_batch(stream=stream)
-        batched.access_batch(stream=stream)   # all hits: the memo validates
-        return batched, a, b, weakref.ref(batched.index.lookup(a).data)
+        _, hits = batched.access_batch(stream=stream)  # the memo validates
+        assert hits.all()
+        (memo,) = batched._batch_memo.values()
+        assert memo[2].dtype.kind == "i"
+        return batched, a, b, stream
 
     def test_evicted_mid_batch(self):
-        batched, a, b, data = self.warm()
+        batched, a, b, warm = self.warm()
         c = (1, 32, 8)
         stream = BatchStream(*np.array([b, c, b], dtype=np.int64).T)
         _, hits = batched.access_batch(stream=stream)   # c evicts a
         assert hits.tolist() == [True, False, True]
         assert batched.index.lookup(a) is None
-        gc.collect()
-        assert data() is None
+        _, hits = batched.access_batch(stream=warm)
+        assert hits.tolist() == [False, True, True, True]
+        batched.check_invariants()
 
     def test_invalidated_between_batches(self):
-        batched, a, b, data = self.warm()
+        batched, a, b, warm = self.warm()
         batched.invalidate([a])
-        gc.collect()
-        assert data() is None
+        _, hits = batched.access_batch(stream=warm)
+        assert hits.tolist() == [False, True, True, True]
+        batched.check_invariants()
 
     def test_memo_table_stays_bounded_and_pruned(self):
         batched, a, b, _ = self.warm()

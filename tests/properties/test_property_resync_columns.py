@@ -5,13 +5,13 @@ them against the live table in one join (below the ``_SMALL_MATCH``
 crossover, one hash lookup per key) and detach the matches in one batch.
 ``tests/clampi_reference.py`` keeps the per-key loops as the oracle: a twin
 cache driven through them must be indistinguishable from the batched one
-(``assert_caches_identical``: stats and ``mgmt_time`` bits, entries in
-``_entries`` order with settled metadata and slots, the free-slot stack,
-hash layout, allocator state and RNG state) after every call.
+(``assert_caches_identical``: stats and ``mgmt_time`` bits, entry records
+in row order with their hit metadata and payloads, hash layout, allocator
+state and RNG state) after every call.
 
 The cache-level property mixes duplicate, absent and empty key lists of
-sizes on both sides of the crossover, with hit-run metadata still pending
-when the keys arrive; rekeys include ``old == new`` rows, two rows with one
+sizes on both sides of the crossover, after hit runs wrote the metadata
+columns; rekeys include ``old == new`` rows, two rows with one
 new key and sliding chains (a new key that is another row's old key).  The
 session-level property drives random update chains through a resident 1D
 session and compares every cache with a twin session resynced through the
@@ -68,7 +68,7 @@ def random_keys(rng, k: int) -> list[tuple]:
 
 def live_keys(cache: ClampiCache) -> list[tuple]:
     """The live keys, without settling pending hit metadata."""
-    return sorted(entry.key for entry in cache._entries)
+    return sorted(key for key, *_ in cache._table.meta)
 
 
 def invalidate_keys(cache, k: int, seed: int) -> np.ndarray:

@@ -105,17 +105,20 @@ class TestDataMovement:
         with pytest.raises(WindowError):
             win.read(0, 7, 0, 1)
 
-    def test_copy_out_is_read_per_get(self):
+    def test_gather_is_read_per_get_concatenated(self):
         win = make_window()
         win.lock_all(0)
         targets, offsets, counts = (np.array(col) for col in
                                     ([0, 1, 0, 1], [2, 0, 9, 5], [3, 5, 1, 0]))
         assert win.servable(0, targets, offsets, counts) == 4
-        for t, o, c in zip(targets, offsets, counts):
-            np.testing.assert_array_equal(win.copy_out(t, o, c),
-                                          win.read(0, t, o, c))
-        win.copy_out(0, 2, 3)[0] = 999        # copies, like read
+        gathered = win.gather(targets, offsets, counts)
+        np.testing.assert_array_equal(gathered, np.concatenate(
+            [win.read(0, t, o, c) for t, o, c in zip(targets, offsets, counts)]))
+        assert gathered.dtype == win.dtype
+        gathered[0] = 999                    # copies, like read
         assert win.local_part(0)[2] == 2
+        assert win.gather(*(col[:0] for col in (targets, offsets, counts))
+                          ).shape == (0,)
 
     @pytest.mark.parametrize("refused", [(1, 3, 10), (1, -1, 2), (1, 0, -2),
                                          (7, 0, 1), (-1, 0, 1)])
@@ -124,8 +127,7 @@ class TestDataMovement:
         win.lock_all(0)
         gets = np.array([(0, 0, 2), (1, 1, 2), refused, (0, 4, 1)])
         assert win.servable(0, gets[:, 0], gets[:, 1], gets[:, 2]) == 2
-        assert [win.copy_out(*get).tolist() for get in gets[:2]] == \
-            [[0, 1], [101, 102]]
+        assert win.gather(*gets[:2].T).tolist() == [0, 1, 101, 102]
         with pytest.raises(WindowError):
             win.read(0, *refused)
 
