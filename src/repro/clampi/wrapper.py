@@ -56,6 +56,22 @@ def degree_app_score(target: int, offset: int, count: int,
     return float(len(data))
 
 
+def attach_per_rank(contexts: Sequence[SimContext], window: Window,
+                    **config) -> list[ClampiCache]:
+    """Create and attach one cache per rank over ``window``; returns them.
+
+    ``config`` holds the :class:`ClampiConfig` fields; every rank's cache
+    gets its own config object.
+    """
+    caches = []
+    for ctx in contexts:
+        cache = ClampiCache(window, ctx.rank, ClampiConfig(**config),
+                            network=ctx.network, memory=ctx.memory)
+        ctx.attach_cache(window, cache)
+        caches.append(cache)
+    return caches
+
+
 def attach_offset_caches(
     contexts: Sequence[SimContext],
     window: Window,
@@ -72,20 +88,10 @@ def attach_offset_caches(
     LCC kernel reads (start, end) pairs, i.e. two offsets).
     """
     entry_nbytes = entry_count * window.itemsize
-    caches = []
-    for ctx in contexts:
-        cfg = ClampiConfig(
-            capacity_bytes=capacity_bytes,
-            nslots=offsets_hash_slots(capacity_bytes, entry_nbytes),
-            mode=mode,
-            score_policy=score_policy or DefaultScorePolicy(),
-            adaptive=adaptive,
-        )
-        cache = ClampiCache(window, ctx.rank, cfg,
-                            network=ctx.network, memory=ctx.memory)
-        ctx.attach_cache(window, cache)
-        caches.append(cache)
-    return caches
+    return attach_per_rank(
+        contexts, window, capacity_bytes=capacity_bytes,
+        nslots=offsets_hash_slots(capacity_bytes, entry_nbytes), mode=mode,
+        score_policy=score_policy or DefaultScorePolicy(), adaptive=adaptive)
 
 
 def attach_adjacency_caches(
@@ -106,23 +112,12 @@ def attach_adjacency_caches(
     the paper's extension.
     """
     policy = score_policy or DefaultScorePolicy()
-    fn = app_score_fn
-    if policy.uses_app_score and fn is None:
-        fn = degree_app_score
+    if policy.uses_app_score and app_score_fn is None:
+        app_score_fn = degree_app_score
     graph_nbytes = window.total_nbytes()
     n = n_vertices if n_vertices is not None else graph_nbytes // max(1, window.itemsize)
-    caches = []
-    for ctx in contexts:
-        cfg = ClampiConfig(
-            capacity_bytes=capacity_bytes,
-            nslots=adjacency_hash_slots(capacity_bytes, graph_nbytes, n),
-            mode=mode,
-            score_policy=policy,
-            app_score_fn=fn,
-            adaptive=adaptive,
-        )
-        cache = ClampiCache(window, ctx.rank, cfg,
-                            network=ctx.network, memory=ctx.memory)
-        ctx.attach_cache(window, cache)
-        caches.append(cache)
-    return caches
+    return attach_per_rank(
+        contexts, window, capacity_bytes=capacity_bytes,
+        nslots=adjacency_hash_slots(capacity_bytes, graph_nbytes, n),
+        mode=mode, score_policy=policy, app_score_fn=app_score_fn,
+        adaptive=adaptive)

@@ -114,7 +114,6 @@ class LCCConfig:
     network: NetworkModel = field(default_factory=NetworkModel.aries)
     memory: MemoryModel = field(default_factory=MemoryModel)
     compute: ComputeModel = field(default_factory=ComputeModel)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.nranks < 1:

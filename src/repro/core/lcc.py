@@ -25,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clampi.stats import CacheStats
-from repro.clampi.wrapper import attach_adjacency_caches, attach_offset_caches
-from repro.core.config import CacheSpec, DistributedRunResult, LCCConfig
+from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.intersect import count_common
 from repro.core.threading import OpenMPModel
 from repro.graph.csr import CSRGraph
@@ -44,30 +43,6 @@ def make_partition(config: LCCConfig, n: int) -> Partition:
     if config.partition == "cyclic":
         return CyclicPartition1D(n, config.nranks)
     raise ConfigError(f"unknown partition {config.partition!r}")
-
-
-def attach_caches(engine: Engine, dist: DistributedCSR, spec: CacheSpec,
-                  n_vertices: int) -> tuple[list, list]:
-    """Attach one ``C_offsets``/``C_adj`` pair per rank for ``spec``.
-
-    Returns ``(offsets_caches, adj_caches)``; either list is empty when the
-    corresponding capacity is zero.
-    """
-    policy = spec.make_policy()
-    offsets_caches: list = []
-    adj_caches: list = []
-    if spec.offsets_bytes > 0:
-        offsets_caches = attach_offset_caches(
-            engine.contexts, dist.w_offsets, spec.offsets_bytes,
-            mode=spec.mode, adaptive=spec.adaptive,
-        )
-    if spec.adj_bytes > 0:
-        adj_caches = attach_adjacency_caches(
-            engine.contexts, dist.w_adj, spec.adj_bytes,
-            mode=spec.mode, score_policy=policy,
-            n_vertices=n_vertices, adaptive=spec.adaptive,
-        )
-    return offsets_caches, adj_caches
 
 
 def _lcc_rank_fn(dist: DistributedCSR, config: LCCConfig, omp: OpenMPModel,

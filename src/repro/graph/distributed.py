@@ -103,16 +103,7 @@ class DistributedCSR:
 
     def close_epochs(self) -> None:
         """``MPI_Win_unlock_all`` everywhere; fires cache epoch hooks."""
-        for rank in range(self.engine.nranks):
-            if self.w_offsets.epoch_open(rank):
-                self.w_offsets.unlock_all(rank)
-            if self.w_adj.epoch_open(rank):
-                self.w_adj.unlock_all(rank)
-            ctx = self.engine.contexts[rank]
-            for win in (self.w_offsets, self.w_adj):
-                cache = ctx.cache_for(win)
-                if cache is not None:
-                    cache.on_epoch_close()
+        self.engine.close_epochs((self.w_offsets, self.w_adj))
 
     # -- dynamic updates -----------------------------------------------------
     def rebind_graph(self, graph: CSRGraph) -> None:

@@ -1,29 +1,30 @@
 """The resident 2D grid cluster: the one place a 2D grid is built.
 
-:class:`GridCluster2D` is the 2D member of the
-:class:`~repro.graphstore.resident.ResidentCluster` family — engine,
-:class:`~repro.graph.partition2d.GridPartition2D`, adjacency blocks and
-the packed RMA window are built once and served across queries:
+:class:`GridCluster2D` is the 2D kind of
+:class:`~repro.graphstore.resident.ResidentCluster`.  The base owns the
+lifecycle — acquire, cache set-up and detach, epochs, the resync
+skeleton and its pricing, teardown — and this module supplies what is
+2D about it:
 
-* **acquire** builds the grid once and resets clocks and traces per
-  query, so a warm query prices exactly what a fresh grid would;
+* **build** — the :class:`~repro.graph.partition2d.GridPartition2D`,
+  one adjacency block per rank and the packed RMA window over them;
+* **block caches** — with a cache spec configured, each rank gets a
+  CLaMPI cache over the packed-blocks window, driven by the spec's mode,
+  score policy and adaptive sizing, so repeated block fetches hit
+  locally like the 1D kernels' adjacency reads;
 * **dispatch** — each query is clocked one of two ways.  A fast query
   (``fast_path`` on) on a square grid replays the epoch's SUMMA panels
   (:meth:`GridCluster2D.panel_state`): ``tc2d`` with or without block
   caches, ``tc2d_spgemm`` and ``lcc2d``.  Every other query runs the
   scalar loop :func:`repro.core.tc2d.execute_tc2d`, the oracle the
   replay is pinned bit-identical against;
-* **resync** is the 2D analogue of :mod:`repro.dynamic.invalidate` —
-  the touched units are ``(row, col)`` *blocks* instead of rank slices.
+* **diff** — the touched units of a resync are ``(row, col)`` *blocks*.
   A changed edge ``(u, v)`` (both stored directions) dirties exactly
   block ``(row_block(u), col_block(v))``; only those blocks are rebuilt
   (:func:`repro.core.tc2d.build_block` — one row-range slice of the new
   CSR, not a full edge re-split), their window regions swapped, their
   packed-block cache entries invalidated while every other block's
-  cached bytes stay warm, and the epoch's panels retired;
-* optional **block caches**: with a cache spec configured, each rank
-  gets a CLaMPI cache over the packed-blocks window, so repeated block
-  fetches hit locally exactly like the 1D kernels' adjacency reads.
+  cached bytes stay warm, and the epoch's panels retired.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.clampi.cache import ClampiCache, ClampiConfig
 from repro.clampi.stats import CacheStats
+from repro.clampi.wrapper import attach_per_rank, degree_app_score
 from repro.core.config import CacheSpec, DistributedRunResult, LCCConfig
 from repro.core.linalg import (
     build_round_streams,
@@ -92,22 +93,23 @@ def stale_block_keys(rank: int, old_packed: np.ndarray,
 
 
 class GridCluster2D(ResidentCluster):
-    """An ``r x c`` grid of adjacency blocks held resident across queries."""
+    """An ``r x c`` grid of adjacency blocks held resident across queries.
+
+    The shape is ``nranks`` and the network/memory/compute models; a
+    build splits the graph into one block per rank and exposes them,
+    packed, through one window.
+    """
 
     kind = "2d"
+    shape_fields = ("nranks", "network", "memory", "compute")
+    acquire = ResidentCluster.acquire
+    resync = ResidentCluster.resync
 
     def __init__(self) -> None:
-        self.graph: Optional[CSRGraph] = None
-        self.grid_builds = 0
-        self.last_reused = False
-        self.last_warm = False
-        self._engine: Optional[Engine] = None
+        super().__init__()
         self._grid: Optional[GridPartition2D] = None
         self._blocks: list = []
         self._win: Optional[Window] = None
-        self._caches: list[ClampiCache] = []
-        self._cluster_key: Any = None
-        self._cache_spec: Optional[CacheSpec] = None
         # _epoch bumps whenever block state changes.
         self._epoch = 0
         # Resident SUMMA panels: the per-round masked-product tables and
@@ -117,47 +119,35 @@ class GridCluster2D(ResidentCluster):
         # and every warm query after that replays the same tables.
         self._panel_memo: Optional[tuple[int, Any, list]] = None
 
-    @property
-    def resident(self) -> bool:
-        return self._engine is not None
+    def _build(self, graph: CSRGraph, config: LCCConfig) -> tuple[Window, ...]:
+        self._grid = GridPartition2D(graph.n, config.nranks)
+        self._blocks = build_grid_blocks(graph, self._grid)
+        self._win = self._engine.windows.add(
+            Window(BLOCKS_WINDOW, [pack_block(b) for b in self._blocks]))
+        self._epoch += 1
+        return (self._win,)
 
-    @property
-    def caches(self) -> list:
-        return list(self._caches)
+    def _make_caches(self, spec: CacheSpec) -> list:
+        """One cache per rank over the packed blocks, sized ``adj_bytes``
+        (none when that is zero); an application-score policy scores a
+        block by its fetched length, as on the 1D ``C_adj``."""
+        if spec.adj_bytes <= 0:
+            return []
+        policy = spec.make_policy()
+        return attach_per_rank(
+            self._engine.contexts, self._win, capacity_bytes=spec.adj_bytes,
+            mode=spec.mode, score_policy=policy, adaptive=spec.adaptive,
+            app_score_fn=degree_app_score if policy.uses_app_score else None)
 
-    # -- acquisition ---------------------------------------------------------
-    def acquire(self, graph: CSRGraph, config: LCCConfig,
-                keep_cache: bool = False
-                ) -> tuple[Engine, GridPartition2D, list, Window, list]:
-        """Build or reuse the grid cluster for ``config``.
+    def _handles(self) -> tuple[Engine, GridPartition2D, list, Window, list]:
+        """``(engine, grid, blocks, window, caches)``."""
+        return self._engine, self._grid, self._blocks, self._win, self._caches
 
-        Returns ``(engine, grid, blocks, window, caches)``.  Clocks and
-        traces reset per query (a warm query's simulated time matches a
-        standalone run); the blocks and packed window — and, with
-        ``keep_cache=True``, the block-cache contents — are reused while
-        the cluster shape is unchanged.
-        """
-        key = (config.nranks, config.network, config.memory, config.compute)
-        rebuilt = self._engine is None or key != self._cluster_key
-        if rebuilt:
-            self._drop_caches()
-            engine = Engine(config.nranks, network=config.network,
-                            memory=config.memory, compute=config.compute)
-            grid = GridPartition2D(graph.n, config.nranks)
-            blocks = build_grid_blocks(graph, grid)
-            win = engine.windows.add(
-                Window(BLOCKS_WINDOW, [pack_block(b) for b in blocks]))
-            self._engine, self._grid = engine, grid
-            self._blocks, self._win = blocks, win
-            self._cluster_key = key
-            self.graph = graph
-            self.grid_builds += 1
-            self._epoch += 1
-        engine, win = self._engine, self._win
-        self._begin_query(engine, (win,))
-        self._configure_caches(config, keep_cache, rebuilt)
-        self.last_reused = not rebuilt
-        return engine, self._grid, self._blocks, win, self._caches
+    def _release(self) -> None:
+        self._grid = None
+        self._blocks = []
+        self._win = None
+        self._panel_memo = None
 
     def panel_state(self):
         """The resident SUMMA panels: ``(stats, streams)`` for this epoch.
@@ -233,80 +223,18 @@ class GridCluster2D(ResidentCluster):
         self._close_epochs()  # transparent-mode caches flush here
         return result
 
-    def _configure_caches(self, config: LCCConfig, keep_cache: bool,
-                          rebuilt: bool) -> None:
-        spec = config.cache
-        if spec is None or spec.adj_bytes <= 0:
-            self._drop_caches()
-            return
-        warm = (keep_cache and not rebuilt and spec == self._cache_spec
-                and bool(self._caches))
-        if warm:
-            for cache in self._caches:
-                cache.stats = CacheStats()
-        else:
-            self._drop_caches()
-            for ctx in self._engine.contexts:
-                cache = ClampiCache(
-                    self._win, ctx.rank,
-                    ClampiConfig(capacity_bytes=spec.adj_bytes,
-                                 mode=spec.mode),
-                    network=ctx.network, memory=ctx.memory)
-                ctx.attach_cache(self._win, cache)
-                self._caches.append(cache)
-        self._cache_spec = spec
-        self.last_warm = warm
-
-    def _drop_caches(self) -> None:
-        if self._engine is not None and self._win is not None:
-            for ctx in self._engine.contexts:
-                ctx.detach_cache(self._win)
-        self._caches = []
-        self._cache_spec = None
-
-    def _close_epochs(self) -> None:
-        """Unlock the blocks window and fire the caches' epoch hooks.
-
-        The epoch-closure boundary is what makes transparent-mode block
-        caches flush exactly as the paper's Section II-F requires — the
-        same contract ``DistributedCSR.close_epochs`` gives the 1D
-        kernels.  Epoch state never touches simulated clocks, so the
-        resident path stays bit-identical to the per-call one (which
-        simply abandons its open epochs with the throwaway engine).
-        """
-        if self._engine is None or self._win is None:
-            return
-        for rank in range(self._engine.nranks):
-            if self._win.epoch_open(rank):
-                self._win.unlock_all(rank)
-            cache = self._engine.contexts[rank].cache_for(self._win)
-            if cache is not None:
-                cache.on_epoch_close()
-
     # -- dynamic updates -----------------------------------------------------
-    def resync(self, result: DeltaResult, *, rekey: bool = True
-               ) -> ClusterResync:
+    def _diff(self, result: DeltaResult, rekey: bool, outcome: ClusterResync,
+              inval_dt: list[float]) -> dict[int, int]:
         """Rebuild exactly the blocks a delta's changed edges dirty.
 
         ``rekey`` is accepted for protocol symmetry; packed blocks are
         always fetched whole from offset 0, so nothing can merely shift.
         """
-        outcome = ClusterResync(kind=self.kind)
-        self.graph = result.graph
-        if self._engine is None or not result.changed:
-            outcome.retained_entries = sum(len(c) for c in self._caches)
-            return outcome
-
-        engine, grid, win = self._engine, self._grid, self._win
-        # An update is an epoch boundary, exactly as on the 1D cluster:
-        # transparent-mode caches flush before the targeted invalidation.
-        self._close_epochs()
-        n = result.graph.n
-        ranks = touched_blocks(grid, result.changed_keys, n)
-        inval_dt = [0.0] * engine.nranks
-        rebuilt_bytes_by_rank: dict[int, int] = {}
+        grid, win = self._grid, self._win
+        rebuilt: dict[int, int] = {}
         touched: list[tuple[int, int]] = []
-        for rank in ranks:
+        for rank in touched_blocks(grid, result.changed_keys, result.graph.n):
             old_packed = win.local_part(rank)
             new_block = build_block(result.graph, grid, rank)
             new_packed = pack_block(new_block)
@@ -315,38 +243,13 @@ class GridCluster2D(ResidentCluster):
                 continue  # the dirtying edges netted out to no byte change
             touched.append(grid.grid_coords(rank))
             for cache in self._caches:
-                mgmt_before = cache.stats.mgmt_time
-                dropped, dropped_bytes = cache.invalidate(stale)
-                inval_dt[cache.rank] += cache.stats.mgmt_time - mgmt_before
+                dropped, dropped_bytes = self._charge(
+                    inval_dt, cache, cache.invalidate, stale)
                 outcome.invalidated_adj_entries += dropped
                 outcome.invalidated_bytes += dropped_bytes
             win.replace_part(rank, new_packed)
             self._blocks[rank] = new_block
             self._epoch += 1
-            rebuilt_bytes_by_rank[rank] = int(new_packed.nbytes)
+            rebuilt[rank] = int(new_packed.nbytes)
         outcome.touched = tuple(touched)
-        outcome.rebuilt_bytes = sum(rebuilt_bytes_by_rank.values())
-        outcome.retained_entries = sum(len(c) for c in self._caches)
-        memory = engine.contexts[0].memory
-        outcome.time = max(
-            ((memory.local_read_time(rebuilt_bytes_by_rank[r])
-              if r in rebuilt_bytes_by_rank else 0.0) + inval_dt[r])
-            for r in range(engine.nranks))
-        return outcome
-
-    # -- lifecycle -----------------------------------------------------------
-    def close(self) -> None:
-        self._close_epochs()
-        self._drop_caches()
-        self._engine = None
-        self._grid = None
-        self._blocks = []
-        self._win = None
-        self._cluster_key = None
-        self._panel_memo = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "resident" if self.resident else "idle"
-        shape = (f"{self._grid.rows}x{self._grid.cols}"
-                 if self._grid is not None else "?")
-        return f"GridCluster2D({state}, grid={shape}, builds={self.grid_builds})"
+        return rebuilt

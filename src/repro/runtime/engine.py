@@ -35,7 +35,7 @@ from repro.runtime.requests import (
     SendRequest,
 )
 from repro.runtime.trace import RankTrace
-from repro.runtime.window import WindowRegistry
+from repro.runtime.window import Window, WindowRegistry
 from repro.utils.errors import CommError
 
 
@@ -136,6 +136,23 @@ class Engine:
             )
             for r in range(nranks)
         ]
+
+    # -- epochs -----------------------------------------------------------------
+    def close_epochs(self, windows: tuple[Window, ...]) -> None:
+        """``MPI_Win_unlock_all`` on ``windows`` for every rank.
+
+        Per rank, each open epoch is unlocked and then each attached
+        cache's epoch hook fires (transparent mode flushes, paper Section
+        II-F).  Epoch state never touches the simulated clocks.
+        """
+        for ctx in self.contexts:
+            for win in windows:
+                if win.epoch_open(ctx.rank):
+                    win.unlock_all(ctx.rank)
+            for win in windows:
+                cache = ctx.cache_for(win)
+                if cache is not None:
+                    cache.on_epoch_close()
 
     # -- running ----------------------------------------------------------------
     def run(self, rank_fn: Callable[[SimContext], Any]) -> RunOutcome:

@@ -6,8 +6,9 @@ precisely because accesses repeat (the Figure 4 reuse study).  A
 :class:`Session` builds that cluster once and serves any number of
 queries against it; the per-call entry points
 (:func:`repro.core.lcc.run_distributed_lcc` and friends) are one query on
-a throwaway session, so the session's resident clusters are the only
-place a simulated cluster is built::
+a throwaway session, so ``ResidentCluster.acquire``
+(:mod:`repro.graphstore.resident`) — one lifecycle for the 1D partition
+and the 2D grid — is the only place a simulated cluster is built::
 
     from repro import Session
     from repro.core import CacheSpec, LCCConfig
@@ -192,33 +193,38 @@ class KernelResult:
         return s
 
 
+def _summed(name: str) -> property:
+    return property(lambda self: sum(getattr(r, name) for r in self.resyncs),
+                    doc=f"``{name}`` summed over every cluster's resync.")
+
+
 @dataclass
 class UpdateOutcome:
     """What one :meth:`Session.apply_updates` / :meth:`Session.sync_to` did.
 
     ``delta`` carries the graph-level outcome (new graph, affected set,
-    applied/skipped edge counts); the remaining fields describe the
-    resident-cluster resyncs, summed over every resident cluster of the
-    session (the 1D partition and, when ``tc2d`` ran, the 2D grid):
-    which ranks' slices / grid blocks were rebuilt, how many warm CLaMPI
-    entries were invalidated vs rekeyed vs retained, and the simulated
-    cost (``time``) of the whole update — slice rebuild plus cache
-    maintenance priced at the caches' eviction overhead, max over ranks
-    and clusters like any job.
+    applied/skipped edge counts); ``resyncs`` holds one
+    :class:`~repro.graphstore.resident.ClusterResync` per resident
+    cluster of the session (the 1D partition and, when a 2D kernel ran,
+    the grid).  The counters read off them: which ranks' slices / grid
+    blocks were rebuilt, how many warm CLaMPI entries were invalidated vs
+    rekeyed vs retained (summed over clusters), and the simulated cost
+    (``time``) of the whole update — slice rebuild plus cache maintenance
+    priced at the caches' eviction overhead, max over ranks and clusters
+    like any job.
     """
 
     delta: DeltaResult
-    touched_ranks: tuple[int, ...] = ()
-    touched_blocks: tuple[tuple[int, int], ...] = ()
-    rebuilt_bytes: int = 0
-    invalidated_offsets_entries: int = 0
-    invalidated_adj_entries: int = 0
-    invalidated_bytes: int = 0
-    rekeyed_entries: int = 0
-    rekeyed_bytes: int = 0
-    retained_entries: int = 0
-    time: float = 0.0
     resyncs: list[ClusterResync] = field(default_factory=list)
+
+    rebuilt_bytes = _summed("rebuilt_bytes")
+    invalidated_offsets_entries = _summed("invalidated_offsets_entries")
+    invalidated_adj_entries = _summed("invalidated_adj_entries")
+    invalidated_entries = _summed("invalidated_entries")
+    invalidated_bytes = _summed("invalidated_bytes")
+    rekeyed_entries = _summed("rekeyed_entries")
+    rekeyed_bytes = _summed("rekeyed_bytes")
+    retained_entries = _summed("retained_entries")
 
     @property
     def graph(self):
@@ -229,26 +235,20 @@ class UpdateOutcome:
         return self.delta.affected
 
     @property
-    def invalidated_entries(self) -> int:
-        return self.invalidated_offsets_entries + self.invalidated_adj_entries
+    def touched_ranks(self) -> tuple[int, ...]:
+        return tuple(u for r in self.resyncs if r.kind != "2d"
+                     for u in r.touched)
 
-    def fold(self, resync: ClusterResync) -> None:
-        """Accumulate one resident cluster's resync into this outcome."""
-        self.resyncs.append(resync)
-        if resync.kind == "2d":
-            self.touched_blocks += tuple(resync.touched)
-        else:
-            self.touched_ranks += tuple(resync.touched)
-        self.rebuilt_bytes += resync.rebuilt_bytes
-        self.invalidated_offsets_entries += resync.invalidated_offsets_entries
-        self.invalidated_adj_entries += resync.invalidated_adj_entries
-        self.invalidated_bytes += resync.invalidated_bytes
-        self.rekeyed_entries += resync.rekeyed_entries
-        self.rekeyed_bytes += resync.rekeyed_bytes
-        self.retained_entries += resync.retained_entries
+    @property
+    def touched_blocks(self) -> tuple[tuple[int, int], ...]:
+        return tuple(u for r in self.resyncs if r.kind == "2d"
+                     for u in r.touched)
+
+    @property
+    def time(self) -> float:
         # Clusters are independent simulated resources; like ranks within
         # one job, the update completes when the slowest resync does.
-        self.time = max(self.time, resync.time)
+        return max([0.0, *(r.time for r in self.resyncs)])
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +266,12 @@ class Session:
         Default :class:`~repro.core.config.LCCConfig` for every query;
         per-query overrides go through ``run(..., nranks=..., cache=...)``.
 
-    The engine and partitioned CSR are built lazily on the first resident
-    query and reused while the cluster-shaping knobs (``nranks``,
-    ``partition`` and the network/memory/compute models) stay unchanged;
-    ``partition_builds`` counts how often the CSR was split, which sweeps
-    assert stays at 1.
+    Each resident cluster — the 1D partition (``lcc``/``tc``) and the 2D
+    grid (``tc2d``/``tc2d_spgemm``/``lcc2d``) — is built on the first
+    query that needs it and reused while its shape (``nranks``, the 1D
+    ``partition`` and the network/memory/compute models) stays
+    unchanged; ``partition_builds`` / ``grid_builds`` count the builds,
+    which sweeps assert stay at 1.
     """
 
     def __init__(self, graph: CSRGraph, config: LCCConfig | None = None):
@@ -305,12 +306,12 @@ class Session:
     @property
     def partition_builds(self) -> int:
         """How often the 1D CSR was split (sweeps assert this stays at 1)."""
-        return self._c1d.partition_builds if self._c1d is not None else 0
+        return self._c1d.builds if self._c1d is not None else 0
 
     @property
     def grid_builds(self) -> int:
         """How often the 2D grid blocks were built from scratch."""
-        return self._c2d.grid_builds if self._c2d is not None else 0
+        return self._c2d.builds if self._c2d is not None else 0
 
     # -- queries ------------------------------------------------------------
     def run(self, kernel: str, *, config: LCCConfig | None = None,
@@ -411,7 +412,7 @@ class Session:
                       graph=getattr(res.graph, "name", None) or "",
                       n_affected=int(res.affected.shape[0])) as sp:
             for cluster in self.clusters():
-                outcome.fold(cluster.resync(res, rekey=rekey))
+                outcome.resyncs.append(cluster.resync(res, rekey=rekey))
             sp.note(invalidated=outcome.invalidated_entries,
                     rekeyed=outcome.rekeyed_entries)
         return outcome
@@ -420,40 +421,26 @@ class Session:
     def resident_cluster(self, config: LCCConfig | None = None,
                          keep_cache: bool = False
                          ) -> tuple[Engine, DistributedCSR, list, list]:
-        """Build or reuse the 1D engine + partitioned CSR for ``config``.
+        """Acquire the 1D cluster for ``config`` (``ResidentCluster.acquire``).
 
-        Returns ``(engine, dist, offsets_caches, adj_caches)``.  This is
-        the hook custom resident kernels use: per-rank clocks and traces
-        are always reset so every query starts cold (simulated times match
-        a standalone run), while the CSR split — and, with
-        ``keep_cache=True``, the CLaMPI cache contents — are reused while
-        the cluster shape is unchanged.  Epochs are (re)opened; kernels
-        that issue RMA should call ``dist.close_epochs()`` when done, as
-        the built-ins do.
+        Returns ``(engine, dist, offsets_caches, adj_caches)``: the hook
+        custom resident kernels use.  Kernels that issue RMA should call
+        ``dist.close_epochs()`` when done, as the built-ins do.
         """
         if self._c1d is None:
             self._c1d = Cluster1D()
-        cluster = self._c1d
-        out = cluster.acquire(self.graph, config or self.config,
-                              keep_cache=keep_cache)
-        self._last_reused = cluster.last_reused
-        self._last_warm = cluster.last_warm
-        return out
+        return self._acquire(self._c1d, config, keep_cache)
 
     def resident_grid(self, config: LCCConfig | None = None,
                       keep_cache: bool = False):
-        """Build or reuse the resident 2D grid cluster for ``config``.
-
-        Returns ``(engine, grid, blocks, window, caches)`` — the
-        :class:`~repro.graphstore.grid2d.GridCluster2D` acquisition the
-        ``tc2d`` kernel runs on.  The grid blocks are built once and kept
-        resident across queries (``grid_builds`` stays at 1 while the
-        cluster shape is unchanged), which is what deletes the per-call
-        edge re-split the legacy path pays.
-        """
+        """Acquire the 2D grid cluster for ``config``; returns ``(engine,
+        grid, blocks, window, caches)``, what the 2D kernels run on."""
         if self._c2d is None:
             self._c2d = GridCluster2D()
-        cluster = self._c2d
+        return self._acquire(self._c2d, config, keep_cache)
+
+    def _acquire(self, cluster: ResidentCluster, config: LCCConfig | None,
+                 keep_cache: bool) -> tuple:
         out = cluster.acquire(self.graph, config or self.config,
                               keep_cache=keep_cache)
         self._last_reused = cluster.last_reused

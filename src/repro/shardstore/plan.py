@@ -7,9 +7,10 @@ contiguous vertex ranges whose boundaries are **snapped to resident
 range lands inside exactly one shard) or the 2D grid's block rows
 (:class:`~repro.graph.partition2d.GridPartition2D` — every block row of
 the ``tc2d`` grid lands inside one shard).  That alignment is the whole
-point: a resident ``Cluster1D`` / ``GridCluster2D`` acquisition never
-straddles shards, so shard-local storage and rank-local compute agree on
-where data lives.
+point: a resident cluster of either kind, as
+:meth:`~repro.graphstore.resident.ResidentCluster.acquire` builds it,
+never straddles shards, so shard-local storage and rank-local compute
+agree on where data lives.
 
 Why grouping, not re-dividing: ``BlockPartition1D(n, nshards)``
 boundaries are generally *not* a subset of ``BlockPartition1D(n,

@@ -5,6 +5,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.clampi.adaptive import AdaptiveConfig
+from repro.clampi.cache import ClampiConfig
+from repro.clampi.scores import (
+    AppScorePolicy,
+    DefaultScorePolicy,
+    LRUScorePolicy,
+)
+from repro.clampi.wrapper import degree_app_score
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.tc2d import (
     build_block,
@@ -12,7 +20,7 @@ from repro.core.tc2d import (
     pack_block,
     run_distributed_tc_2d,
 )
-from repro.dynamic import apply_delta, random_update_batch, UpdateBatch
+from repro.dynamic import apply_delta, random_update_batch
 from repro.graph.generators import powerlaw_configuration
 from repro.graph.partition2d import GridPartition2D
 from repro.graphstore import GridCluster2D, stale_block_keys, touched_blocks
@@ -82,12 +90,6 @@ class TestResidentParity:
             assert int(r.global_triangles) == int(legacy.global_triangles)
             assert r.outcome.clocks == legacy.outcome.clocks
 
-    def test_shape_change_rebuilds_grid(self, graph):
-        with Session(graph, square_cfg()) as session:
-            session.run("tc2d")
-            session.run("tc2d", nranks=4)
-            assert session.grid_builds == 2
-
     def test_coexists_with_1d_cluster(self, graph):
         with Session(graph, square_cfg()) as session:
             lcc = session.run("lcc")
@@ -130,16 +132,6 @@ class TestResync:
                 cluster._win.local_part(rank), pack_block(fresh[rank]))
         cluster.close()
 
-    def test_unchanged_delta_touches_nothing(self, graph):
-        cluster = GridCluster2D()
-        cluster.acquire(graph, square_cfg())
-        noop = UpdateBatch.build(None, None, n=graph.n)
-        res = apply_delta(graph, noop, strict=False)
-        out = cluster.resync(res)
-        assert out.touched == () and out.rebuilt_bytes == 0
-        cluster.close()
-
-
 class TestBlockCaches:
     def cached_cfg(self, graph):
         return square_cfg(cache=CacheSpec(
@@ -174,22 +166,29 @@ class TestBlockCaches:
             ref = run_distributed_tc_2d(session.graph, square_cfg())
             assert int(post.global_triangles) == int(ref.global_triangles)
 
-    def test_transparent_mode_flushes_per_query_epoch(self, graph):
-        """Each query is an epoch; paper Section II-F transparent caches
-        flush at its closure, so the next query cannot hit."""
-        from repro.clampi.cache import ConsistencyMode
-
+    @pytest.mark.parametrize("score, policy", [
+        ("default", DefaultScorePolicy), ("lru", LRUScorePolicy),
+        ("degree", AppScorePolicy)])
+    def test_block_caches_follow_the_spec(self, graph, score, policy):
+        """Score policy, application score and adaptive sizing come from
+        the spec; capacity and hash size stay the block caches' own."""
+        adaptive = AdaptiveConfig(check_interval=64)
         cfg = square_cfg(cache=CacheSpec(
-            offsets_bytes=max(1, graph.nbytes // 2), adj_bytes=graph.nbytes,
-            mode=ConsistencyMode.TRANSPARENT))
+            offsets_bytes=1, adj_bytes=graph.nbytes, score=score,
+            adaptive=adaptive))
         with Session(graph, cfg) as session:
-            session.run("tc2d", keep_cache=True)
-            assert all(len(c) == 0 for c in session._c2d.caches)
-            warm = session.run("tc2d", keep_cache=True)
-            assert sum(c.stats.hits for c in session._c2d.caches) == 0
-            assert sum(c.stats.flushes for c in session._c2d.caches) > 0
-            ref = run_distributed_tc_2d(graph, square_cfg())
-            assert int(warm.global_triangles) == int(ref.global_triangles)
+            res = session.run("tc2d", keep_cache=True)
+            caches = session._c2d.caches
+        assert len(caches) == cfg.nranks
+        for cache in caches:
+            assert type(cache.config.score_policy) is policy
+            assert cache.config.app_score_fn is (
+                degree_app_score if score == "degree" else None)
+            assert cache.config.adaptive is adaptive
+            assert cache.config.capacity_bytes == graph.nbytes
+            assert cache.config.nslots == ClampiConfig(1).nslots
+        ref = run_distributed_tc_2d(graph, square_cfg())
+        assert int(res.global_triangles) == int(ref.global_triangles)
 
     def test_warm_cached_query_is_faster_with_same_answer(self, graph):
         cfg = self.cached_cfg(graph)

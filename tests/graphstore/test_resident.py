@@ -1,17 +1,24 @@
-"""Cluster1D / the ResidentCluster protocol, incl. rekeying resyncs."""
+"""The ResidentCluster lifecycle over both kinds; Cluster1D rekeying resyncs."""
 
 import numpy as np
 import pytest
 
 import repro.graphstore.resident as resident
+from repro.clampi.cache import ConsistencyMode
+from repro.clampi.stats import CacheStats
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.lcc import make_partition
-from repro.dynamic import apply_delta, random_update_batch
+from repro.dynamic import UpdateBatch, apply_delta, random_update_batch
 from repro.graph.distributed import DistributedCSR
 from repro.graph.generators import powerlaw_configuration
-from repro.graphstore import Cluster1D, GridCluster2D, ResidentCluster
+from repro.graphstore import (
+    Cluster1D,
+    ClusterResync,
+    GridCluster2D,
+    ResidentCluster,
+)
 from repro.runtime.engine import Engine
-from repro.session import Session
+from repro.session import Session, UpdateOutcome
 from tests.helpers import assert_scores_raw
 
 
@@ -20,10 +27,13 @@ def graph():
     return powerlaw_configuration(180, 1100, seed=4, name="res")
 
 
+def spec(graph, **kw):
+    return CacheSpec(offsets_bytes=max(1, graph.nbytes // 2),
+                     adj_bytes=graph.nbytes, **kw)
+
+
 def cached_cfg(graph, **kw):
-    return LCCConfig(nranks=6, threads=4,
-                     cache=CacheSpec(offsets_bytes=max(1, graph.nbytes // 2),
-                                     adj_bytes=graph.nbytes), **kw)
+    return LCCConfig(nranks=6, threads=4, cache=spec(graph), **kw)
 
 
 class TestProtocol:
@@ -37,25 +47,129 @@ class TestProtocol:
             ResidentCluster()
 
 
-class TestAcquire:
-    def test_reuse_while_shape_unchanged(self, graph):
-        cluster = Cluster1D()
-        cfg = cached_cfg(graph)
-        e1, d1, _, _ = cluster.acquire(graph, cfg)
-        e2, d2, _, _ = cluster.acquire(graph, cfg, keep_cache=True)
-        assert e1 is e2 and d1 is d2
-        assert cluster.partition_builds == 1
-        assert cluster.last_reused and cluster.last_warm
-        cluster.close()
-        assert not cluster.resident
+KINDS = {"1d": (Cluster1D, "lcc"), "2d": (GridCluster2D, "tc2d")}
 
-    def test_shape_change_rebuilds(self, graph):
-        cluster = Cluster1D()
-        cluster.acquire(graph, cached_cfg(graph))
-        cluster.acquire(graph, LCCConfig(nranks=4, threads=4))
-        assert cluster.partition_builds == 2
-        assert not cluster.last_reused
-        cluster.close()
+
+def cache_keys(cluster):
+    return [[e.key for e in cache.entries()] for cache in cluster.caches]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestLifecycleContract:
+    """What :class:`ResidentCluster` guarantees for every cluster kind."""
+
+    def start(self, graph, kind, **kw):
+        """A session whose one resident cluster of ``kind`` served one
+        query with its caches kept; returns ``(session, cluster)``."""
+        session = Session(graph, LCCConfig(nranks=4, threads=4,
+                                           cache=spec(graph, **kw)))
+        session.run(KINDS[kind][1], keep_cache=True)
+        (cluster,) = session.clusters()
+        assert isinstance(cluster, KINDS[kind][0]) and cluster.kind == kind
+        return session, cluster
+
+    def test_reuse_while_shape_unchanged_rebuild_when_it_changes(
+            self, graph, kind):
+        session, cluster = self.start(graph, kind)
+        with session:
+            engine = cluster._engine
+            again = session.run(KINDS[kind][1])
+            assert again.reused_cluster and cluster._engine is engine
+            # The partition shapes only the 1D cluster.
+            cyclic = session.run(KINDS[kind][1], partition="cyclic")
+            assert cyclic.reused_cluster == (kind == "2d")
+            builds = cluster.builds
+            moved = session.run(KINDS[kind][1], nranks=9)
+            assert not moved.reused_cluster and cluster._engine is not engine
+            assert cluster.builds == builds + 1
+            assert (session.partition_builds, session.grid_builds) == (
+                (cluster.builds, 0) if kind == "1d" else (0, cluster.builds))
+
+    def test_warm_rule(self, graph, kind):
+        session, cluster = self.start(graph, kind)
+        with session:
+            cfg = session.config
+            caches, keys = cluster.caches, cache_keys(cluster)
+            assert any(keys)
+            # keep_cache + same shape + equal spec + live caches: warm,
+            # contents kept, statistics reset.
+            cluster.acquire(session.graph, cfg, keep_cache=True)
+            assert cluster.last_warm and cluster.last_reused
+            assert all(a is b for a, b in zip(cluster.caches, caches))
+            assert cache_keys(cluster) == keys
+            assert all(c.stats == CacheStats() for c in cluster.caches)
+            # Any other query starts with fresh, empty caches.
+            lru = cfg.replace(cache=spec(graph, score="lru"))
+            for config, keep_cache in ((cfg, False), (lru, True)):
+                cluster.acquire(session.graph, config, keep_cache=keep_cache)
+                assert not cluster.last_warm
+                assert not any(c in caches for c in cluster.caches)
+                assert not any(cache_keys(cluster))
+            cluster.acquire(session.graph, cfg.replace(cache=None),
+                            keep_cache=True)
+            assert not cluster.last_warm and cluster.caches == []
+
+    def test_transparent_caches_flush_when_the_epoch_closes(self, graph,
+                                                            kind):
+        session, cluster = self.start(graph, kind,
+                                      mode=ConsistencyMode.TRANSPARENT)
+        with session:
+            caches = cluster.caches
+            assert caches and all(len(c) == 0 for c in caches)
+            assert all(c.stats.flushes == 1 for c in caches)
+            windows = cluster._windows
+            assert not any(w.epoch_open(r) for w in windows
+                           for r in range(w.nranks))
+
+            def counts():   # a flush keeps the compulsory-miss record
+                return [{k: v for k, v in c.stats.snapshot().items()
+                         if k != "compulsory_miss_rate"} for c in caches]
+
+            cold = counts()
+            # Kept but flushed: the next query reads exactly what a cold
+            # one does.
+            again = session.run(KINDS[kind][1], keep_cache=True)
+            assert again.warm_cache and cluster.caches == caches
+            assert counts() == cold
+
+    def test_unchanged_delta_retains_every_entry_and_touches_nothing(
+            self, graph, kind):
+        session, cluster = self.start(graph, kind)
+        with session:
+            keys = cache_keys(cluster)
+            noop = UpdateBatch.build(None, None, n=graph.n)
+            out = session.apply_updates(noop)
+            (resync,) = out.resyncs
+            assert resync == ClusterResync(
+                kind=kind, retained_entries=sum(map(len, keys)))
+            assert resync.retained_entries > 0
+            assert cache_keys(cluster) == keys
+            assert cluster.graph is out.graph
+            if kind == "1d":
+                assert cluster._dist.graph is out.graph
+            assert (out.touched_ranks, out.touched_blocks, out.time) == (
+                (), (), 0.0)
+
+    def test_unresident_cluster_resync_is_a_graph_swap(self, graph, kind):
+        cluster = KINDS[kind][0]()
+        batch = random_update_batch(graph, 6, 0.25, seed=2)
+        res = apply_delta(graph, batch, strict=False)
+        assert cluster.resync(res) == ClusterResync(kind=kind)
+        assert cluster.graph is res.graph and not cluster.resident
+
+    def test_close_is_idempotent(self, graph, kind):
+        session, cluster = self.start(graph, kind)
+        contexts, windows = cluster._engine.contexts, cluster._windows
+        for _ in range(2):
+            cluster.close()
+            assert not cluster.resident and cluster.caches == []
+            assert all(ctx.cache_for(w) is None
+                       for ctx in contexts for w in windows)
+        cluster.acquire(graph, session.config)
+        assert cluster.resident and cluster.builds == 2
+        session.close()
+        session.close()
+        assert not cluster.resident
 
 
 class TestResyncRekey:
@@ -102,14 +216,6 @@ class TestResyncRekey:
             snap = caches[-1].stats.snapshot()
         assert stats > 0
         assert "rekeys" in snap and "rekeyed_bytes" in snap
-
-    def test_unresident_cluster_resync_is_graph_swap(self, graph):
-        cluster = Cluster1D()
-        batch = random_update_batch(graph, 6, 0.25, seed=2)
-        res = apply_delta(graph, batch, strict=False)
-        out = cluster.resync(res)
-        assert cluster.graph is res.graph
-        assert out.touched == () and out.time == 0.0
 
 
 def assert_parts_are_views(dist):
@@ -173,9 +279,17 @@ class TestSessionFold:
             session.run("tc2d", config=LCCConfig(nranks=9, threads=4))
             batch = random_update_batch(graph, 12, 0.25, seed=8)
             out = session.apply_updates(batch)
-        kinds = sorted(r.kind for r in out.resyncs)
-        assert kinds == ["1d", "2d"]
-        assert out.touched_ranks and out.touched_blocks
-        assert out.time == max(r.time for r in out.resyncs)
-        assert out.retained_entries == sum(r.retained_entries
-                                           for r in out.resyncs)
+        r1d, r2d = out.resyncs
+        assert (r1d.kind, r2d.kind) == ("1d", "2d")
+        assert out.touched_ranks == r1d.touched and r1d.touched
+        assert out.touched_blocks == r2d.touched and r2d.touched
+        assert out.time == max(r1d.time, r2d.time)
+        for name in ("rebuilt_bytes", "invalidated_offsets_entries",
+                     "invalidated_adj_entries", "invalidated_entries",
+                     "invalidated_bytes", "rekeyed_entries", "rekeyed_bytes",
+                     "retained_entries"):
+            assert getattr(out, name) == (getattr(r1d, name)
+                                          + getattr(r2d, name)), name
+            with pytest.raises(AttributeError):
+                setattr(out, name, 0)
+        assert UpdateOutcome(delta=out.delta).time == 0.0

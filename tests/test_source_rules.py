@@ -5,9 +5,14 @@
   ``assert`` is allowed only inside a function named
   ``check_invariants`` (the opt-in structural checks tests call);
   everywhere else a violated invariant raises.
-* **One builder per cluster shape.**  ``Cluster1D.acquire`` and
-  ``GridCluster2D.acquire`` are the only places a simulated cluster is
-  built, so no module under ``src/repro/core/`` calls ``Engine(...)``.
+* **One resident-cluster lifecycle.**  ``ResidentCluster.acquire`` is
+  the only place a simulated cluster is built, for every cluster kind,
+  so no module under ``src/repro/core/`` calls ``Engine(...)``; and
+  under ``src/repro/graphstore/`` only the ``ResidentCluster`` class
+  builds an engine, attaches or detaches a cache, or opens or closes an
+  epoch (``Engine(...)``, ``attach_cache`` / ``detach_cache``,
+  ``lock_all`` / ``unlock_all``): a kind supplies its build and its
+  diff, never its own copy of the lifecycle.
 """
 
 import ast
@@ -39,18 +44,41 @@ def asserts_outside_check_invariants(tree: ast.AST) -> list[int]:
     return found
 
 
+def call_name(node: ast.Call) -> str | None:
+    """``f`` for ``f(...)`` and ``<expr>.f(...)``."""
+    func = node.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
 def engine_calls(tree: ast.AST) -> list[int]:
     """Line numbers of ``Engine(...)`` / ``<module>.Engine(...)`` calls."""
-    lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
-        if name == "Engine":
-            lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and call_name(node) == "Engine"]
+
+
+#: The calls that make up the resident-cluster lifecycle.
+LIFECYCLE_CALLS = {"Engine", "attach_cache", "detach_cache", "lock_all",
+                   "unlock_all"}
+
+
+def lifecycle_calls_outside_base(tree: ast.AST) -> list[int]:
+    """Line numbers of :data:`LIFECYCLE_CALLS` not inside the body of a
+    class named ``ResidentCluster``."""
+    found: list[int] = []
+
+    def visit(node: ast.AST, allowed: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, allowed or child.name == "ResidentCluster")
+                continue
+            if (isinstance(child, ast.Call) and not allowed
+                    and call_name(child) in LIFECYCLE_CALLS):
+                found.append(child.lineno)
+            visit(child, allowed)
+
+    visit(tree, False)
+    return found
 
 
 def test_no_assert_outside_check_invariants():
@@ -66,6 +94,13 @@ def test_core_builds_no_engine():
     assert offenders == [], "build clusters through Session / acquire"
 
 
+def test_only_the_base_runs_the_lifecycle_in_graphstore():
+    offenders = [f"{path}:{line}"
+                 for path, tree in parsed_modules(SRC / "graphstore")
+                 for line in lifecycle_calls_outside_base(tree)]
+    assert offenders == [], "go through ResidentCluster's lifecycle"
+
+
 def test_rules_fire_on_what_they_forbid():
     tree = ast.parse(
         "def kernel():\n"
@@ -78,3 +113,18 @@ def test_rules_fire_on_what_they_forbid():
         "other = Engine(2)\n")
     assert asserts_outside_check_invariants(tree) == [2]
     assert engine_calls(tree) == [7, 8]
+    tree = ast.parse(
+        "class ResidentCluster:\n"
+        "    def acquire(self):\n"
+        "        self._engine = Engine(4)\n"
+        "        win.lock_all(0)\n"
+        "class GridCluster2D(ResidentCluster):\n"
+        "    def _build(self):\n"
+        "        engine = runtime.Engine(4)\n"
+        "        ctx.attach_cache(win, cache)\n"
+        "        ctx.detach_cache(win)\n"
+        "        win.lock_all(0)\n"
+        "        win.unlock_all(0)\n"
+        "def helper(ctx):\n"
+        "    ctx.attach_cache(win, cache)\n")
+    assert lifecycle_calls_outside_base(tree) == [7, 8, 9, 10, 11, 13]
