@@ -5,20 +5,15 @@ Everything the paper's cache figures need: hit/miss/compulsory-miss rates
 hash conflict, both watched by the adaptive tuner), and served-bytes
 accounting for communication-volume reductions.
 
-The hot-path counters stay plain ints on a dataclass — a cache access
-must cost one attribute add, not a registry lookup.  Reporting is where
-the counters meet the :mod:`repro.obs.metrics` registry:
-:meth:`CacheStats.snapshot` and :meth:`CacheStats.as_registry` build the
-same typed metric set, and the snapshot dict is byte-identical to the
-historical one (same keys, same order, same values), so every committed
-``BENCH_*.json`` stays stable.
+The counters are plain ints on a dataclass — a cache access costs one
+attribute add.  :meth:`CacheStats.snapshot` reads them straight into the
+report dict in :data:`~CacheStats.SNAPSHOT_KEYS` order (same keys, same
+order, same values as every committed ``BENCH_*.json``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -74,18 +69,7 @@ class CacheStats:
     def evictions(self) -> int:
         return self.capacity_evictions + self.conflict_evictions
 
-    #: ``snapshot()``'s historical key order: counters interleaved with
-    #: derived rates.  ``as_registry`` registers metrics in exactly this
-    #: order so the registry snapshot reproduces the legacy dict.
-    SNAPSHOT_COUNTERS = (
-        "hits", "misses", "capacity_evictions", "conflict_evictions",
-        "hash_conflicts", "insert_failures", "flushes", "invalidations",
-        "invalidated_bytes", "rekeys", "rekeyed_bytes",
-        "bytes_served_from_cache", "bytes_fetched",
-    )
-    SNAPSHOT_GAUGES = (
-        "hit_rate", "miss_rate", "compulsory_miss_rate", "mgmt_time",
-    )
+    #: ``snapshot()``'s key order: counters interleaved with derived rates.
     SNAPSHOT_KEYS = (
         "hits", "misses", "hit_rate", "miss_rate",
         "compulsory_miss_rate", "capacity_evictions",
@@ -95,29 +79,9 @@ class CacheStats:
         "mgmt_time",
     )
 
-    def as_registry(self, prefix: str = "") -> MetricsRegistry:
-        """These counters as typed metrics in one registry.
-
-        Counters register as :class:`~repro.obs.metrics.Counter`,
-        derived rates and ``mgmt_time`` as
-        :class:`~repro.obs.metrics.Gauge`, in the historical snapshot
-        key order.
-        """
-        registry = MetricsRegistry()
-        for name in self.SNAPSHOT_KEYS:
-            if name in self.SNAPSHOT_COUNTERS:
-                registry.counter(prefix + name).inc(getattr(self, name))
-            else:
-                registry.gauge(prefix + name).set(getattr(self, name))
-        return registry
-
     def snapshot(self) -> dict[str, float]:
-        """Flat dict for reporting — the registry snapshot, verbatim.
-
-        Delegates to :meth:`as_registry`; keys, order and values are
-        byte-identical to the historical hand-built dict.
-        """
-        return self.as_registry().snapshot()
+        """Flat dict for reporting, keyed in :data:`SNAPSHOT_KEYS` order."""
+        return {name: getattr(self, name) for name in self.SNAPSHOT_KEYS}
 
     @classmethod
     def merged(cls, caches) -> dict | None:

@@ -38,6 +38,11 @@ NaN, so ``x + 0.0 == x``) the fold is **bit-identical** to
 and ``tail`` are ``0.0`` / empty for the triangle count; ``lcc2d`` puts
 its own-block read, reduction stages and final pass there.
 
+A 2D block lives once, as its packed window part
+(:func:`repro.core.tc2d.build_block`): the kernels read the window, and
+the sweep takes each block's nnz from the owner bincounts it already
+computes.
+
 Two entry points build on the shared :class:`SummaStats` tables:
 
 * :func:`execute_tc2d_spgemm` — the ``tc2d_spgemm`` kernel, and equally
@@ -94,7 +99,7 @@ class SummaStats:
     resident :class:`~repro.graphstore.grid2d.GridCluster2D` computes it
     once per state epoch and replays it for every warm query:
 
-    * ``block_nnz[rank]`` — nnz of each resident block;
+    * ``block_nnz[rank]`` — nnz of each rank's block;
     * ``prod_nnz[k, rank]`` — nnz of round ``k``'s masked partial
       product ``(A[I,k] @ A[k,J]) ∘ A[I,J]`` on rank ``(I, J)`` (the
       ``product.nnz`` term of the edge-centric flops charge);
@@ -121,8 +126,7 @@ class SummaStats:
         self.rounds = prod_nnz.shape[0]
 
 
-def summa_stats(graph: CSRGraph, grid: GridPartition2D,
-                blocks: list) -> SummaStats:
+def summa_stats(graph: CSRGraph, grid: GridPartition2D) -> SummaStats:
     """One SUMMA sweep: per-round, per-rank masked-product tables.
 
     Round ``k``'s masked product is computed on the mask: the entry of a
@@ -133,13 +137,14 @@ def summa_stats(graph: CSRGraph, grid: GridPartition2D,
     edges and credits each count to both stored directions; restricted to
     block ``(I, J)`` that is exactly the partial product the edge-centric
     loop materializes per rank, so the tables are bit-equal to what ``p``
-    per-rank multiplies would produce.
+    per-rank multiplies would produce.  ``A`` has no self-loops, so
+    every stored entry is an upper edge or its mirror: the same owner
+    bincounts give each block's nnz.
     """
     require_square_grid(grid, kernel="summa_stats", strict=True)
     if graph.directed:
         raise ConfigError("summa_stats expects an undirected graph")
     c, p, n = grid.cols, grid.nranks, graph.n
-    block_nnz = np.array([b.nnz for b in blocks], dtype=np.int64)
     prod_nnz = np.zeros((c, p), dtype=np.int64)
     masked_sum = np.zeros((c, p), dtype=np.int64)
     a = csr_matrix(
@@ -155,6 +160,8 @@ def summa_stats(graph: CSRGraph, grid: GridPartition2D,
     def per_rank(select, weights=None):
         return sum(np.bincount(o[select], weights=weights, minlength=p)
                    for o in owners).astype(np.int64)
+
+    block_nnz = per_rank(slice(None))
 
     support = np.zeros(i.shape[0], dtype=np.int64)
     with obs_span("summa", cat="kernel", rounds=c, nranks=p,
@@ -244,8 +251,8 @@ def _block_caches(engine: Engine, win: Window) -> list:
     return [c for c in caches if c is not None]
 
 
-def execute_tc2d_spgemm(engine: Engine, grid: GridPartition2D, blocks: list,
-                        win: Window, config: LCCConfig, graph: CSRGraph,
+def execute_tc2d_spgemm(engine: Engine, grid: GridPartition2D, win: Window,
+                        config: LCCConfig, graph: CSRGraph,
                         stats: SummaStats, streams: list[BatchStream], *,
                         with_cache_stats: bool = True
                         ) -> DistributedRunResult:
@@ -289,8 +296,8 @@ def execute_tc2d_spgemm(engine: Engine, grid: GridPartition2D, blocks: list,
     )
 
 
-def execute_lcc2d(engine: Engine, grid: GridPartition2D, blocks: list,
-                  win: Window, config: LCCConfig, graph: CSRGraph,
+def execute_lcc2d(engine: Engine, grid: GridPartition2D, win: Window,
+                  config: LCCConfig, graph: CSRGraph,
                   stats: SummaStats, streams: list[BatchStream]
                   ) -> DistributedRunResult:
     """Per-vertex LCC over the SUMMA grid.

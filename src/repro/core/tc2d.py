@@ -14,9 +14,11 @@ gets — no synchronization — but now each rank communicates with only
 from O(edge-cut) to two block strips: the "lower communication cost than
 1D distribution" the paper's conclusion anticipates.
 
-Blocks travel as packed CSR (``[n_rows, nnz, indptr..., indices...]``)
-through a single RMA window; computation is priced per sparse-multiply
-operand and output element.
+A block lives once, as its packed CSR window part (``[n_rows, nnz,
+indptr..., indices...]``, int32) sliced straight from the graph's CSR
+row strip (:func:`build_block`); the loop unpacks the own block from
+the window like a fetched one, and reading it stays free.  Computation
+is priced per sparse-multiply operand and output element.
 
 The module is split the same way :mod:`repro.core.lcc` is: *setup*
 (:func:`build_grid_blocks` + a window) and *execution*
@@ -35,7 +37,7 @@ import scipy.sparse as sp
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.local import vertex_scores
 from repro.graph.csr import CSRGraph
-from repro.graph.partition2d import GridPartition2D, split_edges_2d
+from repro.graph.partition2d import GridPartition2D
 from repro.runtime.context import SimContext
 from repro.runtime.engine import Engine
 from repro.runtime.window import Window
@@ -45,17 +47,8 @@ from repro.utils.errors import ConfigError, SimulationError
 BLOCKS_WINDOW = "edge_blocks"
 
 
-def pack_block(block: sp.csr_matrix) -> np.ndarray:
-    """Serialize a CSR block into one int32 vector for the RMA window."""
-    return np.concatenate([
-        np.array([block.shape[0], block.nnz], dtype=np.int32),
-        block.indptr.astype(np.int32),
-        block.indices.astype(np.int32),
-    ])
-
-
 def _unpack_block(data: np.ndarray, n_cols: int) -> sp.csr_matrix:
-    """Inverse of :func:`pack_block`."""
+    """A packed block (:func:`build_block`'s layout) as a SciPy CSR."""
     n_rows = int(data[0])
     nnz = int(data[1])
     indptr = data[2:3 + n_rows].astype(np.int64)
@@ -65,52 +58,34 @@ def _unpack_block(data: np.ndarray, n_cols: int) -> sp.csr_matrix:
 
 
 def build_block(graph: CSRGraph, grid: GridPartition2D, rank: int
-                ) -> sp.csr_matrix:
-    """One rank's local CSR block, rebuilt directly from the global CSR.
+                ) -> np.ndarray:
+    """One rank's packed block ``[n_rows, nnz, indptr..., indices...]``.
 
-    Equivalent to the ``rank`` element of :func:`build_grid_blocks` but
-    touches only this block's row range — the unit of work a dynamic
-    resync pays per *touched* block instead of re-splitting every edge.
+    Sliced straight from the CSR row strip: a column mask over the
+    strip's adjacency, one ``cumsum`` for the row pointers.  CSR rows are
+    sorted and duplicate-free, so the slice is already canonical.  A
+    dynamic resync pays this per *touched* block.
     """
     row, col = grid.grid_coords(rank)
     r_lo, r_hi = grid.row_range(row)
     c_lo, c_hi = grid.col_range(col)
-    shape = (r_hi - r_lo, c_hi - c_lo)
-    start, end = int(graph.offsets[r_lo]), int(graph.offsets[r_hi])
-    adj = graph.adjacency[start:end].astype(np.int64, copy=False)
+    offsets = graph.offsets[r_lo:r_hi + 1]
+    adj = graph.adjacency[offsets[0]:offsets[-1]]
     mask = (adj >= c_lo) & (adj < c_hi)
-    if not mask.any():
-        return sp.csr_matrix(shape, dtype=np.int64)
-    degs = (graph.offsets[r_lo + 1:r_hi + 1]
-            - graph.offsets[r_lo:r_hi]).astype(np.int64)
-    rows = np.repeat(np.arange(shape[0], dtype=np.int64), degs)
-    return sp.csr_matrix(
-        (np.ones(int(mask.sum()), dtype=np.int64),
-         (rows[mask], adj[mask] - c_lo)),
-        shape=shape,
-    )
+    kept = np.zeros(adj.shape[0] + 1, dtype=np.int64)
+    np.cumsum(mask, out=kept[1:])
+    n_rows, nnz = r_hi - r_lo, int(kept[-1])
+    packed = np.empty(3 + n_rows + nnz, dtype=np.int32)
+    packed[:2] = n_rows, nnz
+    packed[2:3 + n_rows] = kept[offsets - offsets[0]]
+    packed[3 + n_rows:] = adj[mask] - c_lo
+    return packed
 
 
 def build_grid_blocks(graph: CSRGraph, grid: GridPartition2D
-                      ) -> list[sp.csr_matrix]:
-    """One local CSR block per rank, in rank order."""
-    per_rank_edges = split_edges_2d(graph, grid)
-    blocks = []
-    for rank, edges in enumerate(per_rank_edges):
-        row, col = grid.grid_coords(rank)
-        r_lo, r_hi = grid.row_range(row)
-        c_lo, c_hi = grid.col_range(col)
-        shape = (r_hi - r_lo, c_hi - c_lo)
-        if edges.shape[0] == 0:
-            blocks.append(sp.csr_matrix(shape, dtype=np.int64))
-            continue
-        block = sp.csr_matrix(
-            (np.ones(edges.shape[0], dtype=np.int64),
-             (edges[:, 0] - r_lo, edges[:, 1] - c_lo)),
-            shape=shape,
-        )
-        blocks.append(block)
-    return blocks
+                      ) -> list[np.ndarray]:
+    """One packed block per rank, in rank order."""
+    return [build_block(graph, grid, rank) for rank in range(grid.nranks)]
 
 
 def require_square_grid(grid: GridPartition2D, *, kernel: str | None = None,
@@ -142,8 +117,7 @@ def require_square_grid(grid: GridPartition2D, *, kernel: str | None = None,
     return square
 
 
-def execute_tc2d(engine: Engine, grid: GridPartition2D,
-                 blocks: list[sp.csr_matrix], win: Window,
+def execute_tc2d(engine: Engine, grid: GridPartition2D, win: Window,
                  config: LCCConfig, graph: CSRGraph) -> DistributedRunResult:
     """Run the 2D triangle count on an already-built grid cluster.
 
@@ -166,13 +140,13 @@ def execute_tc2d(engine: Engine, grid: GridPartition2D,
     def rank_fn_square(ctx: SimContext) -> int:
         rank = ctx.rank
         row, col = grid.grid_coords(rank)
-        own = blocks[rank]
+        own = _fetch_block(ctx, win, grid, rank)
         total = 0
         for k in range(grid.cols):
             left_owner = row * grid.cols + k     # A[I, K]: row peer
             right_owner = k * grid.cols + col    # A[K, J]: column peer
-            left = _fetch_block(ctx, win, blocks, grid, left_owner)
-            right = _fetch_block(ctx, win, blocks, grid, right_owner)
+            left = _fetch_block(ctx, win, grid, left_owner)
+            right = _fetch_block(ctx, win, grid, right_owner)
             if left.nnz == 0 or right.nnz == 0 or own.nnz == 0:
                 continue
             product = (left @ right).multiply(own)
@@ -211,14 +185,13 @@ def run_distributed_tc_2d(graph: CSRGraph, config: LCCConfig | None = None
     return run_kernel("tc2d", graph, config).raw
 
 
-def _fetch_block(ctx: SimContext, win: Window, blocks, grid, owner: int
-                 ) -> sp.csr_matrix:
-    """Get a peer's packed block (own block is read locally)."""
+def _fetch_block(ctx: SimContext, win: Window, grid: GridPartition2D,
+                 owner: int) -> sp.csr_matrix:
+    """Get a peer's packed block; the own block is read locally (free)."""
     _, owner_col = grid.grid_coords(owner)
     c_lo, c_hi = grid.col_range(owner_col)
-    if owner == ctx.rank:
-        return blocks[owner]
-    data = ctx.get(win, owner, 0, win.part_len(owner))
+    data = (win.local_part(owner) if owner == ctx.rank
+            else ctx.get(win, owner, 0, win.part_len(owner)))
     return _unpack_block(data, c_hi - c_lo)
 
 

@@ -15,7 +15,7 @@ from repro.graph.partition import (
     Partition,
 )
 from repro.graph.distributed import DistributedCSR
-from repro.graph.partition2d import GridPartition2D, split_edges_2d
+from repro.graph.partition2d import GridPartition2D
 from repro.graph.generators import (
     erdos_renyi,
     rmat,
@@ -35,7 +35,6 @@ __all__ = [
     "CyclicPartition1D",
     "DistributedCSR",
     "GridPartition2D",
-    "split_edges_2d",
     "erdos_renyi",
     "rmat",
     "powerlaw_configuration",

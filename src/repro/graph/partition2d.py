@@ -138,22 +138,6 @@ class GridPartition2D:
             raise PartitionError(f"vertex {v} out of range [0, {self.n})")
 
 
-def split_edges_2d(graph: CSRGraph, grid: GridPartition2D,
-                   edges: np.ndarray | None = None) -> list[np.ndarray]:
-    """Per-rank (m_r, 2) edge arrays under the grid partition.
-
-    ``edges`` defaults to the graph's own (always in-range) edge list; a
-    caller-supplied array is validated wholesale by
-    :meth:`GridPartition2D.owners_of_edges` — out-of-range or
-    non-integer arrays are rejected the same way ``CSRGraph.from_edges``
-    rejects them, before any rank sees a malformed slice.
-    """
-    if edges is None:
-        edges = graph.edges()
-    owners = grid.owners_of_edges(edges)
-    return [edges[owners == r] for r in range(grid.nranks)]
-
-
 def communication_peers_1d(graph: CSRGraph, nranks: int) -> float:
     """Average number of distinct peers a rank reads from under 1D."""
     from repro.graph.partition import BlockPartition1D

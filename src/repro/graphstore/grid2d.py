@@ -6,8 +6,11 @@ lifecycle — acquire, cache set-up and detach, epochs, the resync
 skeleton and its pricing, teardown — and this module supplies what is
 2D about it:
 
-* **build** — the :class:`~repro.graph.partition2d.GridPartition2D`,
-  one adjacency block per rank and the packed RMA window over them;
+* **build** — the :class:`~repro.graph.partition2d.GridPartition2D`
+  and one RMA window over the packed blocks.  A block lives once, as
+  its packed window part sliced straight from the CSR
+  (:func:`repro.core.tc2d.build_block`); the kernels read it from the
+  window, and :meth:`acquire` returns the cluster itself;
 * **block caches** — with a cache spec configured, each rank gets a
   CLaMPI cache over the packed-blocks window, driven by the spec's mode,
   score policy and adaptive sizing, so repeated block fetches hit
@@ -22,7 +25,7 @@ skeleton and its pricing, teardown — and this module supplies what is
   A changed edge ``(u, v)`` (both stored directions) dirties exactly
   block ``(row_block(u), col_block(v))``; only those blocks are rebuilt
   (:func:`repro.core.tc2d.build_block` — one row-range slice of the new
-  CSR, not a full edge re-split), their window regions swapped, their
+  CSR), their window parts swapped (the only copy there is), their
   packed-block cache entries invalidated while every other block's
   cached bytes stay warm, and the epoch's panels retired.
 """
@@ -49,14 +52,12 @@ from repro.core.tc2d import (
     build_block,
     build_grid_blocks,
     execute_tc2d,
-    pack_block,
     require_square_grid,
 )
 from repro.dynamic.delta import DeltaResult
 from repro.graph.csr import CSRGraph
 from repro.graph.partition2d import GridPartition2D
 from repro.graphstore.resident import ClusterResync, ResidentCluster
-from repro.runtime.engine import Engine
 from repro.runtime.window import Window
 
 __all__ = ["GridCluster2D", "stale_block_keys", "touched_blocks"]
@@ -96,8 +97,8 @@ class GridCluster2D(ResidentCluster):
     """An ``r x c`` grid of adjacency blocks held resident across queries.
 
     The shape is ``nranks`` and the network/memory/compute models; a
-    build splits the graph into one block per rank and exposes them,
-    packed, through one window.
+    build slices one packed block per rank from the CSR and exposes them
+    through one window, their only copy.
     """
 
     kind = "2d"
@@ -108,7 +109,6 @@ class GridCluster2D(ResidentCluster):
     def __init__(self) -> None:
         super().__init__()
         self._grid: Optional[GridPartition2D] = None
-        self._blocks: list = []
         self._win: Optional[Window] = None
         # _epoch bumps whenever block state changes.
         self._epoch = 0
@@ -121,9 +121,8 @@ class GridCluster2D(ResidentCluster):
 
     def _build(self, graph: CSRGraph, config: LCCConfig) -> tuple[Window, ...]:
         self._grid = GridPartition2D(graph.n, config.nranks)
-        self._blocks = build_grid_blocks(graph, self._grid)
         self._win = self._engine.windows.add(
-            Window(BLOCKS_WINDOW, [pack_block(b) for b in self._blocks]))
+            Window(BLOCKS_WINDOW, build_grid_blocks(graph, self._grid)))
         self._epoch += 1
         return (self._win,)
 
@@ -139,25 +138,24 @@ class GridCluster2D(ResidentCluster):
             mode=spec.mode, score_policy=policy, adaptive=spec.adaptive,
             app_score_fn=degree_app_score if policy.uses_app_score else None)
 
-    def _handles(self) -> tuple[Engine, GridPartition2D, list, Window, list]:
-        """``(engine, grid, blocks, window, caches)``."""
-        return self._engine, self._grid, self._blocks, self._win, self._caches
+    def _handles(self) -> "GridCluster2D":
+        """The cluster: the 2D kernels run through its ``execute*``."""
+        return self
 
     def _release(self) -> None:
         self._grid = None
-        self._blocks = []
         self._win = None
         self._panel_memo = None
 
     def panel_state(self):
         """The resident SUMMA panels: ``(stats, streams)`` for this epoch.
 
-        Built once per state epoch from the resident blocks (square
+        Built once per state epoch from the resident graph (square
         grids only) and reused by every fast query until a resync swaps
         a block (which bumps ``_epoch`` and retires the tables).
         """
         if self._panel_memo is None or self._panel_memo[0] != self._epoch:
-            stats = summa_stats(self.graph, self._grid, self._blocks)
+            stats = summa_stats(self.graph, self._grid)
             streams = build_round_streams(self._grid, self._win)
             self._panel_memo = (self._epoch, stats, streams)
         return self._panel_memo[1], self._panel_memo[2]
@@ -211,15 +209,15 @@ class GridCluster2D(ResidentCluster):
         block-cache statistics attached when ``cache_stats`` is set.
         """
         if replay is None:
-            result = execute_tc2d(self._engine, self._grid, self._blocks,
-                                  self._win, config, self.graph)
+            result = execute_tc2d(self._engine, self._grid, self._win,
+                                  config, self.graph)
             if cache_stats:
                 result = replace(
                     result, adj_cache_stats=CacheStats.merged(self._caches))
         else:
             stats, streams = self.panel_state()
-            result = replay(self._engine, self._grid, self._blocks,
-                            self._win, config, self.graph, stats, streams)
+            result = replay(self._engine, self._grid, self._win, config,
+                            self.graph, stats, streams)
         self._close_epochs()  # transparent-mode caches flush here
         return result
 
@@ -236,8 +234,7 @@ class GridCluster2D(ResidentCluster):
         touched: list[tuple[int, int]] = []
         for rank in touched_blocks(grid, result.changed_keys, result.graph.n):
             old_packed = win.local_part(rank)
-            new_block = build_block(result.graph, grid, rank)
-            new_packed = pack_block(new_block)
+            new_packed = build_block(result.graph, grid, rank)
             stale = stale_block_keys(rank, old_packed, new_packed)
             if not stale.shape[0]:
                 continue  # the dirtying edges netted out to no byte change
@@ -248,7 +245,6 @@ class GridCluster2D(ResidentCluster):
                 outcome.invalidated_adj_entries += dropped
                 outcome.invalidated_bytes += dropped_bytes
             win.replace_part(rank, new_packed)
-            self._blocks[rank] = new_block
             self._epoch += 1
             rebuilt[rank] = int(new_packed.nbytes)
         outcome.touched = tuple(touched)

@@ -7,8 +7,7 @@ One package instruments the whole serving/store stack:
   process-wide tracer installed by :func:`~repro.obs.trace.activate`);
 * :mod:`repro.obs.metrics` — typed counters/gauges/histograms behind a
   :class:`~repro.obs.metrics.MetricsRegistry` whose ``snapshot()`` the
-  legacy stat blocks (``AsyncServeOutcome``, ``CacheStats``) delegate
-  to, byte-identically;
+  serve engine's ``AsyncServeOutcome`` delegates to, byte-identically;
 * :mod:`repro.obs.journal` — every engine decision (admit/defer/shed,
   dispatch, window open/close, commit, retire) as deterministic JSONL,
   plus :func:`~repro.obs.journal.replay_journal`, which re-drives the

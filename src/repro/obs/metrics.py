@@ -1,24 +1,20 @@
 """Typed metrics: counters, gauges and histograms behind one registry.
 
-Before this module, every layer grew its own ad-hoc counter fields —
-``AsyncServeOutcome.decisions``, the engine's local ``updates_coalesced``,
-the seventeen plain ints on :class:`~repro.clampi.stats.CacheStats`.
-Each was cheap, but none were discoverable, and none could be exported
-uniformly.  The :class:`MetricsRegistry` keeps the cheapness (a counter
-is one attribute add on a slotted object — no locks, no labels, no
-string formatting on the hot path) while giving every metric a name, a
-type and a single :meth:`~MetricsRegistry.snapshot` that downstream
-reports delegate to.
+The :class:`MetricsRegistry` keeps a counter cheap (one attribute add on
+a slotted object — no locks, no labels, no string formatting on the hot
+path) while giving every metric a name, a type and a single
+:meth:`~MetricsRegistry.snapshot` that downstream reports delegate to.
 
-Delegation, not replacement: existing report dictionaries are frozen
-API surface (committed ``BENCH_*.json`` files diff against them), so
-:meth:`CacheStats.snapshot` and ``AsyncServeOutcome`` now *build* their
-dicts through a registry but emit byte-identical keys and values.
+Existing report dictionaries are frozen API surface (committed
+``BENCH_*.json`` files diff against them), so ``AsyncServeOutcome``
+*builds* its dict through a registry but emits byte-identical keys and
+values.  :meth:`~repro.clampi.stats.CacheStats.snapshot` reads its
+plain-int counters directly, with no registry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Union
+from typing import Dict, List, Union
 
 __all__ = [
     "Counter",
@@ -179,13 +175,3 @@ class MetricsRegistry:
         """
         return {name: metric.snapshot()
                 for name, metric in self._metrics.items()}
-
-    def fill(self, values: Iterable[tuple[str, Number]]) -> "MetricsRegistry":
-        """Bulk-register counters from ``(name, value)`` pairs.
-
-        The delegation helper for legacy stat blocks: preserves pair
-        order so :meth:`snapshot` reproduces the historical dict.
-        """
-        for name, value in values:
-            self.counter(name).inc(value)
-        return self

@@ -432,9 +432,12 @@ class Session:
         return self._acquire(self._c1d, config, keep_cache)
 
     def resident_grid(self, config: LCCConfig | None = None,
-                      keep_cache: bool = False):
-        """Acquire the 2D grid cluster for ``config``; returns ``(engine,
-        grid, blocks, window, caches)``, what the 2D kernels run on."""
+                      keep_cache: bool = False) -> GridCluster2D:
+        """Acquire the 2D grid cluster for ``config`` and return it.
+
+        Its ``execute*`` methods run the 2D kernels; each block lives
+        once, as its packed window part.
+        """
         if self._c2d is None:
             self._c2d = GridCluster2D()
         return self._acquire(self._c2d, config, keep_cache)
@@ -493,8 +496,7 @@ def _kernel_tc2d(session: Session, config: LCCConfig, *,
     replay the epoch's SUMMA panels, cached or not — bit-identical to
     the scalar loop, which ``fast_path=False`` keeps as the oracle.
     """
-    session.resident_grid(config, keep_cache)
-    return session._c2d.execute(config)
+    return session.resident_grid(config, keep_cache).execute(config)
 
 
 @register_kernel("tc2d_spgemm", resident=True, undirected_only=True,
@@ -513,8 +515,7 @@ def _kernel_tc2d_spgemm(session: Session, config: LCCConfig, *,
     oracle; warm queries replay the resident SUMMA panel tables instead
     of re-running the per-rank multiply loop.
     """
-    session.resident_grid(config, keep_cache)
-    return session._c2d.execute_spgemm(config)
+    return session.resident_grid(config, keep_cache).execute_spgemm(config)
 
 
 @register_kernel("lcc2d", resident=True, undirected_only=True,
@@ -531,8 +532,7 @@ def _kernel_lcc2d(session: Session, config: LCCConfig, *,
     cost adds row-strip degree bookkeeping and a per-grid-row reduction
     on top of the shared block fetches.
     """
-    session.resident_grid(config, keep_cache)
-    return session._c2d.execute_lcc2d(config)
+    return session.resident_grid(config, keep_cache).execute_lcc2d(config)
 
 
 @register_kernel("tric",

@@ -8,7 +8,6 @@ test here feeds one kernel a doctored input that breaks the identity.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import repro.core.local as local
 from repro.baselines.mapreduce import MapReduceConfig, run_mapreduce_tc
@@ -30,14 +29,15 @@ def test_spgemm_rejects_masked_sum_off_by_one():
     graph = complete_graph(8)
     cfg = LCCConfig(nranks=4)
     with Session(graph, cfg) as session:
-        engine, grid, blocks, win, _ = session.resident_grid()
-        good = summa_stats(graph, grid, blocks)
+        cluster = session.resident_grid()
+        engine, grid, win = cluster._engine, cluster._grid, cluster._win
+        good = summa_stats(graph, grid)
         masked_sum = good.masked_sum.copy()
         masked_sum[0, 0] += 1
         doctored = SummaStats(good.block_nnz, good.prod_nnz, masked_sum,
                               good.tpv)
         with pytest.raises(SimulationError, match="not divisible by 6"):
-            execute_tc2d_spgemm(engine, grid, blocks, win, cfg, graph,
+            execute_tc2d_spgemm(engine, grid, win, cfg, graph,
                                 doctored, build_round_streams(grid, win))
 
 
@@ -45,13 +45,14 @@ def test_tc2d_loop_rejects_asymmetric_block():
     # A triangle with the stored edge 2 -> 0 dropped: (B·B)∘B sums to 3.
     graph = complete_graph(3)
     cfg = LCCConfig(nranks=1)
-    rows, cols = [0, 0, 1, 1, 2], [1, 2, 0, 2, 1]
-    block = sp.csr_matrix((np.ones(5, dtype=np.int64), (rows, cols)),
-                          shape=(3, 3))
+    # Packed: [n_rows, nnz, indptr..., indices...].
+    block = np.array([3, 5, 0, 2, 4, 5, 1, 2, 0, 2, 1], dtype=np.int32)
     with Session(graph, cfg) as session:
-        engine, grid, _, win, _ = session.resident_grid()
+        cluster = session.resident_grid()
+        cluster._win.replace_part(0, block)
         with pytest.raises(SimulationError, match="not divisible by 6"):
-            execute_tc2d(engine, grid, [block], win, cfg, graph)
+            execute_tc2d(cluster._engine, cluster._grid, cluster._win, cfg,
+                         graph)
 
 
 def test_local_count_rejects_bad_triplet_total(monkeypatch):

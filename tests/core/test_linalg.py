@@ -21,7 +21,7 @@ from repro.core.config import CacheSpec, LCCConfig
 from repro.core.intersect import SUPPORT_BUDGET
 from repro.core.linalg import summa_stats
 from repro.core.local import lcc_local, triangle_count_local
-from repro.core.tc2d import build_grid_blocks, run_distributed_tc_2d
+from repro.core.tc2d import run_distributed_tc_2d
 from repro.graph.generators import powerlaw_configuration, rmat
 from repro.graph.partition2d import GridPartition2D
 from repro.obs.trace import SpanTracer, activate, check_spans
@@ -159,7 +159,7 @@ class TestSummaTables:
         g = powerlaw_configuration(64, 300, seed=3, directed=True)
         grid = GridPartition2D(g.n, 4)
         with pytest.raises(ConfigError, match="expects an undirected graph"):
-            summa_stats(g, grid, build_grid_blocks(g, grid))
+            summa_stats(g, grid)
 
     def test_results_reference_read_only_tables(self):
         with Session(GRAPH, LCCConfig(nranks=9)) as session:
@@ -181,10 +181,9 @@ class TestSummaTables:
         # 6x what the masked sweep allocates and 4x this bound.
         g = rmat(12, 16, seed=1)
         grid = GridPartition2D(g.n, 9)
-        blocks = build_grid_blocks(g, grid)
         tracemalloc.start()
         try:
-            summa_stats(g, grid, blocks)
+            summa_stats(g, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -236,9 +235,8 @@ class TestObservability:
     def test_summa_rounds_appear_in_trace(self):
         tracer = SpanTracer()
         grid = GridPartition2D(GRAPH.n, 9)
-        blocks = build_grid_blocks(GRAPH, grid)
         with activate(tracer):
-            summa_stats(GRAPH, grid, blocks)
+            summa_stats(GRAPH, grid)
         names = [s.name for s in tracer.spans]
         assert names.count("summa") == 1
         assert names.count("summa_round") == grid.cols

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.tc2d import build_grid_blocks
 from repro.graph.generators import rmat
 from repro.graph.partition2d import (
     GridPartition2D,
     communication_peers_1d,
     communication_peers_2d,
-    split_edges_2d,
 )
 from repro.utils.errors import PartitionError
 
@@ -61,11 +61,11 @@ class TestEdgeOwnership:
         for i, (u, v) in enumerate(edges):
             assert vec[i] == grid.owner_of_edge(int(u), int(v))
 
-    def test_split_covers_all_edges(self):
+    def test_packed_blocks_cover_all_edges(self):
         g = rmat(7, 8, seed=1)
         grid = GridPartition2D(g.n, 9)
-        parts = split_edges_2d(g, grid)
-        assert sum(p.shape[0] for p in parts) == g.num_adjacency_entries
+        parts = build_grid_blocks(g, grid)
+        assert sum(int(p[1]) for p in parts) == g.num_adjacency_entries
 
     def test_peers(self):
         grid = GridPartition2D(64, 16)
@@ -87,7 +87,7 @@ class TestCommunicationScope:
 
 
 class TestVectorizedValidation:
-    """owners_of_edges / split_edges_2d reject bad arrays wholesale,
+    """owners_of_edges rejects bad arrays wholesale,
     mirroring CSRGraph.from_edges (the scalar per-vertex loop is gone)."""
 
     def test_out_of_range_edge_array_rejected(self):
@@ -106,15 +106,6 @@ class TestVectorizedValidation:
         grid = GridPartition2D(64, 8)
         with pytest.raises(PartitionError, match=r"\(m, 2\)"):
             grid.owners_of_edges(np.arange(6))
-
-    def test_split_edges_2d_validates_supplied_arrays(self):
-        g = rmat(6, 6, seed=3)
-        grid = GridPartition2D(g.n, 9)
-        with pytest.raises(PartitionError, match="out of range"):
-            split_edges_2d(g, grid, edges=np.array([[0, g.n + 5]]))
-        # The graph's own edges always pass.
-        parts = split_edges_2d(g, grid, edges=g.edges())
-        assert sum(p.shape[0] for p in parts) == g.num_adjacency_entries
 
     def test_empty_edge_array_ok(self):
         grid = GridPartition2D(64, 8)

@@ -14,17 +14,14 @@ from repro.clampi.scores import (
 )
 from repro.clampi.wrapper import degree_app_score
 from repro.core.config import CacheSpec, LCCConfig
-from repro.core.tc2d import (
-    build_block,
-    build_grid_blocks,
-    pack_block,
-    run_distributed_tc_2d,
-)
+from repro.core.local import to_sparse
+from repro.core.tc2d import build_grid_blocks, run_distributed_tc_2d
 from repro.dynamic import apply_delta, random_update_batch
-from repro.graph.generators import powerlaw_configuration
+from repro.graph.generators import complete_graph, powerlaw_configuration
 from repro.graph.partition2d import GridPartition2D
 from repro.graphstore import GridCluster2D, stale_block_keys, touched_blocks
 from repro.runtime.trace import RankTrace
+from repro.serve.workload import default_catalog
 from repro.session import Session
 
 
@@ -41,15 +38,32 @@ def rect_cfg(**kw):
     return LCCConfig(nranks=8, threads=4, **kw)
 
 
+def packed_slice(graph, grid, rank):
+    """The independent oracle: the int32 packing of the SciPy slice
+    ``A[r_lo:r_hi, c_lo:c_hi]`` of the whole adjacency matrix."""
+    row, col = grid.grid_coords(rank)
+    (r_lo, r_hi), (c_lo, c_hi) = grid.row_range(row), grid.col_range(col)
+    block = to_sparse(graph)[r_lo:r_hi, c_lo:c_hi]
+    block.sort_indices()
+    return np.concatenate([
+        np.array([block.shape[0], block.nnz], dtype=np.int32),
+        block.indptr.astype(np.int32), block.indices.astype(np.int32)])
+
+
 class TestBlockBuild:
-    @pytest.mark.parametrize("nranks", [4, 8, 9])
-    def test_build_block_matches_full_split(self, graph, nranks):
-        grid = GridPartition2D(graph.n, nranks)
-        full = build_grid_blocks(graph, grid)
-        for rank in range(nranks):
-            single = build_block(graph, grid, rank)
-            np.testing.assert_array_equal(
-                pack_block(single), pack_block(full[rank]))
+    @pytest.mark.parametrize("nranks", [1, 4, 6, 9, 12, 16])
+    def test_packed_parts_match_scipy_slice(self, nranks):
+        graphs = list(default_catalog().values()) + [
+            complete_graph(3)]  # 16 ranks: more row blocks than vertices
+        empty_seen = False
+        for g in graphs:
+            grid = GridPartition2D(g.n, nranks)
+            for rank, part in enumerate(build_grid_blocks(g, grid)):
+                expect = packed_slice(g, grid, rank)
+                assert part.dtype == np.int32
+                np.testing.assert_array_equal(part, expect)
+                empty_seen |= int(part[1]) == 0
+        assert empty_seen or nranks == 1
 
     def test_touched_blocks_covers_changed_edges(self, graph):
         grid = GridPartition2D(graph.n, 9)
@@ -128,8 +142,8 @@ class TestResync:
         grid = GridPartition2D(res.graph.n, cfg.nranks)
         fresh = build_grid_blocks(res.graph, grid)
         for rank in range(cfg.nranks):
-            np.testing.assert_array_equal(
-                cluster._win.local_part(rank), pack_block(fresh[rank]))
+            np.testing.assert_array_equal(cluster._win.local_part(rank),
+                                          fresh[rank])
         cluster.close()
 
 class TestBlockCaches:

@@ -8,25 +8,26 @@ bit.  The SUMMA tables behind both come from per-edge row intersections
 (``summa_stats``), so the scalar loops here are their only oracle: the
 catalogs reach down to the empty graph and ``n < cols`` (empty panels),
 and named shapes cover a star, a clique and isolated vertices.  Also
-the packed-CSR wire format: ``pack_block`` round-trips
-through ``_unpack_block`` for arbitrary sparse blocks.
+the packed-CSR wire format: ``_unpack_block`` of every packed part
+``build_block`` slices is the SciPy slice of the whole matrix.
 """
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.local import (
     lcc_local,
+    to_sparse,
     triangle_count_local,
     triangles_per_vertex_matrix,
 )
-from repro.core.tc2d import _unpack_block, pack_block, run_distributed_tc_2d
+from repro.core.tc2d import _unpack_block, build_block, run_distributed_tc_2d
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import complete_graph
+from repro.graph.partition2d import GridPartition2D
 from repro.session import Session, run_kernel
 from repro.utils.errors import ConfigError
 
@@ -152,31 +153,20 @@ def test_rectangular_grids_always_rejected(graph, nranks, kernel):
         raise AssertionError("rectangular grid must raise ConfigError")
 
 
-@st.composite
-def sparse_blocks(draw):
-    n_rows = draw(st.integers(min_value=0, max_value=24))
-    n_cols = draw(st.integers(min_value=1, max_value=24))
-    nnz = draw(st.integers(min_value=0, max_value=80))
-    seed = draw(st.integers(min_value=0, max_value=2**31))
-    rng = np.random.default_rng(seed)
-    if n_rows == 0 or nnz == 0:
-        return sp.csr_matrix((n_rows, n_cols), dtype=np.int64)
-    rows = rng.integers(0, n_rows, nnz)
-    cols = rng.integers(0, n_cols, nnz)
-    data = np.ones(nnz, dtype=np.int64)
-    block = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
-    block.data[:] = 1  # binary adjacency: duplicates collapse to 1
-    return block
-
-
-@given(sparse_blocks())
+@given(random_graphs(), st.sampled_from([1, 2, 4, 6, 9, 12, 16]))
 @settings(max_examples=120, deadline=None)
-def test_pack_unpack_round_trip(block):
-    packed = pack_block(block)
-    out = _unpack_block(packed, block.shape[1])
-    assert out.shape == block.shape
-    assert out.nnz == block.nnz
-    assert (out != block).nnz == 0  # elementwise identical
-    assert out.data.dtype == np.int64
-    # The wire format is self-describing: header + indptr + indices.
-    assert packed.shape[0] == 2 + (block.shape[0] + 1) + block.nnz
+def test_unpacked_block_is_the_scipy_slice(graph, nranks):
+    grid = GridPartition2D(graph.n, nranks)
+    a = to_sparse(graph)
+    for rank in range(nranks):
+        row, col = grid.grid_coords(rank)
+        (r_lo, r_hi), (c_lo, c_hi) = grid.row_range(row), grid.col_range(col)
+        packed = build_block(graph, grid, rank)
+        out = _unpack_block(packed, c_hi - c_lo)
+        block = a[r_lo:r_hi, c_lo:c_hi]
+        assert out.shape == block.shape
+        assert out.nnz == block.nnz
+        assert (out != block).nnz == 0  # elementwise identical
+        assert out.data.dtype == np.int64
+        # The wire format is self-describing: header + indptr + indices.
+        assert packed.shape[0] == 2 + (block.shape[0] + 1) + block.nnz

@@ -13,6 +13,11 @@
   epoch (``Engine(...)``, ``attach_cache`` / ``detach_cache``,
   ``lock_all`` / ``unlock_all``): a kind supplies its build and its
   diff, never its own copy of the lifecycle.
+* **One block representation.**  A 2D block lives once, as its packed
+  window part.  In ``src/repro/core/tc2d.py`` and under
+  ``src/repro/graphstore/`` a SciPy matrix (``csr_matrix(...)`` /
+  ``coo_matrix(...)``) is constructed only inside ``_unpack_block``,
+  the view a kernel multiplies with.
 """
 
 import ast
@@ -81,6 +86,29 @@ def lifecycle_calls_outside_base(tree: ast.AST) -> list[int]:
     return found
 
 
+#: The SciPy constructors a second copy of a block would be built with.
+MATRIX_CALLS = {"csr_matrix", "coo_matrix"}
+
+
+def matrix_builds_outside_unpack(tree: ast.AST) -> list[int]:
+    """Line numbers of :data:`MATRIX_CALLS` not inside a function named
+    ``_unpack_block``."""
+    found: list[int] = []
+
+    def visit(node: ast.AST, allowed: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, allowed or child.name == "_unpack_block")
+                continue
+            if (isinstance(child, ast.Call) and not allowed
+                    and call_name(child) in MATRIX_CALLS):
+                found.append(child.lineno)
+            visit(child, allowed)
+
+    visit(tree, False)
+    return found
+
+
 def test_no_assert_outside_check_invariants():
     offenders = [f"{path}:{line}" for path, tree in parsed_modules(SRC)
                  for line in asserts_outside_check_invariants(tree)]
@@ -99,6 +127,15 @@ def test_only_the_base_runs_the_lifecycle_in_graphstore():
                  for path, tree in parsed_modules(SRC / "graphstore")
                  for line in lifecycle_calls_outside_base(tree)]
     assert offenders == [], "go through ResidentCluster's lifecycle"
+
+
+def test_one_block_representation():
+    modules = [m for m in parsed_modules(SRC / "core")
+               if m[0].name == "tc2d.py"]
+    modules += parsed_modules(SRC / "graphstore")
+    offenders = [f"{path}:{line}" for path, tree in modules
+                 for line in matrix_builds_outside_unpack(tree)]
+    assert offenders == [], "a 2D block lives once, as its packed part"
 
 
 def test_rules_fire_on_what_they_forbid():
@@ -128,3 +165,11 @@ def test_rules_fire_on_what_they_forbid():
         "def helper(ctx):\n"
         "    ctx.attach_cache(win, cache)\n")
     assert lifecycle_calls_outside_base(tree) == [7, 8, 9, 10, 11, 13]
+    tree = ast.parse(
+        "def _unpack_block(data, n_cols):\n"
+        "    return sp.csr_matrix((values, indices, indptr))\n"
+        "def build_block(graph, grid, rank):\n"
+        "    return sp.csr_matrix(shape, dtype=np.int64)\n"
+        "def build_grid_blocks(graph, grid):\n"
+        "    return [coo_matrix(e).tocsr() for e in edges]\n")
+    assert matrix_builds_outside_unpack(tree) == [4, 6]
