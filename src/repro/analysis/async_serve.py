@@ -276,41 +276,3 @@ SUITE = BenchSuite(
     ),
     headline=_headline,
 )
-
-
-# ---------------------------------------------------------------------------
-# One-off CLI runs (``repro async-serve``)
-# ---------------------------------------------------------------------------
-
-def one_off_async_run(*, n_queries: int = 80, arrival_rate: float = 2000.0,
-                      n_tenants: int = 8, update_mix: float = 0.25,
-                      workers: int = ASYNC_WORKERS, max_queue: int = 0,
-                      overflow: str = "defer", arrival_mode: str = "poisson",
-                      scale: float = 0.3, seed: int = 0) -> dict[str, Any]:
-    """Serve one workload cooperatively and compare to the serial oracle."""
-    catalog = default_catalog(scale=scale)
-    spec = WorkloadSpec(
-        n_queries=n_queries, arrival_rate=arrival_rate, n_tenants=n_tenants,
-        graphs=tuple(catalog), kernels=("lcc", "tc"), seed=seed,
-        update_mix=update_mix)
-    if arrival_mode == "bursty":
-        spec = spec.bursty()
-    elif arrival_mode == "flash":
-        spec = spec.flash_crowd()
-    requests = generate_workload(spec, catalog)
-    serial = ServingEngine(catalog, _serial_config(),
-                           scheduler=FIFOScheduler()).serve(requests)
-    coop = AsyncServingEngine(
-        catalog, _async_config(workers=workers, max_queue=max_queue,
-                               overflow=overflow),
-        scheduler=FIFOScheduler()).serve(requests)
-    return {
-        "n_requests": len(requests),
-        "workers": workers,
-        "arrival_mode": arrival_mode,
-        "results_identical": (answers_identical(serial, coop)
-                              if not coop.rejected else None),
-        "n_rejected": len(coop.rejected),
-        "serial": _pick(serial.aggregates, *_AGG_KEYS),
-        "async": _pick(coop.aggregates, *_AGG_KEYS),
-    }

@@ -261,50 +261,3 @@ SUITE = BenchSuite(
     ),
     headline=_headline,
 )
-
-
-# ---------------------------------------------------------------------------
-# One-off CLI runs (``repro update``)
-# ---------------------------------------------------------------------------
-
-def one_off_update_run(graph: CSRGraph, *, nranks: int = 8, threads: int = 4,
-                       n_edges: int = 16, delete_fraction: float = 0.25,
-                       seed: int = 0) -> dict[str, Any]:
-    """Apply one random batch to a warm resident session; report everything."""
-    config = LCCConfig(nranks=nranks, threads=threads,
-                       cache=CacheSpec.relative(graph.nbytes, 0.5, 1.0))
-    batch = random_update_batch(graph, n_edges, delete_fraction, seed=seed)
-    with Session(graph, config) as session:
-        session.run("lcc", keep_cache=True)
-        warm = session.run("lcc", keep_cache=True)
-        t0 = time.perf_counter()
-        outcome = session.apply_updates(batch)
-        t0_inc = time.perf_counter()
-        vertex_scores(outcome.graph, "tpv")
-        incr_wall = time.perf_counter() - t0_inc
-        post = session.run("lcc", keep_cache=True)
-        apply_wall = t0_inc - t0
-    # Against the raw counters: the query reads the version's own score
-    # record, so comparing it with that record would pass a wrong one.
-    raw_tpv = triangles_per_vertex_batched(outcome.graph)
-    raw_lcc = lcc_from_triplets(outcome.graph, raw_tpv)
-    raw_triangles = int(raw_tpv.sum()) // (1 if graph.directed else 6)
-    identical = (np.array_equal(post.lcc, raw_lcc)
-                 and int(post.global_triangles) == raw_triangles)
-    return {
-        "graph": graph.name, "vertices": graph.n, "edges": graph.m,
-        "nranks": nranks,
-        "edges_inserted": outcome.delta.n_inserted,
-        "edges_deleted": outcome.delta.n_deleted,
-        "affected_vertices": int(outcome.affected.shape[0]),
-        "touched_ranks": len(outcome.touched_ranks),
-        "update_simulated_time_s": outcome.time,
-        "update_wall_s": apply_wall,
-        "incremental_wall_s": incr_wall,
-        "invalidated_entries": outcome.invalidated_entries,
-        "retained_entries": outcome.retained_entries,
-        "warm_hit_rate": float(warm.adj_cache_stats["hit_rate"]),
-        "post_update_hit_rate": float(post.adj_cache_stats["hit_rate"]),
-        "incremental_matches_query": bool(identical),
-        "global_triangles": int(post.global_triangles),
-    }

@@ -430,41 +430,3 @@ SUITE = BenchSuite(
     ),
     headline=_headline,
 )
-
-
-# ---------------------------------------------------------------------------
-# One-off CLI runs (``repro shard``)
-# ---------------------------------------------------------------------------
-
-def one_off_shard_run(graph: CSRGraph, *, nshards: int = SHARD_NSHARDS,
-                      nranks: int = SHARD_NRANKS,
-                      replicas: int = SHARD_REPLICAS, n_edges: int = 16,
-                      delete_fraction: float = 0.25, seed: int = 0
-                      ) -> dict[str, Any]:
-    """Shard one graph, commit one batch, prove identity + convergence."""
-    name = graph.name or "graph"
-    sharded = ShardedGraphStore({name: graph}, nshards=nshards,
-                                nranks=nranks)
-    plain = GraphStore({name: graph})
-    batch = random_update_batch(graph, n_edges, delete_fraction, seed=seed)
-    su = sharded.apply(name, batch)
-    uu = plain.apply(name, batch)
-    replica_set = ReplicaSet({name: graph}, replicas=replicas,
-                             nshards=nshards, nranks=nranks)
-    replica_set.commit(name, batch)
-    return {
-        "graph": name, "vertices": graph.n, "edges": graph.m,
-        "nshards": nshards,
-        "shard_starts": [int(s) for s in sharded.plan(name).starts],
-        "version": str(su.version),
-        "shards_touched": sorted(su.shards),
-        "version_vector": list(sharded.version_vector(name)),
-        "version_vector_ok": sharded.check_version_vector(name) == [],
-        "edges_inserted": su.delta.n_inserted,
-        "edges_deleted": su.delta.n_deleted,
-        "bit_identical": graph_digest(su.graph) == graph_digest(uu.graph),
-        "store_digest": sharded.digest(name)[:12],
-        "replicas": replicas,
-        "replicas_converged": replica_set.verify() == [],
-        "ring": replica_set.router.store_ids(),
-    }

@@ -274,54 +274,3 @@ SUITE = BenchSuite(
     ),
     headline=_headline,
 )
-
-
-# ---------------------------------------------------------------------------
-# One-off CLI runs (``repro store``)
-# ---------------------------------------------------------------------------
-
-def one_off_store_run(graph: CSRGraph, *, nranks: int = STORE_NRANKS,
-                      threads: int = BENCH_THREADS, n_edges: int = 16,
-                      delete_fraction: float = 0.25, seed: int = 0
-                      ) -> dict[str, Any]:
-    """Resident-vs-rebuild tc2d plus one versioned update; report everything."""
-    from repro.graphstore import GraphStore
-
-    config = LCCConfig(nranks=nranks, threads=threads)
-    name = graph.name or "graph"
-    store = GraphStore({name: graph})
-    batch = random_update_batch(graph, n_edges, delete_fraction, seed=seed)
-    # Time the rebuild oracle on the SAME (pre-update) graph the warm
-    # query serves — the update may change the graph size materially.
-    t0 = time.perf_counter()
-    run_distributed_tc_2d(graph, config)
-    rebuild_wall = time.perf_counter() - t0
-    with Session(graph, config) as session:
-        cold = session.run("tc2d")
-        t0 = time.perf_counter()
-        warm = session.run("tc2d")
-        warm_wall = time.perf_counter() - t0
-        update = store.apply(name, batch)
-        outcome = session.sync_to(update.delta)
-        post = session.run("tc2d")
-    ref = run_distributed_tc_2d(store.graph(name), config)
-    return {
-        "graph": name, "vertices": graph.n, "edges": graph.m,
-        "nranks": nranks,
-        "version": str(update.version),
-        "history_digest": update.digest[:12],
-        "edges_inserted": update.delta.n_inserted,
-        "edges_deleted": update.delta.n_deleted,
-        "touched_blocks": len(outcome.touched_blocks),
-        "update_simulated_time_s": outcome.time,
-        "cold_triangles": int(cold.global_triangles),
-        "post_update_triangles": int(post.global_triangles),
-        "post_update_matches_rebuild": bool(
-            int(post.global_triangles) == int(ref.global_triangles)
-            and post.outcome.clocks == ref.outcome.clocks),
-        "warm_wall_s": warm_wall,
-        "rebuild_wall_s": rebuild_wall,
-        "warm_speedup": rebuild_wall / warm_wall if warm_wall else 0.0,
-        "warm_matches_cold": bool(
-            int(warm.global_triangles) == int(cold.global_triangles)),
-    }

@@ -71,10 +71,3 @@ def _fmt(value: Any) -> str:
             return f"{value:.3g}"
         return f"{value:.3f}".rstrip("0").rstrip(".")
     return str(value)
-
-
-def format_speedup(base: float, value: float) -> str:
-    """Render 'value is N x faster than base' (paper annotation style)."""
-    if value <= 0:
-        return "inf"
-    return f"{base / value:.1f}x"

@@ -1,22 +1,10 @@
-"""Traced serving runs: the ``repro trace`` CLI backend.
+"""Traced serving runs: the ``trace`` bench suite.
 
-``repro trace`` serves one workload through the cooperative
+``repro bench trace`` serves one pinned workload through the cooperative
 :class:`~repro.serve.engine.AsyncServingEngine` with the full
-:class:`~repro.obs.Observation` bundle on, then turns what it collected
-into artifacts:
-
-* the **decision journal** as JSONL (``TRACE_journal.jsonl``) — every
-  admit/dispatch/window/commit decision, byte-deterministic per seed;
-* the **span timeline** as Chrome ``trace_event`` JSON
-  (``TRACE_events.json``) — open it in ``chrome://tracing`` or
-  https://ui.perfetto.dev;
-* a summary payload with the journal's replay verdict
-  (:func:`~repro.obs.journal.replay_journal`), span well-formedness
-  (:func:`~repro.obs.trace.check_spans`) and the per-(graph, shard-set)
-  :func:`~repro.obs.export.utilization_report`.
-
-``repro bench trace`` is the CI gate for the whole observability layer
-(:func:`check_traced_run` measures, :data:`SUITE` declares the rows):
+:class:`~repro.obs.Observation` bundle on, and gates the whole
+observability layer (:func:`check_traced_run` measures, :data:`SUITE`
+declares the rows):
 
 * **parity** — a traced run and an untraced run of the same workload
   must produce bit-identical answers and store digests (observability
@@ -32,8 +20,14 @@ The report also records ``overhead_ratio``, min-of-:data:`OVERHEAD_REPEATS`
 traced over untraced wall clock, as a number, not a gate row; the ledger's
 ``obs.enabled_overhead_frac`` is the recorded cost of tracing.
 
-The gate run leaves the journal and Chrome trace of its last traced
-repeat in the working directory, like the one-off run.
+The run leaves the artifacts of its last traced repeat in the working
+directory:
+
+* the **decision journal** as JSONL (``TRACE_journal.jsonl``) — every
+  admit/dispatch/window/commit decision, byte-deterministic per seed;
+* the **span timeline** as Chrome ``trace_event`` JSON
+  (``TRACE_events.json``) — open it in ``chrome://tracing`` or
+  https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ from repro.analysis.benchsuite import (
     violations,
 )
 from repro.obs import Observation
-from repro.obs.export import chrome_trace, utilization_report
+from repro.obs.export import chrome_trace
 from repro.obs.journal import replay_journal
 from repro.obs.trace import check_spans
 from repro.serve.engine import (
@@ -60,7 +54,7 @@ from repro.serve.engine import (
     AsyncServingEngine,
     answers_identical,
 )
-from repro.serve.scheduler import FIFOScheduler, make_scheduler
+from repro.serve.scheduler import FIFOScheduler
 from repro.serve.workload import WorkloadSpec, default_catalog, generate_workload
 from repro.shardstore import ShardedGraphStore, annotate_shard_sets
 
@@ -73,19 +67,12 @@ TRACE_SEED = 23
 #: far more than the instrumentation costs; the minimum is the signal).
 OVERHEAD_REPEATS = 3
 
-#: Default artifact paths (gitignored; CI uploads them).
-DEFAULT_JOURNAL_PATH = "TRACE_journal.jsonl"
-DEFAULT_TRACE_PATH = "TRACE_events.json"
+#: Artifact paths in the working directory (gitignored; CI uploads them).
+JOURNAL_PATH = "TRACE_journal.jsonl"
+CHROME_TRACE_PATH = "TRACE_events.json"
 
 
-def _config(**kw) -> AsyncServeConfig:
-    return AsyncServeConfig(nranks=TRACE_NRANKS, threads=BENCH_THREADS,
-                            pool_capacity=4,
-                            workers=kw.pop("workers", TRACE_WORKERS), **kw)
-
-
-def trace_workload(quick: bool = False, seed: int = TRACE_SEED,
-                   sharded: bool = True):
+def trace_workload(quick: bool = False):
     """The pinned trace workload: update-heavy, shard-annotated.
 
     Updates carry their touched-shard sets over a sharded store so the
@@ -96,72 +83,37 @@ def trace_workload(quick: bool = False, seed: int = TRACE_SEED,
     spec = WorkloadSpec(
         n_queries=36 if quick else 90, arrival_rate=2500.0,
         n_tenants=8, graphs=tuple(catalog), kernels=("lcc", "tc"),
-        seed=seed, update_mix=0.3, update_edges=6)
-    requests = generate_workload(spec, catalog)
-    store_factory = None
-    if sharded:
-        def store_factory(c):
-            return ShardedGraphStore(c, nshards=TRACE_NSHARDS,
-                                     nranks=TRACE_NRANKS)
-        requests = annotate_shard_sets(requests, store_factory(catalog))
+        seed=TRACE_SEED, update_mix=0.3, update_edges=6)
+
+    def store_factory(c):
+        return ShardedGraphStore(c, nshards=TRACE_NSHARDS,
+                                 nranks=TRACE_NRANKS)
+    requests = annotate_shard_sets(generate_workload(spec, catalog),
+                                   store_factory(catalog))
     return catalog, requests, store_factory
 
 
-def _serve(catalog, requests, store_factory, *, scheduler=None,
+def _serve(catalog, requests, store_factory, *,
            observation: Optional[Observation] = None):
     """One cooperative run; returns ``(outcome, wall_clock_s)``."""
     engine = AsyncServingEngine(
-        catalog, _config(), scheduler=scheduler or FIFOScheduler(),
+        catalog,
+        AsyncServeConfig(nranks=TRACE_NRANKS, threads=BENCH_THREADS,
+                         pool_capacity=4, workers=TRACE_WORKERS),
+        scheduler=FIFOScheduler(),
         store_factory=store_factory, observation=observation)
     t0 = time.perf_counter()
     outcome = engine.serve(requests)
     return outcome, time.perf_counter() - t0
 
 
-def _write_artifacts(obs: Observation, journal_path: str, trace_path: str,
-                     label: str) -> None:
-    obs.journal.write(journal_path)
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(obs.tracer.spans, label=label), fh,
-                  indent=1, sort_keys=True)
+def _write_artifacts(obs: Observation) -> None:
+    obs.journal.write(JOURNAL_PATH)
+    with open(CHROME_TRACE_PATH, "w", encoding="utf-8") as fh:
+        json.dump(chrome_trace(obs.tracer.spans,
+                               label=f"repro bench trace (seed {TRACE_SEED})"),
+                  fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def one_off_trace_run(*, journal_path: str = DEFAULT_JOURNAL_PATH,
-                      trace_path: str = DEFAULT_TRACE_PATH,
-                      quick: bool = False, seed: int = TRACE_SEED,
-                      scheduler: str = "fifo") -> dict[str, Any]:
-    """Serve the trace workload instrumented; write both artifacts.
-
-    Returns the summary payload the CLI prints: journal/span counts and
-    digests, the replay verdict, and the utilization breakdown.
-    """
-    catalog, requests, store_factory = trace_workload(quick, seed)
-    obs = Observation.enabled()
-    opts = {"seed": seed} if scheduler == "interleave" else {}
-    outcome, wall = _serve(catalog, requests, store_factory,
-                           scheduler=make_scheduler(scheduler, **opts),
-                           observation=obs)
-    _write_artifacts(obs, journal_path, trace_path,
-                     label=f"repro trace (seed {seed})")
-    replay = replay_journal(obs.journal, requests)
-    span_problems = check_spans(obs.tracer.spans)
-    util = utilization_report(outcome.records, outcome.update_records,
-                              requests=requests, workers=TRACE_WORKERS)
-    return {
-        "n_requests": len(requests),
-        "scheduler": scheduler,
-        "seed": seed,
-        "wall_clock_s": wall,
-        "n_events": len(obs.journal),
-        "n_spans": len(obs.tracer.spans),
-        "journal_digest": obs.journal.digest(),
-        "span_problems": span_problems,
-        "replay": replay.as_dict(),
-        "utilization": util,
-        "journal_path": journal_path,
-        "trace_path": trace_path,
-    }
 
 
 def check_traced_run(quick: bool = False,
@@ -190,8 +142,7 @@ def check_traced_run(quick: bool = False,
                                       observation=obs)
         traced_walls.append(wall)
         digests.append(obs.journal.digest())
-    _write_artifacts(obs, DEFAULT_JOURNAL_PATH, DEFAULT_TRACE_PATH,
-                     label=f"repro bench trace (seed {TRACE_SEED})")
+    _write_artifacts(obs)
 
     floor = min(plain_walls)
     report = {

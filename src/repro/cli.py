@@ -9,11 +9,20 @@
     python -m repro tc --input edges.txt --nranks 8 --algorithm tric
     python -m repro run livejournal --kernel tric --nranks 16
     python -m repro lcc orkut --json                 # machine-readable
-    python -m repro bench kernels                    # a gated benchmark suite
+    python -m repro bench store --quick              # one gated suite
+    python -m repro bench --list                     # every suite's gates
 
 Every algorithm execution goes through the kernel registry
 (:mod:`repro.session`); ``run`` exposes any registered kernel by name,
-while ``lcc``/``tc`` remain the task-oriented front ends.
+while ``lcc``/``tc`` remain the task-oriented front ends.  Each
+subsystem past the kernels (updates, the store, shards, serial and
+async serving, tracing) is exercised by its ``bench`` suite; the
+``examples/`` scripts run one on a graph of your own.
+
+Bad input (an unknown dataset, an invalid configuration, a malformed or
+unreadable ``--input`` file) ends in one ``repro: error:`` line and exit
+code 2, like an argparse usage error; any other exception is a fault and
+propagates.
 """
 
 from __future__ import annotations
@@ -29,12 +38,16 @@ from repro.graph.datasets import dataset_names, load_dataset, DATASETS
 from repro.graph.io import read_edge_list
 from repro.graph.properties import degree_stats
 from repro.session import get_kernel, kernel_names, run_kernel
+from repro.utils.errors import ConfigError, GraphFormatError, KernelError
 from repro.utils.units import format_bytes, format_seconds
 
 
 def _load_graph(args):
     if args.input:
-        return read_edge_list(args.input, directed=args.directed)
+        try:
+            return read_edge_list(args.input, directed=args.directed)
+        except OSError as exc:
+            raise ConfigError(f"cannot read --input: {exc}") from None
     if not args.dataset:
         raise SystemExit("pass a dataset name or --input FILE")
     return load_dataset(args.dataset, scale=args.scale, seed=args.seed)
@@ -220,143 +233,6 @@ def cmd_bench(args) -> int:
     return run_suites(names, quick=args.quick, directory=args.dir)
 
 
-def cmd_update(args) -> int:
-    from repro.analysis.dynamic import one_off_update_run
-
-    g = _load_graph(args)
-    payload = one_off_update_run(
-        g, nranks=args.nranks, threads=args.threads, n_edges=args.edges,
-        delete_fraction=args.delete_fraction, seed=args.seed)
-    _emit(args, payload)
-    return 0
-
-
-def cmd_store(args) -> int:
-    from repro.analysis.store import one_off_store_run
-
-    g = _load_graph(args)
-    payload = one_off_store_run(
-        g, nranks=args.nranks, threads=args.threads, n_edges=args.edges,
-        delete_fraction=args.delete_fraction, seed=args.seed)
-    _emit(args, payload)
-    return 0
-
-
-def cmd_shard(args) -> int:
-    from repro.analysis.shard import one_off_shard_run
-
-    g = _load_graph(args)
-    payload = one_off_shard_run(
-        g, nshards=args.nshards, nranks=args.nranks, replicas=args.replicas,
-        n_edges=args.edges, delete_fraction=args.delete_fraction,
-        seed=args.seed)
-    _emit(args, payload)
-    return 0
-
-
-def cmd_async_serve(args) -> int:
-    from repro.analysis.async_serve import one_off_async_run
-
-    payload = one_off_async_run(
-        n_queries=args.queries, arrival_rate=args.rate,
-        n_tenants=args.tenants, update_mix=args.update_mix,
-        workers=args.workers, max_queue=args.max_queue,
-        overflow=args.overflow, arrival_mode=args.arrival_mode,
-        scale=args.catalog_scale, seed=args.seed)
-    _emit(args, payload)
-    return 0
-
-
-def cmd_serve(args) -> int:
-    from repro.serve import (
-        ServeConfig,
-        ServingEngine,
-        WorkloadSpec,
-        default_catalog,
-        generate_workload,
-        make_scheduler,
-    )
-    from repro.serve.engine import answers_identical
-
-    catalog = default_catalog(scale=args.catalog_scale)
-    spec = WorkloadSpec(n_queries=args.queries, arrival_rate=args.rate,
-                        n_tenants=args.tenants, graphs=tuple(catalog),
-                        seed=args.seed)
-    if args.skew == "uniform":
-        spec = spec.uniform()
-    requests = generate_workload(spec)
-    config = ServeConfig(nranks=args.nranks, threads=args.threads,
-                         pool_capacity=args.pool_capacity,
-                         pool_policy=args.pool_policy)
-    names = (("fifo", "affinity") if args.scheduler == "both"
-             else (args.scheduler,))
-    outcomes = {}
-    for name in names:
-        opts = {"max_batch": args.max_batch} if name == "affinity" else {}
-        engine = ServingEngine(catalog, config, make_scheduler(name, **opts))
-        outcomes[name] = engine.serve(requests)
-    payload = {
-        "queries": spec.n_queries, "tenants": spec.n_tenants,
-        "arrival_rate_qps": spec.arrival_rate, "skew": args.skew,
-        "catalog": ",".join(catalog), "pool_capacity": config.pool_capacity,
-        "pool_policy": config.pool_policy, "seed": spec.seed,
-    }
-    for name, outcome in outcomes.items():
-        payload.update({f"{name}_{k}": v
-                        for k, v in outcome.aggregates.items()})
-    if len(outcomes) == 2:
-        fifo, aff = outcomes["fifo"], outcomes["affinity"]
-        payload["results_identical"] = answers_identical(fifo, aff)
-        payload["throughput_ratio"] = (
-            aff.aggregates["throughput_qps"]
-            / fifo.aggregates["throughput_qps"])
-    _emit(args, payload)
-    return 0
-
-
-def cmd_trace(args) -> int:
-    from repro.analysis.tracing import (
-        DEFAULT_JOURNAL_PATH,
-        DEFAULT_TRACE_PATH,
-        TRACE_SEED,
-        one_off_trace_run,
-    )
-
-    payload = one_off_trace_run(
-        journal_path=args.journal or DEFAULT_JOURNAL_PATH,
-        trace_path=args.trace or DEFAULT_TRACE_PATH,
-        quick=args.quick,
-        seed=TRACE_SEED if args.seed is None else args.seed,
-        scheduler=args.scheduler)
-    if args.json:
-        print(json.dumps(payload, indent=2, default=float))
-    else:
-        replay = payload["replay"]
-        util = payload["utilization"]
-        print(f"{payload['n_requests']} requests traced "
-              f"({payload['scheduler']} scheduler, seed {payload['seed']})")
-        print(f"journal      {payload['n_events']} events  "
-              f"digest {payload['journal_digest'][:12]}  "
-              f"replay fence-legal: {replay['ok']} "
-              f"({replay['n_dispatches']} dispatches, "
-              f"{replay['n_commits']} commits)")
-        print(f"spans        {payload['n_spans']} spans, "
-              f"{len(payload['span_problems'])} problems")
-        print(f"overall      mean concurrency "
-              f"{util['overall']['mean_concurrency']:.2f}  overlap "
-              f"{util['overall']['overlap_fraction']:.2f}  makespan "
-              f"{util['makespan_s']:.4f}s")
-        for key, row in util["domains"].items():
-            print(f"{key:24s} {row['n_queries']:3d} queries "
-                  f"{row['n_updates']:3d} updates  busy "
-                  f"{row['busy_fraction']:.2f} of makespan  overlap "
-                  f"{row['overlap_fraction']:.2f}")
-    print(f"journal written to {payload['journal_path']}", file=sys.stderr)
-    print(f"chrome trace written to {payload['trace_path']}",
-          file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -414,6 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
                    default="async")
     p.set_defaults(fn=cmd_tc)
 
+    p = sub.add_parser("run", help="run any registered kernel by name")
+    add_graph_args(p)
+    add_cluster_args(p)
+    p.add_argument("--kernel", choices=kernel_names(), default="lcc",
+                   help="a kernel from the registry (see 'repro kernels')")
+    p.add_argument("--buffer-capacity", type=int, default=None,
+                   help="TriC-Buffered per-destination cap in bytes")
+    p.set_defaults(fn=cmd_run)
+
     p = sub.add_parser(
         "bench",
         help="run the gated benchmark suites; write BENCH_<suite>.json")
@@ -430,132 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print every suite's committed report and gate table")
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser(
-        "update",
-        help="dynamic-graph updates: post-update rescoring + targeted "
-             "cache invalidation")
-    add_graph_args(p)
-    p.add_argument("--nranks", type=int, default=8)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--edges", type=int, default=16,
-                   help="edges per synthetic update batch")
-    p.add_argument("--delete-fraction", type=float, default=0.25,
-                   help="fraction of the batch that deletes existing edges")
-    p.set_defaults(fn=cmd_update)
-
-    p = sub.add_parser(
-        "store",
-        help="versioned graph store: resident 2D grids + update propagation")
-    add_graph_args(p)
-    p.add_argument("--nranks", type=int, default=9)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--edges", type=int, default=16,
-                   help="edges per synthetic update batch")
-    p.add_argument("--delete-fraction", type=float, default=0.25,
-                   help="fraction of the batch that deletes existing edges")
-    p.set_defaults(fn=cmd_store)
-
-    p = sub.add_parser(
-        "shard",
-        help="sharded store: partition-aligned shards, consistent-hash "
-             "routing, digest-verified read replicas")
-    add_graph_args(p)
-    p.add_argument("--nranks", type=int, default=8)
-    p.add_argument("--nshards", type=int, default=4,
-                   help="shards per graph (must evenly group --nranks)")
-    p.add_argument("--replicas", type=int, default=3,
-                   help="read replicas in the convergence check")
-    p.add_argument("--edges", type=int, default=16,
-                   help="edges per synthetic update batch")
-    p.add_argument("--delete-fraction", type=float, default=0.25,
-                   help="fraction of the batch that deletes existing edges")
-    p.set_defaults(fn=cmd_shard)
-
-    p = sub.add_parser(
-        "serve",
-        help="multi-tenant query serving over a pool of resident sessions")
-    p.add_argument("--queries", type=int, default=120,
-                   help="number of queries in the synthetic workload")
-    p.add_argument("--rate", type=float, default=2000.0,
-                   help="aggregate Poisson arrival rate (simulated q/s)")
-    p.add_argument("--tenants", type=int, default=12)
-    p.add_argument("--skew", choices=["zipf", "uniform"], default="zipf",
-                   help="tenant/graph popularity (zipf is the paper's regime)")
-    p.add_argument("--scheduler", choices=["fifo", "affinity", "both"],
-                   default="both")
-    p.add_argument("--pool-capacity", type=int, default=3,
-                   help="max resident sessions (contention knob)")
-    p.add_argument("--pool-policy", choices=["lru", "lfu"], default="lru")
-    p.add_argument("--max-batch", type=int, default=16,
-                   help="affinity anti-starvation: max consecutive "
-                        "same-session queries")
-    p.add_argument("--nranks", type=int, default=8)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--catalog-scale", type=float, default=0.5,
-                   help="shrink/grow the serving graph catalog")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "async-serve",
-        help="cooperative async serving: overlap, coalescing windows, "
-             "backpressure — parity-proved against the serial engine")
-    p.add_argument("--queries", type=int, default=80,
-                   help="number of requests in the synthetic workload")
-    p.add_argument("--rate", type=float, default=2000.0,
-                   help="aggregate arrival rate (simulated req/s)")
-    p.add_argument("--tenants", type=int, default=8)
-    p.add_argument("--update-mix", type=float, default=0.25,
-                   help="fraction of requests that are graph updates")
-    p.add_argument("--workers", type=int, default=6,
-                   help="cooperative worker slots (overlap ceiling)")
-    p.add_argument("--max-queue", type=int, default=0,
-                   help="admission bound on the run queue (0 = unbounded)")
-    p.add_argument("--overflow", choices=["defer", "shed"], default="defer",
-                   help="full-queue policy: defer keeps arrival-order "
-                        "latency accounting, shed rejects deterministically")
-    p.add_argument("--arrival-mode", choices=["poisson", "bursty", "flash"],
-                   default="poisson")
-    p.add_argument("--catalog-scale", type=float, default=0.3,
-                   help="shrink/grow the serving graph catalog")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_async_serve)
-
-    p = sub.add_parser(
-        "trace",
-        help="traced cooperative serving: decision journal + Chrome "
-             "trace + replay-verified fences")
-    p.add_argument("--quick", action="store_true",
-                   help="small workload")
-    p.add_argument("--seed", type=int, default=None,
-                   help="workload seed (default: the pinned trace seed)")
-    p.add_argument("--scheduler", choices=["fifo", "affinity", "interleave"],
-                   default="fifo", help="dispatch policy for the traced run")
-    p.add_argument("--journal", metavar="PATH", default=None,
-                   help="decision-journal output "
-                        "(default: TRACE_journal.jsonl)")
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="Chrome trace_event output "
-                        "(default: TRACE_events.json)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("run", help="run any registered kernel by name")
-    add_graph_args(p)
-    add_cluster_args(p)
-    p.add_argument("--kernel", choices=kernel_names(), default="lcc",
-                   help="a kernel from the registry (see 'repro kernels')")
-    p.add_argument("--buffer-capacity", type=int, default=None,
-                   help="TriC-Buffered per-destination cap in bytes")
-    p.set_defaults(fn=cmd_run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, KernelError, GraphFormatError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,13 +37,6 @@ def gini(values: np.ndarray) -> float:
     return float((2 * (idx * v).sum() / (v.size * v.sum())) - (v.size + 1) / v.size)
 
 
-def degree_histogram(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(degree values, counts), sorted ascending."""
-    deg = graph.degrees()
-    values, counts = np.unique(deg, return_counts=True)
-    return values, counts
-
-
 def top_degree_share(graph: CSRGraph, top_fraction: float = 0.1) -> float:
     """Fraction of adjacency entries pointed at the top-``fraction`` vertices.
 

@@ -25,7 +25,7 @@ Quickstart::
     outcome = engine.serve(workload)
     print(outcome.aggregates["throughput_qps"])
 
-``repro serve`` exposes the same loop on the command line, and
+``repro bench serve`` runs the same loop on the command line:
 ``analysis/serving.py`` records the FIFO-vs-affinity comparison in the
 committed ``BENCH_serve.json``.
 """

@@ -36,7 +36,7 @@ Quickstart::
     rs.commit("social", batch)
     assert rs.verify() == []                   # digest-converged
 
-``repro shard`` benches the layer end to end (read scaling vs replica
+``repro bench shard`` benches the layer end to end (read scaling vs replica
 count, cross-shard commit latency, the failover drill) into the
 committed ``BENCH_shard.json``.
 """

@@ -55,10 +55,3 @@ def format_seconds(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds / MS:.1f} ms"
     return f"{seconds:.2f} s"
-
-
-def format_rate(edges: float, seconds: float) -> str:
-    """Render a throughput as edges per microsecond (paper Table III unit)."""
-    if seconds <= 0:
-        return "inf"
-    return f"{edges / (seconds / US):.3f} edges/us"

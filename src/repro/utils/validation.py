@@ -6,10 +6,6 @@ format, keeping validation one-liners at public API boundaries.
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
 from repro.utils.errors import ConfigError
 
 
@@ -32,37 +28,3 @@ def require_in_range(name: str, value: float, lo: float, hi: float) -> float:
     if not (lo <= value <= hi):
         raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return value
-
-
-def require_power_of_two(name: str, value: int) -> int:
-    """Validate that ``value`` is a positive power of two.
-
-    The paper assumes the number of processes is a power of two (§II-A);
-    we enforce it only where the paper's partitioning arithmetic needs it.
-    """
-    if value <= 0 or (value & (value - 1)) != 0:
-        raise ConfigError(f"{name} must be a positive power of two, got {value!r}")
-    return value
-
-
-def require_type(name: str, value: Any, typ: type) -> Any:
-    """Validate ``isinstance(value, typ)``."""
-    if not isinstance(value, typ):
-        raise ConfigError(
-            f"{name} must be {typ.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
-def as_int_array(name: str, values: Any, dtype: np.dtype | type = np.int64) -> np.ndarray:
-    """Coerce to a 1-D integer ndarray, rejecting floats with fractional part."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ConfigError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.dtype.kind == "f":
-        if not np.all(arr == np.floor(arr)):
-            raise ConfigError(f"{name} must contain integers")
-        arr = arr.astype(dtype)
-    elif arr.dtype.kind not in ("i", "u"):
-        raise ConfigError(f"{name} must be integer-typed, got {arr.dtype}")
-    return np.ascontiguousarray(arr, dtype=dtype)

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.analysis.async_serve import SUITE, one_off_async_run
+from repro.analysis.async_serve import SUITE
 from repro.analysis.benchsuite import evaluate, write_report
 
 #: The burst-throughput floor the gate table declares.
@@ -126,25 +126,3 @@ class TestCommittedBaseline:
             report = json.load(fh)
         assert report["quick"] is False
         assert evaluate(SUITE, report) == []
-
-
-class TestOneOff:
-    def test_one_off_run_fields(self):
-        payload = one_off_async_run(n_queries=24, arrival_rate=2000.0,
-                                    n_tenants=4, update_mix=0.25,
-                                    workers=3, scale=0.2, seed=1)
-        assert payload["results_identical"] is True
-        assert payload["n_rejected"] == 0
-        assert payload["async"]["max_concurrency"] >= 1
-        assert payload["serial"]["throughput_qps"] > 0
-
-    def test_one_off_shed_reports_none_identity(self):
-        """With requests shed the oracle comparison is meaningless —
-        the payload says so instead of comparing unequal sets."""
-        payload = one_off_async_run(n_queries=32, arrival_rate=8000.0,
-                                    n_tenants=4, update_mix=0.2,
-                                    workers=1, max_queue=2,
-                                    overflow="shed", arrival_mode="flash",
-                                    scale=0.2, seed=2)
-        assert payload["n_rejected"] > 0
-        assert payload["results_identical"] is None

@@ -3,6 +3,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.benchsuite import evaluate, write_report
@@ -87,22 +88,20 @@ class TestGateClauses:
         assert not path.exists()
 
 
-class TestOneOffUpdate:
+class TestRawCounterOracle:
     def test_exactness_is_checked_against_the_raw_counters(self, monkeypatch):
         """A wrong post-update score record fails
-        `incremental_matches_query`: the query reads that record, the raw
-        recount does not."""
-        import numpy as np
-
-        from repro.analysis.dynamic import one_off_update_run
+        `post_update_bit_identical`: the cached and the cold query both
+        read that record, the raw recount does not."""
+        from repro.analysis.dynamic import bench_invalidation
         from repro.core import local
         from repro.graph.generators import powerlaw_configuration
 
-        graph = powerlaw_configuration(160, 900, seed=3, name="oneoff")
-        assert one_off_update_run(
-            graph, nranks=4, n_edges=10, seed=1)["incremental_matches_query"]
+        graph = powerlaw_configuration(160, 900, seed=3, name="raw")
+        assert bench_invalidation(graph, n_edges=10)[
+            "post_update_bit_identical"]
 
-        graph = powerlaw_configuration(160, 900, seed=3, name="oneoff")
+        graph = powerlaw_configuration(160, 900, seed=3, name="raw")
         oriented = local.oriented_triangle_scores
 
         def corrupt(version, *args, **kwargs):
@@ -110,6 +109,6 @@ class TestOneOffUpdate:
             return (tpv, tmin) if version is graph else (tpv + 1, tmin)
 
         monkeypatch.setattr(local, "oriented_triangle_scores", corrupt)
-        payload = one_off_update_run(graph, nranks=4, n_edges=10, seed=1)
-        assert payload["incremental_matches_query"] is False
-        assert np.isfinite(payload["post_update_hit_rate"])
+        row = bench_invalidation(graph, n_edges=10)
+        assert row["post_update_bit_identical"] is False
+        assert np.isfinite(row["post_update_hit_rate"])

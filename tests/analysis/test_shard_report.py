@@ -5,8 +5,7 @@ import copy
 import pytest
 
 from repro.analysis.benchsuite import evaluate, write_report
-from repro.analysis.shard import SUITE, one_off_shard_run
-from repro.graph.generators import powerlaw_configuration
+from repro.analysis.shard import SUITE
 
 
 @pytest.fixture(scope="module")
@@ -100,15 +99,3 @@ class TestGates:
         path = tmp_path / "bad.json"
         assert write_report(SUITE, bad, str(path))
         assert not path.exists()
-
-
-class TestOneOff:
-    def test_one_off_run_fields(self):
-        g = powerlaw_configuration(120, 700, seed=6, name="oneoff")
-        payload = one_off_shard_run(g, nshards=4, nranks=8, replicas=2,
-                                    n_edges=12, seed=1)
-        assert payload["bit_identical"] is True
-        assert payload["version_vector_ok"] is True
-        assert payload["replicas_converged"] is True
-        assert payload["version"] == "oneoff@v1"
-        assert len(payload["ring"]) == 2

@@ -5,8 +5,7 @@ import copy
 import pytest
 
 from repro.analysis.benchsuite import evaluate, write_report
-from repro.analysis.store import SUITE, one_off_store_run
-from repro.graph.generators import powerlaw_configuration
+from repro.analysis.store import SUITE
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +96,3 @@ class TestGates:
         path = tmp_path / "bad.json"
         assert write_report(SUITE, bad, str(path))
         assert not path.exists()
-
-
-class TestOneOff:
-    def test_one_off_run_fields(self):
-        g = powerlaw_configuration(160, 900, seed=6, name="oneoff")
-        payload = one_off_store_run(g, nranks=9, n_edges=10, seed=1)
-        assert payload["post_update_matches_rebuild"] is True
-        assert payload["warm_matches_cold"] is True
-        assert payload["version"] == "oneoff@v1"
-        assert payload["touched_blocks"] >= 0
-        assert payload["warm_speedup"] > 1.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tables import Table, format_speedup
+from repro.analysis.tables import Table
 
 
 class TestTable:
@@ -47,9 +47,3 @@ class TestTable:
         t = Table(["a"])
         t.add_row("x")
         assert str(t) == t.render()
-
-
-class TestSpeedup:
-    def test_format(self):
-        assert format_speedup(10.0, 2.0) == "5.0x"
-        assert format_speedup(1.0, 0.0) == "inf"

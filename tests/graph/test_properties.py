@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graph.generators import erdos_renyi, powerlaw_configuration, star_graph
+from repro.graph.generators import erdos_renyi, star_graph
 from repro.graph.properties import (
-    degree_histogram,
     degree_stats,
     gini,
     top_degree_share,
@@ -36,12 +35,6 @@ class TestDegreeStats:
         s = degree_stats(g)
         assert s["min"] <= s["median"] <= s["p99"] <= s["max"]
         assert s["mean"] == pytest.approx(g.degrees().mean())
-
-    def test_histogram_sums_to_n(self):
-        g = powerlaw_configuration(512, 4096, seed=1)
-        values, counts = degree_histogram(g)
-        assert counts.sum() == g.n
-        assert np.all(np.diff(values) > 0)
 
 
 class TestTopDegreeShare:

@@ -3,11 +3,16 @@
 import copy
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def patch_suite_run(monkeypatch, module, report):
@@ -116,37 +121,105 @@ class TestKernels:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_run_unknown_dataset_rejected(self):
-        from repro.utils.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="unknown dataset"):
-            main(["run", "no-such-dataset", "--kernel", "lcc"])
+    def test_run_unknown_dataset_rejected(self, capsys):
+        assert main(["run", "no-such-dataset", "--kernel", "lcc"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro: error: unknown dataset 'no-such-dataset'")
 
     def test_run_without_graph_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--kernel", "lcc"])
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["info", "nosuch"],
+        ["lcc", "facebook-circles", "--nranks", "0"],
+        ["run", "facebook-circles", "--kernel", "lcc2d", "--nranks", "8"],
+        ["tc", "--input", "{tri}", "--directed"],
+        ["info", "--input", "{bad}"],
+        ["info", "--input", "{missing}"],
+    ], ids=" ".join)
+    def test_bad_input_is_one_line_and_exit_2(self, argv, tmp_path, capsys):
+        (tmp_path / "tri.txt").write_text("0 1\n1 2\n2 0\n")
+        (tmp_path / "bad.txt").write_text("1 x\n")
+        argv = [a.format(tri=tmp_path / "tri.txt", bad=tmp_path / "bad.txt",
+                         missing=tmp_path / "missing.txt") for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_internal_faults_still_raise(self, monkeypatch):
+        import repro.cli as cli
+        from repro.utils.errors import SimulationError
+
+        def fault(*args, **kwargs):
+            raise SimulationError("time went backwards")
+
+        monkeypatch.setattr(cli, "run_kernel", fault)
+        with pytest.raises(SimulationError):
+            main(["lcc", "facebook-circles", "--scale", "0.2"])
+
+
+class TestCommandSet:
+    COMMANDS = ("datasets", "kernels", "info", "lcc", "tc", "run", "bench")
+
+    def test_help_lists_exactly_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(self.COMMANDS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["update", "store", "shard", "serve",
+                                         "async-serve", "trace"])
+    def test_removed_command_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dynamic", "--check"],
+        ["dynamic", "--edges", "50"],
+        ["store", "--edges", "50"],
+        ["shard", "--nshards", "8"],
+        ["serve", "--pool-capacity", "5"],
+        ["async", "--workers", "2"],
+        ["trace", "--scheduler", "interleave"],
+    ], ids=" ".join)
+    def test_bench_takes_no_workload_flags(self, argv, capsys):
+        """A gated run is pinned: `bench <suite>` has no baseline mode
+        (`--check`) and rejects the flags the removed one-off commands
+        took."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", argv[0], "--quick", *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def readme_commands() -> list:
+    """Every distinct ``python -m repro …`` command in README.md, as argv
+    lists; usage synopses (``[SUITE ...]``) are not commands."""
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    found = (shlex.split(m["args"], comments=True)
+             for m in re.finditer(r"(?:^|`)python -m repro (?P<args>[^`\n]*)",
+                                  text, re.M)
+             if "[" not in m["args"])
+    return [list(argv) for argv in dict.fromkeys(map(tuple, found))]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_command_parses(self, argv):
+        build_parser().parse_args(argv)
+
+    def test_readme_has_commands(self):
+        assert len(readme_commands()) >= 10
+
+
 class TestServe:
-    ARGS = ["serve", "--queries", "24", "--rate", "3000", "--tenants", "6",
-            "--catalog-scale", "0.2", "--pool-capacity", "2"]
-
-    def test_serve_both_schedulers_json(self, capsys):
-        assert main(self.ARGS + ["--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["queries"] == 24
-        assert payload["results_identical"] is True
-        assert payload["fifo_n_queries"] == 24
-        assert payload["affinity_n_queries"] == 24
-        assert payload["throughput_ratio"] > 0
-
-    def test_serve_single_scheduler_text(self, capsys):
-        assert main(self.ARGS + ["--scheduler", "affinity",
-                                 "--skew", "uniform"]) == 0
-        out = capsys.readouterr().out
-        assert "affinity_throughput_qps" in out
-        assert "results_identical" not in out
-
     def test_serve_bench_writes_gated_report(self, tmp_path, capsys,
                                              monkeypatch, quick_report_of):
         import repro.analysis.serving as srv
@@ -162,22 +235,6 @@ class TestServe:
         assert "| PASS | True (2 rows) | workloads.*.results_identical" \
             in captured.out
         assert "serve gate OK; report written to" in captured.err
-
-    def test_serve_bench_rejects_customization_flags(self, tmp_path):
-        """The recorded benchmark is pinned: the bench command takes no
-        workload flags, and `serve` has no bench mode left to customize."""
-        for argv in (["bench", "serve", "--quick", "--pool-capacity", "5"],
-                     ["serve", "--bench", str(tmp_path / "x.json")],
-                     ["serve", "--quick"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-
-    def test_serve_rejects_bad_pool(self):
-        from repro.utils.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="capacity"):
-            main(self.ARGS[:1] + ["--pool-capacity", "0"])
 
 
 class TestBench:
@@ -227,13 +284,6 @@ class TestBench:
         patch_suite_run(monkeypatch, dyn, quick_report_of("dynamic"))
         assert main(["bench", "dynamic", "--dir", str(tmp_path)]) == 0
         assert json.loads(path.read_text())["invalidation"]
-
-    def test_check_flag_is_gone(self, capsys):
-        """No baseline mode: `--check` is an unknown option."""
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "dynamic", "--quick", "--check"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --check" in capsys.readouterr().err
 
     def test_paper_bench_names_the_violated_claim(
             self, tmp_path, capsys, monkeypatch, quick_report_of):
@@ -309,15 +359,6 @@ class TestBenchWritesOnlyReports:
 
 
 class TestUpdate:
-    def test_one_off_update_json(self, capsys):
-        assert main(["update", "skitter", "--scale", "0.2", "--nranks", "4",
-                     "--edges", "10", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["edges_inserted"] + payload["edges_deleted"] > 0
-        assert payload["incremental_matches_query"] is True
-        assert payload["invalidated_entries"] > 0
-        assert payload["retained_entries"] > 0
-
     def test_update_bench_writes_gated_report(self, tmp_path, capsys):
         from repro.analysis.benchsuite import evaluate
         from repro.analysis.dynamic import SUITE
@@ -334,15 +375,6 @@ class TestUpdate:
 
 
 class TestStore:
-    def test_one_off_store_json(self, capsys):
-        assert main(["store", "skitter", "--scale", "0.2", "--nranks", "9",
-                     "--edges", "10", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"].endswith("@v1")
-        assert payload["post_update_matches_rebuild"] is True
-        assert payload["warm_matches_cold"] is True
-        assert payload["warm_speedup"] > 1.0
-
     def test_store_bench_writes_gated_report(self, tmp_path, capsys):
         from repro.analysis.benchsuite import evaluate
         from repro.analysis.store import SUITE
@@ -356,20 +388,6 @@ class TestStore:
         assert f"| store | measured | {n}/{n} rows hold; " in out
         assert ("| PASS | True | versions.version_histories_identical is "
                 "True") in out
-
-    def test_store_bench_rejects_customization_flags(self, tmp_path):
-        for argv in (["bench", "store", "--quick", "--edges", "50"],
-                     ["store", "skitter", "--bench", str(tmp_path / "x")],
-                     ["store", "skitter", "--quick"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-
-    def test_check_without_bench_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["store", "skitter", "--check", "BENCH_store.json"])
-        assert exc.value.code == 2
-
 
 class TestShard:
     @staticmethod
@@ -416,15 +434,6 @@ class TestShard:
         canned.update(overrides)
         patch_suite_run(monkeypatch, shd, canned)
 
-    def test_one_off_shard_json(self, capsys):
-        assert main(["shard", "skitter", "--scale", "0.2", "--nranks", "8",
-                     "--nshards", "4", "--edges", "10", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["bit_identical"] is True
-        assert payload["version_vector_ok"] is True
-        assert payload["replicas_converged"] is True
-        assert payload["version"].endswith("@v1")
-
     def test_shard_bench_writes_gated_report(self, tmp_path, capsys,
                                              monkeypatch):
         from repro.analysis.benchsuite import evaluate
@@ -465,20 +474,6 @@ class TestShard:
         assert SUITE.headline(json.loads(path.read_text()))[
             "read_scaling"] == 2.0
 
-    def test_shard_bench_rejects_customization_flags(self, tmp_path):
-        for argv in (["bench", "shard", "--quick", "--nshards", "8"],
-                     ["shard", "skitter", "--bench", str(tmp_path / "x")],
-                     ["shard", "skitter", "--quick"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-
-    def test_check_without_bench_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["shard", "skitter", "--check", "BENCH_shard.json"])
-        assert exc.value.code == 2
-
-
 class TestAsyncServe:
     @staticmethod
     def _patch_canned_async(monkeypatch, speedup=2.0, **overrides):
@@ -514,15 +509,6 @@ class TestAsyncServe:
         canned.update(overrides)
         patch_suite_run(monkeypatch, asv, canned)
 
-    def test_one_off_async_json(self, capsys):
-        assert main(["async-serve", "--queries", "24", "--tenants", "4",
-                     "--workers", "3", "--update-mix", "0.25",
-                     "--catalog-scale", "0.2", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["results_identical"] is True
-        assert payload["workers"] == 3
-        assert payload["async"]["max_concurrency"] >= 1
-
     def test_async_bench_writes_gated_report(self, tmp_path, capsys,
                                              monkeypatch):
         from repro.analysis.benchsuite import evaluate
@@ -557,30 +543,3 @@ class TestAsyncServe:
         assert list(tmp_path.iterdir()) == [path]
         assert SUITE.headline(json.loads(path.read_text()))[
             "burst_speedup"] == 2.0
-
-    def test_async_bench_rejects_customization_flags(self, tmp_path):
-        for argv in (["bench", "async", "--quick", "--workers", "2"],
-                     ["async-serve", "--bench", str(tmp_path / "x")],
-                     ["async-serve", "--quick"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-
-    def test_check_without_bench_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["async-serve", "--check", "BENCH_async.json"])
-        assert exc.value.code == 2
-
-    def test_bad_overflow_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["async-serve", "--overflow", "drop"])
-
-
-class TestRound2Guards:
-    def test_update_bench_rejects_customization_flags(self, tmp_path):
-        for argv in (["bench", "dynamic", "--quick", "--edges", "50"],
-                     ["update", "skitter", "--bench", str(tmp_path / "x")],
-                     ["update", "skitter", "--quick"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2

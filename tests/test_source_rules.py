@@ -18,6 +18,10 @@
   ``src/repro/graphstore/`` a SciPy matrix (``csr_matrix(...)`` /
   ``coo_matrix(...)``) is constructed only inside ``_unpack_block``,
   the view a kernel multiplies with.
+* **One command per subsystem.**  ``src/repro/cli.py`` reaches the
+  analysis layer only through ``repro.analysis.benchsuite``, the
+  ``repro bench`` driver: a subsystem is run and checked by its bench
+  suite, not by a command with its own payload builder.
 """
 
 import ast
@@ -109,6 +113,28 @@ def matrix_builds_outside_unpack(tree: ast.AST) -> list[int]:
     return found
 
 
+#: The one ``repro.analysis`` module the CLI may import.
+CLI_ANALYSIS_MODULE = "repro.analysis.benchsuite"
+
+
+def analysis_imports_besides_benchsuite(tree: ast.AST) -> list[int]:
+    """Line numbers of imports of a ``repro.analysis`` module other than
+    :data:`CLI_ANALYSIS_MODULE` (the package itself included)."""
+    found: list[int] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = ([f"{node.module}.{alias.name}" for alias in node.names]
+                       if node.module == "repro.analysis" else [node.module])
+        else:
+            continue
+        if any(m.split(".")[:2] == ["repro", "analysis"]
+               and m != CLI_ANALYSIS_MODULE for m in modules):
+            found.append(node.lineno)
+    return sorted(found)
+
+
 def test_no_assert_outside_check_invariants():
     offenders = [f"{path}:{line}" for path, tree in parsed_modules(SRC)
                  for line in asserts_outside_check_invariants(tree)]
@@ -136,6 +162,12 @@ def test_one_block_representation():
     offenders = [f"{path}:{line}" for path, tree in modules
                  for line in matrix_builds_outside_unpack(tree)]
     assert offenders == [], "a 2D block lives once, as its packed part"
+
+
+def test_cli_imports_only_the_bench_driver():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert analysis_imports_besides_benchsuite(tree) == [], \
+        "run a subsystem through its bench suite"
 
 
 def test_rules_fire_on_what_they_forbid():
@@ -173,3 +205,14 @@ def test_rules_fire_on_what_they_forbid():
         "def build_grid_blocks(graph, grid):\n"
         "    return [coo_matrix(e).tocsr() for e in edges]\n")
     assert matrix_builds_outside_unpack(tree) == [4, 6]
+    tree = ast.parse(
+        "from repro.analysis.benchsuite import run_suites\n"
+        "from repro.analysis import benchsuite\n"
+        "import repro.analysis.benchsuite\n"
+        "from repro.analysis.dynamic import one_shot\n"
+        "def cmd():\n"
+        "    from repro.analysis.tracing import TRACE_SEED\n"
+        "from repro.analysis import benchsuite, store\n"
+        "import repro.analysis\n"
+        "from repro.analysisx import y\n")
+    assert analysis_imports_besides_benchsuite(tree) == [4, 6, 7, 8]

@@ -12,7 +12,6 @@ from repro.utils.units import (
     format_bytes,
     format_seconds,
 )
-from repro.utils.units import format_rate
 
 
 class TestConstants:
@@ -55,11 +54,3 @@ class TestFormatSeconds:
 
     def test_negative(self):
         assert format_seconds(-2.5e-6) == "-2.50 us"
-
-
-class TestFormatRate:
-    def test_rate(self):
-        assert format_rate(100, 100e-6) == "1.000 edges/us"
-
-    def test_zero_time(self):
-        assert format_rate(10, 0) == "inf"

@@ -1,16 +1,12 @@
 """Tests for validation helpers."""
 
-import numpy as np
 import pytest
 
 from repro.utils.errors import ConfigError
 from repro.utils.validation import (
-    as_int_array,
     require_in_range,
     require_non_negative,
     require_positive,
-    require_power_of_two,
-    require_type,
 )
 
 
@@ -32,38 +28,3 @@ class TestScalars:
         assert require_in_range("x", 0, 0, 1) == 0
         with pytest.raises(ConfigError):
             require_in_range("x", 1.1, 0, 1)
-
-    def test_power_of_two(self):
-        for good in (1, 2, 64, 1024):
-            assert require_power_of_two("p", good) == good
-        for bad in (0, 3, 12, -4):
-            with pytest.raises(ConfigError):
-                require_power_of_two("p", bad)
-
-    def test_type(self):
-        assert require_type("x", 5, int) == 5
-        with pytest.raises(ConfigError):
-            require_type("x", 5.0, int)
-
-
-class TestIntArray:
-    def test_int_passthrough(self):
-        arr = as_int_array("a", [1, 2, 3])
-        assert arr.dtype == np.int64
-        np.testing.assert_array_equal(arr, [1, 2, 3])
-
-    def test_whole_floats_ok(self):
-        arr = as_int_array("a", np.array([1.0, 2.0]))
-        assert arr.dtype == np.int64
-
-    def test_fractional_rejected(self):
-        with pytest.raises(ConfigError):
-            as_int_array("a", [1.5])
-
-    def test_2d_rejected(self):
-        with pytest.raises(ConfigError):
-            as_int_array("a", np.zeros((2, 2)))
-
-    def test_strings_rejected(self):
-        with pytest.raises(ConfigError):
-            as_int_array("a", np.array(["x"]))
