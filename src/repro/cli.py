@@ -19,8 +19,9 @@ subsystem past the kernels (updates, the store, shards, serial and
 async serving, tracing) is exercised by its ``bench`` suite; the
 ``examples/`` scripts run one on a graph of your own.
 
-Bad input (an unknown dataset, an invalid configuration, a malformed or
-unreadable ``--input`` file) ends in one ``repro: error:`` line and exit
+Bad input (a missing or unknown dataset, an unknown bench suite, an
+invalid configuration, a malformed or unreadable ``--input`` file, an
+unwritable ``--output`` path) ends in one ``repro: error:`` line and exit
 code 2, like an argparse usage error; any other exception is a fault and
 propagates.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -49,8 +51,24 @@ def _load_graph(args):
         except OSError as exc:
             raise ConfigError(f"cannot read --input: {exc}") from None
     if not args.dataset:
-        raise SystemExit("pass a dataset name or --input FILE")
+        raise ConfigError("pass a dataset name or --input FILE")
     return load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+
+
+def _output_path(path: str) -> str:
+    """The ``.npy`` file ``np.save(path)`` writes, checked writable before
+    any work is done: an unwritable path fails fast, not after the run."""
+    if not path.endswith(".npy"):
+        path += ".npy"  # np.save's own rule
+    existed = os.path.exists(path)
+    try:
+        with open(path, "ab"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output: {exc}") from None
+    if not existed:
+        os.remove(path)
+    return path
 
 
 def _make_config(args) -> LCCConfig:
@@ -123,6 +141,7 @@ def cmd_kernels(args) -> int:
 
 def cmd_lcc(args) -> int:
     g = _load_graph(args)
+    output = _output_path(args.output) if args.output else None
     args._graph_nbytes, args._graph_n = g.nbytes, g.n
     config = _make_config(args)
     result = run_kernel("lcc", g, config)
@@ -143,9 +162,12 @@ def cmd_lcc(args) -> int:
         payload["top_lcc_vertices"] = [
             {"vertex": int(v), "lcc": float(result.lcc[v])} for v in order]
     _emit(args, payload)
-    if args.output:
-        np.save(args.output, result.lcc)
-        print(f"LCC scores written to {args.output}", file=sys.stderr)
+    if output:
+        try:
+            np.save(output, result.lcc)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output: {exc}") from None
+        print(f"LCC scores written to {output}", file=sys.stderr)
     return 0
 
 
@@ -225,7 +247,7 @@ def cmd_bench(args) -> int:
     names = args.suites or ["all"]
     unknown = sorted(set(names) - set(SUITE_NAMES) - {"all"})
     if unknown:
-        raise SystemExit(
+        raise ConfigError(
             f"unknown bench suite(s) {', '.join(unknown)}; expected "
             f"{', '.join(SUITE_NAMES)} or all")
     if "all" in names:

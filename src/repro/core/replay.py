@@ -6,9 +6,10 @@ exact but pay a Python round trip (``read_adjacency`` → ``SimContext.get``
 access pattern is a pure function of the partitioned CSR, so this module
 replays the same run in bulk — for **every rank at once**: one
 :class:`_ClusterStatic` per ``(dist, kernel)`` reads every rank's edge
-stream off the dist's rank-major CSR (the arrays behind the windows),
-and each stage below is one NumPy pass over the whole cluster, cut into
-ranks by per-rank bounds:
+stream off the graph version's :class:`EdgeRecord` and its partition off
+the dist's rank-major CSR (the arrays behind the windows), and each stage
+below is one NumPy pass over the whole cluster, cut into ranks by
+per-rank bounds:
 
 1. the gets — one window's remote gets become durations and hit
    verdicts.  A rank with a cache attached to the window runs its own
@@ -61,13 +62,27 @@ get (``0.0`` when local), ``comm = comm1 + comm2``, ``loc`` the local read
 on its last edge): double buffering issues edge ``i+1``'s fetch before
 charging kernel ``i``, and hides it behind that kernel.
 
-**Pricing record.**  What reads no cache output — ``kern``, the local
-reads (``own``, ``loc``) and the whole comp fold — is priced for the
-cluster before the first fold on a partition and kept on the static,
-under keys naming every model field it read.  A warm query computes only
-what the caches decide: stage 1, the clock fold with the gets written in,
-stage 3.  The only Python left per rank is the CLaMPI calls, the segment
-folds and the ``RankTrace`` construction.
+**Pricing record.**  What reads no cache output is priced before the
+first fold that needs it and kept, under keys naming every model field
+it read, at the level it depends on:
+
+* *per graph version*, in the :class:`EdgeRecord` that every cluster
+  shape and both kernels share: the edge stream in CSR order with its
+  list-length pairs, ``tc``'s upper-edge selection, and each
+  ``(OpenMPModel, method)``'s kernel times, one
+  :func:`kernel_times_vectorized` call over every edge.  An edge's
+  Eq. 3 time is a function of its pair alone, computed element by
+  element, so a new rank count, partition or kernel reads the same
+  values bit for bit;
+* *per partition*, on the :class:`_ClusterStatic`: ``kern`` read through
+  the static's rank-major → CSR edge positions (the record's own array
+  for ``lcc`` under the block partition, one gather otherwise), the local
+  reads (``own``, ``loc``) and the whole comp fold.
+
+A warm query computes only what the caches decide: stage 1, the clock
+fold with the gets written in, stage 3.  The only Python left per rank
+is the CLaMPI calls, the segment folds and the ``RankTrace``
+construction.
 
 The 2D kernels of :mod:`repro.core.linalg` replay one rank at a time:
 :func:`price_gets` for its gets, and the same :func:`get_totals` and
@@ -91,6 +106,7 @@ from repro.clampi.stats import CacheStats
 from repro.core.config import DistributedRunResult, LCCConfig
 from repro.core.local import vertex_scores
 from repro.core.threading import OpenMPModel, kernel_times_vectorized
+from repro.graph.csr import CSRGraph
 from repro.graph.distributed import DistributedCSR
 from repro.runtime.engine import Engine, RunOutcome
 from repro.runtime.trace import RankTrace
@@ -254,54 +270,112 @@ class SlotTable:
                           (a, self._next(loc)), (a + 2, kern))
 
 
-class _ClusterStatic:
-    """Every rank's access pattern and the pricing record, cached on the
-    ``dist`` per kernel.
+#: Pricings a record keeps before it starts over (bounds a model sweep).
+MAX_PRICED = 32
 
-    The pattern is a pure function of the partitioned CSR, whose
-    rank-major arrays it reads from ``dist``: every rank's edge stream,
-    its remote/local split
-    and list-length pairs, the slot table, the remote gets'
-    ``(targets, offsets, counts)`` arrays for the two windows, and the
-    per-rank vertex, edge and get bounds into those arrays.  A resident
-    session replays it query after query, so it is computed once per
-    ``DistributedCSR``; one rank's :class:`BatchStream` on one window is
-    built the first time a cache attached to *that* window replays it,
-    and kept.  The pricing record (:meth:`pricing`) adds what the cost
-    models alone derive from it.
+
+def _price_once(memo: dict, key: tuple, price: Callable[[], object]):
+    """``price()`` once per ``key``, which names every field it reads."""
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= MAX_PRICED:
+            memo.clear()
+        value = memo[key] = price()
+    return value
+
+
+class EdgeRecord:
+    """The partition-free half of the replay, one per graph version.
+
+    An edge's list-length pair ``(deg(u), deg(v))``, and so its Eq. 3
+    kernel time, depends on the graph alone: every cluster shape and both
+    kernels read the same values.  The record holds them once, in CSR
+    order: the edge stream (``dst``, int64), each edge's target degree
+    (``lb``), ``tc``'s upper-edge selection (``upper_mask``, the edges
+    ``u < v``, and ``upper_degrees``, their count per vertex) and, per
+    ``(OpenMPModel, method)``, every edge's kernel time from one
+    :func:`kernel_times_vectorized` call (:meth:`kernel_times`).
+
+    A :class:`_ClusterStatic` reads it through its rank-major → CSR edge
+    positions (:func:`_edge_positions`).  The owner of a ``DistributedCSR``
+    hands the record on to a rebuilt one while the graph version stays
+    (``graphstore.resident.Cluster1D``); ``rebind_graph`` drops it.  It is
+    never stored on the graph, which outlives the clusters built on it.
+    """
+
+    def __init__(self, graph: CSRGraph):
+        n = graph.n
+        self.degrees = deg = graph.degrees().astype(np.int64)
+        self.dst = graph.adjacency.astype(np.int64)
+        self.lb = deg[self.dst]
+        src = np.repeat(np.arange(n, dtype=np.int64), deg)
+        self.upper_mask = self.dst > src
+        self.upper_degrees = np.bincount(src[self.upper_mask],
+                                         minlength=n).astype(np.int64)
+        self._kern: dict[tuple, np.ndarray] = {}
+
+    def kernel_times(self, omp: OpenMPModel, method: str) -> np.ndarray:
+        """Every edge's kernel time under ``(omp, method)``, priced on
+        first use and kept."""
+        return _price_once(self._kern, (omp, method), lambda: (
+            kernel_times_vectorized(omp, method,
+                                    np.repeat(self.degrees, self.degrees),
+                                    self.lb)))
+
+
+def _edge_positions(dist: DistributedCSR, record: EdgeRecord, degs: np.ndarray,
+                    tc: bool) -> np.ndarray | None:
+    """The CSR position of each edge of the kernel's rank-major stream;
+    ``None`` for the whole CSR stream in order (``lcc`` when every rank's
+    vertices are consecutive ids in order, as under a block partition)."""
+    vs = dist.vs
+    if np.array_equal(vs, np.arange(vs.shape[0])):
+        return np.flatnonzero(record.upper_mask) if tc else None
+    # Edge j of rank-major vertex k is CSR edge ``offsets[vs[k]] + j``.
+    rm_start = np.zeros(vs.shape[0], dtype=np.int64)
+    np.cumsum(degs[:-1], out=rm_start[1:])
+    emap = np.repeat(dist.graph.offsets[vs] - rm_start, degs)
+    emap += np.arange(emap.shape[0], dtype=np.int64)
+    return emap[record.upper_mask[emap]] if tc else emap
+
+
+class _ClusterStatic:
+    """The partition half of the replay: every rank's access pattern and
+    the pricing record, cached on the ``dist`` per kernel.
+
+    What depends on the graph version alone (the edge stream, list
+    lengths, ``tc``'s upper edges, kernel times) is read from the dist's
+    :class:`EdgeRecord` through the kernel's rank-major → CSR edge
+    positions: the record's own arrays for ``lcc`` under the block
+    partition, one gather otherwise.
+    What depends on the partition is built here, from the dist's
+    rank-major arrays: each edge's owner and remote/local split, the
+    slot table, the remote gets' ``(targets, offsets, counts)`` arrays
+    for the two windows, and the per-rank vertex, edge and get bounds
+    into those arrays.  A resident session replays it query after
+    query, so it is computed once per ``DistributedCSR``; one rank's
+    :class:`BatchStream` on one window is built the first time a cache
+    attached to *that* window replays it, and kept.  The pricing record
+    (:meth:`pricing`) adds what the cost models alone derive from it.
     ``dist._replay_memo`` holds nothing else: scores belong to the graph.
     """
 
-    #: Pricings kept before the record starts over (bounds a model sweep).
-    MAX_PRICED = 32
-
     def __init__(self, dist: DistributedCSR, *, tc: bool):
-        graph = dist.graph
-        n = graph.n
         vs, vbound, owner, local = dist.vs, dist.vbound, dist.owner, dist.local
-        degrees_all = graph.degrees().astype(np.int64)
-        degs = degrees_all[vs]  # full local-vertex degrees, rank-major
+        self.record = record = dist.edge_record
+        degs = record.degrees[vs]  # full local-vertex degrees, rank-major
         # ``start_of[v]``: where adj(v) begins in its owner's window part,
         # read off the owner's rebased offsets (at ``vbound[r] + r`` on).
         start_of = dist.offsets[vbound[owner] + owner + local]
 
-        # The windows' rank-major adjacency is the rank-major edge stream;
-        # one int64 copy, as every use below indexes with it (an int32
-        # index array is cast again by each of them).
-        dst = dist.adjacency.astype(np.int64)
-        if tc:
-            rows = np.repeat(np.arange(n, dtype=np.int64), degs)
-            keep = dst > vs[rows]  # upper-triangle endpoints only
-            dst = dst[keep]
-            e_degs = np.bincount(rows[keep], minlength=n).astype(np.int64)
-        else:
-            e_degs = degs
+        self.positions = pos = _edge_positions(dist, record, degs, tc)
+        dst, lb = ((record.dst, record.lb) if pos is None
+                   else (record.dst[pos], record.lb[pos]))
+        e_degs = record.upper_degrees[vs] if tc else degs
         self.table = table = SlotTable(e_degs, vbound)
 
         owners = owner[dst]
         self.remote = remote = owners != np.repeat(owner[vs], e_degs)
-        self.lb = lb = degrees_all[dst]
-        self.la = np.repeat(degs, e_degs)
         #: Per-rank bounds into the remote gets and the local reads.
         self.gbound = gbound = _bounds(_segment_sums(remote, table.ebound))
         lbound = table.ebound - gbound
@@ -339,21 +413,21 @@ class _ClusterStatic:
         return stream
 
     def priced(self, key: tuple, price: Callable[[], object]):
-        """``price()`` once per ``key``, which names every field it reads."""
-        value = self._priced.get(key)
-        if value is None:
-            if len(self._priced) >= self.MAX_PRICED:
-                self._priced.clear()
-            value = self._priced[key] = price()
-        return value
+        """:func:`_price_once` on this static's record."""
+        return _price_once(self._priced, key, price)
+
+    def _kernel_times(self, omp: OpenMPModel, method: str) -> np.ndarray:
+        """The record's kernel times of this kernel's edges, rank-major."""
+        kern = self.record.kernel_times(omp, method)
+        return kern if self.positions is None else kern[self.positions]
 
     def pricing(self, config: LCCConfig, omp: OpenMPModel) -> tuple:
         """``(kern, own, read, tail, comp)`` for the cluster; ``omp``
         carries ``compute``, so the comp key covers ``tail``
         (``vertex_overhead``) too.  ``comp`` holds one value per rank."""
         memory, method, overlap = config.memory, config.method, config.overlap
-        kern = self.priced(("kern", omp, method), partial(
-            kernel_times_vectorized, omp, method, self.la, self.lb))
+        kern = self.priced(("kern", omp, method),
+                           partial(self._kernel_times, omp, method))
         # Each vertex's own-list read and each local edge's read.
         own, read = self.priced(("reads", memory), lambda: (
             memory.local_read_times(self.own_nbytes),
@@ -391,6 +465,8 @@ def _cluster_static(dist: DistributedCSR, *, tc: bool) -> _ClusterStatic:
     key = "tc" if tc else "lcc"
     static = dist._replay_memo.get(key)
     if static is None:
+        if dist.edge_record is None:  # this graph version's first replay
+            dist.edge_record = EdgeRecord(dist.graph)
         static = dist._replay_memo[key] = _ClusterStatic(dist, tc=tc)
     return static
 

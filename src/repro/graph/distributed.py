@@ -52,9 +52,12 @@ class DistributedCSR:
         offsets_parts, adjacency_parts = self._build(graph)
         self.w_offsets = engine.windows.add(Window(OFFSETS_WINDOW, offsets_parts))
         self.w_adj = engine.windows.add(Window(ADJACENCY_WINDOW, adjacency_parts))
-        # Scratch for repro.core.replay: per-rank access streams, valid
-        # until rebind_graph (they follow the partitioned CSR).  The
-        # per-vertex scores are not here: they live on ``graph.scores``.
+        # For repro.core.replay, both valid until rebind_graph: the graph
+        # version's partition-free edge record (built on the first replay,
+        # or handed on by the owner of a dist of this very version), and
+        # the per-kernel access patterns, which follow the partitioned CSR.
+        # The per-vertex scores are not here: they live on ``graph.scores``.
+        self.edge_record = None
         self._replay_memo: dict = {}
 
     def _build(self, graph: CSRGraph) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -110,12 +113,12 @@ class DistributedCSR:
         """Hold the post-update ``graph`` (dynamic-graph resync).
 
         Rebuilds the rank-major CSR, points every rank's window parts at
-        it and drops the access-stream memos (scores need no clearing:
-        ``graph`` carries its own record).  A rank whose rows the update
-        left alone exposes the same bytes at the same offsets, so its
-        cache entries stay valid; the caller invalidates the rest, from
-        the old parts it kept (:func:`repro.dynamic.invalidate
-        .resync_distributed`).
+        it and drops the edge record and the access-stream memos (scores
+        need no clearing: ``graph`` carries its own record).  A rank whose
+        rows the update left alone exposes the same bytes at the same
+        offsets, so its cache entries stay valid; the caller invalidates
+        the rest, from the old parts it kept
+        (:func:`repro.dynamic.invalidate.resync_distributed`).
         """
         if graph.n != self.partition.n:
             raise PartitionError(
@@ -125,6 +128,7 @@ class DistributedCSR:
         for rank in range(self.partition.nranks):
             self.w_offsets.replace_part(rank, offsets_parts[rank])
             self.w_adj.replace_part(rank, adjacency_parts[rank])
+        self.edge_record = None
         self._replay_memo.clear()
 
     # -- vertex access -------------------------------------------------------

@@ -244,7 +244,11 @@ class Cluster1D(ResidentCluster):
 
     The shape is ``nranks``, ``partition`` and the network/memory/compute
     models; a build splits the graph into one
-    :class:`~repro.graph.distributed.DistributedCSR`.
+    :class:`~repro.graph.distributed.DistributedCSR`.  The replay's
+    partition-free :class:`~repro.core.replay.EdgeRecord` is the graph
+    version's: the dist holds it, a rebuild for another shape hands it on
+    and :meth:`_retain` keeps it, while :meth:`_diff` (``rebind_graph``)
+    and :meth:`close` drop it.
     """
 
     kind = "1d"
@@ -257,8 +261,14 @@ class Cluster1D(ResidentCluster):
         self._dist: Optional[DistributedCSR] = None
 
     def _build(self, graph: CSRGraph, config: LCCConfig) -> tuple[Window, ...]:
+        """Split ``graph`` for the new shape.  The replay's edge record
+        belongs to the graph version, not the shape: the new dist takes
+        the old one's when the version is the same."""
+        old = self._dist
         self._dist = DistributedCSR(graph, make_partition(config, graph.n),
                                     self._engine)
+        if old is not None and old.graph is graph:
+            self._dist.edge_record = old.edge_record
         return self._dist.w_offsets, self._dist.w_adj
 
     def _make_caches(self, spec: CacheSpec) -> list:

@@ -1,12 +1,15 @@
 """The replay's pricing record: filled by the first query, used by the rest.
 
-``core/replay.py`` prices every column that reads no cache output (kernel
-times, local reads, the comp fold) once per partition and cost model, for
-every rank at once.  These tests count the pricing calls per cluster,
-check that the counts do not grow with the rank count, that a model
-change reprices exactly the columns that read it, and that a pricing
-which raises leaves nothing behind: the next query equals the per-edge
-loop bit for bit.
+``core/replay.py`` prices the kernel times once per graph version and
+``(OpenMPModel, method)``, in the version's :class:`EdgeRecord`, for every
+partition and both kernels; the columns that depend on the partition but
+read no cache output (local reads, the comp fold) once per partition and
+cost model, for every rank at once.  These tests count the pricing calls,
+check that the counts do not grow with the rank count and that a rank
+sweep on one session prices kernel times once, that a model change
+reprices exactly the columns that read it, and that a pricing which
+raises leaves nothing behind: the next query equals the per-edge loop bit
+for bit.
 """
 
 from collections import Counter
@@ -36,7 +39,7 @@ FOLDS = 3
 @pytest.fixture
 def calls(monkeypatch):
     """Calls of each pricing function, of the segmented fold and of the
-    static's construction."""
+    record's and the static's construction."""
     counts: Counter = Counter()
 
     def counting(name, fn):
@@ -45,7 +48,7 @@ def calls(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    for name in ("kernel_times_vectorized", "_ClusterStatic",
+    for name in ("kernel_times_vectorized", "EdgeRecord", "_ClusterStatic",
                  "fold_segments"):
         monkeypatch.setattr(replay, name,
                             counting(name, getattr(replay, name)))
@@ -63,15 +66,17 @@ def per_query(calls, run, n=4) -> Counter:
 
 
 class TestRecordIsUsed:
-    """Every count is per cluster: none of them scales with the ranks."""
+    """Kernel times are per graph version, the other counts per cluster:
+    none of them scales with the ranks."""
 
     def test_warm_queries_price_once(self, calls):
         with Session(GRAPH, LCCConfig(nranks=NRANKS, cache=SPEC)) as s:
             first = per_query(calls, lambda: s.run("lcc", keep_cache=True))
-            # Kernel times once; own and loc reads once each; one
-            # static per dist; the comp fold on the first query only.
+            # One record and its kernel times; own and loc reads once
+            # each; one static per dist; the comp fold on the first query
+            # only.
             assert first == Counter(
-                kernel_times_vectorized=1, _ClusterStatic=1,
+                kernel_times_vectorized=1, EdgeRecord=1, _ClusterStatic=1,
                 local_read_times=2, fold_segments=1 + 4 * FOLDS)
             warm = per_query(calls, lambda: s.run("lcc", keep_cache=True))
             assert warm == Counter(fold_segments=4 * FOLDS)
@@ -95,7 +100,7 @@ class TestRecordIsUsed:
                 np.array([[0, 1], [2, 150]]), n=GRAPH.n))
             added = per_query(calls, lambda: s.run("lcc", keep_cache=True))
             assert added == Counter(
-                kernel_times_vectorized=1, _ClusterStatic=1,
+                kernel_times_vectorized=1, EdgeRecord=1, _ClusterStatic=1,
                 local_read_times=2, fold_segments=1 + 4 * FOLDS)
 
     def test_memory_model_reprices_reads_not_kernels(self, calls):
@@ -124,9 +129,25 @@ class TestRecordIsUsed:
                     s.run("lcc", keep_cache=True),
                     s.run("tc", keep_cache=True)), n=2))
         assert seen[0] == seen[1]
+        # ``tc`` reads its kernel times off the record ``lcc`` priced.
         assert seen[0] == Counter(
-            kernel_times_vectorized=2, _ClusterStatic=2,
+            kernel_times_vectorized=1, EdgeRecord=1, _ClusterStatic=2,
             local_read_times=4, fold_segments=2 + 4 * FOLDS)
+
+    @pytest.mark.parametrize("cache", [SPEC, None], ids=["cached", "no-cache"])
+    def test_rank_sweep_prices_kernel_times_once(self, calls, cache):
+        """4 -> 64 -> 4 ranks, block then cyclic, on one session: every
+        cluster shape builds its own statics and reads and folds its own
+        comp, but the graph version's kernel times are priced once."""
+        with Session(GRAPH, LCCConfig(cache=cache)) as s:
+            for partition, nranks in (("block", 4), ("block", 64),
+                                      ("block", 4), ("cyclic", 64)):
+                for kernel in ("lcc", "tc"):
+                    s.run(kernel, nranks=nranks, partition=partition)
+            assert s.partition_builds == 4
+        assert calls == Counter(
+            kernel_times_vectorized=1, EdgeRecord=1, _ClusterStatic=8,
+            local_read_times=16, fold_segments=4 * 2 * (1 + FOLDS))
 
 
 def test_keys_name_every_field_they_read():
@@ -164,6 +185,11 @@ class TestFailClosed:
             with pytest.raises(RuntimeError, match="pricing failed"):
                 fast.run("lcc", keep_cache=True, method="ssi")
             monkeypatch.undo()
+            # The graph version's record keeps only what was priced.
+            record = fast._c1d._dist.edge_record
+            assert [method for _, method in record._kern] == (
+                ["hybrid"] if stage == "kernel_times_vectorized"
+                else ["hybrid", "ssi"])
             # The caches saw no get of the failed query, so the warm
             # loop twin, which never ran it, is the oracle.
             for kw in ({"method": "ssi"}, {"method": "ssi"}, {}):

@@ -47,9 +47,10 @@ class TestInfo:
         assert main(["info", "--input", str(path)]) == 0
         assert "vertices" in capsys.readouterr().out
 
-    def test_missing_graph_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["info"])
+    def test_missing_graph_rejected(self, capsys):
+        assert main(["info"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: pass a dataset name or --input FILE\n")
 
 
 class TestLcc:
@@ -74,6 +75,47 @@ class TestLcc:
         assert len(payload["top_lcc_vertices"]) == 3
         scores = np.load(out_file)
         assert scores.shape[0] == payload["vertices"]
+
+    @pytest.mark.parametrize("output", ["{tmp}/no/such/dir/x.npy",
+                                        "{tmp}/dir.npy"],
+                             ids=["missing-dir", "a-directory"])
+    def test_unwritable_output_fails_before_the_run(
+            self, output, tmp_path, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_kernel called for an unwritable path")
+
+        monkeypatch.setattr(cli, "run_kernel", never)
+        (tmp_path / "dir.npy").mkdir()
+        assert main(["lcc", "facebook-circles", "--scale", "0.2",
+                     "--output", output.format(tmp=tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: cannot write --output")
+        assert captured.err.count("\n") == 1
+
+    def test_output_check_leaves_no_file_behind(self, tmp_path, capsys,
+                                                monkeypatch):
+        """The writability check creates nothing a failed run leaves
+        behind, and ``--output`` without ``.npy`` names ``np.save``'s
+        file."""
+        import repro.cli as cli
+        from repro.utils.errors import KernelError
+
+        def failing(*args, **kwargs):
+            raise KernelError("no such kernel")
+
+        monkeypatch.setattr(cli, "run_kernel", failing)
+        assert main(["lcc", "facebook-circles", "--scale", "0.2",
+                     "--output", str(tmp_path / "scores")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        assert main(["lcc", "facebook-circles", "--scale", "0.2",
+                     "--output", str(tmp_path / "scores")]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["scores.npy"]
+        assert capsys.readouterr().err.endswith(
+            f"LCC scores written to {tmp_path / 'scores.npy'}\n")
 
 
 class TestTc:
@@ -126,9 +168,10 @@ class TestKernels:
         assert capsys.readouterr().err.startswith(
             "repro: error: unknown dataset 'no-such-dataset'")
 
-    def test_run_without_graph_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--kernel", "lcc"])
+    def test_run_without_graph_rejected(self, capsys):
+        assert main(["run", "--kernel", "lcc"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: pass a dataset name or --input FILE\n")
 
 
 class TestInputErrors:
@@ -334,8 +377,10 @@ class TestBench:
         for path in ("incremental.*.speedup", "warm_speedup",
                      "overhead_ratio"):
             assert path not in out
-        with pytest.raises(SystemExit, match="unknown bench suite"):
-            main(["bench", "nope"])
+        assert main(["bench", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown bench suite(s) nope;")
+        assert err.count("\n") == 1
 
 
 class TestBenchWritesOnlyReports:
