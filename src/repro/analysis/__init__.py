@@ -1,10 +1,11 @@
 """Experiment harness: data-reuse analytics, sweeps, and the per-figure
-reproduction scripts.
+reproduction records.
 
-Every table and figure of the paper's evaluation section has a module in
-:mod:`repro.analysis.experiments`; ``python -m repro.analysis.runner --all``
-regenerates them all and prints paper-style tables; ``python -m repro bench
-paper`` gates the claims they carry (:mod:`repro.analysis.paper`).
+Every table and figure of the paper's evaluation section is one record of
+:data:`repro.analysis.experiments.EXPERIMENTS`; ``python -m repro bench
+paper`` measures them all once into ``BENCH_paper.json`` and gates the
+claims they carry (:mod:`repro.analysis.paper`), and ``python -m
+repro.analysis.runner`` renders the paper-style tables from that report.
 """
 
 from repro.analysis.tables import Table

@@ -279,7 +279,9 @@ def validate_file(path: str) -> list:
             data = json.load(fh)
     except FileNotFoundError:
         return [f"{path}: does not exist"]
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        return [f"{path}: cannot be read ({exc.strerror})"]
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         return [f"{path}: not valid JSON ({exc})"]
     name = os.path.basename(path)
     stem = re.match(r"^BENCH_([a-z]+)\.json$", name)

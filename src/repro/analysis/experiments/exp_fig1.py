@@ -8,23 +8,22 @@ read tens of times — the reuse the RMA cache exploits.
 
 from __future__ import annotations
 
-
+from repro.analysis.experiments import SEED
 from repro.analysis.reuse import remote_read_counts, repetition_histogram
-from repro.analysis.tables import Table, print_tables
+from repro.analysis.tables import Table, in_order
 from repro.graph.datasets import load_dataset
 
+#: The tail bucketed like the paper's plot: (label, lowest, highest).
+BUCKETS = [("1", 1, 1), ("2-3", 2, 3), ("4-15", 4, 15), ("16-63", 16, 63),
+           ("64-255", 64, 255), ("256-...", 256, 10**9)]
 
-def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+
+def measure(quick: bool) -> dict:
     """The repetition histogram (bucketed) and the reuse summary, as numbers."""
-    g = load_dataset("facebook-circles", scale=scale, seed=seed)
+    g = load_dataset("facebook-circles", seed=SEED)
     reps, freq = repetition_histogram(g, nranks=2, initiator=0)
-    # Bucket the tail like the paper's plot (1, 2-3, 4-15, 16-63, 64-255...).
-    buckets = [(1, 1), (2, 3), (4, 15), (16, 63), (64, 255), (256, 10**9)]
-    histogram = {}
-    for lo, hi in buckets:
-        mask = (reps >= lo) & (reps <= hi)
-        label = f"{lo}" if lo == hi else f"{lo}-{hi if hi < 10**9 else '...'}"
-        histogram[label] = int(freq[mask].sum())
+    histogram = {label: int(freq[(reps >= lo) & (reps <= hi)].sum())
+                 for label, lo, hi in BUCKETS}
     counts = remote_read_counts(g, 2, initiator=0)
     touched = counts[counts > 0]
     return {"graph": g.name, "n": g.n, "m": g.m, "histogram": histogram,
@@ -34,13 +33,12 @@ def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
             "max_repetitions": int(touched.max())}
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
-    r = sweep(scale, seed, fast)
+def render(r: dict) -> list[Table]:
     table = Table(["repetitions", "vertices read that often"],
                   title=(f"Figure 1 (right): remote reads by rank 0 of 2 on "
                          f"{r['graph']} (n={r['n']}, m={r['m']})"))
-    for label, count in r["histogram"].items():
-        table.add_row(label, count)
+    for label in in_order((label for label, *_ in BUCKETS), r["histogram"]):
+        table.add_row(label, r["histogram"][label])
     summary = Table(["metric", "value"], title="Reuse summary")
     summary.add_row("remote reads total", r["remote_reads"])
     summary.add_row("distinct vertices read", r["distinct_vertices"])
@@ -49,7 +47,3 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
     summary.add_row("reads avoidable by a perfect cache",
                     r["remote_reads"] - r["distinct_vertices"])
     return [table, summary]
-
-
-if __name__ == "__main__":
-    print_tables(run())

@@ -10,26 +10,27 @@ paper's headline is a 73% total-time reduction for R-MAT S30.
 
 from __future__ import annotations
 
+from repro.analysis.experiments import SEED
 from repro.analysis.sweep import scaling_table, strong_scaling
-from repro.analysis.tables import Table, print_tables
+from repro.analysis.tables import Table, in_order
 from repro.core.config import CacheSpec
 from repro.graph.datasets import load_dataset
 
 GRAPHS = ["rmat-s30-ef16", "uk-2005", "wiki-en"]
 NODE_COUNTS = [128, 256, 512]
+VARIANTS = ["lcc", "lcc-cached", "tric"]
 
 #: Paper speedups 128 -> 512 nodes for the non-cached series.
 PAPER_SPEEDUPS = {"rmat-s30-ef16": 3.4, "uk-2005": 1.5, "wiki-en": 1.7}
 
 
-def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False,
-          graphs: list[str] | None = None) -> dict:
+def measure(quick: bool) -> dict:
     """``{graph: strong_scaling(...)}`` over the three Figure 10 series."""
     out = {}
-    for name in graphs or (GRAPHS[1:2] if fast else GRAPHS):
-        g = load_dataset(name, scale=scale, seed=seed)
+    for name in GRAPHS[1:2] if quick else GRAPHS:
+        g = load_dataset(name, seed=SEED)
         cache = CacheSpec.paper_split(max(4096, int(0.12 * g.nbytes)), g.n)
-        out[name] = strong_scaling(g, [128] if fast else NODE_COUNTS, {
+        out[name] = strong_scaling(g, NODE_COUNTS[:1] if quick else NODE_COUNTS, {
             "lcc": {"kernel": "lcc"},
             "lcc-cached": {"kernel": "lcc", "cache": cache},
             "tric": {"kernel": "tric"},
@@ -37,14 +38,14 @@ def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False,
     return out
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False,
-        graphs: list[str] | None = None) -> list[Table]:
+def render(section: dict) -> list[Table]:
     tables = []
-    for name, r in sweep(scale, seed, fast, graphs).items():
+    for name in in_order(GRAPHS, section):
+        r = section[name]
         tables.append(scaling_table(r, (
             f"Figure 10: {name} (n={r['n']:,}, m={r['m']:,}) "
-            "- running time (s), cache = 12% of CSR")))
-        counts = list(r["nodes"])
+            "- running time (s), cache = 12% of CSR"), VARIANTS))
+        counts = sorted(r["nodes"], key=int)
         if len(counts) > 1:
             ann = Table(["series", "speedup (ours)", "speedup (paper)"],
                         title=f"{name}: speedup {counts[0]} -> {counts[-1]}")
@@ -52,7 +53,3 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False,
                         f"{PAPER_SPEEDUPS.get(name, float('nan'))}x")
             tables.append(ann)
     return tables
-
-
-if __name__ == "__main__":
-    print_tables(run())

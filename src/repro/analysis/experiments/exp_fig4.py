@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.experiments import SEED
 from repro.analysis.reuse import reuse_curve, top_degree_read_share
-from repro.analysis.tables import Table, print_tables
+from repro.analysis.tables import Table, in_order
 from repro.graph.datasets import load_dataset
 
 #: (dataset, paper's top-10% remote-read share).
@@ -23,12 +24,12 @@ PAPER_SHARES = [
 ]
 
 
-def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+def measure(quick: bool) -> dict:
     """``{graph: read shares of the top-degree vertices}``; every graph
     after the first (the uniform contrast) also carries its margin over it."""
     out = {}
-    for name, _ in PAPER_SHARES[:2] if fast else PAPER_SHARES:
-        g = load_dataset(name, scale=scale, seed=seed)
+    for name, _ in PAPER_SHARES[:2] if quick else PAPER_SHARES:
+        g = load_dataset(name, seed=SEED)
         frac, cum = reuse_curve(g, 8)
         # Smallest vertex fraction capturing half of all remote reads.
         idx = int(np.searchsorted(cum, 0.5))
@@ -42,20 +43,17 @@ def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
     return out
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
+def render(section: dict) -> list[Table]:
     table = Table(
         ["graph", "top-10% share (ours)", "top-10% share (paper)",
          "top-1% share", "reads to reach 50%"],
         title="Figure 4: remote-read concentration on 8 ranks",
     )
     paper = dict(PAPER_SHARES)
-    for name, row in sweep(scale, seed, fast).items():
+    for name in in_order(paper, section):
+        row = section[name]
         table.add_row(name, f"{row['top10_share']:.1%}", f"{paper[name]:.1%}",
                       f"{row['top1_share']:.1%}",
                       f"top {row['half_reads_vertex_fraction']:.1%} "
                       "of vertices")
     return [table]
-
-
-if __name__ == "__main__":
-    print_tables(run())

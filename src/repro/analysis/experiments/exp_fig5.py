@@ -11,21 +11,25 @@ from __future__ import annotations
 
 import scipy.stats as stats
 
+from repro.analysis.experiments import SEED
 from repro.analysis.reuse import fig5_scatter
-from repro.analysis.tables import Table, print_tables
+from repro.analysis.tables import Table, in_order
 from repro.graph.datasets import load_dataset
 
+#: The degree bins: (label, lowest degree, first degree past the bin).
+BINS = [("[1, 4)", 1, 4), ("[4, 16)", 4, 16), ("[16, 64)", 16, 64),
+        ("[64, 256)", 64, 256), (">= 256", 256, 10**9)]
 
-def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+
+def measure(quick: bool) -> dict:
     """Both rank correlations and the binned degree profile, as numbers."""
-    g = load_dataset("facebook-circles", scale=scale, seed=seed)
+    g = load_dataset("facebook-circles", seed=SEED)
     degrees, accesses, entry_bytes = fig5_scatter(g, nranks=2)
     bins = {}
-    edges = [1, 4, 16, 64, 256, 10**9]
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for label, lo, hi in BINS:
         mask = (degrees >= lo) & (degrees < hi)
         if mask.any():
-            bins[f"[{lo}, {hi})" if hi < 10**9 else f">= {lo}"] = {
+            bins[label] = {
                 "vertices": int(mask.sum()),
                 "mean_accesses": float(accesses[mask].mean()),
                 "mean_entry_bytes": float(entry_bytes[mask].mean())}
@@ -36,8 +40,7 @@ def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
                 float(stats.spearmanr(degrees, entry_bytes).statistic)}
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
-    r = sweep(scale, seed, fast)
+def render(r: dict) -> list[Table]:
     corr = Table(["relation", "Spearman rho", "interpretation"],
                  title=(f"Figure 5: degree vs remote accesses on "
                         f"{r['graph']}, 2 nodes"))
@@ -50,11 +53,8 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
     binned = Table(["degree bin", "vertices", "mean remote accesses",
                     "mean C_adj entry (B)"],
                    title="Binned profile")
-    for label, row in r["bins"].items():
+    for label in in_order((label for label, *_ in BINS), r["bins"]):
+        row = r["bins"][label]
         binned.add_row(label, row["vertices"], round(row["mean_accesses"], 1),
                        round(row["mean_entry_bytes"], 1))
     return [corr, binned]
-
-
-if __name__ == "__main__":
-    print_tables(run())

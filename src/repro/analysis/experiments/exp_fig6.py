@@ -8,7 +8,8 @@ reports the active-vs-passive wait-policy delta (paper: 2-4%).
 
 from __future__ import annotations
 
-from repro.analysis.tables import Table, print_tables
+from repro.analysis.experiments import SEED
+from repro.analysis.tables import Table, in_order
 from repro.analysis.throughput import edges_per_microsecond
 from repro.graph.datasets import load_dataset
 
@@ -22,14 +23,14 @@ PAPER_SPEEDUPS = [
 THREAD_COUNTS = [1, 2, 4, 8, 16]
 
 
-def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+def measure(quick: bool) -> dict:
     """``{graph: edges/us per thread count, the 1 -> 16 thread speedup, and
     the 16-thread active/passive wait-policy pair with its gain}``."""
     out = {}
-    for name, _ in PAPER_SPEEDUPS[:1] if fast else PAPER_SPEEDUPS:
-        g = load_dataset(name, scale=scale, seed=seed)
+    for name, _ in PAPER_SPEEDUPS[:1] if quick else PAPER_SPEEDUPS:
+        g = load_dataset(name, seed=SEED)
         perf = {str(t): edges_per_microsecond(g, "hybrid", threads=t)
-                for t in ([1, 16] if fast else THREAD_COUNTS)}
+                for t in ([1, 16] if quick else THREAD_COUNTS)}
         a = edges_per_microsecond(g, "hybrid", threads=16, wait_policy="active")
         p = edges_per_microsecond(g, "hybrid", threads=16, wait_policy="passive")
         out[name] = {"edges_per_us": perf,
@@ -38,9 +39,10 @@ def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
     return out
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
-    rows = sweep(scale, seed, fast)
-    threads = next(iter(rows.values()))["edges_per_us"]
+def render(section: dict) -> list[Table]:
+    paper = dict(PAPER_SPEEDUPS)
+    names = in_order(paper, section)
+    threads = sorted(section[names[0]]["edges_per_us"], key=int)
     table = Table(
         ["graph"] + [f"{t}T (e/us)" for t in threads]
         + ["speedup", "paper speedup"],
@@ -48,14 +50,10 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
     )
     wait = Table(["graph", "active (e/us)", "passive (e/us)", "gain"],
                  title="OMP_WAIT_POLICY=active effect (paper: 2-4%)")
-    paper = dict(PAPER_SPEEDUPS)
-    for name, row in rows.items():
-        table.add_row(name, *[round(p, 3) for p in row["edges_per_us"].values()],
+    for name in names:
+        row = section[name]
+        table.add_row(name, *[round(row["edges_per_us"][t], 3) for t in threads],
                       f"{row['speedup_16_threads']:.1f}x", f"{paper[name]}x")
         wait.add_row(name, round(row["active"], 3), round(row["passive"], 3),
                      f"{row['active_wait_gain']:.1%}")
     return [table, wait]
-
-
-if __name__ == "__main__":
-    print_tables(run())

@@ -14,7 +14,8 @@ observes:
 
 from __future__ import annotations
 
-from repro.analysis.tables import Table, print_tables
+from repro.analysis.experiments import SEED
+from repro.analysis.tables import Table, in_order
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.lcc import run_distributed_lcc
 from repro.graph.datasets import load_dataset
@@ -22,17 +23,17 @@ from repro.graph.datasets import load_dataset
 RELATIVE_SIZES = [0.05, 0.1, 0.2, 0.4, 0.7, 1.0]
 
 
-def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+def measure(quick: bool) -> dict:
     """``{window: {"sizes": {relative size: that run's numbers}, and the
     miss rate / saving at the smallest and the largest size}}``."""
-    g = load_dataset("rmat-s20-ef16", scale=scale, seed=seed)
+    g = load_dataset("rmat-s20-ef16", seed=SEED)
     base_cfg = LCCConfig(nranks=2, threads=12)
     base_comm = run_distributed_lcc(g, base_cfg).comm_time
     windows = {}
     # Full-need capacities: every (start,end) pair / the whole adjacency.
     for which, full in [("offsets", g.n * 16), ("adj", g.adjacency.nbytes)]:
         sizes = {}
-        for rel in [0.1, 1.0] if fast else RELATIVE_SIZES:
+        for rel in [0.1, 1.0] if quick else RELATIVE_SIZES:
             cap = max(64, int(rel * full))
             spec = CacheSpec(**{"offsets_bytes": 0, "adj_bytes": 0,
                                 f"{which}_bytes": cap})
@@ -53,17 +54,18 @@ def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
     return {"graph": g.name, "uncached_comm_s": base_comm, "windows": windows}
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
-    r = sweep(scale, seed, fast)
+def render(r: dict) -> list[Table]:
     tables = []
-    for label, window in r["windows"].items():
+    for label in in_order(("C_offsets", "C_adj"), r["windows"]):
+        window = r["windows"][label]
         t = Table(
             ["relative size", "capacity (B)", "miss rate",
              "compulsory floor", "comm time (s)", "saving vs uncached"],
             title=(f"Figure 7 ({label}): cache-size sweep on {r['graph']}, "
                    f"2 nodes (uncached comm {r['uncached_comm_s']:.3f}s)"),
         )
-        for rel, row in window["sizes"].items():
+        for rel in sorted(window["sizes"], key=float):
+            row = window["sizes"][rel]
             t.add_row(float(rel), row["capacity_bytes"],
                       f"{row['miss_rate']:.3f}",
                       f"{row['compulsory_floor']:.3f}",
@@ -73,13 +75,10 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
     note.add_row(
         "paper shapes: C_offsets miss rate falls ~linearly in size "
         "(reproduced); C_adj falls power-law-like, with caching the full "
-        "window saving 51.6% of communication (ours saves ~47% at full "
+        "window saving 51.6% of communication (ours saves "
+        f"~{r['windows']['C_adj']['saving_largest']:.0%} at full "
         "size). In the small-C_adj regime our scaled hubs' lists are a "
         "large fraction of the cache, so the paper's early savings are "
         "granularity-compressed here.")
     tables.append(note)
     return tables
-
-
-if __name__ == "__main__":
-    print_tables(run())

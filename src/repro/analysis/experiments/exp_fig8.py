@@ -9,16 +9,17 @@ the compulsory-miss floor is reported alongside (the grey band).
 
 from __future__ import annotations
 
-
-from repro.analysis.tables import Table, print_tables
-from repro.core.config import LCCConfig
+from repro.analysis.experiments import SEED
+from repro.analysis.tables import Table
+from repro.clampi.adaptive import AdaptiveConfig
+from repro.core.config import CacheSpec, LCCConfig
 from repro.core.lcc import run_distributed_lcc
 from repro.graph.datasets import load_dataset
 
 NODE_COUNTS = [4, 8, 16, 32, 64]
 
 
-def _run_with_adj_cache(graph, nranks: int, score: str, seed: int):
+def _run_with_adj_cache(graph, nranks: int, score: str):
     """LCC run with only C_adj enabled at 25% of the non-local partition.
 
     CLaMPI's adaptive hash-table tuning is enabled, as in the paper
@@ -26,9 +27,6 @@ def _run_with_adj_cache(graph, nranks: int, score: str, seed: int):
     at laptop scale and the adaptive strategy corrects it at the cost of
     a few flushes.
     """
-    from repro.clampi.adaptive import AdaptiveConfig
-    from repro.core.config import CacheSpec
-
     # Size from the 1D block split: non-local bytes are ~ (p-1)/p of total.
     total_adj = graph.adjacency.nbytes
     cap = max(1024, int(0.25 * total_adj * (nranks - 1) / nranks))
@@ -49,13 +47,13 @@ def avg_remote_read_time(result) -> float:
     return (out.total("comm_time") + out.total("cache_time")) / intents
 
 
-def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+def measure(quick: bool) -> dict:
     """``{"graph": name, "nodes": {node count: stock vs degree scores}}``."""
-    g = load_dataset("rmat-s20-ef16", scale=scale, seed=seed)
+    g = load_dataset("rmat-s20-ef16", seed=SEED)
     nodes = {}
-    for p in [4, 16] if fast else NODE_COUNTS:
-        base = _run_with_adj_cache(g, p, "default", seed)
-        deg = _run_with_adj_cache(g, p, "degree", seed)
+    for p in [4, 16] if quick else NODE_COUNTS:
+        base = _run_with_adj_cache(g, p, "default")
+        deg = _run_with_adj_cache(g, p, "degree")
         nodes[str(p)] = {
             "avg_read_stock_s": avg_remote_read_time(base),
             "avg_read_degree_s": avg_remote_read_time(deg),
@@ -65,8 +63,7 @@ def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
     return {"graph": g.name, "nodes": nodes}
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
-    r = sweep(scale, seed, fast)
+def render(r: dict) -> list[Table]:
     t = Table(
         ["nodes", "avg read (us, LRU+pos)", "avg read (us, degree)",
          "improvement", "miss rate (LRU+pos)", "miss rate (degree)",
@@ -74,7 +71,8 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
         title=(f"Figure 8: original vs degree-centrality scores on "
                f"{r['graph']} (C_adj = 25% of non-local partition)"),
     )
-    for p, row in r["nodes"].items():
+    for p in sorted(r["nodes"], key=int):
+        row = r["nodes"][p]
         a, b = row["avg_read_stock_s"], row["avg_read_degree_s"]
         t.add_row(
             p,
@@ -92,7 +90,3 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
         "hub lists fit), compressing the gain — the direction holds at "
         "every node count.")
     return [t, note]
-
-
-if __name__ == "__main__":
-    print_tables(run())

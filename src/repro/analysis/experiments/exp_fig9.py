@@ -15,14 +15,20 @@ scale-free graphs, nearly flat in node count.
 
 from __future__ import annotations
 
+from repro.analysis.experiments import SEED
 from repro.analysis.sweep import scaling_table, strong_scaling
-from repro.analysis.tables import Table, print_tables
+from repro.analysis.tables import Table, in_order
 from repro.core.config import CacheSpec
 from repro.graph.datasets import load_dataset
 
 GRAPHS = ["rmat-s21-ef16", "rmat-s23-ef16", "orkut", "livejournal",
           "skitter", "livejournal1"]
+#: The full sweep's node counts; ``quick`` keeps the 4 -> 64 span.
 NODE_COUNTS = [4, 8, 16, 32, 64]
+QUICK_NODE_COUNTS = [4, 16, 64]
+VARIANTS = ["lcc", "lcc-cached", "tric", "tric-buffered"]
+#: TriC-Buffered's per-rank message buffer (bytes).
+BUFFERED_CAP = 1 << 18
 
 #: Paper speedup annotations (smallest -> largest config, non-cached LCC).
 PAPER_SPEEDUPS = {
@@ -31,28 +37,26 @@ PAPER_SPEEDUPS = {
 }
 
 
-def make_variants(graph, buffered_cap: int = 1 << 18):
+def make_variants(graph):
     """The four Figure 9 series, as Session kernel variants."""
     cache = CacheSpec.paper_split(2 * graph.nbytes, graph.n)
     return {
         "lcc": {"kernel": "lcc"},
         "lcc-cached": {"kernel": "lcc", "cache": cache},
         "tric": {"kernel": "tric"},
-        "tric-buffered": {"kernel": "tric", "buffer_capacity": buffered_cap},
+        "tric-buffered": {"kernel": "tric", "buffer_capacity": BUFFERED_CAP},
     }
 
 
-def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False,
-          graphs: list[str] | None = None,
-          counts: list[int] | None = None) -> dict:
+def measure(quick: bool) -> dict:
     """``{graph: strong_scaling(...)}`` plus TriC-Buffered's ratio per node
     count and, per graph, the cached series' gain at the smallest node
     count and the share of that gain left at the largest."""
     out = {}
-    for name in graphs or (GRAPHS[:1] if fast else GRAPHS):
-        g = load_dataset(name, scale=scale, seed=seed)
+    for name in GRAPHS[:1] if quick else GRAPHS:
+        g = load_dataset(name, seed=SEED)
         r = out[name] = strong_scaling(
-            g, counts or ([4, 16] if fast else NODE_COUNTS), make_variants(g))
+            g, QUICK_NODE_COUNTS if quick else NODE_COUNTS, make_variants(g))
         for row in r["nodes"].values():
             row["tric_buffered_over_tric"] = row["tric-buffered"] / row["tric"]
         gains = [1 - row["cached_over_lcc"] for row in r["nodes"].values()]
@@ -61,16 +65,16 @@ def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False,
     return out
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False,
-        graphs: list[str] | None = None) -> list[Table]:
+def render(section: dict) -> list[Table]:
     tables = []
-    for name, r in sweep(scale, seed, fast, graphs).items():
+    for name in in_order(GRAPHS, section):
+        r = section[name]
         directed_note = (" (directed: transitive triads)" if r["directed"]
                          else "")
         tables.append(scaling_table(r, (
             f"Figure 9: {name} (n={r['n']:,}, m={r['m']:,}){directed_note} "
-            "- running time (s)")))
-        first, *_, last = r["nodes"]
+            "- running time (s)"), VARIANTS))
+        first, *_, last = sorted(r["nodes"], key=int)
         ann = Table(["series", "speedup (ours)", "speedup (paper)"],
                     title=f"{name}: speedup {first} -> {last} nodes")
         ann.add_row("lcc", f"{r['speedup']['lcc']:.1f}x",
@@ -80,7 +84,3 @@ def run(scale: float = 1.0, seed: int = 0, fast: bool = False,
                     "~flat in the paper")
         tables.append(ann)
     return tables
-
-
-if __name__ == "__main__":
-    print_tables(run())

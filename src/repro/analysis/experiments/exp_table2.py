@@ -7,7 +7,8 @@ visible.
 
 from __future__ import annotations
 
-from repro.analysis.tables import Table, print_tables
+from repro.analysis.experiments import SEED
+from repro.analysis.tables import Table, in_order
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.utils.units import format_bytes
 
@@ -18,28 +19,31 @@ TABLE2_NAMES = [
 ]
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
-    names = TABLE2_NAMES[:4] if fast else TABLE2_NAMES
+def measure(quick: bool) -> dict:
+    """``{graph: the stand-in's vertices, edges and CSR bytes}``."""
+    out = {}
+    for name in TABLE2_NAMES[:4] if quick else TABLE2_NAMES:
+        g = load_dataset(name, seed=SEED)
+        out[name] = {"n": g.n, "m": g.m, "csr_bytes": g.nbytes}
+    return out
+
+
+def render(section: dict) -> list[Table]:
     table = Table(
         ["name", "type", "paper |V|", "paper |E|", "paper CSR",
          "ours |V|", "ours |E|", "ours CSR"],
         title="Table II: graphs (paper vs laptop-scale stand-ins)",
     )
-    for name in names:
-        spec = DATASETS[name]
-        g = load_dataset(name, scale=scale, seed=seed)
+    for name in in_order(TABLE2_NAMES, section):
+        spec, row = DATASETS[name], section[name]
         table.add_row(
             name,
             "D" if spec.directed else "U",
             f"{spec.paper_vertices:,}",
             f"{spec.paper_edges:,}",
             spec.paper_csr,
-            f"{g.n:,}",
-            f"{g.m:,}",
-            format_bytes(g.nbytes),
+            f"{row['n']:,}",
+            f"{row['m']:,}",
+            format_bytes(row["csr_bytes"]),
         )
     return [table]
-
-
-if __name__ == "__main__":
-    print_tables(run())

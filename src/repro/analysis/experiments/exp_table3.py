@@ -9,7 +9,8 @@ property of the machine being modelled).
 
 from __future__ import annotations
 
-from repro.analysis.tables import Table, print_tables
+from repro.analysis.experiments import SEED
+from repro.analysis.tables import Table, in_order
 from repro.analysis.throughput import edges_per_microsecond
 from repro.graph.datasets import load_dataset
 
@@ -23,11 +24,11 @@ PAPER_ROWS = [
 ]
 
 
-def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
+def measure(quick: bool) -> dict:
     """``{graph: edges/us per method, and the two ratios the paper ranks}``."""
     out = {}
-    for name, *_ in PAPER_ROWS[:2] if fast else PAPER_ROWS:
-        g = load_dataset(name, scale=scale, seed=seed)
+    for name, *_ in PAPER_ROWS[:2] if quick else PAPER_ROWS:
+        g = load_dataset(name, seed=SEED)
         h, s, b = (edges_per_microsecond(g, method, threads=16)
                    for method in ("hybrid", "ssi", "binary"))
         out[name] = {"hybrid": h, "ssi": s, "binary": b,
@@ -36,19 +37,16 @@ def sweep(scale: float = 1.0, seed: int = 0, fast: bool = False) -> dict:
     return out
 
 
-def run(scale: float = 1.0, seed: int = 0, fast: bool = False) -> list[Table]:
+def render(section: dict) -> list[Table]:
     table = Table(
         ["graph", "hybrid", "ssi", "binary",
          "paper hybrid", "paper ssi", "paper binary", "hybrid wins?"],
         title="Table III: edges/us per intersection method (16 threads)",
     )
     paper = {name: rest for name, *rest in PAPER_ROWS}
-    for name, row in sweep(scale, seed, fast).items():
+    for name in in_order(paper, section):
+        row = section[name]
         table.add_row(name, round(row["hybrid"], 3), round(row["ssi"], 3),
                       round(row["binary"], 3), *paper[name],
                       "yes" if row["hybrid_over_best_pure"] >= 0.999 else "NO")
     return [table]
-
-
-if __name__ == "__main__":
-    print_tables(run())

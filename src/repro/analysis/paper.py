@@ -1,15 +1,19 @@
 """The paper's evaluation claims, stated once (``repro bench paper``).
 
 "Does this repository still reproduce the paper, and how closely?" as one
-gated suite: :func:`run_paper` measures every claim **as numbers** — the
-``sweep`` half of the :mod:`repro.analysis.experiments` modules, so a
-figure's table and its gate share one measurement — and the gate table
-below states each claim exactly once, its ``why`` the paper's sentence
-with the paper's number in it.  ``--quick`` runs every figure's ``fast``
-sweep (Figure 9 over 4/16/64 nodes, so the 4 -> 64 claims keep their
-span); the committed full-size ``BENCH_paper.json`` runs what
-``python -m repro.analysis.runner --all`` prints.  The graphs are the
-synthetic stand-ins of :mod:`repro.graph.datasets`, so magnitudes are
+gated suite: :func:`run_paper` measures every table and figure of the
+evaluation **as numbers**, once — each
+:data:`~repro.analysis.experiments.EXPERIMENTS` record's ``measure``,
+written at its ``section`` of the report, plus the three checks below that
+belong to no figure — and the gate table states each claim exactly once,
+its ``why`` the paper's sentence with the paper's number in it.  The
+report is the only measurement: ``python -m repro.analysis.runner``
+renders every table from it, so a figure's table and its gate share one
+measurement.  ``--quick`` runs every experiment's CI sizes (Figure 9 over
+4/16/64 nodes, so the 4 -> 64 claims keep their span); the committed
+``BENCH_paper.json`` is the full size.  Table II and five of the
+ablations are recorded, not gated.  The graphs are the synthetic
+stand-ins of :mod:`repro.graph.datasets`, so magnitudes are
 scale-compressed next to the paper's; the shapes are what is gated.
 """
 
@@ -26,14 +30,11 @@ from repro.analysis.benchsuite import (
     Sibling,
     violations,
 )
-from repro.analysis.experiments import ALL_EXPERIMENTS as EXP
+from repro.analysis import experiments
 from repro.core.config import CacheSpec, LCCConfig
 from repro.core.local import lcc_local, triangle_count_local
 from repro.graph.datasets import load_dataset
 from repro.session import Session, run_kernel
-
-#: Experiments whose ``sweep`` is a report section as it stands.
-FIGURES = ("table3", "fig1", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 #: The five triangle-counting implementations, by what the paper's design
 #: is about: whether ranks ever wait for each other.
@@ -79,25 +80,16 @@ def _algorithms() -> dict:
 
 def run_paper(quick: bool = False) -> dict[str, Any]:
     """Measure every claim once (see the module docstring for the sizes)."""
-    scale = 0.5 if quick else 1.0  # as `exp_ablations.run(fast=True)` does
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "quick": quick,
-        "correctness": _correctness(),
-        **{name: EXP[name].sweep(fast=quick) for name in FIGURES},
-        "warm_session": _warm_session(),
-        "scaling": {
-            "fig9": EXP["fig9"].sweep(
-                fast=quick, counts=[4, 16, 64] if quick else None),
-            "fig10": EXP["fig10"].sweep(fast=quick),
-        },
-        "ablations": {
-            "overlap": EXP["ablations"].overlap_sweep(scale, 0),
-            "partition": EXP["ablations"].partition_sweep(scale, 0),
-            "tric_volume": EXP["ablations"].tric_volume_sweep(0),
-        },
-        "algorithms": _algorithms(),
-    }
+    report = {"schema_version": SCHEMA_VERSION, "quick": quick,
+              "correctness": _correctness(), "warm_session": _warm_session(),
+              "algorithms": _algorithms()}
+    for exp in experiments.EXPERIMENTS:
+        *parents, leaf = exp.section.split(".")
+        node = report
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = exp.measure(quick)
+    return report
 
 
 def _headline(report: Mapping[str, Any]) -> dict[str, Any]:
@@ -126,8 +118,9 @@ SUITE = BenchSuite(
         "design ablations, and all five implementations counting the same "
         "triangles",
     run=run_paper,
-    keys=("schema_version", "quick", "correctness", *FIGURES, "warm_session",
-          "scaling", "ablations", "algorithms"),
+    keys=("schema_version", "quick", "correctness", "warm_session",
+          "algorithms", *dict.fromkeys(exp.section.split(".")[0]
+                                       for exp in experiments.EXPERIMENTS)),
     gates=(
         Gate("correctness.max_abs_lcc_error", "==", 0.0,
              "asynchronous distributed LCC returns the per-vertex scores of "

@@ -5,12 +5,12 @@ Belli): shared-memory runs repeat "until the 5% of the median was within
 the 95% CI"; distributed runs report "the median of the longest-running
 node ... with the corresponding 95% CI" (Section IV-A).
 
-Our simulator is deterministic for a fixed seed, so the analogue of a
-repetition is a different *seed* (new graph sample / relabeling).  This
-module provides the same estimators:
+Our simulator is deterministic for a fixed seed, so repeating a run
+never changes its time and the paper's adaptive stopping rule has nothing
+to stop; the analogue of a repetition is a different *seed* (new graph
+sample / relabeling).  This module provides the estimators:
 
 * :func:`median_ci` — nonparametric order-statistic 95% CI of the median;
-* :func:`repeat_until_tight` — the paper's adaptive stopping rule;
 * :func:`repeat_over_seeds` — run an experiment across seeds and summarize.
 """
 
@@ -40,10 +40,6 @@ class MedianCI:
             return 0.0
         return max(self.hi - self.median, self.median - self.lo) / abs(self.median)
 
-    def __str__(self) -> str:  # pragma: no cover - formatting aid
-        return (f"{self.median:.6g} "
-                f"[{self.lo:.6g}, {self.hi:.6g}] (n={self.n})")
-
 
 def median_ci(samples: Sequence[float], confidence: float = 0.95) -> MedianCI:
     """Nonparametric CI of the median via binomial order statistics.
@@ -70,30 +66,6 @@ def median_ci(samples: Sequence[float], confidence: float = 0.95) -> MedianCI:
         else:
             break
     return MedianCI(med, float(xs[lo_idx]), float(xs[hi_idx]), n, confidence)
-
-
-def repeat_until_tight(
-    sample_fn: Callable[[int], float],
-    *,
-    rel_tolerance: float = 0.05,
-    confidence: float = 0.95,
-    min_samples: int = 5,
-    max_samples: int = 100,
-) -> MedianCI:
-    """The paper's stopping rule: repeat until the CI is within
-    ``rel_tolerance`` of the median (or ``max_samples`` is reached).
-
-    ``sample_fn(i)`` produces the i-th measurement (e.g. a run with seed
-    ``i``).
-    """
-    samples: list[float] = []
-    for i in range(max_samples):
-        samples.append(float(sample_fn(i)))
-        if len(samples) >= min_samples:
-            ci = median_ci(samples, confidence)
-            if ci.half_width_fraction <= rel_tolerance:
-                return ci
-    return median_ci(samples, confidence)
 
 
 def repeat_over_seeds(

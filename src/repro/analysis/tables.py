@@ -7,7 +7,7 @@ reports a comparable number, so shape deviations are visible at a glance.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class Table:
@@ -45,22 +45,26 @@ class Table:
         if self.title:
             lines.append(f"**{self.title}**")
             lines.append("")
-        lines.append("| " + " | ".join(self.headers) + " |")
+        lines.append(_md_row(self.headers))
         lines.append("|" + "|".join("---" for _ in self.headers) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(row) + " |")
+        lines += [_md_row(row) for row in self.rows]
         return "\n".join(lines)
 
     def __str__(self) -> str:
         return self.render()
 
 
-def print_tables(tables: Sequence[Table]) -> None:
-    """Print each table and a blank line: what an experiment module does
-    when run as a script."""
-    for table in tables:
-        print(table.render())
-        print()
+def in_order(declared: Iterable[Any], section: Mapping[str, Any]) -> list[str]:
+    """The keys of ``section`` that ``declared`` names, in declared order:
+    a report is written with sorted keys ("uniform" last), so a table's
+    row order comes from its experiment's lists, not from the report (a
+    numeric key sorts as a number: ``sorted(section, key=int)``)."""
+    return [key for key in map(str, declared) if key in section]
+
+
+def _md_row(cells: Sequence[str]) -> str:
+    # An unescaped "|" in a cell (Table II's "paper |V|") would split it.
+    return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
 
 
 def _fmt(value: Any) -> str:

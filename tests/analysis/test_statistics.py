@@ -7,7 +7,6 @@ from repro.analysis.statistics import (
     MedianCI,
     median_ci,
     repeat_over_seeds,
-    repeat_until_tight,
 )
 
 
@@ -50,38 +49,6 @@ class TestMedianCI:
 
     def test_zero_median(self):
         assert MedianCI(0.0, 0.0, 0.0, 3).half_width_fraction == 0.0
-
-
-class TestRepeatUntilTight:
-    def test_stops_early_on_tight_data(self):
-        calls = []
-
-        def sample(i):
-            calls.append(i)
-            return 5.0 + 1e-6 * i  # essentially constant
-
-        ci = repeat_until_tight(sample, min_samples=5, max_samples=50)
-        assert len(calls) == 5
-        assert ci.half_width_fraction < 0.05
-
-    def test_hits_max_on_noisy_data(self):
-        rng = np.random.default_rng(2)
-
-        def sample(i):
-            return float(rng.lognormal(0, 2.0))
-
-        ci = repeat_until_tight(sample, min_samples=5, max_samples=12)
-        assert ci.n <= 12
-
-    def test_respects_min_samples(self):
-        calls = []
-
-        def sample(i):
-            calls.append(i)
-            return 1.0
-
-        repeat_until_tight(sample, min_samples=7, max_samples=20)
-        assert len(calls) >= 7
 
 
 class TestRepeatOverSeeds:

@@ -31,6 +31,13 @@ class TestTable:
         assert "|---|---|" in md
         assert "| 1 | 2 |" in md
 
+    def test_markdown_escapes_pipes_in_cells(self):
+        t = Table(["paper |V|", "b"])
+        t.add_row("x|y", 2)
+        md = t.render_markdown()
+        assert md.splitlines()[0] == r"| paper \|V\| | b |"
+        assert md.splitlines()[2] == r"| x\|y | 2 |"
+
     def test_float_formatting(self):
         t = Table(["x"])
         t.add_row(0.5)

@@ -353,19 +353,32 @@ class TestSweep:
             s.run("lcc", nranks=8, fast_path=False)
             assert s.partition_builds == 2
 
-    def test_run_kernel_variants_driver(self, graph, cache_spec):
-        from repro.analysis.sweep import run_kernel_variants, series
+    def test_strong_scaling_driver(self, graph, cache_spec, monkeypatch):
+        from repro.analysis import sweep
 
-        cells = run_kernel_variants(
+        sessions = []
+
+        class Recording(Session):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(sweep, "Session", Recording)
+        r = sweep.strong_scaling(
             graph, [2, 4],
             {"lcc": {}, "lcc-cached": {"cache": cache_spec},
-             "tric": {"kernel": "tric"}},
-            config=LCCConfig(threads=4))
-        assert len(cells) == 6
-        pts = series(cells, "lcc")
-        assert [p for p, _ in pts] == [2, 4]
-        legacy = run_distributed_lcc(graph, LCCConfig(nranks=2, threads=4))
-        assert pts[0][1] == legacy.time
+             "tric": {"kernel": "tric"}})
+        assert list(r["nodes"]) == ["2", "4"]
+        # One session for the sweep, one partition per node count: the
+        # cached variant reuses the plain one's cluster.
+        assert len(sessions) == 1
+        assert sessions[0].partition_builds == 2
+        legacy = run_distributed_lcc(graph, LCCConfig(nranks=2, threads=12))
+        assert r["nodes"]["2"]["lcc"] == legacy.time
+        for v in ("lcc", "lcc-cached", "tric"):
+            assert r["speedup"][v] == r["nodes"]["2"][v] / r["nodes"]["4"][v]
+        assert r["nodes"]["4"]["tric_over_lcc"] == (
+            r["nodes"]["4"]["tric"] / r["nodes"]["4"]["lcc"])
 
 
 class TestResultSurface:
