@@ -272,8 +272,8 @@ def write_report(suite: BenchSuite, report: Mapping, path: str) -> list:
 
 def validate_file(path: str) -> list:
     """Load and validate one benchmark report by what its name claims:
-    ``BENCH_<suite>.json`` against that suite's required keys, anything
-    else kind-agnostically."""
+    ``BENCH_<suite>.json`` and ``BENCH_<suite>_quick.json`` against that
+    suite's required keys, anything else kind-agnostically."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -284,7 +284,7 @@ def validate_file(path: str) -> list:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         return [f"{path}: not valid JSON ({exc})"]
     name = os.path.basename(path)
-    stem = re.match(r"^BENCH_([a-z]+)\.json$", name)
+    stem = re.match(r"^BENCH_([a-z]+)(?:_quick)?\.json$", name)
     if stem and stem.group(1) in _SUITE_MODULES:
         problems = validate_report(data, get_suite(stem.group(1)).keys)
     else:

@@ -43,13 +43,15 @@ POLICIES = {"default": None, "degree": AppScorePolicy,
 
 
 def measure(quick: bool) -> dict:
-    """Every study's numbers.  ``quick`` runs the gated three (overlap,
-    partition, TriC volume) at half scale and the rest at a quarter."""
+    """Every study's numbers.  ``quick`` runs the gated overlap and
+    partition studies at half scale, the TriC volume study on the two
+    smaller R-MAT scales and the rest at a quarter."""
     gated, scale = (0.5, 0.25) if quick else (1.0, 1.0)
     return {
         "overlap": overlap_sweep(gated),
         "partition": partition_sweep(gated),
-        "tric_volume": tric_volume_sweep(),
+        "tric_volume": tric_volume_sweep(
+            TRIC_VOLUME_SCALES[:2] if quick else TRIC_VOLUME_SCALES),
         "adaptive": adaptive_sweep(scale),
         "disttc": disttc_sweep(scale),
         "distribution": distribution_sweep(scale),
@@ -169,11 +171,12 @@ def disttc_table(section: dict) -> Table:
     return t
 
 
-def tric_volume_sweep() -> dict:
+def tric_volume_sweep(rmat_scales: list[int]) -> dict:
     """``{"scales": {R-MAT scale: wire words, their ratio, time ratio},
-    "ratio_growth": largest scale's word ratio / smallest scale's}``."""
+    "ratio_growth": largest scale's word ratio / smallest scale's}`` over
+    ``rmat_scales``, a prefix of :data:`TRIC_VOLUME_SCALES`."""
     scales = {}
-    for s in TRIC_VOLUME_SCALES:
+    for s in rmat_scales:
         g = rmat(s, 16, seed=SEED)
         p = 8
         async_res = run_distributed_lcc(g, LCCConfig(nranks=p, threads=12))

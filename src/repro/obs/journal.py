@@ -31,9 +31,10 @@ Event vocabulary (the ``ev`` field):
     Admission control bounced an arrival: deferred requests wait for a
     slot, shed requests are gone for good.
 ``dispatch``
-    The engine started a task on a worker (``starved`` marks the
-    fairness override; ``eligible`` counts the fence-admitted set the
-    pick chose from).
+    The engine started a task on a worker: ``qid``, ``graph``,
+    ``is_update`` (a query runs, an update leader opens its window),
+    ``worker``, ``starved`` (the fairness override) and ``eligible``
+    (the size of the fence-admitted set the pick chose from).
 ``window_open`` / ``window_close``
     An update leader's coalescing window: planned close on open; actual
     riders and close ``reason`` (``"deadline"`` — ran its bounded

@@ -63,7 +63,7 @@ from repro.serve.scheduler import (
     eligible_requests,
     make_scheduler,
 )
-from repro.serve.tasks import Task, make_task
+from repro.serve.tasks import Task
 from repro.serve.workload import (
     WorkloadSpec,
     default_catalog,
@@ -101,7 +101,6 @@ __all__ = [
     "eligible_requests",
     "generate_workload",
     "make_scheduler",
-    "make_task",
     "summarize",
     "zipf_weights",
 ]

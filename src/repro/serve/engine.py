@@ -1,16 +1,21 @@
 """The serving engines: serial oracle and cooperative async runtime.
 
-Two engines share one vocabulary (:mod:`repro.serve.records`), one task
-model boundary and one commit path:
+Two engines share one vocabulary (:mod:`repro.serve.records`, whose
+:func:`~repro.serve.records.query_record` and
+:func:`~repro.serve.records.update_records` build every served record)
+and one commit path (``_commit_update_group``):
 
 * :class:`ServingEngine` — the **serial oracle**.  One request at a
   time on the simulated clock; every answer digest and version history
   it produces is the reference the async engine is pinned against.
-* :class:`AsyncServingEngine` — the **cooperative runtime**.  Requests
-  become resumable tasks (:mod:`repro.serve.tasks`) multiplexed over
-  ``workers`` logical workers by a discrete-event loop on the simulated
-  clock: queries against disjoint (graph, shard-set) keys overlap with
-  update application instead of serializing behind the per-graph fence.
+* :class:`AsyncServingEngine` — the **cooperative runtime**.  A
+  discrete-event loop on the simulated clock keeps one
+  :class:`~repro.serve.tasks.Task` per request and multiplexes them
+  over ``workers`` logical workers: it dispatches a query (acquire and
+  run on a worker), commits an update leader once its window closes,
+  and retires each task at its simulated finish.  Queries against
+  disjoint (graph, shard-set) keys overlap with update application
+  instead of serializing behind the per-graph fence.
   It adds the adaptive **coalescing window** (an admitted update leader
   holds for a bounded window to absorb rider updates — never past its
   deadline), **admission control + backpressure** (bounded run queue
@@ -58,7 +63,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.config import CacheSpec, LCCConfig
 from repro.dynamic.delta import DeltaBuffer, UpdateBatch, apply_delta
@@ -76,8 +80,9 @@ from repro.serve.records import (
     UpdateRecord,
     answers_identical,
     concurrency_profile,
-    result_digest,
+    query_record,
     summarize,
+    update_records,
 )
 from repro.serve.request import QueryRequest, UpdateRequest, arrival_order
 from repro.serve.scheduler import (
@@ -86,17 +91,7 @@ from repro.serve.scheduler import (
     coalescible_updates,
     eligible_requests,
 )
-from repro.serve.tasks import (
-    Acquire,
-    Commit,
-    Committed,
-    Executed,
-    Hold,
-    Run,
-    Task,
-    effect_name,
-    make_task,
-)
+from repro.serve.tasks import Task
 from repro.utils.errors import ConfigError, SimulationError
 
 __all__ = [
@@ -280,10 +275,6 @@ class ServingEngine:
             return self.store_factory(self.catalog)
         return GraphStore(self.catalog)
 
-    def _commit_updates(self, store, pool: SessionPool,
-                        group: list[UpdateRequest]) -> tuple[list, Any, float]:
-        return _commit_update_group(store, pool, group)
-
     def serve(self, requests: list[QueryRequest]) -> ServeOutcome:
         """Serve every request; returns records + aggregates.
 
@@ -297,7 +288,7 @@ class ServingEngine:
         config, scheduler = self.config, self.scheduler
         scheduler.reset()
         records: list[QueryRecord] = []
-        update_records: list[UpdateRecord] = []
+        committed: list[UpdateRecord] = []
         updates_coalesced = 0
         pending = sorted(requests, key=arrival_order)
         queue: list = []
@@ -323,32 +314,15 @@ class ServingEngine:
                     for member in group:
                         queue.remove(member)
                     updates_coalesced += len(group) - 1
-                    updates, fields, service = self._commit_updates(
+                    updates, fields, service = _commit_update_group(
                         store, pool, group)
                     wall = time.perf_counter() - t0
                     start = max(clock, req.arrival)
-                    finish = start + service
-                    clock = finish
+                    clock = start + service
                     last_key = req.session_key
-                    for i, (r, u) in enumerate(zip(group, updates)):
-                        head = i == 0
-                        update_records.append(UpdateRecord(
-                            qid=r.qid, tenant=r.tenant, graph=r.graph,
-                            arrival=r.arrival, start=start, finish=finish,
-                            service_s=service if head else 0.0,
-                            wall_s=wall if head else 0.0,
-                            n_inserted=u.delta.n_inserted,
-                            n_deleted=u.delta.n_deleted,
-                            version=u.version.version,
-                            digest=u.digest,
-                            coalesced=not head,
-                            **(fields if head else {
-                                "n_affected": int(u.delta.affected.shape[0]),
-                                "invalidated_entries": 0,
-                                "retained_entries": 0,
-                                "rekeyed_entries": 0,
-                                "sessions_synced": 0,
-                            })))
+                    committed += update_records(
+                        group, updates, fields, start=start, commit_at=start,
+                        finish=clock, service_s=service, wall_s=wall)
                     continue
                 queue.remove(req)
                 session, built = pool.acquire(req.session_key)
@@ -356,81 +330,42 @@ class ServingEngine:
                 wall = time.perf_counter() - t0
                 service = float(result.time)
                 start = max(clock, req.arrival)
-                finish = start + service
-                clock = finish
+                clock = start + service
                 last_key = req.session_key
-                stats = result.adj_cache_stats
-                version = store.version(req.graph).version
-                records.append(QueryRecord(
-                    qid=req.qid, tenant=req.tenant, graph=req.graph,
-                    kernel=req.kernel, arrival=req.arrival, start=start,
-                    finish=finish, service_s=service, wall_s=wall,
-                    warm_cache=result.warm_cache, built_session=built,
-                    adj_hit_rate=(None if stats is None
-                                  else float(stats["hit_rate"])),
-                    version=version,
-                    digest=result_digest(result, version)))
+                records.append(query_record(
+                    req, result, version=store.version(req.graph).version,
+                    start=start, finish=clock, service_s=service,
+                    wall_s=wall, built_session=built))
             pool_stats = pool.stats.as_dict()
         wall_clock = time.perf_counter() - t_run
         records.sort(key=lambda r: r.qid)
-        update_records.sort(key=lambda r: r.qid)
+        committed.sort(key=lambda r: r.qid)
         outcome = ServeOutcome(
             scheduler=scheduler.name, records=records,
             pool_stats=pool_stats, wall_clock_s=wall_clock,
-            update_records=update_records,
+            update_records=committed,
             graph_versions={name: (store.version(name).version,
                                    store.digest(name))
                             for name in store.names()})
         outcome.aggregates = summarize(records, pool_stats, wall_clock,
-                                       update_records, updates_coalesced)
+                                       committed, updates_coalesced)
         return outcome
-
-
-class _Inflight:
-    """A task occupying a worker until a simulated completion time."""
-
-    __slots__ = ("task", "finish", "worker", "payload")
-
-    def __init__(self, task: Task, finish: float, worker: int, payload):
-        self.task = task
-        self.finish = finish
-        self.worker = worker
-        self.payload = payload
-
-
-class _Holding:
-    """An update-leader task holding its coalescing window open.
-
-    ``planned`` keeps the close time the window was opened with;
-    ``close`` may later be pulled earlier by a query arrival, and the
-    journal derives the close *reason* from the difference.
-    """
-
-    __slots__ = ("task", "close", "worker", "start", "planned")
-
-    def __init__(self, task: Task, close: float, worker: int, start: float,
-                 planned: float | None = None):
-        self.task = task
-        self.close = close
-        self.worker = worker
-        self.start = start
-        self.planned = close if planned is None else planned
 
 
 class AsyncServingEngine(ServingEngine):
     """Cooperative multi-worker serving on the simulated clock.
 
-    A discrete-event loop multiplexes resumable tasks over ``workers``
-    logical workers.  Each iteration: admit arrivals (applying the
-    backpressure policy), close due coalescing windows, retire due
-    completions, dispatch while workers are free, then advance the
-    clock to the next event.  Dispatch admits only requests the
-    per-(graph, shard-set) fences allow **against everything known** —
-    waiting, deferred, holding and running requests alike — so no task
-    can start ahead of a conflicting earlier-arrival request, which is
-    the whole bit-identity argument: a query's answer depends only on
-    the store version its arrival order dictates, and warm caches
-    change timing, never answers.
+    A discrete-event loop multiplexes one task per request over
+    ``workers`` logical workers.  Each iteration: admit arrivals
+    (applying the backpressure policy), retire due completions, commit
+    the leaders of due coalescing windows, dispatch while workers are
+    free, then advance the clock to the next event.  Dispatch admits
+    only requests the per-(graph, shard-set) fences allow **against
+    everything known** — waiting, deferred, holding and running
+    requests alike — so no task can start ahead of a conflicting
+    earlier-arrival request, which is the whole bit-identity argument:
+    a query's answer depends only on the store version its arrival
+    order dictates, and warm caches change timing, never answers.
     """
 
     def __init__(self, catalog: dict[str, CSRGraph],
@@ -463,13 +398,13 @@ class AsyncServingEngine(ServingEngine):
         pending = sorted(requests, key=arrival_order)
         waiting: list[Task] = []       # admitted, runnable (the run queue)
         deferred: list[Task] = []      # known, waiting for a queue slot
-        running: list[_Inflight] = []
-        holding: list[_Holding] = []
+        running: list[Task] = []       # on a worker until task.finish
+        holding: list[Task] = []       # update leaders, window open
         free_workers = list(range(cfg.workers))
         locks: set = set()             # session keys owned by running queries
 
         records: list[QueryRecord] = []
-        update_records: list[UpdateRecord] = []
+        committed: list[UpdateRecord] = []
         rejected: list[RejectRecord] = []
         window_s = cfg.coalesce_window_s
         clock = 0.0
@@ -513,9 +448,7 @@ class AsyncServingEngine(ServingEngine):
 
         def inflight_requests():
             """Everything the fence must see beyond the run queue."""
-            return ([t.request for t in deferred]
-                    + [r.task.request for r in running]
-                    + [h.task.request for h in holding])
+            return [t.request for t in (*deferred, *running, *holding)]
 
         def admit() -> bool:
             """Move due arrivals into the run queue (or shed/defer them)."""
@@ -534,14 +467,12 @@ class AsyncServingEngine(ServingEngine):
                             queue_depth=len(waiting))
                         changed = True
                         continue
-                    task = make_task(req)
-                    task.deferred = True
-                    deferred.append(task)
+                    deferred.append(Task(req, deferred=True))
                     c_deferred.inc()
                     jot("defer", qid=req.qid, graph=req.graph,
                         queue_depth=len(waiting))
                 else:
-                    waiting.append(make_task(req))
+                    waiting.append(Task(req))
                     c_admitted.inc()
                     jot("admit", qid=req.qid, graph=req.graph,
                         is_update=req.is_update, arrival=req.arrival)
@@ -551,7 +482,7 @@ class AsyncServingEngine(ServingEngine):
                 # latency without any chance of another rider.
                 if not req.is_update:
                     for h in holding:
-                        if h.task.request.graph == req.graph:
+                        if h.request.graph == req.graph:
                             h.close = min(h.close, clock)
                 changed = True
             # Refill freed run-queue slots in arrival order.
@@ -584,8 +515,7 @@ class AsyncServingEngine(ServingEngine):
             """
             leader = leader_task.request
             uncommitted = (waiting + deferred
-                           + [h.task for h in holding
-                              if h.task is not leader_task])
+                           + [h for h in holding if h is not leader_task])
             known = sorted(
                 (t for t in uncommitted
                  if t.request.graph == leader.graph),
@@ -599,11 +529,11 @@ class AsyncServingEngine(ServingEngine):
                 riders.append(t)
             return riders
 
-        def close_window(h: _Holding) -> None:
+        def close_window(h: Task) -> None:
             """Commit a leader plus whatever riders its window absorbed."""
             nonlocal window_s
-            leader = h.task.request
-            riders = gather_riders(h.task)
+            leader = h.request
+            riders = gather_riders(h)
             rider_qids = [t.request.qid for t in riders]
             jot("window_close", qid=leader.qid, graph=leader.graph,
                 close=h.close, riders=rider_qids,
@@ -611,20 +541,16 @@ class AsyncServingEngine(ServingEngine):
                         else "query_arrival"))
             for t in riders:
                 waiting.remove(t)
-            h.task.resume([t.request for t in riders])
-            effect = h.task.effect
-            if not isinstance(effect, Commit):  # pragma: no cover - guard
-                raise SimulationError("update task must commit after its hold")
             t0 = time.perf_counter()
-            group = [effect.leader, *effect.riders]
+            group = [leader, *(t.request for t in riders)]
             tick(h.close)
             with obs_span("commit", cat="task", worker=h.worker,
                           qid=leader.qid, graph=leader.graph,
                           group=len(group)) as commit_span:
                 updates, fields, service = _commit_update_group(store, pool,
                                                                 group)
-                finish = h.close + service
-                commit_span.end_at(finish)
+                h.finish = h.close + service
+                commit_span.end_at(h.finish)
             wall = time.perf_counter() - t0
             c_riders.inc(len(riders))
             c_commits.inc()
@@ -636,7 +562,7 @@ class AsyncServingEngine(ServingEngine):
             jot("commit", qid=leader.qid, graph=leader.graph,
                 riders=rider_qids,
                 versions=[u.version.version for u in updates],
-                digest=updates[-1].digest, finish=finish)
+                digest=updates[-1].digest, finish=h.finish)
             if cfg.adaptive_window:
                 adapted = (min(cfg.coalesce_window_s, window_s * 2)
                            if riders else window_s / 2)
@@ -644,33 +570,24 @@ class AsyncServingEngine(ServingEngine):
                     window_s = adapted
                     jot("window_adapt", qid=leader.qid,
                         graph=leader.graph, window_s=window_s)
-            h.task.resume(Committed(
-                updates=tuple(updates), fields=fields, start=h.start,
-                commit_at=h.close, finish=finish, service_s=service,
-                wall_s=wall, worker=h.worker))
+            h.resume(update_records(
+                group, updates, fields, start=h.start, commit_at=h.close,
+                finish=h.finish, service_s=service, wall_s=wall,
+                worker=h.worker))
             # The commit occupies the leader's worker for the resync's
             # simulated time; riders retire with it.
-            running.append(_Inflight(h.task, finish, h.worker, None))
+            running.append(h)
 
-        def retire(r: _Inflight) -> None:
-            task = r.task
-            if not task.done:  # pragma: no cover - structural guard
-                raise SimulationError("inflight task retired before completion")
-            jot("retire", qid=task.request.qid, worker=r.worker,
-                finish=r.finish)
+        def retire(task: Task) -> None:
+            jot("retire", qid=task.request.qid, worker=task.worker,
+                finish=task.finish)
             if task.request.is_update:
-                for rec in task.value:
-                    rec.deferred = task.deferred or rec.deferred
-                    rec.queue_steps = max(rec.queue_steps, task.queue_steps)
-                update_records.extend(task.value)
+                committed.extend(task.value)
             else:
-                rec = task.value
-                rec.deferred = task.deferred
-                rec.queue_steps = task.queue_steps
-                records.append(rec)
+                records.extend(task.value)
                 locks.discard(task.request.session_key)
                 pool.unpin(task.request.session_key)
-            free_workers.append(r.worker)
+            free_workers.append(task.worker)
             free_workers.sort()
 
         def dispatchable() -> list[Task]:
@@ -720,64 +637,56 @@ class AsyncServingEngine(ServingEngine):
                 if starved:
                     c_starved.inc()
                 waiting.remove(task)
-                worker = free_workers.pop(0)
+                task.worker = worker = free_workers.pop(0)
+                task.start = clock
                 req = task.request
                 jot("dispatch", qid=req.qid, graph=req.graph,
                     is_update=req.is_update, worker=worker,
-                    starved=bool(starved), eligible=len(ready),
-                    effect=effect_name(task.effect))
+                    starved=bool(starved), eligible=len(ready))
                 tick(clock)
                 if req.is_update:
-                    if not isinstance(task.effect, Hold):  # pragma: no cover
-                        raise SimulationError("update task must hold first")
                     # Window close: bounded by the adaptive window and
                     # by the leader's own deadline — a hold never pushes
                     # the commit past arrival + slo_update_s.
                     deadline = req.arrival + cfg.slo_update_s
-                    planned = clock + max(0.0, min(window_s,
-                                                   deadline - clock))
-                    close = planned
+                    task.planned = clock + max(0.0, min(window_s,
+                                                        deadline - clock))
+                    task.close = task.planned
                     # An already-waiting query on the graph means no
                     # rider can be absorbed ahead of it: commit now.
                     if any(not t.request.is_update
                            and t.request.graph == req.graph
                            for t in waiting + deferred):
-                        close = clock
+                        task.close = clock
                     c_windows.inc()
                     jot("window_open", qid=req.qid, graph=req.graph,
-                        close=close, window_s=window_s)
-                    h = _Holding(task, close, worker, clock,
-                                 planned=planned)
-                    holding.append(h)
-                    if close <= clock:
-                        holding.remove(h)
-                        close_window(h)
+                        close=task.close, window_s=window_s)
+                    if task.close <= clock:
+                        close_window(task)
+                    else:
+                        holding.append(task)
                 else:
-                    if not isinstance(task.effect, Acquire):  # pragma: no cover
-                        raise SimulationError("query task must acquire first")
                     t0 = time.perf_counter()
                     session, built = pool.acquire(req.session_key)
                     pool.pin(req.session_key)
                     locks.add(req.session_key)
-                    task.resume((session, built))
-                    if not isinstance(task.effect, Run):  # pragma: no cover
-                        raise SimulationError("query task must run after acquire")
                     result = session.run(req.kernel, keep_cache=True)
                     wall = time.perf_counter() - t0
                     version = store.version(req.graph).version
-                    finish = clock + float(result.time)
+                    task.finish = clock + float(result.time)
                     if tracer is not None:
-                        tracer.emit("run", cat="task", t0=clock, t1=finish,
-                                    worker=worker, qid=req.qid,
-                                    graph=req.graph, kernel=req.kernel,
-                                    version=version,
+                        tracer.emit("run", cat="task", t0=clock,
+                                    t1=task.finish, worker=worker,
+                                    qid=req.qid, graph=req.graph,
+                                    kernel=req.kernel, version=version,
                                     warm=bool(result.warm_cache),
                                     wall_s=wall)
-                    task.resume(Executed(
-                        result=result, version=version, start=clock,
-                        finish=finish, wall_s=wall, worker=worker,
-                        built_session=built))
-                    running.append(_Inflight(task, finish, worker, None))
+                    task.resume([query_record(
+                        req, result, version=version, start=task.start,
+                        finish=task.finish,
+                        service_s=task.finish - task.start,
+                        wall_s=wall, built_session=built, worker=worker)])
+                    running.append(task)
                 started = True
             return started
 
@@ -793,15 +702,15 @@ class AsyncServingEngine(ServingEngine):
                 while progress:
                     progress = admit()
                     due_runs = sorted(
-                        (r for r in running if r.finish <= clock),
-                        key=lambda r: (r.finish, r.task.request.qid))
-                    for r in due_runs:
-                        running.remove(r)
-                        retire(r)
+                        (t for t in running if t.finish <= clock),
+                        key=lambda t: (t.finish, t.request.qid))
+                    for t in due_runs:
+                        running.remove(t)
+                        retire(t)
                         progress = True
                     due_holds = sorted(
                         (h for h in holding if h.close <= clock),
-                        key=lambda h: (h.close, h.task.request.qid))
+                        key=lambda h: (h.close, h.request.qid))
                     for h in due_holds:
                         holding.remove(h)
                         close_window(h)
@@ -826,23 +735,23 @@ class AsyncServingEngine(ServingEngine):
 
         wall_clock = time.perf_counter() - t_run
         records.sort(key=lambda r: r.qid)
-        update_records.sort(key=lambda r: r.qid)
+        committed.sort(key=lambda r: r.qid)
         rejected.sort(key=lambda r: r.qid)
         outcome = AsyncServeOutcome(
             scheduler=scheduler.name, records=records,
             pool_stats=pool_stats, wall_clock_s=wall_clock,
-            update_records=update_records,
+            update_records=committed,
             graph_versions={name: (store.version(name).version,
                                    store.digest(name))
                             for name in store.names()},
             rejected=rejected, workers=cfg.workers,
             metrics=registry.snapshot())
         aggs = summarize(records, pool_stats, wall_clock,
-                         update_records, int(c_riders.value))
-        aggs.update(concurrency_profile(records, update_records))
+                         committed, int(c_riders.value))
+        aggs.update(concurrency_profile(records, committed))
         aggs["n_rejected"] = len(rejected)
         aggs["n_deferred"] = int(sum(r.deferred for r in records)
-                                 + sum(u.deferred for u in update_records
+                                 + sum(u.deferred for u in committed
                                        if not u.coalesced))
         if records:
             aggs["query_slo_attainment"] = float(

@@ -1,9 +1,11 @@
 """Serving records, outcomes and aggregation — shared by both engines.
 
-The serial :class:`~repro.serve.engine.ServingEngine` and the
-cooperative :class:`~repro.serve.engine.AsyncServingEngine` retire the
-same record types, digest answers the same way, and summarize into the
-same report rows — that shared vocabulary is what makes the async
+The serial :class:`~repro.serve.engine.ServingEngine`, the
+cooperative :class:`~repro.serve.engine.AsyncServingEngine` and the
+replica read path (:meth:`~repro.shardstore.replica.ReplicaSet
+.serve_reads`) build every record through :func:`query_record` and
+:func:`update_records`, digest answers the same way, and summarize into
+the same report rows — that shared vocabulary is what makes the async
 engine's bit-identity claim *checkable*: two outcomes compare through
 :func:`answers_identical` regardless of which engine produced them.
 
@@ -24,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, SimulationError
 
 
 @dataclass
@@ -53,6 +55,14 @@ class QueryRecord:
     def latency(self) -> float:
         """Simulated end-to-end latency (queueing + service)."""
         return self.finish - self.arrival
+
+
+@dataclass
+class ReadRecord(QueryRecord):
+    """One query served by one read replica of a
+    :class:`~repro.shardstore.replica.ReplicaSet`."""
+
+    replica: str = ""     # which replica the router placed it on
 
 
 @dataclass
@@ -186,6 +196,68 @@ def result_digest(result: Any, version: int) -> str:
         if arr is not None:
             h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
+
+
+def query_record(req, result, *, version: int, start: float, finish: float,
+                 service_s: float, wall_s: float, built_session: bool,
+                 worker: int = 0, replica: str | None = None) -> QueryRecord:
+    """The record of one served query, on every serving path.
+
+    ``service_s`` is the caller's, not ``finish - start`` recomputed: the
+    serial paths charge ``float(result.time)``, the cooperative engine
+    its ``finish - start``, and each keeps its own bits.  A ``replica``
+    makes it the :class:`ReadRecord` of a routed read.
+    """
+    stats = result.adj_cache_stats
+    fields = dict(
+        qid=req.qid, tenant=req.tenant, graph=req.graph, kernel=req.kernel,
+        arrival=req.arrival, start=start, finish=finish,
+        service_s=service_s, wall_s=wall_s, warm_cache=result.warm_cache,
+        built_session=built_session,
+        adj_hit_rate=(None if stats is None else float(stats["hit_rate"])),
+        version=version, digest=result_digest(result, version),
+        worker=worker)
+    if replica is not None:
+        return ReadRecord(**fields, replica=replica)
+    return QueryRecord(**fields)
+
+
+def update_records(group, updates, fields: dict, *, start: float,
+                   commit_at: float, finish: float, service_s: float,
+                   wall_s: float, worker: int = 0) -> list[UpdateRecord]:
+    """The records of one committed update group, leader first.
+
+    ``updates`` holds the store's update per member, ``fields`` the
+    propagation counters of the one resident resync.  The head carries
+    the group's cost: ``service_s``, ``wall_s``, its hold before the
+    commit (``commit_at - start``), its riders and ``fields``.  Each
+    rider keeps its own version and digest, starts at ``commit_at`` and
+    retires at the shared ``finish`` at no cost.  The serial engine
+    commits at once (``commit_at == start``).
+    """
+    if len(updates) != len(group):
+        raise SimulationError("commit returned a mismatched update group")
+    records = []
+    for i, (req, upd) in enumerate(zip(group, updates)):
+        head = i == 0
+        records.append(UpdateRecord(
+            qid=req.qid, tenant=req.tenant, graph=req.graph,
+            arrival=req.arrival, start=start if head else commit_at,
+            finish=finish, service_s=service_s if head else 0.0,
+            wall_s=wall_s if head else 0.0,
+            n_inserted=upd.delta.n_inserted, n_deleted=upd.delta.n_deleted,
+            version=upd.version.version, digest=upd.digest,
+            coalesced=not head, worker=worker,
+            held_s=commit_at - start if head else 0.0,
+            riders=len(group) - 1 if head else 0,
+            **(fields if head else {
+                "n_affected": int(upd.delta.affected.shape[0]),
+                "invalidated_entries": 0,
+                "retained_entries": 0,
+                "rekeyed_entries": 0,
+                "sessions_synced": 0,
+            })))
+    return records
 
 
 def concurrency_profile(records: list[QueryRecord],

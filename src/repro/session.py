@@ -421,7 +421,7 @@ class Session:
     def resident_cluster(self, config: LCCConfig | None = None,
                          keep_cache: bool = False
                          ) -> tuple[Engine, DistributedCSR, list, list]:
-        """Acquire the 1D cluster for ``config`` (``ResidentCluster.acquire``).
+        """The 1D cluster for ``config``, via ``ResidentCluster.acquire``.
 
         Returns ``(engine, dist, offsets_caches, adj_caches)``: the hook
         custom resident kernels use.  Kernels that issue RMA should call
@@ -433,7 +433,7 @@ class Session:
 
     def resident_grid(self, config: LCCConfig | None = None,
                       keep_cache: bool = False) -> GridCluster2D:
-        """Acquire the 2D grid cluster for ``config`` and return it.
+        """The 2D grid cluster for ``config``, via ``ResidentCluster.acquire``.
 
         Its ``execute*`` methods run the 2D kernels; each block lives
         once, as its packed window part.

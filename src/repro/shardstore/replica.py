@@ -37,37 +37,13 @@ from repro.dynamic.delta import UpdateBatch
 from repro.graph.csr import CSRGraph
 from repro.serve.engine import ServeConfig
 from repro.serve.pool import SessionPool
-from repro.serve.records import result_digest
+from repro.serve.records import ReadRecord, query_record
 from repro.serve.request import arrival_order
 from repro.shardstore.router import DEFAULT_VNODES, ShardRouter
 from repro.shardstore.sharded import ShardedGraphStore, ShardedUpdate
 from repro.utils.errors import ConfigError
 
 __all__ = ["ReadRecord", "ReplicaReadOutcome", "ReplicaSet"]
-
-
-@dataclass
-class ReadRecord:
-    """One query served by one replica."""
-
-    qid: int
-    tenant: int
-    graph: str
-    kernel: str
-    replica: str          # which replica the router placed it on
-    arrival: float        # simulated
-    start: float
-    finish: float
-    service_s: float
-    wall_s: float
-    warm_cache: bool
-    built_session: bool
-    version: int          # logical graph version the query observed
-    digest: str           # same digest scheme as the serving engine
-
-    @property
-    def latency(self) -> float:
-        return self.finish - self.arrival
 
 
 @dataclass
@@ -277,17 +253,13 @@ class ReplicaSet:
                 wall = time.perf_counter() - t0
                 service = float(result.time)
                 start = max(clocks[rid], req.arrival)
-                finish = start + service
-                clocks[rid] = finish
+                clocks[rid] = start + service
                 counts[rid] = counts.get(rid, 0) + 1
-                version = self._stores[rid].version(req.graph).version
-                records.append(ReadRecord(
-                    qid=req.qid, tenant=req.tenant, graph=req.graph,
-                    kernel=req.kernel, replica=rid, arrival=req.arrival,
-                    start=start, finish=finish, service_s=service,
-                    wall_s=wall, warm_cache=result.warm_cache,
-                    built_session=built, version=version,
-                    digest=result_digest(result, version)))
+                records.append(query_record(
+                    req, result,
+                    version=self._stores[rid].version(req.graph).version,
+                    start=start, finish=clocks[rid], service_s=service,
+                    wall_s=wall, built_session=built, replica=rid))
             pool_stats = {rid: pool.stats.as_dict()
                           for rid, pool in pools.items()}
         finally:

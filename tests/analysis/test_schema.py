@@ -28,7 +28,10 @@ def test_infer_kind_from_filenames(tmp_path):
                for p in problems("BENCH_kernels.json"))
     assert any("missing key 'burst'" in p
                for p in problems("BENCH_async.json"))
-    assert problems("BENCH_async_quick.json") == []
+    assert any("missing key 'burst'" in p
+               for p in problems("BENCH_async_quick.json"))
+    assert any("missing key 'ablations'" in p
+               for p in problems("BENCH_paper_quick.json"))
     assert problems("report.json") == []
 
 

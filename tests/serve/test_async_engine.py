@@ -189,46 +189,17 @@ class TestValidation:
             AsyncServeConfig(**kw)
 
 
-class TestInvariantBreaks:
-    def test_illegal_task_sequence_is_a_simulation_error(
-            self, catalog, requests, config, monkeypatch):
-        """A task that skips its protocol (a query that runs before it
-        acquires) is an engine bug, not a user mistake: it must surface
-        as SimulationError, never as ConfigError."""
-        import repro.serve.engine as engine
-        from repro.serve.tasks import Run, Task
-        from repro.utils.errors import SimulationError
-
-        def rogue_query(req):
-            yield Run(req)
-
-        def make_task(req):
-            if req.is_update:
-                return engine_make_task(req)
-            task = Task(req, rogue_query(req))
-            task.start()
-            return task
-
-        engine_make_task = engine.make_task
-        monkeypatch.setattr(engine, "make_task", make_task)
-        with pytest.raises(SimulationError,
-                           match="query task must acquire first") as exc:
-            AsyncServingEngine(catalog, config).serve(requests)
-        assert not isinstance(exc.value, ConfigError)
-
-    def test_mismatched_commit_payload_is_a_simulation_error(self, requests):
-        """An update task resumed with fewer store updates than it has
-        group members (leader + riders) was lied to by the runtime."""
-        from repro.serve.tasks import Commit, Committed, Hold, update_task
+class TestRecordBuilders:
+    def test_mismatched_update_group_is_a_simulation_error(self, requests):
+        """A commit that hands back fewer store updates than its group
+        has members (leader + riders) is an engine bug: it surfaces as
+        SimulationError, never as a short record list or a ConfigError."""
+        from repro.serve.records import update_records
         from repro.utils.errors import SimulationError
 
         leader, rider = [r for r in requests if r.is_update][:2]
-        task = update_task(leader)
-        assert isinstance(next(task), Hold)
-        assert isinstance(task.send([rider]), Commit)
-        short = Committed(updates=("only one",), fields={}, start=0.0,
-                          commit_at=0.0, finish=0.0, service_s=0.0,
-                          wall_s=0.0, worker=0)
         with pytest.raises(SimulationError, match="mismatched") as exc:
-            task.send(short)
+            update_records([leader, rider], ["only one"], {}, start=0.0,
+                           commit_at=0.0, finish=0.0, service_s=0.0,
+                           wall_s=0.0)
         assert not isinstance(exc.value, ConfigError)

@@ -10,7 +10,7 @@ bit-identical to an undisturbed run's.
 
 import pytest
 
-from repro.serve import ServeConfig
+from repro.serve import QueryRecord, ServeConfig, ServingEngine
 from repro.serve.request import QueryRequest
 from repro.serve.workload import WorkloadSpec, generate_workload
 from repro.shardstore import ReplicaSet
@@ -82,3 +82,14 @@ class TestFailover:
             arrival=0.0, qid=0, tenant=0, graph=name, kernel="lcc")], CFG)
         assert len(out.records) == 1
         assert out.throughput_qps > 0
+
+    def test_reads_are_query_records_with_serial_answers(self, catalog,
+                                                         burst):
+        """A routed read is built like every served query: a QueryRecord
+        plus its replica, whose digest the serial engine reproduces."""
+        rs = make_set(catalog)
+        out = rs.serve_reads(burst, CFG)
+        assert all(isinstance(r, QueryRecord) and r.replica in rs.live_ids()
+                   for r in out.records)
+        assert out.digests() == ServingEngine(catalog, CFG).serve(
+            burst).digests()

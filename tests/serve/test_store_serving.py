@@ -159,6 +159,18 @@ class TestCoalescing:
         # Every member still advanced its own version.
         assert sorted(u.version for u in outcome.update_records) == [1, 2, 3]
 
+    def test_serial_head_counts_its_riders(self, catalog):
+        """The serial engine absorbs riders too, and its head says so; it
+        commits at once, so nothing is held and riders start with it."""
+        name, g, batches, reqs = self.make_requests(catalog, gap=0.0)
+        outcome = serve(catalog, reqs)
+        head, *riders = outcome.update_records
+        assert not head.coalesced and all(r.coalesced for r in riders)
+        assert head.riders == len(riders) == 2
+        assert all(r.riders == 0 for r in riders)
+        assert head.held_s == 0.0
+        assert all(r.start == head.start for r in riders)
+
     def test_coalesced_equals_sequential(self, catalog):
         """The parity contract, end to end: group flush vs one-by-one."""
         name, g, batches, reqs = self.make_requests(catalog, gap=0.0)

@@ -22,6 +22,11 @@
   analysis layer only through ``repro.analysis.benchsuite``, the
   ``repro bench`` driver: a subsystem is run and checked by its bench
   suite, not by a command with its own payload builder.
+* **One request lifecycle.**  A served record (``QueryRecord(...)``,
+  ``UpdateRecord(...)``, ``ReadRecord(...)``) is constructed only in
+  ``src/repro/serve/records.py``, by the builders every serving loop
+  calls; and ``src/repro/serve/tasks.py`` defines no generator (no
+  ``yield``): the event loop acquires, runs and commits directly.
 """
 
 import ast
@@ -135,6 +140,24 @@ def analysis_imports_besides_benchsuite(tree: ast.AST) -> list[int]:
     return sorted(found)
 
 
+#: The served-record types, constructed only in :data:`RECORDS_MODULE`.
+RECORD_TYPES = {"QueryRecord", "UpdateRecord", "ReadRecord"}
+RECORDS_MODULE = "repro/serve/records.py"
+
+
+def record_constructions(tree: ast.AST) -> list[int]:
+    """Line numbers of :data:`RECORD_TYPES` constructor calls."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and call_name(node) in RECORD_TYPES)
+
+
+def yields(tree: ast.AST) -> list[int]:
+    """Line numbers of ``yield`` / ``yield from`` expressions."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Yield, ast.YieldFrom)))
+
+
 def test_no_assert_outside_check_invariants():
     offenders = [f"{path}:{line}" for path, tree in parsed_modules(SRC)
                  for line in asserts_outside_check_invariants(tree)]
@@ -168,6 +191,15 @@ def test_cli_imports_only_the_bench_driver():
     tree = ast.parse((SRC / "cli.py").read_text())
     assert analysis_imports_besides_benchsuite(tree) == [], \
         "run a subsystem through its bench suite"
+
+
+def test_one_request_lifecycle():
+    offenders = [f"{path}:{line}" for path, tree in parsed_modules(SRC)
+                 if path.as_posix() != RECORDS_MODULE
+                 for line in record_constructions(tree)]
+    assert offenders == [], "build served records in serve/records.py"
+    tree = ast.parse((SRC / "serve" / "tasks.py").read_text())
+    assert yields(tree) == [], "the event loop calls, tasks do not yield"
 
 
 def test_rules_fire_on_what_they_forbid():
@@ -216,3 +248,13 @@ def test_rules_fire_on_what_they_forbid():
         "import repro.analysis\n"
         "from repro.analysisx import y\n")
     assert analysis_imports_besides_benchsuite(tree) == [4, 6, 7, 8]
+    tree = ast.parse(
+        "def query_task(req):\n"
+        "    done = yield Run(req)\n"
+        "    return QueryRecord(qid=req.qid)\n"
+        "def update_task(req):\n"
+        "    yield from hold(req)\n"
+        "    return [records.UpdateRecord(**f), ReadRecord(replica=r)]\n"
+        "rec = query_record(req, result)\n")
+    assert record_constructions(tree) == [3, 6, 6]
+    assert yields(tree) == [2, 5]
